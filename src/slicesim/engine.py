@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -61,6 +61,12 @@ _TICK_HOOKS = {
     Role.MM: mm_mod.tick_hook, Role.FM: fm_mod.tick_hook,
     Role.CGHF: cghf_mod.tick_hook,
 }
+
+#: Tick hooks run in role-name order within each slice.
+_TICK_HOOK_ORDER = tuple(sorted(_TICK_HOOKS, key=lambda r: r.value))
+
+#: Routing-index entry of an ident that names no block.
+_UNROUTED = (None, None, None)
 
 DEFAULT_MAX_TICKS = 400
 
@@ -190,14 +196,6 @@ class RunResult:
     digests: dict
 
 
-@dataclass(order=True)
-class _QueueEntry:
-    tick: int
-    priority: int
-    seq: int
-    msg: SignalMessage = field(compare=False)
-
-
 class Environment:
     """One simulation run: slices, global control part, devices, queue."""
 
@@ -209,7 +207,7 @@ class Environment:
         self.tick = 0
         self._seq = 0
         self.trace: list = []
-        self.queue: list = []
+        self.queue: list = []       # heap of (tick, priority, seq, msg)
         self.devices = {d.device_id: SimDevice(spec=d) for d in scenario.devices}
         self.infra = slices_mod.SimInfrastructure(scenario.infra_capacity)
         self.slices: dict = {}
@@ -241,6 +239,30 @@ class Environment:
         for event in scenario.script:
             self._script_by_tick.setdefault(event.tick, []).append(event)
 
+        # The routing index, ident -> (slice instance, or None for the global
+        # part, role, state), and what the contexts of one slice (key None:
+        # the global part) share.
+        global_peers = {Role.CM: str(self.global_cm),
+                        Role.SAM: str(self.global_sam)}
+        self._route: dict = {ident: (None, role, self.global_states[role])
+                             for role, ident in global_peers.items()}
+        shared = {"seed": seed, "access_nodes": scenario.topology.access,
+                  "global_cm": global_peers[Role.CM],
+                  "slice_directory": {sid: inst.instance_of(Role.CM)
+                                      for sid, inst in self.slices.items()}}
+        self._scopes: dict = {None: dict(shared, slice_id="global",
+                                         policy=SlicePolicy(), peers=global_peers)}
+        for sid, instance in self.slices.items():
+            peers = instance.peers()
+            for role, ident in peers.items():
+                self._route[ident] = (instance, role,
+                                      instance.bb_instances[role].state)
+            bp = instance.blueprint
+            self._scopes[sid] = dict(
+                shared, slice_id=sid, peers=peers, policy=bp.policy,
+                anchors=bp.anchors, ingress_latency=instance.ingress_latency)
+        self._contexts: dict = {}   # ident -> BlockContext
+
     # -- bookkeeping -------------------------------------------------------
 
     def next_seq(self) -> int:
@@ -255,32 +277,15 @@ class Environment:
     def trace_error(self, error: str, subject: str, detail: dict) -> None:
         self.trace_event("error", subject, {"error": error, **detail})
 
-    def _slice_of_instance(self, ident: str):
-        for instance in self.slices.values():
-            if ident in instance.fabric.members:
-                return instance
-        return None
-
-    def _ctx_for(self, instance, role: Role) -> BlockContext:
-        bp = instance.blueprint
-        return BlockContext(
-            slice_id=instance.slice_id, self_id=instance.instance_of(role),
-            role=role, tick=self.tick, seed=self.seed, peers=instance.peers(),
-            policy=bp.policy, access_nodes=self.scenario.topology.access,
-            anchors=bp.anchors, ingress_latency=instance.ingress_latency,
-            global_cm=str(self.global_cm),
-            slice_directory={sid: inst.instance_of(Role.CM)
-                             for sid, inst in self.slices.items()})
-
-    def _global_ctx(self, role: Role) -> BlockContext:
-        peers = {Role.CM: str(self.global_cm), Role.SAM: str(self.global_sam)}
-        return BlockContext(
-            slice_id="global", self_id=peers[role], role=role, tick=self.tick,
-            seed=self.seed, peers=peers, policy=SlicePolicy(),
-            access_nodes=self.scenario.topology.access,
-            global_cm=str(self.global_cm),
-            slice_directory={sid: inst.instance_of(Role.CM)
-                             for sid, inst in self.slices.items()})
+    def _context(self, ident: str, instance, role: Role) -> BlockContext:
+        """The block's context, built on its first use in a tick: handlers
+        read `ctx.tick`, and nothing else in a context changes in a run."""
+        ctx = self._contexts.get(ident)
+        if ctx is None or ctx.tick != self.tick:
+            scope = self._scopes[instance.slice_id if instance else None]
+            ctx = self._contexts[ident] = BlockContext(
+                self_id=ident, role=role, tick=self.tick, **scope)
+        return ctx
 
     # -- emission ------------------------------------------------------------
 
@@ -294,16 +299,15 @@ class Environment:
                     self.trace_error("InvalidMessage", str(msg.source),
                                      {"violations": list(verdict.violations)})
                     continue
-                heapq.heappush(self.queue, _QueueEntry(
-                    tick=self.tick + 1, priority=_PRIORITY[msg.kind], seq=seq,
-                    msg=msg))
+                heapq.heappush(self.queue, (
+                    self.tick + 1, _PRIORITY[msg.kind], seq, msg))
 
     def _expand(self, item: Draft) -> list:
         """Topic publishes become per-subscriber unicasts on non-broker
         fabrics; the broker fabric keeps the single topic message."""
         if not isinstance(item.destination, Topic):
             return [item]
-        instance = self._slice_of_instance(item.source.ident)
+        instance = self._route.get(item.source.ident, _UNROUTED)[0]
         if instance is None:
             return []
         if instance.fabric.model.kind is FabricModelKind.PUB_SUB:
@@ -338,9 +342,9 @@ class Environment:
             self._trace_msg(msg)
             self.emit(self._dplane_receive(msg))
         elif role in BB_ROLES:
-            src_instance = self._slice_of_instance(msg.source.ident)
-            dst_instance = self._slice_of_instance(msg.destination.ident)
-            if (src_instance is not None and src_instance is dst_instance):
+            src_instance = self._route.get(msg.source.ident, _UNROUTED)[0]
+            dst_instance = self._route.get(msg.destination.ident, _UNROUTED)[0]
+            if src_instance is not None and src_instance is dst_instance:
                 self._deliver_fabric(msg)
             else:
                 self._trace_msg(msg)
@@ -349,7 +353,7 @@ class Environment:
             self.trace_error("UnknownDestinationError", str(msg.destination), {})
 
     def _deliver_fabric(self, msg: SignalMessage) -> None:
-        instance = self._slice_of_instance(msg.source.ident)
+        instance = self._route.get(msg.source.ident, _UNROUTED)[0]
         if instance is None:
             self.trace_error("UnknownDestinationError", str(msg.source), {})
             return
@@ -379,22 +383,16 @@ class Environment:
             mediators=mediators, recipients=recipients))
 
     def _invoke_block(self, ident: str, msg: SignalMessage) -> None:
-        if ident in (str(self.global_cm), str(self.global_sam)):
-            role = Role.CM if ident == str(self.global_cm) else Role.SAM
-            state = self.global_states[role]
-            ctx = self._global_ctx(role)
-        else:
-            instance = self._slice_of_instance(ident)
-            if instance is None:
-                self.trace_error("UnknownDestinationError", ident, {})
-                return
-            if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
-                self.trace_error("LifecycleOrderError", instance.slice_id,
-                                 {"detail": "message to a torn down slice"})
-                return
-            role = instance.fabric.members[ident]
-            state = instance.bb_instances[role].state
-            ctx = self._ctx_for(instance, role)
+        instance, role, state = self._route.get(ident, _UNROUTED)
+        if role is None:
+            self.trace_error("UnknownDestinationError", ident, {})
+            return
+        if instance is not None and \
+                instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
+            self.trace_error("LifecycleOrderError", instance.slice_id,
+                             {"detail": "message to a torn down slice"})
+            return
+        ctx = self._context(ident, instance, role)
         try:
             _, drafts, events = _HANDLERS[role](state, msg, ctx)
         except SliceSimError as exc:
@@ -606,6 +604,10 @@ class Environment:
                 self.trace_error("IllegalEventError", device.device_id,
                                  {"detail": "idle while detached"})
                 return
+            if self._mobility_slice(device, {
+                    "slice": device.bound_slice,
+                    "detail": "idle needs mobility management"}) is None:
+                return
             device.idle = True
             corr = device.next_correlation("idle")
             self.emit(self._mode_route(
@@ -625,13 +627,8 @@ class Environment:
             self.trace_error("IllegalEventError", device.device_id,
                              {"detail": "handover to the current node"})
             return
-        instance = self.slices.get(device.bound_slice or "")
-        if instance is None:
-            return
-        if Role.MM not in instance.bb_instances:
-            # no mobility support in this slice by design
-            self.trace_error("MobilityUnsupported", device.device_id,
-                             {"slice": instance.slice_id, "target": target})
+        if self._mobility_slice(device, {"slice": device.bound_slice,
+                                         "target": target}) is None:
             return
         info = self.scenario.topology.access[target]
         corr = device.next_correlation("handover")
@@ -664,11 +661,19 @@ class Environment:
              "qos": options.get("qos", "default"),
              "node": device.current_node}))
 
-    def _page_device(self, device: SimDevice) -> None:
+    def _mobility_slice(self, device: SimDevice, detail: dict):
+        """The device's slice if it deploys mobility management; otherwise
+        traces MobilityUnsupported with `detail` and returns None."""
         instance = self.slices.get(device.bound_slice or "")
         if instance is None or Role.MM not in instance.bb_instances:
-            self.trace_error("MobilityUnsupported", device.device_id,
-                             {"detail": "paging needs mobility management"})
+            self.trace_error("MobilityUnsupported", device.device_id, detail)
+            return None
+        return instance
+
+    def _page_device(self, device: SimDevice) -> None:
+        instance = self._mobility_slice(
+            device, {"detail": "paging needs mobility management"})
+        if instance is None:
             return
         if not instance.has_sf(Role.MM, "device-paging"):
             self.trace_error("SfInactive", device.device_id,
@@ -704,12 +709,12 @@ class Environment:
             instance = self.slices[slice_id]
             if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
                 continue
-            for role in sorted(_TICK_HOOKS, key=lambda r: r.value):
-                if role not in instance.bb_instances:
+            for role in _TICK_HOOK_ORDER:
+                block = instance.bb_instances.get(role)
+                if block is None:
                     continue
-                ctx = self._ctx_for(instance, role)
-                _, drafts, events = _TICK_HOOKS[role](
-                    instance.bb_instances[role].state, ctx)
+                ctx = self._context(str(block.instance_id), instance, role)
+                _, drafts, events = _TICK_HOOKS[role](block.state, ctx)
                 self._absorb(events, slice_id)
                 self.emit(drafts)
 
@@ -742,6 +747,14 @@ class Environment:
                                  {"units": lost[flow], "slice": slice_id})
             self.emit(drafts)
 
+    def _advance(self) -> None:
+        """The current tick's work after its script events: due deliveries,
+        then the tick hooks, then the forwarded planes."""
+        while self.queue and self.queue[0][0] <= self.tick:
+            self._deliver(heapq.heappop(self.queue)[3])
+        self._run_tick_hooks()
+        self._run_dplanes()
+
     def _pending_work(self) -> bool:
         if self.queue:
             return True
@@ -772,11 +785,7 @@ class Environment:
         while True:
             for event in self._script_by_tick.get(self.tick, []):
                 self._run_script_event(event)
-            while self.queue and self.queue[0].tick <= self.tick:
-                entry = heapq.heappop(self.queue)
-                self._deliver(entry.msg)
-            self._run_tick_hooks()
-            self._run_dplanes()
+            self._advance()
             if self.tick >= self.scenario.max_ticks:
                 self.trace_event("max-ticks-reached", self.scenario.scenario_id,
                                  {"tick": self.tick})
@@ -843,22 +852,18 @@ class Environment:
     # -- direct orchestration API --------------------------------------------------------
 
     def attach_device(self, device_id: str, method: int):
-        """Inject one attachment and pump ticks until it settles.  Returns
-        (bound slice id or None, correlated message records)."""
+        """Inject one attachment and pump ticks, ignoring the script, until
+        no message is in flight.  Returns (bound slice id or None,
+        correlated message records)."""
         device = self.devices[device_id]
         corr_before = device.corr_counters.get("attach", 0)
         self.emit(self._attach_drafts(device, method=method))
         corr = f"{device_id}:attach:{corr_before + 1}"
         for _ in range(64):
             self.tick += 1
-            while self.queue and self.queue[0].tick <= self.tick:
-                entry = heapq.heappop(self.queue)
-                self._deliver(entry.msg)
-            self._run_tick_hooks()
-            self._run_dplanes()
-            if device.attached or not self.queue:
-                if not any(e.tick <= self.tick + 1 for e in self.queue):
-                    break
+            self._advance()
+            if not self.queue:
+                break
         related = [r for r in self.trace
                    if isinstance(r, MessageRecord)
                    and r.msg.correlation_id == corr]

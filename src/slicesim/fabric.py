@@ -81,7 +81,6 @@ class Fabric:
     mediator: str | None = None         # CPD/PS instance id when external
     relay: str | None = None            # relay member instance id
     subscriptions: dict = field(default_factory=dict)   # topic -> set of ids
-    delivery_log: list = field(default_factory=list)
     projections: Mapping = None  # type: ignore[assignment]
 
     def implied_link_count(self) -> int:
@@ -138,7 +137,6 @@ class Fabric:
             msg_id=msg.msg_id, hop_count=hop_count,
             mediators=tuple(m for m in mediators if m),
             recipients=recipients)
-        self.delivery_log.append(record)
         return DeliveryOutcome(
             record=record,
             deliveries=tuple((r, msg) for r in recipients),

@@ -322,9 +322,3 @@ def teardown(instance: SliceInstance, tick: int = 0) -> list:
     instance.lifecycle_state = LifecycleState.TORN_DOWN
     events.append(("slice-torn-down", instance.slice_id, {}))
     return events
-
-
-def attach_device(env, device_id: str, method: int):
-    """Convenience orchestration: run one device attachment to completion on
-    an engine environment.  See engine.Environment.attach_device."""
-    return env.attach_device(device_id, method)

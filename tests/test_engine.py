@@ -12,6 +12,7 @@ from slicesim.errors import EquivalenceViolation, ScenarioError
 from slicesim.fabric import DEFAULT_PROJECTIONS
 from slicesim.messages import ProcedureKind, Role
 from slicesim.metrics import compute_metrics, render_metrics
+from slicesim.netsim import SignalingMode
 from slicesim.trace import (
     EventRecord, MessageRecord, parse_trace, render_trace, trace_check,
 )
@@ -188,6 +189,24 @@ class TestEventSemantics:
         assert len(errors(result, "MobilityUnsupported")) == 1
         # session state unchanged: the flow keeps delivering afterwards
         assert result.metrics.flows["f9"]["lost"] == 0
+
+    @pytest.mark.parametrize("mode", list(SignalingMode))
+    @pytest.mark.parametrize("action,args", [
+        pytest.param("idle", ("d9",), id="idle"),
+        pytest.param("page", ("d9",), id="page"),
+        pytest.param("move", ("d9", "n1"), id="move")])
+    def test_mobility_event_without_mm_is_traced_not_raised(
+            self, action, args, mode):
+        scenario = load("fixed-nomm")
+        device = dataclasses.replace(scenario.devices[0], mode=mode)
+        script = (ScriptEvent(tick=1, action="attach", args=("d9",),
+                              options={"method": "2"}),
+                  ScriptEvent(tick=10, action=action, args=args, options={}))
+        result = run(dataclasses.replace(scenario, devices=(device,),
+                                         script=script), 7)
+        assert len(errors(result, "MobilityUnsupported")) == 1
+        assert events(result, "attach-complete")
+        assert trace_check(result.trace) == []
 
     def test_detach_releases_everything(self):
         result = run(load("isolation-pair-noisy"), 7)

@@ -97,12 +97,6 @@ class TestSend:
         (_, delivered), = fabric.send(msg).deliveries
         assert delivered.payload["diag"] == "debug-note"
 
-    def test_delivery_log_appends(self):
-        fabric = connect(six_members(), FabricModel(FabricModelKind.FULL_MESH))
-        fabric.send(inter_bb_msg(Role.CM, Role.FM, msg_id=1))
-        fabric.send(inter_bb_msg(Role.FM, Role.CM, msg_id=2))
-        assert [r.msg_id for r in fabric.delivery_log] == [1, 2]
-
 
 class TestPubSub:
     def topic_msg(self, topic, msg_id=1):
