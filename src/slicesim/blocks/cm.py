@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import NoDPlaneFunctionError, NoEligibleSliceError
+from ..errors import IllegalTransitionError, NoDPlaneFunctionError, NoEligibleSliceError
 from ..messages import (
     Draft, Endpoint, InterfacePoint, ProcedureKind, Role, draft,
 )
@@ -99,7 +99,8 @@ def _transition(state: CMState, device: str, to: ConvergentState,
     frm = state.device_table.get(device, ConvergentState.DETACHED)
     if frm is to:
         return
-    assert (frm, to) in ALLOWED_TRANSITIONS, f"illegal edge {frm.value}->{to.value}"
+    if (frm, to) not in ALLOWED_TRANSITIONS:
+        raise IllegalTransitionError(f"illegal edge {frm.value}->{to.value}")
     state.device_table[device] = to
     events.append(BlockEvent("transition", device,
                              {"from": frm.value, "to": to.value, "slice": slice_id}))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..errors import NoSessionError, NotIdleError, PolicyForbidsError
+from ..errors import BlueprintError, NoSessionError, NotIdleError, PolicyForbidsError
 from ..messages import Draft, Endpoint, ProcedureKind, Role, draft
 from .common import (
     BlockContext, BlockEvent, HandoverStyle, MobilityPolicy, Tech,
@@ -132,7 +132,8 @@ def handle(state: MMState, msg, ctx: BlockContext):
 
     if kind is ProcedureKind.HANDOVER_PREPARE and msg.source.role in (Role.UE, Role.AF):
         policy = ctx.policy.mobility
-        assert policy is not None, "MM instantiated without a mobility policy"
+        if policy is None:
+            raise BlueprintError("MM instantiated without a mobility policy")
         try:
             drafts = mm_handover(
                 state, device, target_node=payload.get("node", ""),

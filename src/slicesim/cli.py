@@ -17,7 +17,7 @@ from . import slices as slices_mod
 from .engine import compare_fabrics, load_scenario, run
 from .errors import SliceSimError
 from .metrics import render_metrics
-from .trace import parse_trace, render_trace, trace_check
+from .trace import iter_trace, render_trace, trace_check
 
 
 def _reference_catalog_path() -> Path:
@@ -98,13 +98,20 @@ def cmd_compare_fabrics(args) -> int:
 
 
 def cmd_trace_check(args) -> int:
-    records = parse_trace(Path(args.trace).read_text(), source=args.trace)
-    violations = trace_check(records)
+    count = 0
+
+    def counted(records):
+        nonlocal count
+        for count, record in enumerate(records, start=1):
+            yield record
+
+    with open(args.trace) as lines:
+        violations = trace_check(counted(iter_trace(lines, source=args.trace)))
     for violation in violations:
         print(f"invariant violation: {violation}")
     if violations:
         return 1
-    print(f"{len(records)} records, no violations")
+    print(f"{count} records, no violations")
     return 0
 
 

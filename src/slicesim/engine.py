@@ -90,9 +90,6 @@ class Scenario:
     infra_capacity: int = 64
     fabric_override: FabricModel | None = None   # forces one model on every slice
 
-    def blueprint_ids(self) -> set:
-        return {bp.slice_id for bp in self.blueprints}
-
 
 _EVENT_ACTIONS = {"attach", "detach", "move", "traffic-start", "traffic-stop",
                   "idle", "page", "inject-latency", "teardown"}
@@ -413,6 +410,7 @@ class Environment:
         device = self.devices.get(event.subject)
         if event.kind == "attach-complete" and device is not None:
             device.attached = True
+            device.attaching = None
             device.bound_slice = event.detail.get("slice", slice_id)
             instance = self.slices.get(device.bound_slice)
             if instance is not None:
@@ -510,28 +508,32 @@ class Environment:
             payload["token"] = device.context_token or ""
         else:
             payload["proof"] = device.spec.proof
-        source = Endpoint(Role.UE, device.device_id)
-        if device.spec.mode is SignalingMode.DIRECT:
-            if method == 1 and not reattach:
-                dst = Endpoint(Role.CM, str(self.global_cm))
-            else:
-                instance = (self.slices.get(target_slice)
-                            if target_slice else self._serving_slice(device))
-                if instance is None:
-                    self.trace_error("NoEligibleSliceError", device.device_id,
-                                     {"detail": "no slice to attach to"})
-                    return []
-                dst = Endpoint(Role.CM, instance.instance_of(Role.CM))
-            return [draft(ProcedureKind.ATTACH_REQUEST, source, dst, corr,
-                          payload)]
-        instance = (self.slices.get(target_slice)
-                    if target_slice else self._serving_slice(device))
-        if instance is None or Role.AF not in instance.bb_instances:
-            self.trace_error("NoEligibleSliceError", device.device_id,
-                             {"detail": "no access function to mediate"})
-            return []
-        dst = Endpoint(Role.AF, instance.instance_of(Role.AF))
-        return [draft(ProcedureKind.ATTACH_REQUEST, source, dst, corr, payload)]
+        direct = device.spec.mode is SignalingMode.DIRECT
+        if direct and method == 1 and not reattach:
+            dst = Endpoint(Role.CM, str(self.global_cm))
+        else:
+            role = Role.CM if direct else Role.AF
+            instance = (self.slices.get(target_slice)
+                        if target_slice else self._serving_slice(device))
+            if instance is None or role not in instance.bb_instances:
+                self.trace_error("NoEligibleSliceError", device.device_id, {
+                    "detail": "no slice to attach to" if direct
+                    else "no access function to mediate"})
+                return []
+            dst = Endpoint(role, instance.instance_of(role))
+        device.attaching = corr
+        return [draft(ProcedureKind.ATTACH_REQUEST,
+                      Endpoint(Role.UE, device.device_id), dst, corr, payload)]
+
+    def _attach_in_flight(self, device: SimDevice) -> bool:
+        """Whether the device's last attach is still under way.  It ends at
+        attach-complete; a denied, rejected or dropped attach ends when no
+        message of its correlation is left in the queue."""
+        if device.attaching is not None and not any(
+                entry[3].correlation_id == device.attaching
+                for entry in self.queue):
+            device.attaching = None
+        return device.attaching is not None
 
     def _mode_route(self, device: SimDevice, kind: ProcedureKind,
                     target_role: Role, corr: str, payload: dict) -> list:
@@ -571,6 +573,10 @@ class Environment:
             if device.attached:
                 self.trace_error("IllegalEventError", device.device_id,
                                  {"detail": "attach while attached"})
+                return
+            if self._attach_in_flight(device):
+                self.trace_error("IllegalEventError", device.device_id,
+                                 {"detail": "attach while attaching"})
                 return
             accesses = tuple(event.options.get("accesses", "").split(",")) \
                 if event.options.get("accesses") else ()

@@ -103,6 +103,10 @@ class AdaptorError(SliceSimError):
     pass
 
 
+class IllegalTransitionError(SliceSimError):
+    """A block state machine was asked to take an edge it does not declare."""
+
+
 # -- slices ----------------------------------------------------------------
 
 class InfraCapacityError(SliceSimError):

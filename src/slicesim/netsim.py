@@ -300,6 +300,7 @@ class SimDevice:
     context_token: str | None = None
     bound_slice: str | None = None
     attached: bool = False
+    attaching: str | None = None      # correlation of the last attach sent
     idle: bool = False
     flow_counter: int = 0
     corr_counters: dict = field(default_factory=dict)

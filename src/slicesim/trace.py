@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import SchemaError
 from .messages import (
-    Destination, Endpoint, InterfacePoint, ProcedureKind, SignalMessage, Topic,
-    validate_message,
+    WBI_MEMBERS, Destination, Endpoint, InterfacePoint, ProcedureKind,
+    SignalMessage, Topic, validate_message,
 )
 
 
@@ -75,53 +75,59 @@ def _parse_destination(text: str) -> Destination:
     return Endpoint.parse(text)
 
 
-def parse_trace(text: str, source: str = "<trace>") -> list[TraceRecord]:
-    records: list[TraceRecord] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def iter_trace(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceRecord]:
+    """Parse trace lines one at a time; errors name `source:lineno`."""
+    for lineno, raw in enumerate(lines, start=1):
+        raw = raw.rstrip("\n")
         if not raw.strip():
             continue
         tag = raw.split("|", 1)[0]
         where = f"{source}:{lineno}"
-        if tag == "MSG":
-            parts = raw.split("|", 11)
-            if len(parts) != 12:
-                raise SchemaError(f"{where}: malformed MSG record")
-            (_, seq, tick, kind, src, dst, iface, corr, hops, mediators,
-             recipients, payload) = parts
-            msg = SignalMessage(
-                msg_id=int(seq), tick=int(tick), kind=ProcedureKind(kind),
-                source=Endpoint.parse(src), destination=_parse_destination(dst),
-                interface=InterfacePoint(iface), correlation_id=corr,
-                payload=json.loads(payload))
-            records.append(MessageRecord(
-                seq=int(seq), tick=int(tick), msg=msg, hop_count=int(hops),
-                mediators=tuple(mediators.split(",")) if mediators else (),
-                recipients=tuple(recipients.split(",")) if recipients else ()))
-        elif tag == "EVT":
-            parts = raw.split("|", 5)
-            if len(parts) != 6:
-                raise SchemaError(f"{where}: malformed EVT record")
-            _, seq, tick, kind, subject, detail = parts
-            records.append(EventRecord(
-                seq=int(seq), tick=int(tick), kind=kind, subject=subject,
-                detail=json.loads(detail)))
-        else:
-            raise SchemaError(f"{where}: unknown record tag {tag!r}")
-    return records
+        try:
+            if tag == "MSG":
+                (_, seq, tick, kind, src, dst, iface, corr, hops, mediators,
+                 recipients, payload) = raw.split("|", 11)
+                msg = SignalMessage(
+                    msg_id=int(seq), tick=int(tick), kind=ProcedureKind(kind),
+                    source=Endpoint.parse(src), destination=_parse_destination(dst),
+                    interface=InterfacePoint(iface), correlation_id=corr,
+                    payload=json.loads(payload))
+                record: TraceRecord = MessageRecord(
+                    seq=int(seq), tick=int(tick), msg=msg, hop_count=int(hops),
+                    mediators=tuple(mediators.split(",")) if mediators else (),
+                    recipients=tuple(recipients.split(",")) if recipients else ())
+            elif tag == "EVT":
+                _, seq, tick, kind, subject, detail = raw.split("|", 5)
+                record = EventRecord(seq=int(seq), tick=int(tick), kind=kind,
+                                     subject=subject, detail=json.loads(detail))
+            else:
+                raise SchemaError(f"{where}: unknown record tag {tag!r}")
+        except ValueError as exc:
+            raise SchemaError(f"{where}: malformed {tag} record: {exc}") from None
+        yield record
 
 
-def _payload_mentions(payload: object, value: str) -> bool:
-    if isinstance(payload, str):
-        return payload == value
-    if isinstance(payload, dict):
-        return any(_payload_mentions(v, value) for v in payload.values())
-    if isinstance(payload, (list, tuple)):
-        return any(_payload_mentions(v, value) for v in payload)
-    return False
+def parse_trace(text: str, source: str = "<trace>") -> list[TraceRecord]:
+    return list(iter_trace(text.splitlines(), source))
 
 
-def trace_check(records: list[TraceRecord]) -> list[str]:
-    """Structural audit of a trace.
+def _string_leaves(payload: Mapping[str, object]) -> set[str]:
+    """Every string reachable through the values of a payload."""
+    leaves: set[str] = set()
+    stack = list(payload.values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            leaves.add(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+    return leaves
+
+
+def trace_check(records: Iterable[TraceRecord]) -> list[str]:
+    """Structural audit of a trace, in one pass over any iterable of records.
 
     Checks: strict (tick, seq) total order with unique sequence numbers,
     interface-role consistency of every message, and permanent-identity
@@ -129,12 +135,20 @@ def trace_check(records: list[TraceRecord]) -> list[str]:
     reappear on I1/I2/I3 after that device's first successful authentication.
     A message emitted late in one tick is traced at its delivery tick, so
     sequence numbers are monotone only within the (tick, seq) pair order.
+    Violations come out by record, then by authentication order.
     """
     violations: list[str] = []
     last_key = (-1, -1)
     seen_seqs: set[int] = set()
     first_alias: dict[str, str] = {}
-    authenticated: set[str] = set()
+    authenticated: dict[str, int] = {}       # device -> authentication order
+    burned: dict[str, list[str]] = {}        # first alias -> authenticated devices
+
+    def burn(device: str) -> None:
+        alias = first_alias.get(device)
+        if alias:
+            burned.setdefault(alias, []).append(device)
+
     for rec in records:
         key = (rec.tick, rec.seq)
         if key <= last_key:
@@ -146,8 +160,10 @@ def trace_check(records: list[TraceRecord]) -> list[str]:
             violations.append(f"duplicate sequence number {rec.seq}")
         seen_seqs.add(rec.seq)
         if isinstance(rec, EventRecord):
-            if rec.kind == "auth" and rec.detail.get("ok"):
-                authenticated.add(rec.subject)
+            if rec.kind == "auth" and rec.detail.get("ok") \
+                    and rec.subject not in authenticated:
+                authenticated[rec.subject] = len(authenticated)
+                burn(rec.subject)
             continue
         msg = rec.msg
         verdict = validate_message(msg)
@@ -156,13 +172,16 @@ def trace_check(records: list[TraceRecord]) -> list[str]:
         if msg.kind is ProcedureKind.ATTACH_REQUEST and not msg.payload.get("reattach"):
             device = msg.payload.get("device")
             alias = msg.payload.get("alias")
-            if isinstance(device, str) and isinstance(alias, str):
-                first_alias.setdefault(device, alias)
-        if msg.interface in (InterfacePoint.I1, InterfacePoint.I2, InterfacePoint.I3):
-            for device in authenticated:
-                alias = first_alias.get(device)
-                if alias and _payload_mentions(dict(msg.payload), alias):
-                    violations.append(
-                        f"seq {rec.seq}: permanent identity of {device} on "
-                        f"{msg.interface.value} after first authentication")
+            if isinstance(device, str) and isinstance(alias, str) \
+                    and device not in first_alias:
+                first_alias[device] = alias
+                if device in authenticated:
+                    burn(device)
+        if burned and msg.interface in WBI_MEMBERS:
+            leaked = {device for leaf in _string_leaves(msg.payload)
+                      for device in burned.get(leaf, ())}
+            for device in sorted(leaked, key=authenticated.__getitem__):
+                violations.append(
+                    f"seq {rec.seq}: permanent identity of {device} on "
+                    f"{msg.interface.value} after first authentication")
     return violations

@@ -11,7 +11,9 @@ from slicesim.blocks.mm import (
     MMState, PagingState, mm_handover, mm_page, tick_hook,
 )
 from slicesim.blocks import mm as mm_mod
-from slicesim.errors import NoSessionError, NotIdleError, PolicyForbidsError
+from slicesim.errors import (
+    BlueprintError, NoSessionError, NotIdleError, PolicyForbidsError,
+)
 from slicesim.messages import (
     BBInstanceId, Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage,
 )
@@ -194,6 +196,14 @@ class TestHandover:
                                    "ok": True}, Role.FM, corr)
         assert [d.kind for d in drafts] == [ProcedureKind.SESSION_RELEASE]
         assert any(e.kind == "handover-complete" for e in events)
+
+    def test_handover_prepare_without_policy_raises_a_domain_error(self):
+        state, _, _ = mm_with_session()
+        ctx = ctx_for(Role.MM, policy=SlicePolicy())
+        with pytest.raises(BlueprintError, match="without a mobility policy"):
+            drive(state, ctx, ProcedureKind.HANDOVER_PREPARE,
+                  {"device": "d1", "node": "n2", "tech": "cellular",
+                   "area": "area-1", "ingress": "i2"}, Role.UE)
 
     def test_handover_without_session_rejected(self):
         state, policy, ctx = mm_with_session()

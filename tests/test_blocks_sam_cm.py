@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from slicesim.blocks.cm import (
     CMRole, CMState, ConvergentState, PendingAttach, SliceChoice, Subscription,
-    cm_attach, cm_select_slice_global, cm_select_slice_local, select_anchor,
+    _transition, cm_attach, cm_select_slice_global, cm_select_slice_local,
+    select_anchor,
 )
 from slicesim.blocks.common import (
     AccessNodeInfo, AuthScheme, BlockContext, SlicePolicy, Tech,
@@ -15,7 +16,8 @@ from slicesim.blocks.sam import (
     IdentityRecord, SAMState, sam_authenticate, sam_single_sign_on,
 )
 from slicesim.errors import (
-    NoContextError, NoDPlaneFunctionError, NoEligibleSliceError,
+    IllegalTransitionError, NoContextError, NoDPlaneFunctionError,
+    NoEligibleSliceError,
 )
 from slicesim.messages import BBInstanceId, ProcedureKind, Role
 
@@ -185,6 +187,17 @@ class TestCmAttach:
         ctx = make_ctx(anchors=())
         with pytest.raises(NoDPlaneFunctionError):
             cm_attach(state, pending(), True, ctx, "c1")
+
+    def test_illegal_edge_raises_a_domain_error(self):
+        state = CMState()
+        state.device_table["d1"] = ConvergentState.ATTACHED
+        events = []
+        with pytest.raises(IllegalTransitionError,
+                           match="illegal edge attached->authenticating"):
+            _transition(state, "d1", ConvergentState.AUTHENTICATING, events,
+                        "slice-a")
+        assert state.device_table["d1"] is ConvergentState.ATTACHED
+        assert events == []
 
 
 class TestSliceSelection:

@@ -82,6 +82,14 @@ def test_trace_check_flags_corruption(tmp_path, capsys):
     trace.write_text("\n".join(lines) + "\n")
     status = main(["trace-check", "--trace", str(trace)])
     assert status == 1
+    seq = lines[-1].split("|")[1]
+    assert f"duplicate sequence number {seq}" in capsys.readouterr().out
+    # a truncated record fails the parse and names its line
+    lines[3] = lines[3][:20]
+    trace.write_text("\n".join(lines) + "\n")
+    status = main(["trace-check", "--trace", str(trace)])
+    assert status == 1
+    assert f"{trace}:4: malformed" in capsys.readouterr().err
 
 
 def test_compare_fabrics_writes_table(tmp_path, capsys):

@@ -208,6 +208,37 @@ class TestEventSemantics:
         assert events(result, "attach-complete")
         assert trace_check(result.trace) == []
 
+    @pytest.mark.parametrize("gap", range(7))
+    def test_attach_while_attaching_is_traced_not_raised(self, gap):
+        scenario = load("attach-two-slices")
+        script = (ScriptEvent(tick=1, action="attach", args=("d1",),
+                              options={"method": "1"}),
+                  ScriptEvent(tick=1 + gap, action="attach", args=("d1",),
+                              options={"method": "2"}))
+        scenario = dataclasses.replace(scenario, script=script)
+        result = run(scenario, 7)
+        rejected = errors(result, "IllegalEventError")
+        assert [e.detail["detail"] for e in rejected] == ["attach while attaching"]
+        assert len(messages(result, ProcedureKind.ATTACH_REQUEST,
+                            lambda r: r.msg.source.role is Role.UE)) == 1
+        assert events(result, "attach-complete")
+        assert trace_check(result.trace) == []
+        assert render_trace(run(scenario, 7).trace) == render_trace(result.trace)
+
+    def test_failed_attach_does_not_block_the_next_one(self):
+        scenario = load("attach-two-slices")
+        device = dataclasses.replace(scenario.devices[0], allowed=(),
+                                     default_slice=None)
+        script = (ScriptEvent(tick=1, action="attach", args=("d1",),
+                              options={"method": "1"}),
+                  ScriptEvent(tick=5, action="attach", args=("d1",),
+                              options={"method": "1"}))
+        result = run(dataclasses.replace(scenario, devices=(device,),
+                                         script=script), 7)
+        assert len(errors(result, "NoEligibleSliceError")) == 2
+        assert not errors(result, "IllegalEventError")
+        assert trace_check(result.trace) == []
+
     def test_detach_releases_everything(self):
         result = run(load("isolation-pair-noisy"), 7)
         detaches = [e for e in events(result, "detach") if e.subject == "dA2"]

@@ -1,6 +1,10 @@
 """Interface routing, message validation and trace serialization."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicesim.errors import NoInterfaceError, SchemaError
 from slicesim.messages import (
@@ -9,7 +13,8 @@ from slicesim.messages import (
     route_interface_for, validate_message,
 )
 from slicesim.trace import (
-    EventRecord, MessageRecord, parse_trace, render_trace, trace_check,
+    EventRecord, MessageRecord, iter_trace, parse_trace, render_trace,
+    trace_check,
 )
 
 UE = Endpoint(Role.UE, "d1")
@@ -130,6 +135,17 @@ class TestTraceSerialization:
         with pytest.raises(SchemaError):
             parse_trace("MSG|1|2|oops\n")
 
+    def test_bad_field_rejected_with_its_line(self):
+        with pytest.raises(SchemaError, match=r"^t\.log:2: malformed EVT"):
+            parse_trace("EVT|1|0|x|s|{}\nEVT|two|0|x|s|{}\n", source="t.log")
+
+    def test_iter_trace_streams_file_lines(self):
+        text = render_trace(self.records())
+        lines = iter(text.splitlines(keepends=True))
+        stream = iter_trace(lines)
+        assert next(stream) == self.records()[0]
+        assert list(stream) == self.records()[1:]
+
 
 class TestTraceCheck:
     def test_clean_trace_passes(self):
@@ -176,3 +192,134 @@ class TestTraceCheck:
                   {"device": "d1"})
         records = [MessageRecord(seq=1, tick=0, msg=bad)]
         assert any("I1 is UE<->AF" in v for v in trace_check(records))
+
+    def test_violations_follow_authentication_order(self):
+        # d2 and d1 share one first alias; d2 authenticates first.
+        records = [
+            MessageRecord(seq=1, tick=0, msg=msg(
+                ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.I2,
+                {"device": "d1", "alias": "imsi-1"})),
+            MessageRecord(seq=2, tick=0, msg=msg(
+                ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.I2,
+                {"device": "d2", "alias": "imsi-1"}, msg_id=2)),
+            EventRecord(seq=3, tick=1, kind="auth", subject="d2",
+                        detail={"ok": True}),
+            EventRecord(seq=4, tick=1, kind="auth", subject="d1",
+                        detail={"ok": True}),
+            MessageRecord(seq=5, tick=2, msg=msg(
+                ProcedureKind.LOCATION_UPDATE, UE, CM, InterfacePoint.I2,
+                {"device": "d1", "node": ["n1", {"area": "imsi-1"}]},
+                msg_id=5, tick=2)),
+        ]
+        assert trace_check(records) == [
+            "seq 5: permanent identity of d2 on I2 after first authentication",
+            "seq 5: permanent identity of d1 on I2 after first authentication",
+        ]
+
+
+# -- the quadratic audit that trace_check replaced, kept as its oracle -------
+
+def _payload_mentions(payload, value):
+    if isinstance(payload, str):
+        return payload == value
+    if isinstance(payload, dict):
+        return any(_payload_mentions(v, value) for v in payload.values())
+    if isinstance(payload, (list, tuple)):
+        return any(_payload_mentions(v, value) for v in payload)
+    return False
+
+
+def quadratic_trace_check(records):
+    violations = []
+    last_key = (-1, -1)
+    seen_seqs = set()
+    first_alias = {}
+    authenticated = set()
+    for rec in records:
+        key = (rec.tick, rec.seq)
+        if key <= last_key:
+            violations.append(
+                f"record (tick={rec.tick}, seq={rec.seq}) not ordered after "
+                f"(tick={last_key[0]}, seq={last_key[1]})")
+        last_key = key
+        if rec.seq in seen_seqs:
+            violations.append(f"duplicate sequence number {rec.seq}")
+        seen_seqs.add(rec.seq)
+        if isinstance(rec, EventRecord):
+            if rec.kind == "auth" and rec.detail.get("ok"):
+                authenticated.add(rec.subject)
+            continue
+        msg = rec.msg
+        verdict = validate_message(msg)
+        if not verdict:
+            violations.extend(f"seq {rec.seq}: {v}" for v in verdict.violations)
+        if msg.kind is ProcedureKind.ATTACH_REQUEST and not msg.payload.get("reattach"):
+            device = msg.payload.get("device")
+            alias = msg.payload.get("alias")
+            if isinstance(device, str) and isinstance(alias, str):
+                first_alias.setdefault(device, alias)
+        if msg.interface in (InterfacePoint.I1, InterfacePoint.I2, InterfacePoint.I3):
+            for device in authenticated:
+                alias = first_alias.get(device)
+                if alias and _payload_mentions(dict(msg.payload), alias):
+                    violations.append(
+                        f"seq {rec.seq}: permanent identity of {device} on "
+                        f"{msg.interface.value} after first authentication")
+    return violations
+
+
+DEVICES = st.sampled_from(["d1", "d2", "d3"])
+# Two main aliases over three devices, so first aliases are often shared,
+# plus empty and non-string ones.
+ALIASES = st.sampled_from(["imsi-1", "imsi-2", "imsi-1", "imsi-2", "", None, 7])
+VALUES = st.recursive(
+    ALIASES | st.sampled_from(["n1", "d1"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(inner, max_size=2).map(tuple)
+                   | st.dictionaries(st.sampled_from(["a", "b"]), inner, max_size=2)),
+    max_leaves=6)
+ENDPOINTS = st.sampled_from([UE, AF, CM, FM])
+ANONYMOUS = [InterfacePoint.I1, InterfacePoint.I2, InterfacePoint.I3]
+INTERFACES = st.sampled_from(ANONYMOUS * 3 + list(InterfacePoint))
+
+
+@st.composite
+def audit_records(draw):
+    """Records in any (tick, seq) order: attach requests, with or without
+    reattach, auth verdicts, other events and messages on every interface
+    carrying aliases at any depth."""
+    records = []
+    for _ in range(draw(st.integers(0, 25))):
+        tick, seq = draw(st.integers(0, 5)), draw(st.integers(1, 40))
+        what = draw(st.sampled_from(["attach", "auth", "event", "message"]))
+        if what == "auth":
+            records.append(EventRecord(seq=seq, tick=tick, kind="auth",
+                                       subject=draw(DEVICES),
+                                       detail={"ok": draw(st.sampled_from(
+                                           [True, True, False]))}))
+        elif what == "event":
+            records.append(EventRecord(seq=seq, tick=tick, kind="transition",
+                                       subject=draw(DEVICES), detail={}))
+        else:
+            payload = draw(st.dictionaries(
+                st.sampled_from(["node", "area", "flow"]), VALUES, max_size=3))
+            kind = ProcedureKind.LOCATION_UPDATE
+            if what == "attach":
+                kind = ProcedureKind.ATTACH_REQUEST
+                payload.update(device=draw(DEVICES), alias=draw(ALIASES))
+                if draw(st.integers(0, 3)) == 0:
+                    payload["reattach"] = True
+            records.append(MessageRecord(seq=seq, tick=tick, msg=msg(
+                kind, draw(ENDPOINTS), draw(ENDPOINTS),
+                draw(INTERFACES), payload,
+                msg_id=seq, tick=tick)))
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(audit_records())
+def test_linear_audit_matches_the_quadratic_oracle(records):
+    violations = trace_check(records)
+    assert Counter(violations) == Counter(quadratic_trace_check(records))
+    assert trace_check(records) == violations
+    assert trace_check(rec for rec in records) == violations
