@@ -8,10 +8,10 @@ inter-block interfaces exercised by the registered procedures.  Step 4
 evaluates a grouping against the procedures and decides whether to accept it
 or revisit an earlier step.
 
-The step-3 search is exact: catalogs are small (tens of sub-functions), so
-the solver enumerates domain-respecting partitions with branch-and-bound and
-is testable against brute force.  Determinism is guaranteed by canonical
-ordering everywhere; ties are broken by fewest blocks, then by the
+The step-3 search is exact and testable against brute force: per domain it
+enumerates only the maximal feasible partitions, then picks one per domain
+with branch-and-bound on the interface score.  Determinism is guaranteed by
+canonical ordering everywhere; ties are broken by fewest blocks, then by the
 lexicographic order of each block's sorted sub-function ids.
 """
 
@@ -23,8 +23,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    DuplicateSfError, InfeasibleGroupingError, MissingAttributeError,
-    SchemaError, UnassignedSfError,
+    DuplicateSfError, MissingAttributeError, SchemaError, UnassignedSfError,
 )
 from .textfmt import Block, parse_blocks
 
@@ -259,35 +258,49 @@ def derive_separation_constraints(catalog: SFCatalog) -> frozenset:
 
 # -- step 3: grouping ----------------------------------------------------------
 
-def _feasible_partitions(members: Sequence[str], forbidden: set) -> list:
-    """All partitions of `members` with no forbidden pair co-located, as
-    tuples of sorted tuples.  Restricted-growth enumeration."""
-    members = sorted(members)
-    results: list = []
+def _maximal_partitions(members: Sequence[str], forbidden: set) -> list:
+    """Maximal feasible partitions of `members` as tuples of sorted tuples:
+    no forbidden pair shares a block and no two blocks could be merged.
 
-    def extend(index: int, blocks: list) -> None:
-        if index == len(members):
-            results.append(tuple(tuple(b) for b in blocks))
+    Restricted-growth walk over the sorted members, pruned as soon as two
+    current blocks are mergeable and no unplaced member can still come
+    between them.  Such a member must fit one block and conflict with the
+    other or with an unplaced member that fits the other.  With nothing
+    unplaced the test is exactly maximality."""
+    members = sorted(members)
+    n = len(members)
+    conflicts = [sum(1 << j for j, other in enumerate(members)
+                     if frozenset((sf, other)) in forbidden) for sf in members]
+    results: list = []
+    blocks: list = []   # (member mask, mask of the members it conflicts with)
+
+    def extend(index: int) -> None:
+        pending = (1 << n) - (1 << index)
+        for (x, x_conflicts), (y, y_conflicts) in combinations(blocks, 2):
+            if x_conflicts & y:
+                continue
+            x_reach = x | pending & ~x_conflicts   # what each block may yet hold
+            y_reach = y | pending & ~y_conflicts
+            if not any(c & y_reach and not c & x or c & x_reach and not c & y
+                       for c in conflicts[index:]):
+                return
+        if index == n:
+            results.append(tuple(
+                tuple(sf for i, sf in enumerate(members) if mask >> i & 1)
+                for mask, _ in blocks))
             return
-        sf = members[index]
-        for block in blocks:
-            if all(frozenset((sf, other)) not in forbidden for other in block):
-                block.append(sf)
-                extend(index + 1, blocks)
-                block.pop()
-        blocks.append([sf])
-        extend(index + 1, blocks)
+        bit = 1 << index
+        for pos, (mask, mask_conflicts) in enumerate(blocks):
+            if not mask_conflicts & bit:
+                blocks[pos] = (mask | bit, mask_conflicts | conflicts[index])
+                extend(index + 1)
+                blocks[pos] = (mask, mask_conflicts)
+        blocks.append((bit, conflicts[index]))
+        extend(index + 1)
         blocks.pop()
 
-    extend(0, [])
+    extend(0)
     return results
-
-
-def _is_maximal(partition: tuple, forbidden: set) -> bool:
-    for x, y in combinations(partition, 2):
-        if not any(frozenset((a, b)) in forbidden for a in x for b in y):
-            return False
-    return True
 
 
 def _score(assignment: Mapping[str, int], procedures: Iterable[ProcedureSpec]) -> int:
@@ -306,44 +319,34 @@ def group_into_bbs(catalog: SFCatalog, constraints: frozenset) -> tuple:
     Only maximal feasible partitions per domain are candidates: merging two
     mergeable blocks never increases the interface score and always reduces
     the block count, so the winner under (score, fewest blocks, lexicographic
-    key) is maximal in every domain.
+    key) is maximal in every domain.  Every domain has one: merge blocks of
+    the all-singletons partition until no two can be merged.  The cost grows
+    with the number of maximal candidates, not with the Bell number of the
+    domain size.
     """
-    if not catalog.sfs:
-        return ()
     forbidden = {c.pair for c in constraints}
     by_domain: dict = {}
     for sf in catalog.sorted_sfs():
         by_domain.setdefault(sf.functional_domain, []).append(sf.sf_id)
     domains = sorted(by_domain, key=lambda d: d.value)
-
-    per_domain: list = []
-    for domain in domains:
-        candidates = [p for p in _feasible_partitions(by_domain[domain], forbidden)
-                      if _is_maximal(p, forbidden)]
-        if not candidates:
-            raise InfeasibleGroupingError(
-                f"no feasible grouping for domain '{domain.value}'")
-        per_domain.append(sorted(candidates))
-
+    per_domain = [sorted(_maximal_partitions(by_domain[d], forbidden)) for d in domains]
     procedures = list(catalog.procedures.values())
-    best: tuple | None = None   # (score, n_blocks, canonical_key, blocks)
 
-    def coarse_lower_bound(chosen: list, depth: int) -> int:
-        blocks = [blk for part in chosen for blk in part]
-        blocks.extend(tuple(by_domain[d]) for d in domains[depth:])
+    def key_of(chosen: list) -> tuple:
+        blocks = sorted(blk for part in chosen for blk in part)
         assignment = {sf: i for i, blk in enumerate(blocks) for sf in blk}
-        return _score(assignment, procedures)
+        return _score(assignment, procedures), len(blocks), tuple(blocks)
+
+    best = key_of([candidates[0] for candidates in per_domain])
 
     def search(depth: int, chosen: list) -> None:
         nonlocal best
-        if best is not None and coarse_lower_bound(chosen, depth) > best[0]:
+        # Each undecided domain as one block bounds the score from below.
+        key = key_of(chosen + [(tuple(by_domain[d]),) for d in domains[depth:]])
+        if key[0] > best[0]:
             return
         if depth == len(domains):
-            blocks = sorted(blk for part in chosen for blk in part)
-            assignment = {sf: i for i, blk in enumerate(blocks) for sf in blk}
-            key = (_score(assignment, procedures), len(blocks), tuple(blocks))
-            if best is None or key < best[:3]:
-                best = (*key, blocks)
+            best = min(best, key)
             return
         for candidate in per_domain[depth]:
             chosen.append(candidate)
@@ -351,8 +354,7 @@ def group_into_bbs(catalog: SFCatalog, constraints: frozenset) -> tuple:
             chosen.pop()
 
     search(0, [])
-    assert best is not None
-    return _name_blocks(best[3], catalog)
+    return _name_blocks(best[2], catalog)
 
 
 def _name_blocks(blocks: list, catalog: SFCatalog) -> tuple:

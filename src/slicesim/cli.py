@@ -40,7 +40,7 @@ def cmd_compose(args) -> int:
     if decision.offending_procedures:
         text += " " + ",".join(decision.offending_procedures)
     text += "\n"
-    out.write_text(text)
+    out.write_text(text, encoding="utf-8")
     print(f"{len(bbs)} building blocks -> {out}")
     return 0
 
@@ -71,8 +71,9 @@ def cmd_run(args) -> int:
     result = run(scenario, args.seed, fabric_override=override)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.log").write_text(render_trace(result.trace))
-    (out_dir / "metrics.txt").write_text(render_metrics(result.metrics))
+    (out_dir / "trace.log").write_text(render_trace(result.trace), encoding="utf-8")
+    (out_dir / "metrics.txt").write_text(render_metrics(result.metrics),
+                                         encoding="utf-8")
     violations = trace_check(result.trace)
     for violation in violations:
         print(f"invariant violation: {violation}")
@@ -92,7 +93,7 @@ def cmd_compare_fabrics(args) -> int:
     digest_line = next(iter(comparison.results.values())).digests
     lines.append(f"digests (identical across models): {digest_line}")
     text = "\n".join(lines) + "\n"
-    (out_dir / "compare.txt").write_text(text)
+    (out_dir / "compare.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 
@@ -105,7 +106,7 @@ def cmd_trace_check(args) -> int:
         for count, record in enumerate(records, start=1):
             yield record
 
-    with open(args.trace) as lines:
+    with open(args.trace, encoding="utf-8") as lines:
         violations = trace_check(counted(iter_trace(lines, source=args.trace)))
     for violation in violations:
         print(f"invariant violation: {violation}")

@@ -24,10 +24,6 @@ class MissingAttributeError(SliceSimError):
     pass
 
 
-class InfeasibleGroupingError(SliceSimError):
-    pass
-
-
 class UnassignedSfError(SliceSimError):
     pass
 

@@ -13,7 +13,8 @@ from slicesim.catalog import (
     GroupingReport, Optionality, Originator, Placement, ProcedureSpec,
     RefinementAction, Reusability, SeparationConstraint, SeparationCriterion,
     SFCatalog, SFDescriptor, derive_separation_constraints, evaluate_grouping,
-    group_into_bbs, load_catalog, refine, render_grouping,
+    DOMAIN_BB_CODES, _maximal_partitions, group_into_bbs, load_catalog, refine,
+    render_grouping,
 )
 from slicesim.errors import (
     DuplicateSfError, MissingAttributeError, SchemaError, UnassignedSfError,
@@ -72,6 +73,60 @@ def oracle_score(partition, procedures):
             if owner[producer] != owner[consumer]:
                 pairs.add(frozenset((owner[producer], owner[consumer])))
     return len(pairs)
+
+
+def oracle_feasible_partitions(members, forbidden):
+    """All partitions of `members` with no forbidden pair co-located, as
+    tuples of sorted tuples, in restricted-growth order.  It lists all
+    Bell(k) of them, so it serves only as the reference for the solver."""
+    members = sorted(members)
+    results = []
+
+    def extend(index, blocks):
+        if index == len(members):
+            results.append(tuple(tuple(b) for b in blocks))
+            return
+        sf = members[index]
+        for block in blocks:
+            if all(frozenset((sf, other)) not in forbidden for other in block):
+                block.append(sf)
+                extend(index + 1, blocks)
+                block.pop()
+        blocks.append([sf])
+        extend(index + 1, blocks)
+        blocks.pop()
+
+    extend(0, [])
+    return results
+
+
+def oracle_is_maximal(partition, forbidden):
+    return all(any(frozenset((a, b)) in forbidden for a in x for b in y)
+               for x, y in itertools.combinations(partition, 2))
+
+
+def oracle_maximal_partitions(members, forbidden):
+    return [p for p in oracle_feasible_partitions(members, forbidden)
+            if oracle_is_maximal(p, forbidden)]
+
+
+def oracle_grouping(catalog, constraints):
+    """Brute-force winner under (score, block count, sorted-block key),
+    named as block id -> sub-function set."""
+    best = None
+    for partition in all_partitions(list(catalog.sfs)):
+        if not oracle_feasible(partition, catalog, constraints):
+            continue
+        blocks = tuple(sorted(tuple(sorted(b)) for b in partition))
+        key = (oracle_score(partition, catalog.procedures.values()), len(blocks), blocks)
+        if best is None or key < best:
+            best = key
+    named = {}
+    for domain, (code, _) in DOMAIN_BB_CODES.items():
+        mine = [b for b in best[2] if catalog.sfs[b[0]].functional_domain is domain]
+        for i, block in enumerate(mine, start=1):
+            named[code if len(mine) == 1 else f"{code}-{i}"] = frozenset(block)
+    return named
 
 
 def oracle_best_score(catalog, constraints):
@@ -270,12 +325,12 @@ class TestGrouping:
 
 
 @st.composite
-def small_catalogs(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def small_catalogs(draw, min_sfs=1, max_sfs=6, n_domains=3):
+    n = draw(st.integers(min_value=min_sfs, max_value=max_sfs))
     ids = [f"sf{i}" for i in range(n)]
-    domains = [draw(st.sampled_from([FunctionalDomain.MOBILITY,
-                                     FunctionalDomain.SECURITY,
-                                     FunctionalDomain.CONTEXT])) for _ in ids]
+    choices = [FunctionalDomain.MOBILITY, FunctionalDomain.SECURITY,
+               FunctionalDomain.CONTEXT][:n_domains]
+    domains = [draw(st.sampled_from(choices)) for _ in ids]
     sfs = [make_sf(
         sf_id, domain=domains[i],
         placement=draw(st.sampled_from(list(Placement))),
@@ -283,7 +338,7 @@ def small_catalogs(draw):
         optionality=draw(st.sampled_from(list(Optionality))),
         evolution=draw(st.sampled_from(list(EvolutionCycle))),
     ) for i, sf_id in enumerate(ids)]
-    n_procs = draw(st.integers(min_value=0, max_value=3))
+    n_procs = draw(st.integers(min_value=0, max_value=3 if ids else 0))
     procs = []
     for p in range(n_procs):
         steps = draw(st.lists(
@@ -293,7 +348,72 @@ def small_catalogs(draw):
     return catalog_of(sfs, procs)
 
 
+@st.composite
+def catalogs_with_arbitrary_constraints(draw):
+    # Two domains of up to seven SFs give many equal-score candidates.
+    cat = draw(small_catalogs(min_sfs=0, max_sfs=7, n_domains=2))
+    pairs = list(itertools.combinations(cat.sfs, 2))
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    constraints = frozenset(
+        SeparationConstraint(a, b, draw(st.sampled_from(list(SeparationCriterion))))
+        for a, b in chosen)
+    return cat, constraints
+
+
+@st.composite
+def conflict_graphs(draw):
+    members = draw(st.permutations([f"s{i}" for i in range(draw(st.integers(0, 8)))]))
+    pairs = list(itertools.combinations(sorted(members), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return members, {frozenset(pair) for pair in chosen}
+
+
+class TestMaximalPartitions:
+    @settings(max_examples=200, deadline=None)
+    @given(conflict_graphs())
+    def test_matches_the_filtered_enumeration_oracle(self, graph):
+        members, forbidden = graph
+        assert _maximal_partitions(members, forbidden) == \
+            oracle_maximal_partitions(members, forbidden)
+
+    def test_separator_may_conflict_only_with_an_unplaced_member(self):
+        # Once s0, s1 and s2 open one block each, only the unplaced conflicting
+        # pair s3, s4 can still come between {s0} and {s2}.
+        members = [f"s{i}" for i in range(6)]
+        forbidden = {frozenset(p) for p in (("s0", "s1"), ("s1", "s2"), ("s3", "s4"))}
+        got = _maximal_partitions(members, forbidden)
+        assert got == oracle_maximal_partitions(members, forbidden)
+        assert (("s0", "s3"), ("s1",), ("s2", "s4", "s5")) in got
+
+    @pytest.mark.parametrize("m", [0, 1, 4, 10])
+    def test_either_sfs_split_between_edge_and_core(self, m):
+        sfs = [make_sf(f"{p.value}-{i:02d}", placement=p)
+               for p in (Placement.CORE, Placement.EDGE) for i in range(3)]
+        sfs += [make_sf(f"either-{i:02d}", placement=Placement.EITHER) for i in range(m)]
+        cat = catalog_of(sfs)
+        forbidden = {c.pair for c in derive_separation_constraints(cat)}
+        got = _maximal_partitions(list(cat.sfs), forbidden)
+        assert len(got) == len(set(got)) == 2 ** m
+        assert all(len(p) == 2 for p in got)
+
+    def test_thirty_equal_sfs_compose_to_one_block(self):
+        cat = catalog_of([make_sf(f"sf{i:02d}") for i in range(30)])
+        bbs = group_into_bbs(cat, derive_separation_constraints(cat))
+        assert [(bb.bb_id, bb.sf_set) for bb in bbs] == [("CM", frozenset(cat.sfs))]
+
+
 class TestGroupingProperties:
+    def test_every_tie_on_five_sfs_breaks_like_brute_force(self):
+        # No procedures: every candidate scores 0, so only the tie-break decides.
+        cat = catalog_of([make_sf(f"sf{i}") for i in range(5)])
+        pairs = list(itertools.combinations(cat.sfs, 2))
+        for bits in range(1 << len(pairs)):
+            constraints = frozenset(
+                SeparationConstraint(a, b, SeparationCriterion.REUSABILITY)
+                for i, (a, b) in enumerate(pairs) if bits >> i & 1)
+            bbs = group_into_bbs(cat, constraints)
+            assert {bb.bb_id: bb.sf_set for bb in bbs} == oracle_grouping(cat, constraints)
+
     @settings(max_examples=60, deadline=None)
     @given(small_catalogs())
     def test_score_is_optimal_on_small_instances(self, cat):
@@ -301,6 +421,13 @@ class TestGroupingProperties:
         bbs = group_into_bbs(cat, constraints)
         report = evaluate_grouping(bbs, cat.procedures.values())
         assert report.total_inter_bb_interfaces == oracle_best_score(cat, constraints)
+
+    @settings(max_examples=100, deadline=None)
+    @given(catalogs_with_arbitrary_constraints())
+    def test_result_is_the_brute_force_winner_with_its_tie_break(self, case):
+        cat, constraints = case
+        bbs = group_into_bbs(cat, constraints)
+        assert {bb.bb_id: bb.sf_set for bb in bbs} == oracle_grouping(cat, constraints)
 
     @settings(max_examples=60, deadline=None)
     @given(small_catalogs())

@@ -1,10 +1,14 @@
 """Command-line behaviour: dispatch, outputs, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from slicesim.cli import main
 
-from conftest import scenario_path
+from conftest import REPO_ROOT, scenario_path
 
 
 def test_compose_reference_reproduces_six_blocks(tmp_path, capsys):
@@ -113,3 +117,18 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["run"])   # missing --scenario
     assert exc.value.code == 2
+
+
+def test_file_io_names_its_encoding(tmp_path):
+    # An open() without encoding= follows the locale, so the output bytes would too.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    cli = [sys.executable, "-X", "warn_default_encoding",
+           "-W", "error::EncodingWarning", "-m", "slicesim.cli"]
+    scenario = str(scenario_path("paging.scn"))
+    for args in (["compose", "--catalog", "reference", "--out-dir", str(tmp_path)],
+                 ["run", "--scenario", scenario, "--out-dir", str(tmp_path)],
+                 ["compare-fabrics", "--scenario", scenario, "--out-dir", str(tmp_path)],
+                 ["trace-check", "--trace", str(tmp_path / "trace.log")]):
+        done = subprocess.run(cli + args, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (args[0], done.stderr)
