@@ -44,7 +44,7 @@ def golden_lines() -> list:
 
 def main() -> int:
     lines = golden_lines()
-    TABLE.write_text("\n".join(lines) + "\n")
+    TABLE.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"pinned {len(lines)} runs in {TABLE.relative_to(ROOT)}")
     return 0
 

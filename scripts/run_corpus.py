@@ -24,8 +24,10 @@ def main() -> int:
         result = run(scenario, seed)
         out_dir = out_root / scenario.scenario_id
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "trace.log").write_text(render_trace(result.trace))
-        (out_dir / "metrics.txt").write_text(render_metrics(result.metrics))
+        (out_dir / "trace.log").write_text(render_trace(result.trace),
+                                           encoding="utf-8")
+        (out_dir / "metrics.txt").write_text(render_metrics(result.metrics),
+                                             encoding="utf-8")
         violations = trace_check(result.trace)
         failures += len(violations)
         flows = ", ".join(

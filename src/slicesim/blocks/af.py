@@ -96,8 +96,14 @@ def af_handle(state: AFState, msg, ctx: BlockContext):
                 and int(payload.get("method", 2)) == 1
                 and not payload.get("reattach") and ctx.global_cm):
             target = Endpoint(Role.CM, ctx.global_cm)
-        else:
+        elif ctx.has(target_role):
             target = ctx.peer_endpoint(target_role)
+        else:
+            events.append(BlockEvent("error", device, {
+                "error": "NoInterfaceError",
+                "detail": f"no {target_role.value} in slice {ctx.slice_id} "
+                          f"for {msg.kind.value}"}))
+            return state, drafts, events
         drafts.append(draft(msg.kind, ctx.self_endpoint, target,
                             msg.correlation_id, payload))
         return state, drafts, events

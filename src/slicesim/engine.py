@@ -15,6 +15,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 from . import slices as slices_mod
@@ -60,6 +61,15 @@ _HANDLERS = {
 _TICK_HOOKS = {
     Role.MM: mm_mod.tick_hook, Role.FM: fm_mod.tick_hook,
     Role.CGHF: cghf_mod.tick_hook,
+}
+
+#: Whether a block's tick hook has anything to do.  A hook called on a
+#: state this is false for returns no drafts and no events and leaves the
+#: state's digest as it was, so the sweep skips it.
+_HOOK_DUE = {
+    Role.MM: lambda state: state.pages,
+    Role.FM: lambda state: state.retiring,
+    Role.CGHF: lambda state: state.buffer,
 }
 
 #: Tick hooks run in role-name order within each slice.
@@ -374,7 +384,9 @@ class Environment:
 
     def _trace_msg(self, msg: SignalMessage, hop_count: int = 1,
                    mediators: tuple = (), recipients: tuple = ()) -> None:
-        delivered = replace(msg, tick=self.tick)
+        delivered = SignalMessage(
+            msg.msg_id, self.tick, msg.kind, msg.source, msg.destination,
+            msg.interface, msg.correlation_id, msg.payload)
         self.trace.append(MessageRecord(
             seq=msg.msg_id, tick=self.tick, msg=delivered, hop_count=hop_count,
             mediators=mediators, recipients=recipients))
@@ -715,20 +727,27 @@ class Environment:
             instance = self.slices[slice_id]
             if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
                 continue
+            peers = self._scopes[slice_id]["peers"]
             for role in _TICK_HOOK_ORDER:
-                block = instance.bb_instances.get(role)
-                if block is None:
+                ident = peers.get(role)
+                if ident is None:
                     continue
-                ctx = self._context(str(block.instance_id), instance, role)
-                _, drafts, events = _TICK_HOOKS[role](block.state, ctx)
+                state = self._route[ident][2]
+                if not _HOOK_DUE[role](state):
+                    continue
+                ctx = self._context(ident, instance, role)
+                _, drafts, events = _TICK_HOOKS[role](state, ctx)
                 self._absorb(events, slice_id)
                 self.emit(drafts)
 
     def _run_dplanes(self) -> None:
+        # A plane without flows steps to no samples and no deliveries.
         for slice_id in sorted(self.slices):
             instance = self.slices[slice_id]
+            if not instance.dplane.flows:
+                continue
             loads, latencies, delivered, lost = instance.dplane.step(self.tick)
-            fm_endpoint = Endpoint(Role.FM, instance.instance_of(Role.FM))
+            fm_endpoint = Endpoint(Role.FM, self._scopes[slice_id]["peers"][Role.FM])
             probe = Endpoint(Role.D_PLANE, f"{slice_id}:probe")
             corr = f"{slice_id}:telemetry:{self.tick}"
             drafts = []
@@ -826,6 +845,7 @@ class Environment:
 
     def _final_digests(self) -> dict:
         digests = {}
+        devices = sorted(self.devices.values(), key=lambda d: d.device_id)
         for slice_id in sorted(self.slices):
             instance = self.slices[slice_id]
             snapshot = {
@@ -842,9 +862,7 @@ class Environment:
                         "alias": d.alias, "node": d.current_node,
                         "attached": d.attached, "idle": d.idle,
                         "token": d.context_token}
-                    for d in sorted(self.devices.values(),
-                                    key=lambda d: d.device_id)
-                    if d.bound_slice == slice_id},
+                    for d in devices if d.bound_slice == slice_id},
             }
             digests[slice_id] = hashlib.sha256(
                 canonical_json(snapshot).encode()).hexdigest()[:16]
@@ -877,21 +895,42 @@ class Environment:
 
 
 def _normalize(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _normalize(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {str(k): _normalize(v) for k, v in
-                sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (set, frozenset)):
-        return sorted(str(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_normalize(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    """The JSON-ready form of a value in a terminal digest: a dataclass
+    becomes its field dict, an enum its value, a dict the same dict with
+    `str` keys, a set its sorted `str` list, a list or tuple a list, a str,
+    number, bool or None itself, and any other object its `str`.  The
+    treatment depends only on the value's type, which is classified once."""
+    cls = type(value)
+    if cls in _SCALARS:
         return value
-    return str(value)
+    normalizer = _NORMALIZERS.get(cls)
+    if normalizer is None:
+        normalizer = _NORMALIZERS[cls] = _normalizer_for(cls)
+    return normalizer(value)
+
+
+def _normalizer_for(cls):
+    if is_dataclass(cls) and not issubclass(cls, type):
+        names = tuple(f.name for f in fields(cls))
+        return lambda v: {n: _normalize(getattr(v, n)) for n in names}
+    if issubclass(cls, Enum):
+        return attrgetter("value")
+    if issubclass(cls, dict):
+        return lambda v: {str(k): _normalize(x) for k, x in v.items()}
+    if issubclass(cls, (set, frozenset)):
+        return lambda v: sorted(map(str, v))
+    if issubclass(cls, (list, tuple)):
+        return lambda v: [_normalize(x) for x in v]
+    if issubclass(cls, (str, int, float, bool)):
+        return lambda v: v
+    return str
+
+
+#: Types `_normalize` returns as they are (their subclasses are classified).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: Per concrete type, the function `_normalize` applies to its values.
+_NORMALIZERS: dict = {}
 
 
 def run(scenario: Scenario, seed: int,

@@ -267,29 +267,19 @@ class Verdict:
         return self.ok
 
 
-def validate_message(msg: SignalMessage) -> Verdict:
-    """Check a message against the interface-role rules.
-
-    Violations are reported in the verdict, never raised.
-    """
+def _role_violations(iface: InterfacePoint, source: Role,
+                     destination: Role | type[Topic]) -> tuple[str, ...]:
+    """The interface-role part of a verdict; `destination` is the
+    destination's role, or `Topic` for a topic-addressed message."""
     violations: list[str] = []
-    if msg.kind not in PAYLOAD_SCHEMAS:
-        violations.append(f"unknown kind {msg.kind!r}")
-    else:
-        extra = set(msg.payload) - PAYLOAD_SCHEMAS[msg.kind]
-        if extra:
-            violations.append(f"payload fields {sorted(extra)} outside {msg.kind.value} schema")
-    if not msg.correlation_id:
-        violations.append("empty correlation_id")
-    if isinstance(msg.destination, Topic):
-        if msg.interface is not InterfacePoint.INTER_BB:
+    if destination is Topic:
+        if iface is not InterfacePoint.INTER_BB:
             violations.append("topic messages travel inter-BB")
-        if msg.source.role not in CN_BB_ROLES:
+        if source not in CN_BB_ROLES:
             violations.append("topic publisher must be a core block")
-        return Verdict(not violations, tuple(violations))
+        return tuple(violations)
 
-    pair = {msg.source.role, msg.destination.role}
-    iface = msg.interface
+    pair = {source, destination}
     if iface is InterfacePoint.WBI_COMPOSITE:
         violations.append("WBI is a reporting composite, not a message interface")
     elif iface is InterfacePoint.I1:
@@ -310,7 +300,40 @@ def validate_message(msg: SignalMessage) -> Verdict:
     elif iface is InterfacePoint.INTER_BB:
         if not pair <= CN_BB_ROLES:
             violations.append("interface-role mismatch: InterBB is CN block to CN block")
-    return Verdict(not violations, tuple(violations))
+    return tuple(violations)
+
+
+#: `_role_violations` of every (interface, source role, destination role or
+#: Topic).
+_ROLE_VIOLATIONS = {
+    (iface, source, destination): _role_violations(iface, source, destination)
+    for iface in InterfacePoint for source in Role for destination in (*Role, Topic)}
+
+_VALID = Verdict(True)
+
+
+def validate_message(msg: SignalMessage) -> Verdict:
+    """Check a message against its kind's payload schema and the
+    interface-role rules.
+
+    Violations are reported in the verdict, never raised.
+    """
+    violations: list[str] = []
+    schema = PAYLOAD_SCHEMAS.get(msg.kind)
+    if schema is None:
+        violations.append(f"unknown kind {msg.kind!r}")
+    elif not schema.issuperset(msg.payload):
+        extra = set(msg.payload) - schema
+        violations.append(f"payload fields {sorted(extra)} outside {msg.kind.value} schema")
+    if not msg.correlation_id:
+        violations.append("empty correlation_id")
+    destination = msg.destination
+    violations.extend(_ROLE_VIOLATIONS[
+        msg.interface, msg.source.role,
+        Topic if isinstance(destination, Topic) else destination.role])
+    if not violations:
+        return _VALID
+    return Verdict(False, tuple(violations))
 
 
 # -- identity minting --------------------------------------------------------

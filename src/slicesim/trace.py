@@ -24,8 +24,9 @@ from .messages import (
 )
 
 
-def canonical_json(value: object) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+#: Sorted-key JSON without spaces, from one encoder: `json.dumps` with these
+#: options would build a new encoder on every call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)

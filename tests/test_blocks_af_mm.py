@@ -1,5 +1,7 @@
 """Access-function translation/paging and mobility-management plan tests."""
 
+import dataclasses
+
 import pytest
 
 from slicesim.blocks.af import AFState, af_handle, latest_endpoint, record_path
@@ -130,6 +132,27 @@ class TestAccessFunction:
         _, drafts, events = af_handle(state, msg, ctx)
         assert any(e.detail.get("error") == "UnknownDevice" for e in events)
         assert drafts == []
+
+    @pytest.mark.parametrize("kind, payload", [
+        (ProcedureKind.LOCATION_UPDATE, {"phase": "idle"}),
+        (ProcedureKind.HANDOVER_PREPARE, {"node": "n2", "tech": "cellular"}),
+        (ProcedureKind.HANDOVER_EXECUTE, {"phase": "confirm", "node": "n2",
+                                          "tech": "cellular"}),
+    ])
+    def test_uplink_to_a_block_the_slice_lacks_is_a_traced_error(self, kind, payload):
+        state = AFState()
+        record_path(state, "d1", "n1", "cellular", "attach-attempt", 1)
+        ctx = ctx_for(Role.AF)
+        ctx = dataclasses.replace(ctx, peers={
+            r: i for r, i in ctx.peers.items() if r is not Role.MM})
+        msg = message(kind, Endpoint(Role.UE, "d1"),
+                      Endpoint(Role.AF, ctx.self_id), InterfacePoint.I1,
+                      {"device": "d1", **payload}, corr="d1:idle:1")
+        _, drafts, events = af_handle(state, msg, ctx)
+        assert drafts == []
+        assert [(e.kind, e.subject, e.detail) for e in events] == [
+            ("error", "d1", {"error": "NoInterfaceError",
+                             "detail": f"no MM in slice {SLICE} for {kind.value}"})]
 
 
 def mm_with_session(device="d1", style=HandoverStyle.MAKE_BEFORE_BREAK):

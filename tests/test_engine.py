@@ -1,20 +1,23 @@
 """Engine integration tests: scenario validation, determinism, replay,
 event semantics and cross-fabric equivalence plumbing."""
 
+import copy
 import dataclasses
 
 import pytest
 
+from slicesim import engine
 from slicesim.engine import (
-    Environment, ScriptEvent, compare_fabrics, load_scenario, run,
+    Environment, ScriptEvent, _normalize, compare_fabrics, load_scenario, run,
 )
 from slicesim.errors import EquivalenceViolation, ScenarioError
 from slicesim.fabric import DEFAULT_PROJECTIONS
 from slicesim.messages import ProcedureKind, Role
 from slicesim.metrics import compute_metrics, render_metrics
-from slicesim.netsim import SignalingMode
+from slicesim.netsim import DPlane, SignalingMode
 from slicesim.trace import (
-    EventRecord, MessageRecord, parse_trace, render_trace, trace_check,
+    EventRecord, MessageRecord, canonical_json, parse_trace, render_trace,
+    trace_check,
 )
 
 from conftest import scenario_path
@@ -329,3 +332,97 @@ class TestHandoverContinuity:
             summary = run(load(name), 7).metrics.flows["f5"]
             assert summary["sent"] == (summary["delivered"] + summary["lost"]
                                        + summary["in_flight"])
+
+
+def _idle_states(monkeypatch, name):
+    """Run a corpus scenario and collect, once per distinct state, every
+    block state the tick-hook sweep skipped, with its ident, slice, role
+    and tick."""
+    env = Environment(load(name), 7)
+    owners = {id(state): (ident, instance, role)
+              for ident, (instance, role, state) in env._route.items()
+              if instance is not None}
+    seen: dict = {}
+    for role, due in list(engine._HOOK_DUE.items()):
+        def recording(state, due=due):
+            if not due(state):
+                key = (id(state), canonical_json(_normalize(state)))
+                seen.setdefault(key, (*owners[id(state)],
+                                      copy.deepcopy(state), env.tick))
+            return due(state)
+        monkeypatch.setitem(engine._HOOK_DUE, role, recording)
+    env.run()
+    monkeypatch.undo()
+    return env, list(seen.values())
+
+
+def _flowless_planes():
+    for name in CORPUS:
+        env = Environment(load(name), 7)
+        env.run()
+        for instance in env.slices.values():
+            if not instance.dplane.flows:
+                yield env.tick, instance.dplane
+    yield 0, DPlane(spec=load("paging").topology)
+
+
+class TestSweepSkips:
+    """The tick-hook and forwarded-plane sweeps skip what has nothing due;
+    a skipped call would have been a no-op."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_skipped_tick_hooks_are_no_ops(self, monkeypatch, name):
+        env, idle = _idle_states(monkeypatch, name)
+        assert idle
+        for ident, instance, role, state, tick in idle:
+            before = _normalize(state)
+            for later in (tick, tick + 1, tick + 9, tick + 1000):
+                ctx = dataclasses.replace(
+                    env._context(ident, instance, role), tick=later)
+                _, drafts, events = engine._TICK_HOOKS[role](state, ctx)
+                assert (drafts, events) == ([], []), (ident, later)
+                assert _normalize(state) == before, (ident, later)
+
+    def test_every_hook_role_is_seen_idle(self, monkeypatch):
+        roles = {role for name in ("paging", "cghf-reselect")
+                 for _, _, role, _, _ in _idle_states(monkeypatch, name)[1]}
+        assert roles == set(engine._TICK_HOOKS)
+
+    def test_flowless_planes_step_to_nothing(self):
+        planes = list(_flowless_planes())
+        assert len(planes) > 1
+        for tick, plane in planes:
+            before = _normalize(plane)
+            for later in (tick, tick + 1, tick + 9, tick + 1000):
+                assert plane.step(later) == ([], [], {}, {})
+                assert _normalize(plane) == before
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_unskipped_hook_sweep_traces_the_same(self, monkeypatch, name):
+        skipped = run(load(name), 7)
+        for role in engine._HOOK_DUE:
+            monkeypatch.setitem(engine._HOOK_DUE, role, lambda state: True)
+        swept = run(load(name), 7)
+        assert render_trace(swept.trace) == render_trace(skipped.trace)
+        assert swept.digests == skipped.digests
+
+    def test_context_handling_woken_by_its_first_sample_traces_the_same(
+            self, monkeypatch):
+        calls: list = []
+        hook = engine._TICK_HOOKS[Role.CGHF]
+
+        def counting(state, ctx):
+            calls.append(ctx.tick)
+            return hook(state, ctx)
+
+        monkeypatch.setitem(engine._TICK_HOOKS, Role.CGHF, counting)
+        skipped = run(load("cghf-reselect"), 7)
+        woken_at, skipped_calls = calls[0], len(calls)
+        calls.clear()
+        for role in engine._HOOK_DUE:
+            monkeypatch.setitem(engine._HOOK_DUE, role, lambda state: True)
+        swept = run(load("cghf-reselect"), 7)
+        assert calls[0] == 0 < woken_at
+        assert skipped_calls < len(calls)
+        assert events(skipped, "context")
+        assert render_trace(swept.trace) == render_trace(skipped.trace)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from slicesim.errors import NoInterfaceError, SchemaError
 from slicesim.messages import (
-    BBInstanceId, Endpoint, InterfacePoint, Mediation, ProcedureKind, Role,
-    SignalMessage, Topic, mint_key_material, mint_pseudonym,
-    route_interface_for, validate_message,
+    CN_BB_ROLES, PAYLOAD_SCHEMAS, BBInstanceId, Endpoint, InterfacePoint,
+    Mediation, ProcedureKind, Role, SignalMessage, Topic, Verdict,
+    mint_key_material, mint_pseudonym, route_interface_for, validate_message,
 )
 from slicesim.trace import (
     EventRecord, MessageRecord, iter_trace, parse_trace, render_trace,
@@ -323,3 +323,68 @@ def test_linear_audit_matches_the_quadratic_oracle(records):
     assert Counter(violations) == Counter(quadratic_trace_check(records))
     assert trace_check(records) == violations
     assert trace_check(rec for rec in records) == violations
+
+
+# -- the chain of interface checks that the role table replaced --------------
+
+def chained_validate_message(msg):
+    violations = []
+    if msg.kind not in PAYLOAD_SCHEMAS:
+        violations.append(f"unknown kind {msg.kind!r}")
+    else:
+        extra = set(msg.payload) - PAYLOAD_SCHEMAS[msg.kind]
+        if extra:
+            violations.append(f"payload fields {sorted(extra)} outside {msg.kind.value} schema")
+    if not msg.correlation_id:
+        violations.append("empty correlation_id")
+    if isinstance(msg.destination, Topic):
+        if msg.interface is not InterfacePoint.INTER_BB:
+            violations.append("topic messages travel inter-BB")
+        if msg.source.role not in CN_BB_ROLES:
+            violations.append("topic publisher must be a core block")
+        return Verdict(not violations, tuple(violations))
+
+    pair = {msg.source.role, msg.destination.role}
+    iface = msg.interface
+    if iface is InterfacePoint.WBI_COMPOSITE:
+        violations.append("WBI is a reporting composite, not a message interface")
+    elif iface is InterfacePoint.I1:
+        if pair != {Role.UE, Role.AF} and pair != {Role.ACCESS_NODE, Role.AF}:
+            violations.append("interface-role mismatch: I1 is UE<->AF")
+    elif iface is InterfacePoint.I2:
+        if Role.UE not in pair or not pair & CN_BB_ROLES:
+            violations.append("interface-role mismatch: I2 is UE<->CN C-plane")
+    elif iface is InterfacePoint.I3:
+        if Role.AF not in pair or not pair & CN_BB_ROLES:
+            violations.append("interface-role mismatch: I3 is AF<->CN C-plane")
+    elif iface is InterfacePoint.I4_SBI:
+        if pair != {Role.FM, Role.D_PLANE}:
+            violations.append("interface-role mismatch: I4 is FM<->D-plane")
+    elif iface is InterfacePoint.I7:
+        if Role.OTHER_DOMAIN not in pair:
+            violations.append("interface-role mismatch: I7 crosses domains")
+    elif iface is InterfacePoint.INTER_BB:
+        if not pair <= CN_BB_ROLES:
+            violations.append("interface-role mismatch: InterBB is CN block to CN block")
+    return Verdict(not violations, tuple(violations))
+
+
+@pytest.mark.parametrize("kind", list(ProcedureKind), ids=str)
+def test_role_table_matches_the_chained_checks(kind):
+    """Every interface x source role x destination (role or topic) x
+    correlation x payload with and without a field outside the schema."""
+    inside = {sorted(PAYLOAD_SCHEMAS[kind])[0]: 1}
+    payloads = (inside, {**inside, "surprise": 1})
+    destinations = [Endpoint(role, "y") for role in Role] + [Topic("t")]
+    checked = 0
+    for interface in InterfacePoint:
+        for source in Role:
+            for destination in destinations:
+                for corr in ("", "d1:attach:1"):
+                    for payload in payloads:
+                        message = msg(kind, Endpoint(source, "x"), destination,
+                                      interface, payload, corr=corr)
+                        assert validate_message(message) == \
+                            chained_validate_message(message), message
+                        checked += 1
+    assert checked == len(InterfacePoint) * len(Role) * (len(Role) + 1) * 4
