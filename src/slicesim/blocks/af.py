@@ -52,11 +52,6 @@ class AFState:
         default_factory=lambda: dict(DEFAULT_AN_CONFIG_RIGHTS))
 
 
-def latest_endpoint(state: AFState, device: str) -> str | None:
-    records = state.path_records.get(device)
-    return records[-1].node if records else None
-
-
 def record_path(state: AFState, device: str, node: str, tech: str, event: str,
                 tick: int) -> None:
     state.path_records.setdefault(device, []).append(

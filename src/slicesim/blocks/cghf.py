@@ -58,6 +58,11 @@ class CGHFState:
     published: list = field(default_factory=list)
     assertion_counter: int = 0
 
+    def __post_init__(self) -> None:
+        # (metric, subject) keys that ingested a sample since the last
+        # generation; not a field, so no digest holds it
+        self._fresh: set = set()
+
 
 def _window_ticks(state: CGHFState, metric: str) -> int:
     windows = [m.window for m in state.models if m.metric == metric]
@@ -69,6 +74,7 @@ def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
     """Append a sample to the windowed buffer, evicting expired samples."""
     key = (metric, subject)
     window = _window_ticks(state, metric)
+    state._fresh.add(key)
     samples = state.buffer.setdefault(key, [])
     samples.append(Sample(tick=tick, value=value, source=source,
                           external=external))
@@ -88,12 +94,15 @@ def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
 
 
 def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
-    """Evaluate every model over the buffered samples; publish one assertion
-    per subject whose condition just became true."""
+    """Evaluate every model over the buffered samples of the keys that
+    ingested one since the last evaluation; publish one assertion per
+    subject whose condition just became true.  Another key's evaluation
+    would see what it saw then and change nothing."""
     drafts: list[Draft] = []
     events: list[BlockEvent] = []
+    fresh, state._fresh = state._fresh, set()
     for model in sorted(state.models, key=lambda m: m.topic):
-        subjects = sorted(subject for (metric, subject) in state.buffer
+        subjects = sorted(subject for (metric, subject) in fresh
                           if metric == model.metric)
         for subject in subjects:
             samples = state.buffer[(model.metric, subject)]

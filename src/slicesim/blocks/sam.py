@@ -1,5 +1,5 @@
 """Security and AAA management: mutual authentication with abstract key
-agreement, pseudonym issuance, single sign-on and the security audit log.
+agreement, pseudonym issuance and the security audit log.
 
 Credentials are opaque tokens matched against the identity database; key
 material is an opaque derivation, not real cryptography.  The permanent
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import NoContextError
 from ..messages import (
     Draft, ProcedureKind, draft, mint_context_token, mint_key_material,
     mint_pseudonym,
@@ -60,11 +59,13 @@ class SAMState:
     pseudonym_map: dict = field(default_factory=dict)      # current pseudonym -> permanent id
     audit_log: list = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        # permanent id -> current pseudonym, the reverse of pseudonym_map;
+        # not a field, so no digest holds it
+        self._pseudonym_of = {pid: p for p, pid in self.pseudonym_map.items()}
+
     def current_pseudonym(self, permanent_id: str) -> str | None:
-        for pseudonym, pid in self.pseudonym_map.items():
-            if pid == permanent_id:
-                return pseudonym
-        return None
+        return self._pseudonym_of.get(permanent_id)
 
 
 def sam_authenticate(state: SAMState, device: str, alias: str, proof: str,
@@ -91,6 +92,7 @@ def sam_authenticate(state: SAMState, device: str, alias: str, proof: str,
         del state.pseudonym_map[old_pseudonym]
     pseudonym = mint_pseudonym(seed, permanent_id, ordinal)
     state.pseudonym_map[pseudonym] = permanent_id
+    state._pseudonym_of[permanent_id] = pseudonym
     low_secure = scheme is AuthScheme.LOW_SECURE
     context = SecurityContext(
         ordinal=ordinal,
@@ -101,17 +103,6 @@ def sam_authenticate(state: SAMState, device: str, alias: str, proof: str,
     return AuthVerdict(ok=True, device=device, pseudonym=pseudonym,
                        ordinal=ordinal, token=context.token,
                        low_secure=low_secure)
-
-
-def sam_single_sign_on(state: SAMState, device: str, service: str,
-                       tick: int) -> str:
-    """Grant access to a service off the existing security context, without a
-    new credential exchange.  Returns the grant token."""
-    context = state.security_contexts.get(device)
-    if context is None:
-        raise NoContextError(f"device {device} holds no security context")
-    state.audit_log.append(AuditEntry(tick=tick, kind="sso", subject=device, ok=True))
-    return f"sso-{device}-{service}-{context.ordinal}"
 
 
 def handle(state: SAMState, msg, ctx: BlockContext):

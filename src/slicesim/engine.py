@@ -63,17 +63,19 @@ _TICK_HOOKS = {
     Role.CGHF: cghf_mod.tick_hook,
 }
 
-#: Whether a block's tick hook has anything to do.  A hook called on a
-#: state this is false for returns no drafts and no events and leaves the
-#: state's digest as it was, so the sweep skips it.
-_HOOK_DUE = {
-    Role.MM: lambda state: state.pages,
-    Role.FM: lambda state: state.retiring,
-    Role.CGHF: lambda state: state.buffer,
+#: Per tick-hook role, whether a block has work: checked after it handled
+#: `msg`, when it joins the due list, and with `msg` None at the end of a
+#: tick, when it leaves the list without work.  An MM has work while a page
+#: is out, an FM while rules wait to retire or acknowledgements to arrive.
+#: A CGHF has work only on a tick in which it ingested a sample: its buffer
+#: keeps each key's last samples, and generating again over unchanged
+#: samples changes nothing.  A hook called without work is a no-op.
+_HAS_WORK = {
+    Role.MM: lambda state, msg: state.pages,
+    Role.FM: lambda state, msg: state.retiring or state.pending,
+    Role.CGHF: lambda state, msg: (
+        msg is not None and msg.kind is ProcedureKind.CONTEXT_PUBLISH),
 }
-
-#: Tick hooks run in role-name order within each slice.
-_TICK_HOOK_ORDER = tuple(sorted(_TICK_HOOKS, key=lambda r: r.value))
 
 #: Routing-index entry of an ident that names no block.
 _UNROUTED = (None, None, None)
@@ -245,6 +247,14 @@ class Environment:
         self._script_by_tick: dict = {}
         for event in scenario.script:
             self._script_by_tick.setdefault(event.tick, []).append(event)
+        self._last_script_tick = max(self._script_by_tick, default=0)
+        # What runs at the end of a tick: the tick hooks of blocks with work
+        # and the forwarded planes with live flows, by sort key
+        # (0, slice, role) or (1, slice, "") -> (instance, role or None for
+        # the plane, state or plane).  Nothing else is swept.
+        self._due: dict = {}
+        # device id -> {(slice id, flow id): FlowRun} of the flows it started
+        self._flows_of: dict = {}
 
         # The routing index, ident -> (slice instance, or None for the global
         # part, role, state), and what the contexts of one slice (key None:
@@ -407,6 +417,9 @@ class Environment:
         except SliceSimError as exc:
             self.trace_error(type(exc).__name__, ident, {"detail": str(exc)})
             return
+        finally:
+            if role in _HAS_WORK and _HAS_WORK[role](state, msg):
+                self._wake(instance, role)
         self._absorb(events, ctx.slice_id)
         self._post_delivery_hooks(msg)
         self.emit(drafts)
@@ -433,7 +446,7 @@ class Environment:
                     device.device_id)
             device.attached = False
             device.bound_slice = None
-            for run in self._device_flows(device.device_id):
+            for run in self._flows_of.get(device.device_id, {}).values():
                 run.active = False
 
     def _post_delivery_hooks(self, msg: SignalMessage) -> None:
@@ -462,7 +475,7 @@ class Environment:
             node = payload.get("node", "")
             device.current_node = node
             info = self.scenario.topology.access[node]
-            for run in self._device_flows(device.device_id):
+            for run in self._flows_of.get(device.device_id, {}).values():
                 run.ingress = info.ingress
             confirm = dict(payload)
             confirm["phase"] = "confirm"
@@ -491,12 +504,6 @@ class Environment:
                       {"phase": "config-ack", "node": node,
                        "flow": payload.get("flow", ""), "ok": ok,
                        "action": payload.get("action", "")})]
-
-    def _device_flows(self, device_id: str):
-        for instance in self.slices.values():
-            for run in instance.dplane.flows.values():
-                if run.device == device_id:
-                    yield run
 
     # -- script events -----------------------------------------------------------
 
@@ -574,6 +581,8 @@ class Environment:
             except SliceSimError as exc:
                 self.trace_error(type(exc).__name__, event.args[0],
                                  {"detail": str(exc)})
+                return
+            self._wake(instance, Role.FM)   # released paths retire rules
             return
         if action == "inject-latency":
             flow, value = event.args
@@ -610,7 +619,7 @@ class Environment:
             self._traffic_start(device, event.options)
         elif action == "traffic-stop":
             flow = event.options.get("flow", "")
-            for run in self._device_flows(device.device_id):
+            for run in self._flows_of.get(device.device_id, {}).values():
                 if run.flow_id == flow:
                     run.active = False
             corr = device.next_correlation("session")
@@ -665,11 +674,18 @@ class Environment:
         device.flow_counter += 1
         flow = options.get("flow", f"{device.device_id}-f{device.flow_counter}")
         info = self.scenario.topology.access[device.current_node]
-        instance.dplane.flows[flow] = FlowRun(
+        replaced = instance.dplane.flows.get(flow)
+        if replaced is not None:
+            del self._flows_of[replaced.device][(instance.slice_id, flow)]
+        run = FlowRun(
             flow_id=flow, device=device.device_id,
             rate=int(options.get("rate", 1)),
             remaining_emissions=int(options.get("duration", 10)),
             qos=options.get("qos", "default"), ingress=info.ingress)
+        instance.dplane.add_flow(run)
+        self._flows_of.setdefault(device.device_id, {})[
+            (instance.slice_id, flow)] = run
+        self._wake(instance)
         corr = device.next_correlation("session")
         self.emit(self._mode_route(
             device, ProcedureKind.SESSION_ESTABLISH, Role.CM, corr,
@@ -722,79 +738,79 @@ class Environment:
 
     # -- per-tick machinery ---------------------------------------------------------
 
-    def _run_tick_hooks(self) -> None:
-        for slice_id in sorted(self.slices):
-            instance = self.slices[slice_id]
-            if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
-                continue
-            peers = self._scopes[slice_id]["peers"]
-            for role in _TICK_HOOK_ORDER:
-                ident = peers.get(role)
-                if ident is None:
-                    continue
-                state = self._route[ident][2]
-                if not _HOOK_DUE[role](state):
-                    continue
-                ctx = self._context(ident, instance, role)
-                _, drafts, events = _TICK_HOOKS[role](state, ctx)
-                self._absorb(events, slice_id)
-                self.emit(drafts)
+    def _wake(self, instance, role: Role | None = None) -> None:
+        """Put a block's tick hook, or with no role the slice's forwarded
+        plane, on the due list."""
+        if role is None:
+            self._due[(1, instance.slice_id, "")] = (instance, None, instance.dplane)
+        else:
+            self._due[(0, instance.slice_id, role.value)] = (
+                instance, role, instance.bb_instances[role].state)
 
-    def _run_dplanes(self) -> None:
-        # A plane without flows steps to no samples and no deliveries.
-        for slice_id in sorted(self.slices):
-            instance = self.slices[slice_id]
-            if not instance.dplane.flows:
+    def _run_due(self) -> None:
+        """The tick hooks of the due blocks by slice and role, skipping torn
+        down slices, then the due forwarded planes by slice.  What is left
+        without work leaves the due list."""
+        for key in sorted(self._due):
+            instance, role, state = self._due[key]
+            if role is None:
+                self._step_plane(instance)
                 continue
-            loads, latencies, delivered, lost = instance.dplane.step(self.tick)
-            fm_endpoint = Endpoint(Role.FM, self._scopes[slice_id]["peers"][Role.FM])
-            probe = Endpoint(Role.D_PLANE, f"{slice_id}:probe")
-            corr = f"{slice_id}:telemetry:{self.tick}"
-            drafts = []
-            for link, load in loads:
-                drafts.append(draft(ProcedureKind.FLOW_NOTIFY, probe,
-                                    fm_endpoint, corr,
-                                    {"phase": "load", "link": link,
-                                     "load": load}))
-            by_flow: dict = {}
-            for flow, latency in latencies:
-                by_flow.setdefault(flow, []).append(latency)
-            for flow in sorted(by_flow):
-                drafts.append(draft(ProcedureKind.FLOW_NOTIFY, probe,
-                                    fm_endpoint, corr,
-                                    {"phase": "latency", "flow": flow,
-                                     "values": by_flow[flow]}))
-            for flow in sorted(delivered):
-                self.trace_event("flow-delivered", flow,
-                                 {"units": delivered[flow], "slice": slice_id})
-            for flow in sorted(lost):
-                self.trace_event("flow-lost", flow,
-                                 {"units": lost[flow], "slice": slice_id})
+            # an FM that only awaits acknowledgements has nothing to retire
+            if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN \
+                    or role is Role.FM and not state.retiring:
+                continue
+            ctx = self._context(
+                self._scopes[instance.slice_id]["peers"][role], instance, role)
+            _, drafts, events = _TICK_HOOKS[role](state, ctx)
+            self._absorb(events, instance.slice_id)
             self.emit(drafts)
+        self._due = {key: entry for key, entry in self._due.items()
+                     if (entry[2].due() if entry[1] is None
+                         else _HAS_WORK[entry[1]](entry[2], None))}
+
+    def _step_plane(self, instance) -> None:
+        slice_id = instance.slice_id
+        loads, latencies, delivered, lost = instance.dplane.step(self.tick)
+        fm_endpoint = Endpoint(Role.FM, self._scopes[slice_id]["peers"][Role.FM])
+        probe = Endpoint(Role.D_PLANE, f"{slice_id}:probe")
+        corr = f"{slice_id}:telemetry:{self.tick}"
+        drafts = []
+        for link, load in loads:
+            drafts.append(draft(ProcedureKind.FLOW_NOTIFY, probe,
+                                fm_endpoint, corr,
+                                {"phase": "load", "link": link,
+                                 "load": load}))
+        by_flow: dict = {}
+        for flow, latency in latencies:
+            by_flow.setdefault(flow, []).append(latency)
+        for flow in sorted(by_flow):
+            drafts.append(draft(ProcedureKind.FLOW_NOTIFY, probe,
+                                fm_endpoint, corr,
+                                {"phase": "latency", "flow": flow,
+                                 "values": by_flow[flow]}))
+        for flow in sorted(delivered):
+            self.trace_event("flow-delivered", flow,
+                             {"units": delivered[flow], "slice": slice_id})
+        for flow in sorted(lost):
+            self.trace_event("flow-lost", flow,
+                             {"units": lost[flow], "slice": slice_id})
+        self.emit(drafts)
 
     def _advance(self) -> None:
         """The current tick's work after its script events: due deliveries,
-        then the tick hooks, then the forwarded planes."""
+        then what is due on the due list."""
         while self.queue and self.queue[0][0] <= self.tick:
             self._deliver(heapq.heappop(self.queue)[3])
-        self._run_tick_hooks()
-        self._run_dplanes()
+        self._run_due()
 
     def _pending_work(self) -> bool:
-        if self.queue:
-            return True
-        if any(t > self.tick for t in self._script_by_tick):
-            return True
-        for instance in self.slices.values():
-            if instance.dplane.has_work():
-                return True
-            fm_state = instance.bb_instances[Role.FM].state
-            if fm_state.retiring or fm_state.pending:
-                return True
-            if Role.MM in instance.bb_instances and \
-                    instance.bb_instances[Role.MM].state.pages:
-                return True
-        return False
+        """Whether the run goes on: a message in flight, a script event to
+        come, a due block (it has work), or a due plane with a flow under
+        way."""
+        return bool(self.queue) or self.tick < self._last_script_tick or any(
+            role is not None or plane.has_work()
+            for _, role, plane in self._due.values())
 
     # -- the run itself ---------------------------------------------------------------
 

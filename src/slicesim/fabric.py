@@ -83,14 +83,6 @@ class Fabric:
     subscriptions: dict = field(default_factory=dict)   # topic -> set of ids
     projections: Mapping = None  # type: ignore[assignment]
 
-    def implied_link_count(self) -> int:
-        n = len(self.members)
-        if self.model.kind is FabricModelKind.FULL_MESH:
-            return n * (n - 1) // 2
-        if self.model.kind is FabricModelKind.RELAY:
-            return n - 1
-        return n   # star towards the external dispatcher or broker
-
     def subscribe(self, bb: str, topic: str) -> None:
         """Add `bb` to the topic's subscriber set; idempotent."""
         if self.model.kind is not FabricModelKind.PUB_SUB:

@@ -38,10 +38,6 @@ class TopologySpec:
     links: dict                 # link_key -> (capacity, latency)
     access: dict                # access node id -> AccessNodeInfo
 
-    def anchor_nodes(self) -> tuple:
-        return tuple(sorted(n for n, k in self.nodes.items()
-                            if k is NodeKind.ANCHOR))
-
 
 def load_topology(text: str, source: str = "<topology>") -> TopologySpec:
     blocks = parse_blocks(text, {"topology"}, source)
@@ -127,18 +123,26 @@ class FlowRun:
     latencies: list = field(default_factory=list)   # (arrival tick, latency)
     in_flight: list = field(default_factory=list)
 
-    def conserved(self) -> bool:
-        return self.sent == self.delivered + self.lost + len(self.in_flight)
+    def live(self) -> bool:
+        """Whether a step may still move or emit a unit of this flow."""
+        return bool(self.in_flight) or (self.active and self.remaining_emissions > 0)
 
 
 @dataclass
 class DPlane:
-    """Per-slice forwarded plane: rules, flows and unit motion."""
+    """Per-slice forwarded plane: rules, flows and unit motion.  A step
+    walks only the live flows; a finished one keeps its counters in
+    `flows` and never steps again."""
 
     spec: TopologySpec
     rules: dict = field(default_factory=dict)   # node -> {flow -> next | deliver}
     flows: dict = field(default_factory=dict)   # flow id -> FlowRun
+    _live: dict = field(default_factory=dict)   # flow id -> FlowRun, live ones
     _last_loaded: set = field(default_factory=set)
+
+    def add_flow(self, run: FlowRun) -> None:
+        """Start carrying `run`; it replaces any flow under the same id."""
+        self.flows[run.flow_id] = self._live[run.flow_id] = run
 
     def latency(self, a: str, b: str) -> int:
         return self.spec.links[link_key(a, b)][1]
@@ -187,8 +191,8 @@ class DPlane:
         lost_now: dict = {}
         latency_samples: list = []
 
-        for flow_id in sorted(self.flows):
-            run = self.flows[flow_id]
+        live = sorted(self._live.items())
+        for flow_id, run in live:
             survivors = []
             for unit in run.in_flight:
                 unit.remaining -= 1
@@ -219,8 +223,7 @@ class DPlane:
                 survivors.append(unit)
             run.in_flight = survivors
 
-        for flow_id in sorted(self.flows):
-            run = self.flows[flow_id]
+        for flow_id, run in live:
             if not run.active or run.remaining_emissions <= 0:
                 continue
             has_rule = self.rules.get(run.ingress, {}).get(flow_id) is not None
@@ -250,12 +253,13 @@ class DPlane:
                     flow=flow_id, path=path, complete=complete, hop=0,
                     remaining=self.latency(path[0], path[1]), sent_tick=tick))
 
+        self._live = {flow_id: run for flow_id, run in live if run.live()}
         load_samples = self._load_samples()
         return load_samples, latency_samples, delivered_now, lost_now
 
     def _load_samples(self) -> list:
         counts: dict = {}
-        for run in self.flows.values():
+        for run in self._live.values():
             for unit in run.in_flight:
                 key = link_key(unit.path[unit.hop], unit.path[unit.hop + 1])
                 counts[key] = counts.get(key, 0) + 1
@@ -267,16 +271,17 @@ class DPlane:
         self._last_loaded = loaded
         return samples
 
-    def idle(self) -> bool:
-        return all(not run.in_flight and
-                   (not run.active or run.remaining_emissions <= 0 or
-                    not run.started)
-                   for run in self.flows.values())
+    def due(self) -> bool:
+        """Whether a step can change anything: a live flow, or zero-load
+        samples owed for the links loaded at the last step."""
+        return bool(self._live or self._last_loaded)
 
     def has_work(self) -> bool:
+        """Whether a flow is under way: units in flight, or emissions left
+        after its first rule appeared."""
         return any(run.in_flight or
                    (run.active and run.started and run.remaining_emissions > 0)
-                   for run in self.flows.values())
+                   for run in self._live.values())
 
 
 # -- device population -----------------------------------------------------------

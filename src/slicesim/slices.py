@@ -84,7 +84,16 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
     blocks = parse_blocks(text, {"blueprint"}, source)
     if len(blocks) != 1:
         raise SchemaError(f"{source}: expected exactly one blueprint block")
-    block = blocks[0]
+    try:
+        return _blueprint_from(blocks[0], source)
+    except ValueError as exc:
+        raise SchemaError(f"{source}: {exc}") from None
+
+
+def _blueprint_from(block, source: str) -> SliceBlueprint:
+    """The blueprint of a parsed block.  A knob's value is rejected where a
+    run with it would raise: a context window below 1 divides by zero, a
+    negative or NaN stretch leaves no path within the budget."""
     bb_set: dict = {}
     for rest in block.items_of("bb"):
         positional, options = split_kv(rest)
@@ -111,11 +120,14 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
         positional, options = split_kv(rest)
         if len(positional) != 1:
             raise SchemaError(f"{source}: context-model line needs a topic")
+        window = int(options.get("window", 16))
+        if window < 1:
+            raise SchemaError(f"{source}: context-model {positional[0]} "
+                              f"needs window >= 1, not {window}")
         models.append(ContextModelRule(
             topic=positional[0], metric=options.get("metric", ""),
             statement=options.get("statement", "latency_above_normal"),
-            factor=float(options.get("factor", 1.5)),
-            window=int(options.get("window", 16)),
+            factor=float(options.get("factor", 1.5)), window=window,
             min_samples=int(options.get("min_samples", 1))))
     subscriptions = []
     for rest in block.items_of("subscribe"):
@@ -123,21 +135,21 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
         if len(positional) != 2:
             raise SchemaError(f"{source}: subscribe line is '<role> <topic>'")
         subscriptions.append((Role(positional[0]), positional[1]))
-    try:
-        return SliceBlueprint(
-            slice_id=block.ident,
-            slice_type=SliceType(block.require("type")),
-            bb_set=bb_set,
-            fabric_model=FabricModel.parse(block.get("fabric", "full_mesh")),
-            mobility_policy=mobility,
-            auth_scheme=AuthScheme(block.get("auth", "full")),
-            path_strategy=PathStrategy(block.get("path-strategy", "shortest")),
-            stretch=float(block.get("stretch", "0.5")),
-            anchors=tuple(block.get("anchors", "").split()),
-            subscriptions=tuple(subscriptions),
-            context_models=tuple(models))
-    except ValueError as exc:
-        raise SchemaError(f"{source}: {exc}") from None
+    stretch = float(block.get("stretch", "0.5"))
+    if not stretch >= 0:
+        raise SchemaError(f"{source}: stretch must be >= 0, not {stretch}")
+    return SliceBlueprint(
+        slice_id=block.ident,
+        slice_type=SliceType(block.require("type")),
+        bb_set=bb_set,
+        fabric_model=FabricModel.parse(block.get("fabric", "full_mesh")),
+        mobility_policy=mobility,
+        auth_scheme=AuthScheme(block.get("auth", "full")),
+        path_strategy=PathStrategy(block.get("path-strategy", "shortest")),
+        stretch=stretch,
+        anchors=tuple(block.get("anchors", "").split()),
+        subscriptions=tuple(subscriptions),
+        context_models=tuple(models))
 
 
 def load_blueprint_file(path) -> SliceBlueprint:

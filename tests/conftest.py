@@ -1,6 +1,10 @@
 import importlib.resources
 from pathlib import Path
 
+from slicesim.blocks.sam import AuditEntry, SAMState
+from slicesim.errors import NoContextError
+from slicesim.fabric import Fabric, FabricModelKind
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 
@@ -11,6 +15,27 @@ def reference_catalog_text() -> str:
 
 def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / name
+
+
+def sam_single_sign_on(state: SAMState, device: str, service: str,
+                       tick: int) -> str:
+    """Grant access to a service off the existing security context, without a
+    new credential exchange.  Returns the grant token."""
+    context = state.security_contexts.get(device)
+    if context is None:
+        raise NoContextError(f"device {device} holds no security context")
+    state.audit_log.append(AuditEntry(tick=tick, kind="sso", subject=device, ok=True))
+    return f"sso-{device}-{service}-{context.ordinal}"
+
+
+def implied_link_count(fabric: Fabric) -> int:
+    """The links a fabric's interconnection model implies between members."""
+    n = len(fabric.members)
+    if fabric.model.kind is FabricModelKind.FULL_MESH:
+        return n * (n - 1) // 2
+    if fabric.model.kind is FabricModelKind.RELAY:
+        return n - 1
+    return n   # star towards the external dispatcher or broker
 
 
 def pytest_runtest_logreport(report):

@@ -11,9 +11,7 @@ from slicesim.blocks.fm import (
     FMState, LinkState, TopologyView, fm_define_path, link_key,
     post_install_utilisation, shortest_path,
 )
-from slicesim.blocks.sam import (
-    IdentityRecord, SAMState, sam_authenticate, sam_single_sign_on,
-)
+from slicesim.blocks.sam import IdentityRecord, SAMState, sam_authenticate
 from slicesim.catalog import (
     EvolutionCycle, FunctionalDomain, Optionality, Originator, Placement,
     ProcedureSpec, Reusability, SFCatalog, SFDescriptor, compose,
@@ -28,7 +26,7 @@ from slicesim.trace import (
     EventRecord, MessageRecord, parse_trace, render_trace,
 )
 
-from conftest import reference_catalog_text, scenario_path
+from conftest import reference_catalog_text, sam_single_sign_on, scenario_path
 
 SEED = 7
 

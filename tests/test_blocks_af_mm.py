@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from slicesim.blocks.af import AFState, af_handle, latest_endpoint, record_path
+from slicesim.blocks.af import AFState, af_handle, record_path
 from slicesim.blocks.common import (
     AccessNodeInfo, BlockContext, HandoverStyle, MobilityPolicy, SlicePolicy,
     Tech,
@@ -21,6 +21,12 @@ from slicesim.messages import (
 )
 
 SLICE = "slice-a"
+
+
+def latest_endpoint(state: AFState, device: str) -> str | None:
+    """The node of the device's last path record, if any."""
+    records = state.path_records.get(device)
+    return records[-1].node if records else None
 
 
 def ctx_for(role, policy=None, area_nodes=3):

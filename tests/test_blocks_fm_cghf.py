@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicesim.blocks.cghf import (
-    CGHFState, ContextModelRule, cghf_generate, cghf_ingest,
+    CGHFState, ContextAssertion, ContextModelRule, cghf_generate, cghf_ingest,
 )
 from slicesim.blocks.common import (
     AccessNodeInfo, BlockContext, PathStrategy, SlicePolicy, Tech,
@@ -15,9 +15,11 @@ from slicesim.blocks.fm import (
     fm_release_path, handle as fm_handle, link_key,
     post_install_utilisation, shortest_path,
 )
+from slicesim.engine import _normalize
 from slicesim.errors import CapacityError, NoPathError
 from slicesim.messages import (
     BBInstanceId, Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage,
+    Topic, draft,
 )
 
 SLICE = "slice-a"
@@ -357,3 +359,74 @@ class TestContextGeneration:
         state, drafts, _ = cghf_generate(state, 4, ctx)
         topics = [d.payload["topic"] for d in drafts]
         assert topics == sorted(topics) == ["a-loss", "dplane-latency"]
+
+
+def generate_over_every_key(state, tick, ctx):
+    """The evaluation over every buffered key, which `cghf_generate`
+    narrows to the keys with a sample since the last one: the oracle."""
+    drafts, events = [], []
+    for model in sorted(state.models, key=lambda m: m.topic):
+        subjects = sorted(subject for (metric, subject) in state.buffer
+                          if metric == model.metric)
+        for subject in subjects:
+            samples = state.buffer[(model.metric, subject)]
+            bkey = (model.topic, subject)
+            baseline = state.baselines.get(bkey)
+            condition = False
+            if baseline is not None and len(samples) >= model.min_samples:
+                mean = sum(s.value for s in samples) / len(samples)
+                condition = mean > model.factor * baseline
+            if condition and state.armed.get(bkey, True):
+                state.armed[bkey] = False
+                state.assertion_counter += 1
+                assertion = ContextAssertion(
+                    topic=model.topic, subject=subject,
+                    statement=model.statement,
+                    evidence=tuple((s.tick, s.value) for s in samples[-3:]),
+                    tick=tick)
+                state.published.append(assertion)
+                events.append(("context", subject, model.topic))
+                drafts.append(draft(
+                    ProcedureKind.CONTEXT_NOTIFY, ctx.self_endpoint,
+                    Topic(model.topic),
+                    f"{ctx.slice_id}:context:{state.assertion_counter}",
+                    {"topic": model.topic, "subject": subject,
+                     "statement": model.statement,
+                     "evidence": [list(e) for e in assertion.evidence]}))
+            elif not condition:
+                state.armed[bkey] = True
+    return drafts, events
+
+
+_CGHF_STEPS = st.lists(st.one_of(
+    st.just(None),
+    st.tuples(st.sampled_from(("flow-latency", "flow-loss")),
+              st.sampled_from(("f1", "f2", "f3")),
+              st.sampled_from((1.0, 2.0, 10.0, 40.0)))), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CGHF_STEPS, st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=3))
+def test_generation_over_fresh_keys_matches_every_key(steps, window,
+                                                        min_samples):
+    """Evaluating only the keys with a sample since the last generation
+    gives the drafts, events and state that evaluating every key gives."""
+    models = (ContextModelRule(topic="dplane-latency", metric="flow-latency",
+                               statement="latency_above_normal", factor=1.5,
+                               window=window, min_samples=min_samples),
+              ContextModelRule(topic="a-loss", metric="flow-loss",
+                               statement="loss_above_normal", factor=2.0,
+                               window=2))
+    fresh, every = CGHFState(models=models), CGHFState(models=models)
+    ctx = cghf_ctx()
+    for tick, step in enumerate(steps):
+        if step is None:
+            _, drafts, events = cghf_generate(fresh, tick, ctx)
+            assert (drafts, [(e.kind, e.subject, e.detail["topic"])
+                             for e in events]) == \
+                generate_over_every_key(every, tick, ctx)
+            assert _normalize(fresh) == _normalize(every)
+        else:
+            for state in (fresh, every):
+                cghf_ingest(state, *step, source="dplane", tick=tick)

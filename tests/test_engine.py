@@ -15,6 +15,7 @@ from slicesim.fabric import DEFAULT_PROJECTIONS
 from slicesim.messages import ProcedureKind, Role
 from slicesim.metrics import compute_metrics, render_metrics
 from slicesim.netsim import DPlane, SignalingMode
+from slicesim.slices import LifecycleState
 from slicesim.trace import (
     EventRecord, MessageRecord, canonical_json, parse_trace, render_trace,
     trace_check,
@@ -334,26 +335,57 @@ class TestHandoverContinuity:
                                        + summary["in_flight"])
 
 
-def _idle_states(monkeypatch, name):
+def _hook_blocks(env):
+    """(ident, instance, role, state) of every block with a tick hook."""
+    for ident, (instance, role, state) in env._route.items():
+        if instance is not None and role in engine._TICK_HOOKS:
+            yield ident, instance, role, state
+
+
+def _skipped(monkeypatch, name):
     """Run a corpus scenario and collect, once per distinct state, every
-    block state the tick-hook sweep skipped, with its ident, slice, role
-    and tick."""
+    block and every plane the due list left out of a tick's sweep: blocks
+    as (ident, instance, role, state copy, tick), planes as (plane copy,
+    tick)."""
     env = Environment(load(name), 7)
-    owners = {id(state): (ident, instance, role)
-              for ident, (instance, role, state) in env._route.items()
-              if instance is not None}
-    seen: dict = {}
-    for role, due in list(engine._HOOK_DUE.items()):
-        def recording(state, due=due):
-            if not due(state):
-                key = (id(state), canonical_json(_normalize(state)))
-                seen.setdefault(key, (*owners[id(state)],
-                                      copy.deepcopy(state), env.tick))
-            return due(state)
-        monkeypatch.setitem(engine._HOOK_DUE, role, recording)
+    blocks: dict = {}
+    planes: dict = {}
+    original = Environment._run_due
+
+    def recording(self):
+        due = {(entry[0].slice_id, entry[1]) for entry in self._due.values()}
+        for ident, instance, role, state in _hook_blocks(self):
+            if (instance.slice_id, role) not in due and \
+                    instance.lifecycle_state is not LifecycleState.TORN_DOWN:
+                key = (ident, canonical_json(_normalize(state)))
+                blocks.setdefault(key, (ident, instance, role,
+                                        copy.deepcopy(state), self.tick))
+        for sid, instance in self.slices.items():
+            if (sid, None) not in due:
+                key = (sid, canonical_json(_normalize(instance.dplane)))
+                planes.setdefault(key, (copy.deepcopy(instance.dplane),
+                                        self.tick))
+        original(self)
+
+    monkeypatch.setattr(Environment, "_run_due", recording)
     env.run()
     monkeypatch.undo()
-    return env, list(seen.values())
+    return env, list(blocks.values()), list(planes.values())
+
+
+def _force_everything_due(monkeypatch):
+    """Put every block with a tick hook and every plane on the due list
+    before each tick's sweep: the sweep the due list replaces."""
+    original = Environment._run_due
+
+    def everything(self):
+        for _, instance, role, _ in _hook_blocks(self):
+            self._wake(instance, role)
+        for instance in self.slices.values():
+            self._wake(instance)
+        original(self)
+
+    monkeypatch.setattr(Environment, "_run_due", everything)
 
 
 def _flowless_planes():
@@ -367,12 +399,12 @@ def _flowless_planes():
 
 
 class TestSweepSkips:
-    """The tick-hook and forwarded-plane sweeps skip what has nothing due;
-    a skipped call would have been a no-op."""
+    """A tick sweeps only the due list: blocks with work and planes with
+    live flows.  A skipped hook call or plane step would have been a no-op."""
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_skipped_tick_hooks_are_no_ops(self, monkeypatch, name):
-        env, idle = _idle_states(monkeypatch, name)
+        env, idle, _ = _skipped(monkeypatch, name)
         assert idle
         for ident, instance, role, state, tick in idle:
             before = _normalize(state)
@@ -383,10 +415,24 @@ class TestSweepSkips:
                 assert (drafts, events) == ([], []), (ident, later)
                 assert _normalize(state) == before, (ident, later)
 
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_skipped_planes_step_to_nothing(self, monkeypatch, name):
+        _, _, idle = _skipped(monkeypatch, name)
+        assert idle
+        for plane, tick in idle:
+            before = _normalize(plane)
+            for later in (tick, tick + 1, tick + 9, tick + 1000):
+                assert plane.step(later) == ([], [], {}, {})
+                assert _normalize(plane) == before
+
     def test_every_hook_role_is_seen_idle(self, monkeypatch):
         roles = {role for name in ("paging", "cghf-reselect")
-                 for _, _, role, _, _ in _idle_states(monkeypatch, name)[1]}
+                 for _, _, role, _, _ in _skipped(monkeypatch, name)[1]}
         assert roles == set(engine._TICK_HOOKS)
+
+    def test_finished_flows_leave_the_due_list(self, monkeypatch):
+        _, _, idle = _skipped(monkeypatch, "handover-mbb")
+        assert any(plane.flows for plane, _ in idle)
 
     def test_flowless_planes_step_to_nothing(self):
         planes = list(_flowless_planes())
@@ -400,8 +446,7 @@ class TestSweepSkips:
     @pytest.mark.parametrize("name", CORPUS)
     def test_unskipped_hook_sweep_traces_the_same(self, monkeypatch, name):
         skipped = run(load(name), 7)
-        for role in engine._HOOK_DUE:
-            monkeypatch.setitem(engine._HOOK_DUE, role, lambda state: True)
+        _force_everything_due(monkeypatch)
         swept = run(load(name), 7)
         assert render_trace(swept.trace) == render_trace(skipped.trace)
         assert swept.digests == skipped.digests
@@ -419,10 +464,74 @@ class TestSweepSkips:
         skipped = run(load("cghf-reselect"), 7)
         woken_at, skipped_calls = calls[0], len(calls)
         calls.clear()
-        for role in engine._HOOK_DUE:
-            monkeypatch.setitem(engine._HOOK_DUE, role, lambda state: True)
+        _force_everything_due(monkeypatch)
         swept = run(load("cghf-reselect"), 7)
         assert calls[0] == 0 < woken_at
         assert skipped_calls < len(calls)
         assert events(skipped, "context")
         assert render_trace(swept.trace) == render_trace(skipped.trace)
+
+
+def _one_flow_scenario(tmp_path, starts):
+    """A one-device scenario on the default blueprint with a `traffic-start`
+    of flow fx at each (tick, duration) of `starts`."""
+    for name in ("topo-core.txt", "bp-default.bp"):
+        (tmp_path / name).write_text(scenario_path(name).read_text())
+    lines = ["scenario one-flow", "  topology: topo-core.txt",
+             "  blueprint bp-default.bp", "  device d1", "    psi: imsi-1",
+             "    proof: tok-1", "    allowed: default-a",
+             "    default: default-a", "    mode: direct", "    node: n1",
+             "  end", "  at 1 attach d1 method=2"]
+    lines += [f"  at {tick} traffic-start d1 flow=fx rate=1 duration={duration}"
+              for tick, duration in starts]
+    (tmp_path / "one.scn").write_text("\n".join(lines + ["end", ""]))
+    return load_scenario(tmp_path / "one.scn")
+
+
+def _counting_steps(monkeypatch):
+    ticks: list = []
+    step = DPlane.step
+
+    def counting(plane, tick):
+        ticks.append(tick)
+        return step(plane, tick)
+
+    monkeypatch.setattr(DPlane, "step", counting)
+    return ticks
+
+
+class TestDueList:
+    def test_finished_flow_restarted_under_its_id_steps_again(
+            self, tmp_path, monkeypatch):
+        ticks = _counting_steps(monkeypatch)
+        result = run(_one_flow_scenario(tmp_path, [(10, 2), (40, 3)]), 7)
+        delivered = [r.tick for r in events(result, "flow-delivered")]
+        assert delivered and min(delivered) < 40 < max(delivered)
+        assert sum(r.detail["units"] for r in events(result, "flow-delivered")
+                   if r.tick > 40) == 3
+        # the plane rests between the two runs of the flow
+        assert not [t for t in ticks if max(delivered[:2]) < t < 40]
+        summary, = events(result, "flow-summary")
+        assert (summary.detail["sent"], summary.detail["delivered"]) == (3, 3)
+
+    def test_plane_emits_its_trailing_zero_loads_once(
+            self, tmp_path, monkeypatch):
+        ticks = _counting_steps(monkeypatch)
+        result = run(_one_flow_scenario(tmp_path, [(10, 2)]), 7)
+        loads = [(r.tick, r.msg.payload["link"], r.msg.payload["load"])
+                 for r in messages(result, ProcedureKind.FLOW_NOTIFY)
+                 if r.msg.payload.get("phase") == "load"]
+        links = {link for _, link, _ in loads}
+        assert links
+        for link in links:
+            samples = [load for _, name, load in loads if name == link]
+            assert samples[-1] == 0.0
+            assert samples.count(0.0) == 1, (link, samples)
+        # the last step is the one that sent the trailing zeros
+        assert max(ticks) + 1 == max(tick for tick, _, _ in loads)
+
+    def test_compare_fabrics_digests_stay_equal_on_the_corpus(self):
+        for name in CORPUS:
+            comparison = compare_fabrics(load(name), 7)
+            digests = [r.digests for r in comparison.results.values()]
+            assert all(d == digests[0] for d in digests), name

@@ -8,6 +8,17 @@ from hypothesis import strategies as st
 from slicesim.errors import SchemaError
 from slicesim.netsim import DPlane, FlowRun, NodeKind, load_topology
 
+
+def anchor_nodes(spec) -> tuple:
+    """The topology's anchor-kind nodes, sorted."""
+    return tuple(sorted(n for n, k in spec.nodes.items()
+                        if k is NodeKind.ANCHOR))
+
+
+def conserved(run: FlowRun) -> bool:
+    """Every unit a flow sent is delivered, lost or still in flight."""
+    return run.sent == run.delivered + run.lost + len(run.in_flight)
+
 TOPOLOGY_TEXT = """
 topology t1
   node i1 kind=ingress
@@ -41,7 +52,7 @@ class TestTopologyLoading:
         assert spec.nodes["a1"] is NodeKind.ANCHOR
         assert spec.links[("i1", "t")] == (10, 2)
         assert spec.access["n1"].ingress == "i1"
-        assert spec.anchor_nodes() == ("a1",)
+        assert anchor_nodes(spec) == ("a1",)
 
     def test_link_to_unknown_node_rejected(self):
         with pytest.raises(SchemaError):
@@ -87,8 +98,8 @@ class TestUnitMotion:
     def test_latency_equals_link_latency_sum(self):
         dp = make_dplane()
         install_path(dp, "f1", ("i1", "t", "a1"))
-        dp.flows["f1"] = FlowRun(flow_id="f1", device="d1", rate=1,
-                                 remaining_emissions=1, ingress="i1")
+        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+                                 remaining_emissions=1, ingress="i1"))
         arrivals = []
         for tick in range(0, 10):
             _, latency_samples, delivered, _ = dp.step(tick)
@@ -102,7 +113,7 @@ class TestUnitMotion:
         dp = make_dplane()
         run = FlowRun(flow_id="f1", device="d1", rate=1,
                       remaining_emissions=5, ingress="i1")
-        dp.flows["f1"] = run
+        dp.add_flow(run)
         dp.step(0)
         assert run.sent == 0 and not run.started     # nothing installed yet
         install_path(dp, "f1", ("i1", "t", "a1"))
@@ -120,7 +131,7 @@ class TestUnitMotion:
         install_path(dp, "f1", ("i1", "t", "a1"))
         run = FlowRun(flow_id="f1", device="d1", rate=1,
                       remaining_emissions=1, ingress="i1")
-        dp.flows["f1"] = run
+        dp.add_flow(run)
         dp.step(0)    # unit on link i1~t (2 ticks)
         dp.configure({"node": "t", "flow": "f1", "action": "remove",
                       "next": "a1"})
@@ -136,8 +147,8 @@ class TestUnitMotion:
     def test_load_samples_report_zero_crossings(self):
         dp = make_dplane()
         install_path(dp, "f1", ("i2", "t", "a1"))
-        dp.flows["f1"] = FlowRun(flow_id="f1", device="d1", rate=1,
-                                 remaining_emissions=1, ingress="i2")
+        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+                                 remaining_emissions=1, ingress="i2"))
         loads0, *_ = dp.step(0)
         assert ("i2~t", 0.1) in loads0
         dp.step(1)   # unit moves to link t~a1
@@ -154,12 +165,41 @@ class TestUnitMotion:
         install_path(dp, "f1", ("i1", "t", "a1"))
         run = FlowRun(flow_id="f1", device="d1", rate=rate,
                       remaining_emissions=duration, ingress="i1")
-        dp.flows["f1"] = run
+        dp.add_flow(run)
         for tick in range(0, 20):
             if tick in cut_ticks:
                 dp.configure({"node": "t", "flow": "f1", "action": "remove",
                               "next": "a1"})
             dp.step(tick)
-            assert run.conserved()
+            assert conserved(run)
         assert not run.in_flight
         assert run.sent == run.delivered + run.lost
+
+
+class TestLiveFlows:
+    def test_finished_flow_leaves_the_step_loop_and_keeps_its_counters(self):
+        dp = make_dplane()
+        install_path(dp, "f1", ("i1", "t", "a1"))
+        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+                            remaining_emissions=1, ingress="i1"))
+        for tick in range(6):
+            assert dp.due()
+            dp.step(tick)
+        assert not dp.due() and not dp.has_work()
+        assert dp.flows["f1"].delivered == 1
+        assert dp.step(6) == ([], [], {}, {})
+
+    def test_replaced_flow_owes_its_links_one_zero_sample(self):
+        dp = make_dplane()
+        install_path(dp, "f1", ("i1", "t", "a1"))
+        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+                            remaining_emissions=1, ingress="i1"))
+        loads, *_ = dp.step(0)
+        assert loads == [("i1~t", 0.1)]
+        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+                            remaining_emissions=0, ingress="i1"))
+        assert dp.due() and not dp.has_work()
+        loads, *_ = dp.step(1)
+        assert loads == [("i1~t", 0.0)]
+        assert not dp.due()
+        assert dp.step(2) == ([], [], {}, {})

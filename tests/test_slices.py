@@ -5,12 +5,14 @@ import itertools
 import pytest
 
 from slicesim.blocks.common import HandoverStyle, MobilityPolicy
+from slicesim import cli
 from slicesim.catalog import (
     derive_separation_constraints, group_into_bbs, load_catalog,
 )
 from slicesim.errors import (
     BlueprintError, InfraCapacityError, LifecycleOrderError, SchemaError,
 )
+from slicesim.engine import load_scenario
 from slicesim.fabric import FabricModel, FabricModelKind
 from slicesim.messages import Role
 from slicesim.netsim import load_topology_file
@@ -20,7 +22,7 @@ from slicesim.slices import (
     validate_blueprint,
 )
 
-from conftest import reference_catalog_text, scenario_path
+from conftest import implied_link_count, reference_catalog_text, scenario_path
 
 
 def make_blueprint(roles=(Role.AF, Role.CM, Role.SAM, Role.FM),
@@ -104,6 +106,45 @@ class TestBlueprintFiles:
             load_blueprint("blueprint x\n  type: embb\n  bb XX\nend\n")
 
 
+def _knob_blueprint(old, new, name="bp-cghf.bp"):
+    text = scenario_path(name).read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+class TestBlueprintKnobs:
+    """A numeric knob is refused at load where a run with it would raise,
+    and accepted otherwise."""
+
+    def test_cghf_reselect_with_zero_window_is_a_schema_error(self, tmp_path):
+        for name in ("topo-core.txt", "cghf-reselect.scn"):
+            (tmp_path / name).write_text(scenario_path(name).read_text())
+        (tmp_path / "bp-cghf.bp").write_text(
+            _knob_blueprint("window=8", "window=0"))
+        with pytest.raises(SchemaError, match="window >= 1"):
+            load_scenario(tmp_path / "cghf-reselect.scn")
+        assert cli.main(["validate", "--scenario",
+                         str(tmp_path / "cghf-reselect.scn")]) == 1
+
+    @pytest.mark.parametrize("old,new", [
+        ("window=8", "window=-2"), ("window=8", "window=1.5"),
+        ("factor=1.5", "factor=abc"), ("shortest", "shortest\n  stretch: -0.5"),
+        ("shortest", "shortest\n  stretch: nan"),
+        ("bb CGHF", "bb CGHF\n  subscribe XX dplane-latency")])
+    def test_refused(self, old, new):
+        with pytest.raises(SchemaError):
+            load_blueprint(_knob_blueprint(old, new))
+
+    @pytest.mark.parametrize("old,new,name", [
+        ("window=8", "window=1", "bp-cghf.bp"),
+        ("window=8", "window=8 min_samples=0", "bp-cghf.bp"),
+        ("factor=1.5", "factor=-1", "bp-cghf.bp"),
+        ("shortest", "shortest\n  stretch: 0", "bp-cghf.bp"),
+        ("centralised", "centralised timeout=0", "bp-mob-mbb.bp")])
+    def test_accepted(self, old, new, name):
+        load_blueprint(_knob_blueprint(old, new, name))
+
+
 class TestLifecycle:
     def instance(self, topology, **kwargs):
         infra = kwargs.pop("infra", SimInfrastructure(capacity_units=16))
@@ -121,7 +162,7 @@ class TestLifecycle:
             roles=(Role.AF, Role.CM, Role.MM, Role.SAM, Role.FM, Role.CGHF),
             mobility=MobilityPolicy(style=HandoverStyle.MAKE_BEFORE_BREAK))
         assert len(inst.bb_instances) == 6
-        assert inst.fabric.implied_link_count() == 15
+        assert implied_link_count(inst.fabric) == 15
 
     def test_two_instances_share_no_state(self, topology):
         infra = SimInfrastructure(capacity_units=16)
