@@ -2,14 +2,19 @@
 """Per-record run cost as slices and as devices grow.
 
 Runs two sweeps of generated benchmark scenarios (perfbench/gen.py) through
-`engine.run` and reports the best wall time over the repeats, divided by
-the number of trace records:
+`engine.run` and reports the best time over the repeats, divided by the
+number of trace records.  Each time is scaled to reference speed the way
+the benchmark scales it (perfbench/run.py REFERENCE_S over a reading of
+perfbench/pipeline.py `reference_s` taken just before the run):
 
 - slices 2 / 12 / 48 / 96 at 240 slice-fanout devices
 - attach-storm at 400 / 1000 / 2000 / 4000 devices, attach window =
   devices / 10
 
-Flat cost means equal microseconds per record along a sweep.  The figures
+Flat cost means equal microseconds per record along a sweep.  The repeats
+go round each sweep, so a swing in machine speed that the scaling misses
+hits all its points alike.
+The figures
 and the machine, Python version, git revision and `src/` line count are
 written to BENCH_scale_<label>.json at the repo root.  Not part of the test
 suite; the largest run holds about 180k records in memory.
@@ -33,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
+from pipeline import reference_s  # noqa: E402
+from run import REFERENCE_S  # noqa: E402
 from slicesim import engine  # noqa: E402
 
 SEED = 1
@@ -41,21 +48,30 @@ SLICE_DEVICES = 240
 DEVICES = (400, 1000, 2000, 4000)
 
 
-def _measure(workload: str, params, repeats: int) -> dict:
+def _scenario(workload: str, params):
     with tempfile.TemporaryDirectory() as tmp:
-        scenario = engine.load_scenario(
+        return engine.load_scenario(
             gen.write_workload(workload, SEED, Path(tmp), params))
-    best, records = None, 0
+
+
+def _measure(points: list, repeats: int) -> None:
+    """Time `engine.run` on every point's scenario, in `repeats` rounds over
+    all points; keep each point's best time."""
+    best: dict = {}
     for _ in range(repeats):
-        gc.collect()
-        t0 = perf_counter()
-        result = engine.run(scenario, SEED)
-        elapsed = perf_counter() - t0
-        records = len(result.trace)
-        del result
-        best = elapsed if best is None else min(best, elapsed)
-    return {"records": records, "best_s": round(best, 4),
-            "us_per_record": round(best / records * 1e6, 2)}
+        for i, (row, scenario) in enumerate(points):
+            gc.collect()
+            scale = REFERENCE_S / reference_s()
+            t0 = perf_counter()
+            result = engine.run(scenario, SEED)
+            elapsed = perf_counter() - t0
+            row["records"] = len(result.trace)
+            del result
+            best[i] = min(best.get(i, (elapsed * scale, elapsed)),
+                          (elapsed * scale, elapsed))
+    for i, (row, _) in enumerate(points):
+        row["scaled_s"], row["raw_s"] = (round(t, 4) for t in best[i])
+        row["us_per_record"] = round(best[i][0] / row["records"] * 1e6, 2)
 
 
 def _git_rev() -> str:
@@ -82,21 +98,20 @@ def main() -> int:
 
     fanout = gen.WORKLOADS["slice-fanout"]
     storm = gen.WORKLOADS["attach-storm"]
-    by_slices, by_devices = [], []
-    for n in SLICES:
-        params = dataclasses.replace(fanout, devices=SLICE_DEVICES, slices=n)
-        row = {"slices": n, "devices": SLICE_DEVICES,
-               **_measure("slice-fanout", params, args.repeats)}
-        print(f"slice-fanout  slices={n:<4} {row['us_per_record']:8.2f} us/record "
-              f"({row['records']} records)", flush=True)
-        by_slices.append(row)
-    for n in DEVICES:
-        params = dataclasses.replace(storm, devices=n, attach_window=n // 10)
-        row = {"devices": n, "attach_window": n // 10,
-               **_measure("attach-storm", params, args.repeats)}
-        print(f"attach-storm  devices={n:<5} {row['us_per_record']:8.2f} us/record "
-              f"({row['records']} records)", flush=True)
-        by_devices.append(row)
+    by_slices = [({"slices": n, "devices": SLICE_DEVICES}, _scenario(
+        "slice-fanout", dataclasses.replace(fanout, devices=SLICE_DEVICES, slices=n)))
+        for n in SLICES]
+    by_devices = [({"devices": n, "attach_window": n // 10}, _scenario(
+        "attach-storm", dataclasses.replace(storm, devices=n, attach_window=n // 10)))
+        for n in DEVICES]
+    _measure(by_slices, args.repeats)
+    _measure(by_devices, args.repeats)
+    by_slices = [row for row, _ in by_slices]
+    by_devices = [row for row, _ in by_devices]
+    for row in by_slices + by_devices:
+        print(f"slices={row['slices']:<4}" if "slices" in row
+              else f"devices={row['devices']:<5}",
+              f"{row['us_per_record']:8.2f} us/record ({row['records']} records)")
 
     ratios = {
         "slices_96_over_2": round(by_slices[-1]["us_per_record"]
@@ -112,7 +127,7 @@ def main() -> int:
         "python": platform.python_version(),
         "git_rev": _git_rev(),
         "src_lines": _src_lines(),
-        "seed": SEED, "repeats": args.repeats, "timer": "best engine.run",
+        "seed": SEED, "repeats": args.repeats, "timer": "best reference-scaled engine.run",
         "by_slices": by_slices, "by_devices": by_devices, "ratios": ratios,
     }
     out = ROOT / f"BENCH_scale_{args.label}.json"

@@ -55,12 +55,10 @@ class CGHFState:
     baselines: dict = field(default_factory=dict)       # (topic, subject) -> float
     warmup: dict = field(default_factory=dict)          # (topic, subject) -> [values]
     armed: dict = field(default_factory=dict)           # (topic, subject) -> bool
-    published: list = field(default_factory=list)
     assertion_counter: int = 0
 
     def __post_init__(self) -> None:
-        # (metric, subject) keys that ingested a sample since the last
-        # generation; not a field, so no digest holds it
+        # keys sampled since the last generation; not a field, not digested
         self._fresh: set = set()
 
 
@@ -120,7 +118,6 @@ def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
                     statement=model.statement,
                     evidence=tuple((s.tick, s.value) for s in samples[-3:]),
                     tick=tick)
-                state.published.append(assertion)
                 events.append(BlockEvent("context", subject,
                                          {"topic": model.topic,
                                           "statement": model.statement}))

@@ -60,8 +60,7 @@ class SAMState:
     audit_log: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # permanent id -> current pseudonym, the reverse of pseudonym_map;
-        # not a field, so no digest holds it
+        # permanent id -> current pseudonym; not a field, so no digest holds it
         self._pseudonym_of = {pid: p for p, pid in self.pseudonym_map.items()}
 
     def current_pseudonym(self, permanent_id: str) -> str | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from operator import attrgetter
@@ -63,13 +64,10 @@ _TICK_HOOKS = {
     Role.CGHF: cghf_mod.tick_hook,
 }
 
-#: Per tick-hook role, whether a block has work: checked after it handled
-#: `msg`, when it joins the due list, and with `msg` None at the end of a
-#: tick, when it leaves the list without work.  An MM has work while a page
-#: is out, an FM while rules wait to retire or acknowledgements to arrive.
-#: A CGHF has work only on a tick in which it ingested a sample: its buffer
-#: keeps each key's last samples, and generating again over unchanged
-#: samples changes nothing.  A hook called without work is a no-op.
+#: Per tick-hook role, whether a block has work, after handling `msg` (it
+#: joins the due list) or at the end of a tick with `msg` None (it leaves
+#: without): a page out, rules to retire or acknowledgements to await, a
+#: sample ingested this tick.  A hook called without work is a no-op.
 _HAS_WORK = {
     Role.MM: lambda state, msg: state.pages,
     Role.FM: lambda state, msg: state.retiring or state.pending,
@@ -220,12 +218,13 @@ class Environment:
         self.devices = {d.device_id: SimDevice(spec=d) for d in scenario.devices}
         self.infra = slices_mod.SimInfrastructure(scenario.infra_capacity)
         self.slices: dict = {}
+        roster = slices_mod.build_roster(scenario.devices)
         override = fabric_override or scenario.fabric_override
         for bp in scenario.blueprints:
             if override is not None:
                 bp = replace(bp, fabric_model=override)
             instance = slices_mod.instantiate(
-                bp, self.infra, scenario.topology, roster=scenario.devices,
+                bp, self.infra, scenario.topology, roster=roster,
                 projections=projections)
             slices_mod.operate(instance)
             self.slices[bp.slice_id] = instance
@@ -234,26 +233,19 @@ class Environment:
         self.global_cm = BBInstanceId(Role.CM, "global")
         self.global_sam = BBInstanceId(Role.SAM, "global")
         self.global_states = {
-            Role.CM: cm_mod.CMState(
-                role=cm_mod.CMRole.GLOBAL,
-                subscription_view={d.device_id: cm_mod.Subscription(
-                    allowed=tuple(d.allowed), default=d.default_slice)
-                    for d in scenario.devices}),
-            Role.SAM: sam_mod.SAMState(
-                identity_db={d.permanent_id: sam_mod.IdentityRecord(
-                    device=d.device_id, permanent_id=d.permanent_id,
-                    proof=d.proof) for d in scenario.devices}),
+            Role.CM: cm_mod.CMState(role=cm_mod.CMRole.GLOBAL,
+                                    subscription_view=roster[Role.CM]),
+            Role.SAM: sam_mod.SAMState(identity_db=roster[Role.SAM]),
         }
         self._script_by_tick: dict = {}
         for event in scenario.script:
             self._script_by_tick.setdefault(event.tick, []).append(event)
         self._last_script_tick = max(self._script_by_tick, default=0)
-        # What runs at the end of a tick: the tick hooks of blocks with work
-        # and the forwarded planes with live flows, by sort key
-        # (0, slice, role) or (1, slice, "") -> (instance, role or None for
-        # the plane, state or plane).  Nothing else is swept.
+        # The due list, all a tick's end runs: (0, slice, role) or
+        # (1, slice, "") -> (instance, role or None, state or plane).
         self._due: dict = {}
-        # device id -> {(slice id, flow id): FlowRun} of the flows it started
+        # device id -> {(slice id, flow id): FlowRun} of the flows it started;
+        # a run another start replaced under its id lingers here unreachable
         self._flows_of: dict = {}
 
         # The routing index, ident -> (slice instance, or None for the global
@@ -674,9 +666,6 @@ class Environment:
         device.flow_counter += 1
         flow = options.get("flow", f"{device.device_id}-f{device.flow_counter}")
         info = self.scenario.topology.access[device.current_node]
-        replaced = instance.dplane.flows.get(flow)
-        if replaced is not None:
-            del self._flows_of[replaced.device][(instance.slice_id, flow)]
         run = FlowRun(
             flow_id=flow, device=device.device_id,
             rate=int(options.get("rate", 1)),
@@ -748,9 +737,8 @@ class Environment:
                 instance, role, instance.bb_instances[role].state)
 
     def _run_due(self) -> None:
-        """The tick hooks of the due blocks by slice and role, skipping torn
-        down slices, then the due forwarded planes by slice.  What is left
-        without work leaves the due list."""
+        """The due blocks' tick hooks (not in torn down slices), then the due
+        planes, by slice and role; what is then without work leaves."""
         for key in sorted(self._due):
             instance, role, state = self._due[key]
             if role is None:
@@ -770,32 +758,23 @@ class Environment:
                          else _HAS_WORK[entry[1]](entry[2], None))}
 
     def _step_plane(self, instance) -> None:
-        slice_id = instance.slice_id
+        sid = instance.slice_id
         loads, latencies, delivered, lost = instance.dplane.step(self.tick)
-        fm_endpoint = Endpoint(Role.FM, self._scopes[slice_id]["peers"][Role.FM])
-        probe = Endpoint(Role.D_PLANE, f"{slice_id}:probe")
-        corr = f"{slice_id}:telemetry:{self.tick}"
-        drafts = []
-        for link, load in loads:
-            drafts.append(draft(ProcedureKind.FLOW_NOTIFY, probe,
-                                fm_endpoint, corr,
-                                {"phase": "load", "link": link,
-                                 "load": load}))
         by_flow: dict = {}
         for flow, latency in latencies:
             by_flow.setdefault(flow, []).append(latency)
-        for flow in sorted(by_flow):
-            drafts.append(draft(ProcedureKind.FLOW_NOTIFY, probe,
-                                fm_endpoint, corr,
-                                {"phase": "latency", "flow": flow,
-                                 "values": by_flow[flow]}))
-        for flow in sorted(delivered):
-            self.trace_event("flow-delivered", flow,
-                             {"units": delivered[flow], "slice": slice_id})
-        for flow in sorted(lost):
-            self.trace_event("flow-lost", flow,
-                             {"units": lost[flow], "slice": slice_id})
-        self.emit(drafts)
+        for kind, units in (("flow-delivered", delivered), ("flow-lost", lost)):
+            for flow in sorted(units):
+                self.trace_event(kind, flow, {"units": units[flow], "slice": sid})
+        payloads = [{"phase": "load", "link": link, "load": load}
+                    for link, load in loads]
+        payloads += [{"phase": "latency", "flow": flow, "values": by_flow[flow]}
+                     for flow in sorted(by_flow)]
+        probe = Endpoint(Role.D_PLANE, f"{sid}:probe")
+        fm = Endpoint(Role.FM, self._scopes[sid]["peers"][Role.FM])
+        corr = f"{sid}:telemetry:{self.tick}"
+        self.emit([draft(ProcedureKind.FLOW_NOTIFY, probe, fm, corr, payload)
+                   for payload in payloads])
 
     def _advance(self) -> None:
         """The current tick's work after its script events: due deliveries,
@@ -806,11 +785,10 @@ class Environment:
 
     def _pending_work(self) -> bool:
         """Whether the run goes on: a message in flight, a script event to
-        come, a due block (it has work), or a due plane with a flow under
-        way."""
+        come, a due block, or a due plane with a flow under way."""
         return bool(self.queue) or self.tick < self._last_script_tick or any(
-            role is not None or plane.has_work()
-            for _, role, plane in self._due.values())
+            role is not None or item.has_work()
+            for _, role, item in self._due.values())
 
     # -- the run itself ---------------------------------------------------------------
 
@@ -865,7 +843,7 @@ class Environment:
         for slice_id in sorted(self.slices):
             instance = self.slices[slice_id]
             snapshot = {
-                "blocks": {role.value: _normalize(inst.state)
+                "blocks": {role.value: _without_roster(inst.state)
                            for role, inst in sorted(
                                instance.bb_instances.items(),
                                key=lambda kv: kv[0].value)},
@@ -910,10 +888,21 @@ class Environment:
         return device.bound_slice, related
 
 
+def _without_roster(state) -> dict:
+    """A slice block's digest form: its fields but the shared subscriber
+    roster, which the `global` digest holds once."""
+    return {f.name: _normalize(getattr(state, f.name)) for f in fields(state)
+            if f.name not in _ROSTER_FIELDS}
+
+
+#: The block-state fields that hold the shared subscriber roster.
+_ROSTER_FIELDS = frozenset({"subscription_view", "identity_db"})
+
+
 def _normalize(value):
     """The JSON-ready form of a value in a terminal digest: a dataclass
-    becomes its field dict, an enum its value, a dict the same dict with
-    `str` keys, a set its sorted `str` list, a list or tuple a list, a str,
+    becomes its field dict, an enum its value, a mapping a dict with `str`
+    keys, a set its sorted `str` list, a list or tuple a list, a str,
     number, bool or None itself, and any other object its `str`.  The
     treatment depends only on the value's type, which is classified once."""
     cls = type(value)
@@ -931,7 +920,7 @@ def _normalizer_for(cls):
         return lambda v: {n: _normalize(getattr(v, n)) for n in names}
     if issubclass(cls, Enum):
         return attrgetter("value")
-    if issubclass(cls, dict):
+    if issubclass(cls, Mapping):
         return lambda v: {str(k): _normalize(x) for k, x in v.items()}
     if issubclass(cls, (set, frozenset)):
         return lambda v: sorted(map(str, v))

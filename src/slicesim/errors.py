@@ -83,10 +83,6 @@ class NotIdleError(SliceSimError):
     pass
 
 
-class NoContextError(SliceSimError):
-    pass
-
-
 class NoPathError(SliceSimError):
     pass
 

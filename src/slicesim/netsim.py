@@ -123,10 +123,6 @@ class FlowRun:
     latencies: list = field(default_factory=list)   # (arrival tick, latency)
     in_flight: list = field(default_factory=list)
 
-    def live(self) -> bool:
-        """Whether a step may still move or emit a unit of this flow."""
-        return bool(self.in_flight) or (self.active and self.remaining_emissions > 0)
-
 
 @dataclass
 class DPlane:
@@ -253,7 +249,8 @@ class DPlane:
                     flow=flow_id, path=path, complete=complete, hop=0,
                     remaining=self.latency(path[0], path[1]), sent_tick=tick))
 
-        self._live = {flow_id: run for flow_id, run in live if run.live()}
+        self._live = {flow_id: run for flow_id, run in live if run.in_flight
+                      or run.active and run.remaining_emissions > 0}
         load_samples = self._load_samples()
         return load_samples, latency_samples, delivered_now, lost_now
 
@@ -272,9 +269,10 @@ class DPlane:
         return samples
 
     def due(self) -> bool:
-        """Whether a step can change anything: a live flow, or zero-load
-        samples owed for the links loaded at the last step."""
-        return bool(self._live or self._last_loaded)
+        """Whether a step can change anything: only while a flow is live.
+        The step that ends the last one reports its links at zero load, and
+        a flow replaced in flight leaves its live successor to step."""
+        return bool(self._live)
 
     def has_work(self) -> bool:
         """Whether a flow is under way: units in flight, or emissions left

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from .blocks import af, cghf, cm, fm, mm, sam
 from .blocks.cghf import ContextModelRule
@@ -84,72 +85,61 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
     blocks = parse_blocks(text, {"blueprint"}, source)
     if len(blocks) != 1:
         raise SchemaError(f"{source}: expected exactly one blueprint block")
+    block = blocks[0]
     try:
-        return _blueprint_from(blocks[0], source)
+        bb_set: dict = {}
+        for rest in block.items_of("bb"):
+            positional, options = split_kv(rest)
+            if len(positional) != 1:
+                raise SchemaError(f"{source}: bb line needs one role")
+            bb_set[Role(positional[0])] = frozenset(
+                options["sfs"].split(",") if "sfs" in options else ())
+        mobility = None
+        if block.get("mobility") and block.get("mobility") != "none":
+            _, options = split_kv(tuple(block.require("mobility").split()))
+            allowed = (frozenset(Tech(t) for t in options["allow"].split(","))
+                       if "allow" in options else ALL_TECHS)
+            mobility = MobilityPolicy(
+                style=HandoverStyle(options.get("style", "mbb")),
+                anchoring=Anchoring(options.get("anchoring", "centralised")),
+                allowed_techs=allowed,
+                page_timeout=int(options.get("timeout", 8)))
+        models = []
+        for rest in block.items_of("context-model"):
+            positional, options = split_kv(rest)
+            if len(positional) != 1:
+                raise SchemaError(f"{source}: context-model line needs a topic")
+            window = int(options.get("window", 16))
+            if window < 1:      # a run would divide by it
+                raise SchemaError(f"{source}: context-model window must be >= 1")
+            models.append(ContextModelRule(
+                topic=positional[0], metric=options.get("metric", ""),
+                statement=options.get("statement", "latency_above_normal"),
+                factor=float(options.get("factor", 1.5)), window=window,
+                min_samples=int(options.get("min_samples", 1))))
+        subscriptions = []
+        for rest in block.items_of("subscribe"):
+            positional, _ = split_kv(rest)
+            if len(positional) != 2:
+                raise SchemaError(f"{source}: subscribe line is '<role> <topic>'")
+            subscriptions.append((Role(positional[0]), positional[1]))
+        stretch = float(block.get("stretch", "0.5"))
+        if not stretch >= 0:    # a run would find no path within the budget
+            raise SchemaError(f"{source}: stretch must be >= 0, not {stretch}")
+        return SliceBlueprint(
+            slice_id=block.ident,
+            slice_type=SliceType(block.require("type")),
+            bb_set=bb_set,
+            fabric_model=FabricModel.parse(block.get("fabric", "full_mesh")),
+            mobility_policy=mobility,
+            auth_scheme=AuthScheme(block.get("auth", "full")),
+            path_strategy=PathStrategy(block.get("path-strategy", "shortest")),
+            stretch=stretch,
+            anchors=tuple(block.get("anchors", "").split()),
+            subscriptions=tuple(subscriptions),
+            context_models=tuple(models))
     except ValueError as exc:
         raise SchemaError(f"{source}: {exc}") from None
-
-
-def _blueprint_from(block, source: str) -> SliceBlueprint:
-    """The blueprint of a parsed block.  A knob's value is rejected where a
-    run with it would raise: a context window below 1 divides by zero, a
-    negative or NaN stretch leaves no path within the budget."""
-    bb_set: dict = {}
-    for rest in block.items_of("bb"):
-        positional, options = split_kv(rest)
-        if len(positional) != 1:
-            raise SchemaError(f"{source}: bb line needs one role")
-        try:
-            role = Role(positional[0])
-        except ValueError:
-            raise SchemaError(f"{source}: unknown block role '{positional[0]}'") from None
-        sfs = frozenset(options["sfs"].split(",")) if "sfs" in options else frozenset()
-        bb_set[role] = sfs
-    mobility = None
-    if block.get("mobility") and block.get("mobility") != "none":
-        _, options = split_kv(tuple(block.require("mobility").split()))
-        allowed = (frozenset(Tech(t) for t in options["allow"].split(","))
-                   if "allow" in options else ALL_TECHS)
-        mobility = MobilityPolicy(
-            style=HandoverStyle(options.get("style", "mbb")),
-            anchoring=Anchoring(options.get("anchoring", "centralised")),
-            allowed_techs=allowed,
-            page_timeout=int(options.get("timeout", 8)))
-    models = []
-    for rest in block.items_of("context-model"):
-        positional, options = split_kv(rest)
-        if len(positional) != 1:
-            raise SchemaError(f"{source}: context-model line needs a topic")
-        window = int(options.get("window", 16))
-        if window < 1:
-            raise SchemaError(f"{source}: context-model {positional[0]} "
-                              f"needs window >= 1, not {window}")
-        models.append(ContextModelRule(
-            topic=positional[0], metric=options.get("metric", ""),
-            statement=options.get("statement", "latency_above_normal"),
-            factor=float(options.get("factor", 1.5)), window=window,
-            min_samples=int(options.get("min_samples", 1))))
-    subscriptions = []
-    for rest in block.items_of("subscribe"):
-        positional, _ = split_kv(rest)
-        if len(positional) != 2:
-            raise SchemaError(f"{source}: subscribe line is '<role> <topic>'")
-        subscriptions.append((Role(positional[0]), positional[1]))
-    stretch = float(block.get("stretch", "0.5"))
-    if not stretch >= 0:
-        raise SchemaError(f"{source}: stretch must be >= 0, not {stretch}")
-    return SliceBlueprint(
-        slice_id=block.ident,
-        slice_type=SliceType(block.require("type")),
-        bb_set=bb_set,
-        fabric_model=FabricModel.parse(block.get("fabric", "full_mesh")),
-        mobility_policy=mobility,
-        auth_scheme=AuthScheme(block.get("auth", "full")),
-        path_strategy=PathStrategy(block.get("path-strategy", "shortest")),
-        stretch=stretch,
-        anchors=tuple(block.get("anchors", "").split()),
-        subscriptions=tuple(subscriptions),
-        context_models=tuple(models))
 
 
 def load_blueprint_file(path) -> SliceBlueprint:
@@ -231,19 +221,26 @@ class SliceInstance:
         return not subset or sf_id in subset
 
 
+def build_roster(devices=()) -> dict:
+    """The subscriber roster, built once per run as two read-only mappings
+    that the global and every slice-local CM and SAM share: CM -> device id
+    -> Subscription, SAM -> permanent id -> IdentityRecord."""
+    return {
+        Role.CM: MappingProxyType({d.device_id: cm.Subscription(
+            allowed=tuple(d.allowed), default=d.default_slice) for d in devices}),
+        Role.SAM: MappingProxyType({d.permanent_id: sam.IdentityRecord(
+            device=d.device_id, permanent_id=d.permanent_id, proof=d.proof)
+            for d in devices})}
+
+
 _STATE_FACTORIES = {
     Role.AF: lambda bp, spec, roster: af.AFState(
         access_nodes=dict(spec.access)),
     Role.CM: lambda bp, spec, roster: cm.CMState(
-        role=cm.CMRole.SLICE_LOCAL,
-        subscription_view={d.device_id: cm.Subscription(
-            allowed=tuple(d.allowed), default=d.default_slice)
-            for d in roster}),
+        role=cm.CMRole.SLICE_LOCAL, subscription_view=roster[Role.CM]),
     Role.MM: lambda bp, spec, roster: mm.MMState(),
     Role.SAM: lambda bp, spec, roster: sam.SAMState(
-        identity_db={d.permanent_id: sam.IdentityRecord(
-            device=d.device_id, permanent_id=d.permanent_id, proof=d.proof)
-            for d in roster}),
+        identity_db=roster[Role.SAM]),
     Role.FM: lambda bp, spec, roster: fm.FMState(
         view=build_view(spec), strategy=bp.path_strategy, stretch=bp.stretch),
     Role.CGHF: lambda bp, spec, roster: cghf.CGHFState(
@@ -252,10 +249,11 @@ _STATE_FACTORIES = {
 
 
 def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
-                topology: TopologySpec, roster=(), bb_definitions=(),
-                projections=None) -> SliceInstance:
+                topology: TopologySpec, roster: dict | None = None,
+                bb_definitions=(), projections=None) -> SliceInstance:
     """Create fresh block states over a private forwarded plane and wire the
-    fabric.  Nothing mutable is shared with any other instance."""
+    fabric.  Nothing mutable is shared with any other instance: only the
+    read-only `roster` (default: empty)."""
     verdict = validate_blueprint(bp, bb_definitions)
     if not verdict:
         raise BlueprintError("; ".join(verdict.violations))
@@ -265,7 +263,8 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
     infra.place(len(bp.bb_set))
     instances = {
         role: BBInstance(instance_id=BBInstanceId(role, bp.slice_id),
-                         state=_STATE_FACTORIES[role](bp, topology, roster))
+                         state=_STATE_FACTORIES[role](
+                             bp, topology, roster or build_roster()))
         for role in sorted(bp.bb_set, key=lambda r: r.value)
     }
     fabric = connect([inst.instance_id for inst in instances.values()],

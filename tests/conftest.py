@@ -2,7 +2,7 @@ import importlib.resources
 from pathlib import Path
 
 from slicesim.blocks.sam import AuditEntry, SAMState
-from slicesim.errors import NoContextError
+from slicesim.errors import SliceSimError
 from slicesim.fabric import Fabric, FabricModelKind
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -15,6 +15,10 @@ def reference_catalog_text() -> str:
 
 def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / name
+
+
+class NoContextError(SliceSimError):
+    """Single sign-on for a device without a security context."""
 
 
 def sam_single_sign_on(state: SAMState, device: str, service: str,

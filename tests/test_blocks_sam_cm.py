@@ -14,12 +14,12 @@ from slicesim.blocks.common import (
 )
 from slicesim.blocks.sam import IdentityRecord, SAMState, sam_authenticate
 from slicesim.errors import (
-    IllegalTransitionError, NoContextError, NoDPlaneFunctionError,
+    IllegalTransitionError, NoDPlaneFunctionError,
     NoEligibleSliceError,
 )
 from slicesim.messages import BBInstanceId, ProcedureKind, Role
 
-from conftest import sam_single_sign_on
+from conftest import NoContextError, sam_single_sign_on
 
 
 def make_ctx(role=Role.CM, slice_id="slice-a", anchors=("a1", "a2"),

@@ -3,6 +3,7 @@
 import collections
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
+from types import MappingProxyType
 from typing import ClassVar
 
 from hypothesis import given, settings
@@ -118,3 +119,8 @@ def test_colliding_keys_keep_the_last_inserted():
 def test_dataclass_fields_exclude_class_variables():
     assert _normalize(Box(Shade.DARK, {Role.MM: {2, "1"}})) == {
         "first": "dark", "second": {"MM": ["1", "2"]}}
+
+
+def test_read_only_mapping_normalizes_like_its_dict():
+    value = {Role.MM: {2, "1"}, "a": [Shade.DARK]}
+    assert _normalize(MappingProxyType(value)) == _normalize(value)

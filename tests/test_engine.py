@@ -535,3 +535,66 @@ class TestDueList:
             comparison = compare_fabrics(load(name), 7)
             digests = [r.digests for r in comparison.results.values()]
             assert all(d == digests[0] for d in digests), name
+
+
+class TestSharedRoster:
+    def test_one_read_only_roster_is_shared_by_every_cm_and_sam(self):
+        env = Environment(load("attach-two-slices"), 7)
+        cms = [env.global_states[Role.CM]] + [
+            i.bb_instances[Role.CM].state for i in env.slices.values()]
+        sams = [env.global_states[Role.SAM]] + [
+            i.bb_instances[Role.SAM].state for i in env.slices.values()]
+        assert len(cms) == len(sams) > 2
+        assert len({id(cm.subscription_view) for cm in cms}) == 1
+        assert len({id(sam.identity_db) for sam in sams}) == 1
+        view, db = cms[-1].subscription_view, sams[-1].identity_db
+        assert set(view) == set(env.devices)
+        with pytest.raises(TypeError):
+            view["d-new"] = view[next(iter(view))]
+        with pytest.raises(TypeError):
+            del db[next(iter(db))]
+        with pytest.raises(AttributeError):
+            view.clear()
+
+    def test_roster_is_digested_under_global_only(self):
+        env = Environment(load("attach-two-slices"), 7)
+        env.run()
+        for instance in env.slices.values():
+            for role in (Role.CM, Role.SAM):
+                blocks = engine._without_roster(instance.bb_instances[role].state)
+                assert not engine._ROSTER_FIELDS & set(blocks)
+        global_cm = _normalize(env.global_states[Role.CM])
+        assert set(global_cm["subscription_view"]) == set(env.devices)
+
+
+def _first_configure_tick(result):
+    return min(r.tick for r in messages(result, ProcedureKind.FLOW_CONFIGURE))
+
+
+class TestStopRule:
+    """The run ends when nothing is queued, scripted or due with work."""
+
+    def test_unacknowledged_path_keeps_the_run_going(self, tmp_path):
+        scenario = _one_flow_scenario(tmp_path, [(10, 2)])
+        tick = _first_configure_tick(run(scenario, 7))
+        scenario.script += (ScriptEvent(tick, "teardown", ("default-a",), {}),)
+        env = Environment(scenario, 7)
+        result = env.run()
+        # the acknowledgements reach a torn down slice, so the FM waits on
+        assert env.slices["default-a"].bb_instances[Role.FM].state.pending
+        assert events(result, "max-ticks-reached")
+
+    def test_flow_that_never_starts_does_not_keep_the_run_going(self, tmp_path):
+        scenario = _one_flow_scenario(tmp_path, [(10, 2)])
+        topo = (tmp_path / "topo-core.txt").read_text()
+        (tmp_path / "topo-core.txt").write_text(
+            topo.replace("capacity=50", "capacity=1"))
+        scenario = load_scenario(tmp_path / "one.scn")
+        scenario.script += (ScriptEvent(
+            11, "traffic-start", ("d1",),
+            {"flow": "fy", "rate": "1", "duration": "2"}),)
+        result = run(scenario, 7)
+        assert errors(result, "CapacityError")
+        sent = {r.subject: r.detail["sent"] for r in events(result, "flow-summary")}
+        assert sent == {"fx": 2, "fy": 0}
+        assert not events(result, "max-ticks-reached")

@@ -19,6 +19,7 @@ def conserved(run: FlowRun) -> bool:
     """Every unit a flow sent is delivered, lost or still in flight."""
     return run.sent == run.delivered + run.lost + len(run.in_flight)
 
+
 TOPOLOGY_TEXT = """
 topology t1
   node i1 kind=ingress
@@ -99,7 +100,7 @@ class TestUnitMotion:
         dp = make_dplane()
         install_path(dp, "f1", ("i1", "t", "a1"))
         dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
-                                 remaining_emissions=1, ingress="i1"))
+                            remaining_emissions=1, ingress="i1"))
         arrivals = []
         for tick in range(0, 10):
             _, latency_samples, delivered, _ = dp.step(tick)
@@ -148,7 +149,7 @@ class TestUnitMotion:
         dp = make_dplane()
         install_path(dp, "f1", ("i2", "t", "a1"))
         dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
-                                 remaining_emissions=1, ingress="i2"))
+                            remaining_emissions=1, ingress="i2"))
         loads0, *_ = dp.step(0)
         assert ("i2~t", 0.1) in loads0
         dp.step(1)   # unit moves to link t~a1

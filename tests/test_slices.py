@@ -121,7 +121,7 @@ class TestBlueprintKnobs:
             (tmp_path / name).write_text(scenario_path(name).read_text())
         (tmp_path / "bp-cghf.bp").write_text(
             _knob_blueprint("window=8", "window=0"))
-        with pytest.raises(SchemaError, match="window >= 1"):
+        with pytest.raises(SchemaError, match="window must be >= 1"):
             load_scenario(tmp_path / "cghf-reselect.scn")
         assert cli.main(["validate", "--scenario",
                          str(tmp_path / "cghf-reselect.scn")]) == 1
