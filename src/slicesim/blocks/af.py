@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..messages import Draft, Endpoint, InterfacePoint, ProcedureKind, Role, draft
+from ..messages import (
+    Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, draft,
+)
 from .common import BlockContext, BlockEvent
 
 #: Core roles allowed to reconfigure access nodes through this function.
@@ -62,9 +64,9 @@ def record_path(state: AFState, device: str, node: str, tech: str, event: str,
 def af_handle(state: AFState, msg, ctx: BlockContext):
     """Translate between access-specific and access-agnostic signalling and
     maintain the path-record view used for paging."""
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     device = payload.get("device", "")
 
     if msg.interface is InterfacePoint.I1:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..messages import Draft, ProcedureKind, Role, Topic, draft
+from ..messages import ProcedureKind, Role, SignalMessage, Topic, draft
 from .common import BlockContext, BlockEvent
 
 DEFAULT_WINDOW = 16
@@ -36,15 +36,6 @@ class ContextModelRule:
     factor: float = DEFAULT_FACTOR
     window: int = DEFAULT_WINDOW
     min_samples: int = 1
-
-
-@dataclass(frozen=True)
-class ContextAssertion:
-    topic: str
-    subject: str
-    statement: str
-    evidence: tuple      # ((tick, value), ...) most recent contributing samples
-    tick: int
 
 
 @dataclass
@@ -96,7 +87,7 @@ def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
     ingested one since the last evaluation; publish one assertion per
     subject whose condition just became true.  Another key's evaluation
     would see what it saw then and change nothing."""
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     fresh, state._fresh = state._fresh, set()
     for model in sorted(state.models, key=lambda m: m.topic):
@@ -113,11 +104,6 @@ def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
             if condition and state.armed.get(bkey, True):
                 state.armed[bkey] = False
                 state.assertion_counter += 1
-                assertion = ContextAssertion(
-                    topic=model.topic, subject=subject,
-                    statement=model.statement,
-                    evidence=tuple((s.tick, s.value) for s in samples[-3:]),
-                    tick=tick)
                 events.append(BlockEvent("context", subject,
                                          {"topic": model.topic,
                                           "statement": model.statement}))
@@ -127,17 +113,18 @@ def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
                     f"{ctx.slice_id}:context:{state.assertion_counter}",
                     {"topic": model.topic, "subject": subject,
                      "statement": model.statement,
-                     "evidence": [list(e) for e in assertion.evidence]}))
+                     # the most recent contributing samples
+                     "evidence": [[s.tick, s.value] for s in samples[-3:]]}))
             elif not condition:
                 state.armed[bkey] = True
     return state, drafts, events
 
 
 def handle(state: CGHFState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     if msg.kind is ProcedureKind.CONTEXT_PUBLISH:
-        payload = dict(msg.payload)
+        payload = msg.payload
         cghf_ingest(
             state, metric=payload.get("metric", ""),
             subject=payload.get("subject", ""),

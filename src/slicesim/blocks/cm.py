@@ -15,7 +15,7 @@ from enum import Enum
 
 from ..errors import IllegalTransitionError, NoDPlaneFunctionError, NoEligibleSliceError
 from ..messages import (
-    Draft, Endpoint, InterfacePoint, ProcedureKind, Role, draft,
+    Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, draft,
 )
 from .common import BlockContext, BlockEvent
 
@@ -152,7 +152,7 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
     selects the data-plane anchor, creates the device's session and registers
     it with flow management.  Failure detaches the device and allocates
     nothing.  The register exchange rides the attach correlation."""
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     device = pending.device
     if not auth_ok:
@@ -187,7 +187,8 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
 
 
 def _forward_to_device(state: CMState, ctx: BlockContext, device: str,
-                       kind: ProcedureKind, corr: str, payload: dict) -> Draft:
+                       kind: ProcedureKind, corr: str,
+                       payload: dict) -> SignalMessage:
     """Downlink towards a device, via its access function when mediated."""
     if state.device_modes.get(device, "direct") == "via_af" and ctx.has(Role.AF):
         return draft(kind, ctx.self_endpoint, ctx.peer_endpoint(Role.AF), corr, payload)
@@ -195,10 +196,10 @@ def _forward_to_device(state: CMState, ctx: BlockContext, device: str,
 
 
 def handle(state: CMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     kind = msg.kind
-    payload = dict(msg.payload)
+    payload = msg.payload
     corr = msg.correlation_id
 
     if kind is ProcedureKind.ATTACH_REQUEST:
@@ -301,7 +302,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
 def _continue_local_attach(state: CMState, pending: PendingAttach,
                            ctx: BlockContext, corr: str):
     """Post-authentication slice check for method 2 (and re-attachment)."""
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     try:
         choice = cm_select_slice_local(state, pending.device, ctx.slice_id)
@@ -336,9 +337,9 @@ def _attach_here(state: CMState, pending: PendingAttach, ctx: BlockContext,
 
 
 def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     phase = payload.get("phase", "flow")
     device = payload.get("device", "")
 
@@ -413,9 +414,9 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
 
 
 def _handle_session_release(state: CMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     device = payload.get("device", "")
     scope = payload.get("scope", "flow")
     session_id = state.device_sessions.get(device)
@@ -452,9 +453,9 @@ def _handle_session_release(state: CMState, msg, ctx: BlockContext):
 
 def _handle_context_notify(state: CMState, msg, ctx: BlockContext):
     """Consume a latency context by reselecting the data-plane anchor."""
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     if payload.get("statement") != "latency_above_normal":
         return drafts, events
     flow = payload.get("subject", "")

@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from ..errors import CapacityError, NoPathError
-from ..messages import Draft, Endpoint, ProcedureKind, Role, draft
+from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
 from .common import BlockContext, BlockEvent, PathStrategy
 
 
@@ -273,9 +273,9 @@ def fm_release_path(state: FMState, flow: str, tick: int,
 # -- message handling --------------------------------------------------------------
 
 def handle(state: FMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     corr = msg.correlation_id
     kind = msg.kind
 
@@ -308,9 +308,9 @@ def handle(state: FMState, msg, ctx: BlockContext):
 
 
 def _start_flow(state: FMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     session = payload["session"]
     binding = state.sessions.get(session)
     flow = payload["flow"]
@@ -336,9 +336,9 @@ def _start_flow(state: FMState, msg, ctx: BlockContext):
 
 
 def _start_reanchor(state: FMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     session = payload["session"]
     flow = payload["flow"]
     old = state.path_table.get(flow)
@@ -362,9 +362,9 @@ def _start_reanchor(state: FMState, msg, ctx: BlockContext):
 
 
 def _start_handover_paths(state: FMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     session = payload["session"]
     binding = state.sessions.get(session)
     if binding is None:
@@ -400,9 +400,9 @@ def _start_handover_paths(state: FMState, msg, ctx: BlockContext):
 
 
 def _handle_release(state: FMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     session = payload.get("session", "")
     scope = payload.get("scope", "flow")
     if scope == "flow":
@@ -433,9 +433,9 @@ def _handle_release(state: FMState, msg, ctx: BlockContext):
 
 
 def _handle_notify(state: FMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     phase = payload.get("phase", "")
 
     if phase == "config-ack":
@@ -472,7 +472,7 @@ def _handle_notify(state: FMState, msg, ctx: BlockContext):
 
 
 def _commit(state: FMState, job: PendingApply, ctx: BlockContext) -> list:
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     if job.purpose == "flow":
         binding = state.sessions.get(job.session)
         if binding is not None and job.flow not in binding.flows:
@@ -539,7 +539,7 @@ def _rollback(state: FMState, key: tuple, job: PendingApply,
 
 def tick_hook(state: FMState, ctx: BlockContext):
     """Send removal commands for retired rules whose drain window elapsed."""
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     due = [r for r in state.retiring if r.due_tick <= ctx.tick]
     state.retiring = [r for r in state.retiring if r.due_tick > ctx.tick]

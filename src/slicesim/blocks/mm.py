@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import BlueprintError, NoSessionError, NotIdleError, PolicyForbidsError
-from ..messages import Draft, Endpoint, ProcedureKind, Role, draft
+from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
 from .common import (
     BlockContext, BlockEvent, HandoverStyle, MobilityPolicy, Tech,
 )
@@ -78,7 +78,8 @@ def mm_handover(state: MMState, device: str, target_node: str, target_tech: str,
     return _execute_drafts(plan, ctx, corr)
 
 
-def _new_path_draft(plan: HandoverPlan, ctx: BlockContext, corr: str) -> Draft:
+def _new_path_draft(plan: HandoverPlan, ctx: BlockContext,
+                    corr: str) -> SignalMessage:
     return draft(
         ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint,
         ctx.peer_endpoint(Role.FM), corr,
@@ -97,7 +98,8 @@ def _execute_drafts(plan: HandoverPlan, ctx: BlockContext, corr: str) -> list:
                   ctx.peer_endpoint(Role.AF), corr, payload)]
 
 
-def _release_draft(plan: HandoverPlan, ctx: BlockContext, corr: str) -> Draft:
+def _release_draft(plan: HandoverPlan, ctx: BlockContext,
+                   corr: str) -> SignalMessage:
     return draft(
         ProcedureKind.SESSION_RELEASE, ctx.self_endpoint,
         ctx.peer_endpoint(Role.FM), corr,
@@ -123,9 +125,9 @@ def mm_page(state: MMState, device: str, ctx: BlockContext, corr: str):
 
 
 def handle(state: MMState, msg, ctx: BlockContext):
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    payload = dict(msg.payload)
+    payload = msg.payload
     device = payload.get("device", "")
     corr = msg.correlation_id
     kind = msg.kind
@@ -230,7 +232,7 @@ def _complete_handover(state: MMState, plan: HandoverPlan, events: list,
 
 def tick_hook(state: MMState, ctx: BlockContext):
     """Expire pages that outlived the paging timeout."""
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     timeout = (ctx.policy.mobility.page_timeout
                if ctx.policy.mobility else 8)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..messages import (
-    Draft, ProcedureKind, draft, mint_context_token, mint_key_material,
-    mint_pseudonym,
+    ProcedureKind, SignalMessage, draft, mint_context_token,
+    mint_key_material, mint_pseudonym,
 )
 from .common import AuthScheme, BlockContext, BlockEvent
 
@@ -106,7 +106,7 @@ def sam_authenticate(state: SAMState, device: str, alias: str, proof: str,
 
 def handle(state: SAMState, msg, ctx: BlockContext):
     """AuthChallenge in, AuthResponse out; everything else is internal."""
-    drafts: list[Draft] = []
+    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     if msg.kind is ProcedureKind.AUTH_CHALLENGE:
         device = msg.payload["device"]

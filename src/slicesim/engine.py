@@ -3,10 +3,10 @@ the forwarded plane into reproducible runs.
 
 Time is integer ticks with no wall-clock meaning.  Every message emitted at
 tick t is processed at t+1; within a tick, processing order is (priority
-class, msg_id) with auth > mobility > session > flow > context.  All
-randomness reduces to seed-keyed identity minting, so equal (scenario, seed)
-pairs serialize to byte-identical traces, and per-device keying keeps one
-slice's traffic from perturbing another's draws.
+class, emission sequence number) with auth > mobility > session > flow >
+context.  All randomness reduces to seed-keyed identity minting, so equal
+(scenario, seed) pairs serialize to byte-identical traces, and per-device
+keying keeps one slice's traffic from perturbing another's draws.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .blocks.common import BlockContext, BlockEvent, SlicePolicy
 from .errors import EquivalenceViolation, ScenarioError, SliceSimError
 from .fabric import FabricModel, FabricModelKind
 from .messages import (
-    BBInstanceId, BB_ROLES, Draft, Endpoint, ProcedureKind, Role,
-    SignalMessage, Topic, draft, validate_message,
+    BBInstanceId, BB_ROLES, Endpoint, ProcedureKind, Role, SignalMessage,
+    Topic, draft, validate_message,
 )
 from .metrics import MetricsReport, compute_metrics
 from .netsim import (
@@ -76,7 +76,7 @@ _HAS_WORK = {
 }
 
 #: Routing-index entry of an ident that names no block.
-_UNROUTED = (None, None, None)
+_UNROUTED = (None, None, None, None)
 
 DEFAULT_MAX_TICKS = 400
 
@@ -242,35 +242,36 @@ class Environment:
             self._script_by_tick.setdefault(event.tick, []).append(event)
         self._last_script_tick = max(self._script_by_tick, default=0)
         # The due list, all a tick's end runs: (0, slice, role) or
-        # (1, slice, "") -> (instance, role or None, state or plane).
+        # (1, slice, "") -> (instance, role or None, state or plane, context
+        # or None).
         self._due: dict = {}
         # device id -> {(slice id, flow id): FlowRun} of the flows it started;
         # a run another start replaced under its id lingers here unreachable
         self._flows_of: dict = {}
 
         # The routing index, ident -> (slice instance, or None for the global
-        # part, role, state), and what the contexts of one slice (key None:
-        # the global part) share.
+        # part, role, state, context).  Each block's context is built here
+        # once; the engine sets its tick before each call.
         global_peers = {Role.CM: str(self.global_cm),
                         Role.SAM: str(self.global_sam)}
-        self._route: dict = {ident: (None, role, self.global_states[role])
-                             for role, ident in global_peers.items()}
-        shared = {"seed": seed, "access_nodes": scenario.topology.access,
-                  "global_cm": global_peers[Role.CM],
-                  "slice_directory": {sid: inst.instance_of(Role.CM)
-                                      for sid, inst in self.slices.items()}}
-        self._scopes: dict = {None: dict(shared, slice_id="global",
-                                         policy=SlicePolicy(), peers=global_peers)}
-        for sid, instance in self.slices.items():
-            peers = instance.peers()
+        shared = dict(
+            seed=seed, access_nodes=scenario.topology.access,
+            global_cm=global_peers[Role.CM],
+            ingress_latency=slices_mod.anchor_latency(
+                scenario.topology,
+                [a for bp in scenario.blueprints for a in bp.anchors]),
+            slice_directory={sid: inst.peers[Role.CM]
+                             for sid, inst in self.slices.items()})
+        scopes = [(None, "global", global_peers, self.global_states,
+                   SlicePolicy(), ())] + [
+            (inst, sid, inst.peers, inst.states, inst.blueprint.policy,
+             inst.blueprint.anchors) for sid, inst in self.slices.items()]
+        self._route: dict = {}
+        for instance, sid, peers, states, policy, anchors in scopes:
             for role, ident in peers.items():
-                self._route[ident] = (instance, role,
-                                      instance.bb_instances[role].state)
-            bp = instance.blueprint
-            self._scopes[sid] = dict(
-                shared, slice_id=sid, peers=peers, policy=bp.policy,
-                anchors=bp.anchors, ingress_latency=instance.ingress_latency)
-        self._contexts: dict = {}   # ident -> BlockContext
+                self._route[ident] = (instance, role, states[role], BlockContext(
+                    slice_id=sid, self_id=ident, role=role, tick=0, peers=peers,
+                    policy=policy, anchors=anchors, **shared))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -286,23 +287,12 @@ class Environment:
     def trace_error(self, error: str, subject: str, detail: dict) -> None:
         self.trace_event("error", subject, {"error": error, **detail})
 
-    def _context(self, ident: str, instance, role: Role) -> BlockContext:
-        """The block's context, built on its first use in a tick: handlers
-        read `ctx.tick`, and nothing else in a context changes in a run."""
-        ctx = self._contexts.get(ident)
-        if ctx is None or ctx.tick != self.tick:
-            scope = self._scopes[instance.slice_id if instance else None]
-            ctx = self._contexts[ident] = BlockContext(
-                self_id=ident, role=role, tick=self.tick, **scope)
-        return ctx
-
     # -- emission ------------------------------------------------------------
 
     def emit(self, drafts) -> None:
         for item in drafts:
-            for expanded in self._expand(item):
+            for msg in self._expand(item):
                 seq = self.next_seq()
-                msg = expanded.seal(seq, self.tick)
                 verdict = validate_message(msg)
                 if not verdict:
                     self.trace_error("InvalidMessage", str(msg.source),
@@ -311,7 +301,7 @@ class Environment:
                 heapq.heappush(self.queue, (
                     self.tick + 1, _PRIORITY[msg.kind], seq, msg))
 
-    def _expand(self, item: Draft) -> list:
+    def _expand(self, item: SignalMessage) -> list:
         """Topic publishes become per-subscriber unicasts on non-broker
         fabrics; the broker fabric keeps the single topic message."""
         if not isinstance(item.destination, Topic):
@@ -321,7 +311,7 @@ class Environment:
             return []
         if instance.fabric.model.kind is FabricModelKind.PUB_SUB:
             return [item]
-        cghf_state = instance.bb_instances[Role.CGHF].state
+        cghf_state = instance.states[Role.CGHF]
         subscribers = cghf_state.subscriptions.get(item.destination.topic_id, ())
         if not subscribers:
             self.trace_error("NoSubscriberError", item.destination.topic_id,
@@ -334,34 +324,34 @@ class Environment:
                 continue
             expanded.append(draft(item.kind, item.source,
                                   Endpoint(role, ident), item.correlation_id,
-                                  dict(item.payload)))
+                                  item.payload))
         return expanded
 
     # -- delivery ------------------------------------------------------------
 
-    def _deliver(self, msg: SignalMessage) -> None:
+    def _deliver(self, seq: int, msg: SignalMessage) -> None:
         if isinstance(msg.destination, Topic):
-            self._deliver_fabric(msg)
+            self._deliver_fabric(seq, msg)
             return
         role = msg.destination.role
         if role is Role.UE:
-            self._trace_msg(msg)
+            self._trace_msg(seq, msg)
             self.emit(self._ue_receive(msg))
         elif role is Role.D_PLANE:
-            self._trace_msg(msg)
+            self._trace_msg(seq, msg)
             self.emit(self._dplane_receive(msg))
         elif role in BB_ROLES:
             src_instance = self._route.get(msg.source.ident, _UNROUTED)[0]
             dst_instance = self._route.get(msg.destination.ident, _UNROUTED)[0]
             if src_instance is not None and src_instance is dst_instance:
-                self._deliver_fabric(msg)
+                self._deliver_fabric(seq, msg)
             else:
-                self._trace_msg(msg)
+                self._trace_msg(seq, msg)
                 self._invoke_block(msg.destination.ident, msg)
         else:
             self.trace_error("UnknownDestinationError", str(msg.destination), {})
 
-    def _deliver_fabric(self, msg: SignalMessage) -> None:
+    def _deliver_fabric(self, seq: int, msg: SignalMessage) -> None:
         instance = self._route.get(msg.source.ident, _UNROUTED)[0]
         if instance is None:
             self.trace_error("UnknownDestinationError", str(msg.source), {})
@@ -376,7 +366,7 @@ class Environment:
             delivered_msg = outcome.deliveries[0][1]
         else:
             delivered_msg = msg
-        self._trace_msg(delivered_msg, hop_count=record.hop_count,
+        self._trace_msg(seq, delivered_msg, hop_count=record.hop_count,
                         mediators=record.mediators,
                         recipients=record.recipients)
         if outcome.flag:
@@ -384,17 +374,14 @@ class Environment:
         for ident, dmsg in outcome.deliveries:
             self._invoke_block(ident, dmsg)
 
-    def _trace_msg(self, msg: SignalMessage, hop_count: int = 1,
+    def _trace_msg(self, seq: int, msg: SignalMessage, hop_count: int = 1,
                    mediators: tuple = (), recipients: tuple = ()) -> None:
-        delivered = SignalMessage(
-            msg.msg_id, self.tick, msg.kind, msg.source, msg.destination,
-            msg.interface, msg.correlation_id, msg.payload)
         self.trace.append(MessageRecord(
-            seq=msg.msg_id, tick=self.tick, msg=delivered, hop_count=hop_count,
+            seq=seq, tick=self.tick, msg=msg, hop_count=hop_count,
             mediators=mediators, recipients=recipients))
 
     def _invoke_block(self, ident: str, msg: SignalMessage) -> None:
-        instance, role, state = self._route.get(ident, _UNROUTED)
+        instance, role, state, ctx = self._route.get(ident, _UNROUTED)
         if role is None:
             self.trace_error("UnknownDestinationError", ident, {})
             return
@@ -403,7 +390,7 @@ class Environment:
             self.trace_error("LifecycleOrderError", instance.slice_id,
                              {"detail": "message to a torn down slice"})
             return
-        ctx = self._context(ident, instance, role)
+        object.__setattr__(ctx, "tick", self.tick)
         try:
             _, drafts, events = _HANDLERS[role](state, msg, ctx)
         except SliceSimError as exc:
@@ -457,7 +444,7 @@ class Environment:
         if device is None:
             self.trace_error("UnknownDevice", msg.destination.ident, {})
             return []
-        payload = dict(msg.payload)
+        payload = msg.payload
         if msg.kind is ProcedureKind.SLICE_REDIRECT:
             target = payload.get("target", "")
             return self._attach_drafts(device, method=2, target_slice=target,
@@ -482,7 +469,7 @@ class Environment:
         if instance is None:
             self.trace_error("UnknownDestinationError", msg.destination.ident, {})
             return []
-        payload = dict(msg.payload)
+        payload = msg.payload
         if msg.kind is not ProcedureKind.FLOW_CONFIGURE:
             return []
         ok, reason = instance.dplane.configure(payload)
@@ -526,12 +513,12 @@ class Environment:
             role = Role.CM if direct else Role.AF
             instance = (self.slices.get(target_slice)
                         if target_slice else self._serving_slice(device))
-            if instance is None or role not in instance.bb_instances:
+            if instance is None or role not in instance.peers:
                 self.trace_error("NoEligibleSliceError", device.device_id, {
                     "detail": "no slice to attach to" if direct
                     else "no access function to mediate"})
                 return []
-            dst = Endpoint(role, instance.instance_of(role))
+            dst = Endpoint(role, instance.peers[role])
         device.attaching = corr
         return [draft(ProcedureKind.ATTACH_REQUEST,
                       Endpoint(Role.UE, device.device_id), dst, corr, payload)]
@@ -554,10 +541,10 @@ class Environment:
             return []
         source = Endpoint(Role.UE, device.device_id)
         if device.spec.mode is SignalingMode.VIA_AF and \
-                Role.AF in instance.bb_instances:
-            dst = Endpoint(Role.AF, instance.instance_of(Role.AF))
+                Role.AF in instance.peers:
+            dst = Endpoint(Role.AF, instance.peers[Role.AF])
         else:
-            dst = Endpoint(target_role, instance.instance_of(target_role))
+            dst = Endpoint(target_role, instance.peers[target_role])
         return [draft(kind, source, dst, corr, payload)]
 
     def _run_script_event(self, event: ScriptEvent) -> None:
@@ -688,7 +675,7 @@ class Environment:
         """The device's slice if it deploys mobility management; otherwise
         traces MobilityUnsupported with `detail` and returns None."""
         instance = self.slices.get(device.bound_slice or "")
-        if instance is None or Role.MM not in instance.bb_instances:
+        if instance is None or Role.MM not in instance.peers:
             self.trace_error("MobilityUnsupported", device.device_id, detail)
             return None
         return instance
@@ -707,19 +694,19 @@ class Environment:
         # reachability
         self.emit([draft(
             ProcedureKind.PAGE,
-            Endpoint(Role.CM, instance.instance_of(Role.CM)),
-            Endpoint(Role.MM, instance.instance_of(Role.MM)), corr,
+            Endpoint(Role.CM, instance.peers[Role.CM]),
+            Endpoint(Role.MM, instance.peers[Role.MM]), corr,
             {"device": device.device_id, "reason": "downlink-demand"})])
 
     def _inject_latency(self, flow: str, value: float) -> None:
         for slice_id in sorted(self.slices):
             instance = self.slices[slice_id]
             if flow in instance.dplane.flows:
-                fm_id = instance.instance_of(Role.FM)
                 self.emit([draft(
                     ProcedureKind.FLOW_NOTIFY,
                     Endpoint(Role.D_PLANE, f"{slice_id}:probe"),
-                    Endpoint(Role.FM, fm_id), f"{slice_id}:telemetry:{self.tick}",
+                    Endpoint(Role.FM, instance.peers[Role.FM]),
+                    f"{slice_id}:telemetry:{self.tick}",
                     {"phase": "latency", "flow": flow, "values": [value]})])
                 return
         self.trace_error("UnknownDestinationError", flow,
@@ -731,16 +718,17 @@ class Environment:
         """Put a block's tick hook, or with no role the slice's forwarded
         plane, on the due list."""
         if role is None:
-            self._due[(1, instance.slice_id, "")] = (instance, None, instance.dplane)
+            self._due[(1, instance.slice_id, "")] = (
+                instance, None, instance.dplane, None)
         else:
-            self._due[(0, instance.slice_id, role.value)] = (
-                instance, role, instance.bb_instances[role].state)
+            self._due[(0, instance.slice_id, role.value)] = \
+                self._route[instance.peers[role]]
 
     def _run_due(self) -> None:
         """The due blocks' tick hooks (not in torn down slices), then the due
         planes, by slice and role; what is then without work leaves."""
         for key in sorted(self._due):
-            instance, role, state = self._due[key]
+            instance, role, state, ctx = self._due[key]
             if role is None:
                 self._step_plane(instance)
                 continue
@@ -748,8 +736,7 @@ class Environment:
             if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN \
                     or role is Role.FM and not state.retiring:
                 continue
-            ctx = self._context(
-                self._scopes[instance.slice_id]["peers"][role], instance, role)
+            object.__setattr__(ctx, "tick", self.tick)
             _, drafts, events = _TICK_HOOKS[role](state, ctx)
             self._absorb(events, instance.slice_id)
             self.emit(drafts)
@@ -771,7 +758,7 @@ class Environment:
         payloads += [{"phase": "latency", "flow": flow, "values": by_flow[flow]}
                      for flow in sorted(by_flow)]
         probe = Endpoint(Role.D_PLANE, f"{sid}:probe")
-        fm = Endpoint(Role.FM, self._scopes[sid]["peers"][Role.FM])
+        fm = Endpoint(Role.FM, instance.peers[Role.FM])
         corr = f"{sid}:telemetry:{self.tick}"
         self.emit([draft(ProcedureKind.FLOW_NOTIFY, probe, fm, corr, payload)
                    for payload in payloads])
@@ -780,7 +767,8 @@ class Environment:
         """The current tick's work after its script events: due deliveries,
         then what is due on the due list."""
         while self.queue and self.queue[0][0] <= self.tick:
-            self._deliver(heapq.heappop(self.queue)[3])
+            _, _, seq, msg = heapq.heappop(self.queue)
+            self._deliver(seq, msg)
         self._run_due()
 
     def _pending_work(self) -> bool:
@@ -788,7 +776,7 @@ class Environment:
         come, a due block, or a due plane with a flow under way."""
         return bool(self.queue) or self.tick < self._last_script_tick or any(
             role is not None or item.has_work()
-            for _, role, item in self._due.values())
+            for _, role, item, _ in self._due.values())
 
     # -- the run itself ---------------------------------------------------------------
 
@@ -800,7 +788,7 @@ class Environment:
         for slice_id in sorted(self.slices):
             self.trace_event("slice-operating", slice_id,
                              {"blocks": sorted(
-                                 r.value for r in self.slices[slice_id].bb_instances)})
+                                 r.value for r in self.slices[slice_id].states)})
         while True:
             for event in self._script_by_tick.get(self.tick, []):
                 self._run_script_event(event)
@@ -843,9 +831,9 @@ class Environment:
         for slice_id in sorted(self.slices):
             instance = self.slices[slice_id]
             snapshot = {
-                "blocks": {role.value: _without_roster(inst.state)
-                           for role, inst in sorted(
-                               instance.bb_instances.items(),
+                "blocks": {role.value: _without_roster(state)
+                           for role, state in sorted(
+                               instance.states.items(),
                                key=lambda kv: kv[0].value)},
                 "lifecycle": instance.lifecycle_state.value,
                 "attached": sorted(instance.attached_devices),

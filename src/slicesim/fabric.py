@@ -56,7 +56,6 @@ DEFAULT_PROJECTIONS: dict = {
 
 @dataclass(frozen=True)
 class DeliveryRecord:
-    msg_id: int
     hop_count: int
     mediators: tuple[str, ...]
     recipients: tuple[str, ...]
@@ -126,8 +125,7 @@ class Fabric:
     def _deliver(self, msg: SignalMessage, recipients: tuple, hop_count: int,
                  mediators: tuple, flag: str | None = None) -> DeliveryOutcome:
         record = DeliveryRecord(
-            msg_id=msg.msg_id, hop_count=hop_count,
-            mediators=tuple(m for m in mediators if m),
+            hop_count=hop_count, mediators=tuple(m for m in mediators if m),
             recipients=recipients)
         return DeliveryOutcome(
             record=record,

@@ -1,9 +1,9 @@
 """Identities, interface taxonomy and the typed C-plane signalling schema.
 
 Everything that crosses a reference point in the simulator is a
-`SignalMessage`.  Messages are immutable; the engine assigns the per-run
-ordinal `msg_id` at emission time, so drafts created by block handlers use
-`Draft` and are sealed by the engine.
+`SignalMessage`, built once by `draft` and never copied after that.  The
+engine numbers a message in its queue entry when it is emitted and traces
+it with that number and its delivery tick; neither is a message field.
 
 Reference points:
 
@@ -182,39 +182,20 @@ class BBInstanceId:
 
 @dataclass(frozen=True)
 class SignalMessage:
-    msg_id: int
-    tick: int
     kind: ProcedureKind
     source: Endpoint
     destination: Destination
     interface: InterfacePoint
     correlation_id: str
     payload: Mapping[str, object] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Draft:
-    """A message before the engine assigns msg_id and tick."""
-
-    kind: ProcedureKind
-    source: Endpoint
-    destination: Destination
-    interface: InterfacePoint
-    correlation_id: str
-    payload: Mapping[str, object] = field(default_factory=dict)
-
-    def seal(self, msg_id: int, tick: int) -> SignalMessage:
-        return SignalMessage(
-            msg_id=msg_id, tick=tick, kind=self.kind, source=self.source,
-            destination=self.destination, interface=self.interface,
-            correlation_id=self.correlation_id, payload=dict(self.payload))
 
 
 def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
           correlation_id: str, payload: Mapping[str, object] | None = None,
-          interface: InterfacePoint | None = None) -> Draft:
-    """Build a draft, routing the interface from the endpoint roles unless
-    given explicitly (topic destinations are always inter-BB)."""
+          interface: InterfacePoint | None = None) -> SignalMessage:
+    """Build a message over its own copy of `payload`, routing the interface
+    from the endpoint roles unless given explicitly (topic destinations are
+    always inter-BB).  Handlers read a delivered payload and never write it."""
     if interface is None:
         if isinstance(destination, Topic):
             interface = InterfacePoint.INTER_BB
@@ -223,8 +204,8 @@ def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
     unknown = set(payload or ()) - PAYLOAD_SCHEMAS[kind]
     if unknown:
         raise ValueError(f"fields {sorted(unknown)} not in {kind.value} schema")
-    return Draft(kind, source, destination, interface, correlation_id,
-                 dict(payload or {}))
+    return SignalMessage(kind, source, destination, interface, correlation_id,
+                         dict(payload or {}))
 
 
 class Mediation(str, Enum):

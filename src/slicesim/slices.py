@@ -9,7 +9,8 @@ as a MobilityUnsupported trace event instead of a handover.
 
 Instantiation builds fresh block states over a private copy of the
 forwarded-plane topology, so two instances share nothing mutable and slices
-stay isolated by construction.
+stay isolated by construction.  What depends only on the run (the subscriber
+roster, the anchor latencies) is built once per run and shared.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .blocks.common import (
 )
 from .blocks.fm import shortest_path
 from .errors import (
-    BlueprintError, InfraCapacityError, LifecycleOrderError, SchemaError,
+    BlueprintError, InfraCapacityError, LifecycleOrderError, NoPathError,
+    SchemaError,
 )
 from .fabric import Fabric, FabricModel, FabricModelKind, connect
 from .messages import (
@@ -188,31 +190,18 @@ class SimInfrastructure:
 
 
 @dataclass
-class BBInstance:
-    instance_id: BBInstanceId
-    state: object
-
-
-@dataclass
 class SliceInstance:
     blueprint: SliceBlueprint
-    bb_instances: dict                 # Role -> BBInstance
+    states: dict                       # Role -> block state
+    peers: dict                        # Role -> block instance id
     fabric: Fabric
     dplane: DPlane
-    ingress_latency: dict
     lifecycle_state: LifecycleState = LifecycleState.INSTANTIATED
     attached_devices: set = field(default_factory=set)
 
     @property
     def slice_id(self) -> str:
         return self.blueprint.slice_id
-
-    def instance_of(self, role: Role) -> str:
-        return str(self.bb_instances[role].instance_id)
-
-    def peers(self) -> dict:
-        return {role: str(inst.instance_id)
-                for role, inst in self.bb_instances.items()}
 
     def has_sf(self, role: Role, sf_id: str) -> bool:
         subset = self.blueprint.bb_set.get(role)
@@ -248,6 +237,21 @@ _STATE_FACTORIES = {
 }
 
 
+def anchor_latency(topology: TopologySpec, anchors) -> dict:
+    """The run's (ingress, anchor) -> shortest-path latency table over every
+    ingress of the topology; an unreachable anchor has no entry and is never
+    selected."""
+    view = build_view(topology)
+    latency: dict = {}
+    for ingress in sorted({info.ingress for info in topology.access.values()}):
+        for anchor in sorted(set(anchors)):
+            try:
+                latency[(ingress, anchor)] = shortest_path(view, ingress, anchor)[0]
+            except NoPathError:
+                continue
+    return latency
+
+
 def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
                 topology: TopologySpec, roster: dict | None = None,
                 bb_definitions=(), projections=None) -> SliceInstance:
@@ -261,38 +265,25 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
         if anchor not in topology.nodes:
             raise BlueprintError(f"anchor '{anchor}' not in topology")
     infra.place(len(bp.bb_set))
-    instances = {
-        role: BBInstance(instance_id=BBInstanceId(role, bp.slice_id),
-                         state=_STATE_FACTORIES[role](
-                             bp, topology, roster or build_roster()))
-        for role in sorted(bp.bb_set, key=lambda r: r.value)
-    }
-    fabric = connect([inst.instance_id for inst in instances.values()],
-                     bp.fabric_model, scope=bp.slice_id,
+    roster = roster or build_roster()
+    ids = [BBInstanceId(role, bp.slice_id)
+           for role in sorted(bp.bb_set, key=lambda r: r.value)]
+    states = {i.role: _STATE_FACTORIES[i.role](bp, topology, roster) for i in ids}
+    peers = {i.role: str(i) for i in ids}
+    fabric = connect(ids, bp.fabric_model, scope=bp.slice_id,
                      projections=projections)
-    view = build_view(topology)
-    latency: dict = {}
-    ingresses = sorted({info.ingress for info in topology.access.values()})
-    for ingress in ingresses:
-        for anchor in bp.anchors:
-            try:
-                latency[(ingress, anchor)] = shortest_path(view, ingress, anchor)[0]
-            except Exception:
-                continue    # unreachable anchor: never selected
-    instance = SliceInstance(
-        blueprint=bp, bb_instances=instances, fabric=fabric,
-        dplane=DPlane(spec=topology), ingress_latency=latency)
-    if Role.CGHF in instances:
-        state = instances[Role.CGHF].state
+    if Role.CGHF in states:
+        state = states[Role.CGHF]
         for role, topic in bp.subscriptions:
-            if role not in instances:
+            if role not in peers:
                 continue
             subscribers = set(state.subscriptions.get(topic, ()))
-            subscribers.add(str(instances[role].instance_id))
+            subscribers.add(peers[role])
             state.subscriptions[topic] = tuple(sorted(subscribers))
             if fabric.model.kind is FabricModelKind.PUB_SUB:
-                fabric.subscribe(str(instances[role].instance_id), topic)
-    return instance
+                fabric.subscribe(peers[role], topic)
+    return SliceInstance(blueprint=bp, states=states, peers=peers,
+                         fabric=fabric, dplane=DPlane(spec=topology))
 
 
 def operate(instance: SliceInstance) -> SliceInstance:
@@ -309,8 +300,8 @@ def teardown(instance: SliceInstance, tick: int = 0) -> list:
     if instance.lifecycle_state is LifecycleState.TORN_DOWN:
         raise LifecycleOrderError("teardown on an already torn down slice")
     events = []
-    cm_state = instance.bb_instances[Role.CM].state
-    fm_state = instance.bb_instances[Role.FM].state
+    cm_state = instance.states[Role.CM]
+    fm_state = instance.states[Role.FM]
     for device in sorted(instance.attached_devices):
         events.append(("detach", device, {"slice": instance.slice_id,
                                           "reason": "teardown"}))

@@ -1,7 +1,8 @@
 """Trace records, their line serialization, and structural audits.
 
 A run produces one ordered stream of records sharing a single monotone
-sequence counter; message records use that counter as their msg_id.  Lines
+sequence counter; a message record carries the number its message drew when
+it was emitted and the tick it was delivered at.  Lines
 are pipe-separated with the mutable-width payload/detail column last:
 
     MSG|seq|tick|kind|source|destination|interface|correlation|hops|mediators|recipients|payload
@@ -89,7 +90,7 @@ def iter_trace(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceR
                 (_, seq, tick, kind, src, dst, iface, corr, hops, mediators,
                  recipients, payload) = raw.split("|", 11)
                 msg = SignalMessage(
-                    msg_id=int(seq), tick=int(tick), kind=ProcedureKind(kind),
+                    kind=ProcedureKind(kind),
                     source=Endpoint.parse(src), destination=_parse_destination(dst),
                     interface=InterfacePoint(iface), correlation_id=corr,
                     payload=json.loads(payload))

@@ -290,7 +290,7 @@ def test_criterion_8_audit_secrecy_and_single_sign_on():
         challenges = [r for r in msgs_of(result.trace,
                                          ProcedureKind.AUTH_CHALLENGE)]
         audit_total = sum(
-            sum(1 for e in inst.bb_instances[Role.SAM].state.audit_log
+            sum(1 for e in inst.states[Role.SAM].audit_log
                 if e.kind == "auth")
             for inst in env.slices.values())
         audit_total += sum(1 for e in env.global_states[Role.SAM].audit_log

@@ -47,9 +47,8 @@ def ctx_for(role, policy=None, area_nodes=3):
 
 
 def message(kind, src, dst, iface, payload, corr="d1:attach:1"):
-    return SignalMessage(msg_id=1, tick=5, kind=kind, source=src,
-                         destination=dst, interface=iface,
-                         correlation_id=corr, payload=payload)
+    return SignalMessage(kind=kind, source=src, destination=dst,
+                         interface=iface, correlation_id=corr, payload=payload)
 
 
 class TestAccessFunction:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicesim.blocks.cghf import (
-    CGHFState, ContextAssertion, ContextModelRule, cghf_generate, cghf_ingest,
+    CGHFState, ContextModelRule, cghf_generate, cghf_ingest,
 )
 from slicesim.blocks.common import (
     AccessNodeInfo, BlockContext, PathStrategy, SlicePolicy, Tech,
@@ -112,7 +112,7 @@ class TestPathSearch:
         assert first.nodes == ("s", "x", "t")   # tie -> lexicographic
         ctx = fm_ctx()
         load = SignalMessage(
-            msg_id=9, tick=1, kind=ProcedureKind.FLOW_NOTIFY,
+            kind=ProcedureKind.FLOW_NOTIFY,
             source=Endpoint(Role.D_PLANE, f"{SLICE}:x"),
             destination=Endpoint(Role.FM, ctx.self_id),
             interface=InterfacePoint.I4_SBI, correlation_id="telemetry",
@@ -220,7 +220,7 @@ class TestApply:
 
     def ack(self, state, ctx, corr, node, ok=True, flow="f1"):
         msg = SignalMessage(
-            msg_id=5, tick=1, kind=ProcedureKind.FLOW_NOTIFY,
+            kind=ProcedureKind.FLOW_NOTIFY,
             source=Endpoint(Role.D_PLANE, f"{SLICE}:{node}"),
             destination=Endpoint(Role.FM, ctx.self_id),
             interface=InterfacePoint.I4_SBI, correlation_id=corr,
@@ -379,11 +379,7 @@ def generate_over_every_key(state, tick, ctx):
             if condition and state.armed.get(bkey, True):
                 state.armed[bkey] = False
                 state.assertion_counter += 1
-                assertion = ContextAssertion(
-                    topic=model.topic, subject=subject,
-                    statement=model.statement,
-                    evidence=tuple((s.tick, s.value) for s in samples[-3:]),
-                    tick=tick)
+                evidence = tuple((s.tick, s.value) for s in samples[-3:])
                 events.append(("context", subject, model.topic))
                 drafts.append(draft(
                     ProcedureKind.CONTEXT_NOTIFY, ctx.self_endpoint,
@@ -391,7 +387,7 @@ def generate_over_every_key(state, tick, ctx):
                     f"{ctx.slice_id}:context:{state.assertion_counter}",
                     {"topic": model.topic, "subject": subject,
                      "statement": model.statement,
-                     "evidence": [list(e) for e in assertion.evidence]}))
+                     "evidence": [list(e) for e in evidence]}))
             elif not condition:
                 state.armed[bkey] = True
     return drafts, events

@@ -3,18 +3,20 @@ event semantics and cross-fabric equivalence plumbing."""
 
 import copy
 import dataclasses
+from types import MappingProxyType
 
 import pytest
 
 from slicesim import engine
+from slicesim.blocks.fm import shortest_path
 from slicesim.engine import (
     Environment, ScriptEvent, _normalize, compare_fabrics, load_scenario, run,
 )
-from slicesim.errors import EquivalenceViolation, ScenarioError
+from slicesim.errors import EquivalenceViolation, NoPathError, ScenarioError
 from slicesim.fabric import DEFAULT_PROJECTIONS
 from slicesim.messages import ProcedureKind, Role
 from slicesim.metrics import compute_metrics, render_metrics
-from slicesim.netsim import DPlane, SignalingMode
+from slicesim.netsim import DPlane, SignalingMode, build_view
 from slicesim.slices import LifecycleState
 from slicesim.trace import (
     EventRecord, MessageRecord, canonical_json, parse_trace, render_trace,
@@ -337,7 +339,7 @@ class TestHandoverContinuity:
 
 def _hook_blocks(env):
     """(ident, instance, role, state) of every block with a tick hook."""
-    for ident, (instance, role, state) in env._route.items():
+    for ident, (instance, role, state, _) in env._route.items():
         if instance is not None and role in engine._TICK_HOOKS:
             yield ident, instance, role, state
 
@@ -409,8 +411,7 @@ class TestSweepSkips:
         for ident, instance, role, state, tick in idle:
             before = _normalize(state)
             for later in (tick, tick + 1, tick + 9, tick + 1000):
-                ctx = dataclasses.replace(
-                    env._context(ident, instance, role), tick=later)
+                ctx = dataclasses.replace(env._route[ident][3], tick=later)
                 _, drafts, events = engine._TICK_HOOKS[role](state, ctx)
                 assert (drafts, events) == ([], []), (ident, later)
                 assert _normalize(state) == before, (ident, later)
@@ -541,9 +542,9 @@ class TestSharedRoster:
     def test_one_read_only_roster_is_shared_by_every_cm_and_sam(self):
         env = Environment(load("attach-two-slices"), 7)
         cms = [env.global_states[Role.CM]] + [
-            i.bb_instances[Role.CM].state for i in env.slices.values()]
+            i.states[Role.CM] for i in env.slices.values()]
         sams = [env.global_states[Role.SAM]] + [
-            i.bb_instances[Role.SAM].state for i in env.slices.values()]
+            i.states[Role.SAM] for i in env.slices.values()]
         assert len(cms) == len(sams) > 2
         assert len({id(cm.subscription_view) for cm in cms}) == 1
         assert len({id(sam.identity_db) for sam in sams}) == 1
@@ -561,7 +562,7 @@ class TestSharedRoster:
         env.run()
         for instance in env.slices.values():
             for role in (Role.CM, Role.SAM):
-                blocks = engine._without_roster(instance.bb_instances[role].state)
+                blocks = engine._without_roster(instance.states[role])
                 assert not engine._ROSTER_FIELDS & set(blocks)
         global_cm = _normalize(env.global_states[Role.CM])
         assert set(global_cm["subscription_view"]) == set(env.devices)
@@ -581,7 +582,7 @@ class TestStopRule:
         env = Environment(scenario, 7)
         result = env.run()
         # the acknowledgements reach a torn down slice, so the FM waits on
-        assert env.slices["default-a"].bb_instances[Role.FM].state.pending
+        assert env.slices["default-a"].states[Role.FM].pending
         assert events(result, "max-ticks-reached")
 
     def test_flow_that_never_starts_does_not_keep_the_run_going(self, tmp_path):
@@ -598,3 +599,114 @@ class TestStopRule:
         sent = {r.subject: r.detail["sent"] for r in events(result, "flow-summary")}
         assert sent == {"fx": 2, "fy": 0}
         assert not events(result, "max-ticks-reached")
+
+
+def _read_only_emit(monkeypatch):
+    """Make every payload `Environment.emit` queues a read-only mapping, so
+    a handler that writes to a delivered payload raises."""
+    emit = Environment.emit
+
+    def read_only(self, drafts):
+        emit(self, [dataclasses.replace(d, payload=MappingProxyType(d.payload))
+                    for d in drafts])
+
+    monkeypatch.setattr(Environment, "emit", read_only)
+
+
+class TestReadOnlyPayloads:
+    """Handlers read a delivered payload in place and never write to it:
+    the copy `draft` makes is the only one a message has."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_read_only_payloads_trace_the_same(self, monkeypatch, name):
+        for model in (None, *engine.FABRIC_MODELS):
+            plain = run(load(name), 7, fabric_override=model)
+            with monkeypatch.context() as patched:
+                _read_only_emit(patched)
+                read_only = run(load(name), 7, fabric_override=model)
+            assert render_trace(read_only.trace) == render_trace(plain.trace)
+            assert read_only.digests == plain.digests
+
+    def test_a_write_to_a_delivered_payload_raises(self, monkeypatch):
+        handle = engine._HANDLERS[Role.CM]
+
+        def writing(state, msg, ctx):
+            msg.payload["device"] = "d-other"
+            return handle(state, msg, ctx)
+
+        _read_only_emit(monkeypatch)
+        monkeypatch.setitem(engine._HANDLERS, Role.CM, writing)
+        with pytest.raises(TypeError):
+            run(load("attach-two-slices"), 7)
+
+
+def _oracle_latency(scenario, bp):
+    """One slice's (ingress, anchor) latencies as a per-slice set-up found
+    them: one shortest-path search over its own topology view each."""
+    view = build_view(scenario.topology)
+    latency = {}
+    for ingress in sorted({i.ingress for i in scenario.topology.access.values()}):
+        for anchor in bp.anchors:
+            try:
+                latency[(ingress, anchor)] = shortest_path(view, ingress, anchor)[0]
+            except NoPathError:
+                continue
+    return latency
+
+
+class TestBuiltOnce:
+    """Set-up builds each block's context and the anchor-latency table
+    once per run; the tick loop builds none."""
+
+    def test_no_context_is_built_during_the_run(self, monkeypatch):
+        built: list = []
+        context_cls = engine.BlockContext
+
+        def counting(*args, **kwargs):
+            built.append(context_cls(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(engine, "BlockContext", counting)
+        env = Environment(load("cghf-reselect"), 7)
+        assert len(built) == len(env._route)
+        assert [entry[3] for entry in env._route.values()] == built
+        result = env.run()
+        assert len(built) == len(env._route)
+        assert messages(result) and events(result, "context")
+
+    def test_handler_cannot_write_to_its_context(self, monkeypatch):
+        handle = engine._HANDLERS[Role.CM]
+
+        def writing(state, msg, ctx):
+            ctx.slice_id = "elsewhere"
+            return handle(state, msg, ctx)
+
+        monkeypatch.setitem(engine._HANDLERS, Role.CM, writing)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run(load("attach-two-slices"), 7)
+
+    def test_contexts_read_the_current_tick(self, monkeypatch):
+        seen: list = []
+        handle = engine._HANDLERS[Role.SAM]
+
+        def recording(state, msg, ctx):
+            seen.append(ctx.tick)
+            return handle(state, msg, ctx)
+
+        monkeypatch.setitem(engine._HANDLERS, Role.SAM, recording)
+        result = run(load("attach-two-slices"), 7)
+        assert seen == [r.tick for r in messages(result, ProcedureKind.AUTH_CHALLENGE)]
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_anchor_latency_table_matches_per_slice_searches(self, name):
+        scenario = load(name)
+        env = Environment(scenario, 7)
+        tables = {id(entry[3].ingress_latency) for entry in env._route.values()}
+        table = next(entry[3] for entry in env._route.values()).ingress_latency
+        assert len(tables) == 1
+        union: dict = {}
+        for bp in scenario.blueprints:
+            oracle = _oracle_latency(scenario, bp)
+            assert {k: v for k, v in table.items() if k[1] in bp.anchors} == oracle
+            union.update(oracle)
+        assert table == union

@@ -25,9 +25,9 @@ def six_members():
     return [bb(r) for r in (Role.AF, Role.CM, Role.MM, Role.SAM, Role.FM, Role.CGHF)]
 
 
-def inter_bb_msg(src, dst, kind=ProcedureKind.FLOW_CONFIGURE, payload=None, msg_id=1):
+def inter_bb_msg(src, dst, kind=ProcedureKind.FLOW_CONFIGURE, payload=None):
     return SignalMessage(
-        msg_id=msg_id, tick=0, kind=kind,
+        kind=kind,
         source=bb(src).endpoint, destination=bb(dst).endpoint,
         interface=InterfacePoint.INTER_BB, correlation_id="c1",
         payload=payload or {"flow": "f1", "node": "n1", "action": "install"})
@@ -101,9 +101,9 @@ class TestSend:
 
 
 class TestPubSub:
-    def topic_msg(self, topic, msg_id=1):
+    def topic_msg(self, topic):
         return SignalMessage(
-            msg_id=msg_id, tick=0, kind=ProcedureKind.CONTEXT_NOTIFY,
+            kind=ProcedureKind.CONTEXT_NOTIFY,
             source=bb(Role.CGHF).endpoint, destination=Topic(topic),
             interface=InterfacePoint.INTER_BB, correlation_id="c1",
             payload={"topic": topic, "subject": "f1",
@@ -146,8 +146,8 @@ class TestPubSub:
     def test_subscription_set_snapshot_at_send_time(self):
         fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB))
         fabric.subscribe(str(bb(Role.CM)), "t")
-        first = fabric.send(self.topic_msg("t", msg_id=1))
+        first = fabric.send(self.topic_msg("t"))
         fabric.subscribe(str(bb(Role.FM)), "t")
-        second = fabric.send(self.topic_msg("t", msg_id=2))
+        second = fabric.send(self.topic_msg("t"))
         assert first.record.recipients == (str(bb(Role.CM)),)
         assert set(second.record.recipients) == {str(bb(Role.CM)), str(bb(Role.FM))}

@@ -24,9 +24,9 @@ FM = BBInstanceId(Role.FM, "s").endpoint
 DP = Endpoint(Role.D_PLANE, "s:n1")
 
 
-def msg(kind, src, dst, iface, payload=None, msg_id=1, tick=0, corr="d1:attach:1"):
-    return SignalMessage(msg_id=msg_id, tick=tick, kind=kind, source=src,
-                         destination=dst, interface=iface, correlation_id=corr,
+def msg(kind, src, dst, iface, payload=None, corr="d1:attach:1"):
+    return SignalMessage(kind=kind, source=src, destination=dst,
+                         interface=iface, correlation_id=corr,
                          payload=payload or {})
 
 
@@ -107,7 +107,7 @@ class TestTraceSerialization:
         attach = msg(ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.I2,
                      {"device": "d1", "alias": "imsi-1", "proof": "p"})
         notify = SignalMessage(
-            msg_id=3, tick=1, kind=ProcedureKind.CONTEXT_NOTIFY,
+            kind=ProcedureKind.CONTEXT_NOTIFY,
             source=BBInstanceId(Role.CGHF, "s").endpoint,
             destination=Topic("dplane-latency"),
             interface=InterfacePoint.INTER_BB, correlation_id="s:context:1",
@@ -178,7 +178,7 @@ class TestTraceCheck:
         leak = msg(ProcedureKind.LOCATION_UPDATE, UE,
                    BBInstanceId(Role.MM, "s").endpoint, InterfacePoint.I2,
                    {"device": "d1", "phase": "idle", "node": "imsi-1"},
-                   msg_id=3, tick=2, corr="d1:idle:1")
+                   corr="d1:idle:1")
         records = [
             MessageRecord(seq=1, tick=0, msg=attach),
             EventRecord(seq=2, tick=1, kind="auth", subject="d1",
@@ -201,15 +201,14 @@ class TestTraceCheck:
                 {"device": "d1", "alias": "imsi-1"})),
             MessageRecord(seq=2, tick=0, msg=msg(
                 ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.I2,
-                {"device": "d2", "alias": "imsi-1"}, msg_id=2)),
+                {"device": "d2", "alias": "imsi-1"})),
             EventRecord(seq=3, tick=1, kind="auth", subject="d2",
                         detail={"ok": True}),
             EventRecord(seq=4, tick=1, kind="auth", subject="d1",
                         detail={"ok": True}),
             MessageRecord(seq=5, tick=2, msg=msg(
                 ProcedureKind.LOCATION_UPDATE, UE, CM, InterfacePoint.I2,
-                {"device": "d1", "node": ["n1", {"area": "imsi-1"}]},
-                msg_id=5, tick=2)),
+                {"device": "d1", "node": ["n1", {"area": "imsi-1"}]})),
         ]
         assert trace_check(records) == [
             "seq 5: permanent identity of d2 on I2 after first authentication",
@@ -311,8 +310,7 @@ def audit_records(draw):
                     payload["reattach"] = True
             records.append(MessageRecord(seq=seq, tick=tick, msg=msg(
                 kind, draw(ENDPOINTS), draw(ENDPOINTS),
-                draw(INTERFACES), payload,
-                msg_id=seq, tick=tick)))
+                draw(INTERFACES), payload)))
     return records
 
 

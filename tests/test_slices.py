@@ -161,7 +161,7 @@ class TestLifecycle:
             topology,
             roles=(Role.AF, Role.CM, Role.MM, Role.SAM, Role.FM, Role.CGHF),
             mobility=MobilityPolicy(style=HandoverStyle.MAKE_BEFORE_BREAK))
-        assert len(inst.bb_instances) == 6
+        assert len(inst.states) == 6
         assert implied_link_count(inst.fabric) == 15
 
     def test_two_instances_share_no_state(self, topology):
@@ -169,9 +169,9 @@ class TestLifecycle:
         bp = make_blueprint()
         first = instantiate(bp, infra, topology)
         second = instantiate(bp, infra, topology)
-        first.bb_instances[Role.CM].state.device_table["dX"] = "poked"
+        first.states[Role.CM].device_table["dX"] = "poked"
         first.dplane.rules["i1"] = {"f": "t1"}
-        assert "dX" not in second.bb_instances[Role.CM].state.device_table
+        assert "dX" not in second.states[Role.CM].device_table
         assert second.dplane.rules == {}
 
     def test_zero_capacity_infrastructure_declines(self, topology):
@@ -203,7 +203,7 @@ class TestLifecycle:
         inst = self.instance(topology)
         operate(inst)
         inst.attached_devices.update({"d1", "d2"})
-        fm_state = inst.bb_instances[Role.FM].state
+        fm_state = inst.states[Role.FM]
         fm_state.sessions["s-1"] = type(
             "B", (), {"device": "d1", "anchor": "a1", "ingress": "i1",
                       "flows": ["f1"]})()
