@@ -295,8 +295,9 @@ def operate(instance: SliceInstance) -> SliceInstance:
 
 
 def teardown(instance: SliceInstance, tick: int = 0) -> list:
-    """Detach every device, release reservations and clear the forwarded
-    plane.  Returns the detach/teardown events for tracing."""
+    """Detach every device, release reservations, end in-flight path
+    applies and clear the forwarded plane.  Returns the detach/teardown
+    events for tracing."""
     if instance.lifecycle_state is LifecycleState.TORN_DOWN:
         raise LifecycleOrderError("teardown on an already torn down slice")
     events = []
@@ -310,6 +311,9 @@ def teardown(instance: SliceInstance, tick: int = 0) -> list:
         for flow in list(binding.flows):
             fm.fm_release_path(fm_state, flow, tick)
     fm_state.sessions.clear()
+    # acknowledgements to a torn down slice are refused: stop awaiting them
+    fm_state.pending.clear()
+    fm_state.handover_jobs.clear()
     for link in fm_state.view.links.values():
         link.reserved = 0
     cm_state.device_table = {d: cm.ConvergentState.DETACHED

@@ -575,15 +575,20 @@ def _first_configure_tick(result):
 class TestStopRule:
     """The run ends when nothing is queued, scripted or due with work."""
 
-    def test_unacknowledged_path_keeps_the_run_going(self, tmp_path):
+    def test_teardown_ends_unacknowledged_path_applies(self, tmp_path):
         scenario = _one_flow_scenario(tmp_path, [(10, 2)])
         tick = _first_configure_tick(run(scenario, 7))
         scenario.script += (ScriptEvent(tick, "teardown", ("default-a",), {}),)
         env = Environment(scenario, 7)
         result = env.run()
-        # the acknowledgements reach a torn down slice, so the FM waits on
-        assert env.slices["default-a"].states[Role.FM].pending
-        assert events(result, "max-ticks-reached")
+        # the acknowledgements reach a torn down slice and are refused; the
+        # teardown already ended the apply, so the run ends with them
+        fm = env.slices["default-a"].states[Role.FM]
+        assert not fm.pending and not fm.handover_jobs
+        assert errors(result, "LifecycleOrderError")
+        assert not events(result, "max-ticks-reached")
+        last_message = max(r.tick for r in messages(result))
+        assert events(result, "run-end")[0].tick == last_message == tick + 1
 
     def test_flow_that_never_starts_does_not_keep_the_run_going(self, tmp_path):
         scenario = _one_flow_scenario(tmp_path, [(10, 2)])
