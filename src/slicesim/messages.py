@@ -1,7 +1,8 @@
 """Identities, interface taxonomy and the typed C-plane signalling schema.
 
 Everything that crosses a reference point in the simulator is a
-`SignalMessage`, built once by `draft` and never copied after that.  The
+`SignalMessage`, built once by `draft`; the engine queues, delivers and
+traces that object (a dispatcher fabric delivers its projection).  The
 engine numbers a message in its queue entry when it is emitted and traces
 it with that number and its delivery tick; neither is a message field.
 

@@ -2,8 +2,8 @@
 
 A run produces one ordered stream of records sharing a single monotone
 sequence counter; a message record carries the number its message drew when
-it was emitted and the tick it was delivered at.  Lines
-are pipe-separated with the mutable-width payload/detail column last:
+it was emitted and the tick it was delivered at.  Lines are pipe-separated
+with the mutable-width payload/detail column last:
 
     MSG|seq|tick|kind|source|destination|interface|correlation|hops|mediators|recipients|payload
     EVT|seq|tick|kind|subject|detail
