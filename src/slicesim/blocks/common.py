@@ -78,7 +78,8 @@ class BlockEvent:
 @dataclass(frozen=True)
 class BlockContext:
     """What a handler may read besides its own state: wiring, policy and the
-    static access/topology directories of its slice.  Never mutated."""
+    static access/topology directories of its slice.  Built once per block;
+    handlers cannot write to it, and the engine moves `tick` before a call."""
 
     slice_id: str
     self_id: str

@@ -690,18 +690,6 @@ class TestBuiltOnce:
         with pytest.raises(dataclasses.FrozenInstanceError):
             run(load("attach-two-slices"), 7)
 
-    def test_contexts_read_the_current_tick(self, monkeypatch):
-        seen: list = []
-        handle = engine._HANDLERS[Role.SAM]
-
-        def recording(state, msg, ctx):
-            seen.append(ctx.tick)
-            return handle(state, msg, ctx)
-
-        monkeypatch.setitem(engine._HANDLERS, Role.SAM, recording)
-        result = run(load("attach-two-slices"), 7)
-        assert seen == [r.tick for r in messages(result, ProcedureKind.AUTH_CHALLENGE)]
-
     @pytest.mark.parametrize("name", CORPUS)
     def test_anchor_latency_table_matches_per_slice_searches(self, name):
         scenario = load(name)
