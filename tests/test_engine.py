@@ -672,11 +672,21 @@ class TestBuiltOnce:
             return built[-1]
 
         monkeypatch.setattr(engine, "BlockContext", counting)
+        passed: list = []
+        for table in (engine._HANDLERS, engine._TICK_HOOKS):
+            for role, fn in table.items():
+                def recording(*args, fn=fn):
+                    passed.append(args[-1])
+                    return fn(*args)
+                monkeypatch.setitem(table, role, recording)
         env = Environment(load("cghf-reselect"), 7)
         assert len(built) == len(env._route)
         assert [entry[3] for entry in env._route.values()] == built
         result = env.run()
         assert len(built) == len(env._route)
+        # every handler and hook call got its block's one context
+        assert {id(ctx) for ctx in passed} <= {id(ctx) for ctx in built}
+        assert len(passed) > len(built)
         assert messages(result) and events(result, "context")
 
     def test_handler_cannot_write_to_its_context(self, monkeypatch):
