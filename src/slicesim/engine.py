@@ -207,8 +207,7 @@ class Environment:
     """One simulation run: slices, global control part, devices, queue."""
 
     def __init__(self, scenario: Scenario, seed: int,
-                 fabric_override: FabricModel | None = None,
-                 projections=None):
+                 fabric_override: FabricModel | None = None):
         self.scenario = scenario
         self.seed = seed
         self.tick = 0
@@ -224,8 +223,7 @@ class Environment:
             if override is not None:
                 bp = replace(bp, fabric_model=override)
             instance = slices_mod.instantiate(
-                bp, self.infra, scenario.topology, roster=roster,
-                projections=projections)
+                bp, self.infra, scenario.topology, roster=roster)
             slices_mod.operate(instance)
             self.slices[bp.slice_id] = instance
         # Common control part for method-1 selection: a global connectivity
@@ -362,17 +360,13 @@ class Environment:
             return
         outcome = instance.fabric.send(msg)
         record = outcome.record
-        if outcome.deliveries:
-            delivered_msg = outcome.deliveries[0][1]
-        else:
-            delivered_msg = msg
-        self._trace_msg(seq, delivered_msg, hop_count=record.hop_count,
+        self._trace_msg(seq, outcome.msg, hop_count=record.hop_count,
                         mediators=record.mediators,
                         recipients=record.recipients)
         if outcome.flag:
             self.trace_error(outcome.flag, str(msg.destination), {})
-        for ident, dmsg in outcome.deliveries:
-            self._invoke_block(ident, dmsg)
+        for ident in record.recipients:
+            self._invoke_block(ident, outcome.msg)
 
     def _trace_msg(self, seq: int, msg: SignalMessage, hop_count: int = 1,
                    mediators: tuple = (), recipients: tuple = ()) -> None:
@@ -764,8 +758,8 @@ class Environment:
                    for payload in payloads])
 
     def _advance(self) -> None:
-        """The current tick's work after its script events: due deliveries,
-        then what is due on the due list."""
+        """The current tick's work after its script events: the messages
+        due now, then what is due on the due list."""
         while self.queue and self.queue[0][0] <= self.tick:
             _, _, seq, msg = heapq.heappop(self.queue)
             self._deliver(seq, msg)
@@ -927,10 +921,9 @@ _NORMALIZERS: dict = {}
 
 
 def run(scenario: Scenario, seed: int,
-        fabric_override: FabricModel | None = None,
-        projections=None) -> RunResult:
+        fabric_override: FabricModel | None = None) -> RunResult:
     """Execute a scenario: returns the trace, metrics and terminal digests."""
-    return Environment(scenario, seed, fabric_override, projections).run()
+    return Environment(scenario, seed, fabric_override).run()
 
 
 #: The four models a comparison run exercises, in report order.
@@ -951,14 +944,12 @@ class FabricComparison:
                 for name, result in self.results.items()}
 
 
-def compare_fabrics(scenario: Scenario, seed: int,
-                    projections=None) -> FabricComparison:
+def compare_fabrics(scenario: Scenario, seed: int) -> FabricComparison:
     """Run the scenario once per interconnection model and require identical
     terminal-state digests; hop totals make the models comparable."""
     results = {}
     for model in FABRIC_MODELS:
-        results[model.kind.value] = run(scenario, seed, fabric_override=model,
-                                        projections=projections)
+        results[model.kind.value] = run(scenario, seed, fabric_override=model)
     baseline_name, baseline = next(iter(results.items()))
     for name, result in results.items():
         if result.digests != baseline.digests:

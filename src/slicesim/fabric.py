@@ -4,10 +4,10 @@ Four models wire the same block set: a full mesh (direct links), a relay
 (one member block terminates the west-bound side and relays everything), a
 dispatcher (an external proxy with per-destination projected interfaces) and
 a publish-subscribe broker.  `Fabric.send` is model-agnostic: it returns the
-messages to hand to recipients plus a delivery record carrying the hop and
+one message every recipient gets plus a delivery record carrying the hop and
 mediator accounting that makes the models comparable.
 
-Mediation is modelled as a function distinct from the block it may be
+A mediator is modelled as a function distinct from the block it may be
 co-located with, so a relayed message costs two hops even when the relay
 itself is the source or destination; this keeps per-send cost uniform and
 the full mesh strictly cheaper whenever any unicast crosses the fabric.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import BadRelayError, ModelMismatchError, UnknownDestinationError
 from .messages import BBInstanceId, PAYLOAD_SCHEMAS, Role, SignalMessage, Topic
@@ -64,13 +64,8 @@ class DeliveryRecord:
 @dataclass(frozen=True)
 class DeliveryOutcome:
     record: DeliveryRecord
-    deliveries: tuple          # ((recipient instance id, SignalMessage), ...)
+    msg: SignalMessage         # what each of `record.recipients` gets
     flag: str | None = None    # e.g. "NoSubscriberError": traced, not fatal
-
-
-def _project(msg: SignalMessage, allowed: frozenset) -> SignalMessage:
-    payload = {k: v for k, v in msg.payload.items() if k in allowed}
-    return replace(msg, payload=payload)
 
 
 @dataclass
@@ -80,7 +75,6 @@ class Fabric:
     mediator: str | None = None         # CPD/PS instance id when external
     relay: str | None = None            # relay member instance id
     subscriptions: dict = field(default_factory=dict)   # topic -> set of ids
-    projections: Mapping = None  # type: ignore[assignment]
 
     def subscribe(self, bb: str, topic: str) -> None:
         """Add `bb` to the topic's subscriber set; idempotent."""
@@ -104,38 +98,26 @@ class Fabric:
             raise UnknownDestinationError(f"destination {msg.destination} not a member")
         kind = self.model.kind
         if kind is FabricModelKind.FULL_MESH:
-            outcome = self._deliver(msg, (dst,), hop_count=1, mediators=())
-        elif kind is FabricModelKind.RELAY:
-            outcome = self._deliver(msg, (dst,), hop_count=2,
-                                    mediators=(self.relay,))
-        elif kind is FabricModelKind.DISPATCHER:
-            projected = _project(msg, self.projections[msg.kind])
-            outcome = self._deliver(projected, (dst,), hop_count=2,
-                                    mediators=(self.mediator,))
-        else:
-            outcome = self._send_topic(msg, f"bb:{dst}")
-        return outcome
+            return DeliveryOutcome(DeliveryRecord(1, (), (dst,)), msg)
+        if kind is FabricModelKind.RELAY:
+            return DeliveryOutcome(DeliveryRecord(2, (self.relay,), (dst,)), msg)
+        if kind is FabricModelKind.DISPATCHER:
+            allowed = DEFAULT_PROJECTIONS[msg.kind]
+            projected = replace(msg, payload={
+                k: v for k, v in msg.payload.items() if k in allowed})
+            return DeliveryOutcome(
+                DeliveryRecord(2, (self.mediator,), (dst,)), projected)
+        return self._send_topic(msg, f"bb:{dst}")
 
     def _send_topic(self, msg: SignalMessage, topic: str) -> DeliveryOutcome:
         recipients = tuple(sorted(self.subscriptions.get(topic, ())))
-        flag = None if recipients else "NoSubscriberError"
-        return self._deliver(msg, recipients, hop_count=2,
-                             mediators=(self.mediator,), flag=flag)
-
-    def _deliver(self, msg: SignalMessage, recipients: tuple, hop_count: int,
-                 mediators: tuple, flag: str | None = None) -> DeliveryOutcome:
-        record = DeliveryRecord(
-            hop_count=hop_count, mediators=tuple(m for m in mediators if m),
-            recipients=recipients)
         return DeliveryOutcome(
-            record=record,
-            deliveries=tuple((r, msg) for r in recipients),
-            flag=flag)
+            DeliveryRecord(2, (self.mediator,), recipients), msg,
+            None if recipients else "NoSubscriberError")
 
 
 def connect(members: Iterable[BBInstanceId], model: FabricModel,
-            scope: str = "fabric",
-            projections: Mapping | None = None) -> Fabric:
+            scope: str = "fabric") -> Fabric:
     """Wire a block set under one interconnection model.
 
     For the relay model the designated relay must itself be a member;
@@ -144,8 +126,7 @@ def connect(members: Iterable[BBInstanceId], model: FabricModel,
     member_map = {str(m): m.role for m in members}
     if not member_map:
         raise UnknownDestinationError("a fabric needs at least one member")
-    fabric = Fabric(model=model, members=member_map,
-                    projections=projections or DEFAULT_PROJECTIONS)
+    fabric = Fabric(model=model, members=member_map)
     if model.kind is FabricModelKind.RELAY:
         target = model.relay_bb or Role.CM.value
         matches = [i for i, role in member_map.items()

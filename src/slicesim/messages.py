@@ -12,9 +12,13 @@ Reference points:
 * I2: direct device signalling with core C-plane blocks.
 * I3: access function to core C-plane blocks.
 * I4: southbound interface from flow management to the forwarded plane.
-* I7: towards other administrative domains (placeholder, no behaviour).
+* I7: the core C-plane towards other administrative domains (placeholder,
+  no behaviour).
 * InterBB: interconnection between core C-plane blocks, carried by a fabric.
 * WBI: reporting composite of {I1, I2, I3}, never set on a message.
+
+`REFERENCE_POINTS` lists the role pairs each one joins; `draft` routes a
+message and `validate_message` checks it by that one table.
 """
 
 from __future__ import annotations
@@ -209,35 +213,47 @@ def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
                          dict(payload or {}))
 
 
-class Mediation(str, Enum):
-    DIRECT = "direct"
-    VIA_AF = "via_af"
+def _joins(sides, others) -> frozenset:
+    """The (source, destination) role pairs, either way round, that join a
+    role of `sides` to a role of `others`."""
+    return frozenset(pair for a in sides for b in others
+                     for pair in ((a, b), (b, a)))
 
 
-def route_interface_for(source: Role, destination: Role,
-                        mediation: Mediation = Mediation.DIRECT) -> InterfacePoint:
-    """Reference-point routing for a single hop between two endpoint roles.
+#: The reference points: each interface, the role pairs it joins and the
+#: violation of a message on it between any other pair.  No pair is joined
+#: by two interfaces; WBI joins none.
+REFERENCE_POINTS = (
+    (InterfacePoint.I1, _joins({Role.UE, Role.ACCESS_NODE}, {Role.AF}),
+     "interface-role mismatch: I1 is UE<->AF"),
+    (InterfacePoint.I2, _joins({Role.UE}, CN_BB_ROLES),
+     "interface-role mismatch: I2 is UE<->CN C-plane"),
+    (InterfacePoint.I3, _joins({Role.AF}, CN_BB_ROLES),
+     "interface-role mismatch: I3 is AF<->CN C-plane"),
+    (InterfacePoint.INTER_BB, _joins(CN_BB_ROLES, CN_BB_ROLES),
+     "interface-role mismatch: InterBB is CN block to CN block"),
+    (InterfacePoint.I4_SBI, _joins({Role.FM}, {Role.D_PLANE}),
+     "interface-role mismatch: I4 is FM<->D-plane"),
+    (InterfacePoint.I7, _joins({Role.OTHER_DOMAIN}, CN_BB_ROLES),
+     "interface-role mismatch: I7 crosses domains"),
+    (InterfacePoint.WBI_COMPOSITE, frozenset(),
+     "WBI is a reporting composite, not a message interface"),
+)
 
-    A mediated device never reaches a core block in one hop: its uplink
-    terminates at the access function on I1 and continues on I3.
-    """
-    pair = {source, destination}
-    if pair == {Role.UE, Role.AF} or pair == {Role.ACCESS_NODE, Role.AF}:
-        return InterfacePoint.I1
-    if Role.UE in pair and pair & CN_BB_ROLES:
-        if mediation is Mediation.VIA_AF:
-            raise NoInterfaceError(
-                "mediated device signalling terminates at the AF on I1")
-        return InterfacePoint.I2
-    if Role.AF in pair and pair & CN_BB_ROLES:
-        return InterfacePoint.I3
-    if pair <= CN_BB_ROLES:
-        return InterfacePoint.INTER_BB
-    if pair == {Role.FM, Role.D_PLANE}:
-        return InterfacePoint.I4_SBI
-    if Role.OTHER_DOMAIN in pair and pair & CN_BB_ROLES:
-        return InterfacePoint.I7
-    raise NoInterfaceError(f"no interface defined for {source.value}->{destination.value}")
+#: (source role, destination role) -> the interface that joins them.
+_INTERFACE_OF = {pair: iface for iface, pairs, _ in REFERENCE_POINTS
+                 for pair in pairs}
+
+
+def route_interface_for(source: Role, destination: Role) -> InterfacePoint:
+    """The reference point of a single hop between two endpoint roles.  A
+    mediated device reaches the core in two hops: I1 to its access function,
+    then I3."""
+    try:
+        return _INTERFACE_OF[source, destination]
+    except KeyError:
+        raise NoInterfaceError(f"no interface defined for "
+                               f"{source.value}->{destination.value}") from None
 
 
 @dataclass(frozen=True)
@@ -249,47 +265,9 @@ class Verdict:
         return self.ok
 
 
-def _role_violations(iface: InterfacePoint, source: Role,
-                     destination: Role | type[Topic]) -> tuple[str, ...]:
-    """The interface-role part of a verdict; `destination` is the
-    destination's role, or `Topic` for a topic-addressed message."""
-    violations: list[str] = []
-    if destination is Topic:
-        if iface is not InterfacePoint.INTER_BB:
-            violations.append("topic messages travel inter-BB")
-        if source not in CN_BB_ROLES:
-            violations.append("topic publisher must be a core block")
-        return tuple(violations)
-
-    pair = {source, destination}
-    if iface is InterfacePoint.WBI_COMPOSITE:
-        violations.append("WBI is a reporting composite, not a message interface")
-    elif iface is InterfacePoint.I1:
-        if pair != {Role.UE, Role.AF} and pair != {Role.ACCESS_NODE, Role.AF}:
-            violations.append("interface-role mismatch: I1 is UE<->AF")
-    elif iface is InterfacePoint.I2:
-        if Role.UE not in pair or not pair & CN_BB_ROLES:
-            violations.append("interface-role mismatch: I2 is UE<->CN C-plane")
-    elif iface is InterfacePoint.I3:
-        if Role.AF not in pair or not pair & CN_BB_ROLES:
-            violations.append("interface-role mismatch: I3 is AF<->CN C-plane")
-    elif iface is InterfacePoint.I4_SBI:
-        if pair != {Role.FM, Role.D_PLANE}:
-            violations.append("interface-role mismatch: I4 is FM<->D-plane")
-    elif iface is InterfacePoint.I7:
-        if Role.OTHER_DOMAIN not in pair:
-            violations.append("interface-role mismatch: I7 crosses domains")
-    elif iface is InterfacePoint.INTER_BB:
-        if not pair <= CN_BB_ROLES:
-            violations.append("interface-role mismatch: InterBB is CN block to CN block")
-    return tuple(violations)
-
-
-#: `_role_violations` of every (interface, source role, destination role or
-#: Topic).
-_ROLE_VIOLATIONS = {
-    (iface, source, destination): _role_violations(iface, source, destination)
-    for iface in InterfacePoint for source in Role for destination in (*Role, Topic)}
+#: Per interface, the violation of a message on it between roles it does
+#: not join.
+_ROLE_VIOLATIONS = {iface: text for iface, _, text in REFERENCE_POINTS}
 
 _VALID = Verdict(True)
 
@@ -310,9 +288,14 @@ def validate_message(msg: SignalMessage) -> Verdict:
     if not msg.correlation_id:
         violations.append("empty correlation_id")
     destination = msg.destination
-    violations.extend(_ROLE_VIOLATIONS[
-        msg.interface, msg.source.role,
-        Topic if isinstance(destination, Topic) else destination.role])
+    if isinstance(destination, Topic):
+        if msg.interface is not InterfacePoint.INTER_BB:
+            violations.append("topic messages travel inter-BB")
+        if msg.source.role not in CN_BB_ROLES:
+            violations.append("topic publisher must be a core block")
+    elif _INTERFACE_OF.get((msg.source.role, destination.role)) \
+            is not msg.interface:
+        violations.append(_ROLE_VIOLATIONS[msg.interface])
     if not violations:
         return _VALID
     return Verdict(False, tuple(violations))

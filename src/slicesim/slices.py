@@ -254,7 +254,7 @@ def anchor_latency(topology: TopologySpec, anchors) -> dict:
 
 def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
                 topology: TopologySpec, roster: dict | None = None,
-                bb_definitions=(), projections=None) -> SliceInstance:
+                bb_definitions=()) -> SliceInstance:
     """Create fresh block states over a private forwarded plane and wire the
     fabric.  Nothing mutable is shared with any other instance: only the
     read-only `roster` (default: empty)."""
@@ -270,8 +270,7 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
            for role in sorted(bp.bb_set, key=lambda r: r.value)]
     states = {i.role: _STATE_FACTORIES[i.role](bp, topology, roster) for i in ids}
     peers = {i.role: str(i) for i in ids}
-    fabric = connect(ids, bp.fabric_model, scope=bp.slice_id,
-                     projections=projections)
+    fabric = connect(ids, bp.fabric_model, scope=bp.slice_id)
     if Role.CGHF in states:
         state = states[Role.CGHF]
         for role, topic in bp.subscriptions:

@@ -37,7 +37,7 @@ class MessageRecord:
     msg: SignalMessage
     hop_count: int = 1
     mediators: tuple[str, ...] = ()
-    recipients: tuple[str, ...] = ()   # non-empty only for fabric deliveries
+    recipients: tuple[str, ...] = ()   # non-empty only if a fabric carried it
 
     def line(self) -> str:
         m = self.msg

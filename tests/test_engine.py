@@ -293,14 +293,13 @@ class TestFabricEquivalence:
         assert hops["full_mesh"] < hops["relay"]
         assert hops["full_mesh"] < hops["dispatcher"]
 
-    def test_broken_dispatcher_projection_detected(self):
+    def test_broken_dispatcher_projection_detected(self, monkeypatch):
         # slice-local authentication rides the fabric in method 2; dropping
         # the verdict from the dispatcher's proxy interface diverges the run
-        broken = dict(DEFAULT_PROJECTIONS)
-        broken[ProcedureKind.AUTH_RESPONSE] = frozenset({"device"})
+        monkeypatch.setitem(DEFAULT_PROJECTIONS, ProcedureKind.AUTH_RESPONSE,
+                            frozenset({"device"}))
         with pytest.raises(EquivalenceViolation):
-            compare_fabrics(load("attach-method2-redirect"), 7,
-                            projections=broken)
+            compare_fabrics(load("attach-method2-redirect"), 7)
 
     def test_zero_inter_bb_traffic_keeps_all_hop_totals_zero(self):
         scenario = load("attach-two-slices")

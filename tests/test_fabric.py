@@ -86,7 +86,8 @@ class TestSend:
                            payload={"flow": "f1", "node": "n1",
                                     "action": "install", "diag": "debug-note"})
         outcome = fabric.send(msg)
-        (_, delivered), = outcome.deliveries
+        delivered = outcome.msg
+        assert outcome.record.recipients == (str(bb(Role.FM)),)
         assert "diag" not in delivered.payload
         assert delivered.payload["flow"] == "f1"
         allowed = DEFAULT_PROJECTIONS[msg.kind]
@@ -96,7 +97,7 @@ class TestSend:
         fabric = connect(six_members(), FabricModel(FabricModelKind.FULL_MESH))
         msg = inter_bb_msg(Role.CM, Role.FM,
                            payload={"flow": "f1", "diag": "debug-note"})
-        (_, delivered), = fabric.send(msg).deliveries
+        delivered = fabric.send(msg).msg
         assert delivered.payload["diag"] == "debug-note"
 
 
@@ -133,7 +134,6 @@ class TestPubSub:
         fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB))
         outcome = fabric.send(self.topic_msg("lonely-topic"))
         assert outcome.record.recipients == ()
-        assert outcome.deliveries == ()
         assert outcome.flag == "NoSubscriberError"
 
     def test_unicast_over_pubsub_reaches_the_destination(self):

@@ -3,9 +3,11 @@
 import dataclasses
 
 from slicesim.blocks.cm import ALLOWED_TRANSITIONS, ConvergentState
+from slicesim import engine
 from slicesim.engine import ScriptEvent, load_scenario, run
 from slicesim.fabric import DEFAULT_PROJECTIONS, FabricModel, FabricModelKind
-from slicesim.messages import ProcedureKind, Role
+from slicesim.messages import InterfacePoint, ProcedureKind, Role
+from slicesim.netsim import SignalingMode
 from slicesim.trace import EventRecord, MessageRecord
 
 from conftest import scenario_path
@@ -55,6 +57,26 @@ def test_dispatcher_never_delivers_outside_its_projection():
 
 def test_diagnostic_fields_cross_the_mesh_but_not_the_dispatcher():
     assert all("diag" not in fields for fields in DEFAULT_PROJECTIONS.values())
+
+
+def test_mediated_devices_signal_only_on_i1():
+    # a via_af device never reaches a core block in one hop: everything to
+    # or from it terminates at its access function
+    checked = 0
+    for name in CORPUS:
+        scenario = load(name)
+        mediated = {d.device_id for d in scenario.devices
+                    if d.mode is SignalingMode.VIA_AF}
+        for model in (None, *engine.FABRIC_MODELS):
+            for rec in run(scenario, 7, fabric_override=model).trace:
+                if not isinstance(rec, MessageRecord):
+                    continue
+                ends = (rec.msg.source, rec.msg.destination)
+                if any(getattr(end, "role", None) is Role.UE
+                       and end.ident in mediated for end in ends):
+                    assert rec.msg.interface is InterfacePoint.I1, (name, rec)
+                    checked += 1
+    assert checked
 
 
 def test_link_load_never_exceeds_capacity():

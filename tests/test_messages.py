@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from slicesim.errors import NoInterfaceError, SchemaError
 from slicesim.messages import (
     CN_BB_ROLES, PAYLOAD_SCHEMAS, BBInstanceId, Endpoint, InterfacePoint,
-    Mediation, ProcedureKind, Role, SignalMessage, Topic, Verdict,
-    mint_key_material, mint_pseudonym, route_interface_for, validate_message,
+    ProcedureKind, Role, SignalMessage, Topic, Verdict, mint_key_material,
+    mint_pseudonym, route_interface_for, validate_message,
 )
 from slicesim.trace import (
     EventRecord, MessageRecord, iter_trace, parse_trace, render_trace,
@@ -35,12 +35,8 @@ class TestRouting:
         assert route_interface_for(Role.UE, Role.CM) is InterfacePoint.I2
 
     def test_mediated_path_splits_into_i1_and_i3(self):
-        assert route_interface_for(Role.UE, Role.AF, Mediation.VIA_AF) is InterfacePoint.I1
-        assert route_interface_for(Role.AF, Role.CM, Mediation.VIA_AF) is InterfacePoint.I3
-
-    def test_mediated_device_cannot_reach_core_in_one_hop(self):
-        with pytest.raises(NoInterfaceError):
-            route_interface_for(Role.UE, Role.CM, Mediation.VIA_AF)
+        assert route_interface_for(Role.UE, Role.AF) is InterfacePoint.I1
+        assert route_interface_for(Role.AF, Role.CM) is InterfacePoint.I3
 
     def test_core_blocks_use_inter_bb(self):
         assert route_interface_for(Role.CM, Role.FM) is InterfacePoint.INTER_BB
@@ -56,6 +52,18 @@ class TestRouting:
 
     def test_other_domain_crossing_is_i7(self):
         assert route_interface_for(Role.CM, Role.OTHER_DOMAIN) is InterfacePoint.I7
+
+    def test_routed_interface_is_the_only_valid_one(self):
+        for source in Role:
+            for destination in Role:
+                valid = {iface for iface in InterfacePoint if validate_message(
+                    msg(ProcedureKind.PAGE, Endpoint(source, "x"),
+                        Endpoint(destination, "y"), iface))}
+                try:
+                    routed = {route_interface_for(source, destination)}
+                except NoInterfaceError:
+                    routed = set()
+                assert valid == routed, (source, destination)
 
 
 class TestValidateMessage:
@@ -82,6 +90,14 @@ class TestValidateMessage:
             ProcedureKind.PAGE, CM, FM, InterfacePoint.INTER_BB,
             {"device": "d1", "surprise": 1}))
         assert not verdict.ok
+
+    def test_i7_joins_the_core_to_another_domain(self):
+        ext = Endpoint(Role.OTHER_DOMAIN, "peer")
+        assert validate_message(msg(
+            ProcedureKind.PAGE, CM, ext, InterfacePoint.I7)).ok
+        verdict = validate_message(msg(
+            ProcedureKind.PAGE, UE, ext, InterfacePoint.I7))
+        assert verdict.violations == ("interface-role mismatch: I7 crosses domains",)
 
     def test_wbi_is_not_a_message_interface(self):
         verdict = validate_message(msg(
@@ -359,7 +375,7 @@ def chained_validate_message(msg):
         if pair != {Role.FM, Role.D_PLANE}:
             violations.append("interface-role mismatch: I4 is FM<->D-plane")
     elif iface is InterfacePoint.I7:
-        if Role.OTHER_DOMAIN not in pair:
+        if Role.OTHER_DOMAIN not in pair or not pair & CN_BB_ROLES:
             violations.append("interface-role mismatch: I7 crosses domains")
     elif iface is InterfacePoint.INTER_BB:
         if not pair <= CN_BB_ROLES:
