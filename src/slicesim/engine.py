@@ -554,8 +554,6 @@ class Environment:
             except SliceSimError as exc:
                 self.trace_error(type(exc).__name__, event.args[0],
                                  {"detail": str(exc)})
-                return
-            self._wake(instance, Role.FM)   # released paths retire rules
             return
         if action == "inject-latency":
             flow, value = event.args
@@ -719,8 +717,9 @@ class Environment:
                 self._route[instance.peers[role]]
 
     def _run_due(self) -> None:
-        """The due blocks' tick hooks (not in torn down slices), then the due
-        planes, by slice and role; what is then without work leaves."""
+        """The due blocks' tick hooks, then the due planes, by slice and
+        role; what is then without work, or a block of a torn down slice,
+        leaves."""
         for key in sorted(self._due):
             instance, role, state, ctx = self._due[key]
             if role is None:
@@ -736,7 +735,9 @@ class Environment:
             self.emit(drafts)
         self._due = {key: entry for key, entry in self._due.items()
                      if (entry[2].due() if entry[1] is None
-                         else _HAS_WORK[entry[1]](entry[2], None))}
+                         else _HAS_WORK[entry[1]](entry[2], None)
+                         and entry[0].lifecycle_state
+                         is not slices_mod.LifecycleState.TORN_DOWN)}
 
     def _step_plane(self, instance) -> None:
         sid = instance.slice_id

@@ -589,6 +589,29 @@ class TestStopRule:
         last_message = max(r.tick for r in messages(result))
         assert events(result, "run-end")[0].tick == last_message == tick + 1
 
+    @staticmethod
+    def _last_work_tick(result):
+        footer = {"flow-summary", "slice-digest", "run-end"}
+        return max(r.tick for r in result.trace
+                   if not isinstance(r, EventRecord) or r.kind not in footer)
+
+    def test_teardown_with_rules_to_retire_ends_the_run(self):
+        # the torn down FM keeps its retiring rules, but its hook never runs
+        env = Environment(load("teardown"), 7)
+        result = env.run()
+        assert env.slices["embb-a"].states[Role.FM].retiring
+        assert not events(result, "max-ticks-reached")
+        assert events(result, "run-end")[0].tick == self._last_work_tick(result)
+
+    def test_teardown_with_a_page_out_ends_the_run(self):
+        scenario = load("paging")
+        scenario.script += (ScriptEvent(18, "teardown", ("mob-a",), {}),)
+        env = Environment(scenario, 7)
+        result = env.run()
+        assert env.slices["mob-a"].states[Role.MM].pages
+        assert not events(result, "max-ticks-reached")
+        assert events(result, "run-end")[0].tick == self._last_work_tick(result) == 18
+
     def test_flow_that_never_starts_does_not_keep_the_run_going(self, tmp_path):
         scenario = _one_flow_scenario(tmp_path, [(10, 2)])
         topo = (tmp_path / "topo-core.txt").read_text()
