@@ -16,6 +16,7 @@ from . import catalog as catalog_mod
 from . import slices as slices_mod
 from .engine import compare_fabrics, load_scenario, run
 from .errors import SliceSimError
+from .fabric import FabricModel
 from .metrics import render_metrics
 from .trace import iter_trace, render_trace, trace_check
 
@@ -64,11 +65,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    override = None
-    if args.fabric:
-        from .fabric import FabricModel
-        override = FabricModel.parse(args.fabric)
-    result = run(scenario, args.seed, fabric_override=override)
+    result = run(scenario, args.seed, fabric_override=args.fabric)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trace.log").write_text(render_trace(result.trace), encoding="utf-8")
@@ -116,6 +113,14 @@ def cmd_trace_check(args) -> int:
     return 0
 
 
+def _fabric_model(text: str) -> FabricModel:
+    try:
+        return FabricModel.parse(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"unknown fabric model '{text}'") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicesim",
@@ -138,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", required=True)
     run_p.add_argument("--seed", type=int, default=7)
     run_p.add_argument("--out-dir", default=".")
-    run_p.add_argument("--fabric", help="override the fabric model "
+    run_p.add_argument("--fabric", type=_fabric_model,
+                       help="override the fabric model "
                        "(full_mesh, relay[:ROLE], dispatcher, pubsub)")
     run_p.set_defaults(fn=cmd_run)
 

@@ -104,10 +104,20 @@ class Scenario:
 _EVENT_ACTIONS = {"attach", "detach", "move", "traffic-start", "traffic-stop",
                   "idle", "page", "inject-latency", "teardown"}
 
+#: Per action, the at-line options that hold integers, parsed at load.
+_INT_OPTIONS = {"attach": ("method",), "traffic-start": ("rate", "duration")}
+
 
 def load_scenario(path) -> Scenario:
-    """Parse and cross-validate a scenario file; all references must resolve."""
-    path = Path(path)
+    """Parse and cross-validate a scenario file; all references must resolve
+    and every value must parse."""
+    try:
+        return _load_scenario(Path(path))
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
+def _load_scenario(path: Path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         blocks = parse_blocks(fh.read(), {"scenario", "device"}, str(path))
     top = [b for b in blocks if b.kind == "scenario"]
@@ -164,6 +174,7 @@ def load_scenario(path) -> Scenario:
         elif action == "inject-latency":
             if len(positional) != 2:
                 raise ScenarioError(f"{path}: inject-latency <flow> <value>")
+            positional[1] = float(positional[1])
         else:
             if not positional or positional[0] not in device_ids:
                 raise ScenarioError(f"{path}: event for unknown device "
@@ -171,6 +182,9 @@ def load_scenario(path) -> Scenario:
         if action == "move":
             if len(positional) != 2 or positional[1] not in topology.access:
                 raise ScenarioError(f"{path}: move needs a known target node")
+        for key in _INT_OPTIONS.get(action, ()):
+            if key in options:
+                options[key] = int(options[key])
         script.append(ScriptEvent(tick=tick, action=action,
                                   args=tuple(positional), options=options))
 
@@ -556,8 +570,7 @@ class Environment:
                                  {"detail": str(exc)})
             return
         if action == "inject-latency":
-            flow, value = event.args
-            self._inject_latency(flow, float(value))
+            self._inject_latency(*event.args)
             return
 
         device = self.devices[event.args[0]]
@@ -573,7 +586,7 @@ class Environment:
             accesses = tuple(event.options.get("accesses", "").split(",")) \
                 if event.options.get("accesses") else ()
             self.emit(self._attach_drafts(
-                device, method=int(event.options.get("method", 2)),
+                device, method=event.options.get("method", 2),
                 accesses=accesses))
         elif action == "detach":
             if not device.attached:
@@ -644,12 +657,12 @@ class Environment:
         instance = self.slices[device.bound_slice]
         device.flow_counter += 1
         flow = options.get("flow", f"{device.device_id}-f{device.flow_counter}")
+        rate, duration = options.get("rate", 1), options.get("duration", 10)
+        qos = options.get("qos", "default")
         info = self.scenario.topology.access[device.current_node]
-        run = FlowRun(
-            flow_id=flow, device=device.device_id,
-            rate=int(options.get("rate", 1)),
-            remaining_emissions=int(options.get("duration", 10)),
-            qos=options.get("qos", "default"), ingress=info.ingress)
+        run = FlowRun(flow_id=flow, device=device.device_id, rate=rate,
+                      remaining_emissions=duration, qos=qos,
+                      ingress=info.ingress)
         instance.dplane.add_flow(run)
         self._flows_of.setdefault(device.device_id, {})[
             (instance.slice_id, flow)] = run
@@ -657,11 +670,8 @@ class Environment:
         corr = device.next_correlation("session")
         self.emit(self._mode_route(
             device, ProcedureKind.SESSION_ESTABLISH, Role.CM, corr,
-            {"device": device.device_id, "flow": flow,
-             "rate": int(options.get("rate", 1)),
-             "duration": int(options.get("duration", 10)),
-             "qos": options.get("qos", "default"),
-             "node": device.current_node}))
+            {"device": device.device_id, "flow": flow, "rate": rate,
+             "duration": duration, "qos": qos, "node": device.current_node}))
 
     def _mobility_slice(self, device: SimDevice, detail: dict):
         """The device's slice if it deploys mobility management; otherwise

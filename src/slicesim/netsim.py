@@ -40,6 +40,15 @@ class TopologySpec:
 
 
 def load_topology(text: str, source: str = "<topology>") -> TopologySpec:
+    """Parse a topology document; a value that does not parse is a
+    SchemaError."""
+    try:
+        return _load_topology(text, source)
+    except ValueError as exc:
+        raise SchemaError(f"{source}: {exc}") from None
+
+
+def _load_topology(text: str, source: str) -> TopologySpec:
     blocks = parse_blocks(text, {"topology"}, source)
     if len(blocks) != 1 or blocks[0].kind != "topology":
         raise SchemaError(f"{source}: expected exactly one topology block")

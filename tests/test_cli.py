@@ -132,3 +132,49 @@ def test_file_io_names_its_encoding(tmp_path):
                  ["trace-check", "--trace", str(tmp_path / "trace.log")]):
         done = subprocess.run(cli + args, env=env, capture_output=True, text=True)
         assert done.returncode == 0, (args[0], done.stderr)
+
+
+#: Values that do not parse, each as (file, text, replacement) on a copy of
+#: the corpus; every one must fail at load as a domain error.
+UNPARSED_VALUES = {
+    "traffic-rate": ("teardown.scn", "rate=1", "rate=abc"),
+    "attach-method": ("teardown.scn", "dT1 method=2", "dT1 method=two"),
+    "inject-latency": ("teardown.scn", "  at 30 teardown",
+                       "  at 20 inject-latency fT high\n  at 30 teardown"),
+    "event-tick": ("paging.scn", "at 16 page", "at x page"),
+    "max-ticks": ("paging.scn", "max-ticks: 120", "max-ticks: lots"),
+    "device-mode": ("paging.scn", "mode: via_af", "mode: relayed"),
+    "fabric-override": ("paging.scn", "  max-ticks: 120",
+                        "  max-ticks: 120\n  fabric-override: ring"),
+    "topology-node-kind": ("topo-core.txt", "i1 kind=ingress", "i1 kind=entry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSED_VALUES))
+def test_unparsed_value_is_a_domain_error_at_load(case, tmp_path, capsys):
+    from slicesim.engine import load_scenario
+    from slicesim.errors import ScenarioError, SchemaError
+
+    name, old, new = UNPARSED_VALUES[case]
+    for path in scenario_path(".").iterdir():
+        text = path.read_text()
+        if path.name == name:
+            assert old in text
+            text = text.replace(old, new)
+        (tmp_path / path.name).write_text(text)
+    scenario = tmp_path / ("paging.scn" if name == "topo-core.txt" else name)
+    with pytest.raises(SchemaError if name == "topo-core.txt" else ScenarioError):
+        load_scenario(scenario)
+    status = main(["run", "--scenario", str(scenario), "--out-dir",
+                   str(tmp_path / "out")])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_fabric_option_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(scenario_path("paging.scn")),
+              "--out-dir", str(tmp_path), "--fabric", "ring"])
+    assert exc.value.code == 2
+    assert "unknown fabric model 'ring'" in capsys.readouterr().err

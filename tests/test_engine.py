@@ -206,7 +206,7 @@ class TestEventSemantics:
         scenario = load("fixed-nomm")
         device = dataclasses.replace(scenario.devices[0], mode=mode)
         script = (ScriptEvent(tick=1, action="attach", args=("d9",),
-                              options={"method": "2"}),
+                              options={"method": 2}),
                   ScriptEvent(tick=10, action=action, args=args, options={}))
         result = run(dataclasses.replace(scenario, devices=(device,),
                                          script=script), 7)
@@ -218,9 +218,9 @@ class TestEventSemantics:
     def test_attach_while_attaching_is_traced_not_raised(self, gap):
         scenario = load("attach-two-slices")
         script = (ScriptEvent(tick=1, action="attach", args=("d1",),
-                              options={"method": "1"}),
+                              options={"method": 1}),
                   ScriptEvent(tick=1 + gap, action="attach", args=("d1",),
-                              options={"method": "2"}))
+                              options={"method": 2}))
         scenario = dataclasses.replace(scenario, script=script)
         result = run(scenario, 7)
         rejected = errors(result, "IllegalEventError")
@@ -236,9 +236,9 @@ class TestEventSemantics:
         device = dataclasses.replace(scenario.devices[0], allowed=(),
                                      default_slice=None)
         script = (ScriptEvent(tick=1, action="attach", args=("d1",),
-                              options={"method": "1"}),
+                              options={"method": 1}),
                   ScriptEvent(tick=5, action="attach", args=("d1",),
-                              options={"method": "1"}))
+                              options={"method": 1}))
         result = run(dataclasses.replace(scenario, devices=(device,),
                                          script=script), 7)
         assert len(errors(result, "NoEligibleSliceError")) == 2
@@ -620,7 +620,7 @@ class TestStopRule:
         scenario = load_scenario(tmp_path / "one.scn")
         scenario.script += (ScriptEvent(
             11, "traffic-start", ("d1",),
-            {"flow": "fy", "rate": "1", "duration": "2"}),)
+            {"flow": "fy", "rate": 1, "duration": 2}),)
         result = run(scenario, 7)
         assert errors(result, "CapacityError")
         sent = {r.subject: r.detail["sent"] for r in events(result, "flow-summary")}
