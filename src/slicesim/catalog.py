@@ -17,9 +17,12 @@ lexicographic order of each block's sorted sub-function ids.
 
 from __future__ import annotations
 
+import functools
+import importlib.resources
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -234,6 +237,17 @@ def load_catalog(text: str, source: str = "<catalog>") -> SFCatalog:
 def load_catalog_file(path) -> SFCatalog:
     with open(path, encoding="utf-8") as fh:
         return load_catalog(fh.read(), source=str(path))
+
+
+def reference_catalog_path() -> Path:
+    return Path(str(importlib.resources.files("slicesim.data") / "reference.cat"))
+
+
+@functools.cache
+def reference_blocks() -> tuple:
+    """The building blocks grouped from the packaged reference catalog."""
+    catalog = load_catalog_file(reference_catalog_path())
+    return group_into_bbs(catalog, derive_separation_constraints(catalog))
 
 
 # -- step 2: separation constraints -------------------------------------------

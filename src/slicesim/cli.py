@@ -21,13 +21,9 @@ from .metrics import render_metrics
 from .trace import iter_trace, render_trace, trace_check
 
 
-def _reference_catalog_path() -> Path:
-    import importlib.resources
-    return Path(str(importlib.resources.files("slicesim.data") / "reference.cat"))
-
-
 def _load_catalog(arg: str):
-    path = _reference_catalog_path() if arg == "reference" else Path(arg)
+    path = (catalog_mod.reference_catalog_path() if arg == "reference"
+            else Path(arg))
     return catalog_mod.load_catalog_file(path)
 
 

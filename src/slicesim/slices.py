@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 
+from . import catalog
 from .blocks import af, cghf, cm, fm, mm, sam
 from .blocks.cghf import ContextModelRule
 from .blocks.common import (
@@ -150,7 +151,9 @@ def load_blueprint_file(path) -> SliceBlueprint:
 
 
 def validate_blueprint(bp: SliceBlueprint, bb_definitions=()) -> BlueprintVerdict:
-    """Check composition rules; the verdict enumerates every violation."""
+    """Check composition rules; the verdict enumerates every violation.  A
+    sub-function subset must belong to its block in `bb_definitions`, by
+    default the blocks composed from the reference catalog."""
     violations: list = []
     roles = set(bp.bb_set)
     for role in sorted(MANDATORY_BB_ROLES - roles, key=lambda r: r.value):
@@ -162,6 +165,8 @@ def validate_blueprint(bp: SliceBlueprint, bb_definitions=()) -> BlueprintVerdic
         violations.append("mobility policy set but MM absent")
     if Role.MM in roles and bp.mobility_policy is None:
         violations.append("MM present but no mobility policy")
+    if not bb_definitions and any(bp.bb_set.values()):
+        bb_definitions = catalog.reference_blocks()
     by_id = {bb.bb_id: bb for bb in bb_definitions}
     for role in sorted(roles, key=lambda r: r.value):
         subset = bp.bb_set[role]

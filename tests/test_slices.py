@@ -12,15 +12,16 @@ from slicesim.catalog import (
 from slicesim.errors import (
     BlueprintError, InfraCapacityError, LifecycleOrderError, SchemaError,
 )
-from slicesim.engine import load_scenario
+from slicesim.engine import load_scenario, run
 from slicesim.fabric import FabricModel, FabricModelKind
-from slicesim.messages import Role
+from slicesim.messages import ProcedureKind, Role
 from slicesim.netsim import load_topology_file
 from slicesim.slices import (
     LifecycleState, SimInfrastructure, SliceBlueprint, SliceType,
     instantiate, load_blueprint, load_blueprint_file, operate, teardown,
     validate_blueprint,
 )
+from slicesim.trace import EventRecord, MessageRecord
 
 from conftest import implied_link_count, reference_catalog_text, scenario_path
 
@@ -96,6 +97,30 @@ class TestBlueprintFiles:
                      "bp-mob-mbb.bp", "bp-mob-bbm.bp", "bp-cghf.bp"):
             bp = load_blueprint_file(scenario_path(name))
             assert validate_blueprint(bp, reference_bbs).ok, name
+
+    def test_sf_subset_blueprint_loads_and_gates_paging(self, tmp_path, capsys):
+        # without block definitions, subsets are checked against the
+        # reference blocks; an MM without device-paging traces SfInactive
+        for path in scenario_path(".").iterdir():
+            (tmp_path / path.name).write_text(path.read_text())
+        blueprint = tmp_path / "bp-mob-mbb.bp"
+        blueprint.write_text(blueprint.read_text().replace(
+            "  bb MM\n",
+            "  bb MM sfs=device-location-tracking,mobility-assistance\n"))
+        assert cli.main(["validate", "--blueprint", str(blueprint)]) == 0
+        result = run(load_scenario(tmp_path / "paging.scn"), 7)
+        inactive = [r for r in result.trace if isinstance(r, EventRecord)
+                    and r.detail.get("error") == "SfInactive"]
+        assert [(r.subject, r.detail["sf"]) for r in inactive] == \
+            [("d6", "device-paging")]
+        assert not [r for r in result.trace if isinstance(r, MessageRecord)
+                    and r.msg.kind is ProcedureKind.PAGE]
+
+    def test_sf_outside_the_reference_block_rejected(self):
+        bp = make_blueprint()
+        bp.bb_set[Role.SAM] = frozenset({"device-paging"})
+        assert validate_blueprint(bp).violations == (
+            "sf 'device-paging' does not belong to SAM",)
 
     def test_malformed_blueprint_rejected(self):
         with pytest.raises(SchemaError):
