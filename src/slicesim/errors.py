@@ -1,8 +1,10 @@
 """Error taxonomy shared across the framework.
 
 Every domain error derives from SliceSimError.  During a simulation run the
-engine converts raised domain errors into trace events instead of aborting;
-the same classes double as the event names that appear in traces.
+engine converts raised domain errors into trace events named after their
+class instead of aborting.  Conditions that are only traced, never raised
+(for example `NoSubscriberError`, `UnknownDevice` or `SfInactive`), are
+named by string in the trace and have no class here.
 """
 
 
@@ -48,20 +50,7 @@ class UnknownDestinationError(SliceSimError):
     pass
 
 
-class NoSubscriberError(SliceSimError):
-    """Publish on a topic with zero subscribers.  Never raised: flagged on
-    the delivery outcome and traced, since the condition is not fatal."""
-
-
 # -- building blocks -------------------------------------------------------
-
-class PermissionDenied(SliceSimError):
-    pass
-
-
-class UnknownDevice(SliceSimError):
-    pass
-
 
 class NoDPlaneFunctionError(SliceSimError):
     pass
@@ -88,10 +77,6 @@ class NoPathError(SliceSimError):
 
 
 class CapacityError(SliceSimError):
-    pass
-
-
-class AdaptorError(SliceSimError):
     pass
 
 
