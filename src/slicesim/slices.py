@@ -258,12 +258,11 @@ def anchor_latency(topology: TopologySpec, anchors) -> dict:
 
 
 def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
-                topology: TopologySpec, roster: dict | None = None,
-                bb_definitions=()) -> SliceInstance:
+                topology: TopologySpec, roster: dict | None = None) -> SliceInstance:
     """Create fresh block states over a private forwarded plane and wire the
     fabric.  Nothing mutable is shared with any other instance: only the
     read-only `roster` (default: empty)."""
-    verdict = validate_blueprint(bp, bb_definitions)
+    verdict = validate_blueprint(bp)
     if not verdict:
         raise BlueprintError("; ".join(verdict.violations))
     for anchor in bp.anchors:
