@@ -150,10 +150,10 @@ def load_blueprint_file(path) -> SliceBlueprint:
         return load_blueprint(fh.read(), source=str(path))
 
 
-def validate_blueprint(bp: SliceBlueprint, bb_definitions=()) -> BlueprintVerdict:
+def validate_blueprint(bp: SliceBlueprint) -> BlueprintVerdict:
     """Check composition rules; the verdict enumerates every violation.  A
-    sub-function subset must belong to its block in `bb_definitions`, by
-    default the blocks composed from the reference catalog."""
+    sub-function subset must belong to its block as composed from the
+    reference catalog."""
     violations: list = []
     roles = set(bp.bb_set)
     for role in sorted(MANDATORY_BB_ROLES - roles, key=lambda r: r.value):
@@ -165,9 +165,8 @@ def validate_blueprint(bp: SliceBlueprint, bb_definitions=()) -> BlueprintVerdic
         violations.append("mobility policy set but MM absent")
     if Role.MM in roles and bp.mobility_policy is None:
         violations.append("MM present but no mobility policy")
-    if not bb_definitions and any(bp.bb_set.values()):
-        bb_definitions = catalog.reference_blocks()
-    by_id = {bb.bb_id: bb for bb in bb_definitions}
+    by_id = ({bb.bb_id: bb for bb in catalog.reference_blocks()}
+             if any(bp.bb_set.values()) else {})
     for role in sorted(roles, key=lambda r: r.value):
         subset = bp.bb_set[role]
         if not subset:

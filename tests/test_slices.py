@@ -6,9 +6,6 @@ import pytest
 
 from slicesim.blocks.common import HandoverStyle, MobilityPolicy
 from slicesim import cli
-from slicesim.catalog import (
-    derive_separation_constraints, group_into_bbs, load_catalog,
-)
 from slicesim.errors import (
     BlueprintError, InfraCapacityError, LifecycleOrderError, SchemaError,
 )
@@ -23,7 +20,7 @@ from slicesim.slices import (
 )
 from slicesim.trace import EventRecord, MessageRecord
 
-from conftest import implied_link_count, reference_catalog_text, scenario_path
+from conftest import implied_link_count, scenario_path
 
 
 def make_blueprint(roles=(Role.AF, Role.CM, Role.SAM, Role.FM),
@@ -40,12 +37,6 @@ def make_blueprint(roles=(Role.AF, Role.CM, Role.SAM, Role.FM),
 @pytest.fixture(scope="module")
 def topology():
     return load_topology_file(scenario_path("topo-core.txt"))
-
-
-@pytest.fixture(scope="module")
-def reference_bbs():
-    cat = load_catalog(reference_catalog_text())
-    return group_into_bbs(cat, derive_separation_constraints(cat))
 
 
 class TestValidateBlueprint:
@@ -79,24 +70,24 @@ class TestValidateBlueprint:
                 verdict = validate_blueprint(bp)
                 assert verdict.ok == (mandatory <= set(subset)), subset
 
-    def test_sf_subset_must_belong_to_the_block(self, reference_bbs):
+    def test_sf_subset_must_belong_to_the_block(self):
         bp = make_blueprint()
         bp.bb_set[Role.SAM] = frozenset({"device-paging"})   # an MM sub-function
-        verdict = validate_blueprint(bp, reference_bbs)
-        assert any("does not belong to SAM" in v for v in verdict.violations)
+        assert validate_blueprint(bp).violations == (
+            "sf 'device-paging' does not belong to SAM",)
 
-    def test_valid_sf_subset_accepted(self, reference_bbs):
+    def test_valid_sf_subset_accepted(self):
         bp = make_blueprint()
         bp.bb_set[Role.SAM] = frozenset({"authentication", "identity-management"})
-        assert validate_blueprint(bp, reference_bbs).ok
+        assert validate_blueprint(bp).ok
 
 
 class TestBlueprintFiles:
-    def test_corpus_blueprints_load_and_validate(self, reference_bbs):
+    def test_corpus_blueprints_load_and_validate(self):
         for name in ("bp-embb.bp", "bp-miot.bp", "bp-default.bp", "bp-fixed.bp",
                      "bp-mob-mbb.bp", "bp-mob-bbm.bp", "bp-cghf.bp"):
             bp = load_blueprint_file(scenario_path(name))
-            assert validate_blueprint(bp, reference_bbs).ok, name
+            assert validate_blueprint(bp).ok, name
 
     def test_sf_subset_blueprint_loads_and_gates_paging(self, tmp_path, capsys):
         # without block definitions, subsets are checked against the
@@ -115,12 +106,6 @@ class TestBlueprintFiles:
             [("d6", "device-paging")]
         assert not [r for r in result.trace if isinstance(r, MessageRecord)
                     and r.msg.kind is ProcedureKind.PAGE]
-
-    def test_sf_outside_the_reference_block_rejected(self):
-        bp = make_blueprint()
-        bp.bb_set[Role.SAM] = frozenset({"device-paging"})
-        assert validate_blueprint(bp).violations == (
-            "sf 'device-paging' does not belong to SAM",)
 
     def test_malformed_blueprint_rejected(self):
         with pytest.raises(SchemaError):
