@@ -568,6 +568,10 @@ class Environment:
             except SliceSimError as exc:
                 self.trace_error(type(exc).__name__, event.args[0],
                                  {"detail": str(exc)})
+                return
+            # no message reaches its blocks again: their hooks leave for good
+            self._due = {key: entry for key, entry in self._due.items()
+                         if entry[0] is not instance or entry[1] is None}
             return
         if action == "inject-latency":
             self._inject_latency(*event.args)
@@ -728,16 +732,14 @@ class Environment:
 
     def _run_due(self) -> None:
         """The due blocks' tick hooks, then the due planes, by slice and
-        role; what is then without work, or a block of a torn down slice,
-        leaves."""
+        role; what is then without work leaves."""
         for key in sorted(self._due):
             instance, role, state, ctx = self._due[key]
             if role is None:
                 self._step_plane(instance)
                 continue
             # an FM that only awaits acknowledgements has nothing to retire
-            if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN \
-                    or role is Role.FM and not state.retiring:
+            if role is Role.FM and not state.retiring:
                 continue
             object.__setattr__(ctx, "tick", self.tick)
             _, drafts, events = _TICK_HOOKS[role](state, ctx)
@@ -745,9 +747,7 @@ class Environment:
             self.emit(drafts)
         self._due = {key: entry for key, entry in self._due.items()
                      if (entry[2].due() if entry[1] is None
-                         else _HAS_WORK[entry[1]](entry[2], None)
-                         and entry[0].lifecycle_state
-                         is not slices_mod.LifecycleState.TORN_DOWN)}
+                         else _HAS_WORK[entry[1]](entry[2], None))}
 
     def _step_plane(self, instance) -> None:
         sid = instance.slice_id
