@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
-"""Per-record run cost as slices and as devices grow.
+"""Per-record run cost as slices, devices and flow rates grow.
 
-Runs two sweeps of generated benchmark scenarios (perfbench/gen.py) through
-`engine.run` and reports the best time over the repeats, divided by the
-number of trace records.  Each time is scaled to reference speed the way
-the benchmark scales it (perfbench/run.py REFERENCE_S over a reading of
+Runs three sweeps of generated benchmark scenarios (perfbench/gen.py)
+through `engine.run` and reports, per point, the median time over the
+repeats and its interquartile range, and the median divided by the number
+of trace records.  Each time is scaled to reference speed the way the
+benchmark scales it (perfbench/run.py REFERENCE_S over a reading of
 perfbench/pipeline.py `reference_s` taken just before the run):
 
 - slices 2 / 12 / 48 / 96 at 240 slice-fanout devices
 - attach-storm at 400 / 1000 / 2000 / 4000 devices, attach window =
   devices / 10
+- flow-steady at flow rate 1 / 4 / 16 units per tick
 
-Flat cost means equal microseconds per record along a sweep.  The repeats
-go round each sweep, so a swing in machine speed that the scaling misses
-hits all its points alike.
-The figures
-and the machine, Python version, git revision and `src/` line count are
-written to BENCH_scale_<label>.json at the repo root.  Not part of the test
-suite; the largest run holds about 180k records in memory.
+Flat cost means equal microseconds per record along a sweep; a ratio
+divides the medians of a sweep's last and first points.  The repeats go
+round each sweep, so a swing in machine speed that the scaling misses hits
+all its points alike.  The figures and the machine, Python version, git
+revision and `src/` line count are written to BENCH_scale_<label>.json at
+the repo root.  Not part of the test suite; the largest run holds about
+180k records in memory.
 
 Usage: PYTHONPATH=src python3 scripts/scale.py --label NAME [--repeats N]
 """
@@ -28,6 +30,7 @@ import gc
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -46,6 +49,7 @@ SEED = 1
 SLICES = (2, 12, 48, 96)
 SLICE_DEVICES = 240
 DEVICES = (400, 1000, 2000, 4000)
+FLOW_RATES = (1, 4, 16)
 
 
 def _scenario(workload: str, params):
@@ -56,8 +60,8 @@ def _scenario(workload: str, params):
 
 def _measure(points: list, repeats: int) -> None:
     """Time `engine.run` on every point's scenario, in `repeats` rounds over
-    all points; keep each point's best time."""
-    best: dict = {}
+    all points; keep each point's median time and interquartile range."""
+    times: dict = {i: ([], []) for i in range(len(points))}
     for _ in range(repeats):
         for i, (row, scenario) in enumerate(points):
             gc.collect()
@@ -67,11 +71,15 @@ def _measure(points: list, repeats: int) -> None:
             elapsed = perf_counter() - t0
             row["records"] = len(result.trace)
             del result
-            best[i] = min(best.get(i, (elapsed * scale, elapsed)),
-                          (elapsed * scale, elapsed))
+            times[i][0].append(elapsed * scale)
+            times[i][1].append(elapsed)
     for i, (row, _) in enumerate(points):
-        row["scaled_s"], row["raw_s"] = (round(t, 4) for t in best[i])
-        row["us_per_record"] = round(best[i][0] / row["records"] * 1e6, 2)
+        scaled, raw = times[i]
+        q1, _, q3 = statistics.quantiles(scaled, n=4)
+        row["scaled_s"] = round(statistics.median(scaled), 4)
+        row["scaled_iqr_s"] = [round(q1, 4), round(q3, 4)]
+        row["raw_s"] = round(statistics.median(raw), 4)
+        row["us_per_record"] = round(row["scaled_s"] / row["records"] * 1e6, 2)
 
 
 def _git_rev() -> str:
@@ -93,33 +101,42 @@ def _src_lines() -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2 for an interquartile range")
 
     fanout = gen.WORKLOADS["slice-fanout"]
     storm = gen.WORKLOADS["attach-storm"]
+    steady = gen.WORKLOADS["flow-steady"]
     by_slices = [({"slices": n, "devices": SLICE_DEVICES}, _scenario(
         "slice-fanout", dataclasses.replace(fanout, devices=SLICE_DEVICES, slices=n)))
         for n in SLICES]
     by_devices = [({"devices": n, "attach_window": n // 10}, _scenario(
         "attach-storm", dataclasses.replace(storm, devices=n, attach_window=n // 10)))
         for n in DEVICES]
-    _measure(by_slices, args.repeats)
-    _measure(by_devices, args.repeats)
-    by_slices = [row for row, _ in by_slices]
-    by_devices = [row for row, _ in by_devices]
-    for row in by_slices + by_devices:
-        print(f"slices={row['slices']:<4}" if "slices" in row
-              else f"devices={row['devices']:<5}",
-              f"{row['us_per_record']:8.2f} us/record ({row['records']} records)")
+    by_rate = [({"flow_rate": n}, _scenario(
+        "flow-steady", dataclasses.replace(steady, flow_rate=n)))
+        for n in FLOW_RATES]
+    sweeps = {"by_slices": by_slices, "by_devices": by_devices,
+              "by_flow_rate": by_rate}
+    for points in sweeps.values():
+        _measure(points, args.repeats)
+    sweeps = {name: [row for row, _ in points] for name, points in sweeps.items()}
+    for rows in sweeps.values():
+        for row in rows:
+            knob, value = next(iter(row.items()))
+            print(f"{knob}={value:<5}", f"{row['us_per_record']:8.2f} us/record",
+                  f"(IQR {row['scaled_iqr_s'][0]:.4f}-{row['scaled_iqr_s'][1]:.4f} s"
+                  f" of {row['scaled_s']:.4f} s, {row['records']} records)")
 
-    ratios = {
-        "slices_96_over_2": round(by_slices[-1]["us_per_record"]
-                                  / by_slices[0]["us_per_record"], 3),
-        "devices_4000_over_400": round(by_devices[-1]["us_per_record"]
-                                       / by_devices[0]["us_per_record"], 3),
-    }
-    print(f"ratios: {ratios} (target: each within 1.3)")
+    def ratio(rows):
+        return round(rows[-1]["us_per_record"] / rows[0]["us_per_record"], 3)
+
+    ratios = {"slices_96_over_2": ratio(sweeps["by_slices"]),
+              "devices_4000_over_400": ratio(sweeps["by_devices"]),
+              "flow_rate_16_over_1": ratio(sweeps["by_flow_rate"])}
+    print(f"ratios: {ratios} (target: slices and devices each within 1.3)")
     report = {
         "label": args.label,
         "machine": {"platform": platform.platform(),
@@ -127,8 +144,9 @@ def main() -> int:
         "python": platform.python_version(),
         "git_rev": _git_rev(),
         "src_lines": _src_lines(),
-        "seed": SEED, "repeats": args.repeats, "timer": "best reference-scaled engine.run",
-        "by_slices": by_slices, "by_devices": by_devices, "ratios": ratios,
+        "seed": SEED, "repeats": args.repeats,
+        "timer": "median reference-scaled engine.run, with its IQR",
+        **sweeps, "ratios": ratios,
     }
     out = ROOT / f"BENCH_scale_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

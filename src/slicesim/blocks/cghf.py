@@ -49,28 +49,36 @@ class CGHFState:
     assertion_counter: int = 0
 
     def __post_init__(self) -> None:
-        # keys sampled since the last generation; not a field, not digested
+        # Not fields, not digested: the keys sampled since the last
+        # generation, and per metric its buffer window (the widest of its
+        # models') and its models.
         self._fresh: set = set()
-
-
-def _window_ticks(state: CGHFState, metric: str) -> int:
-    windows = [m.window for m in state.models if m.metric == metric]
-    return max(windows) if windows else DEFAULT_WINDOW
+        self._by_metric: dict = {}
+        for model in self.models:
+            window, models = self._by_metric.get(model.metric,
+                                                 (model.window, ()))
+            self._by_metric[model.metric] = (max(window, model.window),
+                                             models + (model,))
 
 
 def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
                 source: str, tick: int, external: bool = False) -> CGHFState:
-    """Append a sample to the windowed buffer, evicting expired samples."""
+    """Append a sample to the windowed buffer and drop the samples that
+    left the window.  Samples arrive in tick order, so only the front of a
+    key's list can expire."""
     key = (metric, subject)
-    window = _window_ticks(state, metric)
+    window, models = state._by_metric.get(metric, (DEFAULT_WINDOW, ()))
     state._fresh.add(key)
     samples = state.buffer.setdefault(key, [])
     samples.append(Sample(tick=tick, value=value, source=source,
                           external=external))
-    state.buffer[key] = [s for s in samples if s.tick > tick - window]
-    for model in state.models:
-        if model.metric != metric:
-            continue
+    expired = 0
+    for sample in samples:
+        if sample.tick > tick - window:
+            break
+        expired += 1
+    del samples[:expired]
+    for model in models:
         bkey = (model.topic, subject)
         if bkey in state.baselines:
             continue

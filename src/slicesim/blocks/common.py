@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 from ..messages import Endpoint, Role
@@ -79,7 +80,8 @@ class BlockEvent:
 class BlockContext:
     """What a handler may read besides its own state: wiring, policy and the
     static access/topology directories of its slice.  Built once per block;
-    handlers cannot write to it, and the engine moves `tick` before a call."""
+    handlers cannot write to it, and the engine moves `tick` before a call.
+    Its own endpoint and each peer's are built on first use and shared."""
 
     slice_id: str
     self_id: str
@@ -94,15 +96,19 @@ class BlockContext:
     global_cm: str | None = None
     slice_directory: Mapping = field(default_factory=dict)  # slice id -> local CM id
 
-    @property
+    @cached_property
     def self_endpoint(self) -> Endpoint:
         return Endpoint(self.role, self.self_id)
+
+    @cached_property
+    def _peer_endpoints(self) -> dict:
+        return {role: Endpoint(role, ident) for role, ident in self.peers.items()}
 
     def has(self, role: Role) -> bool:
         return role in self.peers
 
     def peer_endpoint(self, role: Role) -> Endpoint:
-        return Endpoint(role, self.peers[role])
+        return self._peer_endpoints[role]
 
     def nodes_in_area(self, area: str) -> tuple:
         return tuple(sorted(

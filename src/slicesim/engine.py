@@ -185,6 +185,9 @@ def _load_scenario(path: Path) -> Scenario:
         for key in _INT_OPTIONS.get(action, ()):
             if key in options:
                 options[key] = int(options[key])
+                if action == "traffic-start" and options[key] < 0:
+                    raise ScenarioError(f"{path}: traffic-start {key} must "
+                                        f"be >= 0")
         script.append(ScriptEvent(tick=tick, action=action,
                                   args=tuple(positional), options=options))
 
@@ -279,6 +282,11 @@ class Environment:
             (inst, sid, inst.peers, inst.states, inst.blueprint.policy,
              inst.blueprint.anchors) for sid, inst in self.slices.items()]
         self._route: dict = {}
+        # slice id -> (probe, FM) endpoints of its plane's telemetry
+        self._telemetry = {
+            sid: (Endpoint(Role.D_PLANE, f"{sid}:probe"),
+                  Endpoint(Role.FM, inst.peers[Role.FM]))
+            for sid, inst in self.slices.items()}
         for instance, sid, peers, states, policy, anchors in scopes:
             for role, ident in peers.items():
                 self._route[ident] = (instance, role, states[role], BlockContext(
@@ -709,9 +717,7 @@ class Environment:
             instance = self.slices[slice_id]
             if flow in instance.dplane.flows:
                 self.emit([draft(
-                    ProcedureKind.FLOW_NOTIFY,
-                    Endpoint(Role.D_PLANE, f"{slice_id}:probe"),
-                    Endpoint(Role.FM, instance.peers[Role.FM]),
+                    ProcedureKind.FLOW_NOTIFY, *self._telemetry[slice_id],
                     f"{slice_id}:telemetry:{self.tick}",
                     {"phase": "latency", "flow": flow, "values": [value]})])
                 return
@@ -762,8 +768,7 @@ class Environment:
                     for link, load in loads]
         payloads += [{"phase": "latency", "flow": flow, "values": by_flow[flow]}
                      for flow in sorted(by_flow)]
-        probe = Endpoint(Role.D_PLANE, f"{sid}:probe")
-        fm = Endpoint(Role.FM, instance.peers[Role.FM])
+        probe, fm = self._telemetry[sid]
         corr = f"{sid}:telemetry:{self.tick}"
         self.emit([draft(ProcedureKind.FLOW_NOTIFY, probe, fm, corr, payload)
                    for payload in payloads])
@@ -814,7 +819,7 @@ class Environment:
                 self.trace_event("flow-summary", flow_id, {
                     "slice": slice_id, "sent": run.sent,
                     "delivered": run.delivered, "lost": run.lost,
-                    "in_flight": len(run.in_flight)})
+                    "in_flight": run.units_in_flight})
         for slice_id in sorted(digests):
             self.trace_event("slice-digest", slice_id,
                              {"digest": digests[slice_id]})
@@ -824,7 +829,7 @@ class Environment:
         # within a tick the priority classes reorder processing.  Records
         # minted during tick t always outnumber anything delivered at t, so
         # (tick, seq) is a causally consistent total order.
-        self.trace.sort(key=lambda r: (r.tick, r.seq))
+        self.trace.sort(key=attrgetter("tick", "seq"))
         metrics = compute_metrics(self.trace)
         return RunResult(trace=self.trace, metrics=metrics, digests=digests)
 
@@ -918,7 +923,8 @@ def _normalizer_for(cls):
     if issubclass(cls, (set, frozenset)):
         return lambda v: sorted(map(str, v))
     if issubclass(cls, (list, tuple)):
-        return lambda v: [_normalize(x) for x in v]
+        return lambda v: [x if type(x) in _SCALARS else _normalize(x)
+                          for x in v]
     if issubclass(cls, (str, int, float, bool)):
         return lambda v: v
     return str

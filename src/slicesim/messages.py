@@ -206,8 +206,8 @@ def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
             interface = InterfacePoint.INTER_BB
         else:
             interface = route_interface_for(source.role, destination.role)
-    unknown = set(payload or ()) - PAYLOAD_SCHEMAS[kind]
-    if unknown:
+    if payload and not PAYLOAD_SCHEMAS[kind].issuperset(payload):
+        unknown = set(payload) - PAYLOAD_SCHEMAS[kind]
         raise ValueError(f"fields {sorted(unknown)} not in {kind.value} schema")
     return SignalMessage(kind, source, destination, interface, correlation_id,
                          dict(payload or {}))

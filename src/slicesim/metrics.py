@@ -33,18 +33,21 @@ class MetricsReport:
 def compute_metrics(records) -> MetricsReport:
     report = MetricsReport()
     spans: dict = {}
+    families: dict = {}     # correlation id -> family
     for rec in records:
         if isinstance(rec, MessageRecord):
-            family = _family(rec.msg.correlation_id)
+            corr = rec.msg.correlation_id
+            family = families.get(corr)
+            if family is None:
+                family = families[corr] = _family(corr)
             key = (family, rec.msg.interface.value)
             report.message_counts[key] = report.message_counts.get(key, 0) + 1
             if rec.msg.interface in WBI_MEMBERS:
                 # west-bound composite: I1/I2/I3 folded for reporting
                 wbi = (family, "WBI")
                 report.message_counts[wbi] = report.message_counts.get(wbi, 0) + 1
-            first, last = spans.get(rec.msg.correlation_id, (rec.tick, rec.tick))
-            spans[rec.msg.correlation_id] = (min(first, rec.tick),
-                                             max(last, rec.tick))
+            first, last = spans.get(corr, (rec.tick, rec.tick))
+            spans[corr] = (min(first, rec.tick), max(last, rec.tick))
             if rec.recipients:
                 report.fabric_hops_total += rec.hop_count
                 scope = rec.recipients[0].split(".")[1] if "." in rec.recipients[0] else "?"
@@ -60,7 +63,7 @@ def compute_metrics(records) -> MetricsReport:
             elif rec.kind == "slice-digest":
                 report.digests[rec.subject] = rec.detail.get("digest", "")
     for corr, (first, last) in spans.items():
-        family = _family(corr)
+        family = families[corr]
         report.procedure_runs[family] = report.procedure_runs.get(family, 0) + 1
         report.procedure_ticks[family] = \
             report.procedure_ticks.get(family, 0) + (last - first)

@@ -4,9 +4,11 @@ a forwarded-plane executor that installs rules and carries flows.
 Traffic is discrete units per tick, integer-exact.  A unit snapshots its
 path when it leaves the ingress and follows that snapshot; at every node it
 needs a matching rule to continue, so tearing rules down mid-flight loses
-the unit.  A flow only starts emitting once its ingress rule first appears;
-after that, ticks without an ingress rule emit and lose units, which is what
-makes break-before-make handovers lossy and make-before-break lossless.
+the unit.  The units a flow emits in one tick share their snapshot and every
+rule check on the way, so they travel as one batch.  A flow only starts
+emitting once its ingress rule first appears; after that, ticks without an
+ingress rule emit and lose units, which is what makes break-before-make
+handovers lossy and make-before-break lossless.
 """
 
 from __future__ import annotations
@@ -108,12 +110,15 @@ def build_view(spec: TopologySpec) -> TopologyView:
 
 @dataclass
 class UnitState:
+    """The `count` units one flow emitted in one tick, moving together."""
+
     flow: str
     path: tuple
     complete: bool      # snapshot reached a deliver rule when taken
-    hop: int            # index of the node the unit last departed
+    hop: int            # index of the node the units last departed
     remaining: int      # ticks left on the current link
     sent_tick: int
+    count: int = 1
 
 
 @dataclass
@@ -130,7 +135,12 @@ class FlowRun:
     delivered: int = 0
     lost: int = 0
     latencies: list = field(default_factory=list)   # (arrival tick, latency)
-    in_flight: list = field(default_factory=list)
+    in_flight: list = field(default_factory=list)   # UnitState batches
+
+    @property
+    def units_in_flight(self) -> int:
+        """Units sent and neither delivered nor lost yet."""
+        return sum(unit.count for unit in self.in_flight)
 
 
 @dataclass
@@ -191,14 +201,17 @@ class DPlane:
 
     def step(self, tick: int) -> tuple:
         """Advance one tick: move in-flight units, then emit new ones.
-        Returns (load samples, latency samples, per-flow delivered/lost)."""
+        Returns (load samples, latency samples, per-flow delivered/lost);
+        a latency sample is one unit's."""
         delivered_now: dict = {}
         lost_now: dict = {}
         latency_samples: list = []
+        rules = self.rules
 
         live = sorted(self._live.items())
         for flow_id, run in live:
             survivors = []
+            delivered = lost = 0
             for unit in run.in_flight:
                 unit.remaining -= 1
                 if unit.remaining > 0:
@@ -206,32 +219,34 @@ class DPlane:
                     continue
                 unit.hop += 1
                 node = unit.path[unit.hop]
-                last = unit.hop == len(unit.path) - 1
-                rule = self.rules.get(node, {}).get(flow_id)
-                if last:
+                rule = rules.get(node, {}).get(flow_id)
+                if unit.hop == len(unit.path) - 1:
                     if unit.complete and rule == "deliver":
-                        run.delivered += 1
-                        delivered_now[flow_id] = delivered_now.get(flow_id, 0) + 1
+                        delivered += unit.count
                         latency = tick - unit.sent_tick
-                        run.latencies.append((tick, latency))
-                        latency_samples.append((flow_id, latency))
+                        run.latencies += [(tick, latency)] * unit.count
+                        latency_samples += [(flow_id, latency)] * unit.count
                     else:
-                        run.lost += 1
-                        lost_now[flow_id] = lost_now.get(flow_id, 0) + 1
+                        lost += unit.count
                     continue
                 expected = unit.path[unit.hop + 1]
                 if rule != expected:
-                    run.lost += 1
-                    lost_now[flow_id] = lost_now.get(flow_id, 0) + 1
+                    lost += unit.count
                     continue
                 unit.remaining = self.latency(node, expected)
                 survivors.append(unit)
             run.in_flight = survivors
+            if delivered:
+                run.delivered += delivered
+                delivered_now[flow_id] = delivered
+            if lost:
+                run.lost += lost
+                lost_now[flow_id] = lost
 
         for flow_id, run in live:
             if not run.active or run.remaining_emissions <= 0:
                 continue
-            has_rule = self.rules.get(run.ingress, {}).get(flow_id) is not None
+            has_rule = rules.get(run.ingress, {}).get(flow_id) is not None
             if not run.started:
                 if not has_rule:
                     continue    # flow waits for its first path
@@ -242,21 +257,22 @@ class DPlane:
                 run.lost += run.rate
                 lost_now[flow_id] = lost_now.get(flow_id, 0) + run.rate
                 continue
+            if not run.rate:
+                continue
             path, complete = self._snapshot(run.ingress, flow_id)
-            for _ in range(run.rate):
-                if len(path) == 1:
-                    if complete:
-                        run.delivered += 1
-                        delivered_now[flow_id] = delivered_now.get(flow_id, 0) + 1
-                        run.latencies.append((tick, 0))
-                        latency_samples.append((flow_id, 0))
-                    else:
-                        run.lost += 1
-                        lost_now[flow_id] = lost_now.get(flow_id, 0) + 1
-                    continue
+            if len(path) > 1:
                 run.in_flight.append(UnitState(
                     flow=flow_id, path=path, complete=complete, hop=0,
-                    remaining=self.latency(path[0], path[1]), sent_tick=tick))
+                    remaining=self.latency(path[0], path[1]), sent_tick=tick,
+                    count=run.rate))
+            elif complete:
+                run.delivered += run.rate
+                delivered_now[flow_id] = delivered_now.get(flow_id, 0) + run.rate
+                run.latencies += [(tick, 0)] * run.rate
+                latency_samples += [(flow_id, 0)] * run.rate
+            else:
+                run.lost += run.rate
+                lost_now[flow_id] = lost_now.get(flow_id, 0) + run.rate
 
         self._live = {flow_id: run for flow_id, run in live if run.in_flight
                       or run.active and run.remaining_emissions > 0}
@@ -268,7 +284,7 @@ class DPlane:
         for run in self._live.values():
             for unit in run.in_flight:
                 key = link_key(unit.path[unit.hop], unit.path[unit.hop + 1])
-                counts[key] = counts.get(key, 0) + 1
+                counts[key] = counts.get(key, 0) + unit.count
         samples = []
         loaded = set(counts)
         for key in sorted(loaded | self._last_loaded):

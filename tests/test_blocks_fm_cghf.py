@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicesim.blocks.cghf import (
-    CGHFState, ContextModelRule, cghf_generate, cghf_ingest,
+    DEFAULT_WINDOW, CGHFState, ContextModelRule, Sample, cghf_generate,
+    cghf_ingest,
 )
 from slicesim.blocks.common import (
     AccessNodeInfo, BlockContext, PathStrategy, SlicePolicy, Tech,
@@ -425,3 +426,58 @@ def test_generation_over_fresh_keys_matches_every_key(steps, window,
         else:
             for state in (fresh, every):
                 cghf_ingest(state, *step, source="dplane", tick=tick)
+
+
+def ingest_by_rescan(oracle: dict, models, metric, subject, value, tick):
+    """Buffer a sample by filtering the whole list against the widest
+    window of the metric's models, rescanned per sample, then feed every
+    model's warm-up: the rule `cghf_ingest` trims in place."""
+    windows = [m.window for m in models if m.metric == metric]
+    window = max(windows) if windows else DEFAULT_WINDOW
+    buffer = oracle["buffer"]
+    samples = buffer.setdefault((metric, subject), [])
+    samples.append(Sample(tick=tick, value=value, source="dplane"))
+    buffer[(metric, subject)] = [s for s in samples if s.tick > tick - window]
+    for model in models:
+        if model.metric != metric:
+            continue
+        bkey = (model.topic, subject)
+        if bkey in oracle["baselines"]:
+            continue
+        pending = oracle["warmup"].setdefault(bkey, [])
+        pending.append(value)
+        if len(pending) >= model.window:
+            oracle["baselines"][bkey] = sum(pending[:model.window]) / model.window
+            del oracle["warmup"][bkey]
+
+
+_INGESTS = st.lists(st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(("flow-latency", "flow-loss", "link-load")),
+    st.sampled_from(("f1", "f2")),
+    st.sampled_from((1.0, 2.0, 10.0, 40.0))), max_size=80)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_INGESTS, st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=6))
+def test_in_place_trim_matches_filter_and_rescan(ingests, short, long):
+    """Ingests in tick order, with two models of different windows on one
+    metric and a metric no model watches, leave the buffer, warm-ups and
+    baselines that filtering every list and rescanning the models leave."""
+    models = (ContextModelRule(topic="latency-short", metric="flow-latency",
+                               statement="s", window=short),
+              ContextModelRule(topic="latency-long", metric="flow-latency",
+                               statement="l", window=long),
+              ContextModelRule(topic="loss", metric="flow-loss",
+                               statement="x", window=2))
+    state = CGHFState(models=models)
+    oracle: dict = {"buffer": {}, "warmup": {}, "baselines": {}}
+    tick = 0
+    for advance, metric, subject, value in ingests:
+        tick += advance
+        cghf_ingest(state, metric, subject, value, "dplane", tick)
+        ingest_by_rescan(oracle, models, metric, subject, value, tick)
+        assert state.buffer == oracle["buffer"]
+        assert state.warmup == oracle["warmup"]
+        assert state.baselines == oracle["baselines"]

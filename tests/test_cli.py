@@ -150,12 +150,21 @@ UNPARSED_VALUES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(UNPARSED_VALUES))
-def test_unparsed_value_is_a_domain_error_at_load(case, tmp_path, capsys):
+#: Values that parse but lie outside their range, in the same form: a flow
+#: sends `rate` units on each of `duration` ticks, so neither may be negative.
+OUT_OF_RANGE_VALUES = {
+    "traffic-rate-negative": ("handover-mbb.scn", "rate=1 duration=40",
+                              "rate=-3 duration=5"),
+    "traffic-duration-negative": ("handover-mbb.scn", "rate=1 duration=40",
+                                  "rate=1 duration=-5"),
+}
+
+
+def _assert_refused_at_load(edit, tmp_path, capsys):
     from slicesim.engine import load_scenario
     from slicesim.errors import ScenarioError, SchemaError
 
-    name, old, new = UNPARSED_VALUES[case]
+    name, old, new = edit
     for path in scenario_path(".").iterdir():
         text = path.read_text()
         if path.name == name:
@@ -170,6 +179,16 @@ def test_unparsed_value_is_a_domain_error_at_load(case, tmp_path, capsys):
     assert status == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSED_VALUES))
+def test_unparsed_value_is_a_domain_error_at_load(case, tmp_path, capsys):
+    _assert_refused_at_load(UNPARSED_VALUES[case], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_VALUES))
+def test_out_of_range_value_is_a_domain_error_at_load(case, tmp_path, capsys):
+    _assert_refused_at_load(OUT_OF_RANGE_VALUES[case], tmp_path, capsys)
 
 
 def test_unknown_fabric_option_is_a_usage_error(tmp_path, capsys):

@@ -335,6 +335,27 @@ class TestHandoverContinuity:
             assert summary["sent"] == (summary["delivered"] + summary["lost"]
                                        + summary["in_flight"])
 
+    def test_run_cut_with_batches_in_flight(self):
+        """A run that `max-ticks` ends with several units of each emission
+        still in flight counts them in its summary, digests them alike under
+        every fabric and replays byte for byte."""
+        base = load("handover-mbb")
+        scenario = dataclasses.replace(base, max_ticks=30, script=tuple(
+            dataclasses.replace(e, options={**e.options, "rate": 3})
+            if e.action == "traffic-start" else e for e in base.script))
+        env = Environment(scenario, 7)
+        result = env.run()
+        assert events(result, "max-ticks-reached")
+        flow = env.slices["mob-a"].dplane.flows["f5"]
+        assert len(flow.in_flight) < flow.units_in_flight
+        summary = result.metrics.flows["f5"]
+        assert summary["in_flight"] == flow.units_in_flight
+        assert summary["sent"] == (summary["delivered"] + summary["lost"]
+                                   + summary["in_flight"])
+        compare_fabrics(scenario, 7)    # raises if a digest differs
+        assert render_trace(run(scenario, 7).trace) == \
+            render_trace(result.trace)
+
 
 def _hook_blocks(env):
     """(ident, instance, role, state) of every block with a tick hook in a
@@ -712,6 +733,25 @@ class TestBuiltOnce:
         assert {id(ctx) for ctx in passed} <= {id(ctx) for ctx in built}
         assert len(passed) > len(built)
         assert messages(result) and events(result, "context")
+
+    def test_endpoints_are_built_once(self):
+        env = Environment(load("cghf-reselect"), 7)
+        built = {ident: (ctx.self_endpoint,
+                         {role: ctx.peer_endpoint(role) for role in ctx.peers})
+                 for ident, (_, _, _, ctx) in env._route.items()}
+        result = env.run()
+        for ident, (_, _, _, ctx) in env._route.items():
+            own, peers = built[ident]
+            assert ctx.self_endpoint is own
+            assert all(ctx.peer_endpoint(role) is endpoint
+                       for role, endpoint in peers.items())
+        # each slice's telemetry leaves one probe endpoint for one FM endpoint
+        telemetry = messages(result, ProcedureKind.FLOW_NOTIFY, lambda r:
+                             r.msg.source.ident.endswith(":probe"))
+        assert telemetry
+        for rec in telemetry:
+            probe, fm = env._telemetry[rec.msg.source.ident.split(":")[0]]
+            assert rec.msg.source is probe and rec.msg.destination is fm
 
     def test_handler_cannot_write_to_its_context(self, monkeypatch):
         handle = engine._HANDLERS[Role.CM]

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicesim.errors import SchemaError
-from slicesim.netsim import DPlane, FlowRun, NodeKind, load_topology
+from slicesim.netsim import (
+    DPlane, FlowRun, NodeKind, UnitState, load_topology,
+)
 
 
 def anchor_nodes(spec) -> tuple:
@@ -17,7 +19,7 @@ def anchor_nodes(spec) -> tuple:
 
 def conserved(run: FlowRun) -> bool:
     """Every unit a flow sent is delivered, lost or still in flight."""
-    return run.sent == run.delivered + run.lost + len(run.in_flight)
+    return run.sent == run.delivered + run.lost + run.units_in_flight
 
 
 TOPOLOGY_TEXT = """
@@ -204,3 +206,161 @@ class TestLiveFlows:
         assert loads == [("i1~t", 0.0)]
         assert not dp.due()
         assert dp.step(2) == ([], [], {}, {})
+
+
+class PerUnitDPlane(DPlane):
+    """The plane that moves every unit on its own: each emission appends
+    `rate` single units, each checked against the rules by itself.  The
+    oracle for the batched step."""
+
+    def step(self, tick: int) -> tuple:
+        delivered_now: dict = {}
+        lost_now: dict = {}
+        latency_samples: list = []
+
+        def count(counter, flow_id, n=1):
+            counter[flow_id] = counter.get(flow_id, 0) + n
+
+        live = sorted(self._live.items())
+        for flow_id, run in live:
+            survivors = []
+            for unit in run.in_flight:
+                unit.remaining -= 1
+                if unit.remaining > 0:
+                    survivors.append(unit)
+                    continue
+                unit.hop += 1
+                node = unit.path[unit.hop]
+                rule = self.rules.get(node, {}).get(flow_id)
+                if unit.hop == len(unit.path) - 1:
+                    if unit.complete and rule == "deliver":
+                        run.delivered += 1
+                        count(delivered_now, flow_id)
+                        run.latencies.append((tick, tick - unit.sent_tick))
+                        latency_samples.append((flow_id, tick - unit.sent_tick))
+                    else:
+                        run.lost += 1
+                        count(lost_now, flow_id)
+                    continue
+                expected = unit.path[unit.hop + 1]
+                if rule != expected:
+                    run.lost += 1
+                    count(lost_now, flow_id)
+                    continue
+                unit.remaining = self.latency(node, expected)
+                survivors.append(unit)
+            run.in_flight = survivors
+
+        for flow_id, run in live:
+            if not run.active or run.remaining_emissions <= 0:
+                continue
+            has_rule = self.rules.get(run.ingress, {}).get(flow_id) is not None
+            if not run.started:
+                if not has_rule:
+                    continue
+                run.started = True
+            run.remaining_emissions -= 1
+            run.sent += run.rate
+            if not has_rule:
+                run.lost += run.rate
+                count(lost_now, flow_id, run.rate)
+                continue
+            path, complete = self._snapshot(run.ingress, flow_id)
+            for _ in range(run.rate):
+                if len(path) == 1:
+                    if complete:
+                        run.delivered += 1
+                        count(delivered_now, flow_id)
+                        run.latencies.append((tick, 0))
+                        latency_samples.append((flow_id, 0))
+                    else:
+                        run.lost += 1
+                        count(lost_now, flow_id)
+                    continue
+                run.in_flight.append(UnitState(
+                    flow=flow_id, path=path, complete=complete, hop=0,
+                    remaining=self.latency(path[0], path[1]), sent_tick=tick))
+
+        self._live = {flow_id: run for flow_id, run in live if run.in_flight
+                      or run.active and run.remaining_emissions > 0}
+        return self._load_samples(), latency_samples, delivered_now, lost_now
+
+
+#: Forwarded paths over TOPOLOGY_TEXT: two full ones, one that delivers at
+#: a transport node and one that delivers at its ingress.
+PATHS = (("i1", "t", "a1"), ("i2", "t", "a1"), ("i1", "t"), ("i2",))
+
+_FLOWS = st.lists(st.tuples(st.sampled_from(range(len(PATHS))),
+                            st.integers(min_value=0, max_value=4),
+                            st.integers(min_value=0, max_value=6),
+                            st.booleans()),
+                  min_size=1, max_size=3)
+
+#: (tick, flow index, path position, reinstall): drop one rule of a flow's
+#: path, or install its whole path again.
+_CHANGES = st.lists(st.tuples(st.integers(min_value=0, max_value=14),
+                              st.integers(min_value=0, max_value=2),
+                              st.integers(min_value=0, max_value=2),
+                              st.booleans()), max_size=8)
+
+
+def _flow_figures(run: FlowRun) -> tuple:
+    return (run.sent, run.delivered, run.lost, run.latencies,
+            run.units_in_flight, run.started, run.remaining_emissions)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_FLOWS, _CHANGES)
+def test_batched_step_matches_the_per_unit_oracle(flows, changes):
+    """Moving each tick's emission as one batch gives, tick by tick, the
+    step outputs and flow counters that moving every unit alone gives, under
+    any rates, paths and rule removals mid-flight."""
+    planes = (make_dplane(), PerUnitDPlane(spec=load_topology(TOPOLOGY_TEXT)))
+    for plane in planes:
+        for i, (path, rate, duration, complete) in enumerate(flows):
+            nodes = PATHS[path]
+            install_path(plane, f"f{i}", nodes)
+            if not complete:    # snapshots stop short of a deliver rule
+                plane.configure({"node": nodes[-1], "flow": f"f{i}",
+                                 "action": "remove", "next": "deliver"})
+            plane.add_flow(FlowRun(flow_id=f"f{i}", device="d", rate=rate,
+                                   remaining_emissions=duration,
+                                   ingress=nodes[0]))
+    for tick in range(24):
+        for at, i, position, reinstall in changes:
+            if at != tick or i >= len(flows):
+                continue
+            nodes = PATHS[flows[i][0]]
+            for plane in planes:
+                if reinstall:
+                    install_path(plane, f"f{i}", nodes)
+                    continue
+                node = nodes[min(position, len(nodes) - 1)]
+                rule = plane.rules.get(node, {}).get(f"f{i}")
+                if rule is not None:
+                    plane.configure({"node": node, "flow": f"f{i}",
+                                     "action": "remove", "next": rule})
+        batched, per_unit = (plane.step(tick) for plane in planes)
+        assert batched == per_unit
+        for flow_id, run in planes[0].flows.items():
+            assert _flow_figures(run) == _flow_figures(planes[1].flows[flow_id])
+            assert conserved(run)
+        assert planes[0].due() == planes[1].due()
+        assert planes[0].has_work() == planes[1].has_work()
+
+
+def test_one_emission_travels_as_one_batch():
+    dp = make_dplane()
+    install_path(dp, "f1", ("i1", "t", "a1"))
+    run = FlowRun(flow_id="f1", device="d1", rate=3, remaining_emissions=2,
+                  ingress="i1")
+    dp.add_flow(run)
+    dp.step(0)
+    dp.step(1)
+    assert [unit.count for unit in run.in_flight] == [3, 3]
+    assert run.units_in_flight == 6 and conserved(run)
+    for tick in range(2, 5):
+        dp.step(tick)
+    _, latencies, delivered, _ = dp.step(5)
+    assert latencies == [("f1", 5)] * 3 and delivered == {"f1": 3}
+    assert run.units_in_flight == 3
