@@ -13,10 +13,14 @@ perfbench/pipeline.py `reference_s` taken just before the run):
   devices / 10
 - flow-steady at flow rate 1 / 4 / 16 units per tick
 
-Flat cost means equal microseconds per record along a sweep; a ratio
-divides the medians of a sweep's last and first points.  The repeats go
-round each sweep, so a swing in machine speed that the scaling misses hits
-all its points alike.  The figures and the machine, Python version, git
+Flat cost means equal microseconds per record along a sweep.  The repeats
+go round each sweep, so a swing in machine speed that the scaling misses
+hits all its points alike; a ratio therefore divides a sweep's last point by
+its first (microseconds per record) within each round, and is reported as
+the median and interquartile range over the rounds.  Each ratio with a
+target of at most 1.3 gets a verdict: `met` when its third quartile is
+within the target, `missed` when its first quartile is above it, and
+`unresolved` otherwise.  The figures and the machine, Python version, git
 revision and `src/` line count are written to BENCH_scale_<label>.json at
 the repo root.  Not part of the test suite; the largest run holds about
 180k records in memory.
@@ -51,6 +55,9 @@ SLICE_DEVICES = 240
 DEVICES = (400, 1000, 2000, 4000)
 FLOW_RATES = (1, 4, 16)
 
+#: The largest ratio of last to first point that counts as flat cost.
+TARGET = 1.3
+
 
 def _scenario(workload: str, params):
     with tempfile.TemporaryDirectory() as tmp:
@@ -58,9 +65,10 @@ def _scenario(workload: str, params):
             gen.write_workload(workload, SEED, Path(tmp), params))
 
 
-def _measure(points: list, repeats: int) -> None:
+def _measure(points: list, repeats: int) -> list:
     """Time `engine.run` on every point's scenario, in `repeats` rounds over
-    all points; keep each point's median time and interquartile range."""
+    all points; keep each point's median time and interquartile range.
+    Returns each round's last-over-first ratio of time per record."""
     times: dict = {i: ([], []) for i in range(len(points))}
     for _ in range(repeats):
         for i, (row, scenario) in enumerate(points):
@@ -80,6 +88,22 @@ def _measure(points: list, repeats: int) -> None:
         row["scaled_iqr_s"] = [round(q1, 4), round(q3, 4)]
         row["raw_s"] = round(statistics.median(raw), 4)
         row["us_per_record"] = round(row["scaled_s"] / row["records"] * 1e6, 2)
+    first, last = points[0][0]["records"], points[-1][0]["records"]
+    return [(t_last / last) / (t_first / first)
+            for t_first, t_last in zip(times[0][0], times[len(points) - 1][0])]
+
+
+def _ratio(per_round: list, target: float | None = None) -> dict:
+    """The median and IQR of per-round ratios and, given a target, whether
+    the rounds show it met, missed or neither."""
+    q1, _, q3 = statistics.quantiles(per_round, n=4)
+    out = {"median": round(statistics.median(per_round), 3),
+           "iqr": [round(q1, 3), round(q3, 3)]}
+    if target is not None:
+        out["target"] = target
+        out["verdict"] = ("met" if q3 <= target else
+                          "missed" if q1 > target else "unresolved")
+    return out
 
 
 def _git_rev() -> str:
@@ -120,8 +144,8 @@ def main() -> int:
         for n in FLOW_RATES]
     sweeps = {"by_slices": by_slices, "by_devices": by_devices,
               "by_flow_rate": by_rate}
-    for points in sweeps.values():
-        _measure(points, args.repeats)
+    per_round = {name: _measure(points, args.repeats)
+                 for name, points in sweeps.items()}
     sweeps = {name: [row for row, _ in points] for name, points in sweeps.items()}
     for rows in sweeps.values():
         for row in rows:
@@ -130,13 +154,12 @@ def main() -> int:
                   f"(IQR {row['scaled_iqr_s'][0]:.4f}-{row['scaled_iqr_s'][1]:.4f} s"
                   f" of {row['scaled_s']:.4f} s, {row['records']} records)")
 
-    def ratio(rows):
-        return round(rows[-1]["us_per_record"] / rows[0]["us_per_record"], 3)
-
-    ratios = {"slices_96_over_2": ratio(sweeps["by_slices"]),
-              "devices_4000_over_400": ratio(sweeps["by_devices"]),
-              "flow_rate_16_over_1": ratio(sweeps["by_flow_rate"])}
-    print(f"ratios: {ratios} (target: slices and devices each within 1.3)")
+    ratios = {"slices_96_over_2": _ratio(per_round["by_slices"], TARGET),
+              "devices_4000_over_400": _ratio(per_round["by_devices"], TARGET),
+              "flow_rate_16_over_1": _ratio(per_round["by_flow_rate"])}
+    for name, ratio in ratios.items():
+        print(f"{name}: median {ratio['median']} (IQR {ratio['iqr'][0]}-"
+              f"{ratio['iqr'][1]})", ratio.get("verdict", ""))
     report = {
         "label": args.label,
         "machine": {"platform": platform.platform(),
@@ -145,7 +168,8 @@ def main() -> int:
         "git_rev": _git_rev(),
         "src_lines": _src_lines(),
         "seed": SEED, "repeats": args.repeats,
-        "timer": "median reference-scaled engine.run, with its IQR",
+        "timer": "median reference-scaled engine.run, with its IQR; ratios "
+                 "per round, median and IQR over rounds",
         **sweeps, "ratios": ratios,
     }
     out = ROOT / f"BENCH_scale_{args.label}.json"

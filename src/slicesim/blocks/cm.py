@@ -17,7 +17,7 @@ from ..errors import IllegalTransitionError, NoDPlaneFunctionError, NoEligibleSl
 from ..messages import (
     Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, draft,
 )
-from .common import BlockContext, BlockEvent
+from .common import BlockContext, BlockEvent, refusal
 
 
 class CMRole(str, Enum):
@@ -120,15 +120,11 @@ def cm_select_slice_global(state: CMState, device: str) -> str:
 
 def cm_select_slice_local(state: CMState, device: str, this_slice: str) -> SliceChoice:
     """Method 2: accept the device here if its subscription names this slice,
-    else suggest the slice it should attach to."""
-    sub = state.subscription_view.get(device)
-    if sub is None or not sub.allowed:
-        raise NoEligibleSliceError(f"subscription of {device} lists no slice")
-    if this_slice in sub.allowed:
+    else redirect it to the slice method 1 would pick."""
+    target = cm_select_slice_global(state, device)
+    if this_slice in state.subscription_view[device].allowed:
         return SliceChoice(accept_here=True)
-    if sub.default and sub.default in sub.allowed:
-        return SliceChoice(accept_here=False, target=sub.default)
-    return SliceChoice(accept_here=False, target=sorted(sub.allowed)[0])
+    return SliceChoice(accept_here=False, target=target)
 
 
 def select_anchor(ctx: BlockContext, node: str, exclude: str | None = None) -> str:
@@ -248,9 +244,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
             except NoEligibleSliceError as exc:
                 _transition(state, pending.device, ConvergentState.DETACHED,
                             events, ctx.slice_id)
-                events.append(BlockEvent("error", pending.device,
-                                         {"error": type(exc).__name__,
-                                          "detail": str(exc)}))
+                events.append(refusal(pending.device, exc))
             else:
                 state.slice_bindings[pending.device] = target
                 _transition(state, pending.device, ConvergentState.ATTACHED,
@@ -308,8 +302,7 @@ def _continue_local_attach(state: CMState, pending: PendingAttach,
         choice = cm_select_slice_local(state, pending.device, ctx.slice_id)
     except NoEligibleSliceError as exc:
         _transition(state, pending.device, ConvergentState.DETACHED, events, ctx.slice_id)
-        events.append(BlockEvent("error", pending.device,
-                                 {"error": type(exc).__name__, "detail": str(exc)}))
+        events.append(refusal(pending.device, exc))
         return drafts, events
     if choice.accept_here:
         more, evs = _attach_here(state, pending, ctx, corr)
@@ -331,8 +324,7 @@ def _attach_here(state: CMState, pending: PendingAttach, ctx: BlockContext,
         return cm_attach(state, pending, auth_ok=True, ctx=ctx, corr=corr)
     except NoDPlaneFunctionError as exc:
         _transition(state, pending.device, ConvergentState.DETACHED, events, ctx.slice_id)
-        events.append(BlockEvent("error", pending.device,
-                                 {"error": type(exc).__name__, "detail": str(exc)}))
+        events.append(refusal(pending.device, exc))
         return [], events
 
 

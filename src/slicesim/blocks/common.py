@@ -76,6 +76,12 @@ class BlockEvent:
     detail: dict = field(default_factory=dict)
 
 
+def refusal(subject: str, exc: Exception) -> BlockEvent:
+    """The traced error of a request a handler refused on a domain error."""
+    return BlockEvent("error", subject,
+                      {"error": type(exc).__name__, "detail": str(exc)})
+
+
 @dataclass(frozen=True)
 class BlockContext:
     """What a handler may read besides its own state: wiring, policy and the

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..errors import CapacityError, NoPathError
 from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
-from .common import BlockContext, BlockEvent, PathStrategy
+from .common import BlockContext, BlockEvent, PathStrategy, refusal
 
 
 @dataclass
@@ -319,8 +319,7 @@ def _start_flow(state: FMState, msg, ctx: BlockContext):
                               binding.anchor if binding else payload.get("anchor", ""),
                               payload.get("qos", "default"))
     except (NoPathError, CapacityError) as exc:
-        events.append(BlockEvent("error", flow,
-                                 {"error": type(exc).__name__, "detail": str(exc)}))
+        events.append(refusal(flow, exc))
         drafts.append(draft(
             ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, msg.source,
             msg.correlation_id,
@@ -348,8 +347,7 @@ def _start_reanchor(state: FMState, msg, ctx: BlockContext):
     try:
         path = fm_define_path(state, flow, old.nodes[0], new_anchor, old.qos)
     except (NoPathError, CapacityError) as exc:
-        events.append(BlockEvent("error", flow,
-                                 {"error": type(exc).__name__, "detail": str(exc)}))
+        events.append(refusal(flow, exc))
         return drafts, events
     state.swapped_out[flow] = old
     events.append(BlockEvent("path-defined", flow,
@@ -389,9 +387,7 @@ def _start_handover_paths(state: FMState, msg, ctx: BlockContext):
         try:
             path = fm_define_path(state, flow, new_ingress, binding.anchor, old.qos)
         except (NoPathError, CapacityError) as exc:
-            events.append(BlockEvent("error", flow,
-                                     {"error": type(exc).__name__,
-                                      "detail": str(exc)}))
+            events.append(refusal(flow, exc))
             continue
         state.swapped_out[flow] = old
         drafts.extend(fm_apply(state, path, ctx, msg.correlation_id,

@@ -15,7 +15,7 @@ from enum import Enum
 from ..errors import BlueprintError, NoSessionError, NotIdleError, PolicyForbidsError
 from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
 from .common import (
-    BlockContext, BlockEvent, HandoverStyle, MobilityPolicy, Tech,
+    BlockContext, BlockEvent, HandoverStyle, MobilityPolicy, Tech, refusal,
 )
 
 
@@ -147,9 +147,7 @@ def handle(state: MMState, msg, ctx: BlockContext):
                                      {"style": policy.style.value,
                                       "target": payload.get("node", "")}))
         except (NoSessionError, PolicyForbidsError) as exc:
-            events.append(BlockEvent("error", device,
-                                     {"error": type(exc).__name__,
-                                      "detail": str(exc)}))
+            events.append(refusal(device, exc))
 
     elif kind is ProcedureKind.HANDOVER_PREPARE and msg.source.role is Role.FM:
         plan = state.handovers.get(corr)
@@ -190,9 +188,7 @@ def handle(state: MMState, msg, ctx: BlockContext):
             events.append(BlockEvent("page-start", device,
                                      {"candidates": len(drafts)}))
         except NotIdleError as exc:
-            events.append(BlockEvent("error", device,
-                                     {"error": type(exc).__name__,
-                                      "detail": str(exc)}))
+            events.append(refusal(device, exc))
 
     elif kind is ProcedureKind.LOCATION_UPDATE:
         phase = payload.get("phase", "")

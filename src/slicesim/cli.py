@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import catalog as catalog_mod
 from . import slices as slices_mod
-from .engine import compare_fabrics, load_scenario, run
+from .engine import Environment, compare_fabrics, load_scenario, run
 from .errors import SliceSimError
 from .fabric import FabricModel
 from .metrics import render_metrics
@@ -53,6 +53,7 @@ def cmd_validate(args) -> int:
         print(f"blueprint {bp.slice_id}: valid")
         return 0
     scenario = load_scenario(args.scenario)
+    Environment(scenario, seed=0)   # set-up refuses what `run` refuses
     print(f"scenario {scenario.scenario_id}: valid "
           f"({len(scenario.blueprints)} slices, {len(scenario.devices)} devices, "
           f"{len(scenario.script)} events)")

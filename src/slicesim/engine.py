@@ -568,15 +568,15 @@ class Environment:
         if action == "teardown":
             instance = self.slices[event.args[0]]
             try:
-                for kind, subject, detail in slices_mod.teardown(instance, self.tick):
-                    self.trace_event(kind, subject, detail)
-                    if kind == "detach" and subject in self.devices:
-                        self.devices[subject].attached = False
-                        self.devices[subject].bound_slice = None
+                events = slices_mod.teardown(instance, self.tick)
             except SliceSimError as exc:
                 self.trace_error(type(exc).__name__, event.args[0],
                                  {"detail": str(exc)})
                 return
+            for block_event in events:
+                self.trace_event(block_event.kind, block_event.subject,
+                                 block_event.detail)
+                self._apply_event(block_event, instance.slice_id)
             # no message reaches its blocks again: their hooks leave for good
             self._due = {key: entry for key, entry in self._due.items()
                          if entry[0] is not instance or entry[1] is None}
@@ -773,14 +773,6 @@ class Environment:
         self.emit([draft(ProcedureKind.FLOW_NOTIFY, probe, fm, corr, payload)
                    for payload in payloads])
 
-    def _advance(self) -> None:
-        """The current tick's work after its script events: the messages
-        due now, then what is due on the due list."""
-        while self.queue and self.queue[0][0] <= self.tick:
-            _, _, seq, msg = heapq.heappop(self.queue)
-            self._deliver(seq, msg)
-        self._run_due()
-
     def _pending_work(self) -> bool:
         """Whether the run goes on: a message in flight, a script event to
         come, a due block, or a due plane with a flow under way."""
@@ -802,7 +794,10 @@ class Environment:
         while True:
             for event in self._script_by_tick.get(self.tick, []):
                 self._run_script_event(event)
-            self._advance()
+            while self.queue and self.queue[0][0] <= self.tick:
+                _, _, seq, msg = heapq.heappop(self.queue)
+                self._deliver(seq, msg)
+            self._run_due()
             if self.tick >= self.scenario.max_ticks:
                 self.trace_event("max-ticks-reached", self.scenario.scenario_id,
                                  {"tick": self.tick})
@@ -864,26 +859,6 @@ class Environment:
                                        key=lambda kv: kv[0].value)}
         ).encode()).hexdigest()[:16]
         return digests
-
-    # -- direct orchestration API --------------------------------------------------------
-
-    def attach_device(self, device_id: str, method: int):
-        """Inject one attachment and pump ticks, ignoring the script, until
-        no message is in flight.  Returns (bound slice id or None,
-        correlated message records)."""
-        device = self.devices[device_id]
-        corr_before = device.corr_counters.get("attach", 0)
-        self.emit(self._attach_drafts(device, method=method))
-        corr = f"{device_id}:attach:{corr_before + 1}"
-        for _ in range(64):
-            self.tick += 1
-            self._advance()
-            if not self.queue:
-                break
-        related = [r for r in self.trace
-                   if isinstance(r, MessageRecord)
-                   and r.msg.correlation_id == corr]
-        return device.bound_slice, related
 
 
 def _without_roster(state) -> dict:

@@ -23,17 +23,16 @@ from . import catalog
 from .blocks import af, cghf, cm, fm, mm, sam
 from .blocks.cghf import ContextModelRule
 from .blocks.common import (
-    ALL_TECHS, Anchoring, AuthScheme, HandoverStyle, MobilityPolicy,
-    PathStrategy, SlicePolicy, Tech,
+    ALL_TECHS, Anchoring, AuthScheme, BlockEvent, HandoverStyle,
+    MobilityPolicy, PathStrategy, SlicePolicy, Tech,
 )
 from .blocks.fm import shortest_path
 from .errors import (
-    BlueprintError, InfraCapacityError, LifecycleOrderError, NoPathError,
-    SchemaError,
+    InfraCapacityError, LifecycleOrderError, NoPathError, SchemaError,
 )
 from .fabric import Fabric, FabricModel, FabricModelKind, connect
 from .messages import (
-    BBInstanceId, MANDATORY_BB_ROLES, OPTIONAL_BB_ROLES, Role,
+    BBInstanceId, MANDATORY_BB_ROLES, OPTIONAL_BB_ROLES, Role, Verdict,
 )
 from .netsim import DPlane, TopologySpec, build_view
 from .textfmt import parse_blocks, split_kv
@@ -73,15 +72,6 @@ class SliceBlueprint:
                            mobility=self.mobility_policy,
                            path_strategy=self.path_strategy,
                            stretch=self.stretch)
-
-
-@dataclass(frozen=True)
-class BlueprintVerdict:
-    ok: bool
-    violations: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
@@ -150,7 +140,7 @@ def load_blueprint_file(path) -> SliceBlueprint:
         return load_blueprint(fh.read(), source=str(path))
 
 
-def validate_blueprint(bp: SliceBlueprint) -> BlueprintVerdict:
+def validate_blueprint(bp: SliceBlueprint) -> Verdict:
     """Check composition rules; the verdict enumerates every violation.  A
     sub-function subset must belong to its block as composed from the
     reference catalog."""
@@ -177,7 +167,7 @@ def validate_blueprint(bp: SliceBlueprint) -> BlueprintVerdict:
             continue
         for sf in sorted(subset - definition.sf_set):
             violations.append(f"sf '{sf}' does not belong to {role.value}")
-    return BlueprintVerdict(not violations, tuple(violations))
+    return Verdict(not violations, tuple(violations))
 
 
 @dataclass
@@ -260,13 +250,8 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
                 topology: TopologySpec, roster: dict | None = None) -> SliceInstance:
     """Create fresh block states over a private forwarded plane and wire the
     fabric.  Nothing mutable is shared with any other instance: only the
-    read-only `roster` (default: empty)."""
-    verdict = validate_blueprint(bp)
-    if not verdict:
-        raise BlueprintError("; ".join(verdict.violations))
-    for anchor in bp.anchors:
-        if anchor not in topology.nodes:
-            raise BlueprintError(f"anchor '{anchor}' not in topology")
+    read-only `roster` (default: empty).  The blueprint must be valid and
+    its anchors in `topology`, as `engine.load_scenario` checks."""
     infra.place(len(bp.bb_set))
     roster = roster or build_roster()
     ids = [BBInstanceId(role, bp.slice_id)
@@ -298,16 +283,15 @@ def operate(instance: SliceInstance) -> SliceInstance:
 
 def teardown(instance: SliceInstance, tick: int = 0) -> list:
     """Detach every device, release reservations, end in-flight path
-    applies and clear the forwarded plane.  Returns the detach/teardown
-    events for tracing."""
+    applies and clear the forwarded plane.  Returns the detach and
+    slice-torn-down events for the engine to trace and apply."""
     if instance.lifecycle_state is LifecycleState.TORN_DOWN:
         raise LifecycleOrderError("teardown on an already torn down slice")
-    events = []
     cm_state = instance.states[Role.CM]
     fm_state = instance.states[Role.FM]
-    for device in sorted(instance.attached_devices):
-        events.append(("detach", device, {"slice": instance.slice_id,
-                                          "reason": "teardown"}))
+    events = [BlockEvent("detach", device, {"slice": instance.slice_id,
+                                            "reason": "teardown"})
+              for device in sorted(instance.attached_devices)]
     for session_id in sorted(fm_state.sessions):
         binding = fm_state.sessions[session_id]
         for flow in list(binding.flows):
@@ -328,5 +312,5 @@ def teardown(instance: SliceInstance, tick: int = 0) -> list:
         run.active = False
     instance.attached_devices.clear()
     instance.lifecycle_state = LifecycleState.TORN_DOWN
-    events.append(("slice-torn-down", instance.slice_id, {}))
+    events.append(BlockEvent("slice-torn-down", instance.slice_id))
     return events

@@ -1,9 +1,12 @@
+import dataclasses
 import importlib.resources
 from pathlib import Path
 
 from slicesim.blocks.sam import AuditEntry, SAMState
+from slicesim.engine import Environment, ScriptEvent
 from slicesim.errors import SliceSimError
 from slicesim.fabric import Fabric, FabricModelKind
+from slicesim.trace import MessageRecord
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -32,6 +35,18 @@ def sam_single_sign_on(state: SAMState, device: str, service: str,
     return f"sso-{device}-{service}-{context.ordinal}"
 
 
+def attach_once(scenario, device: str, method: int, seed: int = 7):
+    """Run `scenario` with one attach of `device` at tick 0 as its whole
+    script.  Returns the device's bound slice after the run and the message
+    records of that attach's correlation."""
+    script = (ScriptEvent(0, "attach", (device,), {"method": method}),)
+    env = Environment(dataclasses.replace(scenario, script=script), seed)
+    corr = f"{device}:attach:1"
+    records = [r for r in env.run().trace if isinstance(r, MessageRecord)
+               and r.msg.correlation_id == corr]
+    return env.devices[device].bound_slice, records
+
+
 def implied_link_count(fabric: Fabric) -> int:
     """The links a fabric's interconnection model implies between members."""
     n = len(fabric.members)
@@ -43,9 +58,14 @@ def implied_link_count(fabric: Fabric) -> int:
 
 
 def pytest_runtest_logreport(report):
-    # one visible pass/fail line per acceptance criterion
-    if report.when != "call" or "test_acceptance" not in report.nodeid:
+    if report.when != "call":
         return
     name = report.nodeid.split("::")[-1]
+    # what a test records with `record_property`, such as tolerated cases
+    for key, value in report.user_properties:
+        print(f"\n{name}: {key} {value}", flush=True)
+    # one visible pass/fail line per acceptance criterion
+    if "test_acceptance" not in report.nodeid:
+        return
     outcome = "PASS" if report.passed else "FAIL"
     print(f"\nACCEPTANCE {outcome}: {name}", flush=True)

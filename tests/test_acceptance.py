@@ -26,7 +26,9 @@ from slicesim.trace import (
     EventRecord, MessageRecord, parse_trace, render_trace,
 )
 
-from conftest import reference_catalog_text, sam_single_sign_on, scenario_path
+from conftest import (
+    attach_once, reference_catalog_text, sam_single_sign_on, scenario_path,
+)
 
 SEED = 7
 
@@ -165,17 +167,14 @@ def test_criterion_3_fabric_equivalence_and_cost_ordering():
 
 def test_criterion_4_selection_methods_agree():
     scenario = load("attach-method2-redirect")
-    env1 = Environment(scenario, seed=SEED)
-    bound1, msgs1 = env1.attach_device("d3", method=1)
-    env2 = Environment(scenario, seed=SEED)
-    bound2, msgs2 = env2.attach_device("d3", method=2)
+    bound1, msgs1 = attach_once(scenario, "d3", method=1, seed=SEED)
+    bound2, msgs2 = attach_once(scenario, "d3", method=2, seed=SEED)
     assert bound1 == bound2 == "embb-a"
     # method 1 never redirects; method 2 redirects because default != target
     assert not [m for m in msgs1 if m.msg.kind is ProcedureKind.SLICE_REDIRECT]
     assert [m for m in msgs2 if m.msg.kind is ProcedureKind.SLICE_REDIRECT]
     # device already on its subscribed slice: no redirect either way
-    env3 = Environment(scenario, seed=SEED)
-    bound3, msgs3 = env3.attach_device("d4", method=2)
+    bound3, msgs3 = attach_once(scenario, "d4", method=2, seed=SEED)
     assert bound3 == "default-a"
     assert not [m for m in msgs3 if m.msg.kind is ProcedureKind.SLICE_REDIRECT]
     # the scripted method-2 run shows the same predicates end to end

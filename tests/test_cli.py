@@ -160,10 +160,20 @@ OUT_OF_RANGE_VALUES = {
 }
 
 
-def _assert_refused_at_load(edit, tmp_path, capsys):
-    from slicesim.engine import load_scenario
-    from slicesim.errors import ScenarioError, SchemaError
+#: Scenarios that load but that set-up refuses, each as (file, text,
+#: replacement) on a copy of the corpus for cghf-reselect.scn, with the
+#: error `run` exits on: a relay that is no member, and too little capacity
+#: for the blueprint's five blocks.
+SETUP_REFUSALS = {
+    "relay-not-a-member": (("bp-cghf.bp", "fabric: pubsub", "fabric: relay:MM"),
+                           "BadRelayError"),
+    "infra-capacity": (("cghf-reselect.scn", "  max-ticks: 160",
+                        "  max-ticks: 160\n  infra-capacity: 3"),
+                       "InfraCapacityError"),
+}
 
+
+def _copy_corpus(edit, tmp_path):
     name, old, new = edit
     for path in scenario_path(".").iterdir():
         text = path.read_text()
@@ -171,6 +181,14 @@ def _assert_refused_at_load(edit, tmp_path, capsys):
             assert old in text
             text = text.replace(old, new)
         (tmp_path / path.name).write_text(text)
+
+
+def _assert_refused_at_load(edit, tmp_path, capsys):
+    from slicesim.engine import load_scenario
+    from slicesim.errors import ScenarioError, SchemaError
+
+    name = edit[0]
+    _copy_corpus(edit, tmp_path)
     scenario = tmp_path / ("paging.scn" if name == "topo-core.txt" else name)
     with pytest.raises(SchemaError if name == "topo-core.txt" else ScenarioError):
         load_scenario(scenario)
@@ -189,6 +207,22 @@ def test_unparsed_value_is_a_domain_error_at_load(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_VALUES))
 def test_out_of_range_value_is_a_domain_error_at_load(case, tmp_path, capsys):
     _assert_refused_at_load(OUT_OF_RANGE_VALUES[case], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(SETUP_REFUSALS))
+def test_validate_refuses_what_run_refuses_at_set_up(case, tmp_path, capsys):
+    edit, error = SETUP_REFUSALS[case]
+    _copy_corpus(edit, tmp_path)
+    scenario = str(tmp_path / "cghf-reselect.scn")
+    assert main(["run", "--scenario", scenario, "--out-dir",
+                 str(tmp_path / "out")]) == 1
+    refused = capsys.readouterr().err
+    assert refused.startswith(f"error: {error}: ")
+    assert main(["validate", "--scenario", scenario]) == 1
+    assert capsys.readouterr().err == refused
+    # the blueprint alone breaks no composition rule
+    assert main(["validate", "--blueprint",
+                 str(tmp_path / "bp-cghf.bp")]) == 0
 
 
 def test_unknown_fabric_option_is_a_usage_error(tmp_path, capsys):

@@ -23,7 +23,7 @@ from slicesim.trace import (
     trace_check,
 )
 
-from conftest import scenario_path
+from conftest import attach_once, scenario_path
 
 CORPUS = ("attach-two-slices", "attach-method2-redirect", "handover-mbb",
           "handover-bbm", "paging", "cghf-reselect", "isolation-pair",
@@ -267,10 +267,8 @@ class TestEventSemantics:
 class TestAttachOrchestration:
     def test_methods_bind_to_the_same_slice(self):
         scenario = load("attach-method2-redirect")
-        env1 = Environment(scenario, seed=7)
-        bound1, msgs1 = env1.attach_device("d3", method=1)
-        env2 = Environment(scenario, seed=7)
-        bound2, msgs2 = env2.attach_device("d3", method=2)
+        bound1, msgs1 = attach_once(scenario, "d3", method=1)
+        bound2, msgs2 = attach_once(scenario, "d3", method=2)
         assert bound1 == bound2 == "embb-a"
         kinds1 = {m.msg.kind for m in msgs1}
         kinds2 = {m.msg.kind for m in msgs2}
@@ -280,8 +278,7 @@ class TestAttachOrchestration:
 
     def test_device_already_on_target_slice_sees_no_redirect(self):
         scenario = load("attach-method2-redirect")
-        env = Environment(scenario, seed=7)
-        bound, msgs = env.attach_device("d4", method=2)
+        bound, msgs = attach_once(scenario, "d4", method=2)
         assert bound == "default-a"
         assert all(m.msg.kind is not ProcedureKind.SLICE_REDIRECT for m in msgs)
 

@@ -7,7 +7,7 @@ import pytest
 from slicesim.blocks.common import HandoverStyle, MobilityPolicy
 from slicesim import cli
 from slicesim.errors import (
-    BlueprintError, InfraCapacityError, LifecycleOrderError, SchemaError,
+    InfraCapacityError, LifecycleOrderError, ScenarioError, SchemaError,
 )
 from slicesim.engine import load_scenario, run
 from slicesim.fabric import FabricModel, FabricModelKind
@@ -188,15 +188,28 @@ class TestLifecycle:
         with pytest.raises(InfraCapacityError):
             self.instance(topology, infra=SimInfrastructure(capacity_units=0))
 
-    def test_invalid_blueprint_refused(self, topology):
-        bp = make_blueprint(roles=(Role.AF, Role.CM, Role.FM))
-        with pytest.raises(BlueprintError):
-            instantiate(bp, SimInfrastructure(16), topology)
+    @staticmethod
+    def load_paging_with(tmp_path, old, new):
+        """`load_scenario` on a copy of paging.scn's files whose blueprint
+        has `old` replaced by `new`."""
+        for name in ("paging.scn", "topo-core.txt", "bp-mob-mbb.bp"):
+            text = scenario_path(name).read_text()
+            if name == "bp-mob-mbb.bp":
+                assert old in text
+                text = text.replace(old, new)
+            (tmp_path / name).write_text(text)
+        return load_scenario(tmp_path / "paging.scn")
 
-    def test_unknown_anchor_refused(self, topology):
-        bp = make_blueprint(anchors=("missing-node",))
-        with pytest.raises(BlueprintError):
-            instantiate(bp, SimInfrastructure(16), topology)
+    def test_invalid_blueprint_refused(self, tmp_path):
+        # set-up trusts loading to refuse it: instantiation checks no rule
+        with pytest.raises(ScenarioError, match="mandatory BB SAM absent"):
+            self.load_paging_with(tmp_path, "  bb SAM\n", "")
+
+    def test_unknown_anchor_refused(self, tmp_path):
+        with pytest.raises(ScenarioError,
+                           match="mob-a anchor 'missing-node' unknown"):
+            self.load_paging_with(tmp_path, "anchors: a1 a2",
+                                  "anchors: a1 missing-node")
 
     def test_operate_on_torn_down_slice_rejected(self, topology):
         inst = self.instance(topology)
@@ -220,7 +233,7 @@ class TestLifecycle:
         fm_define_path(fm_state, "f1", "i1", "a1", "default")
         assert any(l.reserved for l in fm_state.view.links.values())
         events = teardown(inst)
-        detaches = [e for e in events if e[0] == "detach"]
-        assert [e[1] for e in detaches] == ["d1", "d2"]
+        detaches = [e for e in events if e.kind == "detach"]
+        assert [e.subject for e in detaches] == ["d1", "d2"]
         assert all(l.reserved == 0 for l in fm_state.view.links.values())
         assert inst.lifecycle_state is LifecycleState.TORN_DOWN
