@@ -26,7 +26,7 @@ from .blocks import cm as cm_mod
 from .blocks import fm as fm_mod
 from .blocks import mm as mm_mod
 from .blocks import sam as sam_mod
-from .blocks.common import BlockContext, BlockEvent, SlicePolicy
+from .blocks.common import BlockContext, BlockEvent, SlicePolicy, refusal
 from .errors import EquivalenceViolation, ScenarioError, SliceSimError
 from .fabric import FabricModel, FabricModelKind
 from .messages import (
@@ -300,9 +300,10 @@ class Environment:
         return self._seq
 
     def trace_event(self, kind: str, subject: str, detail: dict) -> None:
-        self.trace.append(EventRecord(seq=self.next_seq(), tick=self.tick,
-                                      kind=kind, subject=subject,
-                                      detail=dict(detail)))
+        """Trace an event; its record keeps `detail`, a dict of the caller's
+        own that nothing writes to afterwards."""
+        self.trace.append(EventRecord(self.next_seq(), self.tick, kind,
+                                      subject, detail))
 
     def trace_error(self, error: str, subject: str, detail: dict) -> None:
         self.trace_event("error", subject, {"error": error, **detail})
@@ -392,9 +393,8 @@ class Environment:
 
     def _trace_msg(self, seq: int, msg: SignalMessage, hop_count: int = 1,
                    mediators: tuple = (), recipients: tuple = ()) -> None:
-        self.trace.append(MessageRecord(
-            seq=seq, tick=self.tick, msg=msg, hop_count=hop_count,
-            mediators=mediators, recipients=recipients))
+        self.trace.append(MessageRecord(seq, self.tick, msg, hop_count,
+                                        mediators, recipients))
 
     def _invoke_block(self, ident: str, msg: SignalMessage) -> None:
         instance, role, state, ctx = self._route.get(ident, _UNROUTED)
@@ -410,7 +410,8 @@ class Environment:
         try:
             _, drafts, events = _HANDLERS[role](state, msg, ctx)
         except SliceSimError as exc:
-            self.trace_error(type(exc).__name__, ident, {"detail": str(exc)})
+            error = refusal(ident, exc)
+            self.trace_event(error.kind, error.subject, error.detail)
             return
         finally:
             if role in _HAS_WORK and _HAS_WORK[role](state, msg):
@@ -570,8 +571,8 @@ class Environment:
             try:
                 events = slices_mod.teardown(instance, self.tick)
             except SliceSimError as exc:
-                self.trace_error(type(exc).__name__, event.args[0],
-                                 {"detail": str(exc)})
+                error = refusal(event.args[0], exc)
+                self.trace_event(error.kind, error.subject, error.detail)
                 return
             for block_event in events:
                 self.trace_event(block_event.kind, block_event.subject,

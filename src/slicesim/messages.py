@@ -141,7 +141,7 @@ PAYLOAD_SCHEMAS: dict[ProcedureKind, frozenset[str]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Endpoint:
     """An addressable signalling endpoint: a device, an access node, a block
     instance or a forwarded-plane node."""
@@ -150,7 +150,7 @@ class Endpoint:
     ident: str
 
     def __str__(self) -> str:
-        return f"{self.role.value}:{self.ident}"
+        return f"{self.role._value_}:{self.ident}"
 
     @classmethod
     def parse(cls, text: str) -> "Endpoint":
@@ -185,7 +185,7 @@ class BBInstanceId:
         return Endpoint(self.role, str(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalMessage:
     kind: ProcedureKind
     source: Endpoint

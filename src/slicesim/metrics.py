@@ -32,22 +32,30 @@ class MetricsReport:
 
 def compute_metrics(records) -> MetricsReport:
     report = MetricsReport()
-    spans: dict = {}
+    counts = report.message_counts
     families: dict = {}     # correlation id -> family
+    firsts: dict = {}       # correlation id -> first tick
+    lasts: dict = {}        # correlation id -> last tick
     for rec in records:
         if isinstance(rec, MessageRecord):
-            corr = rec.msg.correlation_id
-            family = families.get(corr)
-            if family is None:
+            tick, msg = rec.tick, rec.msg
+            corr = msg.correlation_id
+            first = firsts.get(corr)
+            if first is None:
                 family = families[corr] = _family(corr)
-            key = (family, rec.msg.interface.value)
-            report.message_counts[key] = report.message_counts.get(key, 0) + 1
-            if rec.msg.interface in WBI_MEMBERS:
+                firsts[corr] = lasts[corr] = tick
+            else:
+                family = families[corr]
+                if tick < first:
+                    firsts[corr] = tick
+                elif tick > lasts[corr]:
+                    lasts[corr] = tick
+            key = (family, msg.interface._value_)
+            counts[key] = counts.get(key, 0) + 1
+            if msg.interface in WBI_MEMBERS:
                 # west-bound composite: I1/I2/I3 folded for reporting
                 wbi = (family, "WBI")
-                report.message_counts[wbi] = report.message_counts.get(wbi, 0) + 1
-            first, last = spans.get(corr, (rec.tick, rec.tick))
-            spans[corr] = (min(first, rec.tick), max(last, rec.tick))
+                counts[wbi] = counts.get(wbi, 0) + 1
             if rec.recipients:
                 report.fabric_hops_total += rec.hop_count
                 scope = rec.recipients[0].split(".")[1] if "." in rec.recipients[0] else "?"
@@ -62,11 +70,11 @@ def compute_metrics(records) -> MetricsReport:
                     "in_flight": rec.detail.get("in_flight", 0)}
             elif rec.kind == "slice-digest":
                 report.digests[rec.subject] = rec.detail.get("digest", "")
-    for corr, (first, last) in spans.items():
+    for corr, first in firsts.items():
         family = families[corr]
         report.procedure_runs[family] = report.procedure_runs.get(family, 0) + 1
         report.procedure_ticks[family] = \
-            report.procedure_ticks.get(family, 0) + (last - first)
+            report.procedure_ticks.get(family, 0) + (lasts[corr] - first)
     return report
 
 

@@ -283,8 +283,10 @@ def operate(instance: SliceInstance) -> SliceInstance:
 
 def teardown(instance: SliceInstance, tick: int = 0) -> list:
     """Detach every device, release reservations, end in-flight path
-    applies and clear the forwarded plane.  Returns the detach and
-    slice-torn-down events for the engine to trace and apply."""
+    applies and clear the forwarded plane's rules.  Returns the detach and
+    slice-torn-down events for the engine to trace and apply; applying a
+    detach ends the device's flows, and an active flow's device is always
+    attached to the flow's slice."""
     if instance.lifecycle_state is LifecycleState.TORN_DOWN:
         raise LifecycleOrderError("teardown on an already torn down slice")
     cm_state = instance.states[Role.CM]
@@ -308,8 +310,6 @@ def teardown(instance: SliceInstance, tick: int = 0) -> list:
     cm_state.device_sessions.clear()
     cm_state.slice_bindings.clear()
     instance.dplane.rules.clear()
-    for run in instance.dplane.flows.values():
-        run.active = False
     instance.attached_devices.clear()
     instance.lifecycle_state = LifecycleState.TORN_DOWN
     events.append(BlockEvent("slice-torn-down", instance.slice_id))

@@ -8,15 +8,15 @@ with the mutable-width payload/detail column last:
     MSG|seq|tick|kind|source|destination|interface|correlation|hops|mediators|recipients|payload
     EVT|seq|tick|kind|subject|detail
 
-Serialization is canonical (sorted-key JSON for payloads) so equal runs are
-byte-identical.
+Records are immutable named tuples.  Serialization is canonical (sorted-key
+JSON for payloads) so equal runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import SchemaError
 from .messages import (
@@ -25,13 +25,34 @@ from .messages import (
 )
 
 
-#: Sorted-key JSON without spaces, from one encoder: `json.dumps` with these
-#: options would build a new encoder on every call.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: The ids of the containers the encoder is inside; a circular value raises.
+_MARKERS: dict = {}
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+def canonical_json(value) -> str:
+    """`json.dumps(value, sort_keys=True, separators=(",", ":"))`, from one
+    reused encoder: calls must not overlap, as in a single-threaded run."""
+    try:
+        return "".join(_encode(value, 0))
+    except BaseException:
+        _MARKERS.clear()    # a failed call leaves its open containers marked
+        raise
+
+
+if c_make_encoder is None:      # an interpreter without the C accelerator
+    canonical_json = _ENCODER.encode        # noqa: F811
+else:
+    #: `_ENCODER.encode` builds a new C encoder on every call; this is the
+    #: one it would build: sorted keys, compact separators, ASCII escapes,
+    #: NaN and infinities allowed.
+    _encode = c_make_encoder(_MARKERS, _ENCODER.default,
+                             encode_basestring_ascii, None, ":", ",", True,
+                             False, True)
+
+
+class MessageRecord(NamedTuple):
     seq: int
     tick: int
     msg: SignalMessage
@@ -40,17 +61,17 @@ class MessageRecord:
     recipients: tuple[str, ...] = ()   # non-empty only if a fabric carried it
 
     def line(self) -> str:
-        m = self.msg
-        return "|".join([
-            "MSG", str(self.seq), str(self.tick), m.kind.value, str(m.source),
-            str(m.destination), m.interface.value, m.correlation_id,
-            str(self.hop_count), ",".join(self.mediators),
-            ",".join(self.recipients), canonical_json(dict(m.payload)),
-        ])
+        seq, tick, m, hop_count, mediators, recipients = self
+        source, payload = m.source, m.payload
+        if type(payload) is not dict:
+            payload = dict(payload)
+        return (f"MSG|{seq}|{tick}|{m.kind._value_}|{source.role._value_}:"
+                f"{source.ident}|{m.destination}|{m.interface._value_}|"
+                f"{m.correlation_id}|{hop_count}|{','.join(mediators)}|"
+                f"{','.join(recipients)}|{canonical_json(payload)}")
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     seq: int
     tick: int
     kind: str         # "transition", "error", "flow-delivered", "slice-digest", ...
@@ -58,10 +79,8 @@ class EventRecord:
     detail: dict
 
     def line(self) -> str:
-        return "|".join([
-            "EVT", str(self.seq), str(self.tick), self.kind, self.subject,
-            canonical_json(self.detail),
-        ])
+        return (f"EVT|{self.seq}|{self.tick}|{self.kind}|{self.subject}|"
+                f"{canonical_json(self.detail)}")
 
 
 TraceRecord = Union[MessageRecord, EventRecord]
@@ -77,35 +96,52 @@ def _parse_destination(text: str) -> Destination:
     return Endpoint.parse(text)
 
 
+def _resolver(parse):
+    """`parse` with a memo: each distinct text is parsed once."""
+    memo: dict = {}
+
+    def resolve(text):
+        value = memo.get(text)
+        if value is None:
+            value = memo[text] = parse(text)
+        return value
+    return resolve
+
+
 def iter_trace(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceRecord]:
-    """Parse trace lines one at a time; errors name `source:lineno`."""
+    """Parse trace lines one at a time; errors name `source:lineno`.  Each
+    distinct endpoint, destination, kind and interface text is resolved once
+    per parse."""
+    endpoint = _resolver(Endpoint.parse)
+    destination = _resolver(_parse_destination)
+    procedure = _resolver(ProcedureKind)
+    interface = _resolver(InterfacePoint)
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.rstrip("\n")
         if not raw.strip():
             continue
         tag = raw.split("|", 1)[0]
-        where = f"{source}:{lineno}"
         try:
             if tag == "MSG":
                 (_, seq, tick, kind, src, dst, iface, corr, hops, mediators,
                  recipients, payload) = raw.split("|", 11)
-                msg = SignalMessage(
-                    kind=ProcedureKind(kind),
-                    source=Endpoint.parse(src), destination=_parse_destination(dst),
-                    interface=InterfacePoint(iface), correlation_id=corr,
-                    payload=json.loads(payload))
                 record: TraceRecord = MessageRecord(
-                    seq=int(seq), tick=int(tick), msg=msg, hop_count=int(hops),
-                    mediators=tuple(mediators.split(",")) if mediators else (),
-                    recipients=tuple(recipients.split(",")) if recipients else ())
+                    int(seq), int(tick),
+                    SignalMessage(procedure(kind), endpoint(src),
+                                  destination(dst), interface(iface), corr,
+                                  json.loads(payload)),
+                    int(hops),
+                    tuple(mediators.split(",")) if mediators else (),
+                    tuple(recipients.split(",")) if recipients else ())
             elif tag == "EVT":
                 _, seq, tick, kind, subject, detail = raw.split("|", 5)
-                record = EventRecord(seq=int(seq), tick=int(tick), kind=kind,
-                                     subject=subject, detail=json.loads(detail))
+                record = EventRecord(int(seq), int(tick), kind, subject,
+                                     json.loads(detail))
             else:
-                raise SchemaError(f"{where}: unknown record tag {tag!r}")
+                raise SchemaError(f"{source}:{lineno}: unknown record tag {tag!r}")
         except ValueError as exc:
-            raise SchemaError(f"{where}: malformed {tag} record: {exc}") from None
+            raise SchemaError(
+                f"{source}:{lineno}: malformed {tag} record: {exc}") from None
         yield record
 
 

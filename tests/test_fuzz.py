@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicesim.blocks.common import PathStrategy
-from slicesim.engine import Scenario, ScriptEvent, compare_fabrics, run
+from slicesim.engine import (
+    Environment, Scenario, ScriptEvent, compare_fabrics, run,
+)
 from slicesim.errors import SliceSimError
 from slicesim.metrics import compute_metrics
 from slicesim.netsim import DeviceSpec, SignalingMode, load_topology_file
@@ -154,6 +156,58 @@ def test_generated_scripts_hold_the_five_checks(record_property):
 
     check()
     record_property("tolerated", f"{len(tolerated)} of {len(cases)} cases")
+
+
+@st.composite
+def flows_at_teardown(draw):
+    """A generated case whose devices all attach at tick 0 and start a flow
+    at tick 12, with a teardown of one of its slices after that."""
+    scenario = draw(scenarios())
+    extra = [event for spec in scenario.devices for event in (
+        ScriptEvent(0, "attach", (spec.device_id,), {"method": 2}),
+        ScriptEvent(12, "traffic-start", (spec.device_id,),
+                    {"flow": "fT", "rate": 1, "duration": 30}))]
+    slice_id = draw(st.sampled_from([bp.slice_id for bp in scenario.blueprints]))
+    extra.append(ScriptEvent(draw(st.integers(13, 30)), "teardown",
+                             (slice_id,), {}))
+    script = sorted(extra + list(scenario.script), key=lambda e: e.tick)
+    return dataclasses.replace(scenario, script=tuple(script))
+
+
+def test_teardown_ends_every_flow_through_its_device_detach(monkeypatch,
+                                                         record_property):
+    """`slices.teardown` leaves flows to the detach of each attached device,
+    which `Environment._apply_event` applies.  That ends every flow of the
+    slice only if an active flow's device is attached to the flow's slice:
+    hold both sides around each generated teardown."""
+    run_script_event = Environment._run_script_event
+    ended = []
+
+    def checked(env, event):
+        if event.action != "teardown":
+            return run_script_event(env, event)
+        instance = env.slices[event.args[0]]
+        flows = instance.dplane.flows.values()
+        active = {run.device for run in flows if run.active}
+        assert active <= instance.attached_devices
+        run_script_event(env, event)
+        assert not any(run.active for run in flows)
+        ended.append(len(active))
+
+    monkeypatch.setattr(Environment, "_run_script_event", checked)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(flows_at_teardown(), st.integers(1, 9))
+    def check(scenario, seed):
+        try:
+            run(scenario, seed)
+        except SliceSimError:     # a set-up refusal is a domain error
+            pass
+
+    check()
+    hits = sum(1 for n in ended if n)
+    record_property("teardowns with active flows", f"{hits} of {len(ended)}")
+    assert hits, "no generated teardown ended an active flow"
 
 
 def leak_case() -> Scenario:
