@@ -25,10 +25,15 @@ from .messages import (
 )
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
 #: The ids of the containers the encoder is inside; a circular value raises.
 _MARKERS: dict = {}
+
+#: The C encoder that `json.dumps(value, sort_keys=True, separators=(",",
+#: ":"))` builds on every call, built once: sorted keys, compact separators,
+#: ASCII escapes, NaN and infinities allowed.
+_encode = c_make_encoder(_MARKERS, json.JSONEncoder().default,
+                         encode_basestring_ascii, None, ":", ",", True, False,
+                         True)
 
 
 def canonical_json(value) -> str:
@@ -39,17 +44,6 @@ def canonical_json(value) -> str:
     except BaseException:
         _MARKERS.clear()    # a failed call leaves its open containers marked
         raise
-
-
-if c_make_encoder is None:      # an interpreter without the C accelerator
-    canonical_json = _ENCODER.encode        # noqa: F811
-else:
-    #: `_ENCODER.encode` builds a new C encoder on every call; this is the
-    #: one it would build: sorted keys, compact separators, ASCII escapes,
-    #: NaN and infinities allowed.
-    _encode = c_make_encoder(_MARKERS, _ENCODER.default,
-                             encode_basestring_ascii, None, ":", ",", True,
-                             False, True)
 
 
 class MessageRecord(NamedTuple):

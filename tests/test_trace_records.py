@@ -111,13 +111,6 @@ class TestImmutableRecords:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
 
-    def test_positional_and_keyword_records_are_equal(self):
-        msg = attach_message()
-        assert MessageRecord(1, 0, msg) == MessageRecord(
-            seq=1, tick=0, msg=msg, hop_count=1, mediators=(), recipients=())
-        assert EventRecord(2, 0, "x", "s", {}) == EventRecord(
-            seq=2, tick=0, kind="x", subject="s", detail={})
-
 
 class TestLineFormat:
     @pytest.mark.parametrize("model", [None, *FABRIC_MODELS],
