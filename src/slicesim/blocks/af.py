@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..messages import (
     Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, draft,
 )
-from .common import BlockContext, BlockEvent
+from .common import BlockContext, BlockEvent, error_event
 
 #: Core roles allowed to reconfigure access nodes through this function.
 DEFAULT_AN_CONFIG_RIGHTS = {"CM": frozenset({"an-config"}),
@@ -77,17 +77,16 @@ def af_handle(state: AFState, msg, ctx: BlockContext):
         elif msg.kind is ProcedureKind.HANDOVER_EXECUTE and \
                 payload.get("phase") == "confirm":
             if device not in state.path_records:
-                events.append(BlockEvent("error", device,
-                                         {"error": "UnknownDevice",
-                                          "detail": "transition for unrecorded device"}))
+                events.append(error_event(
+                    device, "UnknownDevice", detail="transition for unrecorded device"))
                 return state, drafts, events
             record_path(state, device, payload.get("node", ""),
                         payload.get("tech", ""), "handover", ctx.tick)
         target_role = _UPLINK_TARGETS.get(msg.kind)
         if target_role is None:
-            events.append(BlockEvent("error", device,
-                                     {"error": "NoInterfaceError",
-                                      "detail": f"no uplink mapping for {msg.kind.value}"}))
+            events.append(error_event(
+                device, "NoInterfaceError",
+                detail=f"no uplink mapping for {msg.kind.value}"))
             return state, drafts, events
         if (msg.kind is ProcedureKind.ATTACH_REQUEST
                 and int(payload.get("method", 2)) == 1
@@ -96,10 +95,10 @@ def af_handle(state: AFState, msg, ctx: BlockContext):
         elif ctx.has(target_role):
             target = ctx.peer_endpoint(target_role)
         else:
-            events.append(BlockEvent("error", device, {
-                "error": "NoInterfaceError",
-                "detail": f"no {target_role.value} in slice {ctx.slice_id} "
-                          f"for {msg.kind.value}"}))
+            events.append(error_event(
+                device, "NoInterfaceError",
+                detail=f"no {target_role.value} in slice {ctx.slice_id} "
+                       f"for {msg.kind.value}"))
             return state, drafts, events
         drafts.append(draft(msg.kind, ctx.self_endpoint, target,
                             msg.correlation_id, payload))
@@ -127,25 +126,22 @@ def af_handle(state: AFState, msg, ctx: BlockContext):
         rights = state.cn_access_permissions.get(msg.source.role.value, frozenset())
         ok = "an-config" in rights
         if not ok:
-            events.append(BlockEvent("error", msg.source.role.value,
-                                     {"error": "PermissionDenied",
-                                      "detail": "no AN configuration rights"}))
+            events.append(error_event(msg.source.role.value, "PermissionDenied",
+                                      detail="no AN configuration rights"))
         else:
             events.append(BlockEvent("an-config", payload.get("node", ""),
                                      {"by": msg.source.role.value}))
         drafts.append(draft(
             ProcedureKind.FLOW_NOTIFY, ctx.self_endpoint, msg.source,
             msg.correlation_id,
-            {"phase": "an-config", "node": payload.get("node", ""), "ok": ok},
-            interface=msg.interface))
+            {"phase": "an-config", "node": payload.get("node", ""), "ok": ok}))
         return state, drafts, events
 
     if msg.kind in _DOWNLINK_KINDS:
         if msg.kind is ProcedureKind.HANDOVER_EXECUTE and device and \
                 device not in state.path_records:
-            events.append(BlockEvent("error", device,
-                                     {"error": "UnknownDevice",
-                                      "detail": "transition for unrecorded device"}))
+            events.append(error_event(
+                device, "UnknownDevice", detail="transition for unrecorded device"))
             return state, drafts, events
         drafts.append(draft(msg.kind, ctx.self_endpoint,
                             Endpoint(Role.UE, device), msg.correlation_id,

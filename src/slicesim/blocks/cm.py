@@ -17,7 +17,7 @@ from ..errors import IllegalTransitionError, NoDPlaneFunctionError, NoEligibleSl
 from ..messages import (
     Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, draft,
 )
-from .common import BlockContext, BlockEvent, refusal
+from .common import BlockContext, BlockEvent, error_event, refusal
 
 
 class CMRole(str, Enum):
@@ -231,8 +231,8 @@ def handle(state: CMState, msg, ctx: BlockContext):
     elif kind is ProcedureKind.AUTH_RESPONSE:
         pending = state.pending_attach.pop(corr, None)
         if pending is None:
-            events.append(BlockEvent("error", payload.get("device", "?"),
-                                     {"error": "StrayAuthResponse"}))
+            events.append(error_event(payload.get("device", "?"),
+                                      "StrayAuthResponse"))
             return state, drafts, events
         if not payload.get("ok"):
             more, evs = cm_attach(state, pending, auth_ok=False, ctx=ctx, corr=corr)
@@ -339,9 +339,8 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
         # flow request from the device
         current = state.device_table.get(device, ConvergentState.DETACHED)
         if current not in (ConvergentState.ATTACHED, ConvergentState.SESSION_ACTIVE):
-            events.append(BlockEvent("error", device,
-                                     {"error": "IllegalEventError",
-                                      "detail": "traffic for unattached device"}))
+            events.append(error_event(device, "IllegalEventError",
+                                      detail="traffic for unattached device"))
             return drafts, events
         session_id = state.device_sessions[device]
         record = state.sessions[session_id]
@@ -394,9 +393,8 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
                                      {"flow": payload.get("flow"),
                                       "session": session_id}))
         elif phase == "flow-err":
-            events.append(BlockEvent("error", record.device,
-                                     {"error": "FlowSetupFailed",
-                                      "flow": payload.get("flow")}))
+            events.append(error_event(record.device, "FlowSetupFailed",
+                                      flow=payload.get("flow")))
         elif phase == "reanchor-ok":
             record.anchor = payload.get("anchor", record.anchor)
             events.append(BlockEvent("reanchor-complete", record.device,
@@ -413,9 +411,8 @@ def _handle_session_release(state: CMState, msg, ctx: BlockContext):
     scope = payload.get("scope", "flow")
     session_id = state.device_sessions.get(device)
     if session_id is None:
-        events.append(BlockEvent("error", device,
-                                 {"error": "IllegalEventError",
-                                  "detail": "release for unknown session"}))
+        events.append(error_event(device, "IllegalEventError",
+                                  detail="release for unknown session"))
         return drafts, events
     if scope == "flow":
         drafts.append(draft(

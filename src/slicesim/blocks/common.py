@@ -76,10 +76,14 @@ class BlockEvent:
     detail: dict = field(default_factory=dict)
 
 
+def error_event(subject: str, error: str, **detail) -> BlockEvent:
+    """A traced error: `error` names the condition, `detail` adds fields."""
+    return BlockEvent("error", subject, {"error": error, **detail})
+
+
 def refusal(subject: str, exc: Exception) -> BlockEvent:
     """The traced error of a request a handler refused on a domain error."""
-    return BlockEvent("error", subject,
-                      {"error": type(exc).__name__, "detail": str(exc)})
+    return error_event(subject, type(exc).__name__, detail=str(exc))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..errors import CapacityError, NoPathError
 from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
-from .common import BlockContext, BlockEvent, PathStrategy, refusal
+from .common import BlockContext, BlockEvent, PathStrategy, error_event, refusal
 
 
 @dataclass
@@ -366,9 +366,8 @@ def _start_handover_paths(state: FMState, msg, ctx: BlockContext):
     session = payload["session"]
     binding = state.sessions.get(session)
     if binding is None:
-        events.append(BlockEvent("error", session,
-                                 {"error": "NoSessionError",
-                                  "detail": "handover for unknown session"}))
+        events.append(error_event(session, "NoSessionError",
+                                  detail="handover for unknown session"))
         return drafts, events
     new_ingress = payload["ingress"]
     flows = [f for f in binding.flows if f in state.path_table]
@@ -441,9 +440,9 @@ def _handle_notify(state: FMState, msg, ctx: BlockContext):
             return drafts, events
         if not payload.get("ok", False):
             drafts.extend(_rollback(state, key, job, ctx))
-            events.append(BlockEvent("error", job.flow,
-                                     {"error": "AdaptorError",
-                                      "detail": f"node {payload.get('node')} rejected"}))
+            events.append(error_event(
+                job.flow, "AdaptorError",
+                detail=f"node {payload.get('node')} rejected"))
             return drafts, events
         job.outstanding.discard(payload.get("node", ""))
         if not job.outstanding:

@@ -30,7 +30,7 @@ from .blocks.common import BlockContext, BlockEvent, SlicePolicy, refusal
 from .errors import EquivalenceViolation, ScenarioError, SliceSimError
 from .fabric import FabricModel, FabricModelKind
 from .messages import (
-    BBInstanceId, BB_ROLES, Endpoint, ProcedureKind, Role, SignalMessage,
+    BBInstanceId, Endpoint, ProcedureKind, Role, SignalMessage,
     Topic, draft, validate_message,
 )
 from .metrics import MetricsReport, compute_metrics
@@ -327,9 +327,7 @@ class Environment:
         fabrics; the broker fabric keeps the single topic message."""
         if not isinstance(item.destination, Topic):
             return [item]
-        instance = self._route.get(item.source.ident, _UNROUTED)[0]
-        if instance is None:
-            return []
+        instance = self._route[item.source.ident][0]
         if instance.fabric.model.kind is FabricModelKind.PUB_SUB:
             return [item]
         cghf_state = instance.states[Role.CGHF]
@@ -338,15 +336,10 @@ class Environment:
             self.trace_error("NoSubscriberError", item.destination.topic_id,
                              {"publisher": item.source.ident})
             return []
-        expanded = []
-        for ident in subscribers:
-            role = instance.fabric.members.get(ident)
-            if role is None:
-                continue
-            expanded.append(draft(item.kind, item.source,
-                                  Endpoint(role, ident), item.correlation_id,
-                                  item.payload))
-        return expanded
+        return [draft(item.kind, item.source,
+                      Endpoint(instance.fabric.members[ident], ident),
+                      item.correlation_id, item.payload)
+                for ident in subscribers]
 
     # -- delivery ------------------------------------------------------------
 
@@ -361,22 +354,17 @@ class Environment:
         elif role is Role.D_PLANE:
             self._trace_msg(seq, msg)
             self.emit(self._dplane_receive(msg))
-        elif role in BB_ROLES:
+        else:
             src_instance = self._route.get(msg.source.ident, _UNROUTED)[0]
-            dst_instance = self._route.get(msg.destination.ident, _UNROUTED)[0]
+            dst_instance = self._route[msg.destination.ident][0]
             if src_instance is not None and src_instance is dst_instance:
                 self._deliver_fabric(seq, msg)
             else:
                 self._trace_msg(seq, msg)
                 self._invoke_block(msg.destination.ident, msg)
-        else:
-            self.trace_error("UnknownDestinationError", str(msg.destination), {})
 
     def _deliver_fabric(self, seq: int, msg: SignalMessage) -> None:
-        instance = self._route.get(msg.source.ident, _UNROUTED)[0]
-        if instance is None:
-            self.trace_error("UnknownDestinationError", str(msg.source), {})
-            return
+        instance = self._route[msg.source.ident][0]
         if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
                              {"detail": "message to a torn down slice"})
@@ -397,10 +385,7 @@ class Environment:
                                         mediators, recipients))
 
     def _invoke_block(self, ident: str, msg: SignalMessage) -> None:
-        instance, role, state, ctx = self._route.get(ident, _UNROUTED)
-        if role is None:
-            self.trace_error("UnknownDestinationError", ident, {})
-            return
+        instance, role, state, ctx = self._route[ident]
         if instance is not None and \
                 instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
@@ -457,39 +442,29 @@ class Environment:
     # -- endpoint behaviour ----------------------------------------------------
 
     def _ue_receive(self, msg: SignalMessage) -> list:
-        device = self.devices.get(msg.destination.ident)
-        if device is None:
-            self.trace_error("UnknownDevice", msg.destination.ident, {})
-            return []
+        device = self.devices[msg.destination.ident]
         payload = msg.payload
         if msg.kind is ProcedureKind.SLICE_REDIRECT:
             target = payload.get("target", "")
             return self._attach_drafts(device, method=2, target_slice=target,
                                        corr=msg.correlation_id, reattach=True)
-        if msg.kind is ProcedureKind.HANDOVER_EXECUTE and \
-                payload.get("phase") == "execute":
-            node = payload.get("node", "")
-            device.current_node = node
-            info = self.scenario.topology.access[node]
-            for run in self._flows_of.get(device.device_id, {}).values():
-                run.ingress = info.ingress
-            confirm = dict(payload)
-            confirm["phase"] = "confirm"
-            return [draft(ProcedureKind.HANDOVER_EXECUTE,
-                          Endpoint(Role.UE, device.device_id), msg.source,
-                          msg.correlation_id, confirm)]
-        return []
+        # the one other message a device receives: a handover's execute phase
+        node = payload.get("node", "")
+        device.current_node = node
+        info = self.scenario.topology.access[node]
+        for run in self._flows_of.get(device.device_id, {}).values():
+            run.ingress = info.ingress
+        confirm = dict(payload)
+        confirm["phase"] = "confirm"
+        return [draft(ProcedureKind.HANDOVER_EXECUTE,
+                      Endpoint(Role.UE, device.device_id), msg.source,
+                      msg.correlation_id, confirm)]
 
     def _dplane_receive(self, msg: SignalMessage) -> list:
+        # a plane gets FlowConfigure only, from the FM of its own slice
         slice_id, _, node = msg.destination.ident.partition(":")
-        instance = self.slices.get(slice_id)
-        if instance is None:
-            self.trace_error("UnknownDestinationError", msg.destination.ident, {})
-            return []
         payload = msg.payload
-        if msg.kind is not ProcedureKind.FLOW_CONFIGURE:
-            return []
-        ok, reason = instance.dplane.configure(payload)
+        ok, reason = self.slices[slice_id].dplane.configure(payload)
         if not ok and payload.get("action") == "remove":
             # stale removals are rejected silently to keep them idempotent
             self.trace_event("config-reject", node, {"reason": reason,

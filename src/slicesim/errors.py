@@ -3,8 +3,9 @@
 Every domain error derives from SliceSimError.  During a simulation run the
 engine converts raised domain errors into trace events named after their
 class instead of aborting.  Conditions that are only traced, never raised
-(for example `NoSubscriberError`, `UnknownDevice` or `SfInactive`), are
-named by string in the trace and have no class here.
+(`IllegalEventError`, `UnknownDestinationError`, `NoSubscriberError`,
+`UnknownDevice`, `SfInactive` and the like), are named by string in the
+trace and have no class here.
 """
 
 
@@ -43,10 +44,6 @@ class BadRelayError(SliceSimError):
 
 
 class ModelMismatchError(SliceSimError):
-    pass
-
-
-class UnknownDestinationError(SliceSimError):
     pass
 
 
@@ -99,10 +96,6 @@ class BlueprintError(SliceSimError):
 
 
 # -- netsim / engine -------------------------------------------------------
-
-class IllegalEventError(SliceSimError):
-    pass
-
 
 class ScenarioError(SliceSimError):
     pass

@@ -196,19 +196,17 @@ class SignalMessage:
 
 
 def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
-          correlation_id: str, payload: Mapping[str, object] | None = None,
-          interface: InterfacePoint | None = None) -> SignalMessage:
+          correlation_id: str, payload: Mapping[str, object] | None = None
+          ) -> SignalMessage:
     """Build a message over its own copy of `payload`, routing the interface
-    from the endpoint roles unless given explicitly (topic destinations are
-    always inter-BB).  Handlers read a delivered payload and never write it."""
-    if interface is None:
-        if isinstance(destination, Topic):
-            interface = InterfacePoint.INTER_BB
-        else:
-            interface = route_interface_for(source.role, destination.role)
-    if payload and not PAYLOAD_SCHEMAS[kind].issuperset(payload):
-        unknown = set(payload) - PAYLOAD_SCHEMAS[kind]
-        raise ValueError(f"fields {sorted(unknown)} not in {kind.value} schema")
+    from the endpoint roles (topic destinations are always inter-BB).  The
+    payload schema is checked once, by `validate_message` when the engine
+    emits the message.  Handlers read a delivered payload and never write
+    it."""
+    if isinstance(destination, Topic):
+        interface = InterfacePoint.INTER_BB
+    else:
+        interface = route_interface_for(source.role, destination.role)
     return SignalMessage(kind, source, destination, interface, correlation_id,
                          dict(payload or {}))
 
@@ -279,10 +277,8 @@ def validate_message(msg: SignalMessage) -> Verdict:
     Violations are reported in the verdict, never raised.
     """
     violations: list[str] = []
-    schema = PAYLOAD_SCHEMAS.get(msg.kind)
-    if schema is None:
-        violations.append(f"unknown kind {msg.kind!r}")
-    elif not schema.issuperset(msg.payload):
+    schema = PAYLOAD_SCHEMAS[msg.kind]
+    if not schema.issuperset(msg.payload):
         extra = set(msg.payload) - schema
         violations.append(f"payload fields {sorted(extra)} outside {msg.kind.value} schema")
     if not msg.correlation_id:

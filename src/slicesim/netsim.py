@@ -52,7 +52,7 @@ def load_topology(text: str, source: str = "<topology>") -> TopologySpec:
 
 def _load_topology(text: str, source: str) -> TopologySpec:
     blocks = parse_blocks(text, {"topology"}, source)
-    if len(blocks) != 1 or blocks[0].kind != "topology":
+    if len(blocks) != 1:
         raise SchemaError(f"{source}: expected exactly one topology block")
     block = blocks[0]
     nodes: dict = {}
@@ -265,14 +265,11 @@ class DPlane:
                     flow=flow_id, path=path, complete=complete, hop=0,
                     remaining=self.latency(path[0], path[1]), sent_tick=tick,
                     count=run.rate))
-            elif complete:
+            else:   # the ingress rule is `deliver`
                 run.delivered += run.rate
                 delivered_now[flow_id] = delivered_now.get(flow_id, 0) + run.rate
                 run.latencies += [(tick, 0)] * run.rate
                 latency_samples += [(flow_id, 0)] * run.rate
-            else:
-                run.lost += run.rate
-                lost_now[flow_id] = lost_now.get(flow_id, 0) + run.rate
 
         self._live = {flow_id: run for flow_id, run in live if run.in_flight
                       or run.active and run.remaining_emissions > 0}

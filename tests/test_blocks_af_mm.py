@@ -159,6 +159,41 @@ class TestAccessFunction:
             ("error", "d1", {"error": "NoInterfaceError",
                              "detail": f"no MM in slice {SLICE} for {kind.value}"})]
 
+    def test_uplink_kind_without_a_core_target_is_a_traced_error(self):
+        state = AFState()
+        ctx = ctx_for(Role.AF)
+        msg = message(ProcedureKind.PAGE, Endpoint(Role.UE, "d1"),
+                      Endpoint(Role.AF, ctx.self_id), InterfacePoint.I1,
+                      {"device": "d1"}, corr="d1:page:1")
+        _, drafts, events = af_handle(state, msg, ctx)
+        assert drafts == []
+        assert [(e.kind, e.subject, e.detail) for e in events] == [
+            ("error", "d1", {"error": "NoInterfaceError",
+                             "detail": "no uplink mapping for Page"})]
+
+    def test_downlink_handover_for_unrecorded_device_is_unknown(self):
+        state = AFState()
+        ctx = ctx_for(Role.AF)
+        msg = message(ProcedureKind.HANDOVER_EXECUTE,
+                      Endpoint(Role.MM, ctx.peers[Role.MM]),
+                      Endpoint(Role.AF, ctx.self_id), InterfacePoint.I3,
+                      {"device": "ghost", "phase": "execute", "node": "n2"},
+                      corr="ghost:handover:1")
+        _, drafts, events = af_handle(state, msg, ctx)
+        assert drafts == []
+        assert [(e.kind, e.subject, e.detail) for e in events] == [
+            ("error", "ghost", {"error": "UnknownDevice",
+                                "detail": "transition for unrecorded device"})]
+
+    def test_core_kind_it_does_not_serve_is_dropped(self):
+        state = AFState()
+        ctx = ctx_for(Role.AF)
+        msg = message(ProcedureKind.AUTH_RESPONSE,
+                      Endpoint(Role.CM, ctx.peers[Role.CM]),
+                      Endpoint(Role.AF, ctx.self_id), InterfacePoint.I3,
+                      {"device": "d1", "ok": True})
+        assert af_handle(state, msg, ctx) == (AFState(), [], [])
+
 
 def mm_with_session(device="d1", style=HandoverStyle.MAKE_BEFORE_BREAK):
     state = MMState()
@@ -260,6 +295,22 @@ class TestHandover:
                "tech": "wifi", "area": "area-2"}, Role.UE, corr)
         assert state.tracking_areas["d1"] == "area-2"
         assert state.locations["d1"] == "w1"
+
+    def test_path_reply_without_a_plan_is_ignored(self):
+        state, _, ctx = mm_with_session()
+        _, drafts, events = drive(
+            state, ctx, ProcedureKind.HANDOVER_PREPARE,
+            {"session": "s-1", "phase": "new-path-ok", "ok": True}, Role.FM)
+        assert (drafts, events) == ([], [])
+
+    def test_confirm_without_a_plan_is_ignored(self):
+        state, _, ctx = mm_with_session()
+        _, drafts, events = drive(
+            state, ctx, ProcedureKind.HANDOVER_EXECUTE,
+            {"device": "d1", "phase": "confirm", "node": "w1", "tech": "wifi",
+             "area": "area-2"}, Role.UE)
+        assert (drafts, events) == ([], [])
+        assert state.locations["d1"] == "n1"
 
 
 class TestPaging:

@@ -9,11 +9,11 @@ from slicesim.blocks.cghf import (
     cghf_ingest,
 )
 from slicesim.blocks.common import (
-    AccessNodeInfo, BlockContext, PathStrategy, SlicePolicy, Tech,
+    AccessNodeInfo, BlockContext, BlockEvent, PathStrategy, SlicePolicy, Tech,
 )
 from slicesim.blocks.fm import (
-    FMState, LinkState, TopologyView, fm_apply, fm_define_path,
-    fm_release_path, handle as fm_handle, link_key,
+    FMState, LinkState, SessionBinding, TopologyView, fm_apply,
+    fm_define_path, fm_release_path, handle as fm_handle, link_key,
     post_install_utilisation, shortest_path,
 )
 from slicesim.engine import _normalize
@@ -121,6 +121,10 @@ class TestPathSearch:
         fm_handle(state, load, ctx)
         second = fm_define_path(state, "f2", "s", "t", "default")
         assert second.nodes == ("s", "y", "t")
+
+    def test_unknown_endpoint_has_no_path(self):
+        with pytest.raises(NoPathError, match="unknown endpoint 'a' or 'zz'"):
+            shortest_path(line_view(), "a", "zz")
 
     def test_disconnected_endpoints_raise(self):
         view = view_from([("a", "b", 10, 1), ("c", "d", 10, 1)])
@@ -263,6 +267,86 @@ class TestApply:
         confirm = [d for d in drafts if d.kind is ProcedureKind.SESSION_ESTABLISH]
         assert confirm and confirm[0].payload["phase"] == "flow-ok"
         assert state.path_table["f1"] is path
+
+    def test_rejected_reanchor_restores_the_old_path(self):
+        state = FMState(view=view_from([("a", "b", 10, 1), ("b", "c", 10, 2),
+                                        ("b", "d", 10, 1)]))
+        ctx = fm_ctx()
+        state.sessions["s-1"] = SessionBinding("d1", "c", "a", ["f1"])
+        old = fm_define_path(state, "f1", "a", "c", "default")
+        fm_handle(state, to_fm(ProcedureKind.SESSION_ESTABLISH, {
+            "session": "s-1", "phase": "reanchor", "flow": "f1",
+            "anchor": "d"}), ctx)
+        assert state.path_table["f1"].nodes == ("a", "b", "d")
+        self.ack(state, ctx, "c1", "a")
+        _, _, events = self.ack(state, ctx, "c1", "b", ok=False)
+        assert state.path_table["f1"] is old
+        assert "f1" not in state.swapped_out
+        assert state.view.link("b", "d").reserved == 0
+        assert [e.detail["error"] for e in events] == ["AdaptorError"]
+
+
+def to_fm(kind, payload, source_role=Role.CM, corr="c1"):
+    return draft(kind, Endpoint(source_role, str(BBInstanceId(source_role, SLICE))),
+                 Endpoint(Role.FM, str(BBInstanceId(Role.FM, SLICE))), corr,
+                 payload)
+
+
+def fm_with_flow(flow="f1", session="s-1"):
+    state = FMState(view=line_view())
+    state.sessions[session] = SessionBinding("d1", "c", "a", [flow])
+    state.flow_sessions[flow] = session
+    fm_define_path(state, flow, "a", "c", "default")
+    return state
+
+
+class TestFmHandlerRefusals:
+    """Flow management's refusal paths, driven through `handle`."""
+
+    def test_reanchor_of_a_flow_without_a_path_is_dropped(self):
+        msg = to_fm(ProcedureKind.SESSION_ESTABLISH, {
+            "session": "s-1", "phase": "reanchor", "flow": "f1", "anchor": "c"})
+        assert fm_handle(FMState(view=line_view()), msg, fm_ctx())[1:] == ([], [])
+
+    def test_reanchor_without_a_path_to_the_anchor_is_refused(self):
+        state = fm_with_flow()
+        msg = to_fm(ProcedureKind.SESSION_ESTABLISH, {
+            "session": "s-1", "phase": "reanchor", "flow": "f1", "anchor": "zz"})
+        assert fm_handle(state, msg, fm_ctx())[1:] == ([], [BlockEvent(
+            "error", "f1", {"error": "NoPathError",
+                            "detail": "unknown endpoint 'a' or 'zz'"})])
+        assert state.path_table["f1"].nodes == ("a", "b", "c")
+        assert state.swapped_out == {} and state.pending == {}
+
+    def test_handover_for_an_unknown_session_is_refused(self):
+        msg = to_fm(ProcedureKind.HANDOVER_PREPARE, {
+            "session": "s-9", "phase": "new-path", "ingress": "b"}, Role.MM)
+        assert fm_handle(fm_with_flow(), msg, fm_ctx())[1:] == ([], [BlockEvent(
+            "error", "s-9", {"error": "NoSessionError",
+                             "detail": "handover for unknown session"})])
+
+    def test_handover_path_refusal_is_traced_per_flow(self):
+        state = fm_with_flow()
+        msg = to_fm(ProcedureKind.HANDOVER_PREPARE, {
+            "session": "s-1", "phase": "new-path", "ingress": "zz"}, Role.MM)
+        assert fm_handle(state, msg, fm_ctx())[1:] == ([], [BlockEvent(
+            "error", "f1", {"error": "NoPathError",
+                            "detail": "unknown endpoint 'zz' or 'c'"})])
+        assert state.path_table["f1"].nodes == ("a", "b", "c")
+
+    def test_handover_release_keeps_other_sessions_old_paths(self):
+        state = fm_with_flow()
+        state.sessions["s-2"] = SessionBinding("d2", "c", "a", ["f2"])
+        state.flow_sessions["f2"] = "s-2"
+        for flow in ("f1", "f2"):
+            state.swapped_out[flow] = fm_define_path(state, flow, "a", "c",
+                                                     "default")
+            fm_define_path(state, flow, "b", "c", "default")
+        msg = to_fm(ProcedureKind.SESSION_RELEASE,
+                    {"session": "s-1", "scope": "handover-old"}, Role.MM)
+        assert fm_handle(state, msg, fm_ctx())[1:] == ([], [BlockEvent(
+            "old-path-released", "f1", {"session": "s-1"})])
+        assert list(state.swapped_out) == ["f2"]
 
 
 class TestCapacitySafety:

@@ -5,19 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicesim.blocks.cm import (
-    CMRole, CMState, ConvergentState, PendingAttach, SliceChoice, Subscription,
-    _transition, cm_attach, cm_select_slice_global, cm_select_slice_local,
-    select_anchor,
+    CMRole, CMState, ConvergentState, PendingAttach, SessionRecord,
+    SliceChoice, Subscription, _transition, cm_attach, cm_select_slice_global,
+    cm_select_slice_local, handle as cm_handle, select_anchor,
 )
 from slicesim.blocks.common import (
-    AccessNodeInfo, AuthScheme, BlockContext, SlicePolicy, Tech,
+    AccessNodeInfo, AuthScheme, BlockContext, BlockEvent, SlicePolicy, Tech,
 )
 from slicesim.blocks.sam import IdentityRecord, SAMState, sam_authenticate
 from slicesim.errors import (
     IllegalTransitionError, NoDPlaneFunctionError,
     NoEligibleSliceError,
 )
-from slicesim.messages import BBInstanceId, ProcedureKind, Role
+from slicesim.messages import BBInstanceId, Endpoint, ProcedureKind, Role, draft
 
 from conftest import NoContextError, sam_single_sign_on
 
@@ -233,3 +233,128 @@ class TestSliceSelection:
         state = CMState()
         with pytest.raises(NoEligibleSliceError):
             cm_select_slice_local(state, "d1", "slice-a")
+
+
+def to_cm(kind, payload, source=Endpoint(Role.UE, "d1"), corr="d1:attach:1",
+          ctx=None):
+    return draft(kind, source, (ctx or make_ctx()).self_endpoint, corr, payload)
+
+
+def attach_request(**extra):
+    return to_cm(ProcedureKind.ATTACH_REQUEST, {
+        "device": "d1", "alias": "imsi-001", "node": "n1", "area": "area-1",
+        "tech": "cellular", "method": 2, **extra})
+
+
+def subscribed_cm(allowed=("slice-a",)):
+    state = CMState()
+    state.subscription_view = {"d1": Subscription(allowed=allowed)}
+    return state
+
+
+class TestCmHandlerRefusals:
+    """The connectivity block's refusal paths, driven through `handle`."""
+
+    def test_repeated_attach_request_takes_no_second_edge(self):
+        state, ctx = subscribed_cm(), make_ctx()
+        _, _, first = cm_handle(state, attach_request(proof="p"), ctx)
+        _, drafts, second = cm_handle(state, attach_request(proof="p"), ctx)
+        assert [e.kind for e in first] == ["transition"]
+        assert second == []
+        assert [d.kind for d in drafts] == [ProcedureKind.AUTH_CHALLENGE]
+        assert state.device_table["d1"] is ConvergentState.AUTHENTICATING
+
+    def test_reattach_without_a_context_token_is_denied(self):
+        state = subscribed_cm()
+        _, drafts, events = cm_handle(
+            state, attach_request(reattach=True, token=""), make_ctx())
+        assert drafts == []
+        assert events[-1] == BlockEvent("attach-denied", "d1",
+                                        {"reason": "missing-context-token"})
+        assert state.device_table["d1"] is ConvergentState.DETACHED
+
+    def test_stray_auth_response_is_a_traced_error(self):
+        ctx = make_ctx()
+        msg = to_cm(ProcedureKind.AUTH_RESPONSE, {"device": "d1", "ok": True},
+                    source=ctx.peer_endpoint(Role.SAM), corr="d1:attach:9")
+        assert cm_handle(subscribed_cm(), msg, ctx)[1:] == (
+            [], [BlockEvent("error", "d1", {"error": "StrayAuthResponse"})])
+
+    def test_reattach_without_a_subscription_is_refused(self):
+        state = CMState()
+        _, drafts, events = cm_handle(
+            state, attach_request(reattach=True, token="ctx-1"), make_ctx())
+        assert drafts == []
+        assert events[-1] == BlockEvent("error", "d1", {
+            "error": "NoEligibleSliceError",
+            "detail": "subscription of d1 lists no slice"})
+        assert state.device_table["d1"] is ConvergentState.DETACHED
+
+    def test_slice_hand_off_without_an_anchor_is_refused(self):
+        state, ctx = subscribed_cm(), make_ctx(anchors=())
+        msg = to_cm(ProcedureKind.SLICE_SELECT,
+                    {"device": "d1", "slice": "slice-a", "node": "n1"},
+                    source=Endpoint(Role.CM, "CM.global.1"), ctx=ctx)
+        _, drafts, events = cm_handle(state, msg, ctx)
+        assert drafts == []
+        assert events[-1] == BlockEvent("error", "d1", {
+            "error": "NoDPlaneFunctionError",
+            "detail": "slice slice-a exposes no anchor candidate for node n1"})
+        assert state.device_table["d1"] is ConvergentState.DETACHED
+        assert state.sessions == {}
+
+    def test_flow_request_for_an_unattached_device_is_refused(self):
+        msg = to_cm(ProcedureKind.SESSION_ESTABLISH,
+                    {"device": "d1", "flow": "f1"}, corr="d1:session:1")
+        assert cm_handle(subscribed_cm(), msg, make_ctx())[1:] == ([], [
+            BlockEvent("error", "d1", {"error": "IllegalEventError",
+                                       "detail": "traffic for unattached device"})])
+
+    def test_flow_reply_for_an_unknown_session_is_dropped(self):
+        ctx = make_ctx()
+        msg = to_cm(ProcedureKind.SESSION_ESTABLISH,
+                    {"session": "s-9", "phase": "flow-ok", "flow": "f1"},
+                    source=ctx.peer_endpoint(Role.FM), corr="d1:session:1")
+        assert cm_handle(subscribed_cm(), msg, ctx)[1:] == ([], [])
+
+    def test_release_of_an_unknown_session_is_refused(self):
+        msg = to_cm(ProcedureKind.SESSION_RELEASE,
+                    {"device": "d1", "scope": "flow", "flow": "f1"},
+                    corr="d1:session:2")
+        assert cm_handle(subscribed_cm(), msg, make_ctx())[1:] == ([], [
+            BlockEvent("error", "d1", {"error": "IllegalEventError",
+                                       "detail": "release for unknown session"})])
+
+
+def with_session(flow="f1"):
+    state = CMState()
+    state.sessions["s-1"] = SessionRecord("s-1", "d1", "a1", ("ip-1",), [flow])
+    state.device_sessions["d1"] = "s-1"
+    state.device_nodes["d1"] = "n1"
+    return state
+
+
+def context_notify(ctx, subject="f1", statement="latency_above_normal"):
+    return to_cm(ProcedureKind.CONTEXT_NOTIFY,
+                 {"topic": "dplane-latency", "subject": subject,
+                  "statement": statement},
+                 source=ctx.peer_endpoint(Role.CGHF), corr="ctx:1", ctx=ctx)
+
+
+class TestCmReselection:
+    def test_other_statements_are_ignored(self):
+        ctx = make_ctx()
+        assert cm_handle(with_session(), context_notify(
+            ctx, statement="load_above_normal"), ctx)[1:] == ([], [])
+
+    def test_context_about_an_unknown_flow_is_ignored(self):
+        ctx = make_ctx()
+        assert cm_handle(with_session(), context_notify(ctx, subject="f9"),
+                         ctx)[1:] == ([], [])
+
+    def test_no_other_anchor_makes_reselection_impossible(self):
+        ctx = make_ctx(anchors=("a1",))
+        state = with_session()
+        assert cm_handle(state, context_notify(ctx), ctx)[1:] == ([], [
+            BlockEvent("reselect-impossible", "d1", {"flow": "f1", "anchor": "a1"})])
+        assert state.reanchor_counter == 0

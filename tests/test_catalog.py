@@ -142,6 +142,19 @@ def oracle_best_score(catalog, constraints):
 
 # -- loading -------------------------------------------------------------------
 
+SF_X = """
+sf x
+  name: x
+  domain: mobility
+  originator: 3gpp
+  placement: core
+  reusability: multi_service
+  optionality: all_use_cases
+  evolution: slow
+end
+"""
+
+
 class TestLoadCatalog:
     def test_reference_catalog_loads(self):
         cat = load_catalog(reference_catalog_text())
@@ -194,6 +207,19 @@ end
         with pytest.raises(SchemaError):
             load_catalog("sf x\n  name: x\n")  # unterminated block
 
+    def test_unknown_attribute_value_rejected(self):
+        with pytest.raises(SchemaError, match="^sf 'x': 'roaming' is not a"):
+            load_catalog(SF_X.replace("domain: mobility", "domain: roaming"))
+
+    def test_malformed_step_rejected(self):
+        with pytest.raises(SchemaError, match="step must read"):
+            load_catalog(SF_X + "procedure p\n  step x x\nend\n")
+
+    def test_duplicate_procedure_rejected(self):
+        procedure = "procedure p\n  step x -> x\nend\n"
+        with pytest.raises(SchemaError, match="duplicate procedure 'p'"):
+            load_catalog(SF_X + procedure + procedure)
+
     def test_procedure_with_unknown_sf_rejected(self):
         with pytest.raises(SchemaError):
             load_catalog("procedure p\n  step a -> b\nend\n")
@@ -244,6 +270,10 @@ class TestSeparationConstraints:
         c1 = SeparationConstraint("b", "a", SeparationCriterion.REUSABILITY)
         c2 = SeparationConstraint("a", "b", SeparationCriterion.REUSABILITY)
         assert c1 == c2
+
+    def test_self_separation_rejected(self):
+        with pytest.raises(ValueError, match="cannot be separated from itself"):
+            SeparationConstraint("a", "a", SeparationCriterion.REUSABILITY)
 
 
 # -- step 3 ---------------------------------------------------------------------
@@ -494,6 +524,13 @@ class TestEvaluation:
         report = evaluate_grouping(two_block_grouping(), [])
         assert report.cross_bb == {} and report.intra_bb == {}
         assert report.total_inter_bb_interfaces == 0
+
+    def test_sf_in_two_blocks_rejected(self):
+        bbs = two_block_grouping() + (
+            BBDefinition("Z", "Z", frozenset({"c"}),
+                         frozenset({FunctionalDomain.SECURITY})),)
+        with pytest.raises(UnassignedSfError, match="'c' assigned to two blocks"):
+            evaluate_grouping(bbs, [])
 
     def test_unassigned_sf_rejected(self):
         proc = ProcedureSpec("p", "p", (("a", "zz"),))

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from slicesim import cli
+from slicesim.catalog import DEFAULT_CROSS_BB_THRESHOLD
 from slicesim.cli import main
 
 from conftest import REPO_ROOT, scenario_path
@@ -113,6 +115,43 @@ def test_domain_error_exits_one(tmp_path, capsys):
     assert status == 1
 
 
+def test_missing_input_file_exits_one(tmp_path, capsys):
+    missing = tmp_path / "absent.scn"
+    assert main(["run", "--scenario", str(missing), "--out-dir",
+                 str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_that_breaks_an_invariant_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "trace_check", lambda trace: ["planted violation"])
+    assert main(["run", "--scenario", str(scenario_path("paging.scn")),
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "invariant violation: planted violation\n" in capsys.readouterr().out
+
+
+def test_compose_names_the_procedures_to_redefine(tmp_path):
+    sfs = "".join(f"""
+sf {sf}
+  name: {sf}
+  domain: {domain}
+  originator: 3gpp
+  placement: core
+  reusability: multi_service
+  optionality: all_use_cases
+  evolution: slow
+end
+""" for sf, domain in (("a", "mobility"), ("b", "security")))
+    crossings = 2 * DEFAULT_CROSS_BB_THRESHOLD + 1
+    steps = "  step a -> b\n" * crossings
+    catalog = tmp_path / "chatty.cat"
+    catalog.write_text(sfs + f"procedure chatty\n{steps}end\n")
+    assert main(["compose", "--catalog", str(catalog),
+                 "--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "grouping.txt").read_text()
+    assert text.endswith("# refinement: revisit-step1 chatty\n")
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["run"])   # missing --scenario
@@ -157,6 +196,35 @@ OUT_OF_RANGE_VALUES = {
                               "rate=-3 duration=5"),
     "traffic-duration-negative": ("handover-mbb.scn", "rate=1 duration=40",
                                   "rate=1 duration=-5"),
+}
+
+
+#: Documents whose structure the loaders refuse, in the same form: a second
+#: top-level block, an item line with the wrong arity, a reference that
+#: does not resolve.  A scenario's end in ScenarioError, a topology's in
+#: SchemaError.
+STRUCTURAL_ERRORS = {
+    "second-scenario-block": ("paging.scn", "  at 16 page d6\nend",
+                              "  at 16 page d6\nend\nscenario again\nend"),
+    "blueprint-line-two-paths": ("paging.scn", "blueprint bp-mob-mbb.bp",
+                                 "blueprint bp-mob-mbb.bp bp-embb.bp"),
+    "device-at-unknown-node": ("paging.scn", "node: n1", "node: n9"),
+    "at-line-without-action": ("paging.scn", "at 16 page d6", "at 16"),
+    "unknown-event-action": ("paging.scn", "at 16 page d6", "at 16 ring d6"),
+    "teardown-of-unknown-slice": ("paging.scn", "at 16 page d6",
+                                  "at 16 teardown ghost-slice"),
+    "inject-latency-without-value": ("paging.scn", "at 16 page d6",
+                                     "at 16 inject-latency f1"),
+    "move-to-unknown-node": ("paging.scn", "at 16 page d6", "at 16 move d6 n9"),
+    "second-topology-block": ("topo-core.txt", "ingress=i3\nend",
+                              "ingress=i3\nend\ntopology again\nend"),
+    "node-line-two-ids": ("topo-core.txt", "node t2 kind", "node t2 t3 kind"),
+    "link-line-one-id": ("topo-core.txt", "link t1 t2 capacity",
+                         "link t1 capacity"),
+    "link-latency-zero": ("topo-core.txt", "link t1 t2 capacity=50 latency=1",
+                          "link t1 t2 capacity=50 latency=0"),
+    "access-line-two-ids": ("topo-core.txt", "access n3 tech",
+                            "access n3 n4 tech"),
 }
 
 
@@ -207,6 +275,11 @@ def test_unparsed_value_is_a_domain_error_at_load(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_VALUES))
 def test_out_of_range_value_is_a_domain_error_at_load(case, tmp_path, capsys):
     _assert_refused_at_load(OUT_OF_RANGE_VALUES[case], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURAL_ERRORS))
+def test_structural_error_is_a_domain_error_at_load(case, tmp_path, capsys):
+    _assert_refused_at_load(STRUCTURAL_ERRORS[case], tmp_path, capsys)
 
 
 @pytest.mark.parametrize("case", sorted(SETUP_REFUSALS))

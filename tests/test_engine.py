@@ -12,9 +12,11 @@ from slicesim.blocks.fm import shortest_path
 from slicesim.engine import (
     Environment, ScriptEvent, _normalize, compare_fabrics, load_scenario, run,
 )
-from slicesim.errors import EquivalenceViolation, NoPathError, ScenarioError
+from slicesim.errors import (
+    EquivalenceViolation, NoPathError, PolicyForbidsError, ScenarioError,
+)
 from slicesim.fabric import DEFAULT_PROJECTIONS
-from slicesim.messages import ProcedureKind, Role
+from slicesim.messages import ProcedureKind, Role, draft
 from slicesim.metrics import compute_metrics, render_metrics
 from slicesim.netsim import DPlane, SignalingMode, build_view
 from slicesim.slices import LifecycleState
@@ -774,3 +776,124 @@ class TestBuiltOnce:
             assert {k: v for k, v in table.items() if k[1] in bp.anchors} == oracle
             union.update(oracle)
         assert table == union
+
+
+class TestHandlerFaults:
+    """What a faulty handler leaves in the trace: the run goes on."""
+
+    def test_domain_error_in_a_handler_is_traced_as_a_refusal(self, monkeypatch):
+        def refusing(state, msg, ctx):
+            raise PolicyForbidsError("no challenges today")
+
+        monkeypatch.setitem(engine._HANDLERS, Role.SAM, refusing)
+        result = run(load("handover-mbb"), 7)
+        refusals = errors(result, "PolicyForbidsError")
+        assert [(e.subject, e.detail) for e in refusals] == [
+            ("SAM.mob-a.1", {"error": "PolicyForbidsError",
+                             "detail": "no challenges today"})]
+        assert not messages(result, ProcedureKind.AUTH_RESPONSE)
+        assert result.trace[-1].kind == "run-end"
+
+    def test_draft_outside_its_schema_is_an_invalid_message(self, monkeypatch):
+        handle = engine._HANDLERS[Role.SAM]
+
+        def embellishing(state, msg, ctx):
+            state, drafts, events = handle(state, msg, ctx)
+            return state, [draft(d.kind, d.source, d.destination,
+                                 d.correlation_id, {**d.payload, "surprise": 1})
+                           for d in drafts], events
+
+        monkeypatch.setitem(engine._HANDLERS, Role.SAM, embellishing)
+        result = run(load("handover-mbb"), 7)
+        invalid = errors(result, "InvalidMessage")
+        assert [(e.subject, e.detail) for e in invalid] == [
+            ("SAM:SAM.mob-a.1", {
+                "error": "InvalidMessage",
+                "violations": ["payload fields ['surprise'] outside "
+                               "AuthResponse schema"]})]
+        assert not messages(result, ProcedureKind.AUTH_RESPONSE)
+        assert result.trace[-1].kind == "run-end"
+
+
+class TestScriptPaths:
+    @pytest.mark.parametrize("mode,detail", [
+        (SignalingMode.DIRECT, "no slice to attach to"),
+        (SignalingMode.VIA_AF, "no access function to mediate")])
+    def test_attach_without_an_eligible_slice_is_traced(self, mode, detail):
+        scenario = load("handover-mbb")
+        device = dataclasses.replace(scenario.devices[0], mode=mode,
+                                     allowed=(), default_slice=None)
+        result = run(dataclasses.replace(scenario, devices=(device,)), 7)
+        refused = errors(result, "NoEligibleSliceError")
+        assert [(e.tick, e.subject, e.detail) for e in refused] == [
+            (1, "d5", {"error": "NoEligibleSliceError", "detail": detail})]
+        assert not messages(result, ProcedureKind.ATTACH_REQUEST)
+        assert trace_check(result.trace) == []
+
+    def test_traffic_stop_of_a_named_flow_ends_it(self):
+        scenario = load("handover-mbb")
+        script = scenario.script[:2] + (
+            ScriptEvent(20, "traffic-stop", ("d5",), {"flow": "f5"}),)
+        env = Environment(dataclasses.replace(scenario, script=script), 7)
+        result = env.run()
+        flow = env.slices["mob-a"].dplane.flows["f5"]
+        assert not flow.active and 0 < flow.sent < 40
+        assert [e.subject for e in events(result, "flow-released")] == ["f5"]
+        fm_state = env.slices["mob-a"].states[Role.FM]
+        assert all("f5" not in b.flows for b in fm_state.sessions.values())
+        assert trace_check(result.trace) == []
+
+    def test_device_behind_an_access_function_hands_over_through_it(self):
+        scenario = load("handover-mbb")
+        device = dataclasses.replace(scenario.devices[0],
+                                     mode=SignalingMode.VIA_AF)
+        env = Environment(dataclasses.replace(scenario, devices=(device,)), 7)
+        result = env.run()
+        executes = [(r.msg.source.role, r.msg.destination.role,
+                     r.msg.payload["phase"])
+                    for r in messages(result, ProcedureKind.HANDOVER_EXECUTE)]
+        assert executes == [(Role.MM, Role.AF, "execute"),
+                            (Role.AF, Role.UE, "execute"),
+                            (Role.UE, Role.AF, "confirm"),
+                            (Role.AF, Role.MM, "confirm")]
+        assert len(events(result, "handover-complete")) == 1
+        records = env.slices["mob-a"].states[Role.AF].path_records["d5"]
+        assert [(r.event, r.node) for r in records][-1] == ("handover", "n2")
+        assert result.metrics.flows["f5"]["lost"] == 0
+
+
+class TestNoSubscriber:
+    """A context published on a topic nobody subscribes to: cghf-reselect
+    without its `subscribe` line.  Non-broker fabrics expand the publish at
+    emission and find no one; the broker carries it and flags the empty
+    delivery.  Neither reselects, so the digests stay equal."""
+
+    def unsubscribed(self):
+        scenario = load("cghf-reselect")
+        bp = dataclasses.replace(scenario.blueprints[0], subscriptions=())
+        return dataclasses.replace(scenario, blueprints=(bp,))
+
+    @pytest.mark.parametrize("model", engine.FABRIC_MODELS[:3],
+                             ids=lambda m: m.kind.value)
+    def test_expanded_publish_with_no_subscriber(self, model):
+        result = run(self.unsubscribed(), 7, fabric_override=model)
+        assert [(e.tick, e.subject, e.detail)
+                for e in errors(result, "NoSubscriberError")] == [
+            (46, "dplane-latency", {"error": "NoSubscriberError",
+                                    "publisher": "CGHF.ctx-a.1"})]
+        assert not messages(result, ProcedureKind.CONTEXT_NOTIFY)
+        assert not events(result, "reselect")
+
+    def test_broker_publish_with_no_subscriber(self):
+        result = run(self.unsubscribed(), 7,
+                     fabric_override=engine.FABRIC_MODELS[3])
+        assert [(e.tick, e.subject, e.detail)
+                for e in errors(result, "NoSubscriberError")] == [
+            (47, "topic:dplane-latency", {"error": "NoSubscriberError"})]
+        [notify] = messages(result, ProcedureKind.CONTEXT_NOTIFY)
+        assert (notify.tick, notify.hop_count, notify.mediators,
+                notify.recipients) == (47, 2, ("PS.ctx-a.1",), ())
+        assert not events(result, "reselect")
+
+    def test_digests_stay_equal_across_the_four_models(self):
+        compare_fabrics(self.unsubscribed(), 7)

@@ -2,9 +2,7 @@
 
 import pytest
 
-from slicesim.errors import (
-    BadRelayError, ModelMismatchError, UnknownDestinationError,
-)
+from slicesim.errors import BadRelayError, ModelMismatchError
 from slicesim.fabric import (
     DEFAULT_PROJECTIONS, FabricModel, FabricModelKind, connect,
 )
@@ -74,12 +72,6 @@ class TestSend:
         assert outcome.record.hop_count == 2
         assert outcome.record.mediators == (str(bb(Role.CM)),)
 
-    def test_unknown_destination(self):
-        fabric = connect([bb(Role.AF), bb(Role.CM)],
-                         FabricModel(FabricModelKind.FULL_MESH))
-        with pytest.raises(UnknownDestinationError):
-            fabric.send(inter_bb_msg(Role.CM, Role.FM))
-
     def test_dispatcher_projects_payloads(self):
         fabric = connect(six_members(), FabricModel(FabricModelKind.DISPATCHER))
         msg = inter_bb_msg(Role.CM, Role.FM,
@@ -129,6 +121,11 @@ class TestPubSub:
         fabric = connect(six_members(), FabricModel(FabricModelKind.FULL_MESH))
         with pytest.raises(ModelMismatchError):
             fabric.subscribe(str(bb(Role.CM)), "t")
+
+    def test_topic_send_on_full_mesh_rejected(self):
+        fabric = connect(six_members(), FabricModel(FabricModelKind.FULL_MESH))
+        with pytest.raises(ModelMismatchError):
+            fabric.send(self.topic_msg("t"))
 
     def test_zero_subscribers_flagged_not_fatal(self):
         fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB))

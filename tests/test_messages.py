@@ -99,6 +99,10 @@ class TestValidateMessage:
             ProcedureKind.PAGE, UE, ext, InterfacePoint.I7))
         assert verdict.violations == ("interface-role mismatch: I7 crosses domains",)
 
+    def test_enum_members_print_as_their_values(self):
+        for enum in (Role, InterfacePoint, ProcedureKind):
+            assert [str(m) for m in enum] == [m.value for m in enum]
+
     def test_wbi_is_not_a_message_interface(self):
         verdict = validate_message(msg(
             ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.WBI_COMPOSITE))
@@ -154,6 +158,15 @@ class TestTraceSerialization:
     def test_bad_field_rejected_with_its_line(self):
         with pytest.raises(SchemaError, match=r"^t\.log:2: malformed EVT"):
             parse_trace("EVT|1|0|x|s|{}\nEVT|two|0|x|s|{}\n", source="t.log")
+
+    def test_blank_lines_are_skipped(self):
+        text = render_trace(self.records())
+        assert parse_trace("\n" + text.replace("\n", "\n\n")) == self.records()
+
+    def test_unknown_record_tag_rejected_with_its_line(self):
+        with pytest.raises(SchemaError,
+                           match=r"^t\.log:2: unknown record tag 'LOG'$"):
+            parse_trace("EVT|1|0|x|s|{}\nLOG|2|0\n", source="t.log")
 
     def test_iter_trace_streams_file_lines(self):
         text = render_trace(self.records())

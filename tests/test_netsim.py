@@ -96,6 +96,24 @@ class TestConfigure:
         assert not ok                     # stale removal leaves the rule alone
         assert dp.rules["i1"]["f1"] == "t"
 
+    @pytest.mark.parametrize("command,reason", [
+        ({"node": "zz", "flow": "f1", "action": "install", "next": "t"},
+         "unknown node 'zz'"),
+        ({"node": "i1", "flow": "f1", "action": "replace", "next": "t"},
+         "unknown action 'replace'")])
+    def test_malformed_command_rejected(self, command, reason):
+        dp = make_dplane()
+        assert dp.configure(command) == (False, reason)
+        assert dp.rules == {}
+
+    def test_rule_loop_is_a_broken_path(self):
+        dp = make_dplane()
+        for node, nxt in (("i1", "t"), ("t", "i1")):
+            dp.configure({"node": node, "flow": "f1", "action": "install",
+                          "next": nxt})
+        path, complete = dp._snapshot("i1", "f1")
+        assert not complete and len(path) == len(dp.spec.nodes) + 2
+
 
 class TestUnitMotion:
     def test_latency_equals_link_latency_sum(self):

@@ -1,6 +1,7 @@
 """Blueprint validation and slice lifecycle tests."""
 
 import itertools
+import re
 
 import pytest
 
@@ -12,11 +13,11 @@ from slicesim.errors import (
 from slicesim.engine import load_scenario, run
 from slicesim.fabric import FabricModel, FabricModelKind
 from slicesim.messages import ProcedureKind, Role
-from slicesim.netsim import load_topology_file
+from slicesim.netsim import load_topology, load_topology_file
 from slicesim.slices import (
     LifecycleState, SimInfrastructure, SliceBlueprint, SliceType,
-    instantiate, load_blueprint, load_blueprint_file, operate, teardown,
-    validate_blueprint,
+    anchor_latency, instantiate, load_blueprint, load_blueprint_file, operate,
+    teardown, validate_blueprint,
 )
 from slicesim.trace import EventRecord, MessageRecord
 
@@ -76,6 +77,17 @@ class TestValidateBlueprint:
         assert validate_blueprint(bp).violations == (
             "sf 'device-paging' does not belong to SAM",)
 
+    def test_mm_without_mobility_policy_rejected(self):
+        bp = make_blueprint(roles=(Role.AF, Role.CM, Role.MM, Role.SAM, Role.FM))
+        assert validate_blueprint(bp).violations == (
+            "MM present but no mobility policy",)
+
+    def test_role_that_is_no_slice_block_rejected(self):
+        bp = make_blueprint()
+        bp.bb_set[Role.UE] = frozenset({"device-paging"})
+        assert validate_blueprint(bp).violations == (
+            "UE is not a slice block role", "no block definition named UE")
+
     def test_valid_sf_subset_accepted(self):
         bp = make_blueprint()
         bp.bb_set[Role.SAM] = frozenset({"authentication", "identity-management"})
@@ -110,6 +122,21 @@ class TestBlueprintFiles:
     def test_malformed_blueprint_rejected(self):
         with pytest.raises(SchemaError):
             load_blueprint("blueprint x\n  type: nonsense\n  bb AF\nend\n")
+
+    @pytest.mark.parametrize("text,problem", [
+        ("blueprint x\n  type: embb\nend\nblueprint y\n  type: embb\nend\n",
+         "expected exactly one blueprint block"),
+        ("blueprint x\n  type: embb\n  bb AF CM\nend\n", "bb line needs one role"),
+        ("blueprint x\n  type: embb\n  context-model\nend\n",
+         "context-model line needs a topic"),
+        ("blueprint x\n  type: embb\n  subscribe CM\nend\n",
+         "subscribe line is '<role> <topic>'"),
+        ("blueprint\n  type: embb\nend\n", "block 'blueprint' missing identifier"),
+    ], ids=["two-blocks", "bb-arity", "context-model-arity", "subscribe-arity",
+            "no-identifier"])
+    def test_structural_error_rejected(self, text, problem):
+        with pytest.raises(SchemaError, match=re.escape(problem)):
+            load_blueprint(text)
 
     def test_unknown_role_rejected(self):
         with pytest.raises(SchemaError):
@@ -210,6 +237,27 @@ class TestLifecycle:
                            match="mob-a anchor 'missing-node' unknown"):
             self.load_paging_with(tmp_path, "anchors: a1 a2",
                                   "anchors: a1 missing-node")
+
+    def test_subscription_of_an_absent_block_is_skipped(self, topology):
+        bp = make_blueprint(roles=(Role.AF, Role.CM, Role.SAM, Role.FM, Role.CGHF),
+                            subscriptions=((Role.MM, "t"), (Role.CM, "t")),
+                            fabric_model=FabricModel(FabricModelKind.PUB_SUB))
+        instance = instantiate(bp, SimInfrastructure(8), topology)
+        cm_id = instance.peers[Role.CM]
+        assert instance.states[Role.CGHF].subscriptions == {"t": (cm_id,)}
+        assert instance.fabric.subscriptions["t"] == {cm_id}
+
+    def test_sub_function_of_an_absent_block_is_inactive(self, topology):
+        instance = instantiate(make_blueprint(), SimInfrastructure(8), topology)
+        assert instance.has_sf(Role.AF, "anything")
+        assert not instance.has_sf(Role.MM, "device-paging")
+
+    def test_unreachable_anchor_has_no_latency_entry(self):
+        spec = load_topology(
+            "topology t\n  node i1 kind=ingress\n  node a1 kind=anchor\n"
+            "  node a2 kind=anchor\n  link i1 a1 capacity=5 latency=2\n"
+            "  access n1 ingress=i1\nend\n")
+        assert anchor_latency(spec, ["a1", "a2"]) == {("i1", "a1"): 2}
 
     def test_operate_on_torn_down_slice_rejected(self, topology):
         inst = self.instance(topology)
