@@ -47,7 +47,6 @@ class PathRecordEntry:
 
 @dataclass
 class AFState:
-    access_nodes: dict = field(default_factory=dict)   # node id -> AccessNodeInfo
     path_records: dict = field(default_factory=dict)   # device -> list[PathRecordEntry]
     device_location: dict = field(default_factory=dict)
     cn_access_permissions: dict = field(

@@ -85,7 +85,6 @@ class CMState:
     sessions: dict = field(default_factory=dict)        # session id -> SessionRecord
     device_sessions: dict = field(default_factory=dict) # device -> session id
     slice_bindings: dict = field(default_factory=dict)  # device -> slice id
-    addresses: dict = field(default_factory=dict)       # device -> tuple of ids
     subscription_view: dict = field(default_factory=dict)
     device_modes: dict = field(default_factory=dict)    # device -> "direct"|"via_af"
     device_nodes: dict = field(default_factory=dict)    # device -> access node
@@ -159,7 +158,6 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
     anchor = select_anchor(ctx, pending.node)
     accesses = pending.accesses or (pending.tech,)
     addrs = tuple(f"ip-{ctx.slice_id}-{device}-{a}" for a in accesses)
-    state.addresses[device] = addrs
     state.session_counter += 1
     session_id = f"s-{ctx.slice_id}-{state.session_counter}"
     record = SessionRecord(session_id=session_id, device=device, anchor=anchor,
@@ -434,7 +432,6 @@ def _handle_session_release(state: CMState, msg, ctx: BlockContext):
     state.sessions.pop(session_id, None)
     state.device_sessions.pop(device, None)
     state.slice_bindings.pop(device, None)
-    state.addresses.pop(device, None)
     _transition(state, device, ConvergentState.DETACHED, events, ctx.slice_id)
     events.append(BlockEvent("detach", device, {"slice": ctx.slice_id}))
     return drafts, events

@@ -125,7 +125,6 @@ class FMState:
     view: TopologyView
     strategy: PathStrategy = PathStrategy.SHORTEST_PATH
     stretch: float = 0.5
-    qos_policies: dict = field(default_factory=lambda: dict(DEFAULT_QOS_POLICIES))
     path_table: dict = field(default_factory=dict)      # flow -> ForwardingPath
     sessions: dict = field(default_factory=dict)        # session -> SessionBinding
     flow_sessions: dict = field(default_factory=dict)   # flow -> session
@@ -207,7 +206,7 @@ def choose_path(view: TopologyView, src: str, dst: str, demand: int,
 def fm_define_path(state: FMState, flow: str, ingress: str, egress: str,
                    qos: str) -> ForwardingPath:
     """Pick a path under the active strategy and reserve its capacity."""
-    policy = state.qos_policies.get(qos, QosPolicy(demand=1))
+    policy = DEFAULT_QOS_POLICIES.get(qos, QosPolicy(demand=1))
     strategy = policy.strategy or state.strategy
     nodes, _ = choose_path(state.view, ingress, egress, policy.demand,
                            strategy, state.stretch)

@@ -217,8 +217,7 @@ def build_roster(devices=()) -> dict:
 
 
 _STATE_FACTORIES = {
-    Role.AF: lambda bp, spec, roster: af.AFState(
-        access_nodes=dict(spec.access)),
+    Role.AF: lambda bp, spec, roster: af.AFState(),
     Role.CM: lambda bp, spec, roster: cm.CMState(
         role=cm.CMRole.SLICE_LOCAL, subscription_view=roster[Role.CM]),
     Role.MM: lambda bp, spec, roster: mm.MMState(),

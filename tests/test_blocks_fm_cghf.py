@@ -12,7 +12,7 @@ from slicesim.blocks.common import (
     AccessNodeInfo, BlockContext, BlockEvent, PathStrategy, SlicePolicy, Tech,
 )
 from slicesim.blocks.fm import (
-    FMState, LinkState, SessionBinding, TopologyView, fm_apply,
+    DEFAULT_QOS_POLICIES, FMState, LinkState, SessionBinding, TopologyView, fm_apply,
     fm_define_path, fm_release_path, handle as fm_handle, link_key,
     post_install_utilisation, shortest_path,
 )
@@ -135,8 +135,7 @@ class TestPathSearch:
     def test_critical_flow_beyond_link_capacity(self):
         view = view_from([("a", "b", 1, 1)])
         state = FMState(view=view)
-        state.qos_policies["critical"] = state.qos_policies["critical"].__class__(
-            demand=2)
+        assert DEFAULT_QOS_POLICIES["critical"].demand == 2
         with pytest.raises(CapacityError):
             fm_define_path(state, "f1", "a", "b", "critical")
 

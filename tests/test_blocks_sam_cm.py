@@ -172,7 +172,7 @@ class TestCmAttach:
         state = authenticating_state()
         drafts, events = cm_attach(state, pending(), False, make_ctx(), "c1")
         assert state.device_table["d1"] is ConvergentState.DETACHED
-        assert "d1" not in state.addresses
+        assert state.sessions == {} and state.device_sessions == {}
         assert drafts == []
         assert any(e.kind == "attach-denied" for e in events)
 
@@ -180,7 +180,8 @@ class TestCmAttach:
         state = authenticating_state()
         cm_attach(state, pending(accesses=("cellular", "wifi")), True,
                   make_ctx(), "c1")
-        assert len(state.addresses["d1"]) == 2
+        record = state.sessions[state.device_sessions["d1"]]
+        assert len(record.addresses) == 2
 
     def test_no_anchor_candidates_raises(self):
         state = authenticating_state()
