@@ -196,8 +196,8 @@ class SignalMessage:
 
 
 def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
-          correlation_id: str, payload: Mapping[str, object] | None = None
-          ) -> SignalMessage:
+          correlation_id: str,
+          payload: Mapping[str, object] | None = None) -> SignalMessage:
     """Build a message over its own copy of `payload`, routing the interface
     from the endpoint roles (topic destinations are always inter-BB).  The
     payload schema is checked once, by `validate_message` when the engine
