@@ -180,15 +180,6 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
     return drafts, events
 
 
-def _forward_to_device(state: CMState, ctx: BlockContext, device: str,
-                       kind: ProcedureKind, corr: str,
-                       payload: dict) -> SignalMessage:
-    """Downlink towards a device, via its access function when mediated."""
-    if state.device_modes.get(device, "direct") == "via_af" and ctx.has(Role.AF):
-        return draft(kind, ctx.self_endpoint, ctx.peer_endpoint(Role.AF), corr, payload)
-    return draft(kind, ctx.self_endpoint, Endpoint(Role.UE, device), corr, payload)
-
-
 def handle(state: CMState, msg, ctx: BlockContext):
     drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
@@ -308,9 +299,12 @@ def _continue_local_attach(state: CMState, pending: PendingAttach,
     events.append(BlockEvent("slice-redirect", pending.device,
                              {"target": choice.target, "from": ctx.slice_id}))
     state.device_modes[pending.device] = "direct" if pending.direct else "via_af"
-    drafts.append(_forward_to_device(
-        state, ctx, pending.device, ProcedureKind.SLICE_REDIRECT, corr,
-        {"device": pending.device, "target": choice.target}))
+    # downlink to the device, via its access function when mediated
+    dst = (ctx.peer_endpoint(Role.AF) if not pending.direct and ctx.has(Role.AF)
+           else Endpoint(Role.UE, pending.device))
+    drafts.append(draft(ProcedureKind.SLICE_REDIRECT, ctx.self_endpoint, dst,
+                        corr, {"device": pending.device,
+                               "target": choice.target}))
     _transition(state, pending.device, ConvergentState.DETACHED, events, ctx.slice_id)
     return drafts, events
 

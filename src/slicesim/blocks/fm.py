@@ -369,18 +369,8 @@ def _start_handover_paths(state: FMState, msg, ctx: BlockContext):
                                   detail="handover for unknown session"))
         return drafts, events
     new_ingress = payload["ingress"]
-    flows = [f for f in binding.flows if f in state.path_table]
-    if not flows:
-        binding.ingress = new_ingress
-        drafts.append(draft(
-            ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint, msg.source,
-            msg.correlation_id,
-            {"session": session, "phase": "new-path-ok", "ok": True}))
-        return drafts, events
-    state.handover_jobs[msg.correlation_id] = HandoverJob(
-        session=session, remaining=len(flows), reply_to=msg.source,
-        new_ingress=new_ingress)
-    for flow in flows:
+    applied = 0
+    for flow in [f for f in binding.flows if f in state.path_table]:
         old = state.path_table[flow]
         try:
             path = fm_define_path(state, flow, new_ingress, binding.anchor, old.qos)
@@ -390,6 +380,18 @@ def _start_handover_paths(state: FMState, msg, ctx: BlockContext):
         state.swapped_out[flow] = old
         drafts.extend(fm_apply(state, path, ctx, msg.correlation_id,
                                "handover", None, session, old_path=old))
+        applied += 1
+    if not applied:
+        # nothing to await: a refused flow keeps its old path
+        binding.ingress = new_ingress
+        drafts.append(draft(
+            ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint, msg.source,
+            msg.correlation_id,
+            {"session": session, "phase": "new-path-ok", "ok": True}))
+        return drafts, events
+    state.handover_jobs[msg.correlation_id] = HandoverJob(
+        session=session, remaining=applied, reply_to=msg.source,
+        new_ingress=new_ingress)
     return drafts, events
 
 

@@ -1,12 +1,12 @@
 """Sub-function catalog and the four-step modularization methodology.
 
 Step 1 is data: a catalog document lists elementary sub-functions with their
-functional domain and four separation attributes.  Step 2 derives pairwise
-separation constraints from those attributes.  Step 3 groups unconstrained
-same-domain sub-functions into building blocks, minimising the number of
-inter-block interfaces exercised by the registered procedures.  Step 4
-evaluates a grouping against the procedures and decides whether to accept it
-or revisit an earlier step.
+functional domain and four separation attributes.  Step 2 derives from those
+attributes the pairs of sub-functions that must live in different blocks.
+Step 3 groups unconstrained same-domain sub-functions into building blocks,
+minimising the number of inter-block interfaces exercised by the registered
+procedures.  Step 4 evaluates a grouping against the procedures and decides
+whether to accept it or revisit an earlier step.
 
 The step-3 search is exact and testable against brute force: per domain it
 enumerates only the maximal feasible partitions, then picks one per domain
@@ -68,13 +68,6 @@ class EvolutionCycle(str, Enum):
     SLOW = "slow"
 
 
-class SeparationCriterion(str, Enum):
-    PLACEMENT = "placement"
-    REUSABILITY = "reusability"
-    OPTIONALITY = "optionality"
-    EVOLUTION_CYCLE = "evolution_cycle"
-
-
 @dataclass(frozen=True)
 class SFDescriptor:
     sf_id: str
@@ -86,27 +79,6 @@ class SFDescriptor:
     reusability: Reusability
     optionality: Optionality
     evolution_cycle: EvolutionCycle
-
-
-@dataclass(frozen=True)
-class SeparationConstraint:
-    """Unordered pair of sub-functions that must live in different blocks."""
-
-    sf_a: str
-    sf_b: str
-    criterion: SeparationCriterion
-
-    def __post_init__(self) -> None:
-        if self.sf_a == self.sf_b:
-            raise ValueError("a sub-function cannot be separated from itself")
-        if self.sf_a > self.sf_b:
-            low, high = self.sf_b, self.sf_a
-            object.__setattr__(self, "sf_a", low)
-            object.__setattr__(self, "sf_b", high)
-
-    @property
-    def pair(self) -> frozenset:
-        return frozenset((self.sf_a, self.sf_b))
 
 
 @dataclass(frozen=True)
@@ -253,21 +225,17 @@ def reference_blocks() -> tuple:
 # -- step 2: separation constraints -------------------------------------------
 
 def derive_separation_constraints(catalog: SFCatalog) -> frozenset:
-    """One constraint per differing separation attribute of each unordered
-    pair.  Placement separates only edge from core; 'either' conflicts with
+    """The unordered pairs (`frozenset`s) of sub-functions that must live in
+    different blocks: those that differ in any separation attribute.
+    Placement separates only edge from core; 'either' conflicts with
     nothing.  Output is independent of catalog ordering."""
-    constraints = set()
-    for a, b in combinations(catalog.sorted_sfs(), 2):
-        placements = {a.placement, b.placement}
-        if placements == {Placement.EDGE, Placement.CORE}:
-            constraints.add(SeparationConstraint(a.sf_id, b.sf_id, SeparationCriterion.PLACEMENT))
-        if a.reusability is not b.reusability:
-            constraints.add(SeparationConstraint(a.sf_id, b.sf_id, SeparationCriterion.REUSABILITY))
-        if a.optionality is not b.optionality:
-            constraints.add(SeparationConstraint(a.sf_id, b.sf_id, SeparationCriterion.OPTIONALITY))
-        if a.evolution_cycle is not b.evolution_cycle:
-            constraints.add(SeparationConstraint(a.sf_id, b.sf_id, SeparationCriterion.EVOLUTION_CYCLE))
-    return frozenset(constraints)
+    return frozenset(
+        frozenset((a.sf_id, b.sf_id))
+        for a, b in combinations(catalog.sfs.values(), 2)
+        if {a.placement, b.placement} == {Placement.EDGE, Placement.CORE}
+        or a.reusability is not b.reusability
+        or a.optionality is not b.optionality
+        or a.evolution_cycle is not b.evolution_cycle)
 
 
 # -- step 3: grouping ----------------------------------------------------------
@@ -327,7 +295,7 @@ def _score(assignment: Mapping[str, int], procedures: Iterable[ProcedureSpec]) -
     return len(pairs)
 
 
-def group_into_bbs(catalog: SFCatalog, constraints: frozenset) -> tuple:
+def group_into_bbs(catalog: SFCatalog, forbidden: frozenset) -> tuple:
     """Exact step-3 search over domain-respecting partitions.
 
     Only maximal feasible partitions per domain are candidates: merging two
@@ -336,9 +304,8 @@ def group_into_bbs(catalog: SFCatalog, constraints: frozenset) -> tuple:
     key) is maximal in every domain.  Every domain has one: merge blocks of
     the all-singletons partition until no two can be merged.  The cost grows
     with the number of maximal candidates, not with the Bell number of the
-    domain size.
+    domain size.  `forbidden` holds the pairs step 2 separates.
     """
-    forbidden = {c.pair for c in constraints}
     by_domain: dict = {}
     for sf in catalog.sorted_sfs():
         by_domain.setdefault(sf.functional_domain, []).append(sf.sf_id)
@@ -441,8 +408,7 @@ def refine(bbs: Iterable[BBDefinition], report: GroupingReport,
 
 def compose(catalog: SFCatalog) -> tuple:
     """Run steps 2-4 end to end; returns (bbs, report, decision)."""
-    constraints = derive_separation_constraints(catalog)
-    bbs = group_into_bbs(catalog, constraints)
+    bbs = group_into_bbs(catalog, derive_separation_constraints(catalog))
     report = evaluate_grouping(bbs, catalog.procedures.values())
     return bbs, report, refine(bbs, report)
 

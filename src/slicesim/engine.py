@@ -26,7 +26,9 @@ from .blocks import cm as cm_mod
 from .blocks import fm as fm_mod
 from .blocks import mm as mm_mod
 from .blocks import sam as sam_mod
-from .blocks.common import BlockContext, BlockEvent, SlicePolicy, refusal
+from .blocks.common import (
+    BlockContext, BlockEvent, SlicePolicy, error_event, refusal,
+)
 from .errors import EquivalenceViolation, ScenarioError, SliceSimError
 from .fabric import FabricModel, FabricModelKind
 from .messages import (
@@ -306,7 +308,17 @@ class Environment:
                                       subject, detail))
 
     def trace_error(self, error: str, subject: str, detail: dict) -> None:
-        self.trace_event("error", subject, {"error": error, **detail})
+        self.trace_block_event(error_event(subject, error, **detail))
+
+    def trace_block_event(self, event: BlockEvent,
+                          slice_id: str | None = None) -> None:
+        """Trace a block event; with `slice_id`, its detail names that
+        slice unless it names one already."""
+        detail = event.detail
+        if slice_id is not None:
+            detail = dict(detail)
+            detail.setdefault("slice", slice_id)
+        self.trace_event(event.kind, event.subject, detail)
 
     # -- emission ------------------------------------------------------------
 
@@ -327,17 +339,16 @@ class Environment:
         fabrics; the broker fabric keeps the single topic message."""
         if not isinstance(item.destination, Topic):
             return [item]
-        instance = self._route[item.source.ident][0]
-        if instance.fabric.model.kind is FabricModelKind.PUB_SUB:
+        fabric = self._route[item.source.ident][0].fabric
+        if fabric.model.kind is FabricModelKind.PUB_SUB:
             return [item]
-        cghf_state = instance.states[Role.CGHF]
-        subscribers = cghf_state.subscriptions.get(item.destination.topic_id, ())
+        subscribers = fabric.subscriptions.get(item.destination.topic_id, ())
         if not subscribers:
             self.trace_error("NoSubscriberError", item.destination.topic_id,
                              {"publisher": item.source.ident})
             return []
         return [draft(item.kind, item.source,
-                      Endpoint(instance.fabric.members[ident], ident),
+                      Endpoint(fabric.members[ident], ident),
                       item.correlation_id, item.payload)
                 for ident in subscribers]
 
@@ -374,8 +385,8 @@ class Environment:
         self._trace_msg(seq, outcome.msg, hop_count=record.hop_count,
                         mediators=record.mediators,
                         recipients=record.recipients)
-        if outcome.flag:
-            self.trace_error(outcome.flag, str(msg.destination), {})
+        if not record.recipients:
+            self.trace_error("NoSubscriberError", str(msg.destination), {})
         for ident in record.recipients:
             self._invoke_block(ident, outcome.msg)
 
@@ -395,8 +406,7 @@ class Environment:
         try:
             _, drafts, events = _HANDLERS[role](state, msg, ctx)
         except SliceSimError as exc:
-            error = refusal(ident, exc)
-            self.trace_event(error.kind, error.subject, error.detail)
+            self.trace_block_event(refusal(ident, exc))
             return
         finally:
             if role in _HAS_WORK and _HAS_WORK[role](state, msg):
@@ -407,9 +417,7 @@ class Environment:
 
     def _absorb(self, events, slice_id: str) -> None:
         for event in events:
-            detail = dict(event.detail)
-            detail.setdefault("slice", slice_id)
-            self.trace_event(event.kind, event.subject, detail)
+            self.trace_block_event(event, slice_id)
             self._apply_event(event, slice_id)
 
     def _apply_event(self, event: BlockEvent, slice_id: str) -> None:
@@ -546,12 +554,10 @@ class Environment:
             try:
                 events = slices_mod.teardown(instance, self.tick)
             except SliceSimError as exc:
-                error = refusal(event.args[0], exc)
-                self.trace_event(error.kind, error.subject, error.detail)
+                self.trace_block_event(refusal(event.args[0], exc))
                 return
             for block_event in events:
-                self.trace_event(block_event.kind, block_event.subject,
-                                 block_event.detail)
+                self.trace_block_event(block_event)
                 self._apply_event(block_event, instance.slice_id)
             # no message reaches its blocks again: their hooks leave for good
             self._due = {key: entry for key, entry in self._due.items()
@@ -675,7 +681,8 @@ class Environment:
             device, {"detail": "paging needs mobility management"})
         if instance is None:
             return
-        if not instance.has_sf(Role.MM, "device-paging"):
+        subset = instance.blueprint.bb_set[Role.MM]   # empty: every sf
+        if subset and "device-paging" not in subset:
             self.trace_error("SfInactive", device.device_id,
                              {"sf": "device-paging", "slice": instance.slice_id})
             return

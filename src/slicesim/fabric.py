@@ -5,16 +5,17 @@ Four models wire the same block set: a full mesh (direct links), a relay
 dispatcher (an external proxy with per-destination projected interfaces) and
 a publish-subscribe broker.  `Fabric.send` is model-agnostic: it returns the
 one message every recipient gets plus a delivery record carrying the hop and
-mediator accounting that makes the models comparable.
+mediator accounting that makes the models comparable.  The fabric owns its
+slice's topic table, which the broker reads at send time and the engine
+reads to expand a publish into unicasts on the other models.
 
 A mediator is modelled as a function distinct from the block it may be
 co-located with, so a relayed message costs two hops even when the relay
 itself is the source or destination; this keeps per-send cost uniform and
 the full mesh strictly cheaper whenever any unicast crosses the fabric.
 
-Unicast over publish-subscribe uses one auto-registered topic per member
-(`bb:<instance>`), preserving request/response semantics while exercising
-the broker machinery.
+A unicast over publish-subscribe goes through the broker to its one
+destination, so it costs what a relayed or dispatched unicast costs.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class DeliveryRecord:
 class DeliveryOutcome:
     record: DeliveryRecord
     msg: SignalMessage         # what each of `record.recipients` gets
-    flag: str | None = None    # e.g. "NoSubscriberError": traced, not fatal
 
 
 @dataclass
@@ -74,14 +74,7 @@ class Fabric:
     members: dict                       # instance id -> Role
     mediator: str | None = None         # CPD/PS instance id when external
     relay: str | None = None            # relay member instance id
-    subscriptions: dict = field(default_factory=dict)   # topic -> set of ids
-
-    def subscribe(self, bb: str, topic: str) -> None:
-        """Add member `bb` to the topic's subscriber set; idempotent."""
-        if self.model.kind is not FabricModelKind.PUB_SUB:
-            raise ModelMismatchError(
-                f"subscribe on a {self.model.kind.value} fabric")
-        self.subscriptions.setdefault(topic, set()).add(bb)
+    subscriptions: dict = field(default_factory=dict)   # topic -> sorted ids
 
     def send(self, msg: SignalMessage) -> DeliveryOutcome:
         """Carry a message from a member to a member or a topic.  Only the
@@ -90,7 +83,9 @@ class Fabric:
             if self.model.kind is not FabricModelKind.PUB_SUB:
                 raise ModelMismatchError(
                     "topic-addressed messages need a publish-subscribe fabric")
-            return self._send_topic(msg, msg.destination.topic_id)
+            return DeliveryOutcome(DeliveryRecord(
+                2, (self.mediator,),
+                self.subscriptions.get(msg.destination.topic_id, ())), msg)
         dst = msg.destination.ident
         kind = self.model.kind
         if kind is FabricModelKind.FULL_MESH:
@@ -103,24 +98,20 @@ class Fabric:
                 k: v for k, v in msg.payload.items() if k in allowed})
             return DeliveryOutcome(
                 DeliveryRecord(2, (self.mediator,), (dst,)), projected)
-        return self._send_topic(msg, f"bb:{dst}")
-
-    def _send_topic(self, msg: SignalMessage, topic: str) -> DeliveryOutcome:
-        recipients = tuple(sorted(self.subscriptions.get(topic, ())))
-        return DeliveryOutcome(
-            DeliveryRecord(2, (self.mediator,), recipients), msg,
-            None if recipients else "NoSubscriberError")
+        return DeliveryOutcome(DeliveryRecord(2, (self.mediator,), (dst,)), msg)
 
 
 def connect(members: Iterable[BBInstanceId], model: FabricModel,
-            scope: str = "fabric") -> Fabric:
-    """Wire a block set under one interconnection model.
+            scope: str = "fabric", subscriptions: dict | None = None) -> Fabric:
+    """Wire a block set under one interconnection model, with its topic
+    table (topic -> sorted subscriber ids, default: none).
 
     For the relay model the designated relay must itself be a member;
     dispatcher and broker mediators are created here and are not members.
     """
     member_map = {str(m): m.role for m in members}
-    fabric = Fabric(model=model, members=member_map)
+    fabric = Fabric(model=model, members=member_map,
+                    subscriptions=subscriptions or {})
     if model.kind is FabricModelKind.RELAY:
         target = model.relay_bb or Role.CM.value
         matches = [i for i, role in member_map.items()
@@ -132,6 +123,4 @@ def connect(members: Iterable[BBInstanceId], model: FabricModel,
         fabric.mediator = str(BBInstanceId(Role.CPD, scope))
     elif model.kind is FabricModelKind.PUB_SUB:
         fabric.mediator = str(BBInstanceId(Role.PS, scope))
-        for ident in member_map:
-            fabric.subscriptions[f"bb:{ident}"] = {ident}
     return fabric

@@ -30,7 +30,7 @@ from .blocks.fm import shortest_path
 from .errors import (
     InfraCapacityError, LifecycleOrderError, NoPathError, SchemaError,
 )
-from .fabric import Fabric, FabricModel, FabricModelKind, connect
+from .fabric import Fabric, FabricModel, connect
 from .messages import (
     BBInstanceId, MANDATORY_BB_ROLES, OPTIONAL_BB_ROLES, Role, Verdict,
 )
@@ -197,12 +197,6 @@ class SliceInstance:
     def slice_id(self) -> str:
         return self.blueprint.slice_id
 
-    def has_sf(self, role: Role, sf_id: str) -> bool:
-        subset = self.blueprint.bb_set.get(role)
-        if subset is None:
-            return False
-        return not subset or sf_id in subset
-
 
 def build_roster(devices=()) -> dict:
     """The subscriber roster, built once per run as two read-only mappings
@@ -257,17 +251,14 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
            for role in sorted(bp.bb_set, key=lambda r: r.value)]
     states = {i.role: _STATE_FACTORIES[i.role](bp, topology, roster) for i in ids}
     peers = {i.role: str(i) for i in ids}
-    fabric = connect(ids, bp.fabric_model, scope=bp.slice_id)
+    topics: dict = {}
+    for role, topic in bp.subscriptions:
+        if role in peers:
+            topics.setdefault(topic, set()).add(peers[role])
+    fabric = connect(ids, bp.fabric_model, scope=bp.slice_id, subscriptions={
+        topic: tuple(sorted(subscribers)) for topic, subscribers in topics.items()})
     if Role.CGHF in states:
-        state = states[Role.CGHF]
-        for role, topic in bp.subscriptions:
-            if role not in peers:
-                continue
-            subscribers = set(state.subscriptions.get(topic, ()))
-            subscribers.add(peers[role])
-            state.subscriptions[topic] = tuple(sorted(subscribers))
-            if fabric.model.kind is FabricModelKind.PUB_SUB:
-                fabric.subscribe(peers[role], topic)
+        states[Role.CGHF].subscriptions = dict(fabric.subscriptions)
     return SliceInstance(blueprint=bp, states=states, peers=peers,
                          fabric=fabric, dplane=DPlane(spec=topology))
 

@@ -122,8 +122,15 @@ def test_criterion_2_grouping_optimality_oracle():
     checked = 0
     while checked < 50:
         catalog = _random_catalog(rng)
-        constraints = derive_separation_constraints(catalog)
-        forbidden = {frozenset((c.sf_a, c.sf_b)) for c in constraints}
+        # the oracle's own reading of step 2: a pair differing in a
+        # separation attribute, placement only when edge meets core
+        forbidden = {frozenset((a.sf_id, b.sf_id)) for a, b in
+                     itertools.combinations(catalog.sfs.values(), 2)
+                     if {a.placement, b.placement} == {Placement.EDGE,
+                                                       Placement.CORE}
+                     or a.reusability is not b.reusability
+                     or a.optionality is not b.optionality
+                     or a.evolution_cycle is not b.evolution_cycle}
 
         def feasible(partition):
             for block in partition:
@@ -145,7 +152,7 @@ def test_criterion_2_grouping_optimality_oracle():
 
         best = min(score(p) for p in _all_partitions(list(catalog.sfs))
                    if feasible(p))
-        bbs = group_into_bbs(catalog, constraints)
+        bbs = group_into_bbs(catalog, derive_separation_constraints(catalog))
         report = evaluate_grouping(bbs, catalog.procedures.values())
         assert report.total_inter_bb_interfaces == best
         checked += 1

@@ -328,10 +328,44 @@ class TestFmHandlerRefusals:
         state = fm_with_flow()
         msg = to_fm(ProcedureKind.HANDOVER_PREPARE, {
             "session": "s-1", "phase": "new-path", "ingress": "zz"}, Role.MM)
-        assert fm_handle(state, msg, fm_ctx())[1:] == ([], [BlockEvent(
+        drafts, events = fm_handle(state, msg, fm_ctx())[1:]
+        assert events == [BlockEvent(
             "error", "f1", {"error": "NoPathError",
-                            "detail": "unknown endpoint 'zz' or 'c'"})])
+                            "detail": "unknown endpoint 'zz' or 'c'"})]
         assert state.path_table["f1"].nodes == ("a", "b", "c")
+        # no new path to await: the handover goes on at once
+        assert [(d.kind, d.destination, d.payload) for d in drafts] == [
+            (ProcedureKind.HANDOVER_PREPARE, msg.source,
+             {"session": "s-1", "phase": "new-path-ok", "ok": True})]
+        assert state.handover_jobs == {}
+
+    def test_handover_awaits_only_the_flows_it_applied(self):
+        state = fm_with_flow()
+        state.sessions["s-1"].flows.append("f2")
+        state.flow_sessions["f2"] = "s-1"
+        fm_define_path(state, "f2", "a", "c", "critical")
+        state.view.link("b", "c").reserved = 8   # room for f1's unit, not f2's two
+        ctx = fm_ctx()
+        msg = to_fm(ProcedureKind.HANDOVER_PREPARE, {
+            "session": "s-1", "phase": "new-path", "ingress": "b"}, Role.MM)
+        _, drafts, events = fm_handle(state, msg, ctx)
+        assert [(e.subject, e.detail["error"]) for e in events] == [
+            ("f2", "CapacityError")]
+        assert [d.payload["node"] for d in drafts] == ["b", "c"]
+        assert state.handover_jobs["c1"].remaining == 1
+        replies = []
+        for node in ("b", "c"):
+            replies += fm_handle(state, SignalMessage(
+                kind=ProcedureKind.FLOW_NOTIFY,
+                source=Endpoint(Role.D_PLANE, f"{SLICE}:{node}"),
+                destination=Endpoint(Role.FM, ctx.self_id),
+                interface=InterfacePoint.I4_SBI, correlation_id="c1",
+                payload={"phase": "config-ack", "node": node, "flow": "f1",
+                         "ok": True, "action": "install"}), ctx)[1]
+        assert [(d.destination, d.payload) for d in replies] == [
+            (msg.source, {"session": "s-1", "phase": "new-path-ok", "ok": True})]
+        assert state.handover_jobs == {}
+        assert state.sessions["s-1"].ingress == "b"
 
     def test_handover_release_keeps_other_sessions_old_paths(self):
         state = fm_with_flow()

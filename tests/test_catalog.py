@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from slicesim.catalog import (
     BBDefinition, DEFAULT_CROSS_BB_THRESHOLD, EvolutionCycle, FunctionalDomain,
     GroupingReport, Optionality, Originator, Placement, ProcedureSpec,
-    RefinementAction, Reusability, SeparationConstraint, SeparationCriterion,
-    SFCatalog, SFDescriptor, derive_separation_constraints, evaluate_grouping,
-    DOMAIN_BB_CODES, _maximal_partitions, group_into_bbs, load_catalog, refine,
-    render_grouping,
+    RefinementAction, Reusability, SFCatalog, SFDescriptor,
+    derive_separation_constraints, evaluate_grouping, DOMAIN_BB_CODES,
+    _maximal_partitions, group_into_bbs, load_catalog, refine, render_grouping,
 )
 from slicesim.errors import (
     DuplicateSfError, MissingAttributeError, SchemaError, UnassignedSfError,
@@ -53,8 +52,7 @@ def all_partitions(items):
         yield partition + [[first]]
 
 
-def oracle_feasible(partition, catalog, constraints):
-    forbidden = {frozenset((c.sf_a, c.sf_b)) for c in constraints}
+def oracle_feasible(partition, catalog, forbidden):
     for block in partition:
         domains = {catalog.sfs[sf].functional_domain for sf in block}
         if len(domains) > 1:
@@ -110,12 +108,12 @@ def oracle_maximal_partitions(members, forbidden):
             if oracle_is_maximal(p, forbidden)]
 
 
-def oracle_grouping(catalog, constraints):
+def oracle_grouping(catalog, forbidden):
     """Brute-force winner under (score, block count, sorted-block key),
     named as block id -> sub-function set."""
     best = None
     for partition in all_partitions(list(catalog.sfs)):
-        if not oracle_feasible(partition, catalog, constraints):
+        if not oracle_feasible(partition, catalog, forbidden):
             continue
         blocks = tuple(sorted(tuple(sorted(b)) for b in partition))
         key = (oracle_score(partition, catalog.procedures.values()), len(blocks), blocks)
@@ -129,10 +127,10 @@ def oracle_grouping(catalog, constraints):
     return named
 
 
-def oracle_best_score(catalog, constraints):
+def oracle_best_score(catalog, forbidden):
     best = None
     for partition in all_partitions(list(catalog.sfs)):
-        if not oracle_feasible(partition, catalog, constraints):
+        if not oracle_feasible(partition, catalog, forbidden):
             continue
         score = oracle_score(partition, catalog.procedures.values())
         if best is None or score < best:
@@ -232,10 +230,8 @@ class TestSeparationConstraints:
         auth = make_sf("authentication", domain=FunctionalDomain.SECURITY,
                        evolution=EvolutionCycle.FAST)
         session = make_sf("session-management", evolution=EvolutionCycle.SLOW)
-        constraints = derive_separation_constraints(catalog_of([auth, session]))
-        assert SeparationConstraint(
-            "authentication", "session-management",
-            SeparationCriterion.EVOLUTION_CYCLE) in constraints
+        assert derive_separation_constraints(catalog_of([auth, session])) == \
+            {frozenset(("authentication", "session-management"))}
 
     def test_identical_attributes_produce_no_constraint(self):
         a = make_sf("policy-control", optionality=Optionality.USE_CASE_SPECIFIC)
@@ -246,34 +242,29 @@ class TestSeparationConstraints:
         edge = make_sf("a", placement=Placement.EDGE)
         either = make_sf("b", placement=Placement.EITHER)
         core = make_sf("c", placement=Placement.CORE)
-        constraints = derive_separation_constraints(catalog_of([edge, either, core]))
-        placement_pairs = {frozenset((c.sf_a, c.sf_b)) for c in constraints
-                           if c.criterion is SeparationCriterion.PLACEMENT}
-        assert placement_pairs == {frozenset(("a", "c"))}
+        assert derive_separation_constraints(catalog_of([edge, either, core])) == \
+            {frozenset(("a", "c"))}
+
+    def test_one_pair_however_many_attributes_differ(self):
+        a = make_sf("a", placement=Placement.EDGE)
+        b = make_sf("b", placement=Placement.CORE,
+                    reusability=Reusability.SERVICE_SPECIFIC,
+                    optionality=Optionality.USE_CASE_SPECIFIC,
+                    evolution=EvolutionCycle.FAST)
+        assert derive_separation_constraints(catalog_of([a, b])) == \
+            {frozenset(("a", "b"))}
 
     def test_reference_constraints_match_exhaustive_pairwise_scan(self):
         cat = load_catalog(reference_catalog_text())
         got = derive_separation_constraints(cat)
         expected = set()
         for a, b in itertools.combinations(sorted(cat.sfs.values(), key=lambda s: s.sf_id), 2):
-            if {a.placement, b.placement} == {Placement.EDGE, Placement.CORE}:
-                expected.add(SeparationConstraint(a.sf_id, b.sf_id, SeparationCriterion.PLACEMENT))
-            if a.reusability != b.reusability:
-                expected.add(SeparationConstraint(a.sf_id, b.sf_id, SeparationCriterion.REUSABILITY))
-            if a.optionality != b.optionality:
-                expected.add(SeparationConstraint(a.sf_id, b.sf_id, SeparationCriterion.OPTIONALITY))
-            if a.evolution_cycle != b.evolution_cycle:
-                expected.add(SeparationConstraint(a.sf_id, b.sf_id, SeparationCriterion.EVOLUTION_CYCLE))
+            if ({a.placement, b.placement} == {Placement.EDGE, Placement.CORE}
+                    or a.reusability != b.reusability
+                    or a.optionality != b.optionality
+                    or a.evolution_cycle != b.evolution_cycle):
+                expected.add(frozenset((a.sf_id, b.sf_id)))
         assert got == frozenset(expected)
-
-    def test_constraint_symmetry_is_structural(self):
-        c1 = SeparationConstraint("b", "a", SeparationCriterion.REUSABILITY)
-        c2 = SeparationConstraint("a", "b", SeparationCriterion.REUSABILITY)
-        assert c1 == c2
-
-    def test_self_separation_rejected(self):
-        with pytest.raises(ValueError, match="cannot be separated from itself"):
-            SeparationConstraint("a", "a", SeparationCriterion.REUSABILITY)
 
 
 # -- step 3 ---------------------------------------------------------------------
@@ -326,9 +317,8 @@ class TestGrouping:
 
     def test_grouping_never_mixes_domains_or_colocates_constraints(self):
         cat = load_catalog(reference_catalog_text())
-        constraints = derive_separation_constraints(cat)
-        forbidden = {frozenset((c.sf_a, c.sf_b)) for c in constraints}
-        for bb in group_into_bbs(cat, constraints):
+        forbidden = derive_separation_constraints(cat)
+        for bb in group_into_bbs(cat, forbidden):
             domains = {cat.sfs[sf].functional_domain for sf in bb.sf_set}
             assert len(domains) == 1
             for a, b in itertools.combinations(sorted(bb.sf_set), 2):
@@ -384,10 +374,7 @@ def catalogs_with_arbitrary_constraints(draw):
     cat = draw(small_catalogs(min_sfs=0, max_sfs=7, n_domains=2))
     pairs = list(itertools.combinations(cat.sfs, 2))
     chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    constraints = frozenset(
-        SeparationConstraint(a, b, draw(st.sampled_from(list(SeparationCriterion))))
-        for a, b in chosen)
-    return cat, constraints
+    return cat, frozenset(frozenset(pair) for pair in chosen)
 
 
 @st.composite
@@ -421,8 +408,8 @@ class TestMaximalPartitions:
                for p in (Placement.CORE, Placement.EDGE) for i in range(3)]
         sfs += [make_sf(f"either-{i:02d}", placement=Placement.EITHER) for i in range(m)]
         cat = catalog_of(sfs)
-        forbidden = {c.pair for c in derive_separation_constraints(cat)}
-        got = _maximal_partitions(list(cat.sfs), forbidden)
+        got = _maximal_partitions(list(cat.sfs),
+                                  derive_separation_constraints(cat))
         assert len(got) == len(set(got)) == 2 ** m
         assert all(len(p) == 2 for p in got)
 
@@ -439,8 +426,7 @@ class TestGroupingProperties:
         pairs = list(itertools.combinations(cat.sfs, 2))
         for bits in range(1 << len(pairs)):
             constraints = frozenset(
-                SeparationConstraint(a, b, SeparationCriterion.REUSABILITY)
-                for i, (a, b) in enumerate(pairs) if bits >> i & 1)
+                frozenset(pair) for i, pair in enumerate(pairs) if bits >> i & 1)
             bbs = group_into_bbs(cat, constraints)
             assert {bb.bb_id: bb.sf_set for bb in bbs} == oracle_grouping(cat, constraints)
 
@@ -462,9 +448,8 @@ class TestGroupingProperties:
     @settings(max_examples=60, deadline=None)
     @given(small_catalogs())
     def test_partition_soundness(self, cat):
-        constraints = derive_separation_constraints(cat)
-        forbidden = {frozenset((c.sf_a, c.sf_b)) for c in constraints}
-        bbs = group_into_bbs(cat, constraints)
+        forbidden = derive_separation_constraints(cat)
+        bbs = group_into_bbs(cat, forbidden)
         seen = set()
         for bb in bbs:
             assert len({cat.sfs[sf].functional_domain for sf in bb.sf_set}) == 1

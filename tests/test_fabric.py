@@ -4,7 +4,7 @@ import pytest
 
 from slicesim.errors import BadRelayError, ModelMismatchError
 from slicesim.fabric import (
-    DEFAULT_PROJECTIONS, FabricModel, FabricModelKind, connect,
+    DEFAULT_PROJECTIONS, DeliveryRecord, FabricModel, FabricModelKind, connect,
 )
 from slicesim.messages import (
     BBInstanceId, InterfacePoint, ProcedureKind, Role, SignalMessage, Topic,
@@ -102,49 +102,28 @@ class TestPubSub:
             payload={"topic": topic, "subject": "f1",
                      "statement": "latency_above_normal"})
 
-    def test_topic_delivery_to_current_subscribers(self):
-        fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB))
-        fabric.subscribe(str(bb(Role.CM)), "dplane-latency")
-        fabric.subscribe(str(bb(Role.FM)), "dplane-latency")
+    def test_topic_delivery_to_the_subscribers(self):
+        fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB),
+                         subscriptions={"dplane-latency": (
+                             str(bb(Role.CM)), str(bb(Role.FM)))})
         outcome = fabric.send(self.topic_msg("dplane-latency"))
-        assert set(outcome.record.recipients) == {str(bb(Role.CM)), str(bb(Role.FM))}
-        assert outcome.flag is None
-
-    def test_subscribe_is_idempotent(self):
-        fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB))
-        fabric.subscribe(str(bb(Role.CM)), "t")
-        before = set(fabric.subscriptions["t"])
-        fabric.subscribe(str(bb(Role.CM)), "t")
-        assert fabric.subscriptions["t"] == before
-
-    def test_subscribe_on_full_mesh_rejected(self):
-        fabric = connect(six_members(), FabricModel(FabricModelKind.FULL_MESH))
-        with pytest.raises(ModelMismatchError):
-            fabric.subscribe(str(bb(Role.CM)), "t")
+        assert outcome.record == DeliveryRecord(
+            2, (fabric.mediator,), (str(bb(Role.CM)), str(bb(Role.FM))))
 
     def test_topic_send_on_full_mesh_rejected(self):
-        fabric = connect(six_members(), FabricModel(FabricModelKind.FULL_MESH))
+        fabric = connect(six_members(), FabricModel(FabricModelKind.FULL_MESH),
+                         subscriptions={"t": (str(bb(Role.CM)),)})
         with pytest.raises(ModelMismatchError):
             fabric.send(self.topic_msg("t"))
 
-    def test_zero_subscribers_flagged_not_fatal(self):
-        fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB))
+    def test_zero_subscribers_deliver_to_no_one(self):
+        fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB),
+                         subscriptions={"t": (str(bb(Role.CM)),)})
         outcome = fabric.send(self.topic_msg("lonely-topic"))
         assert outcome.record.recipients == ()
-        assert outcome.flag == "NoSubscriberError"
 
     def test_unicast_over_pubsub_reaches_the_destination(self):
         fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB))
         outcome = fabric.send(inter_bb_msg(Role.CM, Role.FM))
-        assert outcome.record.recipients == (str(bb(Role.FM)),)
-        assert outcome.record.hop_count == 2
-        assert outcome.record.mediators == (fabric.mediator,)
-
-    def test_subscription_set_snapshot_at_send_time(self):
-        fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB))
-        fabric.subscribe(str(bb(Role.CM)), "t")
-        first = fabric.send(self.topic_msg("t"))
-        fabric.subscribe(str(bb(Role.FM)), "t")
-        second = fabric.send(self.topic_msg("t"))
-        assert first.record.recipients == (str(bb(Role.CM)),)
-        assert set(second.record.recipients) == {str(bb(Role.CM)), str(bb(Role.FM))}
+        assert outcome.record == DeliveryRecord(
+            2, (fabric.mediator,), (str(bb(Role.FM)),))

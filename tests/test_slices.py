@@ -101,23 +101,27 @@ class TestBlueprintFiles:
             bp = load_blueprint_file(scenario_path(name))
             assert validate_blueprint(bp).ok, name
 
-    def test_sf_subset_blueprint_loads_and_gates_paging(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sfs, paged", [
+        ("device-location-tracking,mobility-assistance", False),
+        ("device-paging,device-location-tracking", True)])
+    def test_sf_subset_blueprint_loads_and_gates_paging(self, tmp_path, capsys,
+                                                        sfs, paged):
         # without block definitions, subsets are checked against the
         # reference blocks; an MM without device-paging traces SfInactive
         for path in scenario_path(".").iterdir():
             (tmp_path / path.name).write_text(path.read_text())
         blueprint = tmp_path / "bp-mob-mbb.bp"
         blueprint.write_text(blueprint.read_text().replace(
-            "  bb MM\n",
-            "  bb MM sfs=device-location-tracking,mobility-assistance\n"))
+            "  bb MM\n", f"  bb MM sfs={sfs}\n"))
         assert cli.main(["validate", "--blueprint", str(blueprint)]) == 0
         result = run(load_scenario(tmp_path / "paging.scn"), 7)
         inactive = [r for r in result.trace if isinstance(r, EventRecord)
                     and r.detail.get("error") == "SfInactive"]
         assert [(r.subject, r.detail["sf"]) for r in inactive] == \
-            [("d6", "device-paging")]
-        assert not [r for r in result.trace if isinstance(r, MessageRecord)
-                    and r.msg.kind is ProcedureKind.PAGE]
+            ([] if paged else [("d6", "device-paging")])
+        assert any(isinstance(r, MessageRecord)
+                   and r.msg.kind is ProcedureKind.PAGE
+                   for r in result.trace) is paged
 
     def test_malformed_blueprint_rejected(self):
         with pytest.raises(SchemaError):
@@ -238,19 +242,16 @@ class TestLifecycle:
             self.load_paging_with(tmp_path, "anchors: a1 a2",
                                   "anchors: a1 missing-node")
 
-    def test_subscription_of_an_absent_block_is_skipped(self, topology):
+    @pytest.mark.parametrize("kind", list(FabricModelKind))
+    def test_topic_table_skips_absent_blocks_and_sorts(self, topology, kind):
         bp = make_blueprint(roles=(Role.AF, Role.CM, Role.SAM, Role.FM, Role.CGHF),
-                            subscriptions=((Role.MM, "t"), (Role.CM, "t")),
-                            fabric_model=FabricModel(FabricModelKind.PUB_SUB))
+                            subscriptions=((Role.MM, "t"), (Role.FM, "t"),
+                                           (Role.CM, "t"), (Role.CM, "t"),
+                                           (Role.MM, "u")),
+                            fabric_model=FabricModel(kind))
         instance = instantiate(bp, SimInfrastructure(8), topology)
-        cm_id = instance.peers[Role.CM]
-        assert instance.states[Role.CGHF].subscriptions == {"t": (cm_id,)}
-        assert instance.fabric.subscriptions["t"] == {cm_id}
-
-    def test_sub_function_of_an_absent_block_is_inactive(self, topology):
-        instance = instantiate(make_blueprint(), SimInfrastructure(8), topology)
-        assert instance.has_sf(Role.AF, "anything")
-        assert not instance.has_sf(Role.MM, "device-paging")
+        assert instance.fabric.subscriptions == {
+            "t": tuple(sorted((instance.peers[Role.CM], instance.peers[Role.FM])))}
 
     def test_unreachable_anchor_has_no_latency_entry(self):
         spec = load_topology(
