@@ -49,8 +49,6 @@ class PathRecordEntry:
 class AFState:
     path_records: dict = field(default_factory=dict)   # device -> list[PathRecordEntry]
     device_location: dict = field(default_factory=dict)
-    cn_access_permissions: dict = field(
-        default_factory=lambda: dict(DEFAULT_AN_CONFIG_RIGHTS))
 
 
 def record_path(state: AFState, device: str, node: str, tech: str, event: str,
@@ -122,7 +120,7 @@ def af_handle(state: AFState, msg, ctx: BlockContext):
 
     if msg.kind is ProcedureKind.FLOW_CONFIGURE:
         # access-node configuration request from the core plane
-        rights = state.cn_access_permissions.get(msg.source.role.value, frozenset())
+        rights = DEFAULT_AN_CONFIG_RIGHTS.get(msg.source.role.value, frozenset())
         ok = "an-config" in rights
         if not ok:
             events.append(error_event(msg.source.role.value, "PermissionDenied",

@@ -41,7 +41,6 @@ class ContextModelRule:
 @dataclass
 class CGHFState:
     models: tuple = ()
-    subscriptions: dict = field(default_factory=dict)   # topic -> tuple of block ids
     buffer: dict = field(default_factory=dict)          # (metric, subject) -> [Sample]
     baselines: dict = field(default_factory=dict)       # (topic, subject) -> float
     warmup: dict = field(default_factory=dict)          # (topic, subject) -> [values]

@@ -84,7 +84,6 @@ class CMState:
     device_table: dict = field(default_factory=dict)    # device -> ConvergentState
     sessions: dict = field(default_factory=dict)        # session id -> SessionRecord
     device_sessions: dict = field(default_factory=dict) # device -> session id
-    slice_bindings: dict = field(default_factory=dict)  # device -> slice id
     subscription_view: dict = field(default_factory=dict)
     device_modes: dict = field(default_factory=dict)    # device -> "direct"|"via_af"
     device_nodes: dict = field(default_factory=dict)    # device -> access node
@@ -164,7 +163,6 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
                            addresses=addrs)
     state.sessions[session_id] = record
     state.device_sessions[device] = session_id
-    state.slice_bindings[device] = ctx.slice_id
     state.device_modes[device] = "direct" if pending.direct else "via_af"
     state.device_nodes[device] = pending.node
     _transition(state, device, ConvergentState.ATTACHED, events, ctx.slice_id)
@@ -235,7 +233,6 @@ def handle(state: CMState, msg, ctx: BlockContext):
                             events, ctx.slice_id)
                 events.append(refusal(pending.device, exc))
             else:
-                state.slice_bindings[pending.device] = target
                 _transition(state, pending.device, ConvergentState.ATTACHED,
                             events, ctx.slice_id)
                 events.append(BlockEvent("slice-selected", pending.device,
@@ -425,7 +422,6 @@ def _handle_session_release(state: CMState, msg, ctx: BlockContext):
             {"device": device, "phase": "detached"}))
     state.sessions.pop(session_id, None)
     state.device_sessions.pop(device, None)
-    state.slice_bindings.pop(device, None)
     _transition(state, device, ConvergentState.DETACHED, events, ctx.slice_id)
     events.append(BlockEvent("detach", device, {"slice": ctx.slice_id}))
     return drafts, events

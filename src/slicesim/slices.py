@@ -257,8 +257,6 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
             topics.setdefault(topic, set()).add(peers[role])
     fabric = connect(ids, bp.fabric_model, scope=bp.slice_id, subscriptions={
         topic: tuple(sorted(subscribers)) for topic, subscribers in topics.items()})
-    if Role.CGHF in states:
-        states[Role.CGHF].subscriptions = dict(fabric.subscriptions)
     return SliceInstance(blueprint=bp, states=states, peers=peers,
                          fabric=fabric, dplane=DPlane(spec=topology))
 
@@ -298,7 +296,6 @@ def teardown(instance: SliceInstance, tick: int = 0) -> list:
                              for d in cm_state.device_table}
     cm_state.sessions.clear()
     cm_state.device_sessions.clear()
-    cm_state.slice_bindings.clear()
     instance.dplane.rules.clear()
     instance.attached_devices.clear()
     instance.lifecycle_state = LifecycleState.TORN_DOWN
