@@ -8,8 +8,8 @@ constants and `global`/`nonlocal` compile to no code and are not counted.
 
     PYTHONPATH=src python3 scripts/coverage.py [pytest args, default: tests]
 
-Prints `path:line  statement` per unexecuted statement, a count per file and
-a total.  It is slow (the whole suite under a line tracer) and is not part of
+Prints `path:line  statement` per unexecuted statement, a count per file, a
+total and the line count of `src/`'s Python files.  It is slow (the whole suite under a line tracer) and is not part of
 the test suite.
 """
 
@@ -67,10 +67,11 @@ def main(argv: list) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
-    total = 0
+    total = src_lines = 0
     for path in sorted(SRC.rglob("*.py")):
         hit = executed.get(str(path), set())
         lines = path.read_text(encoding="utf-8").splitlines()
+        src_lines += len(lines)
         missed = [first for first, own in sorted(statement_lines(path).items())
                   if not hit.intersection(own)]
         for first in missed:
@@ -79,6 +80,7 @@ def main(argv: list) -> int:
             print(f"  {path.relative_to(ROOT)}: {len(missed)} unexecuted")
         total += len(missed)
     print(f"total unexecuted statements in src/: {total}")
+    print(f"lines in src/: {src_lines}")
     return int(status)
 
 

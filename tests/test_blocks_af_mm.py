@@ -273,6 +273,12 @@ class TestHandover:
         with pytest.raises(NoSessionError):
             mm_handover(state, "ghost", "n2", "cellular", "area-1", "i2",
                         policy, ctx, "c")
+        # the handler traces the refusal and sends nothing
+        _, drafts, events = drive(state, ctx, ProcedureKind.HANDOVER_PREPARE,
+                                  {"device": "ghost", "node": "n2"}, Role.UE)
+        assert drafts == []
+        assert [(e.kind, e.subject, e.detail["error"]) for e in events] == [
+            ("error", "ghost", "NoSessionError")]
 
     def test_policy_forbidding_target_technology(self):
         state, _, _ = mm_with_session()

@@ -12,7 +12,9 @@ from slicesim.blocks.cm import (
 from slicesim.blocks.common import (
     AccessNodeInfo, AuthScheme, BlockContext, BlockEvent, SlicePolicy, Tech,
 )
-from slicesim.blocks.sam import IdentityRecord, SAMState, sam_authenticate
+from slicesim.blocks.sam import (
+    IdentityRecord, SAMState, handle as sam_handle, sam_authenticate,
+)
 from slicesim.errors import (
     IllegalTransitionError, NoDPlaneFunctionError,
     NoEligibleSliceError,
@@ -59,10 +61,14 @@ class TestAuthenticate:
         assert len(state.audit_log) == 1 and state.audit_log[0].ok
 
     def test_wrong_credentials_fail_with_audit(self):
-        state = sam_with()
-        verdict = sam_authenticate(state, "d1", "imsi-001", "wrong",
-                                   AuthScheme.FULL, seed=7, tick=1)
-        assert not verdict.ok
+        state, ctx = sam_with(), make_ctx(role=Role.SAM)
+        challenge = draft(ProcedureKind.AUTH_CHALLENGE,
+                          ctx.peer_endpoint(Role.CM), ctx.self_endpoint, "c1",
+                          {"device": "d1", "alias": "imsi-001",
+                           "proof": "wrong", "scheme": "full"})
+        _, [response], _ = sam_handle(state, challenge, ctx)
+        assert response.payload == {"device": "d1", "ok": False,
+                                    "reason": "credential-mismatch"}
         assert "d1" not in state.security_contexts
         assert len(state.audit_log) == 1 and not state.audit_log[0].ok
 

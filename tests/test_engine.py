@@ -179,12 +179,15 @@ class TestEventSemantics:
         result = run(dataclasses.replace(scenario, script=script), 7)
         assert errors(result, "IllegalEventError")
 
-    def test_move_while_detached_is_an_illegal_event(self):
+    @pytest.mark.parametrize("action, args", [("move", ("d1", "n2")),
+                                              ("idle", ("d1",))])
+    def test_mobility_event_while_detached_is_an_illegal_event(self, action,
+                                                               args):
         scenario = load("attach-two-slices")
-        script = (ScriptEvent(tick=1, action="move", args=("d1", "n2"),
-                              options={}),)
+        script = (ScriptEvent(tick=1, action=action, args=args, options={}),)
         result = run(dataclasses.replace(scenario, script=script), 7)
-        assert errors(result, "IllegalEventError")
+        assert [e.detail["detail"] for e in errors(result, "IllegalEventError")] \
+            == [f"{action} while detached"]
 
     def test_move_on_mm_slice_enters_handover_prepare(self):
         result = run(load("handover-mbb"), 7)

@@ -22,10 +22,13 @@ from slicesim.engine import (
     Environment, Scenario, ScriptEvent, compare_fabrics, run,
 )
 from slicesim.errors import SliceSimError
+from slicesim.messages import ProcedureKind
 from slicesim.metrics import compute_metrics
 from slicesim.netsim import DeviceSpec, SignalingMode, load_topology_file
 from slicesim.slices import load_blueprint_file
-from slicesim.trace import EventRecord, parse_trace, render_trace, trace_check
+from slicesim.trace import (
+    EventRecord, MessageRecord, parse_trace, render_trace, trace_check,
+)
 
 from conftest import scenario_path
 
@@ -56,12 +59,25 @@ def blueprints(draw):
         if draw(st.booleans()):
             bp = dataclasses.replace(
                 bp, path_strategy=PathStrategy.LOAD_DISTRIBUTION)
+        # the context-model knobs: a factor below 1 fires on the first
+        # evaluation after the baseline locks, so every fabric delivers a
+        # topic publish; `min_samples` above `window` never fires at rate 1
+        models = []
+        for model in bp.context_models:
+            window = draw(st.integers(1, 8))
+            models.append(dataclasses.replace(
+                model, window=window, min_samples=draw(st.integers(1, window)),
+                factor=draw(st.sampled_from((0.5, 1.0, 1.5)))))
+        bp = dataclasses.replace(bp, context_models=tuple(models))
         chosen.append(bp)
     return tuple(chosen)
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, warm=None):
+    """A generated case.  A warm one (drawn when `warm` is None) also
+    attaches every device at tick 0 and starts a flow of it at tick 12, so
+    that traffic, telemetry and context publishes run."""
     bps = draw(blueprints())
     slice_ids = [bp.slice_id for bp in bps]
     devices = []
@@ -97,6 +113,11 @@ def scenarios(draw):
         st.tuples(st.just("teardown"), st.tuples(st.sampled_from(slice_ids)),
                   st.just({})))
     events = draw(st.lists(st.tuples(st.integers(0, 30), action), max_size=10))
+    if draw(st.booleans()) if warm is None else warm:
+        events = [event for spec in devices for event in (
+            (0, ("attach", (spec.device_id,), {"method": 2})),
+            (12, ("traffic-start", (spec.device_id,),
+                  {"flow": draw(flow), "rate": 1, "duration": 30})))] + events
     script = tuple(ScriptEvent(tick, name, args, options)
                    for tick, (name, args, options)
                    in sorted(events, key=lambda e: e[0]))
@@ -124,31 +145,35 @@ def torn_down_mid_attach(trace) -> set:
     return hit
 
 
-def audit(scenario: Scenario, seed: int) -> list:
-    """Hold a case to the first four checks; returns its run's
+def audit(scenario: Scenario, seed: int) -> tuple:
+    """Hold a case to the first four checks; returns its run's trace and
     `trace_check` violations."""
     try:
         result = run(scenario, seed)
     except SliceSimError:     # a set-up refusal is a domain error
-        return []
+        return [], []
     compare_fabrics(scenario, seed)     # raises unless the digests agree
     text = render_trace(result.trace)
     assert render_trace(run(scenario, seed).trace) == text
     assert compute_metrics(parse_trace(text)) == result.metrics
-    return trace_check(result.trace)
+    return result.trace, trace_check(result.trace)
 
 
 def test_generated_scripts_hold_the_five_checks(record_property):
-    cases, tolerated = [], []
+    cases, tolerated, notified = [], [], []
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(scenarios(), st.integers(1, 9))
     def check(scenario, seed):
         cases.append(scenario)
-        violations = audit(scenario, seed)
+        trace, violations = audit(scenario, seed)
+        if any(isinstance(rec, MessageRecord)
+               and rec.msg.kind is ProcedureKind.CONTEXT_NOTIFY
+               for rec in trace):
+            notified.append(scenario)
         if not violations:
             return
-        leaked = torn_down_mid_attach(run(scenario, seed).trace)
+        leaked = torn_down_mid_attach(trace)
         for violation in violations:
             match = _LEAK.fullmatch(violation)
             assert match and match.group(1) in leaked, violation
@@ -156,21 +181,18 @@ def test_generated_scripts_hold_the_five_checks(record_property):
 
     check()
     record_property("tolerated", f"{len(tolerated)} of {len(cases)} cases")
+    record_property("context notified", f"{len(notified)} of {len(cases)} cases")
+    assert notified, "no generated case published a context"
 
 
 @st.composite
 def flows_at_teardown(draw):
-    """A generated case whose devices all attach at tick 0 and start a flow
-    at tick 12, with a teardown of one of its slices after that."""
-    scenario = draw(scenarios())
-    extra = [event for spec in scenario.devices for event in (
-        ScriptEvent(0, "attach", (spec.device_id,), {"method": 2}),
-        ScriptEvent(12, "traffic-start", (spec.device_id,),
-                    {"flow": "fT", "rate": 1, "duration": 30}))]
+    """A warm generated case with a teardown of one of its slices after its
+    flows start."""
+    scenario = draw(scenarios(warm=True))
     slice_id = draw(st.sampled_from([bp.slice_id for bp in scenario.blueprints]))
-    extra.append(ScriptEvent(draw(st.integers(13, 30)), "teardown",
-                             (slice_id,), {}))
-    script = sorted(extra + list(scenario.script), key=lambda e: e.tick)
+    teardown = ScriptEvent(draw(st.integers(13, 30)), "teardown", (slice_id,), {})
+    script = sorted(scenario.script + (teardown,), key=lambda e: e.tick)
     return dataclasses.replace(scenario, script=tuple(script))
 
 
@@ -232,4 +254,4 @@ def test_the_tolerated_shape_is_the_leak():
                    "leaves the device without its pseudonym")
 @pytest.mark.parametrize("seed", [3, 7])
 def test_teardown_during_attach_leaks_identity(seed):
-    assert audit(leak_case(), seed) == []
+    assert audit(leak_case(), seed)[1] == []
