@@ -94,10 +94,9 @@ class Fabric:
             return DeliveryOutcome(DeliveryRecord(2, (self.relay,), (dst,)), msg)
         if kind is FabricModelKind.DISPATCHER:
             allowed = DEFAULT_PROJECTIONS[msg.kind]
-            projected = replace(msg, payload={
+            msg = replace(msg, payload={
                 k: v for k, v in msg.payload.items() if k in allowed})
-            return DeliveryOutcome(
-                DeliveryRecord(2, (self.mediator,), (dst,)), projected)
+        # the dispatcher or the broker carries the unicast
         return DeliveryOutcome(DeliveryRecord(2, (self.mediator,), (dst,)), msg)
 
 
