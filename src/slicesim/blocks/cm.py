@@ -33,8 +33,11 @@ class ConvergentState(str, Enum):
 
 
 #: Declared edges of the convergent state machine (including teardown).
+#: A detach is a slice-local procedure, so the global part keeps a device
+#: `attached` after its hand-off; its next method-1 attach re-authenticates.
 ALLOWED_TRANSITIONS = frozenset({
     (ConvergentState.DETACHED, ConvergentState.AUTHENTICATING),
+    (ConvergentState.ATTACHED, ConvergentState.AUTHENTICATING),
     (ConvergentState.AUTHENTICATING, ConvergentState.ATTACHED),
     (ConvergentState.ATTACHED, ConvergentState.SESSION_ACTIVE),
     (ConvergentState.AUTHENTICATING, ConvergentState.DETACHED),

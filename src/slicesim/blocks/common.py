@@ -57,8 +57,6 @@ class MobilityPolicy:
 class SlicePolicy:
     auth_scheme: AuthScheme = AuthScheme.FULL
     mobility: MobilityPolicy | None = None
-    path_strategy: PathStrategy = PathStrategy.SHORTEST_PATH
-    stretch: float = DEFAULT_STRETCH
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 
 from ..errors import CapacityError, NoPathError
 from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
-from .common import BlockContext, BlockEvent, PathStrategy, error_event, refusal
+from .common import (
+    DEFAULT_STRETCH, BlockContext, BlockEvent, PathStrategy, error_event, refusal,
+)
 
 
 @dataclass
@@ -72,16 +74,8 @@ class ForwardingPath:
         return tuple(hops)
 
 
-@dataclass(frozen=True)
-class QosPolicy:
-    demand: int
-    strategy: PathStrategy | None = None   # None: use the slice strategy
-
-
-DEFAULT_QOS_POLICIES = {
-    "default": QosPolicy(demand=1),
-    "critical": QosPolicy(demand=2),
-}
+#: Capacity units a path reserves per QoS class; an unknown class reserves 1.
+QOS_DEMAND = {"default": 1, "critical": 2}
 
 
 @dataclass
@@ -124,7 +118,7 @@ class RetireEntry:
 class FMState:
     view: TopologyView
     strategy: PathStrategy = PathStrategy.SHORTEST_PATH
-    stretch: float = 0.5
+    stretch: float = DEFAULT_STRETCH
     path_table: dict = field(default_factory=dict)      # flow -> ForwardingPath
     sessions: dict = field(default_factory=dict)        # session -> SessionBinding
     flow_sessions: dict = field(default_factory=dict)   # flow -> session
@@ -206,16 +200,15 @@ def choose_path(view: TopologyView, src: str, dst: str, demand: int,
 def fm_define_path(state: FMState, flow: str, ingress: str, egress: str,
                    qos: str) -> ForwardingPath:
     """Pick a path under the active strategy and reserve its capacity."""
-    policy = DEFAULT_QOS_POLICIES.get(qos, QosPolicy(demand=1))
-    strategy = policy.strategy or state.strategy
-    nodes, _ = choose_path(state.view, ingress, egress, policy.demand,
-                           strategy, state.stretch)
+    demand = QOS_DEMAND.get(qos, 1)
+    nodes, _ = choose_path(state.view, ingress, egress, demand,
+                           state.strategy, state.stretch)
     for a, b in zip(nodes, nodes[1:]):
         link = state.view.link(a, b)
-        if link.reserved + policy.demand > link.capacity:
+        if link.reserved + demand > link.capacity:
             raise CapacityError(
-                f"link {a}~{b} cannot reserve {policy.demand} more units")
-    path = ForwardingPath(flow=flow, nodes=nodes, qos=qos, demand=policy.demand)
+                f"link {a}~{b} cannot reserve {demand} more units")
+    path = ForwardingPath(flow=flow, nodes=nodes, qos=qos, demand=demand)
     _reserve(state, path, +1)
     state.path_table[flow] = path
     return path

@@ -35,7 +35,6 @@ class HandoverPlan:
     area: str
     ingress: str
     direct: bool
-    stage: str   # "new-path" | "execute" | "release"
 
 
 @dataclass
@@ -69,11 +68,9 @@ def mm_handover(state: MMState, device: str, target_node: str, target_tech: str,
     plan = HandoverPlan(
         device=device, session=session, style=policy.style, node=target_node,
         tech=target_tech, area=target_area, ingress=target_ingress,
-        direct=state.device_modes.get(device, "direct") == "direct",
-        stage="new-path" if policy.style is HandoverStyle.MAKE_BEFORE_BREAK
-        else "execute")
+        direct=state.device_modes.get(device, "direct") == "direct")
     state.handovers[corr] = plan
-    if plan.stage == "new-path":
+    if policy.style is HandoverStyle.MAKE_BEFORE_BREAK:
         return [_new_path_draft(plan, ctx, corr)]
     return _execute_drafts(plan, ctx, corr)
 
@@ -154,11 +151,9 @@ def handle(state: MMState, msg, ctx: BlockContext):
         if plan is None or payload.get("phase") != "new-path-ok":
             return state, drafts, events
         if plan.style is HandoverStyle.MAKE_BEFORE_BREAK:
-            plan.stage = "execute"
             drafts.extend(_execute_drafts(plan, ctx, corr))
         else:
             # break-before-make: path came last, close out with the release
-            plan.stage = "release"
             drafts.append(_release_draft(plan, ctx, corr))
             _complete_handover(state, plan, events, corr)
 
@@ -175,11 +170,9 @@ def handle(state: MMState, msg, ctx: BlockContext):
                 {"device": plan.device, "node": plan.node, "tech": plan.tech,
                  "event": "handover"}))
         if plan.style is HandoverStyle.MAKE_BEFORE_BREAK:
-            plan.stage = "release"
             drafts.append(_release_draft(plan, ctx, corr))
             _complete_handover(state, plan, events, corr)
         else:
-            plan.stage = "new-path"
             drafts.append(_new_path_draft(plan, ctx, corr))
 
     elif kind is ProcedureKind.PAGE:
@@ -230,8 +223,7 @@ def tick_hook(state: MMState, ctx: BlockContext):
     """Expire pages that outlived the paging timeout."""
     drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
-    timeout = (ctx.policy.mobility.page_timeout
-               if ctx.policy.mobility else 8)
+    timeout = ctx.policy.mobility.page_timeout   # MM implies a policy
     for device in sorted(state.pages):
         attempt = state.pages[device]
         if ctx.tick - attempt.started_tick >= timeout:

@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     except SliceSimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:      # an input path that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -77,9 +77,6 @@ _HAS_WORK = {
         msg is not None and msg.kind is ProcedureKind.CONTEXT_PUBLISH),
 }
 
-#: Routing-index entry of an ident that names no block.
-_UNROUTED = (None, None, None, None)
-
 DEFAULT_MAX_TICKS = 400
 
 
@@ -366,9 +363,11 @@ class Environment:
             self._trace_msg(seq, msg)
             self.emit(self._dplane_receive(msg))
         else:
-            src_instance = self._route.get(msg.source.ident, _UNROUTED)[0]
+            # the fabric carries only block-to-block messages within one
+            # slice; a device or plane source has no route
             dst_instance = self._route[msg.destination.ident][0]
-            if src_instance is not None and src_instance is dst_instance:
+            if dst_instance is not None and \
+                    self._route.get(msg.source.ident, (None,))[0] is dst_instance:
                 self._deliver_fabric(seq, msg)
             else:
                 self._trace_msg(seq, msg)
@@ -423,17 +422,9 @@ class Environment:
     def _apply_event(self, event: BlockEvent, slice_id: str) -> None:
         device = self.devices.get(event.subject)
         if event.kind == "attach-complete" and device is not None:
-            device.attached = True
             device.attaching = None
             device.bound_slice = event.detail.get("slice", slice_id)
-            instance = self.slices.get(device.bound_slice)
-            if instance is not None:
-                instance.attached_devices.add(device.device_id)
         elif event.kind == "detach" and device is not None:
-            if device.bound_slice in self.slices:
-                self.slices[device.bound_slice].attached_devices.discard(
-                    device.device_id)
-            device.attached = False
             device.bound_slice = None
             for run in self._flows_of.get(device.device_id, {}).values():
                 run.active = False
@@ -552,7 +543,8 @@ class Environment:
         if action == "teardown":
             instance = self.slices[event.args[0]]
             try:
-                events = slices_mod.teardown(instance, self.tick)
+                events = slices_mod.teardown(
+                    instance, self._bound_to(instance.slice_id), self.tick)
             except SliceSimError as exc:
                 self.trace_block_event(refusal(event.args[0], exc))
                 return
@@ -707,6 +699,11 @@ class Environment:
         self.trace_error("UnknownDestinationError", flow,
                          {"detail": "latency injection for unknown flow"})
 
+    def _bound_to(self, slice_id: str) -> list:
+        """The sorted ids of the devices attached to a slice."""
+        return sorted(ident for ident, device in self.devices.items()
+                      if device.bound_slice == slice_id)
+
     # -- per-tick machinery ---------------------------------------------------------
 
     def _wake(self, instance, role: Role | None = None) -> None:
@@ -815,16 +812,16 @@ class Environment:
 
     def _final_digests(self) -> dict:
         digests = {}
-        devices = sorted(self.devices.values(), key=lambda d: d.device_id)
         for slice_id in sorted(self.slices):
             instance = self.slices[slice_id]
+            bound = [self.devices[ident] for ident in self._bound_to(slice_id)]
             snapshot = {
                 "blocks": {role.value: _without_roster(state)
                            for role, state in sorted(
                                instance.states.items(),
                                key=lambda kv: kv[0].value)},
                 "lifecycle": instance.lifecycle_state.value,
-                "attached": sorted(instance.attached_devices),
+                "attached": [d.device_id for d in bound],
                 "rules": _normalize(instance.dplane.rules),
                 "flows": _normalize(instance.dplane.flows),
                 "devices": {
@@ -832,7 +829,7 @@ class Environment:
                         "alias": d.alias, "node": d.current_node,
                         "attached": d.attached, "idle": d.idle,
                         "token": d.context_token}
-                    for d in devices if d.bound_slice == slice_id},
+                    for d in bound},
             }
             digests[slice_id] = hashlib.sha256(
                 canonical_json(snapshot).encode()).hexdigest()[:16]

@@ -112,7 +112,6 @@ def build_view(spec: TopologySpec) -> TopologyView:
 class UnitState:
     """The `count` units one flow emitted in one tick, moving together."""
 
-    flow: str
     path: tuple
     complete: bool      # snapshot reached a deliver rule when taken
     hop: int            # index of the node the units last departed
@@ -262,7 +261,7 @@ class DPlane:
             path, complete = self._snapshot(run.ingress, flow_id)
             if len(path) > 1:
                 run.in_flight.append(UnitState(
-                    flow=flow_id, path=path, complete=complete, hop=0,
+                    path=path, complete=complete, hop=0,
                     remaining=self.latency(path[0], path[1]), sent_tick=tick,
                     count=run.rate))
             else:   # the ingress rule is `deliver`
@@ -323,8 +322,7 @@ class SimDevice:
     current_node: str = ""
     alias: str | None = None          # pseudonym once authenticated
     context_token: str | None = None
-    bound_slice: str | None = None
-    attached: bool = False
+    bound_slice: str | None = None      # the one record of its slice
     attaching: str | None = None      # correlation of the last attach sent
     idle: bool = False
     flow_counter: int = 0
@@ -337,6 +335,10 @@ class SimDevice:
     @property
     def device_id(self) -> str:
         return self.spec.device_id
+
+    @property
+    def attached(self) -> bool:
+        return self.bound_slice is not None
 
     def presented_alias(self) -> str:
         """What the device identifies as: the permanent identity only until

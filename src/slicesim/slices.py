@@ -15,16 +15,16 @@ roster, the anchor latencies) is built once per run and shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
 from . import catalog
 from .blocks import af, cghf, cm, fm, mm, sam
-from .blocks.cghf import ContextModelRule
+from .blocks.cghf import DEFAULT_FACTOR, DEFAULT_WINDOW, ContextModelRule
 from .blocks.common import (
-    ALL_TECHS, Anchoring, AuthScheme, BlockEvent, HandoverStyle,
-    MobilityPolicy, PathStrategy, SlicePolicy, Tech,
+    ALL_TECHS, DEFAULT_PAGE_TIMEOUT, DEFAULT_STRETCH, Anchoring, AuthScheme,
+    BlockEvent, HandoverStyle, MobilityPolicy, PathStrategy, SlicePolicy, Tech,
 )
 from .blocks.fm import shortest_path
 from .errors import (
@@ -61,7 +61,7 @@ class SliceBlueprint:
     mobility_policy: MobilityPolicy | None = None
     auth_scheme: AuthScheme = AuthScheme.FULL
     path_strategy: PathStrategy = PathStrategy.SHORTEST_PATH
-    stretch: float = 0.5
+    stretch: float = DEFAULT_STRETCH
     anchors: tuple = ()
     subscriptions: tuple = ()         # (Role, topic)
     context_models: tuple = ()
@@ -69,9 +69,7 @@ class SliceBlueprint:
     @property
     def policy(self) -> SlicePolicy:
         return SlicePolicy(auth_scheme=self.auth_scheme,
-                           mobility=self.mobility_policy,
-                           path_strategy=self.path_strategy,
-                           stretch=self.stretch)
+                           mobility=self.mobility_policy)
 
 
 def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
@@ -96,19 +94,19 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
                 style=HandoverStyle(options.get("style", "mbb")),
                 anchoring=Anchoring(options.get("anchoring", "centralised")),
                 allowed_techs=allowed,
-                page_timeout=int(options.get("timeout", 8)))
+                page_timeout=int(options.get("timeout", DEFAULT_PAGE_TIMEOUT)))
         models = []
         for rest in block.items_of("context-model"):
             positional, options = split_kv(rest)
             if len(positional) != 1:
                 raise SchemaError(f"{source}: context-model line needs a topic")
-            window = int(options.get("window", 16))
+            window = int(options.get("window", DEFAULT_WINDOW))
             if window < 1:      # a run would divide by it
                 raise SchemaError(f"{source}: context-model window must be >= 1")
             models.append(ContextModelRule(
                 topic=positional[0], metric=options.get("metric", ""),
                 statement=options.get("statement", "latency_above_normal"),
-                factor=float(options.get("factor", 1.5)), window=window,
+                factor=float(options.get("factor", DEFAULT_FACTOR)), window=window,
                 min_samples=int(options.get("min_samples", 1))))
         subscriptions = []
         for rest in block.items_of("subscribe"):
@@ -116,7 +114,7 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
             if len(positional) != 2:
                 raise SchemaError(f"{source}: subscribe line is '<role> <topic>'")
             subscriptions.append((Role(positional[0]), positional[1]))
-        stretch = float(block.get("stretch", "0.5"))
+        stretch = float(block.get("stretch", DEFAULT_STRETCH))
         if not stretch >= 0:    # a run would find no path within the budget
             raise SchemaError(f"{source}: stretch must be >= 0, not {stretch}")
         return SliceBlueprint(
@@ -191,7 +189,6 @@ class SliceInstance:
     fabric: Fabric
     dplane: DPlane
     lifecycle_state: LifecycleState = LifecycleState.INSTANTIATED
-    attached_devices: set = field(default_factory=set)
 
     @property
     def slice_id(self) -> str:
@@ -269,8 +266,9 @@ def operate(instance: SliceInstance) -> SliceInstance:
     return instance
 
 
-def teardown(instance: SliceInstance, tick: int = 0) -> list:
-    """Detach every device, release reservations, end in-flight path
+def teardown(instance: SliceInstance, attached=(), tick: int = 0) -> list:
+    """Detach every device of `attached` (the ids of the devices bound to
+    the slice, in trace order), release reservations, end in-flight path
     applies and clear the forwarded plane's rules.  Returns the detach and
     slice-torn-down events for the engine to trace and apply; applying a
     detach ends the device's flows, and an active flow's device is always
@@ -281,7 +279,7 @@ def teardown(instance: SliceInstance, tick: int = 0) -> list:
     fm_state = instance.states[Role.FM]
     events = [BlockEvent("detach", device, {"slice": instance.slice_id,
                                             "reason": "teardown"})
-              for device in sorted(instance.attached_devices)]
+              for device in attached]
     for session_id in sorted(fm_state.sessions):
         binding = fm_state.sessions[session_id]
         for flow in list(binding.flows):
@@ -297,7 +295,6 @@ def teardown(instance: SliceInstance, tick: int = 0) -> list:
     cm_state.sessions.clear()
     cm_state.device_sessions.clear()
     instance.dplane.rules.clear()
-    instance.attached_devices.clear()
     instance.lifecycle_state = LifecycleState.TORN_DOWN
     events.append(BlockEvent("slice-torn-down", instance.slice_id))
     return events

@@ -12,7 +12,7 @@ from slicesim.blocks.common import (
     AccessNodeInfo, BlockContext, BlockEvent, PathStrategy, SlicePolicy, Tech,
 )
 from slicesim.blocks.fm import (
-    DEFAULT_QOS_POLICIES, FMState, LinkState, SessionBinding, TopologyView, fm_apply,
+    QOS_DEMAND, FMState, LinkState, SessionBinding, TopologyView, fm_apply,
     fm_define_path, fm_release_path, handle as fm_handle, link_key,
     post_install_utilisation, shortest_path,
 )
@@ -135,7 +135,7 @@ class TestPathSearch:
     def test_critical_flow_beyond_link_capacity(self):
         view = view_from([("a", "b", 1, 1)])
         state = FMState(view=view)
-        assert DEFAULT_QOS_POLICIES["critical"].demand == 2
+        assert QOS_DEMAND["critical"] == 2
         with pytest.raises(CapacityError):
             fm_define_path(state, "f1", "a", "b", "critical")
 

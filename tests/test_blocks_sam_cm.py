@@ -197,13 +197,13 @@ class TestCmAttach:
 
     def test_illegal_edge_raises_a_domain_error(self):
         state = CMState()
-        state.device_table["d1"] = ConvergentState.ATTACHED
+        state.device_table["d1"] = ConvergentState.SESSION_ACTIVE
         events = []
         with pytest.raises(IllegalTransitionError,
-                           match="illegal edge attached->authenticating"):
+                           match="illegal edge session_active->authenticating"):
             _transition(state, "d1", ConvergentState.AUTHENTICATING, events,
                         "slice-a")
-        assert state.device_table["d1"] is ConvergentState.ATTACHED
+        assert state.device_table["d1"] is ConvergentState.SESSION_ACTIVE
         assert events == []
 
 

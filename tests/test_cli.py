@@ -123,6 +123,14 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_input_path_naming_a_directory_exits_one(tmp_path, capsys):
+    # an empty `topology:` value names the scenario's own directory
+    scenario = tmp_path / "x.scn"
+    scenario.write_text("scenario x\n  topology:\nend\n")
+    assert main(["validate", "--scenario", str(scenario)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+
+
 def test_run_that_breaks_an_invariant_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "trace_check", lambda trace: ["planted violation"])
     assert main(["run", "--scenario", str(scenario_path("paging.scn")),

@@ -287,6 +287,22 @@ class TestAttachOrchestration:
         assert bound == "default-a"
         assert all(m.msg.kind is not ProcedureKind.SLICE_REDIRECT for m in msgs)
 
+    @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
+                             ids=lambda m: m.kind.value)
+    def test_method1_attach_again_after_a_detach(self, model):
+        # the detach reaches the slice's CM only, so the global CM
+        # re-authenticates a device it still holds attached
+        scenario = load("attach-two-slices")
+        scenario.script += (ScriptEvent(20, "detach", ("d1",), {}),
+                            ScriptEvent(30, "attach", ("d1",), {"method": 1}))
+        env = Environment(scenario, 7, fabric_override=model)
+        result = env.run()
+        assert [e.detail["session"] for e in events(result, "attach-complete")
+                if e.subject == "d1"] == ["s-embb-a-1", "s-embb-a-2"]
+        assert events(result, "error") == []
+        assert trace_check(result.trace) == []
+        assert env.devices["d1"].bound_slice == "embb-a"
+
 
 class TestFabricEquivalence:
     def test_terminal_state_equal_across_models(self):

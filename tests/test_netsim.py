@@ -296,7 +296,7 @@ class PerUnitDPlane(DPlane):
                         count(lost_now, flow_id)
                     continue
                 run.in_flight.append(UnitState(
-                    flow=flow_id, path=path, complete=complete, hop=0,
+                    path=path, complete=complete, hop=0,
                     remaining=self.latency(path[0], path[1]), sent_tick=tick))
 
         self._live = {flow_id: run for flow_id, run in live if run.in_flight

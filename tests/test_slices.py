@@ -274,14 +274,13 @@ class TestLifecycle:
 
         inst = self.instance(topology)
         operate(inst)
-        inst.attached_devices.update({"d1", "d2"})
         fm_state = inst.states[Role.FM]
         fm_state.sessions["s-1"] = type(
             "B", (), {"device": "d1", "anchor": "a1", "ingress": "i1",
                       "flows": ["f1"]})()
         fm_define_path(fm_state, "f1", "i1", "a1", "default")
         assert any(l.reserved for l in fm_state.view.links.values())
-        events = teardown(inst)
+        events = teardown(inst, ("d1", "d2"))
         detaches = [e for e in events if e.kind == "detach"]
         assert [e.subject for e in detaches] == ["d1", "d2"]
         assert all(l.reserved == 0 for l in fm_state.view.links.values())
