@@ -38,13 +38,6 @@ class HandoverPlan:
 
 
 @dataclass
-class PageAttempt:
-    correlation_id: str
-    started_tick: int
-    candidates: tuple
-
-
-@dataclass
 class MMState:
     tracking_areas: dict = field(default_factory=dict)  # device -> area id
     locations: dict = field(default_factory=dict)       # device -> node id
@@ -52,7 +45,7 @@ class MMState:
     sessions: dict = field(default_factory=dict)        # device -> session id
     device_modes: dict = field(default_factory=dict)    # device -> "direct"|"via_af"
     handovers: dict = field(default_factory=dict)       # correlation -> HandoverPlan
-    pages: dict = field(default_factory=dict)           # device -> PageAttempt
+    pages: dict = field(default_factory=dict)           # device -> tick paged
 
 
 def mm_handover(state: MMState, device: str, target_node: str, target_tech: str,
@@ -109,16 +102,13 @@ def mm_page(state: MMState, device: str, ctx: BlockContext, corr: str):
     if state.paging_state.get(device) is not PagingState.IDLE:
         raise NotIdleError(f"device {device} is not idle")
     area = state.tracking_areas.get(device, "")
-    candidates = ctx.nodes_in_area(area)
     state.paging_state[device] = PagingState.PAGING_IN_PROGRESS
-    state.pages[device] = PageAttempt(correlation_id=corr,
-                                      started_tick=ctx.tick,
-                                      candidates=candidates)
+    state.pages[device] = ctx.tick
     return [draft(ProcedureKind.PAGE, ctx.self_endpoint,
                   ctx.peer_endpoint(Role.AF), corr,
                   {"device": device, "node": node, "area": area,
                    "reason": "downlink-demand"})
-            for node in candidates]
+            for node in ctx.nodes_in_area(area)]
 
 
 def handle(state: MMState, msg, ctx: BlockContext):
@@ -196,8 +186,7 @@ def handle(state: MMState, msg, ctx: BlockContext):
             state.device_modes[device] = (
                 "via_af" if msg.source.role is Role.AF else "direct")
         elif phase == "page-response":
-            attempt = state.pages.pop(device, None)
-            if attempt is not None:
+            if state.pages.pop(device, None) is not None:
                 state.paging_state[device] = PagingState.REACHABLE
                 state.locations[device] = payload.get("node", "")
                 events.append(BlockEvent("page-complete", device,
@@ -225,10 +214,9 @@ def tick_hook(state: MMState, ctx: BlockContext):
     events: list[BlockEvent] = []
     timeout = ctx.policy.mobility.page_timeout   # MM implies a policy
     for device in sorted(state.pages):
-        attempt = state.pages[device]
-        if ctx.tick - attempt.started_tick >= timeout:
+        after = ctx.tick - state.pages[device]
+        if after >= timeout:
             del state.pages[device]
             state.paging_state[device] = PagingState.IDLE
-            events.append(BlockEvent("page-timeout", device,
-                                     {"after": ctx.tick - attempt.started_tick}))
+            events.append(BlockEvent("page-timeout", device, {"after": after}))
     return state, drafts, events

@@ -543,8 +543,9 @@ class Environment:
         if action == "teardown":
             instance = self.slices[event.args[0]]
             try:
-                events = slices_mod.teardown(
-                    instance, self._bound_to(instance.slice_id), self.tick)
+                events = slices_mod.teardown(instance, sorted(
+                    ident for ident, device in self.devices.items()
+                    if device.bound_slice == instance.slice_id), self.tick)
             except SliceSimError as exc:
                 self.trace_block_event(refusal(event.args[0], exc))
                 return
@@ -605,7 +606,6 @@ class Environment:
                     "slice": device.bound_slice,
                     "detail": "idle needs mobility management"}) is None:
                 return
-            device.idle = True
             corr = device.next_correlation("idle")
             self.emit(self._mode_route(
                 device, ProcedureKind.LOCATION_UPDATE, Role.MM, corr,
@@ -636,7 +636,7 @@ class Environment:
              "ingress": info.ingress}))
 
     def _traffic_start(self, device: SimDevice, options: dict) -> None:
-        if not device.attached or device.bound_slice is None:
+        if not device.attached:
             self.trace_error("IllegalEventError", device.device_id,
                              {"detail": "traffic for unattached device"})
             return
@@ -698,11 +698,6 @@ class Environment:
                 return
         self.trace_error("UnknownDestinationError", flow,
                          {"detail": "latency injection for unknown flow"})
-
-    def _bound_to(self, slice_id: str) -> list:
-        """The sorted ids of the devices attached to a slice."""
-        return sorted(ident for ident, device in self.devices.items()
-                      if device.bound_slice == slice_id)
 
     # -- per-tick machinery ---------------------------------------------------------
 
@@ -814,22 +809,19 @@ class Environment:
         digests = {}
         for slice_id in sorted(self.slices):
             instance = self.slices[slice_id]
-            bound = [self.devices[ident] for ident in self._bound_to(slice_id)]
             snapshot = {
                 "blocks": {role.value: _without_roster(state)
                            for role, state in sorted(
                                instance.states.items(),
                                key=lambda kv: kv[0].value)},
                 "lifecycle": instance.lifecycle_state.value,
-                "attached": [d.device_id for d in bound],
                 "rules": _normalize(instance.dplane.rules),
                 "flows": _normalize(instance.dplane.flows),
                 "devices": {
-                    d.device_id: {
-                        "alias": d.alias, "node": d.current_node,
-                        "attached": d.attached, "idle": d.idle,
-                        "token": d.context_token}
-                    for d in bound},
+                    ident: {"alias": d.alias, "node": d.current_node,
+                            "token": d.context_token}
+                    for ident, d in self.devices.items()
+                    if d.bound_slice == slice_id},
             }
             digests[slice_id] = hashlib.sha256(
                 canonical_json(snapshot).encode()).hexdigest()[:16]

@@ -133,7 +133,6 @@ class FlowRun:
     sent: int = 0
     delivered: int = 0
     lost: int = 0
-    latencies: list = field(default_factory=list)   # (arrival tick, latency)
     in_flight: list = field(default_factory=list)   # UnitState batches
 
     @property
@@ -222,9 +221,8 @@ class DPlane:
                 if unit.hop == len(unit.path) - 1:
                     if unit.complete and rule == "deliver":
                         delivered += unit.count
-                        latency = tick - unit.sent_tick
-                        run.latencies += [(tick, latency)] * unit.count
-                        latency_samples += [(flow_id, latency)] * unit.count
+                        latency_samples += [
+                            (flow_id, tick - unit.sent_tick)] * unit.count
                     else:
                         lost += unit.count
                     continue
@@ -267,7 +265,6 @@ class DPlane:
             else:   # the ingress rule is `deliver`
                 run.delivered += run.rate
                 delivered_now[flow_id] = delivered_now.get(flow_id, 0) + run.rate
-                run.latencies += [(tick, 0)] * run.rate
                 latency_samples += [(flow_id, 0)] * run.rate
 
         self._live = {flow_id: run for flow_id, run in live if run.in_flight
@@ -322,9 +319,8 @@ class SimDevice:
     current_node: str = ""
     alias: str | None = None          # pseudonym once authenticated
     context_token: str | None = None
-    bound_slice: str | None = None      # the one record of its slice
+    bound_slice: str | None = None    # its slice while attached
     attaching: str | None = None      # correlation of the last attach sent
-    idle: bool = False
     flow_counter: int = 0
     corr_counters: dict = field(default_factory=dict)
 

@@ -211,7 +211,8 @@ def test_teardown_ends_every_flow_through_its_device_detach(monkeypatch,
         instance = env.slices[event.args[0]]
         flows = instance.dplane.flows.values()
         active = {run.device for run in flows if run.active}
-        assert active <= set(env._bound_to(instance.slice_id))
+        assert active <= {ident for ident, device in env.devices.items()
+                          if device.bound_slice == instance.slice_id}
         run_script_event(env, event)
         assert not any(run.active for run in flows)
         ended.append(len(active))

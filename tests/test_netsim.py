@@ -254,7 +254,6 @@ class PerUnitDPlane(DPlane):
                     if unit.complete and rule == "deliver":
                         run.delivered += 1
                         count(delivered_now, flow_id)
-                        run.latencies.append((tick, tick - unit.sent_tick))
                         latency_samples.append((flow_id, tick - unit.sent_tick))
                     else:
                         run.lost += 1
@@ -289,7 +288,6 @@ class PerUnitDPlane(DPlane):
                     if complete:
                         run.delivered += 1
                         count(delivered_now, flow_id)
-                        run.latencies.append((tick, 0))
                         latency_samples.append((flow_id, 0))
                     else:
                         run.lost += 1
@@ -323,7 +321,7 @@ _CHANGES = st.lists(st.tuples(st.integers(min_value=0, max_value=14),
 
 
 def _flow_figures(run: FlowRun) -> tuple:
-    return (run.sent, run.delivered, run.lost, run.latencies,
+    return (run.sent, run.delivered, run.lost,
             run.units_in_flight, run.started, run.remaining_emissions)
 
 
