@@ -1,6 +1,5 @@
 """Access function: abstracts last-hop connectivity behind the west-bound
-side, keeps path records, answers pages from them, and gates core-plane
-requests to reconfigure access nodes.
+side, keeps path records and answers pages from them.
 
 Uplink device signalling arrives access-specific on I1 and leaves
 access-agnostic on I3 with the technology tag preserved as metadata;
@@ -15,10 +14,6 @@ from ..messages import (
     Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, draft,
 )
 from .common import BlockContext, BlockEvent, error_event
-
-#: Core roles allowed to reconfigure access nodes through this function.
-DEFAULT_AN_CONFIG_RIGHTS = {"CM": frozenset({"an-config"}),
-                            "FM": frozenset({"an-config"})}
 
 #: Uplink kinds and the core role their access-agnostic form targets.
 _UPLINK_TARGETS = {
@@ -116,22 +111,6 @@ def af_handle(state: AFState, msg, ctx: BlockContext):
         record_path(state, device, payload.get("node", ""),
                     payload.get("tech", ""), payload.get("event", "update"),
                     ctx.tick)
-        return state, drafts, events
-
-    if msg.kind is ProcedureKind.FLOW_CONFIGURE:
-        # access-node configuration request from the core plane
-        rights = DEFAULT_AN_CONFIG_RIGHTS.get(msg.source.role.value, frozenset())
-        ok = "an-config" in rights
-        if not ok:
-            events.append(error_event(msg.source.role.value, "PermissionDenied",
-                                      detail="no AN configuration rights"))
-        else:
-            events.append(BlockEvent("an-config", payload.get("node", ""),
-                                     {"by": msg.source.role.value}))
-        drafts.append(draft(
-            ProcedureKind.FLOW_NOTIFY, ctx.self_endpoint, msg.source,
-            msg.correlation_id,
-            {"phase": "an-config", "node": payload.get("node", ""), "ok": ok}))
         return state, drafts, events
 
     if msg.kind in _DOWNLINK_KINDS:

@@ -300,7 +300,7 @@ def _continue_local_attach(state: CMState, pending: PendingAttach,
                              {"target": choice.target, "from": ctx.slice_id}))
     state.device_modes[pending.device] = "direct" if pending.direct else "via_af"
     # downlink to the device, via its access function when mediated
-    dst = (ctx.peer_endpoint(Role.AF) if not pending.direct and ctx.has(Role.AF)
+    dst = (ctx.peer_endpoint(Role.AF) if not pending.direct
            else Endpoint(Role.UE, pending.device))
     drafts.append(draft(ProcedureKind.SLICE_REDIRECT, ctx.self_endpoint, dst,
                         corr, {"device": pending.device,
@@ -371,7 +371,7 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
                      "node": node, "area": info.area if info else "",
                      "session": session_id,
                      "mode": state.device_modes.get(record.device, "direct")}))
-            if state.device_modes.get(record.device) == "direct" and ctx.has(Role.AF):
+            if state.device_modes.get(record.device) == "direct":
                 node = state.device_nodes.get(record.device, "")
                 info = ctx.access_nodes.get(node)
                 drafts.append(draft(

@@ -153,7 +153,7 @@ def handle(state: MMState, msg, ctx: BlockContext):
             return state, drafts, events
         state.tracking_areas[plan.device] = plan.area
         state.locations[plan.device] = plan.node
-        if plan.direct and ctx.has(Role.AF):
+        if plan.direct:
             drafts.append(draft(
                 ProcedureKind.PATH_RECORD_UPDATE, ctx.self_endpoint,
                 ctx.peer_endpoint(Role.AF), corr,

@@ -379,15 +379,14 @@ class Environment:
             self.trace_error("LifecycleOrderError", instance.slice_id,
                              {"detail": "message to a torn down slice"})
             return
-        outcome = instance.fabric.send(msg)
-        record = outcome.record
-        self._trace_msg(seq, outcome.msg, hop_count=record.hop_count,
+        record = instance.fabric.send(msg).record
+        self._trace_msg(seq, msg, hop_count=record.hop_count,
                         mediators=record.mediators,
                         recipients=record.recipients)
         if not record.recipients:
             self.trace_error("NoSubscriberError", str(msg.destination), {})
         for ident in record.recipients:
-            self._invoke_block(ident, outcome.msg)
+            self._invoke_block(ident, msg)
 
     def _trace_msg(self, seq: int, msg: SignalMessage, hop_count: int = 1,
                    mediators: tuple = (), recipients: tuple = ()) -> None:
@@ -504,7 +503,7 @@ class Environment:
             role = Role.CM if direct else Role.AF
             instance = (self.slices.get(target_slice)
                         if target_slice else self._serving_slice(device))
-            if instance is None or role not in instance.peers:
+            if instance is None:
                 self.trace_error("NoEligibleSliceError", device.device_id, {
                     "detail": "no slice to attach to" if direct
                     else "no access function to mediate"})
@@ -531,8 +530,7 @@ class Environment:
         if instance is None:
             return []
         source = Endpoint(Role.UE, device.device_id)
-        if device.spec.mode is SignalingMode.VIA_AF and \
-                Role.AF in instance.peers:
+        if device.spec.mode is SignalingMode.VIA_AF:
             dst = Endpoint(Role.AF, instance.peers[Role.AF])
         else:
             dst = Endpoint(target_role, instance.peers[target_role])

@@ -2,10 +2,10 @@
 
 Four models wire the same block set: a full mesh (direct links), a relay
 (one member block terminates the west-bound side and relays everything), a
-dispatcher (an external proxy with per-destination projected interfaces) and
-a publish-subscribe broker.  `Fabric.send` is model-agnostic: it returns the
-one message every recipient gets plus a delivery record carrying the hop and
-mediator accounting that makes the models comparable.  The fabric owns its
+dispatcher (an external proxy) and a publish-subscribe broker.  Every model
+delivers the message it was sent; `Fabric.send` is model-agnostic and
+returns only its delivery record, the hop and mediator accounting that
+makes the models comparable.  The fabric owns its
 slice's topic table, which the broker reads at send time and the engine
 reads to expand a publish into unicasts on the other models.
 
@@ -20,12 +20,12 @@ destination, so it costs what a relayed or dispatched unicast costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
 from .errors import BadRelayError, ModelMismatchError
-from .messages import BBInstanceId, PAYLOAD_SCHEMAS, Role, SignalMessage, Topic
+from .messages import BBInstanceId, Role, SignalMessage, Topic
 
 
 class FabricModelKind(str, Enum):
@@ -48,13 +48,6 @@ class FabricModel:
         return cls(FabricModelKind(text))
 
 
-#: Proxy interfaces of the dispatcher: payload fields forwarded per kind.
-#: Diagnostic fields never cross the dispatcher.
-DEFAULT_PROJECTIONS: dict = {
-    kind: schema - {"diag"} for kind, schema in PAYLOAD_SCHEMAS.items()
-}
-
-
 @dataclass(frozen=True)
 class DeliveryRecord:
     hop_count: int
@@ -64,8 +57,10 @@ class DeliveryRecord:
 
 @dataclass(frozen=True)
 class DeliveryOutcome:
+    """What `Fabric.send` returns; the benchmark's tracer reads
+    `outcome.record.hop_count`."""
+
     record: DeliveryRecord
-    msg: SignalMessage         # what each of `record.recipients` gets
 
 
 @dataclass
@@ -85,19 +80,15 @@ class Fabric:
                     "topic-addressed messages need a publish-subscribe fabric")
             return DeliveryOutcome(DeliveryRecord(
                 2, (self.mediator,),
-                self.subscriptions.get(msg.destination.topic_id, ())), msg)
+                self.subscriptions.get(msg.destination.topic_id, ())))
         dst = msg.destination.ident
         kind = self.model.kind
         if kind is FabricModelKind.FULL_MESH:
-            return DeliveryOutcome(DeliveryRecord(1, (), (dst,)), msg)
+            return DeliveryOutcome(DeliveryRecord(1, (), (dst,)))
         if kind is FabricModelKind.RELAY:
-            return DeliveryOutcome(DeliveryRecord(2, (self.relay,), (dst,)), msg)
-        if kind is FabricModelKind.DISPATCHER:
-            allowed = DEFAULT_PROJECTIONS[msg.kind]
-            msg = replace(msg, payload={
-                k: v for k, v in msg.payload.items() if k in allowed})
+            return DeliveryOutcome(DeliveryRecord(2, (self.relay,), (dst,)))
         # the dispatcher or the broker carries the unicast
-        return DeliveryOutcome(DeliveryRecord(2, (self.mediator,), (dst,)), msg)
+        return DeliveryOutcome(DeliveryRecord(2, (self.mediator,), (dst,)))
 
 
 def connect(members: Iterable[BBInstanceId], model: FabricModel,

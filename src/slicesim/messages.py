@@ -2,8 +2,8 @@
 
 Everything that crosses a reference point in the simulator is a
 `SignalMessage`, built once by `draft`; the engine queues, delivers and
-traces that object (a dispatcher fabric delivers its projection).  The
-engine numbers a message in its queue entry when it is emitted and traces
+traces that object, and every fabric delivers it as sent.  The engine
+numbers a message in its queue entry when it is emitted and traces
 it with that number and its delivery tick; neither is a message field.
 
 Reference points:
@@ -98,46 +98,44 @@ class ProcedureKind(str, Enum):
         return self.value
 
 
-#: Payload field registry per kind.  The dispatcher's proxy interfaces
-#: project payloads onto these sets (minus diagnostic fields); a field not
-#: listed here never crosses a fabric.
+#: Payload field registry per kind; `validate_message` refuses a message
+#: that carries a field not listed here.
 PAYLOAD_SCHEMAS: dict[ProcedureKind, frozenset[str]] = {
     ProcedureKind.ATTACH_REQUEST: frozenset(
         {"device", "alias", "proof", "token", "accesses", "node", "area",
-         "tech", "method", "reattach", "diag"}),
+         "tech", "method", "reattach"}),
     ProcedureKind.AUTH_CHALLENGE: frozenset(
-        {"device", "alias", "proof", "scheme", "diag"}),
+        {"device", "alias", "proof", "scheme"}),
     ProcedureKind.AUTH_RESPONSE: frozenset(
         {"device", "ok", "pseudonym", "ordinal", "low_secure", "token",
-         "reason", "diag"}),
+         "reason"}),
     ProcedureKind.SLICE_SELECT: frozenset(
         {"device", "slice", "pseudonym", "ordinal", "token", "accesses",
-         "node", "area", "tech", "mode", "diag"}),
-    ProcedureKind.SLICE_REDIRECT: frozenset({"device", "target", "diag"}),
+         "node", "area", "tech", "mode"}),
+    ProcedureKind.SLICE_REDIRECT: frozenset({"device", "target"}),
     ProcedureKind.SESSION_ESTABLISH: frozenset(
         {"device", "session", "phase", "flow", "rate", "duration", "qos",
-         "node", "ingress", "anchor", "addresses", "ok", "diag"}),
+         "node", "ingress", "anchor", "addresses", "ok"}),
     ProcedureKind.SESSION_RELEASE: frozenset(
-        {"device", "session", "scope", "flow", "diag"}),
+        {"device", "session", "scope", "flow"}),
     ProcedureKind.HANDOVER_PREPARE: frozenset(
         {"device", "session", "phase", "node", "tech", "area", "ingress",
-         "ok", "diag"}),
+         "ok"}),
     ProcedureKind.HANDOVER_EXECUTE: frozenset(
-        {"device", "session", "phase", "node", "tech", "area", "diag"}),
+        {"device", "session", "phase", "node", "tech", "area"}),
     ProcedureKind.PATH_RECORD_UPDATE: frozenset(
-        {"device", "node", "tech", "event", "diag"}),
-    ProcedureKind.PAGE: frozenset({"device", "node", "reason", "area", "diag"}),
+        {"device", "node", "tech", "event"}),
+    ProcedureKind.PAGE: frozenset({"device", "node", "reason", "area"}),
     ProcedureKind.LOCATION_UPDATE: frozenset(
-        {"device", "phase", "node", "area", "session", "mode", "diag"}),
+        {"device", "phase", "node", "area", "session", "mode"}),
     ProcedureKind.FLOW_CONFIGURE: frozenset(
-        {"flow", "node", "action", "next", "config", "diag"}),
+        {"flow", "node", "action", "next"}),
     ProcedureKind.FLOW_NOTIFY: frozenset(
-        {"phase", "node", "flow", "ok", "action", "link", "load", "values",
-         "diag"}),
+        {"phase", "node", "flow", "ok", "action", "link", "load", "values"}),
     ProcedureKind.CONTEXT_PUBLISH: frozenset(
-        {"metric", "subject", "value", "source", "external", "diag"}),
+        {"metric", "subject", "value", "source", "external"}),
     ProcedureKind.CONTEXT_NOTIFY: frozenset(
-        {"topic", "subject", "statement", "evidence", "diag"}),
+        {"topic", "subject", "statement", "evidence"}),
 }
 
 

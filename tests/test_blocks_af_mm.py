@@ -79,29 +79,6 @@ class TestAccessFunction:
         _, drafts, _ = af_handle(state, msg, ctx)
         assert drafts[0].destination.ident == "CM.global.1"
 
-    def test_unauthorized_an_configuration_denied(self):
-        state = AFState()
-        ctx = ctx_for(Role.AF)
-        msg = message(
-            ProcedureKind.FLOW_CONFIGURE,
-            Endpoint(Role.MM, str(BBInstanceId(Role.MM, SLICE))),
-            Endpoint(Role.AF, ctx.self_id), InterfacePoint.I3,
-            {"node": "n1", "action": "install", "config": "power"})
-        _, drafts, events = af_handle(state, msg, ctx)
-        assert any(e.detail.get("error") == "PermissionDenied" for e in events)
-        assert drafts[0].payload == {"phase": "an-config", "node": "n1", "ok": False}
-
-    def test_authorized_an_configuration_accepted(self):
-        state = AFState()
-        ctx = ctx_for(Role.AF)
-        msg = message(
-            ProcedureKind.FLOW_CONFIGURE,
-            Endpoint(Role.CM, str(BBInstanceId(Role.CM, SLICE))),
-            Endpoint(Role.AF, ctx.self_id), InterfacePoint.I3,
-            {"node": "n1", "action": "install", "config": "power"})
-        _, drafts, events = af_handle(state, msg, ctx)
-        assert drafts[0].payload["ok"] is True
-
     def test_reentry_appends_to_path_records(self):
         state = AFState()
         record_path(state, "d1", "n1", "cellular", "attach-attempt", tick=1)

@@ -271,6 +271,18 @@ class TestCmHandlerRefusals:
         assert [d.kind for d in drafts] == [ProcedureKind.AUTH_CHALLENGE]
         assert state.device_table["d1"] is ConvergentState.AUTHENTICATING
 
+    def test_failed_authentication_denies_the_attach(self):
+        state, ctx = subscribed_cm(), make_ctx()
+        cm_handle(state, attach_request(proof="wrong"), ctx)
+        verdict = to_cm(ProcedureKind.AUTH_RESPONSE,
+                        {"device": "d1", "ok": False,
+                         "reason": "credential-mismatch"},
+                        source=ctx.peer_endpoint(Role.SAM))
+        _, drafts, events = cm_handle(state, verdict, ctx)
+        assert drafts == [] and state.pending_attach == {}
+        assert [e.kind for e in events] == ["transition", "attach-denied"]
+        assert state.device_table["d1"] is ConvergentState.DETACHED
+
     def test_reattach_without_a_context_token_is_denied(self):
         state = subscribed_cm()
         _, drafts, events = cm_handle(

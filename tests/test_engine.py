@@ -15,7 +15,7 @@ from slicesim.engine import (
 from slicesim.errors import (
     EquivalenceViolation, NoPathError, PolicyForbidsError, ScenarioError,
 )
-from slicesim.fabric import DEFAULT_PROJECTIONS
+from slicesim.fabric import DeliveryOutcome, Fabric, FabricModelKind
 from slicesim.messages import ProcedureKind, Role, draft
 from slicesim.metrics import compute_metrics, render_metrics
 from slicesim.netsim import DPlane, SignalingMode, build_view
@@ -311,11 +311,18 @@ class TestFabricEquivalence:
         assert hops["full_mesh"] < hops["relay"]
         assert hops["full_mesh"] < hops["dispatcher"]
 
-    def test_broken_dispatcher_projection_detected(self, monkeypatch):
-        # slice-local authentication rides the fabric in method 2; dropping
-        # the verdict from the dispatcher's proxy interface diverges the run
-        monkeypatch.setitem(DEFAULT_PROJECTIONS, ProcedureKind.AUTH_RESPONSE,
-                            frozenset({"device"}))
+    def test_dispatcher_that_delivers_to_nobody_detected(self, monkeypatch):
+        # slice-local authentication rides the fabric in method 2; a
+        # dispatcher that drops every unicast diverges the run
+        send = Fabric.send
+
+        def drop(fabric, msg):
+            record = send(fabric, msg).record
+            if fabric.model.kind is FabricModelKind.DISPATCHER:
+                record = dataclasses.replace(record, recipients=())
+            return DeliveryOutcome(record)
+
+        monkeypatch.setattr(Fabric, "send", drop)
         with pytest.raises(EquivalenceViolation):
             compare_fabrics(load("attach-method2-redirect"), 7)
 

@@ -4,7 +4,7 @@ import pytest
 
 from slicesim.errors import BadRelayError, ModelMismatchError
 from slicesim.fabric import (
-    DEFAULT_PROJECTIONS, DeliveryRecord, FabricModel, FabricModelKind, connect,
+    DeliveryRecord, FabricModel, FabricModelKind, connect,
 )
 from slicesim.messages import (
     BBInstanceId, InterfacePoint, ProcedureKind, Role, SignalMessage, Topic,
@@ -71,26 +71,6 @@ class TestSend:
         outcome = fabric.send(inter_bb_msg(Role.CM, Role.FM))
         assert outcome.record.hop_count == 2
         assert outcome.record.mediators == (str(bb(Role.CM)),)
-
-    def test_dispatcher_projects_payloads(self):
-        fabric = connect(six_members(), FabricModel(FabricModelKind.DISPATCHER))
-        msg = inter_bb_msg(Role.CM, Role.FM,
-                           payload={"flow": "f1", "node": "n1",
-                                    "action": "install", "diag": "debug-note"})
-        outcome = fabric.send(msg)
-        delivered = outcome.msg
-        assert outcome.record.recipients == (str(bb(Role.FM)),)
-        assert "diag" not in delivered.payload
-        assert delivered.payload["flow"] == "f1"
-        allowed = DEFAULT_PROJECTIONS[msg.kind]
-        assert set(delivered.payload) <= allowed
-
-    def test_full_mesh_keeps_diagnostics(self):
-        fabric = connect(six_members(), FabricModel(FabricModelKind.FULL_MESH))
-        msg = inter_bb_msg(Role.CM, Role.FM,
-                           payload={"flow": "f1", "diag": "debug-note"})
-        delivered = fabric.send(msg).msg
-        assert delivered.payload["diag"] == "debug-note"
 
 
 class TestPubSub:

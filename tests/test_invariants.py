@@ -5,7 +5,6 @@ import dataclasses
 from slicesim.blocks.cm import ALLOWED_TRANSITIONS, ConvergentState
 from slicesim import engine
 from slicesim.engine import ScriptEvent, load_scenario, run
-from slicesim.fabric import DEFAULT_PROJECTIONS, FabricModel, FabricModelKind
 from slicesim.messages import InterfacePoint, ProcedureKind, Role
 from slicesim.netsim import SignalingMode
 from slicesim.trace import EventRecord, MessageRecord
@@ -40,23 +39,6 @@ def test_context_block_emits_only_notifications():
         for rec in result.trace:
             if isinstance(rec, MessageRecord) and rec.msg.source.role is Role.CGHF:
                 assert rec.msg.kind is ProcedureKind.CONTEXT_NOTIFY, (name, rec)
-
-
-def test_dispatcher_never_delivers_outside_its_projection():
-    for name in ("attach-method2-redirect", "handover-mbb", "cghf-reselect"):
-        result = run(load(name), 7,
-                     fabric_override=FabricModel(FabricModelKind.DISPATCHER))
-        for rec in result.trace:
-            if not isinstance(rec, MessageRecord) or not rec.mediators:
-                continue
-            if not rec.mediators[0].startswith("CPD."):
-                continue
-            allowed = DEFAULT_PROJECTIONS[rec.msg.kind]
-            assert set(rec.msg.payload) <= allowed, (name, rec)
-
-
-def test_diagnostic_fields_cross_the_mesh_but_not_the_dispatcher():
-    assert all("diag" not in fields for fields in DEFAULT_PROJECTIONS.values())
 
 
 def test_mediated_devices_signal_only_on_i1():
