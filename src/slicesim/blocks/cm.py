@@ -2,7 +2,8 @@
 allocation, data-plane function selection and both slice-selection methods.
 
 A global-part instance authenticates first and hands the device to the
-chosen slice's local instance (method 1); a slice-local instance either
+chosen slice's local instance (method 1), keeping no per-device state of
+its own; a slice-local instance either
 accepts the device or redirects it towards the slice its subscription names
 (method 2).  Redirected devices re-attach carrying their security-context
 token, so no second credential exchange happens.
@@ -33,11 +34,8 @@ class ConvergentState(str, Enum):
 
 
 #: Declared edges of the convergent state machine (including teardown).
-#: A detach is a slice-local procedure, so the global part keeps a device
-#: `attached` after its hand-off; its next method-1 attach re-authenticates.
 ALLOWED_TRANSITIONS = frozenset({
     (ConvergentState.DETACHED, ConvergentState.AUTHENTICATING),
-    (ConvergentState.ATTACHED, ConvergentState.AUTHENTICATING),
     (ConvergentState.AUTHENTICATING, ConvergentState.ATTACHED),
     (ConvergentState.ATTACHED, ConvergentState.SESSION_ACTIVE),
     (ConvergentState.AUTHENTICATING, ConvergentState.DETACHED),
@@ -197,7 +195,11 @@ def handle(state: CMState, msg, ctx: BlockContext):
             node=payload.get("node", ""), area=payload.get("area", ""),
             tech=payload.get("tech", ""), method=int(payload.get("method", 2)),
             direct=direct, reattach=bool(payload.get("reattach")))
-        _transition(state, device, ConvergentState.AUTHENTICATING, events, ctx.slice_id)
+        # the global part authenticates and hands the device off: it keeps
+        # no per-device connectivity state
+        if state.role is CMRole.SLICE_LOCAL:
+            _transition(state, device, ConvergentState.AUTHENTICATING,
+                        events, ctx.slice_id)
         if pending.reattach:
             # Redirected re-attachment: the carried context token stands in
             # for a fresh credential exchange.
@@ -232,12 +234,8 @@ def handle(state: CMState, msg, ctx: BlockContext):
             try:
                 target = cm_select_slice_global(state, pending.device)
             except NoEligibleSliceError as exc:
-                _transition(state, pending.device, ConvergentState.DETACHED,
-                            events, ctx.slice_id)
                 events.append(refusal(pending.device, exc))
             else:
-                _transition(state, pending.device, ConvergentState.ATTACHED,
-                            events, ctx.slice_id)
                 events.append(BlockEvent("slice-selected", pending.device,
                                          {"slice": target, "method": 1}))
                 local_cm = ctx.slice_directory[target]

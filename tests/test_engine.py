@@ -290,8 +290,8 @@ class TestAttachOrchestration:
     @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
                              ids=lambda m: m.kind.value)
     def test_method1_attach_again_after_a_detach(self, model):
-        # the detach reaches the slice's CM only, so the global CM
-        # re-authenticates a device it still holds attached
+        # the global CM keeps no per-device state, so the detach, which
+        # reaches the slice's CM only, leaves it nothing stale
         scenario = load("attach-two-slices")
         scenario.script += (ScriptEvent(20, "detach", ("d1",), {}),
                             ScriptEvent(30, "attach", ("d1",), {"method": 1}))
@@ -302,6 +302,9 @@ class TestAttachOrchestration:
         assert events(result, "error") == []
         assert trace_check(result.trace) == []
         assert env.devices["d1"].bound_slice == "embb-a"
+        assert [e for e in events(result, "transition")
+                if e.detail["slice"] == "global"] == []
+        assert env.global_states[Role.CM].device_table == {}
 
 
 class TestFabricEquivalence:
