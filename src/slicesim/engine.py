@@ -68,11 +68,12 @@ _TICK_HOOKS = {
 
 #: Per tick-hook role, whether a block has work, after handling `msg` (it
 #: joins the due list) or at the end of a tick with `msg` None (it leaves
-#: without): a page out, rules to retire or acknowledgements to await, a
-#: sample ingested this tick.  A hook called without work is a no-op.
+#: without): a page out, rules to retire, a sample ingested this tick.  A
+#: hook called without work is a no-op.  An FM awaiting acknowledgements
+#: needs no hook: each install it awaits is answered through the queue.
 _HAS_WORK = {
     Role.MM: lambda state, msg: state.pages,
-    Role.FM: lambda state, msg: state.retiring or state.pending,
+    Role.FM: lambda state, msg: state.retiring,
     Role.CGHF: lambda state, msg: (
         msg is not None and msg.kind is ProcedureKind.CONTEXT_PUBLISH),
 }
@@ -105,6 +106,13 @@ _EVENT_ACTIONS = {"attach", "detach", "move", "traffic-start", "traffic-stop",
 
 #: Per action, the at-line options that hold integers, parsed at load.
 _INT_OPTIONS = {"attach": ("method",), "traffic-start": ("rate", "duration")}
+
+#: Per action that needs an attached device, the error detail traced when
+#: its device is not attached.
+_NEEDS_ATTACHED = {"detach": "detach while detached",
+                   "idle": "idle while detached",
+                   "move": "move while detached",
+                   "traffic-start": "traffic for unattached device"}
 
 
 def load_scenario(path) -> Scenario:
@@ -559,6 +567,10 @@ class Environment:
             return
 
         device = self.devices[event.args[0]]
+        if action in _NEEDS_ATTACHED and not device.attached:
+            self.trace_error("IllegalEventError", device.device_id,
+                             {"detail": _NEEDS_ATTACHED[action]})
+            return
         if action == "attach":
             if device.attached:
                 self.trace_error("IllegalEventError", device.device_id,
@@ -574,10 +586,6 @@ class Environment:
                 device, method=event.options.get("method", 2),
                 accesses=accesses))
         elif action == "detach":
-            if not device.attached:
-                self.trace_error("IllegalEventError", device.device_id,
-                                 {"detail": "detach while detached"})
-                return
             corr = device.next_correlation("detach")
             self.emit(self._mode_route(
                 device, ProcedureKind.SESSION_RELEASE, Role.CM, corr,
@@ -596,10 +604,6 @@ class Environment:
                 device, ProcedureKind.SESSION_RELEASE, Role.CM, corr,
                 {"device": device.device_id, "scope": "flow", "flow": flow}))
         elif action == "idle":
-            if not device.attached:
-                self.trace_error("IllegalEventError", device.device_id,
-                                 {"detail": "idle while detached"})
-                return
             if self._mobility_slice(device, {
                     "slice": device.bound_slice,
                     "detail": "idle needs mobility management"}) is None:
@@ -612,10 +616,6 @@ class Environment:
             self._page_device(device)
 
     def _move_device(self, device: SimDevice, target: str) -> None:
-        if not device.attached:
-            self.trace_error("IllegalEventError", device.device_id,
-                             {"detail": "move while detached"})
-            return
         if target == device.current_node:
             # a node never appears as the target of a mobility event it
             # originates; this also covers fixed-access nodes
@@ -634,10 +634,6 @@ class Environment:
              "ingress": info.ingress}))
 
     def _traffic_start(self, device: SimDevice, options: dict) -> None:
-        if not device.attached:
-            self.trace_error("IllegalEventError", device.device_id,
-                             {"detail": "traffic for unattached device"})
-            return
         instance = self.slices[device.bound_slice]
         device.flow_counter += 1
         flow = options.get("flow", f"{device.device_id}-f{device.flow_counter}")
@@ -716,9 +712,6 @@ class Environment:
             instance, role, state, ctx = self._due[key]
             if role is None:
                 self._step_plane(instance)
-                continue
-            # an FM that only awaits acknowledgements has nothing to retire
-            if role is Role.FM and not state.retiring:
                 continue
             object.__setattr__(ctx, "tick", self.tick)
             _, drafts, events = _TICK_HOOKS[role](state, ctx)

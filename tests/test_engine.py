@@ -859,6 +859,21 @@ class TestScriptPaths:
         assert not messages(result, ProcedureKind.ATTACH_REQUEST)
         assert trace_check(result.trace) == []
 
+    @pytest.mark.parametrize("action,args,detail", [
+        ("detach", ("d5",), "detach while detached"),
+        ("idle", ("d5",), "idle while detached"),
+        # to its own node: the attachment is checked first
+        ("move", ("d5", "n1"), "move while detached"),
+        ("traffic-start", ("d5",), "traffic for unattached device")])
+    def test_event_for_a_detached_device_is_refused(self, action, args,
+                                                    detail):
+        scenario = load("handover-mbb")
+        script = (ScriptEvent(1, action, args, {}),)
+        result = run(dataclasses.replace(scenario, script=script), 7)
+        assert [(e.tick, e.subject, e.detail) for e in events(result, "error")] \
+            == [(1, "d5", {"error": "IllegalEventError", "detail": detail})]
+        assert not messages(result)
+
     def test_traffic_stop_of_a_named_flow_ends_it(self):
         scenario = load("handover-mbb")
         script = scenario.script[:2] + (
