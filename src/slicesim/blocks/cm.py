@@ -3,10 +3,10 @@ allocation, data-plane function selection and both slice-selection methods.
 
 A global-part instance authenticates first and hands the device to the
 chosen slice's local instance (method 1), keeping no per-device state of
-its own; a slice-local instance either
-accepts the device or redirects it towards the slice its subscription names
-(method 2).  Redirected devices re-attach carrying their security-context
-token, so no second credential exchange happens.
+its own; a slice-local instance either accepts the device or redirects it
+towards the slice its subscription names (method 2).  Redirected devices
+re-attach carrying their security-context token, so no second credential
+exchange happens.
 """
 
 from __future__ import annotations
