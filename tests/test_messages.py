@@ -91,6 +91,20 @@ class TestValidateMessage:
             {"device": "d1", "surprise": 1}))
         assert not verdict.ok
 
+    # `diag` rode every kind and `config` carried an access-node
+    # configuration; no block sends either, so no schema lists them
+    @pytest.mark.parametrize("field", ["diag", "config"])
+    def test_unsent_field_rejected_on_flow_configure(self, field):
+        verdict = validate_message(msg(
+            ProcedureKind.FLOW_CONFIGURE, FM, DP, InterfacePoint.I4_SBI,
+            {"flow": "f1", "node": "n1", "action": "install",
+             field: "power"}))
+        assert verdict.violations == (
+            f"payload fields ['{field}'] outside FlowConfigure schema",)
+
+    def test_diag_field_in_no_schema(self):
+        assert all("diag" not in fields for fields in PAYLOAD_SCHEMAS.values())
+
     def test_i7_joins_the_core_to_another_domain(self):
         ext = Endpoint(Role.OTHER_DOMAIN, "peer")
         assert validate_message(msg(
