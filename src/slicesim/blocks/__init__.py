@@ -1,8 +1,10 @@
 """The six building blocks as deterministic message-driven state machines.
 
 Each module exposes a state dataclass, the named operations over it, and a
-``handle(state, msg, ctx)`` transition returning ``(state, drafts, events)``.
-Handlers are deterministic; the engine invokes them sequentially per run.
+``handle(state, msg, ctx)`` transition returning ``(state, drafts, events)``:
+``msg`` is the delivered message's trace record and ``drafts`` are the
+messages it sends.  Handlers are deterministic; the engine invokes them
+sequentially per run.
 """
 
 from . import af, cghf, cm, fm, mm, sam  # noqa: F401

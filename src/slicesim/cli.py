@@ -46,7 +46,7 @@ def cmd_validate(args) -> int:
     if args.blueprint:
         bp = slices_mod.load_blueprint_file(args.blueprint)
         verdict = slices_mod.validate_blueprint(bp)
-        if not verdict:
+        if not verdict.ok:
             for violation in verdict.violations:
                 print(f"violation: {violation}")
             return 1

@@ -12,7 +12,6 @@ keying keeps one slice's traffic from perturbing another's draws.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -55,6 +54,12 @@ _PRIORITY = {
     ProcedureKind.FLOW_CONFIGURE: 3, ProcedureKind.FLOW_NOTIFY: 3,
     ProcedureKind.CONTEXT_PUBLISH: 4, ProcedureKind.CONTEXT_NOTIFY: 4,
 }
+
+
+def _buckets() -> list:
+    """One empty list per priority class."""
+    return [[] for _ in range(max(_PRIORITY.values()) + 1)]
+
 
 _HANDLERS = {
     Role.AF: af_mod.af_handle, Role.CM: cm_mod.handle, Role.MM: mm_mod.handle,
@@ -200,7 +205,7 @@ def _load_scenario(path: Path) -> Scenario:
 
     for bp in blueprints:
         verdict = slices_mod.validate_blueprint(bp)
-        if not verdict:
+        if not verdict.ok:
             raise ScenarioError(
                 f"{path}: blueprint {bp.slice_id}: " + "; ".join(verdict.violations))
         for anchor in bp.anchors:
@@ -237,7 +242,11 @@ class Environment:
         self.tick = 0
         self._seq = 0
         self.trace: list = []
-        self.queue: list = []       # heap of (tick, priority, seq, msg)
+        # The messages emitted this tick, which the next tick delivers: per
+        # priority class, a list of (seq, message) in seq order.  At the
+        # start of a tick it becomes `_now`, the buckets that tick delivers.
+        self.queue: list = _buckets()
+        self._now: list = []
         self.devices = {d.device_id: SimDevice(spec=d) for d in scenario.devices}
         self.infra = slices_mod.SimInfrastructure(scenario.infra_capacity)
         self.slices: dict = {}
@@ -328,22 +337,21 @@ class Environment:
     # -- emission ------------------------------------------------------------
 
     def emit(self, drafts) -> None:
+        queue = self.queue
         for item in drafts:
-            for msg in self._expand(item):
+            for msg in (self._expand(item) if isinstance(item.destination, Topic)
+                        else (item,)):
                 seq = self.next_seq()
                 verdict = validate_message(msg)
-                if not verdict:
+                if not verdict.ok:
                     self.trace_error("InvalidMessage", str(msg.source),
                                      {"violations": list(verdict.violations)})
                     continue
-                heapq.heappush(self.queue, (
-                    self.tick + 1, _PRIORITY[msg.kind], seq, msg))
+                queue[_PRIORITY[msg.kind]].append((seq, msg))
 
     def _expand(self, item: SignalMessage) -> list:
-        """Topic publishes become per-subscriber unicasts on non-broker
+        """A topic publish becomes per-subscriber unicasts on non-broker
         fabrics; the broker fabric keeps the single topic message."""
-        if not isinstance(item.destination, Topic):
-            return [item]
         fabric = self._route[item.source.ident][0].fabric
         if fabric.model.kind is FabricModelKind.PUB_SUB:
             return [item]
@@ -360,26 +368,24 @@ class Environment:
     # -- delivery ------------------------------------------------------------
 
     def _deliver(self, seq: int, msg: SignalMessage) -> None:
-        if isinstance(msg.destination, Topic):
+        destination = msg.destination
+        if isinstance(destination, Topic):
             self._deliver_fabric(seq, msg)
             return
-        role = msg.destination.role
+        role = destination.role
         if role is Role.UE:
-            self._trace_msg(seq, msg)
-            self.emit(self._ue_receive(msg))
+            self.emit(self._ue_receive(self._trace_msg(seq, msg)))
         elif role is Role.D_PLANE:
-            self._trace_msg(seq, msg)
-            self.emit(self._dplane_receive(msg))
+            self.emit(self._dplane_receive(self._trace_msg(seq, msg)))
         else:
             # the fabric carries only block-to-block messages within one
             # slice; a device or plane source has no route
-            dst_instance = self._route[msg.destination.ident][0]
+            dst_instance = self._route[destination.ident][0]
             if dst_instance is not None and \
                     self._route.get(msg.source.ident, (None,))[0] is dst_instance:
                 self._deliver_fabric(seq, msg)
             else:
-                self._trace_msg(seq, msg)
-                self._invoke_block(msg.destination.ident, msg)
+                self._invoke_block(destination.ident, self._trace_msg(seq, msg))
 
     def _deliver_fabric(self, seq: int, msg: SignalMessage) -> None:
         instance = self._route[msg.source.ident][0]
@@ -388,20 +394,24 @@ class Environment:
                              {"detail": "message to a torn down slice"})
             return
         record = instance.fabric.send(msg).record
-        self._trace_msg(seq, msg, hop_count=record.hop_count,
-                        mediators=record.mediators,
-                        recipients=record.recipients)
+        rec = self._trace_msg(seq, msg, record.hop_count, record.mediators,
+                              record.recipients)
         if not record.recipients:
             self.trace_error("NoSubscriberError", str(msg.destination), {})
         for ident in record.recipients:
-            self._invoke_block(ident, msg)
+            self._invoke_block(ident, rec)
 
     def _trace_msg(self, seq: int, msg: SignalMessage, hop_count: int = 1,
-                   mediators: tuple = (), recipients: tuple = ()) -> None:
-        self.trace.append(MessageRecord(seq, self.tick, msg, hop_count,
-                                        mediators, recipients))
+                   mediators: tuple = (), recipients: tuple = ()
+                   ) -> MessageRecord:
+        """Trace a message at its delivery; the record is what its
+        receivers get."""
+        rec = MessageRecord(seq, self.tick, *msg, hop_count, mediators,
+                            recipients)
+        self.trace.append(rec)
+        return rec
 
-    def _invoke_block(self, ident: str, msg: SignalMessage) -> None:
+    def _invoke_block(self, ident: str, msg: MessageRecord) -> None:
         instance, role, state, ctx = self._route[ident]
         if instance is not None and \
                 instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
@@ -436,7 +446,7 @@ class Environment:
             for run in self._flows_of.get(device.device_id, {}).values():
                 run.active = False
 
-    def _post_delivery_hooks(self, msg: SignalMessage) -> None:
+    def _post_delivery_hooks(self, msg: MessageRecord) -> None:
         # Identity material reaches the device inside protected signalling;
         # modelled as state sync when the verdict passes through the CM.
         if msg.kind is ProcedureKind.AUTH_RESPONSE and msg.payload.get("ok"):
@@ -447,7 +457,7 @@ class Environment:
 
     # -- endpoint behaviour ----------------------------------------------------
 
-    def _ue_receive(self, msg: SignalMessage) -> list:
+    def _ue_receive(self, msg: MessageRecord) -> list:
         device = self.devices[msg.destination.ident]
         payload = msg.payload
         if msg.kind is ProcedureKind.SLICE_REDIRECT:
@@ -466,7 +476,7 @@ class Environment:
                       Endpoint(Role.UE, device.device_id), msg.source,
                       msg.correlation_id, confirm)]
 
-    def _dplane_receive(self, msg: SignalMessage) -> list:
+    def _dplane_receive(self, msg: MessageRecord) -> list:
         # a plane gets FlowConfigure only, from the FM of its own slice
         slice_id, _, node = msg.destination.ident.partition(":")
         payload = msg.payload
@@ -512,9 +522,8 @@ class Environment:
             instance = (self.slices.get(target_slice)
                         if target_slice else self._serving_slice(device))
             if instance is None:
-                self.trace_error("NoEligibleSliceError", device.device_id, {
-                    "detail": "no slice to attach to" if direct
-                    else "no access function to mediate"})
+                self.trace_error("NoEligibleSliceError", device.device_id,
+                                 {"detail": "no slice to attach to"})
                 return []
             dst = Endpoint(role, instance.peers[role])
         device.attaching = corr
@@ -524,10 +533,12 @@ class Environment:
     def _attach_in_flight(self, device: SimDevice) -> bool:
         """Whether the device's last attach is still under way.  It ends at
         attach-complete; a denied, rejected or dropped attach ends when no
-        message of its correlation is left in the queue."""
-        if device.attaching is not None and not any(
-                entry[3].correlation_id == device.attaching
-                for entry in self.queue):
+        message of its correlation is left to deliver, this tick or the
+        next."""
+        corr = device.attaching
+        if corr is not None and not any(
+                msg.correlation_id == corr
+                for bucket in (*self._now, *self.queue) for _, msg in bucket):
             device.attaching = None
         return device.attaching is not None
 
@@ -742,7 +753,7 @@ class Environment:
     def _pending_work(self) -> bool:
         """Whether the run goes on: a message in flight, a script event to
         come, a due block, or a due plane with a flow under way."""
-        return bool(self.queue) or self.tick < self._last_script_tick or any(
+        return any(self.queue) or self.tick < self._last_script_tick or any(
             role is not None or item.has_work()
             for _, role, item, _ in self._due.values())
 
@@ -758,11 +769,15 @@ class Environment:
                              {"blocks": sorted(
                                  r.value for r in self.slices[slice_id].states)})
         while True:
+            # this tick delivers what the last one emitted; from here on,
+            # script events included, every emission waits for the next
+            self._now, self.queue = self.queue, _buckets()
             for event in self._script_by_tick.get(self.tick, []):
                 self._run_script_event(event)
-            while self.queue and self.queue[0][0] <= self.tick:
-                _, _, seq, msg = heapq.heappop(self.queue)
-                self._deliver(seq, msg)
+            for bucket in self._now:
+                for seq, msg in bucket:
+                    self._deliver(seq, msg)
+            self._now = []
             self._run_due()
             if self.tick >= self.scenario.max_ticks:
                 self.trace_event("max-ticks-reached", self.scenario.scenario_id,

@@ -1,10 +1,12 @@
 """Identities, interface taxonomy and the typed C-plane signalling schema.
 
 Everything that crosses a reference point in the simulator is a
-`SignalMessage`, built once by `draft`; the engine queues, delivers and
-traces that object, and every fabric delivers it as sent.  The engine
-numbers a message in its queue entry when it is emitted and traces
-it with that number and its delivery tick; neither is a message field.
+`SignalMessage`, built once by `draft`.  A message is a plain named tuple
+that lives only from its draft to its delivery: the engine validates and
+queues it, and at delivery traces one `trace.MessageRecord` that carries the
+message's fields with its emission number, its delivery tick and the
+fabric's hop accounting.  That record is what the addressed handler
+receives; every fabric delivers a message as sent.
 
 Reference points:
 
@@ -24,9 +26,9 @@ message and `validate_message` checks it by that one table.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import NoInterfaceError
 
@@ -183,14 +185,16 @@ class BBInstanceId:
         return Endpoint(self.role, str(self))
 
 
-@dataclass(frozen=True, slots=True)
-class SignalMessage:
+class SignalMessage(NamedTuple):
+    """A drafted message.  Its fields, in this order, are the message fields
+    of `trace.MessageRecord`."""
+
     kind: ProcedureKind
     source: Endpoint
     destination: Destination
     interface: InterfacePoint
     correlation_id: str
-    payload: Mapping[str, object] = field(default_factory=dict)
+    payload: Mapping[str, object]
 
 
 def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
@@ -268,30 +272,37 @@ _ROLE_VIOLATIONS = {iface: text for iface, _, text in REFERENCE_POINTS}
 _VALID = Verdict(True)
 
 
-def validate_message(msg: SignalMessage) -> Verdict:
-    """Check a message against its kind's payload schema and the
-    interface-role rules.
+def validate_message(msg) -> Verdict:
+    """Check a message, or a traced record of one, against its kind's
+    payload schema and the interface-role rules.
 
-    Violations are reported in the verdict, never raised.
+    Violations are reported in the verdict, never raised; a well-formed
+    message gets the shared `_VALID`.
     """
-    violations: list[str] = []
     schema = PAYLOAD_SCHEMAS[msg.kind]
+    destination = msg.destination
+    topic = isinstance(destination, Topic)
+    if topic:
+        ends_ok = msg.interface is InterfacePoint.INTER_BB \
+            and msg.source.role in CN_BB_ROLES
+    else:
+        ends_ok = _INTERFACE_OF.get((msg.source.role, destination.role)) \
+            is msg.interface
+    if ends_ok and msg.correlation_id and schema.issuperset(msg.payload):
+        return _VALID
+    violations: list[str] = []
     if not schema.issuperset(msg.payload):
         extra = set(msg.payload) - schema
         violations.append(f"payload fields {sorted(extra)} outside {msg.kind.value} schema")
     if not msg.correlation_id:
         violations.append("empty correlation_id")
-    destination = msg.destination
-    if isinstance(destination, Topic):
+    if topic:
         if msg.interface is not InterfacePoint.INTER_BB:
             violations.append("topic messages travel inter-BB")
         if msg.source.role not in CN_BB_ROLES:
             violations.append("topic publisher must be a core block")
-    elif _INTERFACE_OF.get((msg.source.role, destination.role)) \
-            is not msg.interface:
+    elif not ends_ok:
         violations.append(_ROLE_VIOLATIONS[msg.interface])
-    if not violations:
-        return _VALID
     return Verdict(False, tuple(violations))
 
 

@@ -38,8 +38,7 @@ def compute_metrics(records) -> MetricsReport:
     lasts: dict = {}        # correlation id -> last tick
     for rec in records:
         if isinstance(rec, MessageRecord):
-            tick, msg = rec.tick, rec.msg
-            corr = msg.correlation_id
+            tick, corr = rec.tick, rec.correlation_id
             first = firsts.get(corr)
             if first is None:
                 family = families[corr] = _family(corr)
@@ -50,9 +49,9 @@ def compute_metrics(records) -> MetricsReport:
                     firsts[corr] = tick
                 elif tick > lasts[corr]:
                     lasts[corr] = tick
-            key = (family, msg.interface._value_)
+            key = (family, rec.interface._value_)
             counts[key] = counts.get(key, 0) + 1
-            if msg.interface in WBI_MEMBERS:
+            if rec.interface in WBI_MEMBERS:
                 # west-bound composite: I1/I2/I3 folded for reporting
                 wbi = (family, "WBI")
                 counts[wbi] = counts.get(wbi, 0) + 1

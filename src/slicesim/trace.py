@@ -1,8 +1,9 @@
 """Trace records, their line serialization, and structural audits.
 
 A run produces one ordered stream of records sharing a single monotone
-sequence counter; a message record carries the number its message drew when
-it was emitted and the tick it was delivered at.  Lines are pipe-separated
+sequence counter; a message record is the delivered message itself: the
+message's fields with the number it drew when it was emitted, the tick it
+was delivered at and the fabric's hop accounting.  Lines are pipe-separated
 with the mutable-width payload/detail column last:
 
     MSG|seq|tick|kind|source|destination|interface|correlation|hops|mediators|recipients|payload
@@ -20,8 +21,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import SchemaError
 from .messages import (
-    WBI_MEMBERS, Destination, Endpoint, InterfacePoint, ProcedureKind,
-    SignalMessage, Topic, validate_message,
+    WBI_MEMBERS, Destination, Endpoint, InterfacePoint, ProcedureKind, Topic,
+    validate_message,
 )
 
 
@@ -47,21 +48,29 @@ def canonical_json(value) -> str:
 
 
 class MessageRecord(NamedTuple):
+    """A delivered message: the fields of its `SignalMessage` between the
+    trace fields."""
+
     seq: int
     tick: int
-    msg: SignalMessage
+    kind: ProcedureKind
+    source: Endpoint
+    destination: Destination
+    interface: InterfacePoint
+    correlation_id: str
+    payload: Mapping[str, object]
     hop_count: int = 1
     mediators: tuple[str, ...] = ()
     recipients: tuple[str, ...] = ()   # non-empty only if a fabric carried it
 
     def line(self) -> str:
-        seq, tick, m, hop_count, mediators, recipients = self
-        source, payload = m.source, m.payload
+        (seq, tick, kind, source, destination, interface, correlation_id,
+         payload, hop_count, mediators, recipients) = self
         if type(payload) is not dict:
             payload = dict(payload)
-        return (f"MSG|{seq}|{tick}|{m.kind._value_}|{source.role._value_}:"
-                f"{source.ident}|{m.destination}|{m.interface._value_}|"
-                f"{m.correlation_id}|{hop_count}|{','.join(mediators)}|"
+        return (f"MSG|{seq}|{tick}|{kind._value_}|{source.role._value_}:"
+                f"{source.ident}|{destination}|{interface._value_}|"
+                f"{correlation_id}|{hop_count}|{','.join(mediators)}|"
                 f"{','.join(recipients)}|{canonical_json(payload)}")
 
 
@@ -120,11 +129,9 @@ def iter_trace(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceR
                 (_, seq, tick, kind, src, dst, iface, corr, hops, mediators,
                  recipients, payload) = raw.split("|", 11)
                 record: TraceRecord = MessageRecord(
-                    int(seq), int(tick),
-                    SignalMessage(procedure(kind), endpoint(src),
-                                  destination(dst), interface(iface), corr,
-                                  json.loads(payload)),
-                    int(hops),
+                    int(seq), int(tick), procedure(kind), endpoint(src),
+                    destination(dst), interface(iface), corr,
+                    json.loads(payload), int(hops),
                     tuple(mediators.split(",")) if mediators else (),
                     tuple(recipients.split(",")) if recipients else ())
             elif tag == "EVT":
@@ -197,23 +204,22 @@ def trace_check(records: Iterable[TraceRecord]) -> list[str]:
                 authenticated[rec.subject] = len(authenticated)
                 burn(rec.subject)
             continue
-        msg = rec.msg
-        verdict = validate_message(msg)
-        if not verdict:
+        verdict = validate_message(rec)
+        if not verdict.ok:
             violations.extend(f"seq {rec.seq}: {v}" for v in verdict.violations)
-        if msg.kind is ProcedureKind.ATTACH_REQUEST and not msg.payload.get("reattach"):
-            device = msg.payload.get("device")
-            alias = msg.payload.get("alias")
+        if rec.kind is ProcedureKind.ATTACH_REQUEST and not rec.payload.get("reattach"):
+            device = rec.payload.get("device")
+            alias = rec.payload.get("alias")
             if isinstance(device, str) and isinstance(alias, str) \
                     and device not in first_alias:
                 first_alias[device] = alias
                 if device in authenticated:
                     burn(device)
-        if burned and msg.interface in WBI_MEMBERS:
-            leaked = {device for leaf in _string_leaves(msg.payload)
+        if burned and rec.interface in WBI_MEMBERS:
+            leaked = {device for leaf in _string_leaves(rec.payload)
                       for device in burned.get(leaf, ())}
             for device in sorted(leaked, key=authenticated.__getitem__):
                 violations.append(
                     f"seq {rec.seq}: permanent identity of {device} on "
-                    f"{msg.interface.value} after first authentication")
+                    f"{rec.interface.value} after first authentication")
     return violations

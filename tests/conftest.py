@@ -43,7 +43,7 @@ def attach_once(scenario, device: str, method: int, seed: int = 7):
     env = Environment(dataclasses.replace(scenario, script=script), seed)
     corr = f"{device}:attach:1"
     records = [r for r in env.run().trace if isinstance(r, MessageRecord)
-               and r.msg.correlation_id == corr]
+               and r.correlation_id == corr]
     return env.devices[device].bound_slice, records
 
 

@@ -58,7 +58,7 @@ def load(name):
 
 def msgs_of(trace, kind=None):
     return [r for r in trace if isinstance(r, MessageRecord)
-            and (kind is None or r.msg.kind is kind)]
+            and (kind is None or r.kind is kind)]
 
 
 def events_of(trace, kind):
@@ -178,12 +178,12 @@ def test_criterion_4_selection_methods_agree():
     bound2, msgs2 = attach_once(scenario, "d3", method=2, seed=SEED)
     assert bound1 == bound2 == "embb-a"
     # method 1 never redirects; method 2 redirects because default != target
-    assert not [m for m in msgs1 if m.msg.kind is ProcedureKind.SLICE_REDIRECT]
-    assert [m for m in msgs2 if m.msg.kind is ProcedureKind.SLICE_REDIRECT]
+    assert not [m for m in msgs1 if m.kind is ProcedureKind.SLICE_REDIRECT]
+    assert [m for m in msgs2 if m.kind is ProcedureKind.SLICE_REDIRECT]
     # device already on its subscribed slice: no redirect either way
     bound3, msgs3 = attach_once(scenario, "d4", method=2, seed=SEED)
     assert bound3 == "default-a"
-    assert not [m for m in msgs3 if m.msg.kind is ProcedureKind.SLICE_REDIRECT]
+    assert not [m for m in msgs3 if m.kind is ProcedureKind.SLICE_REDIRECT]
     # the scripted method-2 run shows the same predicates end to end
     result = run(scenario, SEED)
     assert msgs_of(result.trace, ProcedureKind.SLICE_REDIRECT)
@@ -197,11 +197,11 @@ def test_criterion_5_handover_loss_and_session_continuity():
     assert mbb.metrics.flows["f5"]["lost"] == 0
     assert bbm.metrics.flows["f5"]["lost"] >= 1
     for result in (mbb, bbm):
-        sessions = {r.msg.payload.get("session")
+        sessions = {r.payload.get("session")
                     for r in msgs_of(result.trace)
-                    if r.msg.kind in (ProcedureKind.HANDOVER_PREPARE,
+                    if r.kind in (ProcedureKind.HANDOVER_PREPARE,
                                       ProcedureKind.HANDOVER_EXECUTE)
-                    and r.msg.payload.get("session")}
+                    and r.payload.get("session")}
         assert sessions == {"s-mob-a-1"}
         assert events_of(result.trace, "handover-complete")
 
@@ -212,13 +212,13 @@ def test_criterion_6_no_mm_slice_rule():
     result = run(load("fixed-nomm"), SEED)
     assert events_of(result.trace, "attach-complete")
     mm_addressed = [r for r in msgs_of(result.trace)
-                    if getattr(r.msg.destination, "role", None) is Role.MM]
+                    if getattr(r.destination, "role", None) is Role.MM]
     assert mm_addressed == []
     unsupported = [r for r in events_of(result.trace, "error")
                    if r.detail.get("error") == "MobilityUnsupported"]
     assert len(unsupported) == 1
     # CM <-> AF direct signalling appears on I3
-    assert any(r.msg.interface is InterfacePoint.I3 for r in msgs_of(result.trace))
+    assert any(r.interface is InterfacePoint.I3 for r in msgs_of(result.trace))
 
 
 # -- criterion 7: path strategy oracles ------------------------------------------------
@@ -312,7 +312,7 @@ def test_criterion_8_audit_secrecy_and_single_sign_on():
                 authenticated_at.setdefault(rec.subject, (rec.tick, rec.seq))
         psi_of = {d.device_id: d.permanent_id for d in env.scenario.devices}
         for rec in msgs_of(result.trace):
-            if rec.msg.interface not in (InterfacePoint.I1, InterfacePoint.I2,
+            if rec.interface not in (InterfacePoint.I1, InterfacePoint.I2,
                                          InterfacePoint.I3):
                 continue
             for device, (tick, seq) in authenticated_at.items():
@@ -338,13 +338,13 @@ def test_criterion_8_audit_secrecy_and_single_sign_on():
 def test_criterion_9_context_triggered_reselection():
     result = run(load("cghf-reselect"), SEED)
     notifies = [r for r in msgs_of(result.trace, ProcedureKind.CONTEXT_NOTIFY)
-                if r.msg.payload.get("statement") == "latency_above_normal"]
+                if r.payload.get("statement") == "latency_above_normal"]
     assert len(notifies) == 1
     reanchors = [r for r in msgs_of(result.trace, ProcedureKind.SESSION_ESTABLISH)
-                 if r.msg.payload.get("phase") == "reanchor"
-                 and r.msg.source.role is Role.CM]
+                 if r.payload.get("phase") == "reanchor"
+                 and r.source.role is Role.CM]
     configs = [r for r in msgs_of(result.trace, ProcedureKind.FLOW_CONFIGURE)
-               if r.msg.correlation_id.split(":")[1] == "reanchor"]
+               if r.correlation_id.split(":")[1] == "reanchor"]
     assert reanchors and configs
     assert (notifies[0].tick, notifies[0].seq) \
         < (reanchors[0].tick, reanchors[0].seq) \

@@ -3,7 +3,9 @@ event semantics and cross-fabric equivalence plumbing."""
 
 import copy
 import dataclasses
+import gc
 from types import MappingProxyType
+from typing import NamedTuple
 
 import pytest
 
@@ -16,7 +18,7 @@ from slicesim.errors import (
     EquivalenceViolation, NoPathError, PolicyForbidsError, ScenarioError,
 )
 from slicesim.fabric import DeliveryOutcome, Fabric, FabricModelKind
-from slicesim.messages import ProcedureKind, Role, draft
+from slicesim.messages import ProcedureKind, Role, SignalMessage, draft
 from slicesim.metrics import compute_metrics, render_metrics
 from slicesim.netsim import DPlane, SignalingMode, build_view
 from slicesim.slices import LifecycleState
@@ -41,7 +43,7 @@ def messages(result, kind=None, predicate=None):
     for rec in result.trace:
         if not isinstance(rec, MessageRecord):
             continue
-        if kind is not None and rec.msg.kind is not kind:
+        if kind is not None and rec.kind is not kind:
             continue
         if predicate is not None and not predicate(rec):
             continue
@@ -192,7 +194,7 @@ class TestEventSemantics:
     def test_move_on_mm_slice_enters_handover_prepare(self):
         result = run(load("handover-mbb"), 7)
         prepares = messages(result, ProcedureKind.HANDOVER_PREPARE,
-                            lambda r: r.msg.source.role is Role.UE)
+                            lambda r: r.source.role is Role.UE)
         assert prepares, "move event must inject HandoverPrepare"
 
     def test_move_without_mm_traces_one_unsupported_event(self):
@@ -231,7 +233,7 @@ class TestEventSemantics:
         rejected = errors(result, "IllegalEventError")
         assert [e.detail["detail"] for e in rejected] == ["attach while attaching"]
         assert len(messages(result, ProcedureKind.ATTACH_REQUEST,
-                            lambda r: r.msg.source.role is Role.UE)) == 1
+                            lambda r: r.source.role is Role.UE)) == 1
         assert events(result, "attach-complete")
         assert trace_check(result.trace) == []
         assert render_trace(run(scenario, 7).trace) == render_trace(result.trace)
@@ -258,7 +260,7 @@ class TestEventSemantics:
     def test_page_fans_out_to_area_nodes(self):
         result = run(load("paging"), 7)
         af_pages = messages(result, ProcedureKind.PAGE,
-                            lambda r: r.msg.destination.role is Role.AF)
+                            lambda r: r.destination.role is Role.AF)
         assert len(af_pages) == 3
         assert len(events(result, "page-complete")) == 1
 
@@ -275,8 +277,8 @@ class TestAttachOrchestration:
         bound1, msgs1 = attach_once(scenario, "d3", method=1)
         bound2, msgs2 = attach_once(scenario, "d3", method=2)
         assert bound1 == bound2 == "embb-a"
-        kinds1 = {m.msg.kind for m in msgs1}
-        kinds2 = {m.msg.kind for m in msgs2}
+        kinds1 = {m.kind for m in msgs1}
+        kinds2 = {m.kind for m in msgs2}
         assert ProcedureKind.SLICE_REDIRECT not in kinds1
         assert ProcedureKind.SLICE_REDIRECT in kinds2
         assert ProcedureKind.SLICE_SELECT in kinds1
@@ -285,7 +287,7 @@ class TestAttachOrchestration:
         scenario = load("attach-method2-redirect")
         bound, msgs = attach_once(scenario, "d4", method=2)
         assert bound == "default-a"
-        assert all(m.msg.kind is not ProcedureKind.SLICE_REDIRECT for m in msgs)
+        assert all(m.kind is not ProcedureKind.SLICE_REDIRECT for m in msgs)
 
     @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
                              ids=lambda m: m.kind.value)
@@ -339,12 +341,12 @@ class TestFabricEquivalence:
 class TestHandoverContinuity:
     def test_session_ids_unchanged_across_handover(self):
         result = run(load("handover-mbb"), 7)
-        sessions = {r.msg.payload.get("session")
+        sessions = {r.payload.get("session")
                     for r in messages(result)
-                    if r.msg.kind in (ProcedureKind.HANDOVER_PREPARE,
+                    if r.kind in (ProcedureKind.HANDOVER_PREPARE,
                                       ProcedureKind.HANDOVER_EXECUTE,
                                       ProcedureKind.SESSION_RELEASE)
-                    and r.msg.payload.get("session")}
+                    and r.payload.get("session")}
         assert len(sessions) == 1
         assert events(result, "handover-complete")
 
@@ -569,9 +571,9 @@ class TestDueList:
             self, tmp_path, monkeypatch):
         ticks = _counting_steps(monkeypatch)
         result = run(_one_flow_scenario(tmp_path, [(10, 2)]), 7)
-        loads = [(r.tick, r.msg.payload["link"], r.msg.payload["load"])
+        loads = [(r.tick, r.payload["link"], r.payload["load"])
                  for r in messages(result, ProcedureKind.FLOW_NOTIFY)
-                 if r.msg.payload.get("phase") == "load"]
+                 if r.payload.get("phase") == "load"]
         links = {link for _, link, _ in loads}
         assert links
         for link in links:
@@ -685,7 +687,7 @@ def _read_only_emit(monkeypatch):
     emit = Environment.emit
 
     def read_only(self, drafts):
-        emit(self, [dataclasses.replace(d, payload=MappingProxyType(d.payload))
+        emit(self, [d._replace(payload=MappingProxyType(d.payload))
                     for d in drafts])
 
     monkeypatch.setattr(Environment, "emit", read_only)
@@ -775,11 +777,11 @@ class TestBuiltOnce:
                        for role, endpoint in peers.items())
         # each slice's telemetry leaves one probe endpoint for one FM endpoint
         telemetry = messages(result, ProcedureKind.FLOW_NOTIFY, lambda r:
-                             r.msg.source.ident.endswith(":probe"))
+                             r.source.ident.endswith(":probe"))
         assert telemetry
         for rec in telemetry:
-            probe, fm = env._telemetry[rec.msg.source.ident.split(":")[0]]
-            assert rec.msg.source is probe and rec.msg.destination is fm
+            probe, fm = env._telemetry[rec.source.ident.split(":")[0]]
+            assert rec.source is probe and rec.destination is fm
 
     def test_handler_cannot_write_to_its_context(self, monkeypatch):
         handle = engine._HANDLERS[Role.CM]
@@ -805,6 +807,119 @@ class TestBuiltOnce:
             assert {k: v for k, v in table.items() if k[1] in bp.anchors} == oracle
             union.update(oracle)
         assert table == union
+
+
+class Delivery(NamedTuple):
+    tick: int
+    priority: int
+    seq: int
+    correlation_id: str
+
+
+def _delivery_log(monkeypatch):
+    """Log every delivery and the tick each sequence number is drawn at."""
+    delivered: list = []
+    drawn: dict = {}
+    deliver, next_seq = Environment._deliver, Environment.next_seq
+
+    def logged_deliver(self, seq, msg):
+        delivered.append(Delivery(self.tick, engine._PRIORITY[msg.kind], seq,
+                                  msg.correlation_id))
+        deliver(self, seq, msg)
+
+    def logged_next_seq(self):
+        seq = next_seq(self)
+        drawn[seq] = self.tick
+        return seq
+
+    monkeypatch.setattr(Environment, "_deliver", logged_deliver)
+    monkeypatch.setattr(Environment, "next_seq", logged_next_seq)
+    return delivered, drawn
+
+
+class TestDeliveryQueue:
+    """Each message is delivered one tick after it is emitted; a tick
+    delivers by priority class, then by emission order."""
+
+    def test_a_tick_delivers_by_class_then_seq(self, monkeypatch):
+        delivered, drawn = _delivery_log(monkeypatch)
+        reordered = 0
+        for name in CORPUS:
+            delivered.clear()
+            drawn.clear()
+            run(load(name), 7)
+            assert delivered
+            assert delivered == sorted(delivered), name
+            assert all(d.tick == drawn[d.seq] + 1 for d in delivered), name
+            reordered += [d.seq for d in delivered] != sorted(
+                d.seq for d in delivered)
+        # the classes do reorder emissions somewhere in the corpus
+        assert reordered
+
+    def test_script_emissions_wait_for_the_next_tick(self, monkeypatch):
+        delivered, drawn = _delivery_log(monkeypatch)
+        scenario = load("handover-mbb")
+        [move] = [e for e in scenario.script if e.action == "move"]
+        run(scenario, 7)
+        first = next(i for i, d in enumerate(delivered)
+                     if d.correlation_id == f"{move.args[0]}:handover:1")
+        queued = [i for i, d in enumerate(delivered)
+                  if drawn[d.seq] == move.tick - 1]
+        assert delivered[first].tick == move.tick + 1
+        # the queued messages include a class the handover outranks
+        assert any(delivered[i].priority > delivered[first].priority
+                   for i in queued)
+        assert max(queued) < first
+
+    def test_attach_in_flight_sees_this_tick_and_the_next(self):
+        # d1's request, emitted at tick 1, waits in the next tick's buckets
+        # for the second attach at tick 1 and in the current ones for the
+        # attach at tick 2; the torn down slice drops it, so nothing of it
+        # is left at tick 3
+        scenario = load("attach-two-slices")
+        script = tuple(ScriptEvent(tick, action, args, {})
+                       for tick, action, args in (
+                           (1, "attach", ("d1",)), (1, "attach", ("d1",)),
+                           (1, "teardown", ("embb-a",)),
+                           (2, "attach", ("d1",)), (3, "attach", ("d1",))))
+        result = run(dataclasses.replace(scenario, script=script), 7)
+        assert [(e.tick, e.detail["detail"])
+                for e in errors(result, "IllegalEventError")] == [
+            (1, "attach while attaching"), (2, "attach while attaching")]
+        assert [r.tick for r in messages(
+            result, ProcedureKind.ATTACH_REQUEST)] == [2, 4]
+        assert [e.tick for e in errors(result, "LifecycleOrderError")] == [
+            2, 4]
+
+
+class TestOneRecordPerMessage:
+    """A delivered message is one object: the traced record, which is
+    also what its receivers get; no drafted message outlives the run."""
+
+    def test_the_trace_holds_no_drafted_message(self, monkeypatch):
+        received: list = []
+        for role, fn in engine._HANDLERS.items():
+            def recording(state, msg, ctx, fn=fn):
+                received.append(msg)
+                return fn(state, msg, ctx)
+            monkeypatch.setitem(engine._HANDLERS, role, recording)
+        for name in ("_ue_receive", "_dplane_receive"):
+            def receiving(env, msg, fn=getattr(Environment, name)):
+                received.append(msg)
+                return fn(env, msg)
+            monkeypatch.setattr(Environment, name, receiving)
+
+        def drafted() -> int:
+            gc.collect()
+            return sum(type(o) is SignalMessage for o in gc.get_objects())
+
+        before = drafted()
+        result = run(load("handover-mbb"), 7)
+        assert drafted() == before
+        assert "msg" not in MessageRecord._fields
+        assert MessageRecord._fields[2:8] == SignalMessage._fields
+        traced = {id(rec) for rec in messages(result)}
+        assert received and {id(msg) for msg in received} <= traced
 
 
 class TestHandlerFaults:
@@ -845,17 +960,16 @@ class TestHandlerFaults:
 
 
 class TestScriptPaths:
-    @pytest.mark.parametrize("mode,detail", [
-        (SignalingMode.DIRECT, "no slice to attach to"),
-        (SignalingMode.VIA_AF, "no access function to mediate")])
-    def test_attach_without_an_eligible_slice_is_traced(self, mode, detail):
+    @pytest.mark.parametrize("mode", list(SignalingMode))
+    def test_attach_without_an_eligible_slice_is_traced(self, mode):
         scenario = load("handover-mbb")
         device = dataclasses.replace(scenario.devices[0], mode=mode,
                                      allowed=(), default_slice=None)
         result = run(dataclasses.replace(scenario, devices=(device,)), 7)
         refused = errors(result, "NoEligibleSliceError")
         assert [(e.tick, e.subject, e.detail) for e in refused] == [
-            (1, "d5", {"error": "NoEligibleSliceError", "detail": detail})]
+            (1, "d5", {"error": "NoEligibleSliceError",
+                       "detail": "no slice to attach to"})]
         assert not messages(result, ProcedureKind.ATTACH_REQUEST)
         assert trace_check(result.trace) == []
 
@@ -893,8 +1007,8 @@ class TestScriptPaths:
                                      mode=SignalingMode.VIA_AF)
         env = Environment(dataclasses.replace(scenario, devices=(device,)), 7)
         result = env.run()
-        executes = [(r.msg.source.role, r.msg.destination.role,
-                     r.msg.payload["phase"])
+        executes = [(r.source.role, r.destination.role,
+                     r.payload["phase"])
                     for r in messages(result, ProcedureKind.HANDOVER_EXECUTE)]
         assert executes == [(Role.MM, Role.AF, "execute"),
                             (Role.AF, Role.UE, "execute"),

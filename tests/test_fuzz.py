@@ -168,7 +168,7 @@ def test_generated_scripts_hold_the_five_checks(record_property):
         cases.append(scenario)
         trace, violations = audit(scenario, seed)
         if any(isinstance(rec, MessageRecord)
-               and rec.msg.kind is ProcedureKind.CONTEXT_NOTIFY
+               and rec.kind is ProcedureKind.CONTEXT_NOTIFY
                for rec in trace):
             notified.append(scenario)
         if not violations:

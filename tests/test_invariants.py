@@ -37,8 +37,8 @@ def test_every_observed_transition_is_a_declared_edge():
 def test_context_block_emits_only_notifications():
     for name, result in corpus_results():
         for rec in result.trace:
-            if isinstance(rec, MessageRecord) and rec.msg.source.role is Role.CGHF:
-                assert rec.msg.kind is ProcedureKind.CONTEXT_NOTIFY, (name, rec)
+            if isinstance(rec, MessageRecord) and rec.source.role is Role.CGHF:
+                assert rec.kind is ProcedureKind.CONTEXT_NOTIFY, (name, rec)
 
 
 def test_mediated_devices_signal_only_on_i1():
@@ -53,10 +53,10 @@ def test_mediated_devices_signal_only_on_i1():
             for rec in run(scenario, 7, fabric_override=model).trace:
                 if not isinstance(rec, MessageRecord):
                     continue
-                ends = (rec.msg.source, rec.msg.destination)
+                ends = (rec.source, rec.destination)
                 if any(getattr(end, "role", None) is Role.UE
                        and end.ident in mediated for end in ends):
-                    assert rec.msg.interface is InterfacePoint.I1, (name, rec)
+                    assert rec.interface is InterfacePoint.I1, (name, rec)
                     checked += 1
     assert checked
 
@@ -65,9 +65,9 @@ def test_link_load_never_exceeds_capacity():
     for name, result in corpus_results():
         for rec in result.trace:
             if isinstance(rec, MessageRecord) \
-                    and rec.msg.kind is ProcedureKind.FLOW_NOTIFY \
-                    and rec.msg.payload.get("phase") == "load":
-                assert float(rec.msg.payload["load"]) <= 1.0, (name, rec)
+                    and rec.kind is ProcedureKind.FLOW_NOTIFY \
+                    and rec.payload.get("phase") == "load":
+                assert float(rec.payload["load"]) <= 1.0, (name, rec)
 
 
 def test_self_handover_is_rejected():
@@ -84,7 +84,7 @@ def test_self_handover_is_rejected():
     assert rejections
     handovers = [r for r in result.trace
                  if isinstance(r, MessageRecord)
-                 and r.msg.kind is ProcedureKind.HANDOVER_PREPARE]
+                 and r.kind is ProcedureKind.HANDOVER_PREPARE]
     assert handovers == []
 
 
@@ -96,9 +96,9 @@ def test_interfaces_match_the_routing_table():
         for rec in result.trace:
             if not isinstance(rec, MessageRecord):
                 continue
-            src = rec.msg.source.role
-            dst = getattr(rec.msg.destination, "role", None)
-            iface = rec.msg.interface
+            src = rec.source.role
+            dst = getattr(rec.destination, "role", None)
+            iface = rec.interface
             if dst is None:
                 continue
             pair = {src, dst}

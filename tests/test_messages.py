@@ -148,10 +148,10 @@ class TestTraceSerialization:
             payload={"topic": "dplane-latency", "subject": "f1",
                      "statement": "latency_above_normal"})
         return [
-            MessageRecord(seq=1, tick=0, msg=attach),
+            MessageRecord(1, 0, *attach),
             EventRecord(seq=2, tick=0, kind="transition", subject="d1",
                         detail={"from": "detached", "to": "authenticating"}),
-            MessageRecord(seq=3, tick=1, msg=notify, hop_count=2,
+            MessageRecord(3, 1, *notify, hop_count=2,
                           mediators=("PS.s.1",), recipients=("CM.s.1",)),
         ]
 
@@ -195,7 +195,7 @@ class TestTraceCheck:
         attach = msg(ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.I2,
                      {"device": "d1", "alias": "imsi-1", "proof": "p"})
         records = [
-            MessageRecord(seq=1, tick=0, msg=attach),
+            MessageRecord(1, 0, *attach),
             EventRecord(seq=2, tick=0, kind="auth", subject="d1",
                         detail={"ok": True}),
         ]
@@ -223,33 +223,33 @@ class TestTraceCheck:
                    {"device": "d1", "phase": "idle", "node": "imsi-1"},
                    corr="d1:idle:1")
         records = [
-            MessageRecord(seq=1, tick=0, msg=attach),
+            MessageRecord(1, 0, *attach),
             EventRecord(seq=2, tick=1, kind="auth", subject="d1",
                         detail={"ok": True}),
-            MessageRecord(seq=3, tick=2, msg=leak),
+            MessageRecord(3, 2, *leak),
         ]
         assert any("permanent identity" in v for v in trace_check(records))
 
     def test_interface_mismatch_detected(self):
         bad = msg(ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.I1,
                   {"device": "d1"})
-        records = [MessageRecord(seq=1, tick=0, msg=bad)]
+        records = [MessageRecord(1, 0, *bad)]
         assert any("I1 is UE<->AF" in v for v in trace_check(records))
 
     def test_violations_follow_authentication_order(self):
         # d2 and d1 share one first alias; d2 authenticates first.
         records = [
-            MessageRecord(seq=1, tick=0, msg=msg(
+            MessageRecord(1, 0, *msg(
                 ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.I2,
                 {"device": "d1", "alias": "imsi-1"})),
-            MessageRecord(seq=2, tick=0, msg=msg(
+            MessageRecord(2, 0, *msg(
                 ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.I2,
                 {"device": "d2", "alias": "imsi-1"})),
             EventRecord(seq=3, tick=1, kind="auth", subject="d2",
                         detail={"ok": True}),
             EventRecord(seq=4, tick=1, kind="auth", subject="d1",
                         detail={"ok": True}),
-            MessageRecord(seq=5, tick=2, msg=msg(
+            MessageRecord(5, 2, *msg(
                 ProcedureKind.LOCATION_UPDATE, UE, CM, InterfacePoint.I2,
                 {"device": "d1", "node": ["n1", {"area": "imsi-1"}]})),
         ]
@@ -291,7 +291,7 @@ def quadratic_trace_check(records):
             if rec.kind == "auth" and rec.detail.get("ok"):
                 authenticated.add(rec.subject)
             continue
-        msg = rec.msg
+        msg = rec
         verdict = validate_message(msg)
         if not verdict:
             violations.extend(f"seq {rec.seq}: {v}" for v in verdict.violations)
@@ -351,7 +351,7 @@ def audit_records(draw):
                 payload.update(device=draw(DEVICES), alias=draw(ALIASES))
                 if draw(st.integers(0, 3)) == 0:
                     payload["reattach"] = True
-            records.append(MessageRecord(seq=seq, tick=tick, msg=msg(
+            records.append(MessageRecord(seq, tick, *msg(
                 kind, draw(ENDPOINTS), draw(ENDPOINTS),
                 draw(INTERFACES), payload)))
     return records

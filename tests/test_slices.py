@@ -120,7 +120,7 @@ class TestBlueprintFiles:
         assert [(r.subject, r.detail["sf"]) for r in inactive] == \
             ([] if paged else [("d6", "device-paging")])
         assert any(isinstance(r, MessageRecord)
-                   and r.msg.kind is ProcedureKind.PAGE
+                   and r.kind is ProcedureKind.PAGE
                    for r in result.trace) is paged
 
     def test_malformed_blueprint_rejected(self):

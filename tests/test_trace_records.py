@@ -38,7 +38,7 @@ def oracle_line(rec) -> str:
     if isinstance(rec, EventRecord):
         return "|".join(["EVT", str(rec.seq), str(rec.tick), rec.kind,
                          rec.subject, dumps(rec.detail)])
-    m = rec.msg
+    m = rec
     return "|".join([
         "MSG", str(rec.seq), str(rec.tick), m.kind.value,
         f"{m.source.role.value}:{m.source.ident}", str(m.destination),
@@ -58,7 +58,7 @@ class TestCanonicalJson:
     def test_equals_json_dumps_on_every_corpus_record(self, name):
         for rec in corpus_trace(name):
             value = rec.detail if isinstance(rec, EventRecord) \
-                else dict(rec.msg.payload)
+                else dict(rec.payload)
             assert canonical_json(value) == dumps(value)
 
     @pytest.mark.parametrize("value", [
@@ -101,9 +101,9 @@ class TestCanonicalJson:
 
 class TestImmutableRecords:
     @pytest.mark.parametrize("record, field", [
-        (MessageRecord(1, 0, attach_message()), "seq"),
-        (MessageRecord(1, 0, attach_message()), "msg"),
-        (MessageRecord(1, 0, attach_message()), "recipients"),
+        (MessageRecord(1, 0, *attach_message()), "seq"),
+        (MessageRecord(1, 0, *attach_message()), "payload"),
+        (MessageRecord(1, 0, *attach_message()), "recipients"),
         (EventRecord(2, 0, "auth", "d1", {"ok": True}), "tick"),
         (EventRecord(2, 0, "auth", "d1", {"ok": True}), "detail"),
     ])
@@ -122,11 +122,11 @@ class TestLineFormat:
             oracle_line(rec) + "\n" for rec in trace)
 
     def test_parse_shares_endpoints_and_keeps_its_errors(self):
-        text = render_trace([MessageRecord(1, 0, attach_message()),
-                             MessageRecord(2, 0, attach_message())])
+        text = render_trace([MessageRecord(1, 0, *attach_message()),
+                             MessageRecord(2, 0, *attach_message())])
         first, second = parse_trace(text)
-        assert first.msg.source is second.msg.source
-        assert first.msg.destination is second.msg.destination
+        assert first.source is second.source
+        assert first.destination is second.destination
         bad = text + text.splitlines()[0].replace("|UE:d1|", "|XX:d1|") + "\n"
         with pytest.raises(SchemaError, match=r"^t\.log:3: malformed MSG "
                            r"record: 'XX' is not a valid Role$"):
