@@ -20,7 +20,7 @@ DEFAULT_WINDOW = 16
 DEFAULT_FACTOR = 1.5
 
 
-@dataclass(frozen=True)
+@dataclass
 class Sample:
     tick: int
     value: float
@@ -69,8 +69,7 @@ def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
     window, models = state._by_metric.get(metric, (DEFAULT_WINDOW, ()))
     state._fresh.add(key)
     samples = state.buffer.setdefault(key, [])
-    samples.append(Sample(tick=tick, value=value, source=source,
-                          external=external))
+    samples.append(Sample(tick, value, source, external))
     expired = 0
     for sample in samples:
         if sample.tick > tick - window:

@@ -241,6 +241,8 @@ class Environment:
         self.seed = seed
         self.tick = 0
         self._seq = 0
+        # The records in (tick, seq) order up to the last finished tick; the
+        # run sorts each tick's records by seq when the tick ends.
         self.trace: list = []
         # The messages emitted this tick, which the next tick delivers: per
         # priority class, a list of (seq, message) in seq order.  At the
@@ -370,7 +372,7 @@ class Environment:
     def _deliver(self, seq: int, msg: SignalMessage) -> None:
         destination = msg.destination
         if isinstance(destination, Topic):
-            self._deliver_fabric(seq, msg)
+            self._deliver_fabric(seq, msg, self._route[msg.source.ident][0])
             return
         role = destination.role
         if role is Role.UE:
@@ -380,15 +382,17 @@ class Environment:
         else:
             # the fabric carries only block-to-block messages within one
             # slice; a device or plane source has no route
-            dst_instance = self._route[destination.ident][0]
-            if dst_instance is not None and \
-                    self._route.get(msg.source.ident, (None,))[0] is dst_instance:
-                self._deliver_fabric(seq, msg)
+            entry = self._route[destination.ident]
+            instance = entry[0]
+            if instance is not None and \
+                    self._route.get(msg.source.ident, (None,))[0] is instance:
+                self._deliver_fabric(seq, msg, instance)
             else:
-                self._invoke_block(destination.ident, self._trace_msg(seq, msg))
+                self._invoke_block(entry, self._trace_msg(seq, msg))
 
-    def _deliver_fabric(self, seq: int, msg: SignalMessage) -> None:
-        instance = self._route[msg.source.ident][0]
+    def _deliver_fabric(self, seq: int, msg: SignalMessage, instance) -> None:
+        """Carry a message over the fabric of `instance`, its source's
+        slice."""
         if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
                              {"detail": "message to a torn down slice"})
@@ -399,7 +403,7 @@ class Environment:
         if not record.recipients:
             self.trace_error("NoSubscriberError", str(msg.destination), {})
         for ident in record.recipients:
-            self._invoke_block(ident, rec)
+            self._invoke_block(self._route[ident], rec)
 
     def _trace_msg(self, seq: int, msg: SignalMessage, hop_count: int = 1,
                    mediators: tuple = (), recipients: tuple = ()
@@ -411,8 +415,9 @@ class Environment:
         self.trace.append(rec)
         return rec
 
-    def _invoke_block(self, ident: str, msg: MessageRecord) -> None:
-        instance, role, state, ctx = self._route[ident]
+    def _invoke_block(self, entry: tuple, msg: MessageRecord) -> None:
+        """Hand a delivered message to the block of a routing entry."""
+        instance, role, state, ctx = entry
         if instance is not None and \
                 instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
@@ -422,14 +427,18 @@ class Environment:
         try:
             _, drafts, events = _HANDLERS[role](state, msg, ctx)
         except SliceSimError as exc:
-            self.trace_block_event(refusal(ident, exc))
+            self.trace_block_event(refusal(ctx.self_id, exc))
             return
         finally:
-            if role in _HAS_WORK and _HAS_WORK[role](state, msg):
+            has_work = _HAS_WORK.get(role)
+            if has_work is not None and has_work(state, msg):
                 self._wake(instance, role)
-        self._absorb(events, ctx.slice_id)
-        self._post_delivery_hooks(msg)
-        self.emit(drafts)
+        if events:
+            self._absorb(events, ctx.slice_id)
+        if msg.kind is ProcedureKind.AUTH_RESPONSE:
+            self._post_delivery_hooks(msg)
+        if drafts:
+            self.emit(drafts)
 
     def _absorb(self, events, slice_id: str) -> None:
         for event in events:
@@ -448,8 +457,9 @@ class Environment:
 
     def _post_delivery_hooks(self, msg: MessageRecord) -> None:
         # Identity material reaches the device inside protected signalling;
-        # modelled as state sync when the verdict passes through the CM.
-        if msg.kind is ProcedureKind.AUTH_RESPONSE and msg.payload.get("ok"):
+        # modelled as state sync when an AuthResponse verdict passes through
+        # the CM.
+        if msg.payload.get("ok"):
             device = self.devices.get(msg.payload.get("device", ""))
             if device is not None:
                 device.alias = msg.payload.get("pseudonym") or device.alias
@@ -708,13 +718,15 @@ class Environment:
 
     def _wake(self, instance, role: Role | None = None) -> None:
         """Put a block's tick hook, or with no role the slice's forwarded
-        plane, on the due list."""
+        plane, on the due list; one already there stays as it is."""
         if role is None:
-            self._due[(1, instance.slice_id, "")] = (
-                instance, None, instance.dplane, None)
+            key = (1, instance.slice_id, "")
+            if key not in self._due:
+                self._due[key] = (instance, None, instance.dplane, None)
         else:
-            self._due[(0, instance.slice_id, role.value)] = \
-                self._route[instance.peers[role]]
+            key = (0, instance.slice_id, role.value)
+            if key not in self._due:
+                self._due[key] = self._route[instance.peers[role]]
 
     def _run_due(self) -> None:
         """The due blocks' tick hooks, then the due planes, by slice and
@@ -768,6 +780,8 @@ class Environment:
             self.trace_event("slice-operating", slice_id,
                              {"blocks": sorted(
                                  r.value for r in self.slices[slice_id].states)})
+        trace = self.trace
+        start = 0       # where the records of this tick begin in the trace
         while True:
             # this tick delivers what the last one emitted; from here on,
             # script events included, every emission waits for the next
@@ -779,6 +793,16 @@ class Environment:
                     self._deliver(seq, msg)
             self._now = []
             self._run_due()
+            # The tick ends: order its records.  Messages are numbered at
+            # emission but traced at delivery, in priority-class order, so
+            # the tick's records arrive out of seq order.  They all carry
+            # this tick and follow every earlier one, so sorting them by seq
+            # (field 0, unique) keeps the trace in (tick, seq) order.  Records
+            # minted during tick t always outnumber anything delivered at t,
+            # so that is a causally consistent total order.  What the run
+            # traces after its last tick arrives in seq order.
+            trace[start:] = sorted(trace[start:])
+            start = len(trace)
             if self.tick >= self.scenario.max_ticks:
                 self.trace_event("max-ticks-reached", self.scenario.scenario_id,
                                  {"tick": self.tick})
@@ -801,11 +825,6 @@ class Environment:
                              {"digest": digests[slice_id]})
         self.trace_event("run-end", self.scenario.scenario_id,
                          {"tick": self.tick})
-        # Messages are sequence-numbered at emission but traced at delivery;
-        # within a tick the priority classes reorder processing.  Records
-        # minted during tick t always outnumber anything delivered at t, so
-        # (tick, seq) is a causally consistent total order.
-        self.trace.sort(key=attrgetter("tick", "seq"))
         metrics = compute_metrics(self.trace)
         return RunResult(trace=self.trace, metrics=metrics, digests=digests)
 

@@ -70,25 +70,35 @@ class Fabric:
     mediator: str | None = None         # CPD/PS instance id when external
     relay: str | None = None            # relay member instance id
     subscriptions: dict = field(default_factory=dict)   # topic -> sorted ids
+    # destination id -> the outcome of every unicast to it, built at the
+    # first; both classes are frozen, so the sends can share it
+    unicasts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def send(self, msg: SignalMessage) -> DeliveryOutcome:
         """Carry a message from a member to a member or a topic.  Only the
         engine sends, and it hands a fabric its own slice's blocks only."""
-        if isinstance(msg.destination, Topic):
+        destination = msg.destination
+        if isinstance(destination, Topic):
             if self.model.kind is not FabricModelKind.PUB_SUB:
                 raise ModelMismatchError(
                     "topic-addressed messages need a publish-subscribe fabric")
             return DeliveryOutcome(DeliveryRecord(
                 2, (self.mediator,),
-                self.subscriptions.get(msg.destination.topic_id, ())))
-        dst = msg.destination.ident
+                self.subscriptions.get(destination.topic_id, ())))
+        dst = destination.ident
+        outcome = self.unicasts.get(dst)
+        if outcome is None:
+            outcome = self.unicasts[dst] = DeliveryOutcome(self._unicast(dst))
+        return outcome
+
+    def _unicast(self, dst: str) -> DeliveryRecord:
         kind = self.model.kind
         if kind is FabricModelKind.FULL_MESH:
-            return DeliveryOutcome(DeliveryRecord(1, (), (dst,)))
+            return DeliveryRecord(1, (), (dst,))
         if kind is FabricModelKind.RELAY:
-            return DeliveryOutcome(DeliveryRecord(2, (self.relay,), (dst,)))
+            return DeliveryRecord(2, (self.relay,), (dst,))
         # the dispatcher or the broker carries the unicast
-        return DeliveryOutcome(DeliveryRecord(2, (self.mediator,), (dst,)))
+        return DeliveryRecord(2, (self.mediator,), (dst,))
 
 
 def connect(members: Iterable[BBInstanceId], model: FabricModel,

@@ -4,6 +4,7 @@ event semantics and cross-fabric equivalence plumbing."""
 import copy
 import dataclasses
 import gc
+from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -890,6 +891,31 @@ class TestDeliveryQueue:
             result, ProcedureKind.ATTACH_REQUEST)] == [2, 4]
         assert [e.tick for e in errors(result, "LifecycleOrderError")] == [
             2, 4]
+
+
+class TestTickOrder:
+    """A finished tick's records are final: when the tick ends, the trace
+    is already in its (tick, seq) order, which nothing later changes."""
+
+    @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
+                             ids=lambda m: m.kind.value)
+    def test_finished_ticks_are_final(self, monkeypatch, model):
+        # `_pending_work` runs once at the end of each tick but the last
+        unordered: list = []
+        ends = []
+        pending_work = Environment._pending_work
+
+        def checked(env):
+            ends.append(env.tick)
+            if env.trace != sorted(env.trace, key=attrgetter("tick", "seq")):
+                unordered.append((env.scenario.scenario_id, env.tick))
+            return pending_work(env)
+
+        monkeypatch.setattr(Environment, "_pending_work", checked)
+        for name in CORPUS:
+            run(load(name), 7, fabric_override=model)
+        assert ends
+        assert unordered == []
 
 
 class TestOneRecordPerMessage:

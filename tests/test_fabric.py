@@ -107,3 +107,37 @@ class TestPubSub:
         outcome = fabric.send(inter_bb_msg(Role.CM, Role.FM))
         assert outcome.record == DeliveryRecord(
             2, (fabric.mediator,), (str(bb(Role.FM)),))
+
+
+class TestSharedOutcome:
+    """Every unicast to one destination returns one outcome, built at the
+    first send; a topic send reads the topic table each time."""
+
+    FM_ID = str(bb(Role.FM))
+    RECORDS = {
+        "full_mesh": DeliveryRecord(1, (), (FM_ID,)),
+        "relay": DeliveryRecord(2, (str(bb(Role.CM)),), (FM_ID,)),
+        "dispatcher": DeliveryRecord(
+            2, (str(BBInstanceId(Role.CPD, "fabric")),), (FM_ID,)),
+        "pubsub": DeliveryRecord(
+            2, (str(BBInstanceId(Role.PS, "fabric")),), (FM_ID,)),
+    }
+
+    @pytest.mark.parametrize("model", sorted(RECORDS))
+    def test_unicasts_to_one_destination_share_an_outcome(self, model):
+        fabric = connect(six_members(), FabricModel.parse(model))
+        first = fabric.send(inter_bb_msg(Role.CM, Role.FM))
+        second = fabric.send(inter_bb_msg(Role.AF, Role.FM))
+        assert second is first
+        assert first.record == self.RECORDS[model]
+        other = fabric.send(inter_bb_msg(Role.FM, Role.CM))
+        assert other.record.recipients == (str(bb(Role.CM)),)
+
+    def test_topic_send_reads_the_current_subscribers(self):
+        cm, fm = str(bb(Role.CM)), str(bb(Role.FM))
+        fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB),
+                         subscriptions={"t": (cm,)})
+        publish = TestPubSub().topic_msg("t")
+        assert fabric.send(publish).record.recipients == (cm,)
+        fabric.subscriptions["t"] = (cm, fm)
+        assert fabric.send(publish).record.recipients == (cm, fm)
