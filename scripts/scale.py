@@ -35,7 +35,6 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
+from bench import git_rev, src_lines  # noqa: E402
 from pipeline import reference_s  # noqa: E402
 from run import REFERENCE_S  # noqa: E402
 from slicesim import engine  # noqa: E402
@@ -106,22 +106,6 @@ def _ratio(per_round: list, target: float | None = None) -> dict:
     return out
 
 
-def _git_rev() -> str:
-    try:
-        rev = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
-                             capture_output=True, text=True, check=True)
-        dirty = subprocess.run(["git", "status", "--porcelain", "src"], cwd=ROOT,
-                               capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return rev.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
-
-
-def _src_lines() -> int:
-    return sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in sorted((ROOT / "src").rglob("*.py")))
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
@@ -165,8 +149,8 @@ def main() -> int:
         "machine": {"platform": platform.platform(),
                     "processor": platform.machine(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
-        "git_rev": _git_rev(),
-        "src_lines": _src_lines(),
+        "git_rev": git_rev(),
+        "src_lines": src_lines(),
         "seed": SEED, "repeats": args.repeats,
         "timer": "median reference-scaled engine.run, with its IQR; ratios "
                  "per round, median and IQR over rounds",
