@@ -793,14 +793,11 @@ class Environment:
                     self._deliver(seq, msg)
             self._now = []
             self._run_due()
-            # The tick ends: order its records.  Messages are numbered at
-            # emission but traced at delivery, in priority-class order, so
-            # the tick's records arrive out of seq order.  They all carry
-            # this tick and follow every earlier one, so sorting them by seq
-            # (field 0, unique) keeps the trace in (tick, seq) order.  Records
-            # minted during tick t always outnumber anything delivered at t,
-            # so that is a causally consistent total order.  What the run
-            # traces after its last tick arrives in seq order.
+            # The tick ends: sort its records by seq (field 0, unique).
+            # Messages are numbered at emission but traced at delivery, in
+            # class order.  Records minted during tick t outnumber anything
+            # delivered at t, so (tick, seq) is a causally consistent total
+            # order; what the run traces after its last tick comes in order.
             trace[start:] = sorted(trace[start:])
             start = len(trace)
             if self.tick >= self.scenario.max_ticks:

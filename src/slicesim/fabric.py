@@ -70,9 +70,10 @@ class Fabric:
     mediator: str | None = None         # CPD/PS instance id when external
     relay: str | None = None            # relay member instance id
     subscriptions: dict = field(default_factory=dict)   # topic -> sorted ids
-    # destination id -> the outcome of every unicast to it, built at the
-    # first; both classes are frozen, so the sends can share it
-    unicasts: dict = field(default_factory=dict, repr=False, compare=False)
+    # destination id -> the outcome every unicast to it returns, built at
+    # the first send; outcome and record are frozen, so sends can share them
+    unicasts: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def send(self, msg: SignalMessage) -> DeliveryOutcome:
         """Carry a message from a member to a member or a topic.  Only the
@@ -92,6 +93,7 @@ class Fabric:
         return outcome
 
     def _unicast(self, dst: str) -> DeliveryRecord:
+        """The delivery record of a unicast to `dst` under this model."""
         kind = self.model.kind
         if kind is FabricModelKind.FULL_MESH:
             return DeliveryRecord(1, (), (dst,))
