@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..messages import ProcedureKind, Role, SignalMessage, Topic, draft
+from ..messages import ProcedureKind, SignalMessage, Topic, draft
 from .common import BlockContext, BlockEvent
 
 DEFAULT_WINDOW = 16
@@ -25,7 +25,6 @@ class Sample:
     tick: int
     value: float
     source: str
-    external: bool = False
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class CGHFState:
 
 
 def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
-                source: str, tick: int, external: bool = False) -> CGHFState:
+                source: str, tick: int) -> CGHFState:
     """Append a sample to the windowed buffer and drop the samples that
     left the window.  Samples arrive in tick order, so only the front of a
     key's list can expire."""
@@ -69,7 +68,7 @@ def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
     window, models = state._by_metric.get(metric, (DEFAULT_WINDOW, ()))
     state._fresh.add(key)
     samples = state.buffer.setdefault(key, [])
-    samples.append(Sample(tick, value, source, external))
+    samples.append(Sample(tick, value, source))
     expired = 0
     for sample in samples:
         if sample.tick > tick - window:
@@ -136,9 +135,7 @@ def handle(state: CGHFState, msg, ctx: BlockContext):
             subject=payload.get("subject", ""),
             value=float(payload.get("value", 0.0)),
             source=payload.get("source", msg.source.ident),
-            tick=ctx.tick,
-            external=bool(payload.get("external"))
-            or msg.source.role is Role.OTHER_DOMAIN)
+            tick=ctx.tick)
     return state, drafts, events
 
 

@@ -135,7 +135,7 @@ PAYLOAD_SCHEMAS: dict[ProcedureKind, frozenset[str]] = {
     ProcedureKind.FLOW_NOTIFY: frozenset(
         {"phase", "node", "flow", "ok", "action", "link", "load", "values"}),
     ProcedureKind.CONTEXT_PUBLISH: frozenset(
-        {"metric", "subject", "value", "source", "external"}),
+        {"metric", "subject", "value", "source"}),
     ProcedureKind.CONTEXT_NOTIFY: frozenset(
         {"topic", "subject", "statement", "evidence"}),
 }

@@ -431,12 +431,6 @@ class TestContextGeneration:
         assert all(s.tick > 5 - LATENCY_RULE.window for s in buffered)
         assert len(buffered) <= LATENCY_RULE.window
 
-    def test_external_source_tagged(self):
-        state = CGHFState(models=(LATENCY_RULE,))
-        cghf_ingest(state, "flow-latency", "f1", 12.0, "app-x", tick=0,
-                    external=True)
-        assert state.buffer[("flow-latency", "f1")][0].external
-
     def test_mean_above_baseline_fires_once(self):
         state = CGHFState(models=(LATENCY_RULE,))
         self.warm(state, baseline=10.0)             # baseline locks at 10

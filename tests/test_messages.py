@@ -91,8 +91,9 @@ class TestValidateMessage:
             {"device": "d1", "surprise": 1}))
         assert not verdict.ok
 
-    # `diag` rode every kind and `config` carried an access-node
-    # configuration; no block sends either, so no schema lists them
+    # `diag` rode every kind, `config` carried an access-node configuration
+    # and `external` tagged a ContextPublish from another domain; no block
+    # sends any of them, so no schema lists them
     @pytest.mark.parametrize("field", ["diag", "config"])
     def test_unsent_field_rejected_on_flow_configure(self, field):
         verdict = validate_message(msg(
@@ -102,8 +103,17 @@ class TestValidateMessage:
         assert verdict.violations == (
             f"payload fields ['{field}'] outside FlowConfigure schema",)
 
-    def test_diag_field_in_no_schema(self):
-        assert all("diag" not in fields for fields in PAYLOAD_SCHEMAS.values())
+    @pytest.mark.parametrize("field", ["diag", "external"])
+    def test_deleted_field_in_no_schema(self, field):
+        assert all(field not in fields for fields in PAYLOAD_SCHEMAS.values())
+
+    def test_external_rejected_on_context_publish(self):
+        verdict = validate_message(msg(
+            ProcedureKind.CONTEXT_PUBLISH, FM, CM, InterfacePoint.INTER_BB,
+            {"metric": "flow-latency", "subject": "f1", "value": 1.0,
+             "source": "dplane", "external": True}))
+        assert verdict.violations == (
+            "payload fields ['external'] outside ContextPublish schema",)
 
     def test_i7_joins_the_core_to_another_domain(self):
         ext = Endpoint(Role.OTHER_DOMAIN, "peer")
