@@ -900,7 +900,8 @@ class TestTickOrder:
     @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
                              ids=lambda m: m.kind.value)
     def test_finished_ticks_are_final(self, monkeypatch, model):
-        # `_pending_work` runs once at the end of each tick but the last
+        # `_pending_work` runs once at the end of each tick that does not
+        # stop the run at max-ticks
         unordered: list = []
         ends = []
         pending_work = Environment._pending_work
