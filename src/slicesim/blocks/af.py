@@ -1,5 +1,5 @@
 """Access function: abstracts last-hop connectivity behind the west-bound
-side, keeps path records and answers pages from them.
+side, records each device's last access node and answers pages from it.
 
 Uplink device signalling arrives access-specific on I1 and leaves
 access-agnostic on I3 with the technology tag preserved as metadata;
@@ -32,30 +32,14 @@ _DOWNLINK_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class PathRecordEntry:
-    tick: int
-    node: str
-    tech: str
-    event: str
-
-
 @dataclass
 class AFState:
-    path_records: dict = field(default_factory=dict)   # device -> list[PathRecordEntry]
-    device_location: dict = field(default_factory=dict)
-
-
-def record_path(state: AFState, device: str, node: str, tech: str, event: str,
-                tick: int) -> None:
-    state.path_records.setdefault(device, []).append(
-        PathRecordEntry(tick=tick, node=node, tech=tech, event=event))
-    state.device_location[device] = node
+    device_location: dict = field(default_factory=dict)  # device -> last node
 
 
 def af_handle(state: AFState, msg, ctx: BlockContext):
     """Translate between access-specific and access-agnostic signalling and
-    maintain the path-record view used for paging."""
+    keep the device locations that paging reads."""
     drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     payload = msg.payload
@@ -64,16 +48,14 @@ def af_handle(state: AFState, msg, ctx: BlockContext):
     if msg.interface is InterfacePoint.I1:
         # uplink: record attachment/transition events, then translate to I3
         if msg.kind is ProcedureKind.ATTACH_REQUEST:
-            record_path(state, device, payload.get("node", ""),
-                        payload.get("tech", ""), "attach-attempt", ctx.tick)
+            state.device_location[device] = payload.get("node", "")
         elif msg.kind is ProcedureKind.HANDOVER_EXECUTE and \
                 payload.get("phase") == "confirm":
-            if device not in state.path_records:
+            if device not in state.device_location:
                 events.append(error_event(
                     device, "UnknownDevice", detail="transition for unrecorded device"))
                 return state, drafts, events
-            record_path(state, device, payload.get("node", ""),
-                        payload.get("tech", ""), "handover", ctx.tick)
+            state.device_location[device] = payload.get("node", "")
         target_role = _UPLINK_TARGETS.get(msg.kind)
         if target_role is None:
             events.append(error_event(
@@ -108,14 +90,12 @@ def af_handle(state: AFState, msg, ctx: BlockContext):
         return state, drafts, events
 
     if msg.kind is ProcedureKind.PATH_RECORD_UPDATE:
-        record_path(state, device, payload.get("node", ""),
-                    payload.get("tech", ""), payload.get("event", "update"),
-                    ctx.tick)
+        state.device_location[device] = payload.get("node", "")
         return state, drafts, events
 
     if msg.kind in _DOWNLINK_KINDS:
         if msg.kind is ProcedureKind.HANDOVER_EXECUTE and device and \
-                device not in state.path_records:
+                device not in state.device_location:
             events.append(error_event(
                 device, "UnknownDevice", detail="transition for unrecorded device"))
             return state, drafts, events

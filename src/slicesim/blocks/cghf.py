@@ -24,7 +24,6 @@ DEFAULT_FACTOR = 1.5
 class Sample:
     tick: int
     value: float
-    source: str
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class CGHFState:
 
 
 def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
-                source: str, tick: int) -> CGHFState:
+                tick: int) -> CGHFState:
     """Append a sample to the windowed buffer and drop the samples that
     left the window.  Samples arrive in tick order, so only the front of a
     key's list can expire."""
@@ -68,7 +67,7 @@ def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
     window, models = state._by_metric.get(metric, (DEFAULT_WINDOW, ()))
     state._fresh.add(key)
     samples = state.buffer.setdefault(key, [])
-    samples.append(Sample(tick, value, source))
+    samples.append(Sample(tick, value))
     expired = 0
     for sample in samples:
         if sample.tick > tick - window:
@@ -133,9 +132,7 @@ def handle(state: CGHFState, msg, ctx: BlockContext):
         cghf_ingest(
             state, metric=payload.get("metric", ""),
             subject=payload.get("subject", ""),
-            value=float(payload.get("value", 0.0)),
-            source=payload.get("source", msg.source.ident),
-            tick=ctx.tick)
+            value=float(payload.get("value", 0.0)), tick=ctx.tick)
     return state, drafts, events
 
 

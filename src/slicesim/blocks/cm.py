@@ -56,7 +56,8 @@ class SessionRecord:
     session_id: str
     device: str
     anchor: str
-    addresses: tuple
+    node: str                  # access node at attach
+    direct: bool               # signals directly, not via the AF
     flows: list = field(default_factory=list)
 
 
@@ -68,7 +69,6 @@ class PendingAttach:
     node: str
     area: str
     tech: str
-    method: int
     direct: bool
     reattach: bool = False
 
@@ -86,8 +86,6 @@ class CMState:
     sessions: dict = field(default_factory=dict)        # session id -> SessionRecord
     device_sessions: dict = field(default_factory=dict) # device -> session id
     subscription_view: dict = field(default_factory=dict)
-    device_modes: dict = field(default_factory=dict)    # device -> "direct"|"via_af"
-    device_nodes: dict = field(default_factory=dict)    # device -> access node
     pending_attach: dict = field(default_factory=dict)  # correlation -> PendingAttach
     session_counter: int = 0
     reanchor_counter: int = 0
@@ -156,16 +154,12 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
         return drafts, events
 
     anchor = select_anchor(ctx, pending.node)
-    accesses = pending.accesses or (pending.tech,)
-    addrs = tuple(f"ip-{ctx.slice_id}-{device}-{a}" for a in accesses)
     state.session_counter += 1
     session_id = f"s-{ctx.slice_id}-{state.session_counter}"
-    record = SessionRecord(session_id=session_id, device=device, anchor=anchor,
-                           addresses=addrs)
-    state.sessions[session_id] = record
+    state.sessions[session_id] = SessionRecord(
+        session_id=session_id, device=device, anchor=anchor,
+        node=pending.node, direct=pending.direct)
     state.device_sessions[device] = session_id
-    state.device_modes[device] = "direct" if pending.direct else "via_af"
-    state.device_nodes[device] = pending.node
     _transition(state, device, ConvergentState.ATTACHED, events, ctx.slice_id)
     events.append(BlockEvent("anchor-selected", device,
                              {"anchor": anchor, "session": session_id}))
@@ -175,7 +169,8 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
         ctx.peer_endpoint(Role.FM), corr,
         {"device": device, "session": session_id, "phase": "register",
          "anchor": anchor, "ingress": info.ingress,
-         "addresses": list(addrs)}))
+         "addresses": [f"ip-{ctx.slice_id}-{device}-{a}"
+                       for a in pending.accesses or (pending.tech,)]}))
     return drafts, events
 
 
@@ -193,8 +188,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
             device=device, alias=payload.get("alias", ""),
             accesses=tuple(payload.get("accesses") or ()),
             node=payload.get("node", ""), area=payload.get("area", ""),
-            tech=payload.get("tech", ""), method=int(payload.get("method", 2)),
-            direct=direct, reattach=bool(payload.get("reattach")))
+            tech=payload.get("tech", ""), direct=direct, reattach=bool(payload.get("reattach")))
         # the global part authenticates and hands the device off: it keeps
         # no per-device connectivity state
         if state.role is CMRole.SLICE_LOCAL:
@@ -260,7 +254,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
             device=payload["device"], alias=payload.get("pseudonym", ""),
             accesses=tuple(payload.get("accesses") or ()),
             node=payload.get("node", ""), area=payload.get("area", ""),
-            tech=payload.get("tech", ""), method=1,
+            tech=payload.get("tech", ""),
             direct=payload.get("mode", "direct") == "direct")
         _transition(state, pending.device, ConvergentState.AUTHENTICATING,
                     events, ctx.slice_id)
@@ -296,7 +290,6 @@ def _continue_local_attach(state: CMState, pending: PendingAttach,
         return more, evs + events
     events.append(BlockEvent("slice-redirect", pending.device,
                              {"target": choice.target, "from": ctx.slice_id}))
-    state.device_modes[pending.device] = "direct" if pending.direct else "via_af"
     # downlink to the device, via its access function when mediated
     dst = (ctx.peer_endpoint(Role.AF) if not pending.direct
            else Endpoint(Role.UE, pending.device))
@@ -336,7 +329,7 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
         record = state.sessions[session_id]
         flow = payload.get("flow") or f"{device}-f{len(record.flows) + 1}"
         record.flows.append(flow)
-        node = payload.get("node") or state.device_nodes.get(device, "")
+        node = payload.get("node") or record.node
         info = ctx.access_nodes[node]
         drafts.append(draft(
             ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint,
@@ -359,24 +352,21 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
             events.append(BlockEvent("attach-complete", record.device,
                                      {"slice": ctx.slice_id,
                                       "session": session_id}))
+            info = ctx.access_nodes[record.node]    # checked at attach
             if ctx.has(Role.MM):
-                node = state.device_nodes.get(record.device, "")
-                info = ctx.access_nodes.get(node)
                 drafts.append(draft(
                     ProcedureKind.LOCATION_UPDATE, ctx.self_endpoint,
                     ctx.peer_endpoint(Role.MM), msg.correlation_id,
                     {"device": record.device, "phase": "register",
-                     "node": node, "area": info.area if info else "",
+                     "node": record.node, "area": info.area,
                      "session": session_id,
-                     "mode": state.device_modes.get(record.device, "direct")}))
-            if state.device_modes.get(record.device) == "direct":
-                node = state.device_nodes.get(record.device, "")
-                info = ctx.access_nodes.get(node)
+                     "mode": "direct" if record.direct else "via_af"}))
+            if record.direct:
                 drafts.append(draft(
                     ProcedureKind.PATH_RECORD_UPDATE, ctx.self_endpoint,
                     ctx.peer_endpoint(Role.AF), msg.correlation_id,
-                    {"device": record.device, "node": node,
-                     "tech": info.tech.value if info else "",
+                    {"device": record.device, "node": record.node,
+                     "tech": info.tech.value,
                      "event": "attach"}))
         elif phase == "flow-ok":
             events.append(BlockEvent("flow-ready", record.device,
@@ -439,9 +429,8 @@ def _handle_context_notify(state: CMState, msg, ctx: BlockContext):
     record = next((r for r in state.sessions.values() if flow in r.flows), None)
     if record is None:
         return drafts, events
-    node = state.device_nodes.get(record.device, "")
     try:
-        new_anchor = select_anchor(ctx, node, exclude=record.anchor)
+        new_anchor = select_anchor(ctx, record.node, exclude=record.anchor)
     except NoDPlaneFunctionError:
         events.append(BlockEvent("reselect-impossible", record.device,
                                  {"flow": flow, "anchor": record.anchor}))

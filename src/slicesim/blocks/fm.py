@@ -80,9 +80,7 @@ QOS_DEMAND = {"default": 1, "critical": 2}
 
 @dataclass
 class SessionBinding:
-    device: str
     anchor: str
-    ingress: str
     flows: list = field(default_factory=list)
 
 
@@ -95,8 +93,7 @@ class PendingApply:
     reply_to: Endpoint | None
     reply_corr: str
     session: str
-    old_path: ForwardingPath | None = None
-    extra: dict = field(default_factory=dict)
+    anchor: str | None = None  # a reanchor's new anchor
 
 
 @dataclass
@@ -104,7 +101,6 @@ class HandoverJob:
     session: str
     remaining: int
     reply_to: Endpoint
-    new_ingress: str
 
 
 @dataclass
@@ -221,14 +217,13 @@ def _reserve(state: FMState, path: ForwardingPath, sign: int) -> None:
 
 def fm_apply(state: FMState, path: ForwardingPath, ctx: BlockContext,
              corr: str, purpose: str, reply_to: Endpoint | None,
-             session: str, old_path: ForwardingPath | None = None,
-             extra: dict | None = None) -> list:
+             session: str, anchor: str | None = None) -> list:
     """Emit one install command per on-path node through the southbound
     adaptor and track the acknowledgement set."""
     state.pending[(corr, path.flow)] = PendingApply(
         flow=path.flow, path=path, outstanding=set(path.nodes),
         purpose=purpose, reply_to=reply_to, reply_corr=corr, session=session,
-        old_path=old_path, extra=dict(extra or {}))
+        anchor=anchor)
     return [
         draft(ProcedureKind.FLOW_CONFIGURE, ctx.self_endpoint,
               _dplane(ctx, node), corr,
@@ -275,9 +270,7 @@ def handle(state: FMState, msg, ctx: BlockContext):
         phase = payload.get("phase", "flow")
         if phase == "register":
             session = payload["session"]
-            state.sessions[session] = SessionBinding(
-                device=payload.get("device", ""), anchor=payload["anchor"],
-                ingress=payload["ingress"])
+            state.sessions[session] = SessionBinding(anchor=payload["anchor"])
             drafts.append(draft(
                 ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, msg.source,
                 corr, {"session": session, "phase": "register-ok",
@@ -346,8 +339,7 @@ def _start_reanchor(state: FMState, msg, ctx: BlockContext):
                              {"nodes": list(path.nodes), "qos": path.qos,
                               "reanchor": new_anchor}))
     drafts.extend(fm_apply(state, path, ctx, msg.correlation_id, "reanchor",
-                           msg.source, session, old_path=old,
-                           extra={"anchor": new_anchor}))
+                           msg.source, session, anchor=new_anchor))
     return drafts, events
 
 
@@ -372,19 +364,17 @@ def _start_handover_paths(state: FMState, msg, ctx: BlockContext):
             continue
         state.swapped_out[flow] = old
         drafts.extend(fm_apply(state, path, ctx, msg.correlation_id,
-                               "handover", None, session, old_path=old))
+                               "handover", None, session))
         applied += 1
     if not applied:
         # nothing to await: a refused flow keeps its old path
-        binding.ingress = new_ingress
         drafts.append(draft(
             ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint, msg.source,
             msg.correlation_id,
             {"session": session, "phase": "new-path-ok", "ok": True}))
         return drafts, events
     state.handover_jobs[msg.correlation_id] = HandoverJob(
-        session=session, remaining=applied, reply_to=msg.source,
-        new_ingress=new_ingress)
+        session=session, remaining=applied, reply_to=msg.source)
     return drafts, events
 
 
@@ -474,23 +464,20 @@ def _commit(state: FMState, job: PendingApply, ctx: BlockContext) -> list:
     elif job.purpose == "reanchor":
         binding = state.sessions.get(job.session)
         if binding is not None:
-            binding.anchor = job.extra.get("anchor", binding.anchor)
+            binding.anchor = job.anchor
         # retire what the old path used exclusively
         fm_release_path(state, job.flow, ctx.tick, keep=job.path)
         drafts.append(draft(
             ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, job.reply_to,
             job.reply_corr,
             {"session": job.session, "phase": "reanchor-ok",
-             "flow": job.flow, "anchor": job.extra.get("anchor"), "ok": True}))
+             "flow": job.flow, "anchor": job.anchor, "ok": True}))
     elif job.purpose == "handover":
         ho = state.handover_jobs.get(job.reply_corr)
         if ho is not None:
             ho.remaining -= 1
             if ho.remaining == 0:
                 del state.handover_jobs[job.reply_corr]
-                binding = state.sessions.get(ho.session)
-                if binding is not None:
-                    binding.ingress = ho.new_ingress
                 drafts.append(draft(
                     ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint,
                     ho.reply_to, job.reply_corr,

@@ -40,7 +40,6 @@ class HandoverPlan:
 @dataclass
 class MMState:
     tracking_areas: dict = field(default_factory=dict)  # device -> area id
-    locations: dict = field(default_factory=dict)       # device -> node id
     paging_state: dict = field(default_factory=dict)    # device -> PagingState
     sessions: dict = field(default_factory=dict)        # device -> session id
     device_modes: dict = field(default_factory=dict)    # device -> "direct"|"via_af"
@@ -152,7 +151,6 @@ def handle(state: MMState, msg, ctx: BlockContext):
         if plan is None:
             return state, drafts, events
         state.tracking_areas[plan.device] = plan.area
-        state.locations[plan.device] = plan.node
         if plan.direct:
             drafts.append(draft(
                 ProcedureKind.PATH_RECORD_UPDATE, ctx.self_endpoint,
@@ -177,7 +175,6 @@ def handle(state: MMState, msg, ctx: BlockContext):
         phase = payload.get("phase", "")
         if phase == "register":
             state.tracking_areas[device] = payload.get("area", "")
-            state.locations[device] = payload.get("node", "")
             state.sessions[device] = payload.get("session", "")
             state.paging_state[device] = PagingState.REACHABLE
             state.device_modes[device] = payload.get("mode", "direct")
@@ -188,13 +185,11 @@ def handle(state: MMState, msg, ctx: BlockContext):
         elif phase == "page-response":
             if state.pages.pop(device, None) is not None:
                 state.paging_state[device] = PagingState.REACHABLE
-                state.locations[device] = payload.get("node", "")
                 events.append(BlockEvent("page-complete", device,
                                          {"node": payload.get("node", "")}))
         elif phase == "detached":
-            for table in (state.tracking_areas, state.locations,
-                          state.paging_state, state.sessions,
-                          state.device_modes):
+            for table in (state.tracking_areas, state.paging_state,
+                          state.sessions, state.device_modes):
                 table.pop(device, None)
 
     return state, drafts, events

@@ -661,8 +661,7 @@ class Environment:
         rate, duration = options.get("rate", 1), options.get("duration", 10)
         qos = options.get("qos", "default")
         info = self.scenario.topology.access[device.current_node]
-        run = FlowRun(flow_id=flow, device=device.device_id, rate=rate,
-                      remaining_emissions=duration, qos=qos,
+        run = FlowRun(flow_id=flow, rate=rate, remaining_emissions=duration,
                       ingress=info.ingress)
         instance.dplane.add_flow(run)
         self._flows_of.setdefault(device.device_id, {})[

@@ -123,10 +123,8 @@ class UnitState:
 @dataclass
 class FlowRun:
     flow_id: str
-    device: str
     rate: int
     remaining_emissions: int
-    qos: str = "default"
     ingress: str = ""
     started: bool = False
     active: bool = True

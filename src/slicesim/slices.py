@@ -46,7 +46,6 @@ class SliceType(str, Enum):
 
 
 class LifecycleState(str, Enum):
-    DESIGNED = "designed"
     INSTANTIATED = "instantiated"
     OPERATING = "operating"
     TORN_DOWN = "torn_down"

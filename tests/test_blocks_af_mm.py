@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from slicesim.blocks.af import AFState, af_handle, record_path
+from slicesim.blocks.af import AFState, af_handle
 from slicesim.blocks.common import (
     AccessNodeInfo, BlockContext, HandoverStyle, MobilityPolicy, SlicePolicy,
     Tech,
@@ -21,12 +21,6 @@ from slicesim.messages import (
 )
 
 SLICE = "slice-a"
-
-
-def latest_endpoint(state: AFState, device: str) -> str | None:
-    """The node of the device's last path record, if any."""
-    records = state.path_records.get(device)
-    return records[-1].node if records else None
 
 
 def ctx_for(role, policy=None, area_nodes=3):
@@ -66,7 +60,7 @@ class TestAccessFunction:
         assert out.interface is InterfacePoint.I3
         assert out.destination.role is Role.CM
         assert out.payload["tech"] == "wifi"     # technology tag preserved
-        assert latest_endpoint(state, "d1") == "w1"
+        assert state.device_location == {"d1": "w1"}
 
     def test_method_one_attach_goes_to_the_global_part(self):
         state = AFState()
@@ -79,17 +73,21 @@ class TestAccessFunction:
         _, drafts, _ = af_handle(state, msg, ctx)
         assert drafts[0].destination.ident == "CM.global.1"
 
-    def test_reentry_appends_to_path_records(self):
+    def test_reentry_moves_the_recorded_node(self):
         state = AFState()
-        record_path(state, "d1", "n1", "cellular", "attach-attempt", tick=1)
-        record_path(state, "d1", "n2", "cellular", "re-entry", tick=9)
-        assert [e.node for e in state.path_records["d1"]] == ["n1", "n2"]
-        assert latest_endpoint(state, "d1") == "n2"
+        ctx = ctx_for(Role.AF)
+        for node in ("n1", "n2"):
+            af_handle(state, message(
+                ProcedureKind.ATTACH_REQUEST, Endpoint(Role.UE, "d1"),
+                Endpoint(Role.AF, ctx.self_id), InterfacePoint.I1,
+                {"device": "d1", "alias": "imsi-1", "proof": "p",
+                 "node": node, "tech": "cellular", "method": 2}), ctx)
+        assert state.device_location == {"d1": "n2"}
 
     def test_page_answered_only_at_the_recorded_endpoint(self):
         state = AFState()
         ctx = ctx_for(Role.AF)
-        record_path(state, "d1", "n2", "cellular", "attach", tick=1)
+        state.device_location["d1"] = "n2"
         mm = Endpoint(Role.MM, str(BBInstanceId(Role.MM, SLICE)))
         miss = message(ProcedureKind.PAGE, mm, Endpoint(Role.AF, ctx.self_id),
                        InterfacePoint.I3, {"device": "d1", "node": "n1"},
@@ -123,7 +121,7 @@ class TestAccessFunction:
     ])
     def test_uplink_to_a_block_the_slice_lacks_is_a_traced_error(self, kind, payload):
         state = AFState()
-        record_path(state, "d1", "n1", "cellular", "attach-attempt", 1)
+        state.device_location["d1"] = "n1"
         ctx = ctx_for(Role.AF)
         ctx = dataclasses.replace(ctx, peers={
             r: i for r, i in ctx.peers.items() if r is not Role.MM})
@@ -176,7 +174,6 @@ def mm_with_session(device="d1", style=HandoverStyle.MAKE_BEFORE_BREAK):
     state = MMState()
     state.sessions[device] = "s-1"
     state.tracking_areas[device] = "area-1"
-    state.locations[device] = "n1"
     state.paging_state[device] = PagingState.REACHABLE
     state.device_modes[device] = "direct"
     policy = MobilityPolicy(style=style)
@@ -277,7 +274,6 @@ class TestHandover:
               {"device": "d1", "phase": "confirm", "node": "w1",
                "tech": "wifi", "area": "area-2"}, Role.UE, corr)
         assert state.tracking_areas["d1"] == "area-2"
-        assert state.locations["d1"] == "w1"
 
     def test_path_reply_without_a_plan_is_ignored(self):
         state, _, ctx = mm_with_session()
@@ -293,7 +289,7 @@ class TestHandover:
             {"device": "d1", "phase": "confirm", "node": "w1", "tech": "wifi",
              "area": "area-2"}, Role.UE)
         assert (drafts, events) == ([], [])
-        assert state.locations["d1"] == "n1"
+        assert state.tracking_areas["d1"] == "area-1"
 
 
 class TestPaging:
@@ -322,7 +318,6 @@ class TestPaging:
                              {"device": "d1", "phase": "page-response",
                               "node": "n2"}, Role.AF, "d1:page:1")
         assert state.paging_state["d1"] is PagingState.REACHABLE
-        assert state.locations["d1"] == "n2"
         assert any(e.kind == "page-complete" for e in events)
 
     def test_unanswered_page_times_out_back_to_idle(self):

@@ -271,7 +271,7 @@ class TestApply:
         state = FMState(view=view_from([("a", "b", 10, 1), ("b", "c", 10, 2),
                                         ("b", "d", 10, 1)]))
         ctx = fm_ctx()
-        state.sessions["s-1"] = SessionBinding("d1", "c", "a", ["f1"])
+        state.sessions["s-1"] = SessionBinding("c", ["f1"])
         old = fm_define_path(state, "f1", "a", "c", "default")
         fm_handle(state, to_fm(ProcedureKind.SESSION_ESTABLISH, {
             "session": "s-1", "phase": "reanchor", "flow": "f1",
@@ -293,7 +293,7 @@ def to_fm(kind, payload, source_role=Role.CM, corr="c1"):
 
 def fm_with_flow(flow="f1", session="s-1"):
     state = FMState(view=line_view())
-    state.sessions[session] = SessionBinding("d1", "c", "a", [flow])
+    state.sessions[session] = SessionBinding("c", [flow])
     state.flow_sessions[flow] = session
     fm_define_path(state, flow, "a", "c", "default")
     return state
@@ -365,11 +365,10 @@ class TestFmHandlerRefusals:
         assert [(d.destination, d.payload) for d in replies] == [
             (msg.source, {"session": "s-1", "phase": "new-path-ok", "ok": True})]
         assert state.handover_jobs == {}
-        assert state.sessions["s-1"].ingress == "b"
 
     def test_handover_release_keeps_other_sessions_old_paths(self):
         state = fm_with_flow()
-        state.sessions["s-2"] = SessionBinding("d2", "c", "a", ["f2"])
+        state.sessions["s-2"] = SessionBinding("c", ["f2"])
         state.flow_sessions["f2"] = "s-2"
         for flow in ("f1", "f2"):
             state.swapped_out[flow] = fm_define_path(state, flow, "a", "c",
@@ -419,14 +418,14 @@ LATENCY_RULE = ContextModelRule(
 class TestContextGeneration:
     def warm(self, state, subject="f1", baseline=10.0, ticks=4):
         for t in range(ticks):
-            cghf_ingest(state, "flow-latency", subject, baseline, "dplane", t)
+            cghf_ingest(state, "flow-latency", subject, baseline, t)
 
     def test_sample_buffered_and_window_evicted(self):
         state = CGHFState(models=(LATENCY_RULE,))
-        cghf_ingest(state, "flow-latency", "f1", 12.0, "fm", tick=0)
+        cghf_ingest(state, "flow-latency", "f1", 12.0, tick=0)
         assert len(state.buffer[("flow-latency", "f1")]) == 1
         for t in range(1, 6):
-            cghf_ingest(state, "flow-latency", "f1", 12.0, "fm", tick=t)
+            cghf_ingest(state, "flow-latency", "f1", 12.0, tick=t)
         buffered = state.buffer[("flow-latency", "f1")]
         assert all(s.tick > 5 - LATENCY_RULE.window for s in buffered)
         assert len(buffered) <= LATENCY_RULE.window
@@ -436,7 +435,7 @@ class TestContextGeneration:
         self.warm(state, baseline=10.0)             # baseline locks at 10
         ctx = cghf_ctx()
         for t in range(8, 12):
-            cghf_ingest(state, "flow-latency", "f1", 18.0, "dplane", t)
+            cghf_ingest(state, "flow-latency", "f1", 18.0, t)
             state, drafts, _ = cghf_generate(state, t, ctx)
             if drafts:
                 break
@@ -446,7 +445,7 @@ class TestContextGeneration:
         assert notify.payload["statement"] == "latency_above_normal"
         # sustained condition does not re-fire
         for t in range(12, 16):
-            cghf_ingest(state, "flow-latency", "f1", 18.0, "dplane", t)
+            cghf_ingest(state, "flow-latency", "f1", 18.0, t)
             state, more, _ = cghf_generate(state, t, ctx)
             drafts += more
         assert len(drafts) == 1
@@ -463,11 +462,11 @@ class TestContextGeneration:
         state = CGHFState(models=(LATENCY_RULE, loss_rule))
         ctx = cghf_ctx()
         for t in range(4):
-            cghf_ingest(state, "flow-latency", "f1", 10.0, "dplane", t)
+            cghf_ingest(state, "flow-latency", "f1", 10.0, t)
         for t in range(2):
-            cghf_ingest(state, "flow-loss", "f1", 1.0, "dplane", t + 2)
-        cghf_ingest(state, "flow-latency", "f1", 40.0, "dplane", 4)
-        cghf_ingest(state, "flow-loss", "f1", 9.0, "dplane", 4)
+            cghf_ingest(state, "flow-loss", "f1", 1.0, t + 2)
+        cghf_ingest(state, "flow-latency", "f1", 40.0, 4)
+        cghf_ingest(state, "flow-loss", "f1", 9.0, 4)
         state, drafts, _ = cghf_generate(state, 4, ctx)
         topics = [d.payload["topic"] for d in drafts]
         assert topics == sorted(topics) == ["a-loss", "dplane-latency"]
@@ -536,7 +535,7 @@ def test_generation_over_fresh_keys_matches_every_key(steps, window,
             assert _normalize(fresh) == _normalize(every)
         else:
             for state in (fresh, every):
-                cghf_ingest(state, *step, source="dplane", tick=tick)
+                cghf_ingest(state, *step, tick=tick)
 
 
 def ingest_by_rescan(oracle: dict, models, metric, subject, value, tick):
@@ -547,7 +546,7 @@ def ingest_by_rescan(oracle: dict, models, metric, subject, value, tick):
     window = max(windows) if windows else DEFAULT_WINDOW
     buffer = oracle["buffer"]
     samples = buffer.setdefault((metric, subject), [])
-    samples.append(Sample(tick=tick, value=value, source="dplane"))
+    samples.append(Sample(tick=tick, value=value))
     buffer[(metric, subject)] = [s for s in samples if s.tick > tick - window]
     for model in models:
         if model.metric != metric:
@@ -587,7 +586,7 @@ def test_in_place_trim_matches_filter_and_rescan(ingests, short, long):
     tick = 0
     for advance, metric, subject, value in ingests:
         tick += advance
-        cghf_ingest(state, metric, subject, value, "dplane", tick)
+        cghf_ingest(state, metric, subject, value, tick)
         ingest_by_rescan(oracle, models, metric, subject, value, tick)
         assert state.buffer == oracle["buffer"]
         assert state.warmup == oracle["warmup"]

@@ -1,5 +1,7 @@
 """Security/AAA and connectivity-management state machine tests."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,11 +146,9 @@ class TestSingleSignOn:
         assert sum(k == "auth" for k in kinds) == 1
 
 
-def pending(device="d1", node="n1", accesses=(), tech="cellular", method=2,
-            direct=True):
+def pending(device="d1", node="n1", accesses=(), tech="cellular", direct=True):
     return PendingAttach(device=device, alias="psn-x", accesses=tuple(accesses),
-                         node=node, area="area-1", tech=tech, method=method,
-                         direct=direct)
+                         node=node, area="area-1", tech=tech, direct=direct)
 
 
 def authenticating_state(device="d1"):
@@ -184,10 +184,25 @@ class TestCmAttach:
 
     def test_two_requested_accesses_allocate_two_addresses(self):
         state = authenticating_state()
-        cm_attach(state, pending(accesses=("cellular", "wifi")), True,
-                  make_ctx(), "c1")
-        record = state.sessions[state.device_sessions["d1"]]
-        assert len(record.addresses) == 2
+        drafts, _ = cm_attach(state, pending(accesses=("cellular", "wifi")),
+                              True, make_ctx(), "c1")
+        [register] = drafts
+        assert register.payload["phase"] == "register"
+        assert register.payload["addresses"] == [
+            "ip-slice-a-d1-cellular", "ip-slice-a-d1-wifi"]
+
+    def test_detach_leaves_no_node_or_mode_of_the_device(self):
+        # the device's access node and signalling mode live on its session,
+        # which the detach ends; only the convergent state remembers it
+        state = authenticating_state()
+        ctx = make_ctx()
+        cm_attach(state, pending(direct=False), True, ctx, "d1:attach:1")
+        cm_handle(state, to_cm(ProcedureKind.SESSION_RELEASE,
+                               {"device": "d1", "scope": "detach"},
+                               corr="d1:detach:1"), ctx)
+        assert state.device_table == {"d1": ConvergentState.DETACHED}
+        assert [f.name for f in dataclasses.fields(state)
+                if "d1" in str(getattr(state, f.name))] == ["device_table"]
 
     def test_no_anchor_candidates_raises(self):
         state = authenticating_state()
@@ -347,9 +362,8 @@ class TestCmHandlerRefusals:
 
 def with_session(flow="f1"):
     state = CMState()
-    state.sessions["s-1"] = SessionRecord("s-1", "d1", "a1", ("ip-1",), [flow])
+    state.sessions["s-1"] = SessionRecord("s-1", "d1", "a1", "n1", True, [flow])
     state.device_sessions["d1"] = "s-1"
-    state.device_nodes["d1"] = "n1"
     return state
 
 

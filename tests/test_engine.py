@@ -1042,8 +1042,7 @@ class TestScriptPaths:
                             (Role.UE, Role.AF, "confirm"),
                             (Role.AF, Role.MM, "confirm")]
         assert len(events(result, "handover-complete")) == 1
-        records = env.slices["mob-a"].states[Role.AF].path_records["d5"]
-        assert [(r.event, r.node) for r in records][-1] == ("handover", "n2")
+        assert env.slices["mob-a"].states[Role.AF].device_location["d5"] == "n2"
         assert result.metrics.flows["f5"]["lost"] == 0
 
 

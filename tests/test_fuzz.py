@@ -209,12 +209,16 @@ def test_teardown_ends_every_flow_through_its_device_detach(monkeypatch,
         if event.action != "teardown":
             return run_script_event(env, event)
         instance = env.slices[event.args[0]]
-        flows = instance.dplane.flows.values()
-        active = {run.device for run in flows if run.active}
+        flows = instance.dplane.flows
+        # the owners of the plane's active runs; a run another start
+        # replaced under its id is no longer the plane's
+        active = {device for device, runs in env._flows_of.items()
+                  for run in runs.values()
+                  if run.active and flows.get(run.flow_id) is run}
         assert active <= {ident for ident, device in env.devices.items()
                           if device.bound_slice == instance.slice_id}
         run_script_event(env, event)
-        assert not any(run.active for run in flows)
+        assert not any(run.active for run in flows.values())
         ended.append(len(active))
 
     monkeypatch.setattr(Environment, "_run_script_event", checked)

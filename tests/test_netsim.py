@@ -119,7 +119,7 @@ class TestUnitMotion:
     def test_latency_equals_link_latency_sum(self):
         dp = make_dplane()
         install_path(dp, "f1", ("i1", "t", "a1"))
-        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+        dp.add_flow(FlowRun(flow_id="f1", rate=1,
                             remaining_emissions=1, ingress="i1"))
         arrivals = []
         for tick in range(0, 10):
@@ -132,7 +132,7 @@ class TestUnitMotion:
 
     def test_flow_waits_for_first_rule_then_counts_gap_losses(self):
         dp = make_dplane()
-        run = FlowRun(flow_id="f1", device="d1", rate=1,
+        run = FlowRun(flow_id="f1", rate=1,
                       remaining_emissions=5, ingress="i1")
         dp.add_flow(run)
         dp.step(0)
@@ -150,7 +150,7 @@ class TestUnitMotion:
     def test_teardown_mid_flight_loses_the_unit(self):
         dp = make_dplane()
         install_path(dp, "f1", ("i1", "t", "a1"))
-        run = FlowRun(flow_id="f1", device="d1", rate=1,
+        run = FlowRun(flow_id="f1", rate=1,
                       remaining_emissions=1, ingress="i1")
         dp.add_flow(run)
         dp.step(0)    # unit on link i1~t (2 ticks)
@@ -168,7 +168,7 @@ class TestUnitMotion:
     def test_load_samples_report_zero_crossings(self):
         dp = make_dplane()
         install_path(dp, "f1", ("i2", "t", "a1"))
-        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+        dp.add_flow(FlowRun(flow_id="f1", rate=1,
                             remaining_emissions=1, ingress="i2"))
         loads0, *_ = dp.step(0)
         assert ("i2~t", 0.1) in loads0
@@ -184,7 +184,7 @@ class TestUnitMotion:
     def test_conservation_under_random_teardown(self, rate, duration, cut_ticks):
         dp = make_dplane()
         install_path(dp, "f1", ("i1", "t", "a1"))
-        run = FlowRun(flow_id="f1", device="d1", rate=rate,
+        run = FlowRun(flow_id="f1", rate=rate,
                       remaining_emissions=duration, ingress="i1")
         dp.add_flow(run)
         for tick in range(0, 20):
@@ -201,7 +201,7 @@ class TestLiveFlows:
     def test_finished_flow_leaves_the_step_loop_and_keeps_its_counters(self):
         dp = make_dplane()
         install_path(dp, "f1", ("i1", "t", "a1"))
-        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+        dp.add_flow(FlowRun(flow_id="f1", rate=1,
                             remaining_emissions=1, ingress="i1"))
         for tick in range(6):
             assert dp.due()
@@ -213,11 +213,11 @@ class TestLiveFlows:
     def test_replaced_flow_owes_its_links_one_zero_sample(self):
         dp = make_dplane()
         install_path(dp, "f1", ("i1", "t", "a1"))
-        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+        dp.add_flow(FlowRun(flow_id="f1", rate=1,
                             remaining_emissions=1, ingress="i1"))
         loads, *_ = dp.step(0)
         assert loads == [("i1~t", 0.1)]
-        dp.add_flow(FlowRun(flow_id="f1", device="d1", rate=1,
+        dp.add_flow(FlowRun(flow_id="f1", rate=1,
                             remaining_emissions=0, ingress="i1"))
         assert dp.due() and not dp.has_work()
         loads, *_ = dp.step(1)
@@ -339,7 +339,7 @@ def test_batched_step_matches_the_per_unit_oracle(flows, changes):
             if not complete:    # snapshots stop short of a deliver rule
                 plane.configure({"node": nodes[-1], "flow": f"f{i}",
                                  "action": "remove", "next": "deliver"})
-            plane.add_flow(FlowRun(flow_id=f"f{i}", device="d", rate=rate,
+            plane.add_flow(FlowRun(flow_id=f"f{i}", rate=rate,
                                    remaining_emissions=duration,
                                    ingress=nodes[0]))
     for tick in range(24):
@@ -368,7 +368,7 @@ def test_batched_step_matches_the_per_unit_oracle(flows, changes):
 def test_one_emission_travels_as_one_batch():
     dp = make_dplane()
     install_path(dp, "f1", ("i1", "t", "a1"))
-    run = FlowRun(flow_id="f1", device="d1", rate=3, remaining_emissions=2,
+    run = FlowRun(flow_id="f1", rate=3, remaining_emissions=2,
                   ingress="i1")
     dp.add_flow(run)
     dp.step(0)
