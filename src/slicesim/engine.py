@@ -71,16 +71,16 @@ _TICK_HOOKS = {
     Role.CGHF: cghf_mod.tick_hook,
 }
 
-#: Per tick-hook role, whether a block has work, after handling `msg` (it
-#: joins the due list) or at the end of a tick with `msg` None (it leaves
-#: without): a page out, rules to retire, a sample ingested this tick.  A
-#: hook called without work is a no-op.  An FM awaiting acknowledgements
-#: needs no hook: each install it awaits is answered through the queue.
+#: Per tick-hook role, whether a block's state holds work for its hook: a
+#: page out, rules to retire, a key sampled since the last generation.  A
+#: block with work joins the due list after a delivery and leaves it at the
+#: end of a tick without; a hook called without work is a no-op.  An FM
+#: awaiting acknowledgements needs no hook: each install it awaits is
+#: answered through the queue.
 _HAS_WORK = {
-    Role.MM: lambda state, msg: state.pages,
-    Role.FM: lambda state, msg: state.retiring,
-    Role.CGHF: lambda state, msg: (
-        msg is not None and msg.kind is ProcedureKind.CONTEXT_PUBLISH),
+    Role.MM: attrgetter("pages"),
+    Role.FM: attrgetter("retiring"),
+    Role.CGHF: attrgetter("_fresh"),
 }
 
 DEFAULT_MAX_TICKS = 400
@@ -431,7 +431,7 @@ class Environment:
             return
         finally:
             has_work = _HAS_WORK.get(role)
-            if has_work is not None and has_work(state, msg):
+            if has_work is not None and has_work(state):
                 self._wake(instance, role)
         if events:
             self._absorb(events, ctx.slice_id)
@@ -741,7 +741,7 @@ class Environment:
             self.emit(drafts)
         self._due = {key: entry for key, entry in self._due.items()
                      if (entry[2].due() if entry[1] is None
-                         else _HAS_WORK[entry[1]](entry[2], None))}
+                         else _HAS_WORK[entry[1]](entry[2]))}
 
     def _step_plane(self, instance) -> None:
         sid = instance.slice_id
