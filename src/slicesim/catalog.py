@@ -391,12 +391,11 @@ def evaluate_grouping(bbs: Iterable[BBDefinition],
         communicating_pairs=frozenset(pairs))
 
 
-def refine(bbs: Iterable[BBDefinition], report: GroupingReport,
+def refine(report: GroupingReport,
            threshold: int = DEFAULT_CROSS_BB_THRESHOLD) -> RefinementDecision:
     """Step-4 decision.  Exceeding the threshold sends the loop back to
     step 3; exceeding twice the threshold signals that sub-functions need
     redefinition (back to step 1).  Pure decision, no mutation."""
-    del bbs  # the decision depends only on the report
     redefine = tuple(sorted(
         p for p, n in report.cross_bb.items() if n > 2 * threshold))
     if redefine:
@@ -410,7 +409,7 @@ def compose(catalog: SFCatalog) -> tuple:
     """Run steps 2-4 end to end; returns (bbs, report, decision)."""
     bbs = group_into_bbs(catalog, derive_separation_constraints(catalog))
     report = evaluate_grouping(bbs, catalog.procedures.values())
-    return bbs, report, refine(bbs, report)
+    return bbs, report, refine(report)
 
 
 def render_grouping(bbs: Iterable[BBDefinition], report: GroupingReport) -> str:

@@ -533,7 +533,7 @@ class TestRefine:
         report = GroupingReport(cross_bb={"attach": count}, intra_bb={"attach": 0},
                                 total_inter_bb_interfaces=1,
                                 communicating_pairs=frozenset())
-        decision = refine(two_block_grouping(), report, threshold=5)
+        decision = refine(report, threshold=5)
         assert decision.action is action
         assert decision.offending_procedures == offending
 
@@ -541,4 +541,4 @@ class TestRefine:
         report = GroupingReport(cross_bb={"p": DEFAULT_CROSS_BB_THRESHOLD},
                                 intra_bb={"p": 0}, total_inter_bb_interfaces=1,
                                 communicating_pairs=frozenset())
-        assert refine(two_block_grouping(), report).action is RefinementAction.ACCEPT
+        assert refine(report).action is RefinementAction.ACCEPT
