@@ -7,7 +7,8 @@ each in its own process as the benchmark runs it.  Each untraced run gives
 the reference-scaled median of every end-to-end metric; the record keeps,
 per workload and metric, the median and interquartile range of those run
 medians over the seeds.  The traced run gives the per-layer figures.  The
-record, with the machine, Python version, git revision and `src/` line
+record, with each workload's generator parameters (`perfbench/gen.py`'s
+WORKLOADS), the machine, Python version, git revision and `src/` line
 count, goes to BENCH_<label>.json at the repo root.  Not part of the test
 suite: with the defaults it takes about three minutes.
 
@@ -15,6 +16,7 @@ Usage: python3 scripts/bench.py --label NAME [--seeds 1,2,3] [--seconds 10]
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -24,6 +26,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
 
 
 def git_rev() -> str:
@@ -83,6 +88,7 @@ def main() -> int:
                              "unit": unit}
                       for name, unit in units.items()}
         workloads[workload] = {
+            "params": dataclasses.asdict(gen.WORKLOADS[workload]),
             "correct": all(r["correct"] for r in (*runs, traced)),
             "end_to_end": end_to_end,
             "per_layer": {name: m["value"]
