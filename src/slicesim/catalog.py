@@ -149,29 +149,38 @@ class SFCatalog:
 
 _SEPARATION_FIELDS = ("placement", "reusability", "optionality", "evolution")
 
+#: The enum-valued fields of an sf block in checking order, each with its
+#: enum and that enum's members by value.
+_SF_ATTRIBUTES = tuple((key, enum, {member.value: member for member in enum})
+                       for key, enum in (("originator", Originator),
+                                         ("domain", FunctionalDomain),
+                                         ("placement", Placement),
+                                         ("reusability", Reusability),
+                                         ("optionality", Optionality),
+                                         ("evolution", EvolutionCycle)))
+
 
 def _parse_sf(block: Block) -> SFDescriptor:
-    missing = [f for f in _SEPARATION_FIELDS if f not in block.fields]
+    fields = block.fields
+    missing = [f for f in _SEPARATION_FIELDS if f not in fields]
     if missing:
         raise MissingAttributeError(
             f"sf '{block.ident}' missing separation attribute(s): {', '.join(missing)}")
-    try:
-        return SFDescriptor(
-            sf_id=block.ident,
-            name=block.require("name"),
-            description=block.get("desc", ""),
-            originator=Originator(block.require("originator")),
-            functional_domain=FunctionalDomain(block.require("domain")),
-            placement=Placement(block.require("placement")),
-            reusability=Reusability(block.require("reusability")),
-            optionality=Optionality(block.require("optionality")),
-            evolution_cycle=EvolutionCycle(block.require("evolution")),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"sf '{block.ident}': {exc}") from None
+    sf_id = block.ident
+    name = block.require("name")
+    attributes = []
+    for key, enum, members in _SF_ATTRIBUTES:
+        member = members.get(fields.get(key))
+        if member is None:   # missing or unknown: raise the checked error
+            try:
+                member = enum(block.require(key))
+            except ValueError as exc:
+                raise SchemaError(f"sf '{sf_id}': {exc}") from None
+        attributes.append(member)
+    return SFDescriptor(sf_id, name, fields.get("desc", ""), *attributes)
 
 
-def _parse_procedure(block: Block, sf_ids: set) -> ProcedureSpec:
+def _parse_procedure(block: Block, sfs: Mapping) -> ProcedureSpec:
     steps = []
     for rest in block.items_of("step"):
         if len(rest) != 3 or rest[1] != "->":
@@ -179,7 +188,7 @@ def _parse_procedure(block: Block, sf_ids: set) -> ProcedureSpec:
                 f"procedure '{block.ident}': step must read 'step <producer> -> <consumer>'")
         producer, _, consumer = rest
         for sf in (producer, consumer):
-            if sf not in sf_ids:
+            if sf not in sfs:
                 raise SchemaError(
                     f"procedure '{block.ident}' references unknown sf '{sf}'")
         steps.append((producer, consumer))
@@ -202,7 +211,7 @@ def load_catalog(text: str, source: str = "<catalog>") -> SFCatalog:
             continue
         if block.ident in procedures:
             raise SchemaError(f"duplicate procedure '{block.ident}'")
-        procedures[block.ident] = _parse_procedure(block, set(sfs))
+        procedures[block.ident] = _parse_procedure(block, sfs)
     return SFCatalog(sfs=sfs, procedures=procedures)
 
 
@@ -224,18 +233,21 @@ def reference_blocks() -> tuple:
 
 # -- step 2: separation constraints -------------------------------------------
 
+#: Edge and core sit on opposite sides; 'either' sits on neither.
+_PLACEMENT_SIDE = {Placement.EDGE: 1, Placement.CORE: -1, Placement.EITHER: 0}
+
+
 def derive_separation_constraints(catalog: SFCatalog) -> frozenset:
     """The unordered pairs (`frozenset`s) of sub-functions that must live in
     different blocks: those that differ in any separation attribute.
     Placement separates only edge from core; 'either' conflicts with
     nothing.  Output is independent of catalog ordering."""
+    keyed = [(sf.sf_id, (sf.reusability, sf.optionality, sf.evolution_cycle),
+              _PLACEMENT_SIDE[sf.placement]) for sf in catalog.sfs.values()]
     return frozenset(
-        frozenset((a.sf_id, b.sf_id))
-        for a, b in combinations(catalog.sfs.values(), 2)
-        if {a.placement, b.placement} == {Placement.EDGE, Placement.CORE}
-        or a.reusability is not b.reusability
-        or a.optionality is not b.optionality
-        or a.evolution_cycle is not b.evolution_cycle)
+        frozenset((a, b))
+        for (a, a_key, a_side), (b, b_key, b_side) in combinations(keyed, 2)
+        if a_key != b_key or a_side * b_side < 0)
 
 
 # -- step 3: grouping ----------------------------------------------------------
@@ -291,7 +303,7 @@ def _score(assignment: Mapping[str, int], procedures: Iterable[ProcedureSpec]) -
         for producer, consumer in proc.steps:
             pa, pb = assignment[producer], assignment[consumer]
             if pa != pb:
-                pairs.add(frozenset((pa, pb)))
+                pairs.add((pa, pb) if pa < pb else (pb, pa))
     return len(pairs)
 
 

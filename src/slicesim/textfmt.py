@@ -57,39 +57,42 @@ def parse_blocks(text: str, block_kinds: set[str], source: str = "<text>") -> li
     """Parse a document into top-level blocks.
 
     `block_kinds` names the words that open a (possibly nested) block; any
-    other non-field line inside a block is an item line.
+    other non-field line inside a block is an item line.  A field's key is
+    its line's first token without the closing ':' and may hold no other
+    ':'; its value is the rest of the line after that token, stripped.
     """
     top: list[Block] = []
-    stack: list[Block] = []
+    stack: list[Block] = []   # the open blocks around `block`
+    block = None              # the innermost open block
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         tokens = line.split()
-        where = f"{source}:{lineno}"
-        if tokens[0] == "end":
-            if not stack:
-                raise SchemaError(f"{where}: 'end' outside any block")
-            block = stack.pop()
-            if stack:
-                stack[-1].children.append(block)
-            else:
-                top.append(block)
-            continue
-        if tokens[0] in block_kinds:
-            stack.append(Block(kind=tokens[0], args=tuple(tokens[1:])))
-            continue
-        if not stack:
-            raise SchemaError(f"{where}: content outside a block: {line!r}")
-        if tokens[0].endswith(":"):
-            key = tokens[0][:-1]
-            if key in stack[-1].fields:
-                raise SchemaError(f"{where}: duplicate field '{key}'")
-            stack[-1].fields[key] = line.split(":", 1)[1].strip()
+        word = tokens[0]
+        if word == "end":
+            if block is None:
+                raise SchemaError(f"{source}:{lineno}: 'end' outside any block")
+            closed = block
+            block = stack.pop() if stack else None
+            (top if block is None else block.children).append(closed)
+        elif word in block_kinds:
+            if block is not None:
+                stack.append(block)
+            block = Block(word, tuple(tokens[1:]))
+        elif block is None:
+            raise SchemaError(f"{source}:{lineno}: content outside a block: {line!r}")
+        elif word[-1] == ":":
+            key = word[:-1]
+            if key in block.fields:
+                raise SchemaError(f"{source}:{lineno}: duplicate field '{key}'")
+            if ":" in key:
+                raise SchemaError(f"{source}:{lineno}: field key '{key}' holds a ':'")
+            block.fields[key] = line[len(word):].lstrip()
         else:
-            stack[-1].items.append((tokens[0], tuple(tokens[1:])))
-    if stack:
-        raise SchemaError(f"{source}: unterminated block '{stack[-1].kind}'")
+            block.items.append((word, tuple(tokens[1:])))
+    if block is not None:
+        raise SchemaError(f"{source}: unterminated block '{block.kind}'")
     return top
 
 

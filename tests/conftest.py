@@ -1,5 +1,7 @@
 import dataclasses
 import importlib.resources
+import importlib.util
+import sys
 from pathlib import Path
 
 from slicesim.blocks.sam import AuditEntry, SAMState
@@ -18,6 +20,17 @@ def reference_catalog_text() -> str:
 
 def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / name
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark's own code, `perfbench/<name>.py`, imported
+    under its own name as the benchmark's tests import it."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, REPO_ROOT / "perfbench" / f"{name}.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 class NoContextError(SliceSimError):

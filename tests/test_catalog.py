@@ -13,11 +13,14 @@ from slicesim.catalog import (
     GroupingReport, Optionality, Originator, Placement, ProcedureSpec,
     RefinementAction, Reusability, SFCatalog, SFDescriptor,
     derive_separation_constraints, evaluate_grouping, DOMAIN_BB_CODES,
-    _maximal_partitions, group_into_bbs, load_catalog, refine, render_grouping,
+    _maximal_partitions, _parse_sf, group_into_bbs, load_catalog, refine,
+    render_grouping,
 )
 from slicesim.errors import (
-    DuplicateSfError, MissingAttributeError, SchemaError, UnassignedSfError,
+    DuplicateSfError, MissingAttributeError, SchemaError, SliceSimError,
+    UnassignedSfError,
 )
+from slicesim.textfmt import parse_blocks
 
 from conftest import reference_catalog_text
 
@@ -265,6 +268,94 @@ class TestSeparationConstraints:
                     or a.evolution_cycle != b.evolution_cycle):
                 expected.add(frozenset((a.sf_id, b.sf_id)))
         assert got == frozenset(expected)
+
+
+# -- steps 1 and 2 against their earlier forms ---------------------------------
+
+def oracle_parse_sf(block):
+    """Step 1 for one sf block as it read with one enum call per attribute,
+    kept as the reference."""
+    missing = [f for f in ("placement", "reusability", "optionality", "evolution")
+               if f not in block.fields]
+    if missing:
+        raise MissingAttributeError(
+            f"sf '{block.ident}' missing separation attribute(s): {', '.join(missing)}")
+    try:
+        return SFDescriptor(
+            sf_id=block.ident,
+            name=block.require("name"),
+            description=block.get("desc", ""),
+            originator=Originator(block.require("originator")),
+            functional_domain=FunctionalDomain(block.require("domain")),
+            placement=Placement(block.require("placement")),
+            reusability=Reusability(block.require("reusability")),
+            optionality=Optionality(block.require("optionality")),
+            evolution_cycle=EvolutionCycle(block.require("evolution")),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"sf '{block.ident}': {exc}") from None
+
+
+def oracle_separation_constraints(catalog):
+    """Step 2 as it read with two sets per pair, kept as the reference."""
+    return frozenset(
+        frozenset((a.sf_id, b.sf_id))
+        for a, b in itertools.combinations(catalog.sfs.values(), 2)
+        if {a.placement, b.placement} == {Placement.EDGE, Placement.CORE}
+        or a.reusability is not b.reusability
+        or a.optionality is not b.optionality
+        or a.evolution_cycle is not b.evolution_cycle)
+
+
+#: Every enum-valued field of an sf block with every value it may take.
+SF_FIELD_VALUES = {"originator": Originator, "domain": FunctionalDomain,
+                   "placement": Placement, "reusability": Reusability,
+                   "optionality": Optionality, "evolution": EvolutionCycle}
+
+
+@st.composite
+def sf_documents(draw):
+    """Catalog documents whose sfs draw every attribute value, `either`
+    included; a third of the sfs lose a field or get an unknown value, some
+    of them twice, so that the order of the checks shows."""
+    lines = []
+    for i in range(draw(st.integers(0, 9))):
+        fields = {"name": f"n{i}", "desc": "d"}
+        fields.update({key: draw(st.sampled_from([m.value for m in enum]))
+                       for key, enum in SF_FIELD_VALUES.items()})
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+            key = draw(st.sampled_from(sorted(fields)))
+            if draw(st.booleans()):
+                fields.pop(key, None)
+            else:
+                fields[key] = "bogus"
+        lines.append(f"sf sf{i}")
+        lines += [f"  {key}: {value}" for key, value in fields.items()]
+        lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def parsed_or_error(parse, block):
+    try:
+        return parse(block)
+    except SliceSimError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sf_documents())
+def test_steps_1_and_2_match_their_oracles(text):
+    blocks = parse_blocks(text, {"sf", "procedure"})
+    parsed = {}
+    for block in blocks:
+        expected = parsed_or_error(oracle_parse_sf, block)
+        assert parsed_or_error(_parse_sf, block) == expected
+        if isinstance(expected, SFDescriptor):
+            parsed[block.ident] = expected
+    cat = catalog_of(parsed.values())
+    assert derive_separation_constraints(cat) == oracle_separation_constraints(cat)
+    if len(parsed) == len(blocks):
+        assert load_catalog(text).sfs == cat.sfs
 
 
 # -- step 3 ---------------------------------------------------------------------
