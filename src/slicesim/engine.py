@@ -138,7 +138,10 @@ def _load_scenario(path: Path) -> Scenario:
     block = top[0]
     base = path.parent
 
-    topology = load_topology_file(base / block.require("topology"))
+    topology_path = block.require("topology")
+    if not topology_path:   # `base / ""` would name the scenario's directory
+        raise ScenarioError(f"{path}: field 'topology' is empty")
+    topology = load_topology_file(base / topology_path)
     blueprints = []
     for rest in block.items_of("blueprint"):
         if len(rest) != 1:

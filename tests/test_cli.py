@@ -124,9 +124,9 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
 
 
 def test_input_path_naming_a_directory_exits_one(tmp_path, capsys):
-    # an empty `topology:` value names the scenario's own directory
+    # `topology: .` names the scenario's own directory
     scenario = tmp_path / "x.scn"
-    scenario.write_text("scenario x\n  topology:\nend\n")
+    scenario.write_text("scenario x\n  topology: .\nend\n")
     assert main(["validate", "--scenario", str(scenario)]) == 1
     assert capsys.readouterr().err.startswith("error: [Errno ")
 

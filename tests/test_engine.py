@@ -125,6 +125,12 @@ end
         with pytest.raises(ScenarioError):
             load_scenario(bad)
 
+    def test_empty_topology_field_names_the_field(self, tmp_path):
+        bad = tmp_path / "bad.scn"
+        bad.write_text("scenario bad\n  topology: \nend\n")
+        with pytest.raises(ScenarioError, match="field 'topology' is empty"):
+            load_scenario(bad)
+
 
 class TestDeterminism:
     def test_equal_seeds_produce_identical_traces(self):
