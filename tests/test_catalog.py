@@ -270,11 +270,11 @@ class TestSeparationConstraints:
         assert got == frozenset(expected)
 
 
-# -- steps 1 and 2 against their earlier forms ---------------------------------
+# -- steps 1 and 2 against references ----------------------------------------
 
 def oracle_parse_sf(block):
-    """Step 1 for one sf block as it read with one enum call per attribute,
-    kept as the reference."""
+    """Step 1 for one sf block with one enum call per attribute, kept as the
+    reference."""
     missing = [f for f in ("placement", "reusability", "optionality", "evolution")
                if f not in block.fields]
     if missing:
@@ -297,7 +297,7 @@ def oracle_parse_sf(block):
 
 
 def oracle_separation_constraints(catalog):
-    """Step 2 as it read with two sets per pair, kept as the reference."""
+    """Step 2 with two sets per pair, kept as the reference."""
     return frozenset(
         frozenset((a.sf_id, b.sf_id))
         for a, b in itertools.combinations(catalog.sfs.values(), 2)

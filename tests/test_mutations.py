@@ -36,11 +36,13 @@ def mutations(lines: list) -> list:
         out.append((i + 1, "drop", before + after))
         first = stripped.split()[0]
         if first != stripped:
-            out.append((i + 1, "cut", before + [line[:line.index(first) + len(first)] + " "] + after))
+            cut = line[:line.index(first) + len(first)] + " "
+            out.append((i + 1, "cut", before + [cut] + after))
         out.append((i + 1, "repeat", before + [line, line] + after))
         for digit in re.finditer(r"(?<![0-9])[0-9]", line):
             at = digit.start()
-            out.append((i + 1, f"letter@{at}", before + [line[:at] + "x" + line[at + 1:]] + after))
+            lettered = line[:at] + "x" + line[at + 1:]
+            out.append((i + 1, f"letter@{at}", before + [lettered] + after))
     return out
 
 

@@ -78,12 +78,12 @@ def test_field_value_is_the_rest_after_the_key():
     assert block.fields == {"url": "http://h:80/p  q", "empty": ""}
 
 
-# -- the parser against its earlier single-stack form -------------------------
+# -- the parser against a single-stack reference ------------------------------
 
 def oracle_parse_blocks(text, block_kinds, source="<text>"):
-    """The parser as it read before it kept the innermost block in a local,
-    kept as the reference.  It differs only on a field key with an inner
-    ':', which it accepted."""
+    """A single-stack parser that re-reads the stack top and splits a field
+    line twice, kept as the reference.  It differs only on a field key with
+    an inner ':', which it accepts."""
     top = []
     stack = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
