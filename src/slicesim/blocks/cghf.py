@@ -59,7 +59,7 @@ class CGHFState:
 
 
 def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
-                tick: int) -> CGHFState:
+                tick: int) -> None:
     """Append a sample to the windowed buffer and drop the samples that
     left the window.  Samples arrive in tick order, so only the front of a
     key's list can expire."""
@@ -83,7 +83,6 @@ def cghf_ingest(state: CGHFState, metric: str, subject: str, value: float,
         if len(pending) >= model.window:
             state.baselines[bkey] = sum(pending[:model.window]) / model.window
             del state.warmup[bkey]
-    return state
 
 
 def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):

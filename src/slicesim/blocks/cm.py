@@ -138,20 +138,18 @@ def select_anchor(ctx: BlockContext, node: str, exclude: str | None = None) -> s
 
 
 def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
-              ctx: BlockContext, corr: str):
+              ctx: BlockContext, corr: str, drafts: list, events: list) -> None:
     """Complete an attachment after authentication.
 
     Success allocates one network address per requested access network,
     selects the data-plane anchor, creates the device's session and registers
     it with flow management.  Failure detaches the device and allocates
     nothing.  The register exchange rides the attach correlation."""
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
     device = pending.device
     if not auth_ok:
         _transition(state, device, ConvergentState.DETACHED, events, ctx.slice_id)
         events.append(BlockEvent("attach-denied", device, {"slice": ctx.slice_id}))
-        return drafts, events
+        return
 
     anchor = select_anchor(ctx, pending.node)
     state.session_counter += 1
@@ -171,7 +169,6 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
          "anchor": anchor, "ingress": info.ingress,
          "addresses": [f"ip-{ctx.slice_id}-{device}-{a}"
                        for a in pending.accesses or (pending.tech,)]}))
-    return drafts, events
 
 
 def handle(state: CMState, msg, ctx: BlockContext):
@@ -202,9 +199,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
                 events.append(BlockEvent("attach-denied", device,
                                          {"reason": "missing-context-token"}))
             else:
-                more, evs = _continue_local_attach(state, pending, ctx, corr)
-                drafts.extend(more)
-                events.extend(evs)
+                _continue_local_attach(state, pending, ctx, corr, drafts, events)
         else:
             state.pending_attach[corr] = pending
             drafts.append(draft(
@@ -221,9 +216,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
                                       "StrayAuthResponse"))
             return state, drafts, events
         if not payload.get("ok"):
-            more, evs = cm_attach(state, pending, auth_ok=False, ctx=ctx, corr=corr)
-            drafts.extend(more)
-            events.extend(evs)
+            cm_attach(state, pending, False, ctx, corr, drafts, events)
         elif state.role is CMRole.GLOBAL:
             try:
                 target = cm_select_slice_global(state, pending.device)
@@ -244,9 +237,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
                      "area": pending.area, "tech": pending.tech,
                      "mode": "direct" if pending.direct else "via_af"}))
         else:
-            more, evs = _continue_local_attach(state, pending, ctx, corr)
-            drafts.extend(more)
-            events.extend(evs)
+            _continue_local_attach(state, pending, ctx, corr, drafts, events)
 
     elif kind is ProcedureKind.SLICE_SELECT:
         # Hand-off from the global part: the device arrives pre-authenticated.
@@ -258,36 +249,33 @@ def handle(state: CMState, msg, ctx: BlockContext):
             direct=payload.get("mode", "direct") == "direct")
         _transition(state, pending.device, ConvergentState.AUTHENTICATING,
                     events, ctx.slice_id)
-        more, evs = _attach_here(state, pending, ctx, corr)
-        drafts.extend(more)
-        events.extend(evs)
+        _attach_here(state, pending, ctx, corr, drafts, events)
 
     elif kind is ProcedureKind.SESSION_ESTABLISH:
-        drafts, events = _handle_session_establish(state, msg, ctx)
+        _handle_session_establish(state, msg, ctx, drafts, events)
 
     elif kind is ProcedureKind.SESSION_RELEASE:
-        drafts, events = _handle_session_release(state, msg, ctx)
+        _handle_session_release(state, msg, ctx, drafts, events)
 
     elif kind is ProcedureKind.CONTEXT_NOTIFY:
-        drafts, events = _handle_context_notify(state, msg, ctx)
+        _handle_context_notify(state, msg, ctx, drafts, events)
 
     return state, drafts, events
 
 
 def _continue_local_attach(state: CMState, pending: PendingAttach,
-                           ctx: BlockContext, corr: str):
+                           ctx: BlockContext, corr: str, drafts: list,
+                           events: list) -> None:
     """Post-authentication slice check for method 2 (and re-attachment)."""
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
     try:
         choice = cm_select_slice_local(state, pending.device, ctx.slice_id)
     except NoEligibleSliceError as exc:
         _transition(state, pending.device, ConvergentState.DETACHED, events, ctx.slice_id)
         events.append(refusal(pending.device, exc))
-        return drafts, events
+        return
     if choice.accept_here:
-        more, evs = _attach_here(state, pending, ctx, corr)
-        return more, evs + events
+        _attach_here(state, pending, ctx, corr, drafts, events)
+        return
     events.append(BlockEvent("slice-redirect", pending.device,
                              {"target": choice.target, "from": ctx.slice_id}))
     # downlink to the device, via its access function when mediated
@@ -297,23 +285,19 @@ def _continue_local_attach(state: CMState, pending: PendingAttach,
                         corr, {"device": pending.device,
                                "target": choice.target}))
     _transition(state, pending.device, ConvergentState.DETACHED, events, ctx.slice_id)
-    return drafts, events
 
 
 def _attach_here(state: CMState, pending: PendingAttach, ctx: BlockContext,
-                 corr: str):
-    events: list[BlockEvent] = []
+                 corr: str, drafts: list, events: list) -> None:
     try:
-        return cm_attach(state, pending, auth_ok=True, ctx=ctx, corr=corr)
+        cm_attach(state, pending, True, ctx, corr, drafts, events)
     except NoDPlaneFunctionError as exc:
         _transition(state, pending.device, ConvergentState.DETACHED, events, ctx.slice_id)
         events.append(refusal(pending.device, exc))
-        return [], events
 
 
-def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+def _handle_session_establish(state: CMState, msg, ctx: BlockContext,
+                              drafts: list, events: list) -> None:
     payload = msg.payload
     phase = payload.get("phase", "flow")
     device = payload.get("device", "")
@@ -324,7 +308,7 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
         if current not in (ConvergentState.ATTACHED, ConvergentState.SESSION_ACTIVE):
             events.append(error_event(device, "IllegalEventError",
                                       detail="traffic for unattached device"))
-            return drafts, events
+            return
         session_id = state.device_sessions[device]
         record = state.sessions[session_id]
         flow = payload.get("flow") or f"{device}-f{len(record.flows) + 1}"
@@ -339,13 +323,13 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
              "duration": payload.get("duration", 1),
              "qos": payload.get("qos", "default"),
              "ingress": info.ingress, "anchor": record.anchor}))
-        return drafts, events
+        return
 
     if msg.source.role is Role.FM:
         session_id = payload.get("session", "")
         record = state.sessions.get(session_id)
         if record is None:
-            return drafts, events
+            return
         if phase == "register-ok":
             _transition(state, record.device, ConvergentState.SESSION_ACTIVE,
                         events, ctx.slice_id)
@@ -380,12 +364,10 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext):
             events.append(BlockEvent("reanchor-complete", record.device,
                                      {"anchor": record.anchor,
                                       "session": session_id}))
-    return drafts, events
 
 
-def _handle_session_release(state: CMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+def _handle_session_release(state: CMState, msg, ctx: BlockContext,
+                            drafts: list, events: list) -> None:
     payload = msg.payload
     device = payload.get("device", "")
     scope = payload.get("scope", "flow")
@@ -393,14 +375,14 @@ def _handle_session_release(state: CMState, msg, ctx: BlockContext):
     if session_id is None:
         events.append(error_event(device, "IllegalEventError",
                                   detail="release for unknown session"))
-        return drafts, events
+        return
     if scope == "flow":
         drafts.append(draft(
             ProcedureKind.SESSION_RELEASE, ctx.self_endpoint,
             ctx.peer_endpoint(Role.FM), msg.correlation_id,
             {"device": device, "session": session_id, "scope": "flow",
              "flow": payload.get("flow")}))
-        return drafts, events
+        return
     # detach
     drafts.append(draft(
         ProcedureKind.SESSION_RELEASE, ctx.self_endpoint,
@@ -415,26 +397,24 @@ def _handle_session_release(state: CMState, msg, ctx: BlockContext):
     state.device_sessions.pop(device, None)
     _transition(state, device, ConvergentState.DETACHED, events, ctx.slice_id)
     events.append(BlockEvent("detach", device, {"slice": ctx.slice_id}))
-    return drafts, events
 
 
-def _handle_context_notify(state: CMState, msg, ctx: BlockContext):
+def _handle_context_notify(state: CMState, msg, ctx: BlockContext,
+                           drafts: list, events: list) -> None:
     """Consume a latency context by reselecting the data-plane anchor."""
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
     payload = msg.payload
     if payload.get("statement") != "latency_above_normal":
-        return drafts, events
+        return
     flow = payload.get("subject", "")
     record = next((r for r in state.sessions.values() if flow in r.flows), None)
     if record is None:
-        return drafts, events
+        return
     try:
         new_anchor = select_anchor(ctx, record.node, exclude=record.anchor)
     except NoDPlaneFunctionError:
         events.append(BlockEvent("reselect-impossible", record.device,
                                  {"flow": flow, "anchor": record.anchor}))
-        return drafts, events
+        return
     state.reanchor_counter += 1
     corr = f"{record.device}:reanchor:{state.reanchor_counter}"
     events.append(BlockEvent("reselect", record.device,
@@ -445,4 +425,3 @@ def _handle_context_notify(state: CMState, msg, ctx: BlockContext):
         ctx.peer_endpoint(Role.FM), corr,
         {"device": record.device, "session": record.session_id,
          "phase": "reanchor", "flow": flow, "anchor": new_anchor}))
-    return drafts, events

@@ -276,25 +276,24 @@ def handle(state: FMState, msg, ctx: BlockContext):
                 corr, {"session": session, "phase": "register-ok",
                        "anchor": payload["anchor"]}))
         elif phase == "flow":
-            drafts, events = _start_flow(state, msg, ctx)
+            _start_flow(state, msg, ctx, drafts, events)
         elif phase == "reanchor":
-            drafts, events = _start_reanchor(state, msg, ctx)
+            _start_reanchor(state, msg, ctx, drafts, events)
 
     elif kind is ProcedureKind.HANDOVER_PREPARE and payload.get("phase") == "new-path":
-        drafts, events = _start_handover_paths(state, msg, ctx)
+        _start_handover_paths(state, msg, ctx, drafts, events)
 
     elif kind is ProcedureKind.SESSION_RELEASE:
-        drafts, events = _handle_release(state, msg, ctx)
+        _handle_release(state, msg, ctx, events)
 
     elif kind is ProcedureKind.FLOW_NOTIFY:
-        drafts, events = _handle_notify(state, msg, ctx)
+        _handle_notify(state, msg, ctx, drafts, events)
 
     return state, drafts, events
 
 
-def _start_flow(state: FMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+def _start_flow(state: FMState, msg, ctx: BlockContext, drafts: list,
+                events: list) -> None:
     payload = msg.payload
     session = payload["session"]
     binding = state.sessions.get(session)
@@ -310,49 +309,45 @@ def _start_flow(state: FMState, msg, ctx: BlockContext):
             msg.correlation_id,
             {"session": session, "phase": "flow-err", "flow": flow,
              "ok": False}))
-        return drafts, events
+        return
     state.flow_sessions[flow] = session
     events.append(BlockEvent("path-defined", flow,
                              {"nodes": list(path.nodes), "qos": path.qos}))
     drafts.extend(fm_apply(state, path, ctx, msg.correlation_id, "flow",
                            msg.source, session))
-    return drafts, events
 
 
-def _start_reanchor(state: FMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+def _start_reanchor(state: FMState, msg, ctx: BlockContext, drafts: list,
+                    events: list) -> None:
     payload = msg.payload
     session = payload["session"]
     flow = payload["flow"]
     old = state.path_table.get(flow)
     if old is None:
-        return drafts, events
+        return
     new_anchor = payload["anchor"]
     try:
         path = fm_define_path(state, flow, old.nodes[0], new_anchor, old.qos)
     except (NoPathError, CapacityError) as exc:
         events.append(refusal(flow, exc))
-        return drafts, events
+        return
     state.swapped_out[flow] = old
     events.append(BlockEvent("path-defined", flow,
                              {"nodes": list(path.nodes), "qos": path.qos,
                               "reanchor": new_anchor}))
     drafts.extend(fm_apply(state, path, ctx, msg.correlation_id, "reanchor",
                            msg.source, session, anchor=new_anchor))
-    return drafts, events
 
 
-def _start_handover_paths(state: FMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+def _start_handover_paths(state: FMState, msg, ctx: BlockContext,
+                          drafts: list, events: list) -> None:
     payload = msg.payload
     session = payload["session"]
     binding = state.sessions.get(session)
     if binding is None:
         events.append(error_event(session, "NoSessionError",
                                   detail="handover for unknown session"))
-        return drafts, events
+        return
     new_ingress = payload["ingress"]
     applied = 0
     for flow in [f for f in binding.flows if f in state.path_table]:
@@ -372,15 +367,13 @@ def _start_handover_paths(state: FMState, msg, ctx: BlockContext):
             ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint, msg.source,
             msg.correlation_id,
             {"session": session, "phase": "new-path-ok", "ok": True}))
-        return drafts, events
+        return
     state.handover_jobs[msg.correlation_id] = HandoverJob(
         session=session, remaining=applied, reply_to=msg.source)
-    return drafts, events
 
 
-def _handle_release(state: FMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+def _handle_release(state: FMState, msg, ctx: BlockContext,
+                    events: list) -> None:
     payload = msg.payload
     session = payload.get("session", "")
     scope = payload.get("scope", "flow")
@@ -408,12 +401,10 @@ def _handle_release(state: FMState, msg, ctx: BlockContext):
                 state.flow_sessions.pop(flow, None)
                 events.append(BlockEvent("flow-released", flow,
                                          {"session": session}))
-    return drafts, events
 
 
-def _handle_notify(state: FMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+def _handle_notify(state: FMState, msg, ctx: BlockContext, drafts: list,
+                   events: list) -> None:
     payload = msg.payload
     phase = payload.get("phase", "")
 
@@ -421,13 +412,13 @@ def _handle_notify(state: FMState, msg, ctx: BlockContext):
         key = (msg.correlation_id, payload.get("flow", ""))
         job = state.pending.get(key)
         if job is None:
-            return drafts, events
+            return
         if not payload.get("ok", False):
             drafts.extend(_rollback(state, key, job, ctx))
             events.append(error_event(
                 job.flow, "AdaptorError",
                 detail=f"node {payload.get('node')} rejected"))
-            return drafts, events
+            return
         job.outstanding.discard(payload.get("node", ""))
         if not job.outstanding:
             del state.pending[key]
@@ -447,7 +438,6 @@ def _handle_notify(state: FMState, msg, ctx: BlockContext):
                     ctx.peer_endpoint(Role.CGHF), msg.correlation_id,
                     {"metric": "flow-latency", "subject": flow,
                      "value": value, "source": "dplane"}))
-    return drafts, events
 
 
 def _commit(state: FMState, job: PendingApply, ctx: BlockContext) -> list:

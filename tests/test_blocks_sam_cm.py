@@ -164,7 +164,8 @@ class TestCmAttach:
         state = authenticating_state()
         ctx = make_ctx()
         assert select_anchor(ctx, "n1") == "a1"
-        drafts, events = cm_attach(state, pending(), True, ctx, "d1:attach:1")
+        drafts = []
+        cm_attach(state, pending(), True, ctx, "d1:attach:1", drafts, [])
         record = state.sessions[state.device_sessions["d1"]]
         assert record.anchor == "a1"
         assert drafts[0].kind is ProcedureKind.SESSION_ESTABLISH
@@ -176,7 +177,8 @@ class TestCmAttach:
 
     def test_auth_failure_leaves_device_detached_with_no_addresses(self):
         state = authenticating_state()
-        drafts, events = cm_attach(state, pending(), False, make_ctx(), "c1")
+        drafts, events = [], []
+        cm_attach(state, pending(), False, make_ctx(), "c1", drafts, events)
         assert state.device_table["d1"] is ConvergentState.DETACHED
         assert state.sessions == {} and state.device_sessions == {}
         assert drafts == []
@@ -184,8 +186,9 @@ class TestCmAttach:
 
     def test_two_requested_accesses_allocate_two_addresses(self):
         state = authenticating_state()
-        drafts, _ = cm_attach(state, pending(accesses=("cellular", "wifi")),
-                              True, make_ctx(), "c1")
+        drafts = []
+        cm_attach(state, pending(accesses=("cellular", "wifi")), True,
+                  make_ctx(), "c1", drafts, [])
         [register] = drafts
         assert register.payload["phase"] == "register"
         assert register.payload["addresses"] == [
@@ -196,7 +199,7 @@ class TestCmAttach:
         # which the detach ends; only the convergent state remembers it
         state = authenticating_state()
         ctx = make_ctx()
-        cm_attach(state, pending(direct=False), True, ctx, "d1:attach:1")
+        cm_attach(state, pending(direct=False), True, ctx, "d1:attach:1", [], [])
         cm_handle(state, to_cm(ProcedureKind.SESSION_RELEASE,
                                {"device": "d1", "scope": "detach"},
                                corr="d1:detach:1"), ctx)
@@ -208,7 +211,7 @@ class TestCmAttach:
         state = authenticating_state()
         ctx = make_ctx(anchors=())
         with pytest.raises(NoDPlaneFunctionError):
-            cm_attach(state, pending(), True, ctx, "c1")
+            cm_attach(state, pending(), True, ctx, "c1", [], [])
 
     def test_illegal_edge_raises_a_domain_error(self):
         state = CMState()
