@@ -262,7 +262,6 @@ class Environment:
                 bp = replace(bp, fabric_model=override)
             instance = slices_mod.instantiate(
                 bp, self.infra, scenario.topology, roster=roster)
-            slices_mod.operate(instance)
             self.slices[bp.slice_id] = instance
         # Common control part for method-1 selection: a global connectivity
         # instance plus the unified identity store behind it.

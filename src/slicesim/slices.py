@@ -46,7 +46,6 @@ class SliceType(str, Enum):
 
 
 class LifecycleState(str, Enum):
-    INSTANTIATED = "instantiated"
     OPERATING = "operating"
     TORN_DOWN = "torn_down"
 
@@ -187,7 +186,7 @@ class SliceInstance:
     peers: dict                        # Role -> block instance id
     fabric: Fabric
     dplane: DPlane
-    lifecycle_state: LifecycleState = LifecycleState.INSTANTIATED
+    lifecycle_state: LifecycleState = LifecycleState.OPERATING
 
     @property
     def slice_id(self) -> str:
@@ -238,7 +237,7 @@ def anchor_latency(topology: TopologySpec, anchors) -> dict:
 def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
                 topology: TopologySpec, roster: dict | None = None) -> SliceInstance:
     """Create fresh block states over a private forwarded plane and wire the
-    fabric.  Nothing mutable is shared with any other instance: only the
+    fabric; the slice is operating.  Nothing mutable is shared with any other instance: only the
     read-only `roster` (default: empty).  The blueprint must be valid and
     its anchors in `topology`, as `engine.load_scenario` checks."""
     infra.place(len(bp.bb_set))
@@ -255,14 +254,6 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
         topic: tuple(sorted(subscribers)) for topic, subscribers in topics.items()})
     return SliceInstance(blueprint=bp, states=states, peers=peers,
                          fabric=fabric, dplane=DPlane(spec=topology))
-
-
-def operate(instance: SliceInstance) -> SliceInstance:
-    if instance.lifecycle_state is not LifecycleState.INSTANTIATED:
-        raise LifecycleOrderError(
-            f"operate on a {instance.lifecycle_state.value} slice")
-    instance.lifecycle_state = LifecycleState.OPERATING
-    return instance
 
 
 def teardown(instance: SliceInstance, attached=(), tick: int = 0) -> list:

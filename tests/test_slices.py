@@ -16,7 +16,7 @@ from slicesim.messages import ProcedureKind, Role
 from slicesim.netsim import load_topology, load_topology_file
 from slicesim.slices import (
     LifecycleState, SimInfrastructure, SliceBlueprint, SliceType,
-    anchor_latency, instantiate, load_blueprint, load_blueprint_file, operate,
+    anchor_latency, instantiate, load_blueprint, load_blueprint_file,
     teardown, validate_blueprint,
 )
 from slicesim.trace import EventRecord, MessageRecord
@@ -191,10 +191,8 @@ class TestLifecycle:
         infra = kwargs.pop("infra", SimInfrastructure(capacity_units=16))
         return instantiate(make_blueprint(**kwargs), infra, topology)
 
-    def test_instantiate_then_operate(self, topology):
+    def test_instantiate_returns_an_operating_slice(self, topology):
         inst = self.instance(topology)
-        assert inst.lifecycle_state is LifecycleState.INSTANTIATED
-        operate(inst)
         assert inst.lifecycle_state is LifecycleState.OPERATING
 
     def test_six_block_blueprint_yields_six_instances(self, topology):
@@ -260,12 +258,9 @@ class TestLifecycle:
             "  access n1 ingress=i1\nend\n")
         assert anchor_latency(spec, ["a1", "a2"]) == {("i1", "a1"): 2}
 
-    def test_operate_on_torn_down_slice_rejected(self, topology):
+    def test_second_teardown_rejected(self, topology):
         inst = self.instance(topology)
-        operate(inst)
         teardown(inst)
-        with pytest.raises(LifecycleOrderError):
-            operate(inst)
         with pytest.raises(LifecycleOrderError):
             teardown(inst)
 
@@ -273,7 +268,6 @@ class TestLifecycle:
         from slicesim.blocks.fm import fm_define_path
 
         inst = self.instance(topology)
-        operate(inst)
         fm_state = inst.states[Role.FM]
         fm_state.sessions["s-1"] = type(
             "B", (), {"device": "d1", "anchor": "a1", "ingress": "i1",
