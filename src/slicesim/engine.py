@@ -574,7 +574,7 @@ class Environment:
             try:
                 events = slices_mod.teardown(instance, sorted(
                     ident for ident, device in self.devices.items()
-                    if device.bound_slice == instance.slice_id), self.tick)
+                    if device.bound_slice == instance.slice_id))
             except SliceSimError as exc:
                 self.trace_block_event(refusal(event.args[0], exc))
                 return

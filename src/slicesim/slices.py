@@ -256,34 +256,20 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
                          fabric=fabric, dplane=DPlane(spec=topology))
 
 
-def teardown(instance: SliceInstance, attached=(), tick: int = 0) -> list:
+def teardown(instance: SliceInstance, attached=()) -> list:
     """Detach every device of `attached` (the ids of the devices bound to
-    the slice, in trace order), release reservations, end in-flight path
-    applies and clear the forwarded plane's rules.  Returns the detach and
-    slice-torn-down events for the engine to trace and apply; applying a
-    detach ends the device's flows, and an active flow's device is always
-    attached to the flow's slice."""
+    the slice, in trace order) and clear the forwarded plane's rules, so
+    units in flight are lost.  Returns the detach and slice-torn-down events
+    for the engine to trace and apply; applying a detach ends the device's
+    flows, and an active flow's device is always attached to the flow's
+    slice.  The block states stay as the teardown found them: only a block
+    writes its state, and no message or tick hook reaches the slice's
+    blocks again."""
     if instance.lifecycle_state is LifecycleState.TORN_DOWN:
         raise LifecycleOrderError("teardown on an already torn down slice")
-    cm_state = instance.states[Role.CM]
-    fm_state = instance.states[Role.FM]
     events = [BlockEvent("detach", device, {"slice": instance.slice_id,
                                             "reason": "teardown"})
               for device in attached]
-    for session_id in sorted(fm_state.sessions):
-        binding = fm_state.sessions[session_id]
-        for flow in list(binding.flows):
-            fm.fm_release_path(fm_state, flow, tick)
-    fm_state.sessions.clear()
-    # acknowledgements to a torn down slice are refused: stop awaiting them
-    fm_state.pending.clear()
-    fm_state.handover_jobs.clear()
-    for link in fm_state.view.links.values():
-        link.reserved = 0
-    cm_state.device_table = {d: cm.ConvergentState.DETACHED
-                             for d in cm_state.device_table}
-    cm_state.sessions.clear()
-    cm_state.device_sessions.clear()
     instance.dplane.rules.clear()
     instance.lifecycle_state = LifecycleState.TORN_DOWN
     events.append(BlockEvent("slice-torn-down", instance.slice_id))

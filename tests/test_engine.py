@@ -277,6 +277,29 @@ class TestEventSemantics:
                     if e.detail.get("reason") == "teardown"]
         assert len(detaches) == 2
 
+    @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
+                             ids=lambda m: m.kind.value)
+    def test_teardown_leaves_the_block_states_as_it_found_them(
+            self, monkeypatch, model):
+        # only a block writes its state: the teardown does not, and no
+        # message or hook reaches the torn down blocks, so the digest sees
+        # them as they were at the teardown
+        teardown = engine.slices_mod.teardown
+        seen = []
+
+        def checked(instance, attached=()):
+            before = _normalize(instance.states)
+            result = teardown(instance, attached)
+            assert _normalize(instance.states) == before
+            seen.append((instance, before))
+            return result
+
+        monkeypatch.setattr(engine.slices_mod, "teardown", checked)
+        run(load("teardown"), 7, fabric_override=model)
+        [(instance, before)] = seen
+        assert before["CM"]["sessions"] and before["FM"]["path_table"]
+        assert _normalize(instance.states) == before
+
 
 class TestAttachOrchestration:
     def test_methods_bind_to_the_same_slice(self):
@@ -638,12 +661,9 @@ class TestStopRule:
         scenario = _one_flow_scenario(tmp_path, [(10, 2)])
         tick = _first_configure_tick(run(scenario, 7))
         scenario.script += (ScriptEvent(tick, "teardown", ("default-a",), {}),)
-        env = Environment(scenario, 7)
-        result = env.run()
+        result = run(scenario, 7)
         # the acknowledgements reach a torn down slice and are refused; the
-        # teardown already ended the apply, so the run ends with them
-        fm = env.slices["default-a"].states[Role.FM]
-        assert not fm.pending and not fm.handover_jobs
+        # apply they answer is over, so the run ends with them
         assert errors(result, "LifecycleOrderError")
         assert not events(result, "max-ticks-reached")
         last_message = max(r.tick for r in messages(result))
@@ -656,9 +676,14 @@ class TestStopRule:
                    if not isinstance(r, EventRecord) or r.kind not in footer)
 
     def test_teardown_with_rules_to_retire_ends_the_run(self):
-        # the torn down FM keeps its retiring rules, but its hook never runs
-        env = Environment(load("teardown"), 7)
+        # a traffic-stop leaves the FM rules to retire past the teardown at
+        # 30; the torn down FM keeps them, but its hook never runs again
+        scenario = load("teardown")
+        scenario.script += (
+            ScriptEvent(25, "traffic-stop", ("dT1",), {"flow": "fT"}),)
+        env = Environment(scenario, 7)
         result = env.run()
+        assert [e.tick for e in events(result, "flow-released")] == [27]
         assert env.slices["embb-a"].states[Role.FM].retiring
         assert not events(result, "max-ticks-reached")
         assert events(result, "run-end")[0].tick == self._last_work_tick(result)
