@@ -129,6 +129,17 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: {exc}") from None
 
 
+def _load_referenced(path: Path, field: str, target: Path, load):
+    """`load(target)` for the file a scenario field names; one that cannot
+    be read is a ScenarioError naming the scenario, the field and the
+    file."""
+    try:
+        return load(target)
+    except OSError as exc:
+        raise ScenarioError(f"{path}: field '{field}' names {target}, which "
+                            f"cannot be read: {exc.strerror}") from None
+
+
 def _load_scenario(path: Path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         blocks = parse_blocks(fh.read(), {"scenario", "device"}, str(path))
@@ -141,12 +152,14 @@ def _load_scenario(path: Path) -> Scenario:
     topology_path = block.require("topology")
     if not topology_path:   # `base / ""` would name the scenario's directory
         raise ScenarioError(f"{path}: field 'topology' is empty")
-    topology = load_topology_file(base / topology_path)
+    topology = _load_referenced(path, "topology", base / topology_path,
+                                load_topology_file)
     blueprints = []
     for rest in block.items_of("blueprint"):
         if len(rest) != 1:
             raise ScenarioError(f"{path}: blueprint line needs one path")
-        blueprints.append(slices_mod.load_blueprint_file(base / rest[0]))
+        blueprints.append(_load_referenced(path, "blueprint", base / rest[0],
+                                           slices_mod.load_blueprint_file))
     slice_ids = {bp.slice_id for bp in blueprints}
 
     devices = []

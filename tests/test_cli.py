@@ -128,7 +128,9 @@ def test_input_path_naming_a_directory_exits_one(tmp_path, capsys):
     scenario = tmp_path / "x.scn"
     scenario.write_text("scenario x\n  topology: .\nend\n")
     assert main(["validate", "--scenario", str(scenario)]) == 1
-    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert capsys.readouterr().err == (
+        f"error: ScenarioError: {scenario}: field 'topology' names "
+        f"{tmp_path}, which cannot be read: Is a directory\n")
 
 
 def test_run_that_breaks_an_invariant_exits_one(tmp_path, capsys, monkeypatch):

@@ -131,6 +131,24 @@ end
         with pytest.raises(ScenarioError, match="field 'topology' is empty"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize("field, old, new", [
+        ("topology", "topology: topo-core.txt", "topology: topo-"),
+        ("blueprint", "blueprint bp-embb.bp", "blueprint bp-em")])
+    def test_missing_referenced_file_names_the_field(self, tmp_path, field,
+                                                     old, new):
+        for name in ("topo-core.txt", "bp-default.bp", "bp-embb.bp"):
+            (tmp_path / name).write_text(scenario_path(name).read_text())
+        text = scenario_path("attach-method2-redirect.scn").read_text()
+        assert old in text
+        bad = tmp_path / "cut.scn"
+        bad.write_text(text.replace(old, new))
+        missing = tmp_path / new.split()[-1]
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario(bad)
+        assert str(raised.value) == (
+            f"{bad}: field '{field}' names {missing}, which cannot be read: "
+            "No such file or directory")
+
 
 class TestDeterminism:
     def test_equal_seeds_produce_identical_traces(self):

@@ -1,9 +1,11 @@
 """Loader mutations: a damaged document is a domain error, never a crash.
 
 Every content line of every corpus file and of the reference catalog is
-mutated in four ways, one mutation per load: the line is dropped, cut after
-its first token (`topology: topo-core.txt` becomes `topology: `), repeated,
-or has the first digit of one of its digit runs replaced by a letter.  The
+mutated in five ways, one mutation per load: the line is dropped, cut after
+its first token (`topology: topo-core.txt` becomes `topology: `), cut in
+the middle of its last token (`topology: topo-c`, a file that is not
+there), repeated, or has the first digit of one of its digit runs replaced
+by a letter.  The
 damaged scenario must load and build its `Environment`, and the damaged
 catalog must load and compose, or fail with a `SliceSimError`.  Any other
 exception escapes to the user as a traceback.
@@ -34,10 +36,12 @@ def mutations(lines: list) -> list:
             continue
         before, after = lines[:i], lines[i + 1:]
         out.append((i + 1, "drop", before + after))
-        first = stripped.split()[0]
-        if first != stripped:
-            cut = line[:line.index(first) + len(first)] + " "
+        tokens = stripped.split()
+        if len(tokens) > 1:
+            cut = line[:line.index(tokens[0]) + len(tokens[0])] + " "
             out.append((i + 1, "cut", before + [cut] + after))
+            mid = line.rindex(tokens[-1]) + len(tokens[-1]) // 2
+            out.append((i + 1, "cut-mid", before + [line[:mid]] + after))
         out.append((i + 1, "repeat", before + [line, line] + after))
         for digit in re.finditer(r"(?<![0-9])[0-9]", line):
             at = digit.start()
