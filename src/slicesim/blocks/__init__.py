@@ -3,12 +3,11 @@
 Each module exposes a state dataclass, the named operations over it, and a
 ``handle(state, msg, ctx)`` transition returning ``(state, drafts, events)``:
 ``msg`` is the delivered message's trace record and ``drafts`` are the
-messages it sends.  A helper that emits events, or drafts and events,
-appends them to the lists of the handler call that invoked it, in emission
-order (the order sets the sequence numbers); only a helper that builds
-nothing but messages returns them, as one list.  Only a block's own
-module writes its state; a slice teardown leaves it as it is.  Handlers
-are deterministic; the engine invokes them sequentially per run.
+messages it sends.  A helper that emits appends to the ``drafts`` and
+``events`` lists of its handler call, in emission order; only a helper that
+builds nothing but messages returns them, as one list.  Only a block's own
+module writes its state.  Handlers are deterministic; the engine invokes
+them sequentially per run.
 """
 
 from . import af, cghf, cm, fm, mm, sam  # noqa: F401

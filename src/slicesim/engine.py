@@ -130,9 +130,7 @@ def load_scenario(path) -> Scenario:
 
 
 def _load_referenced(path: Path, field: str, target: Path, load):
-    """`load(target)` for the file a scenario field names; one that cannot
-    be read is a ScenarioError naming the scenario, the field and the
-    file."""
+    """`load(target)` for the file a scenario `field` names."""
     try:
         return load(target)
     except OSError as exc:

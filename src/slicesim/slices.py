@@ -237,7 +237,7 @@ def anchor_latency(topology: TopologySpec, anchors) -> dict:
 def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
                 topology: TopologySpec, roster: dict | None = None) -> SliceInstance:
     """Create fresh block states over a private forwarded plane and wire the
-    fabric; the slice is operating.  Nothing mutable is shared with any other instance: only the
+    fabric.  Nothing mutable is shared with any other instance: only the
     read-only `roster` (default: empty).  The blueprint must be valid and
     its anchors in `topology`, as `engine.load_scenario` checks."""
     infra.place(len(bp.bb_set))
@@ -258,13 +258,11 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
 
 def teardown(instance: SliceInstance, attached=()) -> list:
     """Detach every device of `attached` (the ids of the devices bound to
-    the slice, in trace order) and clear the forwarded plane's rules, so
-    units in flight are lost.  Returns the detach and slice-torn-down events
-    for the engine to trace and apply; applying a detach ends the device's
-    flows, and an active flow's device is always attached to the flow's
-    slice.  The block states stay as the teardown found them: only a block
-    writes its state, and no message or tick hook reaches the slice's
-    blocks again."""
+    the slice, in trace order) and clear the forwarded plane's rules.
+    Returns the detach and slice-torn-down events for the engine to trace
+    and apply; applying a detach ends the device's flows, and an active
+    flow's device is always attached to the flow's slice.  Block states stay
+    as they are: no message or tick hook reaches the slice's blocks again."""
     if instance.lifecycle_state is LifecycleState.TORN_DOWN:
         raise LifecycleOrderError("teardown on an already torn down slice")
     events = [BlockEvent("detach", device, {"slice": instance.slice_id,
