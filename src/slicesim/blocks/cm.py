@@ -151,7 +151,7 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
         events.append(BlockEvent("attach-denied", device, {"slice": ctx.slice_id}))
         return
 
-    anchor = select_anchor(ctx, pending.node)
+    anchor = select_anchor(ctx, pending.node)   # may raise: nothing emitted yet
     state.session_counter += 1
     session_id = f"s-{ctx.slice_id}-{state.session_counter}"
     state.sessions[session_id] = SessionRecord(

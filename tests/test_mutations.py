@@ -5,10 +5,9 @@ mutated in five ways, one mutation per load: the line is dropped, cut after
 its first token (`topology: topo-core.txt` becomes `topology: `), cut in
 the middle of its last token (`topology: topo-c`, a file that is not
 there), repeated, or has the first digit of one of its digit runs replaced
-by a letter.  The
-damaged scenario must load and build its `Environment`, and the damaged
-catalog must load and compose, or fail with a `SliceSimError`.  Any other
-exception escapes to the user as a traceback.
+by a letter.  The damaged scenario must load and build its `Environment`,
+and the damaged catalog must load and compose, or fail with a
+`SliceSimError`.  Any other exception escapes to the user as a traceback.
 """
 
 import re
