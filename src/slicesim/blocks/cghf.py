@@ -124,15 +124,14 @@ def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
 
 
 def handle(state: CGHFState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+    """Ingest a published sample; the block emits only from its tick hook."""
     if msg.kind is ProcedureKind.CONTEXT_PUBLISH:
         payload = msg.payload
         cghf_ingest(
             state, metric=payload.get("metric", ""),
             subject=payload.get("subject", ""),
             value=float(payload.get("value", 0.0)), tick=ctx.tick)
-    return state, drafts, events
+    return state, (), ()
 
 
 def tick_hook(state: CGHFState, ctx: BlockContext):

@@ -506,7 +506,6 @@ def _rollback(state: FMState, key: tuple, job: PendingApply,
 def tick_hook(state: FMState, ctx: BlockContext):
     """Send removal commands for retired rules whose drain window elapsed."""
     drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
     due = [r for r in state.retiring if r.due_tick <= ctx.tick]
     state.retiring = [r for r in state.retiring if r.due_tick > ctx.tick]
     for entry in due:
@@ -516,4 +515,4 @@ def tick_hook(state: FMState, ctx: BlockContext):
                 _dplane(ctx, node), f"{entry.flow}:retire",
                 {"flow": entry.flow, "node": node, "action": "remove",
                  "next": nxt}))
-    return state, drafts, events
+    return state, drafts, ()

@@ -205,7 +205,6 @@ def _complete_handover(state: MMState, plan: HandoverPlan, events: list,
 
 def tick_hook(state: MMState, ctx: BlockContext):
     """Expire pages that outlived the paging timeout."""
-    drafts: list[SignalMessage] = []
     events: list[BlockEvent] = []
     timeout = ctx.policy.mobility.page_timeout   # MM implies a policy
     for device in sorted(state.pages):
@@ -214,4 +213,4 @@ def tick_hook(state: MMState, ctx: BlockContext):
             del state.pages[device]
             state.paging_state[device] = PagingState.IDLE
             events.append(BlockEvent("page-timeout", device, {"after": after}))
-    return state, drafts, events
+    return state, (), events

@@ -399,24 +399,30 @@ class Environment:
             instance = entry[0]
             if instance is not None and \
                     self._route.get(msg.source.ident, (None,))[0] is instance:
-                self._deliver_fabric(seq, msg, instance)
+                self._deliver_fabric(seq, msg, instance, entry)
             else:
                 self._invoke_block(entry, self._trace_msg(seq, msg))
 
-    def _deliver_fabric(self, seq: int, msg: SignalMessage, instance) -> None:
+    def _deliver_fabric(self, seq: int, msg: SignalMessage, instance,
+                        entry: tuple | None = None) -> None:
         """Carry a message over the fabric of `instance`, its source's
-        slice."""
+        slice.  A unicast passes its destination's routing `entry`: a
+        fabric delivers a unicast to its destination or to nobody."""
         if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
                              {"detail": "message to a torn down slice"})
             return
         record = instance.fabric.send(msg).record
+        recipients = record.recipients
         rec = self._trace_msg(seq, msg, record.hop_count, record.mediators,
-                              record.recipients)
-        if not record.recipients:
+                              recipients)
+        if not recipients:
             self.trace_error("NoSubscriberError", str(msg.destination), {})
-        for ident in record.recipients:
-            self._invoke_block(self._route[ident], rec)
+        elif entry is not None:
+            self._invoke_block(entry, rec)
+        else:
+            for ident in recipients:
+                self._invoke_block(self._route[ident], rec)
 
     def _trace_msg(self, seq: int, msg: SignalMessage, hop_count: int = 1,
                    mediators: tuple = (), recipients: tuple = ()

@@ -513,7 +513,7 @@ class TestSweepSkips:
             for later in (tick, tick + 1, tick + 9, tick + 1000):
                 ctx = dataclasses.replace(env._route[ident][3], tick=later)
                 _, drafts, events = engine._TICK_HOOKS[role](state, ctx)
-                assert (drafts, events) == ([], []), (ident, later)
+                assert not drafts and not events, (ident, later)
                 assert _normalize(state) == before, (ident, later)
 
     @pytest.mark.parametrize("name", CORPUS)
