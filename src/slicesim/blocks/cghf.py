@@ -114,8 +114,7 @@ def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
                     ProcedureKind.CONTEXT_NOTIFY, ctx.self_endpoint,
                     Topic(model.topic),
                     f"{ctx.slice_id}:context:{state.assertion_counter}",
-                    {"topic": model.topic, "subject": subject,
-                     "statement": model.statement,
+                    {"subject": subject, "statement": model.statement,
                      # the most recent contributing samples
                      "evidence": [[s.tick, s.value] for s in samples[-3:]]}))
             elif not condition:

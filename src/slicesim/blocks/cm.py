@@ -67,7 +67,6 @@ class PendingAttach:
     alias: str
     accesses: tuple
     node: str
-    area: str
     tech: str
     direct: bool
     reattach: bool = False
@@ -161,12 +160,10 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
     _transition(state, device, ConvergentState.ATTACHED, events, ctx.slice_id)
     events.append(BlockEvent("anchor-selected", device,
                              {"anchor": anchor, "session": session_id}))
-    info = ctx.access_nodes[pending.node]
     drafts.append(draft(
         ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint,
         ctx.peer_endpoint(Role.FM), corr,
-        {"device": device, "session": session_id, "phase": "register",
-         "anchor": anchor, "ingress": info.ingress,
+        {"session": session_id, "phase": "register", "anchor": anchor,
          "addresses": [f"ip-{ctx.slice_id}-{device}-{a}"
                        for a in pending.accesses or (pending.tech,)]}))
 
@@ -184,8 +181,8 @@ def handle(state: CMState, msg, ctx: BlockContext):
         pending = PendingAttach(
             device=device, alias=payload.get("alias", ""),
             accesses=tuple(payload.get("accesses") or ()),
-            node=payload.get("node", ""), area=payload.get("area", ""),
-            tech=payload.get("tech", ""), direct=direct, reattach=bool(payload.get("reattach")))
+            node=payload.get("node", ""), tech=payload.get("tech", ""),
+            direct=direct, reattach=bool(payload.get("reattach")))
         # the global part authenticates and hands the device off: it keeps
         # no per-device connectivity state
         if state.role is CMRole.SLICE_LOCAL:
@@ -229,12 +226,9 @@ def handle(state: CMState, msg, ctx: BlockContext):
                 drafts.append(draft(
                     ProcedureKind.SLICE_SELECT, ctx.self_endpoint,
                     Endpoint(Role.CM, local_cm), corr,
-                    {"device": pending.device, "slice": target,
-                     "pseudonym": payload.get("pseudonym"),
-                     "ordinal": payload.get("ordinal"),
-                     "token": payload.get("token"),
+                    {"device": pending.device,
                      "accesses": list(pending.accesses), "node": pending.node,
-                     "area": pending.area, "tech": pending.tech,
+                     "tech": pending.tech,
                      "mode": "direct" if pending.direct else "via_af"}))
         else:
             _continue_local_attach(state, pending, ctx, corr, drafts, events)
@@ -242,10 +236,9 @@ def handle(state: CMState, msg, ctx: BlockContext):
     elif kind is ProcedureKind.SLICE_SELECT:
         # Hand-off from the global part: the device arrives pre-authenticated.
         pending = PendingAttach(
-            device=payload["device"], alias=payload.get("pseudonym", ""),
+            device=payload["device"], alias="",
             accesses=tuple(payload.get("accesses") or ()),
-            node=payload.get("node", ""), area=payload.get("area", ""),
-            tech=payload.get("tech", ""),
+            node=payload.get("node", ""), tech=payload.get("tech", ""),
             direct=payload.get("mode", "direct") == "direct")
         _transition(state, pending.device, ConvergentState.AUTHENTICATING,
                     events, ctx.slice_id)
@@ -318,9 +311,7 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext,
         drafts.append(draft(
             ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint,
             ctx.peer_endpoint(Role.FM), msg.correlation_id,
-            {"device": device, "session": session_id, "phase": "flow",
-             "flow": flow, "rate": payload.get("rate", 1),
-             "duration": payload.get("duration", 1),
+            {"session": session_id, "phase": "flow", "flow": flow,
              "qos": payload.get("qos", "default"),
              "ingress": info.ingress, "anchor": record.anchor}))
         return
@@ -336,22 +327,19 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext,
             events.append(BlockEvent("attach-complete", record.device,
                                      {"slice": ctx.slice_id,
                                       "session": session_id}))
-            info = ctx.access_nodes[record.node]    # checked at attach
             if ctx.has(Role.MM):
+                area = ctx.access_nodes[record.node].area  # checked at attach
                 drafts.append(draft(
                     ProcedureKind.LOCATION_UPDATE, ctx.self_endpoint,
                     ctx.peer_endpoint(Role.MM), msg.correlation_id,
                     {"device": record.device, "phase": "register",
-                     "node": record.node, "area": info.area,
-                     "session": session_id,
+                     "area": area, "session": session_id,
                      "mode": "direct" if record.direct else "via_af"}))
             if record.direct:
                 drafts.append(draft(
                     ProcedureKind.PATH_RECORD_UPDATE, ctx.self_endpoint,
                     ctx.peer_endpoint(Role.AF), msg.correlation_id,
-                    {"device": record.device, "node": record.node,
-                     "tech": info.tech.value,
-                     "event": "attach"}))
+                    {"device": record.device, "node": record.node}))
         elif phase == "flow-ok":
             events.append(BlockEvent("flow-ready", record.device,
                                      {"flow": payload.get("flow"),
@@ -380,14 +368,14 @@ def _handle_session_release(state: CMState, msg, ctx: BlockContext,
         drafts.append(draft(
             ProcedureKind.SESSION_RELEASE, ctx.self_endpoint,
             ctx.peer_endpoint(Role.FM), msg.correlation_id,
-            {"device": device, "session": session_id, "scope": "flow",
+            {"session": session_id, "scope": "flow",
              "flow": payload.get("flow")}))
         return
     # detach
     drafts.append(draft(
         ProcedureKind.SESSION_RELEASE, ctx.self_endpoint,
         ctx.peer_endpoint(Role.FM), msg.correlation_id,
-        {"device": device, "session": session_id, "scope": "session"}))
+        {"session": session_id, "scope": "session"}))
     if ctx.has(Role.MM):
         drafts.append(draft(
             ProcedureKind.LOCATION_UPDATE, ctx.self_endpoint,
@@ -423,5 +411,5 @@ def _handle_context_notify(state: CMState, msg, ctx: BlockContext,
     drafts.append(draft(
         ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint,
         ctx.peer_endpoint(Role.FM), corr,
-        {"device": record.device, "session": record.session_id,
-         "phase": "reanchor", "flow": flow, "anchor": new_anchor}))
+        {"session": record.session_id, "phase": "reanchor", "flow": flow,
+         "anchor": new_anchor}))

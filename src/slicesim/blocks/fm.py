@@ -98,7 +98,6 @@ class PendingApply:
 
 @dataclass
 class HandoverJob:
-    session: str
     remaining: int
     reply_to: Endpoint
 
@@ -307,8 +306,7 @@ def _start_flow(state: FMState, msg, ctx: BlockContext, drafts: list,
         drafts.append(draft(
             ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, msg.source,
             msg.correlation_id,
-            {"session": session, "phase": "flow-err", "flow": flow,
-             "ok": False}))
+            {"session": session, "phase": "flow-err", "flow": flow}))
         return
     state.flow_sessions[flow] = session
     events.append(BlockEvent("path-defined", flow,
@@ -366,10 +364,10 @@ def _start_handover_paths(state: FMState, msg, ctx: BlockContext,
         drafts.append(draft(
             ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint, msg.source,
             msg.correlation_id,
-            {"session": session, "phase": "new-path-ok", "ok": True}))
+            {"phase": "new-path-ok"}))
         return
     state.handover_jobs[msg.correlation_id] = HandoverJob(
-        session=session, remaining=applied, reply_to=msg.source)
+        remaining=applied, reply_to=msg.source)
 
 
 def _handle_release(state: FMState, msg, ctx: BlockContext,
@@ -437,7 +435,7 @@ def _handle_notify(state: FMState, msg, ctx: BlockContext, drafts: list,
                     ProcedureKind.CONTEXT_PUBLISH, ctx.self_endpoint,
                     ctx.peer_endpoint(Role.CGHF), msg.correlation_id,
                     {"metric": "flow-latency", "subject": flow,
-                     "value": value, "source": "dplane"}))
+                     "value": value}))
 
 
 def _commit(state: FMState, job: PendingApply, ctx: BlockContext) -> list:
@@ -449,8 +447,7 @@ def _commit(state: FMState, job: PendingApply, ctx: BlockContext) -> list:
         drafts.append(draft(
             ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, job.reply_to,
             job.reply_corr,
-            {"session": job.session, "phase": "flow-ok", "flow": job.flow,
-             "ok": True}))
+            {"session": job.session, "phase": "flow-ok", "flow": job.flow}))
     elif job.purpose == "reanchor":
         binding = state.sessions.get(job.session)
         if binding is not None:
@@ -461,7 +458,7 @@ def _commit(state: FMState, job: PendingApply, ctx: BlockContext) -> list:
             ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, job.reply_to,
             job.reply_corr,
             {"session": job.session, "phase": "reanchor-ok",
-             "flow": job.flow, "anchor": job.anchor, "ok": True}))
+             "flow": job.flow, "anchor": job.anchor}))
     elif job.purpose == "handover":
         ho = state.handover_jobs.get(job.reply_corr)
         if ho is not None:
@@ -471,7 +468,7 @@ def _commit(state: FMState, job: PendingApply, ctx: BlockContext) -> list:
                 drafts.append(draft(
                     ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint,
                     ho.reply_to, job.reply_corr,
-                    {"session": ho.session, "phase": "new-path-ok", "ok": True}))
+                    {"phase": "new-path-ok"}))
     return drafts
 
 
@@ -498,8 +495,7 @@ def _rollback(state: FMState, key: tuple, job: PendingApply,
         drafts.append(draft(
             ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, job.reply_to,
             job.reply_corr,
-            {"session": job.session, "phase": "flow-err", "flow": job.flow,
-             "ok": False}))
+            {"session": job.session, "phase": "flow-err", "flow": job.flow}))
     return drafts
 
 

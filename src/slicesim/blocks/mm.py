@@ -31,7 +31,6 @@ class HandoverPlan:
     session: str
     style: HandoverStyle
     node: str
-    tech: str
     area: str
     ingress: str
     direct: bool
@@ -59,7 +58,7 @@ def mm_handover(state: MMState, device: str, target_node: str, target_tech: str,
             f"slice mobility policy excludes {target_tech} targets")
     plan = HandoverPlan(
         device=device, session=session, style=policy.style, node=target_node,
-        tech=target_tech, area=target_area, ingress=target_ingress,
+        area=target_area, ingress=target_ingress,
         direct=state.device_modes.get(device, "direct") == "direct")
     state.handovers[corr] = plan
     if policy.style is HandoverStyle.MAKE_BEFORE_BREAK:
@@ -72,14 +71,12 @@ def _new_path_draft(plan: HandoverPlan, ctx: BlockContext,
     return draft(
         ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint,
         ctx.peer_endpoint(Role.FM), corr,
-        {"device": plan.device, "session": plan.session, "phase": "new-path",
-         "ingress": plan.ingress, "node": plan.node, "tech": plan.tech})
+        {"session": plan.session, "phase": "new-path",
+         "ingress": plan.ingress})
 
 
 def _execute_drafts(plan: HandoverPlan, ctx: BlockContext, corr: str) -> list:
-    payload = {"device": plan.device, "session": plan.session,
-               "phase": "execute", "node": plan.node, "tech": plan.tech,
-               "area": plan.area}
+    payload = {"device": plan.device, "phase": "execute", "node": plan.node}
     if plan.direct:
         return [draft(ProcedureKind.HANDOVER_EXECUTE, ctx.self_endpoint,
                       Endpoint(Role.UE, plan.device), corr, payload)]
@@ -92,8 +89,7 @@ def _release_draft(plan: HandoverPlan, ctx: BlockContext,
     return draft(
         ProcedureKind.SESSION_RELEASE, ctx.self_endpoint,
         ctx.peer_endpoint(Role.FM), corr,
-        {"device": plan.device, "session": plan.session,
-         "scope": "handover-old"})
+        {"session": plan.session, "scope": "handover-old"})
 
 
 def mm_page(state: MMState, device: str, ctx: BlockContext, corr: str):
@@ -105,8 +101,7 @@ def mm_page(state: MMState, device: str, ctx: BlockContext, corr: str):
     state.pages[device] = ctx.tick
     return [draft(ProcedureKind.PAGE, ctx.self_endpoint,
                   ctx.peer_endpoint(Role.AF), corr,
-                  {"device": device, "node": node, "area": area,
-                   "reason": "downlink-demand"})
+                  {"device": device, "node": node})
             for node in ctx.nodes_in_area(area)]
 
 
@@ -155,8 +150,7 @@ def handle(state: MMState, msg, ctx: BlockContext):
             drafts.append(draft(
                 ProcedureKind.PATH_RECORD_UPDATE, ctx.self_endpoint,
                 ctx.peer_endpoint(Role.AF), corr,
-                {"device": plan.device, "node": plan.node, "tech": plan.tech,
-                 "event": "handover"}))
+                {"device": plan.device, "node": plan.node}))
         if plan.style is HandoverStyle.MAKE_BEFORE_BREAK:
             drafts.append(_release_draft(plan, ctx, corr))
             _complete_handover(state, plan, events, corr)

@@ -46,9 +46,7 @@ class AuthVerdict:
     ok: bool
     device: str
     pseudonym: str | None = None
-    ordinal: int | None = None
     token: str | None = None
-    low_secure: bool = False
     reason: str | None = None
 
 
@@ -92,16 +90,14 @@ def sam_authenticate(state: SAMState, device: str, alias: str, proof: str,
     pseudonym = mint_pseudonym(seed, permanent_id, ordinal)
     state.pseudonym_map[pseudonym] = permanent_id
     state._pseudonym_of[permanent_id] = pseudonym
-    low_secure = scheme is AuthScheme.LOW_SECURE
     context = SecurityContext(
         ordinal=ordinal,
         key=mint_key_material(seed, device, ordinal),
         token=mint_context_token(seed, device, ordinal),
-        low_secure=low_secure)
+        low_secure=scheme is AuthScheme.LOW_SECURE)
     state.security_contexts[device] = context
     return AuthVerdict(ok=True, device=device, pseudonym=pseudonym,
-                       ordinal=ordinal, token=context.token,
-                       low_secure=low_secure)
+                       token=context.token)
 
 
 def handle(state: SAMState, msg, ctx: BlockContext):
@@ -120,10 +116,7 @@ def handle(state: SAMState, msg, ctx: BlockContext):
                                   "reason": verdict.reason}))
         payload = {"device": device, "ok": verdict.ok}
         if verdict.ok:
-            payload.update(pseudonym=verdict.pseudonym, ordinal=verdict.ordinal,
-                           token=verdict.token, low_secure=verdict.low_secure)
-        else:
-            payload["reason"] = verdict.reason
+            payload.update(pseudonym=verdict.pseudonym, token=verdict.token)
         drafts.append(draft(ProcedureKind.AUTH_RESPONSE, ctx.self_endpoint,
                             msg.source, msg.correlation_id, payload))
     return state, drafts, events

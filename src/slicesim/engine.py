@@ -518,8 +518,7 @@ class Environment:
         return [draft(ProcedureKind.FLOW_NOTIFY, msg.destination, msg.source,
                       msg.correlation_id,
                       {"phase": "config-ack", "node": node,
-                       "flow": payload.get("flow", ""), "ok": ok,
-                       "action": payload.get("action", "")})]
+                       "flow": payload.get("flow", ""), "ok": ok})]
 
     # -- script events -----------------------------------------------------------
 
@@ -536,7 +535,7 @@ class Environment:
         payload = {
             "device": device.device_id, "alias": device.presented_alias(),
             "accesses": list(accesses), "node": device.current_node,
-            "area": info.area, "tech": info.tech.value, "method": method,
+            "tech": info.tech.value, "method": method,
         }
         if reattach:
             payload["reattach"] = True
@@ -689,8 +688,8 @@ class Environment:
         corr = device.next_correlation("session")
         self.emit(self._mode_route(
             device, ProcedureKind.SESSION_ESTABLISH, Role.CM, corr,
-            {"device": device.device_id, "flow": flow, "rate": rate,
-             "duration": duration, "qos": qos, "node": device.current_node}))
+            {"device": device.device_id, "flow": flow, "qos": qos,
+             "node": device.current_node}))
 
     def _mobility_slice(self, device: SimDevice, detail: dict):
         """The device's slice if it deploys mobility management; otherwise
@@ -718,7 +717,7 @@ class Environment:
             ProcedureKind.PAGE,
             Endpoint(Role.CM, instance.peers[Role.CM]),
             Endpoint(Role.MM, instance.peers[Role.MM]), corr,
-            {"device": device.device_id, "reason": "downlink-demand"})])
+            {"device": device.device_id})])
 
     def _inject_latency(self, flow: str, value: float) -> None:
         for slice_id in sorted(self.slices):

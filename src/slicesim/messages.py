@@ -104,40 +104,34 @@ class ProcedureKind(str, Enum):
 #: that carries a field not listed here.
 PAYLOAD_SCHEMAS: dict[ProcedureKind, frozenset[str]] = {
     ProcedureKind.ATTACH_REQUEST: frozenset(
-        {"device", "alias", "proof", "token", "accesses", "node", "area",
-         "tech", "method", "reattach"}),
+        {"device", "alias", "proof", "token", "accesses", "node", "tech",
+         "method", "reattach"}),
     ProcedureKind.AUTH_CHALLENGE: frozenset(
         {"device", "alias", "proof", "scheme"}),
     ProcedureKind.AUTH_RESPONSE: frozenset(
-        {"device", "ok", "pseudonym", "ordinal", "low_secure", "token",
-         "reason"}),
+        {"device", "ok", "pseudonym", "token"}),
     ProcedureKind.SLICE_SELECT: frozenset(
-        {"device", "slice", "pseudonym", "ordinal", "token", "accesses",
-         "node", "area", "tech", "mode"}),
+        {"device", "accesses", "node", "tech", "mode"}),
     ProcedureKind.SLICE_REDIRECT: frozenset({"device", "target"}),
     ProcedureKind.SESSION_ESTABLISH: frozenset(
-        {"device", "session", "phase", "flow", "rate", "duration", "qos",
-         "node", "ingress", "anchor", "addresses", "ok"}),
+        {"device", "session", "phase", "flow", "qos", "node", "ingress",
+         "anchor", "addresses"}),
     ProcedureKind.SESSION_RELEASE: frozenset(
         {"device", "session", "scope", "flow"}),
     ProcedureKind.HANDOVER_PREPARE: frozenset(
-        {"device", "session", "phase", "node", "tech", "area", "ingress",
-         "ok"}),
-    ProcedureKind.HANDOVER_EXECUTE: frozenset(
-        {"device", "session", "phase", "node", "tech", "area"}),
-    ProcedureKind.PATH_RECORD_UPDATE: frozenset(
-        {"device", "node", "tech", "event"}),
-    ProcedureKind.PAGE: frozenset({"device", "node", "reason", "area"}),
+        {"device", "session", "phase", "node", "tech", "area", "ingress"}),
+    ProcedureKind.HANDOVER_EXECUTE: frozenset({"device", "phase", "node"}),
+    ProcedureKind.PATH_RECORD_UPDATE: frozenset({"device", "node"}),
+    ProcedureKind.PAGE: frozenset({"device", "node"}),
     ProcedureKind.LOCATION_UPDATE: frozenset(
         {"device", "phase", "node", "area", "session", "mode"}),
     ProcedureKind.FLOW_CONFIGURE: frozenset(
         {"flow", "node", "action", "next"}),
     ProcedureKind.FLOW_NOTIFY: frozenset(
-        {"phase", "node", "flow", "ok", "action", "link", "load", "values"}),
-    ProcedureKind.CONTEXT_PUBLISH: frozenset(
-        {"metric", "subject", "value", "source"}),
+        {"phase", "node", "flow", "ok", "link", "load", "values"}),
+    ProcedureKind.CONTEXT_PUBLISH: frozenset({"metric", "subject", "value"}),
     ProcedureKind.CONTEXT_NOTIFY: frozenset(
-        {"topic", "subject", "statement", "evidence"}),
+        {"subject", "statement", "evidence"}),
 }
 
 

@@ -336,7 +336,7 @@ class TestFmHandlerRefusals:
         # no new path to await: the handover goes on at once
         assert [(d.kind, d.destination, d.payload) for d in drafts] == [
             (ProcedureKind.HANDOVER_PREPARE, msg.source,
-             {"session": "s-1", "phase": "new-path-ok", "ok": True})]
+             {"phase": "new-path-ok"})]
         assert state.handover_jobs == {}
 
     def test_handover_awaits_only_the_flows_it_applied(self):
@@ -361,9 +361,9 @@ class TestFmHandlerRefusals:
                 destination=Endpoint(Role.FM, ctx.self_id),
                 interface=InterfacePoint.I4_SBI, correlation_id="c1",
                 payload={"phase": "config-ack", "node": node, "flow": "f1",
-                         "ok": True, "action": "install"}), ctx)[1]
+                         "ok": True}), ctx)[1]
         assert [(d.destination, d.payload) for d in replies] == [
-            (msg.source, {"session": "s-1", "phase": "new-path-ok", "ok": True})]
+            (msg.source, {"phase": "new-path-ok"})]
         assert state.handover_jobs == {}
 
     def test_handover_release_keeps_other_sessions_old_paths(self):
@@ -468,7 +468,7 @@ class TestContextGeneration:
         cghf_ingest(state, "flow-latency", "f1", 40.0, 4)
         cghf_ingest(state, "flow-loss", "f1", 9.0, 4)
         state, drafts, _ = cghf_generate(state, 4, ctx)
-        topics = [d.payload["topic"] for d in drafts]
+        topics = [d.destination.topic_id for d in drafts]
         assert topics == sorted(topics) == ["a-loss", "dplane-latency"]
 
 
@@ -496,8 +496,7 @@ def generate_over_every_key(state, tick, ctx):
                     ProcedureKind.CONTEXT_NOTIFY, ctx.self_endpoint,
                     Topic(model.topic),
                     f"{ctx.slice_id}:context:{state.assertion_counter}",
-                    {"topic": model.topic, "subject": subject,
-                     "statement": model.statement,
+                    {"subject": subject, "statement": model.statement,
                      "evidence": [list(e) for e in evidence]}))
             elif not condition:
                 state.armed[bkey] = True

@@ -57,7 +57,6 @@ class TestAuthenticate:
         verdict = sam_authenticate(state, "d1", "imsi-001", "tok-1",
                                    AuthScheme.FULL, seed=7, tick=1)
         assert verdict.ok
-        assert verdict.ordinal == 1
         assert verdict.pseudonym.startswith("psn-")
         assert state.security_contexts["d1"].ordinal == 1
         assert len(state.audit_log) == 1 and state.audit_log[0].ok
@@ -68,9 +67,9 @@ class TestAuthenticate:
                           ctx.peer_endpoint(Role.CM), ctx.self_endpoint, "c1",
                           {"device": "d1", "alias": "imsi-001",
                            "proof": "wrong", "scheme": "full"})
-        _, [response], _ = sam_handle(state, challenge, ctx)
-        assert response.payload == {"device": "d1", "ok": False,
-                                    "reason": "credential-mismatch"}
+        _, [response], [event] = sam_handle(state, challenge, ctx)
+        assert response.payload == {"device": "d1", "ok": False}
+        assert event.detail["reason"] == "credential-mismatch"
         assert "d1" not in state.security_contexts
         assert len(state.audit_log) == 1 and not state.audit_log[0].ok
 
@@ -86,7 +85,7 @@ class TestAuthenticate:
                                  AuthScheme.FULL, seed=7, tick=1)
         second = sam_authenticate(state, "d1", first.pseudonym, "tok-1",
                                   AuthScheme.FULL, seed=7, tick=2)
-        assert second.ok and second.ordinal == 2
+        assert second.ok and state.security_contexts["d1"].ordinal == 2
         assert second.pseudonym != first.pseudonym
         assert first.pseudonym not in state.pseudonym_map
         assert state.pseudonym_map[second.pseudonym] == "imsi-001"
@@ -95,7 +94,7 @@ class TestAuthenticate:
         state = sam_with()
         verdict = sam_authenticate(state, "d1", "imsi-001", "tok-1",
                                    AuthScheme.LOW_SECURE, seed=7, tick=1)
-        assert verdict.ok and verdict.low_secure
+        assert verdict.ok
         assert state.security_contexts["d1"].low_secure
 
     def test_pseudonym_map_stays_bijective(self):
@@ -148,7 +147,7 @@ class TestSingleSignOn:
 
 def pending(device="d1", node="n1", accesses=(), tech="cellular", direct=True):
     return PendingAttach(device=device, alias="psn-x", accesses=tuple(accesses),
-                         node=node, area="area-1", tech=tech, direct=direct)
+                         node=node, tech=tech, direct=direct)
 
 
 def authenticating_state(device="d1"):

@@ -24,6 +24,26 @@ FM = BBInstanceId(Role.FM, "s").endpoint
 DP = Endpoint(Role.D_PLANE, "s:n1")
 
 
+#: Payload fields that no receiver read, deleted from their kind's schema.
+DELETED_FIELDS = [
+    (ProcedureKind.ATTACH_REQUEST, "area"),
+    *((ProcedureKind.AUTH_RESPONSE, f) for f in ("ordinal", "low_secure",
+                                                 "reason")),
+    *((ProcedureKind.SLICE_SELECT, f) for f in ("slice", "pseudonym",
+                                                "ordinal", "token", "area")),
+    *((ProcedureKind.SESSION_ESTABLISH, f) for f in ("rate", "duration",
+                                                     "ok")),
+    (ProcedureKind.HANDOVER_PREPARE, "ok"),
+    *((ProcedureKind.HANDOVER_EXECUTE, f) for f in ("area", "session",
+                                                    "tech")),
+    *((ProcedureKind.PATH_RECORD_UPDATE, f) for f in ("tech", "event")),
+    *((ProcedureKind.PAGE, f) for f in ("reason", "area")),
+    (ProcedureKind.FLOW_NOTIFY, "action"),
+    *((ProcedureKind.CONTEXT_PUBLISH, f) for f in ("source", "external")),
+    (ProcedureKind.CONTEXT_NOTIFY, "topic"),
+]
+
+
 def msg(kind, src, dst, iface, payload=None, corr="d1:attach:1"):
     return SignalMessage(kind=kind, source=src, destination=dst,
                          interface=iface, correlation_id=corr,
@@ -107,13 +127,13 @@ class TestValidateMessage:
     def test_deleted_field_in_no_schema(self, field):
         assert all(field not in fields for fields in PAYLOAD_SCHEMAS.values())
 
-    def test_external_rejected_on_context_publish(self):
+    @pytest.mark.parametrize("kind, field", DELETED_FIELDS,
+                             ids=[f"{k.value}.{f}" for k, f in DELETED_FIELDS])
+    def test_deleted_field_rejected(self, kind, field):
         verdict = validate_message(msg(
-            ProcedureKind.CONTEXT_PUBLISH, FM, CM, InterfacePoint.INTER_BB,
-            {"metric": "flow-latency", "subject": "f1", "value": 1.0,
-             "source": "dplane", "external": True}))
+            kind, FM, CM, InterfacePoint.INTER_BB, {field: True}))
         assert verdict.violations == (
-            "payload fields ['external'] outside ContextPublish schema",)
+            f"payload fields ['{field}'] outside {kind.value} schema",)
 
     def test_i7_joins_the_core_to_another_domain(self):
         ext = Endpoint(Role.OTHER_DOMAIN, "peer")
