@@ -97,7 +97,10 @@ def _transition(state: CMState, device: str, to: ConvergentState,
         return
     if (frm, to) not in ALLOWED_TRANSITIONS:
         raise IllegalTransitionError(f"illegal edge {frm.value}->{to.value}")
-    state.device_table[device] = to
+    if to is ConvergentState.DETACHED:
+        del state.device_table[device]      # a detached device has no entry
+    else:
+        state.device_table[device] = to
     events.append(BlockEvent("transition", device,
                              {"from": frm.value, "to": to.value, "slice": slice_id}))
 

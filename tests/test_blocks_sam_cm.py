@@ -178,7 +178,7 @@ class TestCmAttach:
         state = authenticating_state()
         drafts, events = [], []
         cm_attach(state, pending(), False, make_ctx(), "c1", drafts, events)
-        assert state.device_table["d1"] is ConvergentState.DETACHED
+        assert "d1" not in state.device_table   # detached
         assert state.sessions == {} and state.device_sessions == {}
         assert drafts == []
         assert any(e.kind == "attach-denied" for e in events)
@@ -195,16 +195,15 @@ class TestCmAttach:
 
     def test_detach_leaves_no_node_or_mode_of_the_device(self):
         # the device's access node and signalling mode live on its session,
-        # which the detach ends; only the convergent state remembers it
+        # which the detach ends, and a detached device has no table entry
         state = authenticating_state()
         ctx = make_ctx()
         cm_attach(state, pending(direct=False), True, ctx, "d1:attach:1", [], [])
         cm_handle(state, to_cm(ProcedureKind.SESSION_RELEASE,
                                {"device": "d1", "scope": "detach"},
                                corr="d1:detach:1"), ctx)
-        assert state.device_table == {"d1": ConvergentState.DETACHED}
         assert [f.name for f in dataclasses.fields(state)
-                if "d1" in str(getattr(state, f.name))] == ["device_table"]
+                if "d1" in str(getattr(state, f.name))] == []
 
     def test_no_anchor_candidates_raises(self):
         state = authenticating_state()
@@ -298,7 +297,7 @@ class TestCmHandlerRefusals:
         _, drafts, events = cm_handle(state, verdict, ctx)
         assert drafts == [] and state.pending_attach == {}
         assert [e.kind for e in events] == ["transition", "attach-denied"]
-        assert state.device_table["d1"] is ConvergentState.DETACHED
+        assert "d1" not in state.device_table   # detached
 
     def test_reattach_without_a_context_token_is_denied(self):
         state = subscribed_cm()
@@ -307,7 +306,7 @@ class TestCmHandlerRefusals:
         assert drafts == []
         assert events[-1] == BlockEvent("attach-denied", "d1",
                                         {"reason": "missing-context-token"})
-        assert state.device_table["d1"] is ConvergentState.DETACHED
+        assert "d1" not in state.device_table   # detached
 
     def test_stray_auth_response_is_a_traced_error(self):
         ctx = make_ctx()
@@ -324,7 +323,7 @@ class TestCmHandlerRefusals:
         assert events[-1] == BlockEvent("error", "d1", {
             "error": "NoEligibleSliceError",
             "detail": "subscription of d1 lists no slice"})
-        assert state.device_table["d1"] is ConvergentState.DETACHED
+        assert "d1" not in state.device_table   # detached
 
     def test_slice_hand_off_without_an_anchor_is_refused(self):
         state, ctx = subscribed_cm(), make_ctx(anchors=())
@@ -336,7 +335,7 @@ class TestCmHandlerRefusals:
         assert events[-1] == BlockEvent("error", "d1", {
             "error": "NoDPlaneFunctionError",
             "detail": "slice slice-a exposes no anchor candidate for node n1"})
-        assert state.device_table["d1"] is ConvergentState.DETACHED
+        assert "d1" not in state.device_table   # detached
         assert state.sessions == {}
 
     def test_flow_request_for_an_unattached_device_is_refused(self):
