@@ -32,7 +32,8 @@ from conftest import attach_once, scenario_path
 
 CORPUS = ("attach-two-slices", "attach-method2-redirect", "handover-mbb",
           "handover-bbm", "paging", "cghf-reselect", "isolation-pair",
-          "isolation-pair-noisy", "fixed-nomm", "teardown", "traffic-stop")
+          "isolation-pair-noisy", "fixed-nomm", "teardown", "traffic-stop",
+          "handover-via-af")
 
 
 def load(name):
