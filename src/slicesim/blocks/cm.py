@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import IllegalTransitionError, NoDPlaneFunctionError, NoEligibleSliceError
-from ..messages import (
-    Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, draft,
-)
+from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
 from .common import BlockContext, BlockEvent, error_event, refusal
 
 
@@ -57,7 +55,6 @@ class SessionRecord:
     device: str
     anchor: str
     node: str                  # access node at attach
-    direct: bool               # signals directly, not via the AF
     flows: list = field(default_factory=list)
 
 
@@ -68,7 +65,6 @@ class PendingAttach:
     accesses: tuple
     node: str
     tech: str
-    direct: bool
     reattach: bool = False
 
 
@@ -158,7 +154,7 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
     session_id = f"s-{ctx.slice_id}-{state.session_counter}"
     state.sessions[session_id] = SessionRecord(
         session_id=session_id, device=device, anchor=anchor,
-        node=pending.node, direct=pending.direct)
+        node=pending.node)
     state.device_sessions[device] = session_id
     _transition(state, device, ConvergentState.ATTACHED, events, ctx.slice_id)
     events.append(BlockEvent("anchor-selected", device,
@@ -180,12 +176,11 @@ def handle(state: CMState, msg, ctx: BlockContext):
 
     if kind is ProcedureKind.ATTACH_REQUEST:
         device = payload["device"]
-        direct = msg.interface is InterfacePoint.I2
         pending = PendingAttach(
             device=device, alias=payload.get("alias", ""),
             accesses=tuple(payload.get("accesses") or ()),
             node=payload.get("node", ""), tech=payload.get("tech", ""),
-            direct=direct, reattach=bool(payload.get("reattach")))
+            reattach=bool(payload.get("reattach")))
         # the global part authenticates and hands the device off: it keeps
         # no per-device connectivity state
         if state.role is CMRole.SLICE_LOCAL:
@@ -231,8 +226,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
                     Endpoint(Role.CM, local_cm), corr,
                     {"device": pending.device,
                      "accesses": list(pending.accesses), "node": pending.node,
-                     "tech": pending.tech,
-                     "mode": "direct" if pending.direct else "via_af"}))
+                     "tech": pending.tech}))
         else:
             _continue_local_attach(state, pending, ctx, corr, drafts, events)
 
@@ -241,8 +235,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
         pending = PendingAttach(
             device=payload["device"], alias="",
             accesses=tuple(payload.get("accesses") or ()),
-            node=payload.get("node", ""), tech=payload.get("tech", ""),
-            direct=payload.get("mode", "direct") == "direct")
+            node=payload.get("node", ""), tech=payload.get("tech", ""))
         _transition(state, pending.device, ConvergentState.AUTHENTICATING,
                     events, ctx.slice_id)
         _attach_here(state, pending, ctx, corr, drafts, events)
@@ -274,12 +267,9 @@ def _continue_local_attach(state: CMState, pending: PendingAttach,
         return
     events.append(BlockEvent("slice-redirect", pending.device,
                              {"target": choice.target, "from": ctx.slice_id}))
-    # downlink to the device, via its access function when mediated
-    dst = (ctx.peer_endpoint(Role.AF) if not pending.direct
-           else Endpoint(Role.UE, pending.device))
-    drafts.append(draft(ProcedureKind.SLICE_REDIRECT, ctx.self_endpoint, dst,
-                        corr, {"device": pending.device,
-                               "target": choice.target}))
+    drafts.append(draft(ProcedureKind.SLICE_REDIRECT, ctx.self_endpoint,
+                        ctx.downlink(pending.device), corr,
+                        {"device": pending.device, "target": choice.target}))
     _transition(state, pending.device, ConvergentState.DETACHED, events, ctx.slice_id)
 
 
@@ -336,9 +326,8 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext,
                     ProcedureKind.LOCATION_UPDATE, ctx.self_endpoint,
                     ctx.peer_endpoint(Role.MM), msg.correlation_id,
                     {"device": record.device, "phase": "register",
-                     "area": area, "session": session_id,
-                     "mode": "direct" if record.direct else "via_af"}))
-            if record.direct:
+                     "area": area, "session": session_id}))
+            if record.device not in ctx.mediated:
                 drafts.append(draft(
                     ProcedureKind.PATH_RECORD_UPDATE, ctx.self_endpoint,
                     ctx.peer_endpoint(Role.AF), msg.correlation_id,

@@ -87,9 +87,11 @@ def refusal(subject: str, exc: Exception) -> BlockEvent:
 @dataclass(frozen=True)
 class BlockContext:
     """What a handler may read besides its own state: wiring, policy and the
-    static access/topology directories of its slice.  Built once per block;
-    handlers cannot write to it, and the engine moves `tick` before a call.
-    Its own endpoint and each peer's are built on first use and shared."""
+    static access/topology directories of its slice, and which devices
+    signal via their access function.  Built once per block; handlers
+    cannot write to it, and the engine moves `tick` before a call.  Its own
+    endpoint and each peer's are built on first use and shared.  A message
+    carries no fact its receiver can read here."""
 
     slice_id: str
     self_id: str
@@ -103,6 +105,7 @@ class BlockContext:
     ingress_latency: Mapping = field(default_factory=dict)  # (ingress, anchor) -> ticks
     global_cm: str | None = None
     slice_directory: Mapping = field(default_factory=dict)  # slice id -> local CM id
+    mediated: frozenset = frozenset()   # devices whose signalling mode is via_af
 
     @cached_property
     def self_endpoint(self) -> Endpoint:
@@ -117,6 +120,13 @@ class BlockContext:
 
     def peer_endpoint(self, role: Role) -> Endpoint:
         return self._peer_endpoints[role]
+
+    def downlink(self, device: str) -> Endpoint:
+        """Where a message to `device` goes: its access function when the
+        device is mediated, the device itself otherwise."""
+        if device in self.mediated:
+            return self.peer_endpoint(Role.AF)
+        return Endpoint(Role.UE, device)
 
     def nodes_in_area(self, area: str) -> tuple:
         return tuple(sorted(

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import BlueprintError, NoSessionError, NotIdleError, PolicyForbidsError
-from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
+from ..messages import ProcedureKind, Role, SignalMessage, draft
 from .common import (
-    BlockContext, BlockEvent, HandoverStyle, MobilityPolicy, Tech, refusal,
+    BlockContext, BlockEvent, HandoverStyle, MobilityPolicy, refusal,
 )
 
 
@@ -31,9 +31,6 @@ class HandoverPlan:
     session: str
     style: HandoverStyle
     node: str
-    area: str
-    ingress: str
-    direct: bool
 
 
 @dataclass
@@ -41,29 +38,26 @@ class MMState:
     tracking_areas: dict = field(default_factory=dict)  # device -> area id
     paging_state: dict = field(default_factory=dict)    # device -> PagingState
     sessions: dict = field(default_factory=dict)        # device -> session id
-    device_modes: dict = field(default_factory=dict)    # device -> "direct"|"via_af"
     handovers: dict = field(default_factory=dict)       # correlation -> HandoverPlan
     pages: dict = field(default_factory=dict)           # device -> tick paged
 
 
-def mm_handover(state: MMState, device: str, target_node: str, target_tech: str,
-                target_area: str, target_ingress: str, policy: MobilityPolicy,
-                ctx: BlockContext, corr: str):
+def mm_handover(state: MMState, device: str, target_node: str,
+                policy: MobilityPolicy, ctx: BlockContext, corr: str):
     """Start a handover plan for a device with an active session."""
     session = state.sessions.get(device)
     if session is None:
         raise NoSessionError(f"device {device} has no active session")
-    if Tech(target_tech) not in policy.allowed_techs:
+    tech = ctx.access_nodes[target_node].tech
+    if tech not in policy.allowed_techs:
         raise PolicyForbidsError(
-            f"slice mobility policy excludes {target_tech} targets")
+            f"slice mobility policy excludes {tech.value} targets")
     plan = HandoverPlan(
-        device=device, session=session, style=policy.style, node=target_node,
-        area=target_area, ingress=target_ingress,
-        direct=state.device_modes.get(device, "direct") == "direct")
+        device=device, session=session, style=policy.style, node=target_node)
     state.handovers[corr] = plan
     if policy.style is HandoverStyle.MAKE_BEFORE_BREAK:
         return [_new_path_draft(plan, ctx, corr)]
-    return _execute_drafts(plan, ctx, corr)
+    return [_execute_draft(plan, ctx, corr)]
 
 
 def _new_path_draft(plan: HandoverPlan, ctx: BlockContext,
@@ -72,16 +66,14 @@ def _new_path_draft(plan: HandoverPlan, ctx: BlockContext,
         ProcedureKind.HANDOVER_PREPARE, ctx.self_endpoint,
         ctx.peer_endpoint(Role.FM), corr,
         {"session": plan.session, "phase": "new-path",
-         "ingress": plan.ingress})
+         "ingress": ctx.access_nodes[plan.node].ingress})
 
 
-def _execute_drafts(plan: HandoverPlan, ctx: BlockContext, corr: str) -> list:
-    payload = {"device": plan.device, "phase": "execute", "node": plan.node}
-    if plan.direct:
-        return [draft(ProcedureKind.HANDOVER_EXECUTE, ctx.self_endpoint,
-                      Endpoint(Role.UE, plan.device), corr, payload)]
-    return [draft(ProcedureKind.HANDOVER_EXECUTE, ctx.self_endpoint,
-                  ctx.peer_endpoint(Role.AF), corr, payload)]
+def _execute_draft(plan: HandoverPlan, ctx: BlockContext,
+                   corr: str) -> SignalMessage:
+    return draft(ProcedureKind.HANDOVER_EXECUTE, ctx.self_endpoint,
+                 ctx.downlink(plan.device), corr,
+                 {"device": plan.device, "phase": "execute", "node": plan.node})
 
 
 def _release_draft(plan: HandoverPlan, ctx: BlockContext,
@@ -117,16 +109,12 @@ def handle(state: MMState, msg, ctx: BlockContext):
         policy = ctx.policy.mobility
         if policy is None:
             raise BlueprintError("MM instantiated without a mobility policy")
+        target = payload["node"]
         try:
-            drafts = mm_handover(
-                state, device, target_node=payload.get("node", ""),
-                target_tech=payload.get("tech", ""),
-                target_area=payload.get("area", ""),
-                target_ingress=payload.get("ingress", ""),
-                policy=policy, ctx=ctx, corr=corr)
+            drafts = mm_handover(state, device, target, policy, ctx, corr)
             events.append(BlockEvent("handover-start", device,
                                      {"style": policy.style.value,
-                                      "target": payload.get("node", "")}))
+                                      "target": target}))
         except (NoSessionError, PolicyForbidsError) as exc:
             events.append(refusal(device, exc))
 
@@ -135,7 +123,7 @@ def handle(state: MMState, msg, ctx: BlockContext):
         if plan is None or payload.get("phase") != "new-path-ok":
             return state, drafts, events
         if plan.style is HandoverStyle.MAKE_BEFORE_BREAK:
-            drafts.extend(_execute_drafts(plan, ctx, corr))
+            drafts.append(_execute_draft(plan, ctx, corr))
         else:
             # break-before-make: path came last, close out with the release
             drafts.append(_release_draft(plan, ctx, corr))
@@ -145,8 +133,8 @@ def handle(state: MMState, msg, ctx: BlockContext):
         plan = state.handovers.get(corr)
         if plan is None:
             return state, drafts, events
-        state.tracking_areas[plan.device] = plan.area
-        if plan.direct:
+        state.tracking_areas[plan.device] = ctx.access_nodes[plan.node].area
+        if plan.device not in ctx.mediated:
             drafts.append(draft(
                 ProcedureKind.PATH_RECORD_UPDATE, ctx.self_endpoint,
                 ctx.peer_endpoint(Role.AF), corr,
@@ -171,11 +159,8 @@ def handle(state: MMState, msg, ctx: BlockContext):
             state.tracking_areas[device] = payload.get("area", "")
             state.sessions[device] = payload.get("session", "")
             state.paging_state[device] = PagingState.REACHABLE
-            state.device_modes[device] = payload.get("mode", "direct")
         elif phase == "idle":
             state.paging_state[device] = PagingState.IDLE
-            state.device_modes[device] = (
-                "via_af" if msg.source.role is Role.AF else "direct")
         elif phase == "page-response":
             if state.pages.pop(device, None) is not None:
                 state.paging_state[device] = PagingState.REACHABLE
@@ -183,7 +168,7 @@ def handle(state: MMState, msg, ctx: BlockContext):
                                          {"node": payload.get("node", "")}))
         elif phase == "detached":
             for table in (state.tracking_areas, state.paging_state,
-                          state.sessions, state.device_modes):
+                          state.sessions):
                 table.pop(device, None)
 
     return state, drafts, events

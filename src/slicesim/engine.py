@@ -307,7 +307,9 @@ class Environment:
                 scenario.topology,
                 [a for bp in scenario.blueprints for a in bp.anchors]),
             slice_directory={sid: inst.peers[Role.CM]
-                             for sid, inst in self.slices.items()})
+                             for sid, inst in self.slices.items()},
+            mediated=frozenset(d.device_id for d in scenario.devices
+                               if d.mode is SignalingMode.VIA_AF))
         scopes = [(None, "global", global_peers, self.global_states,
                    SlicePolicy(), ())] + [
             (inst, sid, inst.peers, inst.states, inst.blueprint.policy,
@@ -664,13 +666,10 @@ class Environment:
         if self._mobility_slice(device, {"slice": device.bound_slice,
                                          "target": target}) is None:
             return
-        info = self.scenario.topology.access[target]
         corr = device.next_correlation("handover")
         self.emit(self._mode_route(
             device, ProcedureKind.HANDOVER_PREPARE, Role.MM, corr,
-            {"device": device.device_id, "node": target,
-             "tech": info.tech.value, "area": info.area,
-             "ingress": info.ingress}))
+            {"device": device.device_id, "node": target}))
 
     def _traffic_start(self, device: SimDevice, options: dict) -> None:
         instance = self.slices[device.bound_slice]

@@ -111,7 +111,7 @@ PAYLOAD_SCHEMAS: dict[ProcedureKind, frozenset[str]] = {
     ProcedureKind.AUTH_RESPONSE: frozenset(
         {"device", "ok", "pseudonym", "token"}),
     ProcedureKind.SLICE_SELECT: frozenset(
-        {"device", "accesses", "node", "tech", "mode"}),
+        {"device", "accesses", "node", "tech"}),
     ProcedureKind.SLICE_REDIRECT: frozenset({"device", "target"}),
     ProcedureKind.SESSION_ESTABLISH: frozenset(
         {"device", "session", "phase", "flow", "qos", "node", "ingress",
@@ -119,12 +119,12 @@ PAYLOAD_SCHEMAS: dict[ProcedureKind, frozenset[str]] = {
     ProcedureKind.SESSION_RELEASE: frozenset(
         {"device", "session", "scope", "flow"}),
     ProcedureKind.HANDOVER_PREPARE: frozenset(
-        {"device", "session", "phase", "node", "tech", "area", "ingress"}),
+        {"device", "session", "phase", "node", "ingress"}),
     ProcedureKind.HANDOVER_EXECUTE: frozenset({"device", "phase", "node"}),
     ProcedureKind.PATH_RECORD_UPDATE: frozenset({"device", "node"}),
     ProcedureKind.PAGE: frozenset({"device", "node"}),
     ProcedureKind.LOCATION_UPDATE: frozenset(
-        {"device", "phase", "node", "area", "session", "mode"}),
+        {"device", "phase", "node", "area", "session"}),
     ProcedureKind.FLOW_CONFIGURE: frozenset(
         {"flow", "node", "action", "next"}),
     ProcedureKind.FLOW_NOTIFY: frozenset(

@@ -175,7 +175,6 @@ def mm_with_session(device="d1", style=HandoverStyle.MAKE_BEFORE_BREAK):
     state.sessions[device] = "s-1"
     state.tracking_areas[device] = "area-1"
     state.paging_state[device] = PagingState.REACHABLE
-    state.device_modes[device] = "direct"
     policy = MobilityPolicy(style=style)
     ctx = ctx_for(Role.MM, policy=SlicePolicy(mobility=policy))
     return state, policy, ctx
@@ -193,8 +192,7 @@ class TestHandover:
     def test_make_before_break_plan_order(self):
         state, policy, ctx = mm_with_session()
         corr = "d1:handover:1"
-        drafts = mm_handover(state, "d1", "n2", "cellular", "area-1", "i2",
-                             policy, ctx, corr)
+        drafts = mm_handover(state, "d1", "n2", policy, ctx, corr)
         assert [d.kind for d in drafts] == [ProcedureKind.HANDOVER_PREPARE]
         assert drafts[0].payload["phase"] == "new-path"
         # path ready -> execute towards the device
@@ -218,8 +216,7 @@ class TestHandover:
     def test_break_before_make_reverses_the_first_two_stages(self):
         state, policy, ctx = mm_with_session(style=HandoverStyle.BREAK_BEFORE_MAKE)
         corr = "d1:handover:1"
-        drafts = mm_handover(state, "d1", "n2", "cellular", "area-1", "i2",
-                             policy, ctx, corr)
+        drafts = mm_handover(state, "d1", "n2", policy, ctx, corr)
         assert [d.kind for d in drafts] == [ProcedureKind.HANDOVER_EXECUTE]
         _, drafts, _ = drive(state, ctx, ProcedureKind.HANDOVER_EXECUTE,
                              {"device": "d1", "phase": "confirm", "node": "n2",
@@ -239,14 +236,12 @@ class TestHandover:
         ctx = ctx_for(Role.MM, policy=SlicePolicy())
         with pytest.raises(BlueprintError, match="without a mobility policy"):
             drive(state, ctx, ProcedureKind.HANDOVER_PREPARE,
-                  {"device": "d1", "node": "n2", "tech": "cellular",
-                   "area": "area-1", "ingress": "i2"}, Role.UE)
+                  {"device": "d1", "node": "n2"}, Role.UE)
 
     def test_handover_without_session_rejected(self):
         state, policy, ctx = mm_with_session()
         with pytest.raises(NoSessionError):
-            mm_handover(state, "ghost", "n2", "cellular", "area-1", "i2",
-                        policy, ctx, "c")
+            mm_handover(state, "ghost", "n2", policy, ctx, "c")
         # the handler traces the refusal and sends nothing
         _, drafts, events = drive(state, ctx, ProcedureKind.HANDOVER_PREPARE,
                                   {"device": "ghost", "node": "n2"}, Role.UE)
@@ -259,20 +254,41 @@ class TestHandover:
         policy = MobilityPolicy(style=HandoverStyle.MAKE_BEFORE_BREAK,
                                 allowed_techs=frozenset({Tech.CELLULAR}))
         ctx = ctx_for(Role.MM, policy=SlicePolicy(mobility=policy))
-        with pytest.raises(PolicyForbidsError):
-            mm_handover(state, "d1", "fx1", "fixed", "area-9", "if", policy,
-                        ctx, "c")
+        with pytest.raises(PolicyForbidsError, match="excludes wifi targets"):
+            mm_handover(state, "d1", "w1", policy, ctx, "c")
 
     def test_tracking_area_updated_on_confirm(self):
         state, policy, ctx = mm_with_session()
         corr = "d1:handover:1"
-        mm_handover(state, "d1", "w1", "wifi", "area-2", "iw", policy, ctx, corr)
+        mm_handover(state, "d1", "w1", policy, ctx, corr)
         drive(state, ctx, ProcedureKind.HANDOVER_PREPARE,
               {"session": "s-1", "phase": "new-path-ok", "ok": True},
               Role.FM, corr)
         drive(state, ctx, ProcedureKind.HANDOVER_EXECUTE,
               {"device": "d1", "phase": "confirm", "node": "w1",
                "tech": "wifi", "area": "area-2"}, Role.UE, corr)
+        assert state.tracking_areas["d1"] == "area-2"
+
+    @pytest.mark.parametrize("mediated, downlink, records", [
+        (frozenset(), Endpoint(Role.UE, "d1"), 1),
+        (frozenset({"d1"}), Endpoint(Role.AF, f"AF.{SLICE}.1"), 0)])
+    def test_execute_and_path_record_follow_the_signalling_mode(
+            self, mediated, downlink, records):
+        # the AF records a mediated device's node from the forwarded confirm
+        state, _, ctx = mm_with_session(style=HandoverStyle.BREAK_BEFORE_MAKE)
+        ctx = dataclasses.replace(ctx, mediated=mediated)
+        corr = "d1:handover:1"
+        _, drafts, _ = drive(state, ctx, ProcedureKind.HANDOVER_PREPARE,
+                             {"device": "d1", "node": "w1"}, Role.UE, corr)
+        assert [(d.kind, d.destination) for d in drafts] == [
+            (ProcedureKind.HANDOVER_EXECUTE, downlink)]
+        _, drafts, _ = drive(state, ctx, ProcedureKind.HANDOVER_EXECUTE,
+                             {"device": "d1", "phase": "confirm",
+                              "node": "w1"}, Role.UE, corr)
+        assert [d.kind for d in drafts].count(
+            ProcedureKind.PATH_RECORD_UPDATE) == records
+        assert drafts[-1].payload == {"session": "s-1", "phase": "new-path",
+                                      "ingress": "iw"}
         assert state.tracking_areas["d1"] == "area-2"
 
     def test_path_reply_without_a_plan_is_ignored(self):

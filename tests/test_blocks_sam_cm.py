@@ -145,9 +145,9 @@ class TestSingleSignOn:
         assert sum(k == "auth" for k in kinds) == 1
 
 
-def pending(device="d1", node="n1", accesses=(), tech="cellular", direct=True):
+def pending(device="d1", node="n1", accesses=(), tech="cellular"):
     return PendingAttach(device=device, alias="psn-x", accesses=tuple(accesses),
-                         node=node, tech=tech, direct=direct)
+                         node=node, tech=tech)
 
 
 def authenticating_state(device="d1"):
@@ -194,11 +194,12 @@ class TestCmAttach:
             "ip-slice-a-d1-cellular", "ip-slice-a-d1-wifi"]
 
     def test_detach_leaves_no_node_or_mode_of_the_device(self):
-        # the device's access node and signalling mode live on its session,
-        # which the detach ends, and a detached device has no table entry
+        # the device's access node lives on its session, which the detach
+        # ends, its signalling mode only in the context, and a detached
+        # device has no table entry
         state = authenticating_state()
         ctx = make_ctx()
-        cm_attach(state, pending(direct=False), True, ctx, "d1:attach:1", [], [])
+        cm_attach(state, pending(), True, ctx, "d1:attach:1", [], [])
         cm_handle(state, to_cm(ProcedureKind.SESSION_RELEASE,
                                {"device": "d1", "scope": "detach"},
                                corr="d1:detach:1"), ctx)
@@ -273,6 +274,21 @@ def subscribed_cm(allowed=("slice-a",)):
     state = CMState()
     state.subscription_view = {"d1": Subscription(allowed=allowed)}
     return state
+
+
+@pytest.mark.parametrize("mediated, downlink", [
+    (frozenset(), Endpoint(Role.UE, "d1")),
+    (frozenset({"d1"}), Endpoint(Role.AF, "AF.slice-a.1"))])
+def test_slice_redirect_follows_the_signalling_mode(mediated, downlink):
+    state = subscribed_cm(allowed=("slice-b",))
+    ctx = dataclasses.replace(make_ctx(), mediated=mediated)
+    cm_handle(state, attach_request(proof="p"), ctx)
+    verdict = to_cm(ProcedureKind.AUTH_RESPONSE, {"device": "d1", "ok": True},
+                    source=ctx.peer_endpoint(Role.SAM))
+    _, drafts, _ = cm_handle(state, verdict, ctx)
+    assert [(d.kind, d.destination, d.payload) for d in drafts] == [
+        (ProcedureKind.SLICE_REDIRECT, downlink,
+         {"device": "d1", "target": "slice-b"})]
 
 
 class TestCmHandlerRefusals:
@@ -363,7 +379,7 @@ class TestCmHandlerRefusals:
 
 def with_session(flow="f1"):
     state = CMState()
-    state.sessions["s-1"] = SessionRecord("s-1", "d1", "a1", "n1", True, [flow])
+    state.sessions["s-1"] = SessionRecord("s-1", "d1", "a1", "n1", [flow])
     state.device_sessions["d1"] = "s-1"
     return state
 

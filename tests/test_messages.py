@@ -24,20 +24,23 @@ FM = BBInstanceId(Role.FM, "s").endpoint
 DP = Endpoint(Role.D_PLANE, "s:n1")
 
 
-#: Payload fields that no receiver read, deleted from their kind's schema.
+#: Payload fields that no receiver read, or that copied a fact the receiver
+#: holds, deleted from their kind's schema.
 DELETED_FIELDS = [
     (ProcedureKind.ATTACH_REQUEST, "area"),
     *((ProcedureKind.AUTH_RESPONSE, f) for f in ("ordinal", "low_secure",
                                                  "reason")),
     *((ProcedureKind.SLICE_SELECT, f) for f in ("slice", "pseudonym",
-                                                "ordinal", "token", "area")),
+                                                "ordinal", "token", "area",
+                                                "mode")),
     *((ProcedureKind.SESSION_ESTABLISH, f) for f in ("rate", "duration",
                                                      "ok")),
-    (ProcedureKind.HANDOVER_PREPARE, "ok"),
+    *((ProcedureKind.HANDOVER_PREPARE, f) for f in ("ok", "tech", "area")),
     *((ProcedureKind.HANDOVER_EXECUTE, f) for f in ("area", "session",
                                                     "tech")),
     *((ProcedureKind.PATH_RECORD_UPDATE, f) for f in ("tech", "event")),
     *((ProcedureKind.PAGE, f) for f in ("reason", "area")),
+    (ProcedureKind.LOCATION_UPDATE, "mode"),
     (ProcedureKind.FLOW_NOTIFY, "action"),
     *((ProcedureKind.CONTEXT_PUBLISH, f) for f in ("source", "external")),
     (ProcedureKind.CONTEXT_NOTIFY, "topic"),
