@@ -201,8 +201,7 @@ def handle(state: CMState, msg, ctx: BlockContext):
                 ProcedureKind.AUTH_CHALLENGE, ctx.self_endpoint,
                 ctx.peer_endpoint(Role.SAM), corr,
                 {"device": device, "alias": pending.alias,
-                 "proof": payload.get("proof", ""),
-                 "scheme": ctx.policy.auth_scheme.value}))
+                 "proof": payload.get("proof", "")}))
 
     elif kind is ProcedureKind.AUTH_RESPONSE:
         pending = state.pending_attach.pop(corr, None)
@@ -306,7 +305,7 @@ def _handle_session_establish(state: CMState, msg, ctx: BlockContext,
             ctx.peer_endpoint(Role.FM), msg.correlation_id,
             {"session": session_id, "phase": "flow", "flow": flow,
              "qos": payload.get("qos", "default"),
-             "ingress": info.ingress, "anchor": record.anchor}))
+             "ingress": info.ingress}))
         return
 
     if msg.source.role is Role.FM:

@@ -226,8 +226,7 @@ def fm_apply(state: FMState, path: ForwardingPath, ctx: BlockContext,
     return [
         draft(ProcedureKind.FLOW_CONFIGURE, ctx.self_endpoint,
               _dplane(ctx, node), corr,
-              {"flow": path.flow, "node": node, "action": "install",
-               "next": nxt})
+              {"flow": path.flow, "action": "install", "next": nxt})
         for node, nxt in path.pairs()
     ]
 
@@ -272,8 +271,7 @@ def handle(state: FMState, msg, ctx: BlockContext):
             state.sessions[session] = SessionBinding(anchor=payload["anchor"])
             drafts.append(draft(
                 ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, msg.source,
-                corr, {"session": session, "phase": "register-ok",
-                       "anchor": payload["anchor"]}))
+                corr, {"session": session, "phase": "register-ok"}))
         elif phase == "flow":
             _start_flow(state, msg, ctx, drafts, events)
         elif phase == "reanchor":
@@ -297,9 +295,12 @@ def _start_flow(state: FMState, msg, ctx: BlockContext, drafts: list,
     session = payload["session"]
     binding = state.sessions.get(session)
     flow = payload["flow"]
+    if binding is None:
+        events.append(error_event(session, "NoSessionError",
+                                  detail="flow for unknown session"))
+        return
     try:
-        path = fm_define_path(state, flow, payload["ingress"],
-                              binding.anchor if binding else payload.get("anchor", ""),
+        path = fm_define_path(state, flow, payload["ingress"], binding.anchor,
                               payload.get("qos", "default"))
     except (NoPathError, CapacityError) as exc:
         events.append(refusal(flow, exc))
@@ -458,7 +459,7 @@ def _commit(state: FMState, job: PendingApply, ctx: BlockContext) -> list:
             ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, job.reply_to,
             job.reply_corr,
             {"session": job.session, "phase": "reanchor-ok",
-             "flow": job.flow, "anchor": job.anchor}))
+             "anchor": job.anchor}))
     elif job.purpose == "handover":
         ho = state.handover_jobs.get(job.reply_corr)
         if ho is not None:
@@ -488,7 +489,7 @@ def _rollback(state: FMState, key: tuple, job: PendingApply,
     drafts = [
         draft(ProcedureKind.FLOW_CONFIGURE, ctx.self_endpoint,
               _dplane(ctx, node), job.reply_corr,
-              {"flow": job.flow, "node": node, "action": "remove", "next": nxt})
+              {"flow": job.flow, "action": "remove", "next": nxt})
         for node, nxt in acked if (node, nxt) not in keep
     ]
     if job.reply_to is not None and job.purpose == "flow":
@@ -509,6 +510,5 @@ def tick_hook(state: FMState, ctx: BlockContext):
             drafts.append(draft(
                 ProcedureKind.FLOW_CONFIGURE, ctx.self_endpoint,
                 _dplane(ctx, node), f"{entry.flow}:retire",
-                {"flow": entry.flow, "node": node, "action": "remove",
-                 "next": nxt}))
+                {"flow": entry.flow, "action": "remove", "next": nxt}))
     return state, drafts, ()

@@ -106,7 +106,7 @@ def handle(state: SAMState, msg, ctx: BlockContext):
     events: list[BlockEvent] = []
     if msg.kind is ProcedureKind.AUTH_CHALLENGE:
         device = msg.payload["device"]
-        scheme = AuthScheme(msg.payload.get("scheme", ctx.policy.auth_scheme.value))
+        scheme = ctx.policy.auth_scheme
         verdict = sam_authenticate(
             state, device=device, alias=msg.payload.get("alias", ""),
             proof=msg.payload.get("proof", ""), scheme=scheme,

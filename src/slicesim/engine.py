@@ -511,7 +511,7 @@ class Environment:
         # a plane gets FlowConfigure only, from the FM of its own slice
         slice_id, _, node = msg.destination.ident.partition(":")
         payload = msg.payload
-        ok, reason = self.slices[slice_id].dplane.configure(payload)
+        ok, reason = self.slices[slice_id].dplane.configure(node, payload)
         if not ok and payload.get("action") == "remove":
             # stale removals are rejected silently to keep them idempotent
             self.trace_event("config-reject", node, {"reason": reason,

@@ -106,8 +106,7 @@ PAYLOAD_SCHEMAS: dict[ProcedureKind, frozenset[str]] = {
     ProcedureKind.ATTACH_REQUEST: frozenset(
         {"device", "alias", "proof", "token", "accesses", "node", "tech",
          "method", "reattach"}),
-    ProcedureKind.AUTH_CHALLENGE: frozenset(
-        {"device", "alias", "proof", "scheme"}),
+    ProcedureKind.AUTH_CHALLENGE: frozenset({"device", "alias", "proof"}),
     ProcedureKind.AUTH_RESPONSE: frozenset(
         {"device", "ok", "pseudonym", "token"}),
     ProcedureKind.SLICE_SELECT: frozenset(
@@ -125,8 +124,7 @@ PAYLOAD_SCHEMAS: dict[ProcedureKind, frozenset[str]] = {
     ProcedureKind.PAGE: frozenset({"device", "node"}),
     ProcedureKind.LOCATION_UPDATE: frozenset(
         {"device", "phase", "node", "area", "session"}),
-    ProcedureKind.FLOW_CONFIGURE: frozenset(
-        {"flow", "node", "action", "next"}),
+    ProcedureKind.FLOW_CONFIGURE: frozenset({"flow", "action", "next"}),
     ProcedureKind.FLOW_NOTIFY: frozenset(
         {"phase", "node", "flow", "ok", "link", "load", "values"}),
     ProcedureKind.CONTEXT_PUBLISH: frozenset({"metric", "subject", "value"}),

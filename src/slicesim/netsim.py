@@ -161,9 +161,9 @@ class DPlane:
     def adjacent(self, a: str, b: str) -> bool:
         return link_key(a, b) in self.spec.links
 
-    def configure(self, payload: dict) -> tuple:
-        """Apply one install/remove command; returns (ok, reason)."""
-        node = payload.get("node", "")
+    def configure(self, node: str, payload: dict) -> tuple:
+        """Apply one install/remove command at `node`, the plane node its
+        address names; returns (ok, reason)."""
         flow = payload.get("flow", "")
         nxt = payload.get("next", "")
         action = payload.get("action", "")

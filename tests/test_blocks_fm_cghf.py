@@ -247,7 +247,8 @@ class TestApply:
         assert state.view.link("a", "b").reserved == 0
         assert any(e.detail.get("error") == "AdaptorError" for e in events)
         removals = [d for d in drafts if d.payload.get("action") == "remove"]
-        assert {d.payload["node"] for d in removals} == {"a"}
+        assert {d.destination.ident.partition(":")[2]
+                for d in removals} == {"a"}
         failure = [d for d in drafts if d.kind is ProcedureKind.SESSION_ESTABLISH]
         assert failure and failure[0].payload["phase"] == "flow-err"
 
@@ -324,6 +325,23 @@ class TestFmHandlerRefusals:
             "error", "s-9", {"error": "NoSessionError",
                              "detail": "handover for unknown session"})])
 
+    def test_flow_for_an_unknown_session_is_refused(self):
+        # a flow request carries no anchor: the FM reads its session's
+        msg = to_fm(ProcedureKind.SESSION_ESTABLISH, {
+            "session": "s-9", "phase": "flow", "flow": "f2", "ingress": "a"})
+        state = fm_with_flow()
+        assert fm_handle(state, msg, fm_ctx())[1:] == ([], [BlockEvent(
+            "error", "s-9", {"error": "NoSessionError",
+                             "detail": "flow for unknown session"})])
+        assert "f2" not in state.path_table
+
+    def test_flow_runs_to_its_session_anchor(self):
+        msg = to_fm(ProcedureKind.SESSION_ESTABLISH, {
+            "session": "s-1", "phase": "flow", "flow": "f2", "ingress": "a"})
+        state = fm_with_flow()
+        fm_handle(state, msg, fm_ctx())
+        assert state.path_table["f2"].nodes == ("a", "b", "c")
+
     def test_handover_path_refusal_is_traced_per_flow(self):
         state = fm_with_flow()
         msg = to_fm(ProcedureKind.HANDOVER_PREPARE, {
@@ -351,7 +369,8 @@ class TestFmHandlerRefusals:
         _, drafts, events = fm_handle(state, msg, ctx)
         assert [(e.subject, e.detail["error"]) for e in events] == [
             ("f2", "CapacityError")]
-        assert [d.payload["node"] for d in drafts] == ["b", "c"]
+        assert [d.destination.ident.partition(":")[2]
+                for d in drafts] == ["b", "c"]
         assert state.handover_jobs["c1"].remaining == 1
         replies = []
         for node in ("b", "c"):

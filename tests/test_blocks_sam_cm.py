@@ -66,7 +66,7 @@ class TestAuthenticate:
         challenge = draft(ProcedureKind.AUTH_CHALLENGE,
                           ctx.peer_endpoint(Role.CM), ctx.self_endpoint, "c1",
                           {"device": "d1", "alias": "imsi-001",
-                           "proof": "wrong", "scheme": "full"})
+                           "proof": "wrong"})
         _, [response], [event] = sam_handle(state, challenge, ctx)
         assert response.payload == {"device": "d1", "ok": False}
         assert event.detail["reason"] == "credential-mismatch"
@@ -95,6 +95,18 @@ class TestAuthenticate:
         verdict = sam_authenticate(state, "d1", "imsi-001", "tok-1",
                                    AuthScheme.LOW_SECURE, seed=7, tick=1)
         assert verdict.ok
+        assert state.security_contexts["d1"].low_secure
+
+    def test_the_challenge_takes_its_scheme_from_the_slice_policy(self):
+        state = sam_with()
+        ctx = make_ctx(role=Role.SAM,
+                       policy=SlicePolicy(auth_scheme=AuthScheme.LOW_SECURE))
+        challenge = draft(ProcedureKind.AUTH_CHALLENGE,
+                          ctx.peer_endpoint(Role.CM), ctx.self_endpoint, "c1",
+                          {"device": "d1", "alias": "imsi-001",
+                           "proof": "tok-1"})
+        _, _, [event] = sam_handle(state, challenge, ctx)
+        assert event.detail["scheme"] == "low_secure"
         assert state.security_contexts["d1"].low_secure
 
     def test_pseudonym_map_stays_bijective(self):

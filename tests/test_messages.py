@@ -28,6 +28,7 @@ DP = Endpoint(Role.D_PLANE, "s:n1")
 #: holds, deleted from their kind's schema.
 DELETED_FIELDS = [
     (ProcedureKind.ATTACH_REQUEST, "area"),
+    (ProcedureKind.AUTH_CHALLENGE, "scheme"),
     *((ProcedureKind.AUTH_RESPONSE, f) for f in ("ordinal", "low_secure",
                                                  "reason")),
     *((ProcedureKind.SLICE_SELECT, f) for f in ("slice", "pseudonym",
@@ -41,6 +42,7 @@ DELETED_FIELDS = [
     *((ProcedureKind.PATH_RECORD_UPDATE, f) for f in ("tech", "event")),
     *((ProcedureKind.PAGE, f) for f in ("reason", "area")),
     (ProcedureKind.LOCATION_UPDATE, "mode"),
+    (ProcedureKind.FLOW_CONFIGURE, "node"),
     (ProcedureKind.FLOW_NOTIFY, "action"),
     *((ProcedureKind.CONTEXT_PUBLISH, f) for f in ("source", "external")),
     (ProcedureKind.CONTEXT_NOTIFY, "topic"),
@@ -105,7 +107,7 @@ class TestValidateMessage:
     def test_flow_configure_on_sbi_accepted(self):
         verdict = validate_message(msg(
             ProcedureKind.FLOW_CONFIGURE, FM, DP, InterfacePoint.I4_SBI,
-            {"flow": "f1", "node": "n1", "action": "install"}))
+            {"flow": "f1", "action": "install"}))
         assert verdict.ok
 
     def test_payload_outside_schema_rejected(self):
@@ -121,8 +123,7 @@ class TestValidateMessage:
     def test_unsent_field_rejected_on_flow_configure(self, field):
         verdict = validate_message(msg(
             ProcedureKind.FLOW_CONFIGURE, FM, DP, InterfacePoint.I4_SBI,
-            {"flow": "f1", "node": "n1", "action": "install",
-             field: "power"}))
+            {"flow": "f1", "action": "install", field: "power"}))
         assert verdict.violations == (
             f"payload fields ['{field}'] outside FlowConfigure schema",)
 

@@ -44,8 +44,8 @@ def make_dplane():
 def install_path(dp, flow, nodes):
     hops = list(zip(nodes, list(nodes[1:]) + ["deliver"]))
     for node, nxt in hops:
-        ok, reason = dp.configure({"node": node, "flow": flow,
-                                   "action": "install", "next": nxt})
+        ok, reason = dp.configure(node, {"flow": flow,
+                                         "action": "install", "next": nxt})
         assert ok, reason
 
 
@@ -71,46 +71,45 @@ class TestTopologyLoading:
 class TestConfigure:
     def test_install_on_existing_link(self):
         dp = make_dplane()
-        ok, _ = dp.configure({"node": "i1", "flow": "f1", "action": "install",
-                              "next": "t"})
+        ok, _ = dp.configure("i1", {"flow": "f1", "action": "install",
+                                    "next": "t"})
         assert ok and dp.rules["i1"]["f1"] == "t"
 
     def test_install_towards_missing_link_rejected(self):
         dp = make_dplane()
-        ok, reason = dp.configure({"node": "i1", "flow": "f1",
-                                   "action": "install", "next": "a1"})
+        ok, reason = dp.configure("i1", {"flow": "f1",
+                                         "action": "install", "next": "a1"})
         assert not ok and "no link" in reason
 
     def test_remove_unknown_rule_rejected_idempotently(self):
         dp = make_dplane()
-        ok, reason = dp.configure({"node": "i1", "flow": "f1",
-                                   "action": "remove", "next": "t"})
+        ok, reason = dp.configure("i1", {"flow": "f1",
+                                         "action": "remove", "next": "t"})
         assert not ok and reason == "no matching rule"
 
     def test_remove_checks_the_expected_next_hop(self):
         dp = make_dplane()
-        dp.configure({"node": "i1", "flow": "f1", "action": "install",
-                      "next": "t"})
-        ok, _ = dp.configure({"node": "i1", "flow": "f1", "action": "remove",
-                              "next": "a1"})
+        dp.configure("i1", {"flow": "f1", "action": "install", "next": "t"})
+        ok, _ = dp.configure("i1", {"flow": "f1", "action": "remove",
+                                    "next": "a1"})
         assert not ok                     # stale removal leaves the rule alone
         assert dp.rules["i1"]["f1"] == "t"
 
-    @pytest.mark.parametrize("command,reason", [
-        ({"node": "zz", "flow": "f1", "action": "install", "next": "t"},
+    @pytest.mark.parametrize("node,command,reason", [
+        ("zz", {"flow": "f1", "action": "install", "next": "t"},
          "unknown node 'zz'"),
-        ({"node": "i1", "flow": "f1", "action": "replace", "next": "t"},
+        ("i1", {"flow": "f1", "action": "replace", "next": "t"},
          "unknown action 'replace'")])
-    def test_malformed_command_rejected(self, command, reason):
+    def test_malformed_command_rejected(self, node, command, reason):
         dp = make_dplane()
-        assert dp.configure(command) == (False, reason)
+        assert dp.configure(node, command) == (False, reason)
         assert dp.rules == {}
 
     def test_rule_loop_is_a_broken_path(self):
         dp = make_dplane()
         for node, nxt in (("i1", "t"), ("t", "i1")):
-            dp.configure({"node": node, "flow": "f1", "action": "install",
-                          "next": nxt})
+            dp.configure(node, {"flow": "f1", "action": "install",
+                                "next": nxt})
         path, complete = dp._snapshot("i1", "f1")
         assert not complete and len(path) == len(dp.spec.nodes) + 2
 
@@ -141,8 +140,7 @@ class TestUnitMotion:
         dp.step(1)
         assert run.started and run.sent == 1
         # tear the ingress rule down: emissions continue and are lost
-        dp.configure({"node": "i1", "flow": "f1", "action": "remove",
-                      "next": "t"})
+        dp.configure("i1", {"flow": "f1", "action": "remove", "next": "t"})
         _, _, _, lost = dp.step(2)
         assert lost == {"f1": 1}
         assert run.lost == 1
@@ -154,8 +152,7 @@ class TestUnitMotion:
                       remaining_emissions=1, ingress="i1")
         dp.add_flow(run)
         dp.step(0)    # unit on link i1~t (2 ticks)
-        dp.configure({"node": "t", "flow": "f1", "action": "remove",
-                      "next": "a1"})
+        dp.configure("t", {"flow": "f1", "action": "remove", "next": "a1"})
         for tick in range(1, 7):
             dp.step(tick)
         assert run.lost == 1 and run.delivered == 0
@@ -189,8 +186,8 @@ class TestUnitMotion:
         dp.add_flow(run)
         for tick in range(0, 20):
             if tick in cut_ticks:
-                dp.configure({"node": "t", "flow": "f1", "action": "remove",
-                              "next": "a1"})
+                dp.configure("t", {"flow": "f1", "action": "remove",
+                                   "next": "a1"})
             dp.step(tick)
             assert conserved(run)
         assert not run.in_flight
@@ -337,8 +334,9 @@ def test_batched_step_matches_the_per_unit_oracle(flows, changes):
             nodes = PATHS[path]
             install_path(plane, f"f{i}", nodes)
             if not complete:    # snapshots stop short of a deliver rule
-                plane.configure({"node": nodes[-1], "flow": f"f{i}",
-                                 "action": "remove", "next": "deliver"})
+                plane.configure(nodes[-1], {"flow": f"f{i}",
+                                            "action": "remove",
+                                            "next": "deliver"})
             plane.add_flow(FlowRun(flow_id=f"f{i}", rate=rate,
                                    remaining_emissions=duration,
                                    ingress=nodes[0]))
@@ -354,8 +352,8 @@ def test_batched_step_matches_the_per_unit_oracle(flows, changes):
                 node = nodes[min(position, len(nodes) - 1)]
                 rule = plane.rules.get(node, {}).get(f"f{i}")
                 if rule is not None:
-                    plane.configure({"node": node, "flow": f"f{i}",
-                                     "action": "remove", "next": rule})
+                    plane.configure(node, {"flow": f"f{i}",
+                                           "action": "remove", "next": rule})
         batched, per_unit = (plane.step(tick) for plane in planes)
         assert batched == per_unit
         for flow_id, run in planes[0].flows.items():
