@@ -19,7 +19,7 @@ from enum import Enum
 from .blocks.common import AccessNodeInfo, Tech
 from .blocks.fm import LinkState, TopologyView, link_key
 from .errors import SchemaError
-from .textfmt import parse_blocks, split_kv
+from .textfmt import parse_blocks, refuse_unknown, split_kv
 
 
 class NodeKind(str, Enum):
@@ -41,6 +41,11 @@ class TopologySpec:
     access: dict                # access node id -> AccessNodeInfo
 
 
+#: Per item word of a topology, the options it reads.
+_ITEM_OPTIONS = {"node": ("kind",), "link": ("capacity", "latency"),
+                 "access": ("tech", "area", "ingress")}
+
+
 def load_topology(text: str, source: str = "<topology>") -> TopologySpec:
     """Parse a topology document; a value that does not parse is a
     SchemaError."""
@@ -55,6 +60,10 @@ def _load_topology(text: str, source: str) -> TopologySpec:
     if len(blocks) != 1:
         raise SchemaError(f"{source}: expected exactly one topology block")
     block = blocks[0]
+    block.refuse_unknown(source, items=_ITEM_OPTIONS)
+    for word, rest in block.items:
+        refuse_unknown(f"{source}: {word} {' '.join(rest)}", "option",
+                       split_kv(rest)[1], _ITEM_OPTIONS[word])
     nodes: dict = {}
     links: dict = {}
     access: dict = {}

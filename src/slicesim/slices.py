@@ -35,7 +35,7 @@ from .messages import (
     BBInstanceId, MANDATORY_BB_ROLES, OPTIONAL_BB_ROLES, Role, Verdict,
 )
 from .netsim import DPlane, TopologySpec, build_view
-from .textfmt import parse_blocks, split_kv
+from .textfmt import parse_blocks, refuse_unknown, split_kv
 
 
 class SliceType(str, Enum):
@@ -70,11 +70,31 @@ class SliceBlueprint:
                            mobility=self.mobility_policy)
 
 
+#: The fields a blueprint reads.
+_FIELDS = ("type", "fabric", "auth", "path-strategy", "stretch", "anchors",
+           "mobility")
+
+#: Per item word of a blueprint, and for its mobility field, the options
+#: it reads.
+_OPTIONS = {"bb": ("sfs",),
+            "context-model": ("metric", "statement", "factor", "window",
+                              "min_samples"),
+            "subscribe": (),
+            "mobility": ("style", "anchoring", "allow", "timeout")}
+
+
 def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
     blocks = parse_blocks(text, {"blueprint"}, source)
     if len(blocks) != 1:
         raise SchemaError(f"{source}: expected exactly one blueprint block")
     block = blocks[0]
+    block.refuse_unknown(source, _FIELDS, ("bb", "context-model", "subscribe"))
+    lines = [*block.items]
+    if block.get("mobility"):
+        lines.append(("mobility", tuple(block.require("mobility").split())))
+    for word, rest in lines:
+        refuse_unknown(f"{source}: {word} {' '.join(rest)}", "option",
+                       split_kv(rest)[1], _OPTIONS[word])
     try:
         bb_set: dict = {}
         for rest in block.items_of("bb"):

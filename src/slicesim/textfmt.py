@@ -14,7 +14,9 @@ Grammar::
 
 Indentation is not significant; blocks are closed by ``end``.  Fields may
 appear once per block.  Tokens of the form ``k=v`` on item lines are parsed
-by `split_kv` on the consumer side.
+by `split_kv` on the consumer side.  A reader names the fields, item words
+and options it reads, and `refuse_unknown` refuses any other, so that a
+misspelt key fails instead of taking its default.
 """
 
 from __future__ import annotations
@@ -51,6 +53,19 @@ class Block:
 
     def children_of(self, kind: str) -> list["Block"]:
         return [c for c in self.children if c.kind == kind]
+
+    def refuse_unknown(self, source: str, fields=(), items=()) -> None:
+        """Refuse a field or item word that the block's reader does not read."""
+        where = f"{source}: {' '.join((self.kind, *self.args))}"
+        refuse_unknown(where, "field", self.fields, fields)
+        refuse_unknown(where, "item", (word for word, _ in self.items), items)
+
+
+def refuse_unknown(where: str, what: str, found, known) -> None:
+    """Raise a SchemaError naming the first key of `found` not in `known`."""
+    unknown = sorted(set(found).difference(known))
+    if unknown:
+        raise SchemaError(f"{where}: unknown {what} '{unknown[0]}'")
 
 
 def parse_blocks(text: str, block_kinds: set[str], source: str = "<text>") -> list[Block]:

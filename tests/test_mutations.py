@@ -8,6 +8,11 @@ there), repeated, or has the first digit of one of its digit runs replaced
 by a letter.  The damaged scenario must load and build its `Environment`,
 and the damaged catalog must load and compose, or fail with a
 `SliceSimError`.  Any other exception escapes to the user as a traceback.
+
+A sixth mutation misspells the key of a corpus line: its last option's, or
+else its first word's.  A reader would take the default of a key it does
+not know, so a misspelt scenario, blueprint or topology must fail to load
+with a `SliceSimError`.
 """
 
 import re
@@ -46,6 +51,23 @@ def mutations(lines: list) -> list:
             at = digit.start()
             lettered = line[:at] + "x" + line[at + 1:]
             out.append((i + 1, f"letter@{at}", before + [lettered] + after))
+    return out
+
+
+def misspellings(lines: list) -> list:
+    """(line number, mutated lines) for each content line but an `end`, its
+    key missing its last letter: the key of its last `k=v` option, or else
+    its first word (a field's key before the ':')."""
+    out = []
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if not tokens or tokens[0] == "end" or tokens[0][0] == "#":
+            continue
+        options = [t for t in tokens if "=" in t]
+        word = options[-1].split("=")[0] if options else tokens[0].rstrip(":")
+        at = line.rindex(word + "=") if options else line.index(word)
+        misspelt = line[:at + len(word) - 1] + line[at + len(word):]
+        out.append((i + 1, lines[:i] + [misspelt] + lines[i + 1:]))
     return out
 
 
@@ -92,6 +114,25 @@ def test_damaged_corpus_file_is_a_domain_error(name, corpus):
     finally:
         target.write_text(original, encoding="utf-8")
     assert found == []
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_misspelt_key_is_a_domain_error(name, corpus):
+    root, loader = corpus
+    target = root / name
+    original = target.read_text(encoding="utf-8")
+    loaded = []
+    try:
+        for lineno, lines in misspellings(original.splitlines()):
+            target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                load_scenario(root / loader[name])
+            except SliceSimError:
+                continue
+            loaded.append(f"line {lineno}: {lines[lineno - 1].strip()}")
+    finally:
+        target.write_text(original, encoding="utf-8")
+    assert loaded == []
 
 
 def test_damaged_reference_catalog_is_a_domain_error():

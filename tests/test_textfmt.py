@@ -68,6 +68,19 @@ def test_split_kv():
     assert options == {"tech": "wifi", "area": "a-1"}
 
 
+@pytest.mark.parametrize("fields, items, error", [
+    (("name", "size"), ("row",), None),
+    (("name",), ("row",), "doc: b x: unknown field 'size'"),
+    (("name", "size"), (), "doc: b x: unknown item 'row'")])
+def test_refuse_unknown_names_the_first_unread_key(fields, items, error):
+    block, = parse_blocks("b x\n  size: 2\n  name: n\n  row 1\nend\n", {"b"})
+    if error is None:
+        block.refuse_unknown("doc", fields, items)
+    else:
+        with pytest.raises(SchemaError, match=f"^{error}$"):
+            block.refuse_unknown("doc", fields, items)
+
+
 def test_field_key_with_an_inner_colon_rejected():
     with pytest.raises(SchemaError, match="^doc:2: field key 'a:b' holds a ':'$"):
         parse_blocks("b x\n  a:b: x\nend\n", {"b"}, "doc")
