@@ -110,17 +110,18 @@ _EVENT_ACTIONS = {"attach", "detach", "move", "traffic-start", "traffic-stop",
                   "idle", "page", "inject-latency", "teardown"}
 
 #: Per action, the at-line options it reads; an action not listed reads none.
-_OPTIONS = {"attach": ("method", "accesses"),
-            "traffic-start": ("flow", "rate", "duration", "qos"),
-            "traffic-stop": ("flow",)}
+_OPTIONS = {"attach": frozenset({"method", "accesses"}),
+            "traffic-start": frozenset({"flow", "rate", "duration", "qos"}),
+            "traffic-stop": frozenset({"flow"})}
 
 #: Per action, the at-line options that hold integers, parsed at load.
 _INT_OPTIONS = {"attach": ("method",), "traffic-start": ("rate", "duration")}
 
 #: The fields a scenario block and a device block read.
-_SCENARIO_FIELDS = ("topology", "max-ticks", "infra-capacity",
-                    "fabric-override")
-_DEVICE_FIELDS = ("psi", "proof", "allowed", "default", "mode", "node")
+_SCENARIO_FIELDS = frozenset({"topology", "max-ticks", "infra-capacity",
+                              "fabric-override"})
+_DEVICE_FIELDS = frozenset({"psi", "proof", "allowed", "default", "mode",
+                            "node"})
 
 #: Per action that needs an attached device, the error detail traced when
 #: its device is not attached.
@@ -155,7 +156,9 @@ def _load_scenario(path: Path) -> Scenario:
     if len(top) != 1:
         raise ScenarioError(f"{path}: expected exactly one scenario block")
     block = top[0]
-    block.refuse_unknown(str(path), _SCENARIO_FIELDS, ("blueprint", "at"))
+    source = str(path)
+    block.refuse_unknown(source, _SCENARIO_FIELDS,
+                         frozenset({"blueprint", "at"}))
     base = path.parent
 
     topology_path = block.require("topology")
@@ -173,7 +176,7 @@ def _load_scenario(path: Path) -> Scenario:
 
     devices = []
     for child in block.children_of("device"):
-        child.refuse_unknown(str(path), _DEVICE_FIELDS)
+        child.refuse_unknown(source, _DEVICE_FIELDS)
         allowed = tuple(child.get("allowed", "").split())
         default = child.get("default") or None
         mode = SignalingMode(child.get("mode", "direct"))
@@ -206,8 +209,8 @@ def _load_scenario(path: Path) -> Scenario:
         positional, options = split_kv(rest[2:])
         if action not in _EVENT_ACTIONS:
             raise ScenarioError(f"{path}: unknown event action '{action}'")
-        refuse_unknown(f"{path}: at {' '.join(rest)}", "option", options,
-                       _OPTIONS.get(action, ()))
+        refuse_unknown(options, _OPTIONS.get(action, frozenset()), "option",
+                       source, "at", *rest)
         if action == "teardown":
             if not positional or positional[0] not in slice_ids:
                 raise ScenarioError(f"{path}: teardown of unknown slice")

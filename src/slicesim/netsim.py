@@ -42,8 +42,9 @@ class TopologySpec:
 
 
 #: Per item word of a topology, the options it reads.
-_ITEM_OPTIONS = {"node": ("kind",), "link": ("capacity", "latency"),
-                 "access": ("tech", "area", "ingress")}
+_ITEM_OPTIONS = {"node": frozenset({"kind"}),
+                 "link": frozenset({"capacity", "latency"}),
+                 "access": frozenset({"tech", "area", "ingress"})}
 
 
 def load_topology(text: str, source: str = "<topology>") -> TopologySpec:
@@ -60,10 +61,10 @@ def _load_topology(text: str, source: str) -> TopologySpec:
     if len(blocks) != 1:
         raise SchemaError(f"{source}: expected exactly one topology block")
     block = blocks[0]
-    block.refuse_unknown(source, items=_ITEM_OPTIONS)
+    block.refuse_unknown(source, items=frozenset(_ITEM_OPTIONS))
     for word, rest in block.items:
-        refuse_unknown(f"{source}: {word} {' '.join(rest)}", "option",
-                       split_kv(rest)[1], _ITEM_OPTIONS[word])
+        refuse_unknown(split_kv(rest)[1], _ITEM_OPTIONS[word], "option",
+                       source, word, *rest)
     nodes: dict = {}
     links: dict = {}
     access: dict = {}

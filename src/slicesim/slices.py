@@ -71,16 +71,16 @@ class SliceBlueprint:
 
 
 #: The fields a blueprint reads.
-_FIELDS = ("type", "fabric", "auth", "path-strategy", "stretch", "anchors",
-           "mobility")
+_FIELDS = frozenset({"type", "fabric", "auth", "path-strategy", "stretch",
+                     "anchors", "mobility"})
 
 #: Per item word of a blueprint, and for its mobility field, the options
 #: it reads.
-_OPTIONS = {"bb": ("sfs",),
-            "context-model": ("metric", "statement", "factor", "window",
-                              "min_samples"),
-            "subscribe": (),
-            "mobility": ("style", "anchoring", "allow", "timeout")}
+_OPTIONS = {"bb": frozenset({"sfs"}),
+            "context-model": frozenset({"metric", "statement", "factor",
+                                        "window", "min_samples"}),
+            "subscribe": frozenset(),
+            "mobility": frozenset({"style", "anchoring", "allow", "timeout"})}
 
 
 def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
@@ -88,13 +88,14 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
     if len(blocks) != 1:
         raise SchemaError(f"{source}: expected exactly one blueprint block")
     block = blocks[0]
-    block.refuse_unknown(source, _FIELDS, ("bb", "context-model", "subscribe"))
+    block.refuse_unknown(source, _FIELDS,
+                         frozenset({"bb", "context-model", "subscribe"}))
     lines = [*block.items]
     if block.get("mobility"):
         lines.append(("mobility", tuple(block.require("mobility").split())))
     for word, rest in lines:
-        refuse_unknown(f"{source}: {word} {' '.join(rest)}", "option",
-                       split_kv(rest)[1], _OPTIONS[word])
+        refuse_unknown(split_kv(rest)[1], _OPTIONS[word], "option", source,
+                       word, *rest)
     try:
         bb_set: dict = {}
         for rest in block.items_of("bb"):

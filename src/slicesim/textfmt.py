@@ -54,18 +54,25 @@ class Block:
     def children_of(self, kind: str) -> list["Block"]:
         return [c for c in self.children if c.kind == kind]
 
-    def refuse_unknown(self, source: str, fields=(), items=()) -> None:
+    def refuse_unknown(self, source: str, fields=frozenset(),
+                       items=frozenset()) -> None:
         """Refuse a field or item word that the block's reader does not read."""
-        where = f"{source}: {' '.join((self.kind, *self.args))}"
-        refuse_unknown(where, "field", self.fields, fields)
-        refuse_unknown(where, "item", (word for word, _ in self.items), items)
+        if not fields.issuperset(self.fields):
+            refuse_unknown(self.fields, fields, "field", source, self.kind,
+                           *self.args)
+        if self.items:
+            refuse_unknown([word for word, _ in self.items], items, "item",
+                           source, self.kind, *self.args)
 
 
-def refuse_unknown(where: str, what: str, found, known) -> None:
-    """Raise a SchemaError naming the first key of `found` not in `known`."""
-    unknown = sorted(set(found).difference(known))
-    if unknown:
-        raise SchemaError(f"{where}: unknown {what} '{unknown[0]}'")
+def refuse_unknown(found, known: frozenset, what: str, source: str,
+                   *line: str) -> None:
+    """Raise a SchemaError naming the first key of `found` that is not in
+    `known`, with the source and the words of the line or block it is in."""
+    if known.issuperset(found):
+        return
+    key = next(key for key in found if key not in known)
+    raise SchemaError(f"{source}: {' '.join(line)}: unknown {what} '{key}'")
 
 
 def parse_blocks(text: str, block_kinds: set[str], source: str = "<text>") -> list[Block]:

@@ -69,11 +69,12 @@ def test_split_kv():
 
 
 @pytest.mark.parametrize("fields, items, error", [
-    (("name", "size"), ("row",), None),
-    (("name",), ("row",), "doc: b x: unknown field 'size'"),
-    (("name", "size"), (), "doc: b x: unknown item 'row'")])
+    ({"name", "size"}, {"row"}, None),
+    ({"size"}, {"row"}, "doc: b x: unknown field 'name'"),
+    ({"name", "size"}, set(), "doc: b x: unknown item 'row'")])
 def test_refuse_unknown_names_the_first_unread_key(fields, items, error):
     block, = parse_blocks("b x\n  size: 2\n  name: n\n  row 1\nend\n", {"b"})
+    fields, items = frozenset(fields), frozenset(items)
     if error is None:
         block.refuse_unknown("doc", fields, items)
     else:
