@@ -209,8 +209,8 @@ def _load_scenario(path: Path) -> Scenario:
         positional, options = split_kv(rest[2:])
         if action not in _EVENT_ACTIONS:
             raise ScenarioError(f"{path}: unknown event action '{action}'")
-        refuse_unknown(options, _OPTIONS.get(action, frozenset()), "option",
-                       source, "at", *rest)
+        refuse_unknown(options, _OPTIONS.get(action, ()), "option", source,
+                       "at", rest)
         if action == "teardown":
             if not positional or positional[0] not in slice_ids:
                 raise ScenarioError(f"{path}: teardown of unknown slice")

@@ -42,9 +42,9 @@ class TopologySpec:
 
 
 #: Per item word of a topology, the options it reads.
-_ITEM_OPTIONS = {"node": frozenset({"kind"}),
-                 "link": frozenset({"capacity", "latency"}),
-                 "access": frozenset({"tech", "area", "ingress"})}
+_OPTIONS = {"node": frozenset({"kind"}),
+            "link": frozenset({"capacity", "latency"}),
+            "access": frozenset({"tech", "area", "ingress"})}
 
 
 def load_topology(text: str, source: str = "<topology>") -> TopologySpec:
@@ -61,20 +61,21 @@ def _load_topology(text: str, source: str) -> TopologySpec:
     if len(blocks) != 1:
         raise SchemaError(f"{source}: expected exactly one topology block")
     block = blocks[0]
-    block.refuse_unknown(source, items=frozenset(_ITEM_OPTIONS))
-    for word, rest in block.items:
-        refuse_unknown(split_kv(rest)[1], _ITEM_OPTIONS[word], "option",
-                       source, word, *rest)
+    block.refuse_unknown(source, items=_OPTIONS.keys())
     nodes: dict = {}
     links: dict = {}
     access: dict = {}
     for rest in block.items_of("node"):
         positional, options = split_kv(rest)
+        refuse_unknown(options, _OPTIONS["node"], "option", source, "node",
+                       rest)
         if len(positional) != 1:
             raise SchemaError(f"{source}: node line needs one id")
         nodes[positional[0]] = NodeKind(options.get("kind", "transport"))
     for rest in block.items_of("link"):
         positional, options = split_kv(rest)
+        refuse_unknown(options, _OPTIONS["link"], "option", source, "link",
+                       rest)
         if len(positional) != 2:
             raise SchemaError(f"{source}: link line needs two node ids")
         a, b = positional
@@ -88,6 +89,8 @@ def _load_topology(text: str, source: str) -> TopologySpec:
         links[link_key(a, b)] = (capacity, latency)
     for rest in block.items_of("access"):
         positional, options = split_kv(rest)
+        refuse_unknown(options, _OPTIONS["access"], "option", source, "access",
+                       rest)
         if len(positional) != 1:
             raise SchemaError(f"{source}: access line needs one id")
         node_id = positional[0]

@@ -88,25 +88,23 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
     if len(blocks) != 1:
         raise SchemaError(f"{source}: expected exactly one blueprint block")
     block = blocks[0]
-    block.refuse_unknown(source, _FIELDS,
-                         frozenset({"bb", "context-model", "subscribe"}))
-    lines = [*block.items]
-    if block.get("mobility"):
-        lines.append(("mobility", tuple(block.require("mobility").split())))
-    for word, rest in lines:
-        refuse_unknown(split_kv(rest)[1], _OPTIONS[word], "option", source,
-                       word, *rest)
+    block.refuse_unknown(source, _FIELDS, _OPTIONS.keys() - {"mobility"})
     try:
         bb_set: dict = {}
         for rest in block.items_of("bb"):
             positional, options = split_kv(rest)
+            refuse_unknown(options, _OPTIONS["bb"], "option", source, "bb",
+                           rest)
             if len(positional) != 1:
                 raise SchemaError(f"{source}: bb line needs one role")
             bb_set[Role(positional[0])] = frozenset(
                 options["sfs"].split(",") if "sfs" in options else ())
         mobility = None
         if block.get("mobility") and block.get("mobility") != "none":
-            _, options = split_kv(tuple(block.require("mobility").split()))
+            rest = tuple(block.require("mobility").split())
+            _, options = split_kv(rest)
+            refuse_unknown(options, _OPTIONS["mobility"], "option", source,
+                           "mobility", rest)
             allowed = (frozenset(Tech(t) for t in options["allow"].split(","))
                        if "allow" in options else ALL_TECHS)
             mobility = MobilityPolicy(
@@ -117,6 +115,8 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
         models = []
         for rest in block.items_of("context-model"):
             positional, options = split_kv(rest)
+            refuse_unknown(options, _OPTIONS["context-model"], "option",
+                           source, "context-model", rest)
             if len(positional) != 1:
                 raise SchemaError(f"{source}: context-model line needs a topic")
             window = int(options.get("window", DEFAULT_WINDOW))
@@ -129,7 +129,9 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
                 min_samples=int(options.get("min_samples", 1))))
         subscriptions = []
         for rest in block.items_of("subscribe"):
-            positional, _ = split_kv(rest)
+            positional, options = split_kv(rest)
+            refuse_unknown(options, _OPTIONS["subscribe"], "option", source,
+                           "subscribe", rest)
             if len(positional) != 2:
                 raise SchemaError(f"{source}: subscribe line is '<role> <topic>'")
             subscriptions.append((Role(positional[0]), positional[1]))

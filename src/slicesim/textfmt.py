@@ -59,20 +59,21 @@ class Block:
         """Refuse a field or item word that the block's reader does not read."""
         if not fields.issuperset(self.fields):
             refuse_unknown(self.fields, fields, "field", source, self.kind,
-                           *self.args)
+                           self.args)
         if self.items:
-            refuse_unknown([word for word, _ in self.items], items, "item",
-                           source, self.kind, *self.args)
+            refuse_unknown((word for word, _ in self.items), items, "item",
+                           source, self.kind, self.args)
 
 
-def refuse_unknown(found, known: frozenset, what: str, source: str,
-                   *line: str) -> None:
+def refuse_unknown(found, known, what: str, source: str, word: str,
+                   rest: tuple = ()) -> None:
     """Raise a SchemaError naming the first key of `found` that is not in
-    `known`, with the source and the words of the line or block it is in."""
-    if known.issuperset(found):
-        return
-    key = next(key for key in found if key not in known)
-    raise SchemaError(f"{source}: {' '.join(line)}: unknown {what} '{key}'")
+    `known`, with the source and the words (`word`, then `rest`) of the
+    line or block it is in."""
+    for key in found:
+        if key not in known:
+            raise SchemaError(
+                f"{source}: {' '.join((word, *rest))}: unknown {what} '{key}'")
 
 
 def parse_blocks(text: str, block_kinds: set[str], source: str = "<text>") -> list[Block]:
