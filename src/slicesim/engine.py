@@ -39,7 +39,7 @@ from .netsim import (
     DeviceSpec, FlowRun, SignalingMode, SimDevice, TopologySpec,
     load_topology_file,
 )
-from .textfmt import parse_blocks, refuse_unknown, split_kv
+from .textfmt import parse_blocks, split_kv
 from .trace import EventRecord, MessageRecord, canonical_json
 
 #: Intra-tick processing priority per kind class.
@@ -106,13 +106,13 @@ class Scenario:
     fabric_override: FabricModel | None = None   # forces one model on every slice
 
 
-_EVENT_ACTIONS = {"attach", "detach", "move", "traffic-start", "traffic-stop",
-                  "idle", "page", "inject-latency", "teardown"}
-
-#: Per action, the at-line options it reads; an action not listed reads none.
-_OPTIONS = {"attach": frozenset({"method", "accesses"}),
+#: The script's actions, each with the at-line options it reads.
+_ACTIONS = {"attach": frozenset({"method", "accesses"}),
             "traffic-start": frozenset({"flow", "rate", "duration", "qos"}),
-            "traffic-stop": frozenset({"flow"})}
+            "traffic-stop": frozenset({"flow"}),
+            "detach": frozenset(), "move": frozenset(), "idle": frozenset(),
+            "page": frozenset(), "inject-latency": frozenset(),
+            "teardown": frozenset()}
 
 #: Per action, the at-line options that hold integers, parsed at load.
 _INT_OPTIONS = {"attach": ("method",), "traffic-start": ("rate", "duration")}
@@ -206,11 +206,10 @@ def _load_scenario(path: Path) -> Scenario:
             raise ScenarioError(f"{path}: event ticks must be non-decreasing")
         last_tick = tick
         action = rest[1]
-        positional, options = split_kv(rest[2:])
-        if action not in _EVENT_ACTIONS:
+        if action not in _ACTIONS:
             raise ScenarioError(f"{path}: unknown event action '{action}'")
-        refuse_unknown(options, _OPTIONS.get(action, ()), "option", source,
-                       "at", rest)
+        positional, options = split_kv(rest[2:], _ACTIONS[action],
+                                       (source, "at", rest))
         if action == "teardown":
             if not positional or positional[0] not in slice_ids:
                 raise ScenarioError(f"{path}: teardown of unknown slice")

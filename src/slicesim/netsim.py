@@ -19,7 +19,7 @@ from enum import Enum
 from .blocks.common import AccessNodeInfo, Tech
 from .blocks.fm import LinkState, TopologyView, link_key
 from .errors import SchemaError
-from .textfmt import parse_blocks, refuse_unknown, split_kv
+from .textfmt import parse_blocks, split_kv
 
 
 class NodeKind(str, Enum):
@@ -66,16 +66,14 @@ def _load_topology(text: str, source: str) -> TopologySpec:
     links: dict = {}
     access: dict = {}
     for rest in block.items_of("node"):
-        positional, options = split_kv(rest)
-        refuse_unknown(options, _OPTIONS["node"], "option", source, "node",
-                       rest)
+        positional, options = split_kv(rest, _OPTIONS["node"],
+                                       (source, "node", rest))
         if len(positional) != 1:
             raise SchemaError(f"{source}: node line needs one id")
         nodes[positional[0]] = NodeKind(options.get("kind", "transport"))
     for rest in block.items_of("link"):
-        positional, options = split_kv(rest)
-        refuse_unknown(options, _OPTIONS["link"], "option", source, "link",
-                       rest)
+        positional, options = split_kv(rest, _OPTIONS["link"],
+                                       (source, "link", rest))
         if len(positional) != 2:
             raise SchemaError(f"{source}: link line needs two node ids")
         a, b = positional
@@ -88,9 +86,8 @@ def _load_topology(text: str, source: str) -> TopologySpec:
             raise SchemaError(f"{source}: capacity and latency must be >= 1")
         links[link_key(a, b)] = (capacity, latency)
     for rest in block.items_of("access"):
-        positional, options = split_kv(rest)
-        refuse_unknown(options, _OPTIONS["access"], "option", source, "access",
-                       rest)
+        positional, options = split_kv(rest, _OPTIONS["access"],
+                                       (source, "access", rest))
         if len(positional) != 1:
             raise SchemaError(f"{source}: access line needs one id")
         node_id = positional[0]

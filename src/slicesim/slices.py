@@ -35,7 +35,7 @@ from .messages import (
     BBInstanceId, MANDATORY_BB_ROLES, OPTIONAL_BB_ROLES, Role, Verdict,
 )
 from .netsim import DPlane, TopologySpec, build_view
-from .textfmt import parse_blocks, refuse_unknown, split_kv
+from .textfmt import parse_blocks, split_kv
 
 
 class SliceType(str, Enum):
@@ -92,9 +92,8 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
     try:
         bb_set: dict = {}
         for rest in block.items_of("bb"):
-            positional, options = split_kv(rest)
-            refuse_unknown(options, _OPTIONS["bb"], "option", source, "bb",
-                           rest)
+            positional, options = split_kv(rest, _OPTIONS["bb"],
+                                           (source, "bb", rest))
             if len(positional) != 1:
                 raise SchemaError(f"{source}: bb line needs one role")
             bb_set[Role(positional[0])] = frozenset(
@@ -102,9 +101,8 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
         mobility = None
         if block.get("mobility") and block.get("mobility") != "none":
             rest = tuple(block.require("mobility").split())
-            _, options = split_kv(rest)
-            refuse_unknown(options, _OPTIONS["mobility"], "option", source,
-                           "mobility", rest)
+            _, options = split_kv(rest, _OPTIONS["mobility"],
+                                  (source, "mobility", rest))
             allowed = (frozenset(Tech(t) for t in options["allow"].split(","))
                        if "allow" in options else ALL_TECHS)
             mobility = MobilityPolicy(
@@ -114,9 +112,8 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
                 page_timeout=int(options.get("timeout", DEFAULT_PAGE_TIMEOUT)))
         models = []
         for rest in block.items_of("context-model"):
-            positional, options = split_kv(rest)
-            refuse_unknown(options, _OPTIONS["context-model"], "option",
-                           source, "context-model", rest)
+            positional, options = split_kv(rest, _OPTIONS["context-model"],
+                                           (source, "context-model", rest))
             if len(positional) != 1:
                 raise SchemaError(f"{source}: context-model line needs a topic")
             window = int(options.get("window", DEFAULT_WINDOW))
@@ -129,9 +126,8 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
                 min_samples=int(options.get("min_samples", 1))))
         subscriptions = []
         for rest in block.items_of("subscribe"):
-            positional, options = split_kv(rest)
-            refuse_unknown(options, _OPTIONS["subscribe"], "option", source,
-                           "subscribe", rest)
+            positional, _ = split_kv(rest, _OPTIONS["subscribe"],
+                                     (source, "subscribe", rest))
             if len(positional) != 2:
                 raise SchemaError(f"{source}: subscribe line is '<role> <topic>'")
             subscriptions.append((Role(positional[0]), positional[1]))

@@ -14,9 +14,10 @@ Grammar::
 
 Indentation is not significant; blocks are closed by ``end``.  Fields may
 appear once per block.  Tokens of the form ``k=v`` on item lines are parsed
-by `split_kv` on the consumer side.  A reader names the fields, item words
-and options it reads, and `refuse_unknown` refuses any other, so that a
-misspelt key fails instead of taking its default.
+by `split_kv` on the consumer side.  A reader names the fields and item
+words it reads to `Block.refuse_unknown` and each line's options to
+`split_kv`, and any other key is refused, so that a misspelt key fails
+instead of taking its default.
 """
 
 from __future__ import annotations
@@ -57,12 +58,14 @@ class Block:
     def refuse_unknown(self, source: str, fields=frozenset(),
                        items=frozenset()) -> None:
         """Refuse a field or item word that the block's reader does not read."""
-        if not fields.issuperset(self.fields):
+        if not self.fields.keys() <= fields:
             refuse_unknown(self.fields, fields, "field", source, self.kind,
                            self.args)
         if self.items:
-            refuse_unknown((word for word, _ in self.items), items, "item",
-                           source, self.kind, self.args)
+            words = dict(self.items)    # item word -> its last line's tokens
+            if not words.keys() <= items:
+                refuse_unknown(words, items, "item", source, self.kind,
+                               self.args)
 
 
 def refuse_unknown(found, known, what: str, source: str, word: str,
@@ -119,13 +122,18 @@ def parse_blocks(text: str, block_kinds: set[str], source: str = "<text>") -> li
     return top
 
 
-def split_kv(tokens: tuple[str, ...]) -> tuple[list[str], dict[str, str]]:
-    """Split item-line tokens into positional tokens and k=v options."""
+def split_kv(tokens: tuple[str, ...], known: frozenset,
+             where: tuple) -> tuple[list[str], dict[str, str]]:
+    """Split item-line tokens into positional tokens and k=v options,
+    refusing an option not in `known`; `where` is the source, word and
+    words of the line, for `refuse_unknown`."""
     positional: list[str] = []
     options: dict[str, str] = {}
     for tok in tokens:
         if "=" in tok:
             k, v = tok.split("=", 1)
+            if k not in known:
+                refuse_unknown((k,), known, "option", *where)
             options[k] = v
         else:
             positional.append(tok)

@@ -63,9 +63,14 @@ def test_missing_required_field():
 
 
 def test_split_kv():
-    positional, options = split_kv(("n1", "tech=wifi", "n2", "area=a-1"))
+    tokens = ("n1", "tech=wifi", "n2", "area=a-1")
+    positional, options = split_kv(tokens, frozenset({"tech", "area"}),
+                                   ("doc", "access", tokens))
     assert positional == ["n1", "n2"]
     assert options == {"tech": "wifi", "area": "a-1"}
+    with pytest.raises(SchemaError, match="^doc: access n1 tech=wifi n2 "
+                                          "area=a-1: unknown option 'area'$"):
+        split_kv(tokens, frozenset({"tech"}), ("doc", "access", tokens))
 
 
 @pytest.mark.parametrize("fields, items, error", [
