@@ -33,7 +33,7 @@ from conftest import attach_once, scenario_path
 CORPUS = ("attach-two-slices", "attach-method2-redirect", "handover-mbb",
           "handover-bbm", "paging", "cghf-reselect", "isolation-pair",
           "isolation-pair-noisy", "fixed-nomm", "teardown", "traffic-stop",
-          "handover-via-af")
+          "handover-via-af", "handover-mbb-cut")
 
 
 def load(name):
