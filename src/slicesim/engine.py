@@ -152,13 +152,13 @@ def _load_referenced(path: Path, field: str, target: Path, load):
 def _load_scenario(path: Path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         blocks = parse_blocks(fh.read(), {"scenario", "device"}, str(path))
-    top = [b for b in blocks if b.kind == "scenario"]
-    if len(top) != 1:
-        raise ScenarioError(f"{path}: expected exactly one scenario block")
-    block = top[0]
+    if len(blocks) != 1 or blocks[0].kind != "scenario":
+        raise ScenarioError(f"{path}: expected exactly one scenario block and "
+                            f"no other, found {[b.head for b in blocks]}")
+    block = blocks[0]
     source = str(path)
     block.refuse_unknown(source, _SCENARIO_FIELDS,
-                         frozenset({"blueprint", "at"}))
+                         frozenset({"blueprint", "at"}), frozenset({"device"}))
     base = path.parent
 
     topology_path = block.require("topology")

@@ -101,8 +101,11 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
         mobility = None
         if block.get("mobility") and block.get("mobility") != "none":
             rest = tuple(block.require("mobility").split())
-            _, options = split_kv(rest, _OPTIONS["mobility"],
-                                  (source, "mobility", rest))
+            positional, options = split_kv(rest, _OPTIONS["mobility"],
+                                           (source, "mobility", rest))
+            if positional:
+                raise SchemaError(f"{source}: mobility line takes options "
+                                  f"only, not {' '.join(positional)!r}")
             allowed = (frozenset(Tech(t) for t in options["allow"].split(","))
                        if "allow" in options else ALL_TECHS)
             mobility = MobilityPolicy(

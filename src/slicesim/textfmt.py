@@ -14,10 +14,11 @@ Grammar::
 
 Indentation is not significant; blocks are closed by ``end``.  Fields may
 appear once per block.  Tokens of the form ``k=v`` on item lines are parsed
-by `split_kv` on the consumer side.  A reader names the fields and item
-words it reads to `Block.refuse_unknown` and each line's options to
-`split_kv`, and any other key is refused, so that a misspelt key fails
-instead of taking its default.
+by `split_kv` on the consumer side.  A reader names the fields, item
+words and nested block kinds it reads to `Block.refuse_unknown` and each
+line's options to `split_kv`, and any other key is refused, so that a
+misspelt key fails instead of taking its default; so are words after a
+block's identifier.
 """
 
 from __future__ import annotations
@@ -55,9 +56,22 @@ class Block:
     def children_of(self, kind: str) -> list["Block"]:
         return [c for c in self.children if c.kind == kind]
 
+    @property
+    def head(self) -> str:
+        """The words of the line that opens the block."""
+        return " ".join((self.kind, *self.args))
+
     def refuse_unknown(self, source: str, fields=frozenset(),
-                       items=frozenset()) -> None:
-        """Refuse a field or item word that the block's reader does not read."""
+                       items=frozenset(), children=frozenset()) -> None:
+        """Refuse words after the block's identifier, and a field, item word
+        or nested block kind that the block's reader does not read."""
+        if len(self.args) > 1:
+            raise SchemaError(f"{source}: {self.head}: words after the "
+                              f"identifier: {' '.join(self.args[1:])!r}")
+        for child in self.children:
+            if child.kind not in children:
+                raise SchemaError(f"{source}: {self.head}: unknown block "
+                                  f"{child.head!r}")
         if not self.fields.keys() <= fields:
             refuse_unknown(self.fields, fields, "field", source, self.kind,
                            self.args)

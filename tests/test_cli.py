@@ -238,6 +238,34 @@ STRUCTURAL_ERRORS = {
 }
 
 
+#: Structure that no loader reads, each as (file, text, replacement), the
+#: scenario that loads the file, the error the load ends in and the words
+#: its message names: a block after the scenario's end, words after a
+#: block's identifier, a block nested where none is read, and a positional
+#: word on a blueprint's mobility line.
+SURPLUS_STRUCTURE = {
+    "device-after-the-scenario": (
+        ("handover-mbb.scn", "at 24 move d5 n2\nend",
+         "at 24 move d5 n2\nend\ndevice d9\n  node: n1\nend"),
+        "handover-mbb.scn", "ScenarioError", "device d9"),
+    "words-after-a-device-id": (("handover-mbb.scn", "device d5",
+                                 "device d5 extra"),
+                                "handover-mbb.scn", "SchemaError", "extra"),
+    "words-after-a-scenario-id": (("paging.scn", "scenario paging",
+                                   "scenario paging twice"),
+                                  "paging.scn", "SchemaError", "twice"),
+    "device-inside-a-device": (("handover-mbb.scn", "    node: n1\n",
+                                "    node: n1\n  device d9\n  end\n"),
+                               "handover-mbb.scn", "SchemaError", "device d9"),
+    "words-after-a-topology-id": (("topo-core.txt", "topology ",
+                                   "topology spare "),
+                                  "paging.scn", "SchemaError", "spare"),
+    "words-on-the-mobility-line": (("bp-mob-mbb.bp", "allow=cellular,wifi",
+                                    "allow=cellular,wifi bbm"),
+                                   "handover-mbb.scn", "SchemaError", "bbm"),
+}
+
+
 #: Scenarios that load but that set-up refuses, each as (file, text,
 #: replacement) on a copy of the corpus for cghf-reselect.scn, with the
 #: error `run` exits on: a relay that is no member, and too little capacity
@@ -290,6 +318,17 @@ def test_out_of_range_value_is_a_domain_error_at_load(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(STRUCTURAL_ERRORS))
 def test_structural_error_is_a_domain_error_at_load(case, tmp_path, capsys):
     _assert_refused_at_load(STRUCTURAL_ERRORS[case], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(SURPLUS_STRUCTURE))
+def test_surplus_structure_is_refused_at_load(case, tmp_path, capsys):
+    edit, name, error, words = SURPLUS_STRUCTURE[case]
+    _copy_corpus(edit, tmp_path)
+    scenario = str(tmp_path / name)
+    assert main(["validate", "--scenario", scenario]) == 1
+    refused = capsys.readouterr().err
+    assert refused.startswith(f"error: {error}: {tmp_path / edit[0]}: ")
+    assert words in refused
 
 
 @pytest.mark.parametrize("case", sorted(SETUP_REFUSALS))
