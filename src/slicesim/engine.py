@@ -779,16 +779,13 @@ class Environment:
     def _step_plane(self, instance) -> None:
         sid = instance.slice_id
         loads, latencies, delivered, lost = instance.dplane.step(self.tick)
-        by_flow: dict = {}
-        for flow, latency in latencies:
-            by_flow.setdefault(flow, []).append(latency)
         for kind, units in (("flow-delivered", delivered), ("flow-lost", lost)):
             for flow in sorted(units):
                 self.trace_event(kind, flow, {"units": units[flow], "slice": sid})
         payloads = [{"phase": "load", "link": link, "load": load}
                     for link, load in loads]
-        payloads += [{"phase": "latency", "flow": flow, "values": by_flow[flow]}
-                     for flow in sorted(by_flow)]
+        payloads += [{"phase": "latency", "flow": flow, "values": latencies[flow]}
+                     for flow in sorted(latencies)]
         probe, fm = self._telemetry[sid]
         corr = f"{sid}:telemetry:{self.tick}"
         self.emit([draft(ProcedureKind.FLOW_NOTIFY, probe, fm, corr, payload)

@@ -5,7 +5,10 @@ Traffic is discrete units per tick, integer-exact.  A unit snapshots its
 path when it leaves the ingress and follows that snapshot; at every node it
 needs a matching rule to continue, so tearing rules down mid-flight loses
 the unit.  The units a flow emits in one tick share their snapshot and every
-rule check on the way, so they travel as one batch.  A flow only starts
+rule check on the way, so they travel as one batch.  The plane caches the
+snapshot per (ingress, flow) until a rule changes, keeps each path's hop
+latencies and link keys once (the topology never changes), and counts link
+loads as batches move.  A flow only starts
 emitting once its ingress rule first appears; after that, ticks without an
 ingress rule emit and lose units, which is what makes break-before-make
 handovers lossy and make-before-break lossless.
@@ -149,6 +152,10 @@ class FlowRun:
         return sum(unit.count for unit in self.in_flight)
 
 
+#: The rules at a node that holds none.
+_NO_RULES: dict = {}
+
+
 @dataclass
 class DPlane:
     """Per-slice forwarded plane: rules, flows and unit motion.  A step
@@ -160,6 +167,14 @@ class DPlane:
     flows: dict = field(default_factory=dict)   # flow id -> FlowRun
     _live: dict = field(default_factory=dict)   # flow id -> FlowRun, live ones
     _last_loaded: set = field(default_factory=set)
+    # (ingress, flow) -> (path, complete, hop latencies, hop link keys) of
+    # the snapshot a unit emitted there takes; emptied when a rule changes
+    _routes: dict = field(default_factory=dict)
+    # path -> (the path, its hop latencies, its hop link keys), so equal
+    # paths share one tuple, and link key -> (name, capacity): facts of
+    # the topology, which never changes
+    _paths: dict = field(default_factory=dict)
+    _links: dict = field(default_factory=dict)
 
     def add_flow(self, run: FlowRun) -> None:
         """Start carrying `run`; it replaces any flow under the same id."""
@@ -183,14 +198,21 @@ class DPlane:
             if nxt != "deliver" and not self.adjacent(node, nxt):
                 return False, f"no link {node}~{nxt}"
             self.rules.setdefault(node, {})[flow] = nxt
+            self._routes.clear()
             return True, ""
         if action == "remove":
             current = self.rules.get(node, {}).get(flow)
             if current is None or current != nxt:
                 return False, "no matching rule"
             del self.rules[node][flow]
+            self._routes.clear()
             return True, ""
         return False, f"unknown action '{action}'"
+
+    def clear_rules(self) -> None:
+        """Remove every rule, as a slice's teardown does."""
+        self.rules.clear()
+        self._routes.clear()
 
     def _snapshot(self, ingress: str, flow: str) -> tuple:
         path = [ingress]
@@ -205,40 +227,71 @@ class DPlane:
             node = nxt
         return tuple(path), False   # rule loop: treat as broken
 
+    def _route(self, ingress: str, flow: str) -> tuple:
+        """The snapshot a unit emitted at `ingress` takes, with its hops."""
+        path, complete = self._snapshot(ingress, flow)
+        path, latencies, keys = self._paths.get(path) or self._hops(path)
+        self._routes[ingress, flow] = route = (path, complete, latencies, keys)
+        return route
+
+    def _hops(self, path: tuple) -> tuple:
+        """The kept (path, hop latencies, hop link keys) of a path new to
+        the plane, with a name for each link it crosses."""
+        latencies, keys = [], []
+        for a, b in zip(path, path[1:]):
+            key = link_key(a, b)
+            capacity, latency = self.spec.links[key]
+            latencies.append(latency)
+            keys.append(key)
+            if key not in self._links:
+                self._links[key] = (f"{key[0]}~{key[1]}", capacity)
+        hops = self._paths[path] = (path, tuple(latencies), tuple(keys))
+        return hops
+
     def step(self, tick: int) -> tuple:
         """Advance one tick: move in-flight units, then emit new ones.
         Returns (load samples, latency samples, per-flow delivered/lost);
-        a latency sample is one unit's."""
+        the latency samples are per flow, one per unit, in arrival order."""
         delivered_now: dict = {}
         lost_now: dict = {}
-        latency_samples: list = []
+        latency_samples: dict = {}
+        loads: dict = {}        # link key -> units on it when the step ends
         rules = self.rules
+        paths = self._paths
 
         live = sorted(self._live.items())
         for flow_id, run in live:
             survivors = []
             delivered = lost = 0
+            path = None
             for unit in run.in_flight:
+                count = unit.count
+                if unit.path is not path:
+                    path = unit.path
+                    _, latencies, keys = paths.get(path) or self._hops(path)
+                    last = len(path) - 1
                 unit.remaining -= 1
                 if unit.remaining > 0:
+                    key = keys[unit.hop]
+                    loads[key] = loads.get(key, 0) + count
                     survivors.append(unit)
                     continue
-                unit.hop += 1
-                node = unit.path[unit.hop]
-                rule = rules.get(node, {}).get(flow_id)
-                if unit.hop == len(unit.path) - 1:
+                hop = unit.hop = unit.hop + 1
+                rule = rules.get(path[hop], _NO_RULES).get(flow_id)
+                if hop == last:
                     if unit.complete and rule == "deliver":
-                        delivered += unit.count
-                        latency_samples += [
-                            (flow_id, tick - unit.sent_tick)] * unit.count
+                        delivered += count
+                        latency_samples.setdefault(flow_id, []).extend(
+                            [tick - unit.sent_tick] * count)
                     else:
-                        lost += unit.count
+                        lost += count
                     continue
-                expected = unit.path[unit.hop + 1]
-                if rule != expected:
-                    lost += unit.count
+                if rule != path[hop + 1]:
+                    lost += count
                     continue
-                unit.remaining = self.latency(node, expected)
+                unit.remaining = latencies[hop]
+                key = keys[hop]
+                loads[key] = loads.get(key, 0) + count
                 survivors.append(unit)
             run.in_flight = survivors
             if delivered:
@@ -248,51 +301,47 @@ class DPlane:
                 run.lost += lost
                 lost_now[flow_id] = lost
 
+        routes = self._routes
         for flow_id, run in live:
             if not run.active or run.remaining_emissions <= 0:
                 continue
-            has_rule = rules.get(run.ingress, {}).get(flow_id) is not None
+            path, complete, latencies, keys = (
+                routes.get((run.ingress, flow_id))
+                or self._route(run.ingress, flow_id))
+            # the ingress holds a rule iff the snapshot leaves it or ends there
+            has_rule = complete or len(path) > 1
             if not run.started:
                 if not has_rule:
                     continue    # flow waits for its first path
                 run.started = True
+            rate = run.rate
             run.remaining_emissions -= 1
-            run.sent += run.rate
+            run.sent += rate
             if not has_rule:
-                run.lost += run.rate
-                lost_now[flow_id] = lost_now.get(flow_id, 0) + run.rate
+                run.lost += rate
+                lost_now[flow_id] = lost_now.get(flow_id, 0) + rate
                 continue
-            if not run.rate:
+            if not rate:
                 continue
-            path, complete = self._snapshot(run.ingress, flow_id)
-            if len(path) > 1:
+            if keys:
                 run.in_flight.append(UnitState(
                     path=path, complete=complete, hop=0,
-                    remaining=self.latency(path[0], path[1]), sent_tick=tick,
-                    count=run.rate))
+                    remaining=latencies[0], sent_tick=tick, count=rate))
+                loads[keys[0]] = loads.get(keys[0], 0) + rate
             else:   # the ingress rule is `deliver`
-                run.delivered += run.rate
-                delivered_now[flow_id] = delivered_now.get(flow_id, 0) + run.rate
-                latency_samples += [(flow_id, 0)] * run.rate
+                run.delivered += rate
+                delivered_now[flow_id] = delivered_now.get(flow_id, 0) + rate
+                latency_samples.setdefault(flow_id, []).extend([0] * rate)
 
         self._live = {flow_id: run for flow_id, run in live if run.in_flight
                       or run.active and run.remaining_emissions > 0}
-        load_samples = self._load_samples()
+        links = self._links
+        load_samples = []
+        for key in sorted(loads.keys() | self._last_loaded):
+            name, capacity = links[key]
+            load_samples.append((name, loads.get(key, 0) / capacity))
+        self._last_loaded = set(loads)
         return load_samples, latency_samples, delivered_now, lost_now
-
-    def _load_samples(self) -> list:
-        counts: dict = {}
-        for run in self._live.values():
-            for unit in run.in_flight:
-                key = link_key(unit.path[unit.hop], unit.path[unit.hop + 1])
-                counts[key] = counts.get(key, 0) + unit.count
-        samples = []
-        loaded = set(counts)
-        for key in sorted(loaded | self._last_loaded):
-            capacity = self.spec.links[key][0]
-            samples.append((f"{key[0]}~{key[1]}", counts.get(key, 0) / capacity))
-        self._last_loaded = loaded
-        return samples
 
     def due(self) -> bool:
         """Whether a step can change anything: only while a flow is live.

@@ -290,7 +290,7 @@ def teardown(instance: SliceInstance, attached=()) -> list:
     events = [BlockEvent("detach", device, {"slice": instance.slice_id,
                                             "reason": "teardown"})
               for device in attached]
-    instance.dplane.rules.clear()
+    instance.dplane.clear_rules()
     instance.lifecycle_state = LifecycleState.TORN_DOWN
     events.append(BlockEvent("slice-torn-down", instance.slice_id))
     return events

@@ -524,7 +524,7 @@ class TestSweepSkips:
         for plane, tick in idle:
             before = _normalize(plane)
             for later in (tick, tick + 1, tick + 9, tick + 1000):
-                assert plane.step(later) == ([], [], {}, {})
+                assert plane.step(later) == ([], {}, {}, {})
                 assert _normalize(plane) == before
 
     def test_every_hook_role_is_seen_idle(self, monkeypatch):
@@ -542,7 +542,7 @@ class TestSweepSkips:
         for tick, plane in planes:
             before = _normalize(plane)
             for later in (tick, tick + 1, tick + 9, tick + 1000):
-                assert plane.step(later) == ([], [], {}, {})
+                assert plane.step(later) == ([], {}, {}, {})
                 assert _normalize(plane) == before
 
     @pytest.mark.parametrize("name", CORPUS)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicesim.blocks.fm import link_key
 from slicesim.errors import SchemaError
 from slicesim.netsim import (
     DPlane, FlowRun, NodeKind, UnitState, load_topology,
@@ -123,7 +124,7 @@ class TestUnitMotion:
         arrivals = []
         for tick in range(0, 10):
             _, latency_samples, delivered, _ = dp.step(tick)
-            arrivals.extend((tick, lat) for _, lat in latency_samples)
+            arrivals.extend((tick, lat) for lat in latency_samples.get("f1", ()))
         # emitted at tick 0, path latency 2 + 3
         assert arrivals == [(5, 5)]
         assert dp.flows["f1"].delivered == 1
@@ -160,7 +161,7 @@ class TestUnitMotion:
     def test_idle_topology_emits_nothing(self):
         dp = make_dplane()
         loads, latencies, delivered, lost = dp.step(0)
-        assert loads == [] and latencies == [] and delivered == {} and lost == {}
+        assert loads == [] and latencies == {} and delivered == {} and lost == {}
 
     def test_load_samples_report_zero_crossings(self):
         dp = make_dplane()
@@ -205,7 +206,7 @@ class TestLiveFlows:
             dp.step(tick)
         assert not dp.due() and not dp.has_work()
         assert dp.flows["f1"].delivered == 1
-        assert dp.step(6) == ([], [], {}, {})
+        assert dp.step(6) == ([], {}, {}, {})
 
     def test_replaced_flow_owes_its_links_one_zero_sample(self):
         dp = make_dplane()
@@ -220,18 +221,19 @@ class TestLiveFlows:
         loads, *_ = dp.step(1)
         assert loads == [("i1~t", 0.0)]
         assert not dp.due()
-        assert dp.step(2) == ([], [], {}, {})
+        assert dp.step(2) == ([], {}, {}, {})
 
 
 class PerUnitDPlane(DPlane):
     """The plane that moves every unit on its own: each emission appends
-    `rate` single units, each checked against the rules by itself.  The
-    oracle for the batched step."""
+    `rate` single units, each checked against the rules by itself, and each
+    takes a snapshot walked afresh; the loads are counted after the step.
+    The oracle for the batched step and its route cache."""
 
     def step(self, tick: int) -> tuple:
         delivered_now: dict = {}
         lost_now: dict = {}
-        latency_samples: list = []
+        latency_samples: dict = {}
 
         def count(counter, flow_id, n=1):
             counter[flow_id] = counter.get(flow_id, 0) + n
@@ -251,7 +253,8 @@ class PerUnitDPlane(DPlane):
                     if unit.complete and rule == "deliver":
                         run.delivered += 1
                         count(delivered_now, flow_id)
-                        latency_samples.append((flow_id, tick - unit.sent_tick))
+                        latency_samples.setdefault(flow_id, []).append(
+                            tick - unit.sent_tick)
                     else:
                         run.lost += 1
                         count(lost_now, flow_id)
@@ -285,7 +288,7 @@ class PerUnitDPlane(DPlane):
                     if complete:
                         run.delivered += 1
                         count(delivered_now, flow_id)
-                        latency_samples.append((flow_id, 0))
+                        latency_samples.setdefault(flow_id, []).append(0)
                     else:
                         run.lost += 1
                         count(lost_now, flow_id)
@@ -298,6 +301,20 @@ class PerUnitDPlane(DPlane):
                       or run.active and run.remaining_emissions > 0}
         return self._load_samples(), latency_samples, delivered_now, lost_now
 
+    def _load_samples(self) -> list:
+        counts: dict = {}
+        for run in self._live.values():
+            for unit in run.in_flight:
+                key = link_key(unit.path[unit.hop], unit.path[unit.hop + 1])
+                counts[key] = counts.get(key, 0) + unit.count
+        samples = []
+        loaded = set(counts)
+        for key in sorted(loaded | self._last_loaded):
+            capacity = self.spec.links[key][0]
+            samples.append((f"{key[0]}~{key[1]}", counts.get(key, 0) / capacity))
+        self._last_loaded = loaded
+        return samples
+
 
 #: Forwarded paths over TOPOLOGY_TEXT: two full ones, one that delivers at
 #: a transport node and one that delivers at its ingress.
@@ -309,12 +326,41 @@ _FLOWS = st.lists(st.tuples(st.sampled_from(range(len(PATHS))),
                             st.booleans()),
                   min_size=1, max_size=3)
 
-#: (tick, flow index, path position, reinstall): drop one rule of a flow's
-#: path, or install its whole path again.
+#: (tick, flow index, path position, change): drop one rule of a flow's
+#: path, install its whole path again, move the flow to the other ingress
+#: (`handover`: with its path installed from there first), add a fresh flow
+#: under its id, or clear every rule as a slice teardown does.
 _CHANGES = st.lists(st.tuples(st.integers(min_value=0, max_value=14),
                               st.integers(min_value=0, max_value=2),
                               st.integers(min_value=0, max_value=2),
-                              st.booleans()), max_size=8)
+                              st.sampled_from(("drop", "reinstall", "move",
+                                               "handover", "re-add",
+                                               "clear"))),
+                    max_size=8)
+
+
+def _change(plane, flow, nodes, position, change) -> None:
+    """Apply one drawn change to flow `flow` of `plane`, whose path is
+    `nodes`."""
+    run = plane.flows[flow]
+    if change == "reinstall":
+        install_path(plane, flow, nodes)
+    elif change in ("move", "handover"):
+        run.ingress = "i2" if run.ingress == "i1" else "i1"
+        if change == "handover":
+            install_path(plane, flow, (run.ingress, *nodes[1:]))
+    elif change == "re-add":
+        plane.add_flow(FlowRun(flow_id=flow, rate=run.rate,
+                               remaining_emissions=run.remaining_emissions,
+                               ingress=run.ingress))
+    elif change == "clear":
+        plane.clear_rules()
+    else:
+        node = nodes[min(position, len(nodes) - 1)]
+        rule = plane.rules.get(node, {}).get(flow)
+        if rule is not None:
+            plane.configure(node, {"flow": flow, "action": "remove",
+                                   "next": rule})
 
 
 def _flow_figures(run: FlowRun) -> tuple:
@@ -325,9 +371,10 @@ def _flow_figures(run: FlowRun) -> tuple:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_FLOWS, _CHANGES)
 def test_batched_step_matches_the_per_unit_oracle(flows, changes):
-    """Moving each tick's emission as one batch gives, tick by tick, the
-    step outputs and flow counters that moving every unit alone gives, under
-    any rates, paths and rule removals mid-flight."""
+    """Moving each tick's emission as one batch along a cached route gives,
+    tick by tick, the step outputs and flow counters that moving every unit
+    alone along a fresh snapshot gives, under any rates, paths, rule
+    changes, ingress moves, re-added flows and rule clears mid-flight."""
     planes = (make_dplane(), PerUnitDPlane(spec=load_topology(TOPOLOGY_TEXT)))
     for plane in planes:
         for i, (path, rate, duration, complete) in enumerate(flows):
@@ -341,19 +388,11 @@ def test_batched_step_matches_the_per_unit_oracle(flows, changes):
                                    remaining_emissions=duration,
                                    ingress=nodes[0]))
     for tick in range(24):
-        for at, i, position, reinstall in changes:
+        for at, i, position, change in changes:
             if at != tick or i >= len(flows):
                 continue
-            nodes = PATHS[flows[i][0]]
             for plane in planes:
-                if reinstall:
-                    install_path(plane, f"f{i}", nodes)
-                    continue
-                node = nodes[min(position, len(nodes) - 1)]
-                rule = plane.rules.get(node, {}).get(f"f{i}")
-                if rule is not None:
-                    plane.configure(node, {"flow": f"f{i}",
-                                           "action": "remove", "next": rule})
+                _change(plane, f"f{i}", PATHS[flows[i][0]], position, change)
         batched, per_unit = (plane.step(tick) for plane in planes)
         assert batched == per_unit
         for flow_id, run in planes[0].flows.items():
@@ -376,5 +415,5 @@ def test_one_emission_travels_as_one_batch():
     for tick in range(2, 5):
         dp.step(tick)
     _, latencies, delivered, _ = dp.step(5)
-    assert latencies == [("f1", 5)] * 3 and delivered == {"f1": 3}
+    assert latencies == {"f1": [5, 5, 5]} and delivered == {"f1": 3}
     assert run.units_in_flight == 3
