@@ -303,17 +303,21 @@ class Environment:
         for event in scenario.script:
             self._script_by_tick.setdefault(event.tick, []).append(event)
         self._last_script_tick = max(self._script_by_tick, default=0)
-        # The due list, all a tick's end runs: (0, slice, role) or
-        # (1, slice, "") -> (instance, role or None, state or plane, context
-        # or None).
+        # The due list, all a tick's end runs: a block's due key (0, slice,
+        # role) -> its routing entry, or (1, slice, "") -> (instance, None,
+        # plane) for a slice's forwarded plane.
         self._due: dict = {}
         # device id -> {(slice id, flow id): FlowRun} of the flows it started;
         # a run another start replaced under its id lingers here unreachable
         self._flows_of: dict = {}
 
         # The routing index, ident -> (slice instance, or None for the global
-        # part, role, state, context).  Each block's context is built here
-        # once; the engine sets its tick before each call.
+        # part, role, state, context, handler, tick hook, has-work getter, due
+        # key), one dispatch entry per block.  Each block's context is built
+        # here once; the engine sets its tick before each call.  A block
+        # without a tick hook has None for the hook, the getter and the key.
+        # The handler and hook tables are read here, not at import, so that
+        # what patches them before a run is what the run calls.
         global_peers = {Role.CM: str(self.global_cm),
                         Role.SAM: str(self.global_sam)}
         shared = dict(
@@ -338,9 +342,13 @@ class Environment:
             for sid, inst in self.slices.items()}
         for instance, sid, peers, states, policy, anchors in scopes:
             for role, ident in peers.items():
-                self._route[ident] = (instance, role, states[role], BlockContext(
-                    slice_id=sid, self_id=ident, role=role, tick=0, peers=peers,
-                    policy=policy, anchors=anchors, **shared))
+                has_work = _HAS_WORK.get(role)
+                self._route[ident] = (
+                    instance, role, states[role], BlockContext(
+                        slice_id=sid, self_id=ident, role=role, tick=0,
+                        peers=peers, policy=policy, anchors=anchors, **shared),
+                    _HANDLERS[role], _TICK_HOOKS.get(role), has_work,
+                    None if has_work is None else (0, sid, role.value))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -453,8 +461,9 @@ class Environment:
         return rec
 
     def _invoke_block(self, entry: tuple, msg: MessageRecord) -> None:
-        """Hand a delivered message to the block of a routing entry."""
-        instance, role, state, ctx = entry
+        """Hand a delivered message to the block of a routing entry; a block
+        the message leaves with work joins the due list unless it is due."""
+        instance, _, state, ctx, handle, _, has_work, due_key = entry
         if instance is not None and \
                 instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
@@ -462,14 +471,14 @@ class Environment:
             return
         object.__setattr__(ctx, "tick", self.tick)
         try:
-            _, drafts, events = _HANDLERS[role](state, msg, ctx)
+            _, drafts, events = handle(state, msg, ctx)
         except SliceSimError as exc:
             self.trace_block_event(refusal(ctx.self_id, exc))
             return
         finally:
-            has_work = _HAS_WORK.get(role)
-            if has_work is not None and has_work(state):
-                self._wake(instance, role)
+            if has_work is not None and due_key not in self._due and \
+                    has_work(state):
+                self._due[due_key] = entry
         if events:
             self._absorb(events, ctx.slice_id)
         if msg.kind is ProcedureKind.AUTH_RESPONSE:
@@ -754,27 +763,28 @@ class Environment:
         if role is None:
             key = (1, instance.slice_id, "")
             if key not in self._due:
-                self._due[key] = (instance, None, instance.dplane, None)
+                self._due[key] = (instance, None, instance.dplane)
         else:
-            key = (0, instance.slice_id, role.value)
-            if key not in self._due:
-                self._due[key] = self._route[instance.peers[role]]
+            entry = self._route[instance.peers[role]]
+            self._due.setdefault(entry[7], entry)
 
     def _run_due(self) -> None:
         """The due blocks' tick hooks, then the due planes, by slice and
         role; what is then without work leaves."""
-        for key in sorted(self._due):
-            instance, role, state, ctx = self._due[key]
-            if role is None:
-                self._step_plane(instance)
+        due = self._due
+        for key in sorted(due):
+            entry = due[key]
+            if entry[1] is None:
+                self._step_plane(entry[0])
                 continue
+            instance, _, state, ctx, _, hook, _, _ = entry
             object.__setattr__(ctx, "tick", self.tick)
-            _, drafts, events = _TICK_HOOKS[role](state, ctx)
+            _, drafts, events = hook(state, ctx)
             self._absorb(events, instance.slice_id)
             self.emit(drafts)
-        self._due = {key: entry for key, entry in self._due.items()
+        self._due = {key: entry for key, entry in due.items()
                      if (entry[2].due() if entry[1] is None
-                         else _HAS_WORK[entry[1]](entry[2]))}
+                         else entry[6](entry[2]))}
 
     def _step_plane(self, instance) -> None:
         sid = instance.slice_id
@@ -795,8 +805,8 @@ class Environment:
         """Whether the run goes on: a message in flight, a script event to
         come, a due block, or a due plane with a flow under way."""
         return any(self.queue) or self.tick < self._last_script_tick or any(
-            role is not None or item.has_work()
-            for _, role, item, _ in self._due.values())
+            entry[1] is not None or entry[2].has_work()
+            for entry in self._due.values())
 
     # -- the run itself ---------------------------------------------------------------
 

@@ -439,7 +439,7 @@ class TestHandoverContinuity:
 def _hook_blocks(env):
     """(ident, instance, role, state) of every block with a tick hook in a
     slice not torn down."""
-    for ident, (instance, role, state, _) in env._route.items():
+    for ident, (instance, role, state, *_) in env._route.items():
         if instance is not None and role in engine._TICK_HOOKS and \
                 instance.lifecycle_state is not LifecycleState.TORN_DOWN:
             yield ident, instance, role, state
@@ -819,9 +819,9 @@ class TestBuiltOnce:
         env = Environment(load("cghf-reselect"), 7)
         built = {ident: (ctx.self_endpoint,
                          {role: ctx.peer_endpoint(role) for role in ctx.peers})
-                 for ident, (_, _, _, ctx) in env._route.items()}
+                 for ident, (_, _, _, ctx, *_) in env._route.items()}
         result = env.run()
-        for ident, (_, _, _, ctx) in env._route.items():
+        for ident, (_, _, _, ctx, *_) in env._route.items():
             own, peers = built[ident]
             assert ctx.self_endpoint is own
             assert all(ctx.peer_endpoint(role) is endpoint
