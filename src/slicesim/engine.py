@@ -85,6 +85,11 @@ _HAS_WORK = {
 
 DEFAULT_MAX_TICKS = 400
 
+#: Builds a `MessageRecord` without its named tuple's own `__new__`, which
+#: costs a Python call per record; the record's fields are its message's
+#: between the trace and delivery fields.
+_tuple_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class ScriptEvent:
@@ -455,8 +460,8 @@ class Environment:
                    ) -> MessageRecord:
         """Trace a message at its delivery; the record is what its
         receivers get."""
-        rec = MessageRecord(seq, self.tick, *msg, hop_count, mediators,
-                            recipients)
+        rec = _tuple_new(MessageRecord, (seq, self.tick, *msg, hop_count,
+                                         mediators, recipients))
         self.trace.append(rec)
         return rec
 

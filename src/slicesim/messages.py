@@ -193,16 +193,22 @@ def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
           correlation_id: str,
           payload: Mapping[str, object] | None = None) -> SignalMessage:
     """Build a message over its own copy of `payload`, routing the interface
-    from the endpoint roles (topic destinations are always inter-BB).  The
-    payload schema is checked once, by `validate_message` when the engine
-    emits the message.  Handlers read a delivered payload and never write
-    it."""
+    from the endpoint roles (topic destinations are always inter-BB); roles
+    that no interface joins raise NoInterfaceError.  The payload schema is
+    checked once, by `validate_message` when the engine emits the message.
+    Handlers read a delivered payload and never write it."""
     if isinstance(destination, Topic):
         interface = InterfacePoint.INTER_BB
     else:
-        interface = route_interface_for(source.role, destination.role)
-    return SignalMessage(kind, source, destination, interface, correlation_id,
-                         dict(payload or {}))
+        interface = _INTERFACE_OF.get((source.role, destination.role))
+        if interface is None:
+            route_interface_for(source.role, destination.role)
+    # tuple.__new__ skips the named tuple's own __new__ and its arity check
+    return _tuple_new(SignalMessage, (kind, source, destination, interface,
+                                      correlation_id, dict(payload or {})))
+
+
+_tuple_new = tuple.__new__
 
 
 def _joins(sides, others) -> frozenset:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from slicesim.errors import NoInterfaceError, SchemaError
 from slicesim.messages import (
     CN_BB_ROLES, PAYLOAD_SCHEMAS, BBInstanceId, Endpoint, InterfacePoint,
-    ProcedureKind, Role, SignalMessage, Topic, Verdict, mint_key_material,
-    mint_pseudonym, route_interface_for, validate_message,
+    ProcedureKind, Role, SignalMessage, Topic, Verdict, draft,
+    mint_key_material, mint_pseudonym, route_interface_for, validate_message,
 )
 from slicesim.trace import (
     EventRecord, MessageRecord, iter_trace, parse_trace, render_trace,
@@ -75,6 +75,25 @@ class TestRouting:
         with pytest.raises(NoInterfaceError):
             route_interface_for(Role.UE, Role.D_PLANE)
 
+    def test_draft_between_roles_no_interface_joins_is_refused(self):
+        with pytest.raises(NoInterfaceError, match="UE->DP"):
+            draft(ProcedureKind.FLOW_NOTIFY, Endpoint(Role.UE, "d1"),
+                  Endpoint(Role.D_PLANE, "s:probe"), "d1:x:1", {})
+
+    def test_draft_routes_every_joined_pair(self):
+        for source in Role:
+            for destination in Role:
+                try:
+                    routed = route_interface_for(source, destination)
+                except NoInterfaceError:
+                    continue
+                drafted = draft(ProcedureKind.PAGE, Endpoint(source, "x"),
+                                Endpoint(destination, "y"), "c", {"k": 1})
+                assert type(drafted) is SignalMessage
+                assert drafted == msg(ProcedureKind.PAGE, Endpoint(source, "x"),
+                                      Endpoint(destination, "y"), routed,
+                                      {"k": 1}, corr="c")
+
     def test_other_domain_crossing_is_i7(self):
         assert route_interface_for(Role.CM, Role.OTHER_DOMAIN) is InterfacePoint.I7
 
@@ -89,6 +108,16 @@ class TestRouting:
                 except NoInterfaceError:
                     routed = set()
                 assert valid == routed, (source, destination)
+
+
+def test_record_fields_are_the_message_fields_between_trace_and_delivery():
+    # `draft` and the engine build both tuples with tuple.__new__, which
+    # checks no arity: the record must be the message with these fields
+    # before and after it
+    assert SignalMessage._fields == ("kind", "source", "destination",
+                                     "interface", "correlation_id", "payload")
+    assert MessageRecord._fields == (("seq", "tick") + SignalMessage._fields
+                                     + ("hop_count", "mediators", "recipients"))
 
 
 class TestValidateMessage:
