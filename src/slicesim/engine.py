@@ -61,6 +61,8 @@ def _buckets() -> list:
     return [[] for _ in range(max(_PRIORITY.values()) + 1)]
 
 
+#: Per role, the block's handler and, for three roles, its tick hook; an
+#: Environment copies them into its routing entries when it is built.
 _HANDLERS = {
     Role.AF: af_mod.af_handle, Role.CM: cm_mod.handle, Role.MM: mm_mod.handle,
     Role.SAM: sam_mod.handle, Role.FM: fm_mod.handle, Role.CGHF: cghf_mod.handle,
@@ -74,9 +76,9 @@ _TICK_HOOKS = {
 #: Per tick-hook role, whether a block's state holds work for its hook: a
 #: page out, rules to retire, a key sampled since the last generation.  A
 #: block with work joins the due list after a delivery and leaves it at the
-#: end of a tick without; a hook called without work is a no-op.  An FM
-#: awaiting acknowledgements needs no hook: each install it awaits is
-#: answered through the queue.
+#: end of a tick without; a hook called without work is a no-op, and a
+#: block already due is not tested again.  An FM awaiting acknowledgements
+#: needs no hook: each install it awaits is answered through the queue.
 _HAS_WORK = {
     Role.MM: attrgetter("pages"),
     Role.FM: attrgetter("retiring"),

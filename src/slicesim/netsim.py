@@ -180,9 +180,6 @@ class DPlane:
         """Start carrying `run`; it replaces any flow under the same id."""
         self.flows[run.flow_id] = self._live[run.flow_id] = run
 
-    def latency(self, a: str, b: str) -> int:
-        return self.spec.links[link_key(a, b)][1]
-
     def adjacent(self, a: str, b: str) -> bool:
         return link_key(a, b) in self.spec.links
 

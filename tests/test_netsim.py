@@ -264,7 +264,7 @@ class PerUnitDPlane(DPlane):
                     run.lost += 1
                     count(lost_now, flow_id)
                     continue
-                unit.remaining = self.latency(node, expected)
+                unit.remaining = self._latency(node, expected)
                 survivors.append(unit)
             run.in_flight = survivors
 
@@ -295,11 +295,14 @@ class PerUnitDPlane(DPlane):
                     continue
                 run.in_flight.append(UnitState(
                     path=path, complete=complete, hop=0,
-                    remaining=self.latency(path[0], path[1]), sent_tick=tick))
+                    remaining=self._latency(path[0], path[1]), sent_tick=tick))
 
         self._live = {flow_id: run for flow_id, run in live if run.in_flight
                       or run.active and run.remaining_emissions > 0}
         return self._load_samples(), latency_samples, delivered_now, lost_now
+
+    def _latency(self, a: str, b: str) -> int:
+        return self.spec.links[link_key(a, b)][1]
 
     def _load_samples(self) -> list:
         counts: dict = {}
