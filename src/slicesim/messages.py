@@ -189,6 +189,9 @@ class SignalMessage(NamedTuple):
     payload: Mapping[str, object]
 
 
+_tuple_new = tuple.__new__
+
+
 def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
           correlation_id: str,
           payload: Mapping[str, object] | None = None) -> SignalMessage:
@@ -206,9 +209,6 @@ def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
     # tuple.__new__ skips the named tuple's own __new__ and its arity check
     return _tuple_new(SignalMessage, (kind, source, destination, interface,
                                       correlation_id, dict(payload or {})))
-
-
-_tuple_new = tuple.__new__
 
 
 def _joins(sides, others) -> frozenset:

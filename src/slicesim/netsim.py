@@ -8,10 +8,10 @@ the unit.  The units a flow emits in one tick share their snapshot and every
 rule check on the way, so they travel as one batch.  The plane caches the
 snapshot per (ingress, flow) until a rule changes, keeps each path's hop
 latencies and link keys once (the topology never changes), and counts link
-loads as batches move.  A flow only starts
-emitting once its ingress rule first appears; after that, ticks without an
-ingress rule emit and lose units, which is what makes break-before-make
-handovers lossy and make-before-break lossless.
+loads as batches move.  A flow only starts emitting once its ingress rule
+first appears; after that, ticks without an ingress rule emit and lose
+units, which is what makes break-before-make handovers lossy and
+make-before-break lossless.
 """
 
 from __future__ import annotations
