@@ -768,9 +768,8 @@ class Environment:
         """Put a block's tick hook, or with no role the slice's forwarded
         plane, on the due list; one already there stays as it is."""
         if role is None:
-            key = (1, instance.slice_id, "")
-            if key not in self._due:
-                self._due[key] = (instance, None, instance.dplane)
+            self._due.setdefault((1, instance.slice_id, ""),
+                                 (instance, None, instance.dplane))
         else:
             entry = self._route[instance.peers[role]]
             self._due.setdefault(entry[7], entry)
