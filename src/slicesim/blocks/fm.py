@@ -11,6 +11,9 @@ link's post-installation utilisation is::
 
     max(observed_load, (reserved + demand) / capacity)
 
+Each ``(src, dst)`` shortest path is searched once per view (see
+``TopologyView``); ``load_distribution`` ranks its candidates on every call.
+
 Installed rules are removed lazily: a released path keeps its rules for the
 path's total latency plus one tick, so units already in flight drain instead
 of being dropped on the floor.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import CapacityError, NoPathError
 from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
@@ -42,17 +46,28 @@ def link_key(a: str, b: str) -> tuple:
 
 @dataclass
 class TopologyView:
+    """A slice's topology as flow management sees it.  Nothing changes its
+    nodes, link keys or latencies after the first search; only a link's
+    `reserved` and `observed` move, and the shortest path reads neither.
+    So the sorted adjacency and each (src, dst) shortest path are kept
+    beside the fields, where equality and the digest never see them."""
+
     nodes: dict = field(default_factory=dict)   # node id -> kind
     links: dict = field(default_factory=dict)   # link_key -> LinkState
 
-    def neighbors(self, node: str) -> list:
-        out = []
-        for (a, b) in self.links:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
+    @cached_property
+    def adjacency(self) -> dict:
+        """node -> its (neighbour, link latency) pairs in neighbour order."""
+        out: dict = {}
+        for (a, b), link in self.links.items():
+            out.setdefault(a, []).append((b, link.latency))
+            out.setdefault(b, []).append((a, link.latency))
+        return {node: tuple(sorted(nbrs)) for node, nbrs in out.items()}
+
+    @cached_property
+    def shortest(self) -> dict:
+        """(src, dst) -> the (latency, node tuple) `shortest_path` found."""
+        return {}
 
     def link(self, a: str, b: str) -> LinkState:
         return self.links[link_key(a, b)]
@@ -127,9 +142,20 @@ class FMState:
 
 def shortest_path(view: TopologyView, src: str, dst: str) -> tuple:
     """Minimum-latency simple path as (latency, node tuple); ties by node
-    sequence.  Link latencies are >= 1, so equal-cost walks are simple."""
+    sequence.  Searched once per (src, dst) of a view; a pair without a
+    path raises `NoPathError` on every call."""
+    found = view.shortest.get((src, dst))
+    if found is None:
+        found = view.shortest[src, dst] = _search(view, src, dst)
+    return found
+
+
+def _search(view: TopologyView, src: str, dst: str) -> tuple:
+    """Dijkstra over the view.  Link latencies are >= 1, so equal-cost
+    walks are simple."""
     if src not in view.nodes or dst not in view.nodes:
         raise NoPathError(f"unknown endpoint {src!r} or {dst!r}")
+    adjacency = view.adjacency
     best: dict = {}
     heap = [(0, (src,))]
     while heap:
@@ -139,8 +165,8 @@ def shortest_path(view: TopologyView, src: str, dst: str) -> tuple:
             continue
         if node == dst:
             return dist, path
-        for nbr in view.neighbors(node):
-            cand = (dist + view.link(node, nbr).latency, path + (nbr,))
+        for nbr, latency in adjacency.get(node, ()):
+            cand = (dist + latency, path + (nbr,))
             if cand < best.get(nbr, (1 << 60, ())):
                 best[nbr] = cand
                 heapq.heappush(heap, cand)
@@ -151,15 +177,16 @@ def simple_paths_within(view: TopologyView, src: str, dst: str,
                         budget: float) -> list:
     """All simple paths with total latency within the budget."""
     results: list = []
+    adjacency = view.adjacency
 
     def walk(node: str, path: tuple, dist: int) -> None:
         if node == dst:
             results.append((dist, path))
             return
-        for nbr in view.neighbors(node):
+        for nbr, latency in adjacency.get(node, ()):
             if nbr in path:
                 continue
-            step = dist + view.link(node, nbr).latency
+            step = dist + latency
             if step <= budget:
                 walk(nbr, path + (nbr,), step)
 

@@ -269,6 +269,13 @@ def test_criterion_7_path_oracles():
         assert all_paths, "spine guarantees connectivity"
         expected_short = min((view.path_latency(p), p) for p in all_paths)
         assert shortest_path(view, src, dst) == expected_short
+        # every ordered pair, twice: the second answer comes from the memo
+        for a, b in itertools.permutations(nodes, 2):
+            expected = min((view.path_latency(p), p)
+                           for p in _oracle_paths(view, a, b))
+            assert shortest_path(view, a, b) == expected
+            assert shortest_path(view, a, b) == expected
+        assert len(view.shortest) == len(nodes) * (len(nodes) - 1)
 
         budget = 1.5 * expected_short[0]
         candidates = [p for p in all_paths if view.path_latency(p) <= budget]

@@ -1,5 +1,7 @@
 """Flow-management path strategies/reservations and context generation."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,8 @@ from slicesim.blocks.common import (
     AccessNodeInfo, BlockContext, BlockEvent, PathStrategy, SlicePolicy, Tech,
 )
 from slicesim.blocks.fm import (
-    QOS_DEMAND, FMState, LinkState, SessionBinding, TopologyView, fm_apply,
-    fm_define_path, fm_release_path, handle as fm_handle, link_key,
+    QOS_DEMAND, FMState, LinkState, SessionBinding, TopologyView, choose_path,
+    fm_apply, fm_define_path, fm_release_path, handle as fm_handle, link_key,
     post_install_utilisation, shortest_path,
 )
 from slicesim.engine import _normalize
@@ -22,6 +24,11 @@ from slicesim.messages import (
     BBInstanceId, Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage,
     Topic, draft,
 )
+from slicesim.netsim import (
+    NodeKind, build_view, load_topology, load_topology_file,
+)
+
+from conftest import SCENARIO_DIR, perfbench_module
 
 SLICE = "slice-a"
 
@@ -208,6 +215,108 @@ class TestPathOracles:
             return
         # (utilisation, sequence) ordering has a unique winner
         assert path.nodes == expected_nodes
+
+
+class UncachedView(TopologyView):
+    """A view that builds its adjacency and searches afresh on every call."""
+
+    @property
+    def adjacency(self):
+        return TopologyView.adjacency.func(self)
+
+    @property
+    def shortest(self):
+        return {}
+
+
+def corpus_topologies() -> list:
+    """Every topology the corpus loads and each benchmark workload's."""
+    gen = perfbench_module("gen")
+    specs = [load_topology_file(path) for path in sorted(SCENARIO_DIR.glob("*.txt"))]
+    specs += [load_topology(gen.topology_text(params))
+              for params in gen.WORKLOADS.values()
+              if hasattr(params, "link_capacity")]
+    return specs
+
+
+def outcome(call):
+    """What `call()` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except (NoPathError, CapacityError) as exc:
+        return type(exc), str(exc)
+
+
+def oracle_choice(view, src, dst, strategy):
+    """`choose_path`'s (path, utilisation) at demand 1 and stretch 0.5, by
+    brute force."""
+    if strategy is PathStrategy.SHORTEST_PATH:
+        return oracle_shortest(view, src, dst)[1], None
+    utilisation, path = oracle_load_distribution(view, src, dst, 1, 0.5)
+    return path, utilisation
+
+
+class TestPathCache:
+    @pytest.mark.parametrize("strategy", list(PathStrategy))
+    def test_cached_search_matches_a_fresh_one_on_corpus_topologies(self, strategy):
+        """Three rounds over every (ingress, anchor) pair, with reservations,
+        releases and observed loads moving between them: the cached view
+        chooses what brute force chooses, and defines the paths that a view
+        searching afresh defines."""
+        for spec in corpus_topologies():
+            fresh = build_view(spec)
+            cached = FMState(view=build_view(spec), strategy=strategy)
+            uncached = FMState(view=UncachedView(nodes=fresh.nodes,
+                                                 links=fresh.links),
+                               strategy=strategy)
+            pairs = [(i, a) for i, ik in sorted(spec.nodes.items())
+                     if ik is NodeKind.INGRESS
+                     for a, ak in sorted(spec.nodes.items())
+                     if ak is NodeKind.ANCHOR]
+            for rnd in range(3):
+                for n, (ingress, anchor) in enumerate(pairs):
+                    qos = "critical" if (rnd + n) % 2 else "default"
+                    assert choose_path(cached.view, ingress, anchor, 1,
+                                       strategy, 0.5) == \
+                        oracle_choice(uncached.view, ingress, anchor, strategy)
+                    flow = f"f{rnd}-{n}"
+                    assert outcome(lambda: fm_define_path(
+                        cached, flow, ingress, anchor, qos)) == \
+                        outcome(lambda: fm_define_path(
+                            uncached, flow, ingress, anchor, qos))
+                for n, key in enumerate(sorted(spec.links)):
+                    for state in (cached, uncached):
+                        state.view.links[key].observed = (rnd * 7 + n) % 5 / 4
+                for flow in sorted(cached.path_table)[::2]:
+                    fm_release_path(cached, flow, tick=rnd)
+                    fm_release_path(uncached, flow, tick=rnd)
+            assert _normalize(cached) == _normalize(uncached)
+            assert sorted(cached.view.shortest) == pairs
+
+    def test_digest_form_holds_only_the_fields_after_searches(self):
+        spec = corpus_topologies()[0]
+        state = FMState(view=build_view(spec))
+        before = _normalize(state)
+        path = fm_define_path(state, "f1", "i1", "a1", "default")
+        fm_release_path(state, "f1", tick=0)
+        shortest_path(state.view, "i2", "a2")
+        assert state.view.shortest and state.view.adjacency
+        after = _normalize(state)
+        assert set(after) == {f.name for f in fields(FMState)}
+        assert set(after["view"]) == {"nodes", "links"}
+        assert after["view"] == before["view"]
+        assert after["retiring"][0]["pairs"] == [list(p) for p in path.pairs()]
+
+    def test_a_missing_path_raises_on_every_call(self):
+        view = view_from([("a", "b", 10, 1), ("c", "d", 10, 1)])
+        for _ in range(2):
+            with pytest.raises(NoPathError, match="^no path a -> d$"):
+                shortest_path(view, "a", "d")
+            with pytest.raises(NoPathError, match="unknown endpoint 'a' or 'zz'"):
+                shortest_path(view, "a", "zz")
+        assert view.shortest == {}
+        assert shortest_path(view, "a", "b") == (1, ("a", "b"))
+        assert view.shortest == {("a", "b"): (1, ("a", "b"))}
 
 
 class TestApply:
