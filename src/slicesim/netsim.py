@@ -5,10 +5,11 @@ Traffic is discrete units per tick, integer-exact.  A unit snapshots its
 path when it leaves the ingress and follows that snapshot; at every node it
 needs a matching rule to continue, so tearing rules down mid-flight loses
 the unit.  The units a flow emits in one tick share their snapshot and every
-rule check on the way, so they travel as one batch.  The plane caches the
-snapshot per (ingress, flow) until a rule changes, keeps each path's hop
-latencies and link keys once (the topology never changes), and counts link
-loads as batches move.  A flow only starts emitting once its ingress rule
+rule check on the way, so they travel as one batch.  The plane caches a
+flow's snapshot per ingress until one of that flow's rules changes (a
+snapshot reads no other flow's rules), keeps each path's hop latencies and
+link keys once (the topology never changes), and counts link loads as
+batches move.  A flow only starts emitting once its ingress rule
 first appears; after that, ticks without an ingress rule emit and lose
 units, which is what makes break-before-make handovers lossy and
 make-before-break lossless.
@@ -152,8 +153,9 @@ class FlowRun:
         return sum(unit.count for unit in self.in_flight)
 
 
-#: The rules at a node that holds none.
-_NO_RULES: dict = {}
+#: What a read finds where nothing is kept: the rules at a node that holds
+#: none, the snapshots of a flow with none cached.
+_EMPTY: dict = {}
 
 
 @dataclass
@@ -167,8 +169,9 @@ class DPlane:
     flows: dict = field(default_factory=dict)   # flow id -> FlowRun
     _live: dict = field(default_factory=dict)   # flow id -> FlowRun, live ones
     _last_loaded: set = field(default_factory=set)
-    # (ingress, flow) -> (path, complete, hop latencies, hop link keys) of
-    # the snapshot a unit emitted there takes; emptied when a rule changes
+    # flow -> ingress -> (path, complete, hop latencies, hop link keys) of
+    # the snapshot a unit of the flow emitted there takes; a flow's entry is
+    # dropped when one of its rules changes
     _routes: dict = field(default_factory=dict)
     # path -> (the path, its hop latencies, its hop link keys), so equal
     # paths share one tuple, and link key -> (name, capacity): facts of
@@ -195,14 +198,14 @@ class DPlane:
             if nxt != "deliver" and not self.adjacent(node, nxt):
                 return False, f"no link {node}~{nxt}"
             self.rules.setdefault(node, {})[flow] = nxt
-            self._routes.clear()
+            self._routes.pop(flow, None)
             return True, ""
         if action == "remove":
             current = self.rules.get(node, {}).get(flow)
             if current is None or current != nxt:
                 return False, "no matching rule"
             del self.rules[node][flow]
-            self._routes.clear()
+            self._routes.pop(flow, None)
             return True, ""
         return False, f"unknown action '{action}'"
 
@@ -228,7 +231,8 @@ class DPlane:
         """The snapshot a unit emitted at `ingress` takes, with its hops."""
         path, complete = self._snapshot(ingress, flow)
         path, latencies, keys = self._paths.get(path) or self._hops(path)
-        self._routes[ingress, flow] = route = (path, complete, latencies, keys)
+        route = (path, complete, latencies, keys)
+        self._routes.setdefault(flow, {})[ingress] = route
         return route
 
     def _hops(self, path: tuple) -> tuple:
@@ -274,7 +278,7 @@ class DPlane:
                     survivors.append(unit)
                     continue
                 hop = unit.hop = unit.hop + 1
-                rule = rules.get(path[hop], _NO_RULES).get(flow_id)
+                rule = rules.get(path[hop], _EMPTY).get(flow_id)
                 if hop == last:
                     if unit.complete and rule == "deliver":
                         delivered += count
@@ -303,7 +307,7 @@ class DPlane:
             if not run.active or run.remaining_emissions <= 0:
                 continue
             path, complete, latencies, keys = (
-                routes.get((run.ingress, flow_id))
+                routes.get(flow_id, _EMPTY).get(run.ingress)
                 or self._route(run.ingress, flow_id))
             # the ingress holds a rule iff the snapshot leaves it or ends there
             has_rule = complete or len(path) > 1

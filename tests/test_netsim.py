@@ -332,7 +332,8 @@ _FLOWS = st.lists(st.tuples(st.sampled_from(range(len(PATHS))),
 #: (tick, flow index, path position, change): drop one rule of a flow's
 #: path, install its whole path again, move the flow to the other ingress
 #: (`handover`: with its path installed from there first), add a fresh flow
-#: under its id, or clear every rule as a slice teardown does.
+#: under its id, or clear every rule as a slice teardown does.  `reroute`
+#: (see `_change`) is drawn only for the flows that share `t`.
 _CHANGES = st.lists(st.tuples(st.integers(min_value=0, max_value=14),
                               st.integers(min_value=0, max_value=2),
                               st.integers(min_value=0, max_value=2),
@@ -358,6 +359,11 @@ def _change(plane, flow, nodes, position, change) -> None:
                                ingress=run.ingress))
     elif change == "clear":
         plane.clear_rules()
+    elif change == "reroute":
+        # the flow's rule at the shared node `t` now delivers, or goes on
+        nxt = plane.rules.get("t", {}).get(flow)
+        plane.configure("t", {"flow": flow, "action": "install",
+                              "next": "a1" if nxt == "deliver" else "deliver"})
     else:
         node = nodes[min(position, len(nodes) - 1)]
         rule = plane.rules.get(node, {}).get(flow)
@@ -378,6 +384,36 @@ def test_batched_step_matches_the_per_unit_oracle(flows, changes):
     tick by tick, the step outputs and flow counters that moving every unit
     alone along a fresh snapshot gives, under any rates, paths, rule
     changes, ingress moves, re-added flows and rule clears mid-flight."""
+    _step_against_the_oracle(flows, changes)
+
+
+#: Two flows on paths through the shared node `t` (PATHS 0 to 2).
+_SHARED_FLOWS = st.lists(st.tuples(st.sampled_from(range(3)),
+                                   st.integers(min_value=1, max_value=4),
+                                   st.integers(min_value=2, max_value=8),
+                                   st.booleans()),
+                         min_size=2, max_size=2)
+
+#: Changes to the first flow's rules only, its rule at `t` included.
+_FIRST_FLOW_CHANGES = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=14), st.just(0),
+              st.integers(min_value=0, max_value=2),
+              st.sampled_from(("drop", "reinstall", "reroute"))),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_SHARED_FLOWS, _FIRST_FLOW_CHANGES)
+def test_one_flows_rule_change_keeps_the_other_flows_route(flows, changes):
+    """The plane drops a flow's cached snapshots when one of its own rules
+    changes: with two flows sharing nodes and only the first one's rules
+    changing between steps, the batched step still matches the oracle."""
+    _step_against_the_oracle(flows, changes)
+
+
+def _step_against_the_oracle(flows, changes) -> None:
+    """Run the drawn flows and changes on the batched plane and on
+    `PerUnitDPlane` for 24 ticks, comparing them after every step."""
     planes = (make_dplane(), PerUnitDPlane(spec=load_topology(TOPOLOGY_TEXT)))
     for plane in planes:
         for i, (path, rate, duration, complete) in enumerate(flows):
