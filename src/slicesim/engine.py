@@ -15,7 +15,7 @@ import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import slices as slices_mod
@@ -838,12 +838,13 @@ class Environment:
                     self._deliver(seq, msg)
             self._now = []
             self._run_due()
-            # The tick ends: sort its records by seq (field 0, unique).
+            # The tick ends: sort its records by seq (field 0, unique, so
+            # no further field is compared).
             # Messages are numbered at emission but traced at delivery, in
             # class order.  Records minted during tick t outnumber anything
             # delivered at t, so (tick, seq) is a causally consistent total
             # order; what the run traces after its last tick comes in order.
-            trace[start:] = sorted(trace[start:])
+            trace[start:] = sorted(trace[start:], key=itemgetter(0))
             start = len(trace)
             if self.tick >= self.scenario.max_ticks:
                 self.trace_event("max-ticks-reached", self.scenario.scenario_id,
@@ -874,6 +875,12 @@ class Environment:
 
     def _final_digests(self) -> dict:
         digests = {}
+        bound: dict = {}    # slice id -> its devices' digest forms
+        for ident, d in self.devices.items():
+            if d.bound_slice is not None:
+                bound.setdefault(d.bound_slice, {})[ident] = {
+                    "alias": d.alias, "node": d.current_node,
+                    "token": d.context_token}
         for slice_id in sorted(self.slices):
             instance = self.slices[slice_id]
             snapshot = {
@@ -884,11 +891,7 @@ class Environment:
                 "lifecycle": instance.lifecycle_state.value,
                 "rules": _normalize(instance.dplane.rules),
                 "flows": _normalize(instance.dplane.flows),
-                "devices": {
-                    ident: {"alias": d.alias, "node": d.current_node,
-                            "token": d.context_token}
-                    for ident, d in self.devices.items()
-                    if d.bound_slice == slice_id},
+                "devices": bound.get(slice_id, {}),
             }
             digests[slice_id] = hashlib.sha256(
                 canonical_json(snapshot).encode()).hexdigest()[:16]
@@ -929,11 +932,13 @@ def _normalize(value):
 def _normalizer_for(cls):
     if is_dataclass(cls) and not issubclass(cls, type):
         names = tuple(f.name for f in fields(cls))
-        return lambda v: {n: _normalize(getattr(v, n)) for n in names}
+        return lambda v: {n: x if type(x := getattr(v, n)) in _SCALARS
+                          else _normalize(x) for n in names}
     if issubclass(cls, Enum):
         return attrgetter("value")
     if issubclass(cls, Mapping):
-        return lambda v: {str(k): _normalize(x) for k, x in v.items()}
+        return lambda v: {str(k): x if type(x) in _SCALARS else _normalize(x)
+                          for k, x in v.items()}
     if issubclass(cls, (set, frozenset)):
         return lambda v: sorted(map(str, v))
     if issubclass(cls, (list, tuple)):

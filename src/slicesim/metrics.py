@@ -31,49 +31,57 @@ class MetricsReport:
 
 
 def compute_metrics(records) -> MetricsReport:
+    """Fold a trace in any record order.  The loop names each correlation's
+    family once, when it first shows, and counts messages per (family,
+    interface) and fabric hops per first recipient; the west-bound fold and
+    each recipient's slice scope are resolved once per key after it."""
     report = MetricsReport()
-    counts = report.message_counts
-    families: dict = {}     # correlation id -> family
-    firsts: dict = {}       # correlation id -> first tick
-    lasts: dict = {}        # correlation id -> last tick
+    spans: dict = {}        # correlation id -> [family, first tick, last tick]
+    per_iface: dict = {}    # (family, interface) -> messages
+    hops: dict = {}         # first recipient -> fabric hops
     for rec in records:
         if isinstance(rec, MessageRecord):
-            tick, corr = rec.tick, rec.correlation_id
-            first = firsts.get(corr)
-            if first is None:
-                family = families[corr] = _family(corr)
-                firsts[corr] = lasts[corr] = tick
-            else:
-                family = families[corr]
-                if tick < first:
-                    firsts[corr] = tick
-                elif tick > lasts[corr]:
-                    lasts[corr] = tick
-            key = (family, rec.interface._value_)
-            counts[key] = counts.get(key, 0) + 1
-            if rec.interface in WBI_MEMBERS:
-                # west-bound composite: I1/I2/I3 folded for reporting
-                wbi = (family, "WBI")
-                counts[wbi] = counts.get(wbi, 0) + 1
-            if rec.recipients:
-                report.fabric_hops_total += rec.hop_count
-                scope = rec.recipients[0].split(".")[1] if "." in rec.recipients[0] else "?"
-                report.fabric_hops_per_slice[scope] = \
-                    report.fabric_hops_per_slice.get(scope, 0) + rec.hop_count
+            _, tick, _, _, _, interface, corr, _, hop_count, _, recipients = rec
+            span = spans.get(corr)
+            if span is None:
+                span = spans[corr] = [_family(corr), tick, tick]
+            elif tick < span[1]:
+                span[1] = tick
+            elif tick > span[2]:
+                span[2] = tick
+            key = (span[0], interface)
+            per_iface[key] = per_iface.get(key, 0) + 1
+            if recipients:
+                head = recipients[0]
+                hops[head] = hops.get(head, 0) + hop_count
         elif isinstance(rec, EventRecord):
-            if rec.kind == "flow-summary":
-                report.flows[rec.subject] = {
-                    "sent": rec.detail.get("sent", 0),
-                    "delivered": rec.detail.get("delivered", 0),
-                    "lost": rec.detail.get("lost", 0),
-                    "in_flight": rec.detail.get("in_flight", 0)}
-            elif rec.kind == "slice-digest":
-                report.digests[rec.subject] = rec.detail.get("digest", "")
-    for corr, first in firsts.items():
-        family = families[corr]
+            _, _, kind, subject, detail = rec
+            if kind == "flow-summary":
+                report.flows[subject] = {
+                    "sent": detail.get("sent", 0),
+                    "delivered": detail.get("delivered", 0),
+                    "lost": detail.get("lost", 0),
+                    "in_flight": detail.get("in_flight", 0)}
+            elif kind == "slice-digest":
+                report.digests[subject] = detail.get("digest", "")
+    # Keys enter each dict below in the order the records first show them,
+    # as they would in a fold per record.
+    counts = report.message_counts
+    for (family, interface), n in per_iface.items():
+        counts[family, interface._value_] = n
+        if interface in WBI_MEMBERS:
+            # west-bound composite: I1/I2/I3 folded for reporting
+            wbi = (family, "WBI")
+            counts[wbi] = counts.get(wbi, 0) + n
+    per_slice = report.fabric_hops_per_slice
+    for head, n in hops.items():
+        scope = head.split(".")[1] if "." in head else "?"
+        per_slice[scope] = per_slice.get(scope, 0) + n
+    report.fabric_hops_total = sum(hops.values())
+    for family, first, last in spans.values():
         report.procedure_runs[family] = report.procedure_runs.get(family, 0) + 1
         report.procedure_ticks[family] = \
-            report.procedure_ticks.get(family, 0) + (lasts[corr] - first)
+            report.procedure_ticks.get(family, 0) + (last - first)
     return report
 
 

@@ -174,9 +174,11 @@ def trace_check(records: Iterable[TraceRecord]) -> list[str]:
     reappear on I1/I2/I3 after that device's first successful authentication.
     A message emitted late in one tick is traced at its delivery tick, so
     sequence numbers are monotone only within the (tick, seq) pair order.
-    Violations come out by record, then by authentication order.
+    Violations come out by record, then by authentication order.  Record
+    fields are read by position, once each.
     """
     violations: list[str] = []
+    attach = ProcedureKind.ATTACH_REQUEST   # read once: member reads are slow
     last_key = (-1, -1)
     seen_seqs: set[int] = set()
     first_alias: dict[str, str] = {}
@@ -189,37 +191,42 @@ def trace_check(records: Iterable[TraceRecord]) -> list[str]:
             burned.setdefault(alias, []).append(device)
 
     for rec in records:
-        key = (rec.tick, rec.seq)
+        event = isinstance(rec, EventRecord)
+        if event:
+            seq, tick, kind, subject, detail = rec
+        else:
+            seq, tick, kind, _, _, interface, _, payload, _, _, _ = rec
+        key = (tick, seq)
         if key <= last_key:
             violations.append(
-                f"record (tick={rec.tick}, seq={rec.seq}) not ordered after "
+                f"record (tick={tick}, seq={seq}) not ordered after "
                 f"(tick={last_key[0]}, seq={last_key[1]})")
         last_key = key
-        if rec.seq in seen_seqs:
-            violations.append(f"duplicate sequence number {rec.seq}")
-        seen_seqs.add(rec.seq)
-        if isinstance(rec, EventRecord):
-            if rec.kind == "auth" and rec.detail.get("ok") \
-                    and rec.subject not in authenticated:
-                authenticated[rec.subject] = len(authenticated)
-                burn(rec.subject)
+        if seq in seen_seqs:
+            violations.append(f"duplicate sequence number {seq}")
+        seen_seqs.add(seq)
+        if event:
+            if kind == "auth" and detail.get("ok") \
+                    and subject not in authenticated:
+                authenticated[subject] = len(authenticated)
+                burn(subject)
             continue
         verdict = validate_message(rec)
         if not verdict.ok:
-            violations.extend(f"seq {rec.seq}: {v}" for v in verdict.violations)
-        if rec.kind is ProcedureKind.ATTACH_REQUEST and not rec.payload.get("reattach"):
-            device = rec.payload.get("device")
-            alias = rec.payload.get("alias")
+            violations.extend(f"seq {seq}: {v}" for v in verdict.violations)
+        if kind is attach and not payload.get("reattach"):
+            device = payload.get("device")
+            alias = payload.get("alias")
             if isinstance(device, str) and isinstance(alias, str) \
                     and device not in first_alias:
                 first_alias[device] = alias
                 if device in authenticated:
                     burn(device)
-        if burned and rec.interface in WBI_MEMBERS:
-            leaked = {device for leaf in _string_leaves(rec.payload)
+        if burned and interface in WBI_MEMBERS:
+            leaked = {device for leaf in _string_leaves(payload)
                       for device in burned.get(leaf, ())}
             for device in sorted(leaked, key=authenticated.__getitem__):
                 violations.append(
-                    f"seq {rec.seq}: permanent identity of {device} on "
-                    f"{rec.interface.value} after first authentication")
+                    f"seq {seq}: permanent identity of {device} on "
+                    f"{interface.value} after first authentication")
     return violations
