@@ -7,7 +7,6 @@ with equal figures, every dict's keys in the same order, and the same
 benchmark workloads' traces, in memory and through `parse_trace`, and in
 any record order."""
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 from slicesim.engine import FABRIC_MODELS, load_scenario, run
 from slicesim.messages import WBI_MEMBERS
-from slicesim.metrics import compute_metrics, render_metrics
+from slicesim.metrics import MetricsReport, compute_metrics, render_metrics
 from slicesim.trace import EventRecord, MessageRecord, parse_trace, render_trace
 
 from conftest import SCENARIO_DIR, perfbench_module
@@ -34,19 +33,8 @@ def _oracle_family(correlation_id: str) -> str:
     return parts[1] if len(parts) >= 2 else correlation_id
 
 
-@dataclass
-class OracleReport:
-    message_counts: dict = field(default_factory=dict)
-    fabric_hops_total: int = 0
-    fabric_hops_per_slice: dict = field(default_factory=dict)
-    procedure_runs: dict = field(default_factory=dict)
-    procedure_ticks: dict = field(default_factory=dict)
-    flows: dict = field(default_factory=dict)
-    digests: dict = field(default_factory=dict)
-
-
-def oracle_compute_metrics(records) -> OracleReport:
-    report = OracleReport()
+def oracle_compute_metrics(records) -> MetricsReport:
+    report = MetricsReport()
     counts = report.message_counts
     families: dict = {}
     firsts: dict = {}
