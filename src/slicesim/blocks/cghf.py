@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..messages import ProcedureKind, SignalMessage, Topic, draft
+from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
 from .common import BlockContext, BlockEvent
 
 DEFAULT_WINDOW = 16
@@ -112,7 +112,7 @@ def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
                                           "statement": model.statement}))
                 drafts.append(draft(
                     ProcedureKind.CONTEXT_NOTIFY, ctx.self_endpoint,
-                    Topic(model.topic),
+                    Endpoint(Role.TOPIC, model.topic),
                     f"{ctx.slice_id}:context:{state.assertion_counter}",
                     {"subject": subject, "statement": model.statement,
                      # the most recent contributing samples

@@ -31,8 +31,8 @@ from .blocks.common import (
 from .errors import EquivalenceViolation, ScenarioError, SliceSimError
 from .fabric import FabricModel, FabricModelKind
 from .messages import (
-    BBInstanceId, Endpoint, ProcedureKind, Role, SignalMessage,
-    Topic, draft, validate_message,
+    Endpoint, ProcedureKind, Role, SignalMessage, block_id, draft,
+    validate_message,
 )
 from .metrics import MetricsReport, compute_metrics
 from .netsim import (
@@ -91,6 +91,9 @@ DEFAULT_MAX_TICKS = 400
 #: costs a Python call per record; the record's fields are its message's
 #: between the trace and delivery fields.
 _tuple_new = tuple.__new__
+
+#: The roles delivery dispatches on, read once: member reads are slow.
+_TOPIC, _UE, _D_PLANE = Role.TOPIC, Role.UE, Role.D_PLANE
 
 
 @dataclass(frozen=True)
@@ -299,8 +302,6 @@ class Environment:
             self.slices[bp.slice_id] = instance
         # Common control part for method-1 selection: a global connectivity
         # instance plus the unified identity store behind it.
-        self.global_cm = BBInstanceId(Role.CM, "global")
-        self.global_sam = BBInstanceId(Role.SAM, "global")
         self.global_states = {
             Role.CM: cm_mod.CMState(role=cm_mod.CMRole.GLOBAL,
                                     subscription_view=roster[Role.CM]),
@@ -325,8 +326,7 @@ class Environment:
         # without a tick hook has None for the hook, the getter and the key.
         # The handler and hook tables are read here, not at import, so that
         # what patches them before a run is what the run calls.
-        global_peers = {Role.CM: str(self.global_cm),
-                        Role.SAM: str(self.global_sam)}
+        global_peers = {r: block_id(r, "global") for r in (Role.CM, Role.SAM)}
         shared = dict(
             seed=seed, access_nodes=scenario.topology.access,
             global_cm=global_peers[Role.CM],
@@ -387,7 +387,7 @@ class Environment:
     def emit(self, drafts) -> None:
         queue = self.queue
         for item in drafts:
-            for msg in (self._expand(item) if isinstance(item.destination, Topic)
+            for msg in (self._expand(item) if item.destination.role is _TOPIC
                         else (item,)):
                 seq = self.next_seq()
                 verdict = validate_message(msg)
@@ -403,32 +403,30 @@ class Environment:
         fabric = self._route[item.source.ident][0].fabric
         if fabric.model.kind is FabricModelKind.PUB_SUB:
             return [item]
-        subscribers = fabric.subscriptions.get(item.destination.topic_id, ())
+        subscribers = fabric.subscriptions.get(item.destination.ident, ())
         if not subscribers:
-            self.trace_error("NoSubscriberError", item.destination.topic_id,
+            self.trace_error("NoSubscriberError", item.destination.ident,
                              {"publisher": item.source.ident})
             return []
         return [draft(item.kind, item.source,
-                      Endpoint(fabric.members[ident], ident),
+                      Endpoint(self._route[ident][1], ident),
                       item.correlation_id, item.payload)
                 for ident in subscribers]
 
     # -- delivery ------------------------------------------------------------
 
     def _deliver(self, seq: int, msg: SignalMessage) -> None:
-        destination = msg.destination
-        if isinstance(destination, Topic):
+        role = msg.destination.role
+        if role is _TOPIC:
             self._deliver_fabric(seq, msg, self._route[msg.source.ident][0])
-            return
-        role = destination.role
-        if role is Role.UE:
+        elif role is _UE:
             self.emit(self._ue_receive(self._trace_msg(seq, msg)))
-        elif role is Role.D_PLANE:
+        elif role is _D_PLANE:
             self.emit(self._dplane_receive(self._trace_msg(seq, msg)))
         else:
             # the fabric carries only block-to-block messages within one
             # slice; a device or plane source has no route
-            entry = self._route[destination.ident]
+            entry = self._route[msg.destination.ident]
             instance = entry[0]
             if instance is not None and \
                     self._route.get(msg.source.ident, (None,))[0] is instance:
@@ -578,7 +576,7 @@ class Environment:
             payload["proof"] = device.spec.proof
         direct = device.spec.mode is SignalingMode.DIRECT
         if direct and method == 1 and not reattach:
-            dst = Endpoint(Role.CM, str(self.global_cm))
+            dst = Endpoint(Role.CM, block_id(Role.CM, "global"))
         else:
             role = Role.CM if direct else Role.AF
             instance = (self.slices.get(target_slice)

@@ -5,9 +5,9 @@ Four models wire the same block set: a full mesh (direct links), a relay
 dispatcher (an external proxy) and a publish-subscribe broker.  Every model
 delivers the message it was sent; `Fabric.send` is model-agnostic and
 returns only its delivery record, the hop and mediator accounting that
-makes the models comparable.  The fabric owns its
-slice's topic table, which the broker reads at send time and the engine
-reads to expand a publish into unicasts on the other models.
+makes the models comparable.  A topic is an endpoint of role `topic`; the
+fabric owns its slice's topic table, which the broker reads at send time
+and the engine reads to expand a publish into unicasts on the other models.
 
 A mediator is modelled as a function distinct from the block it may be
 co-located with, so a relayed message costs two hops even when the relay
@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Mapping
 
 from .errors import BadRelayError, ModelMismatchError
-from .messages import BBInstanceId, Role, SignalMessage, Topic
+from .messages import Role, SignalMessage, block_id
+
+_TOPIC = Role.TOPIC     # read once: member reads are slow
 
 
 class FabricModelKind(str, Enum):
@@ -66,7 +68,7 @@ class DeliveryOutcome:
 @dataclass
 class Fabric:
     model: FabricModel
-    members: dict                       # instance id -> Role
+    members: dict                       # Role -> instance id
     mediator: str | None = None         # CPD/PS instance id when external
     relay: str | None = None            # relay member instance id
     subscriptions: dict = field(default_factory=dict)   # topic -> sorted ids
@@ -79,13 +81,13 @@ class Fabric:
         """Carry a message from a member to a member or a topic.  Only the
         engine sends, and it hands a fabric its own slice's blocks only."""
         destination = msg.destination
-        if isinstance(destination, Topic):
+        if destination.role is _TOPIC:
             if self.model.kind is not FabricModelKind.PUB_SUB:
                 raise ModelMismatchError(
                     "topic-addressed messages need a publish-subscribe fabric")
             return DeliveryOutcome(DeliveryRecord(
                 2, (self.mediator,),
-                self.subscriptions.get(destination.topic_id, ())))
+                self.subscriptions.get(destination.ident, ())))
         dst = destination.ident
         outcome = self.unicasts.get(dst)
         if outcome is None:
@@ -103,26 +105,25 @@ class Fabric:
         return DeliveryRecord(2, (self.mediator,), (dst,))
 
 
-def connect(members: Iterable[BBInstanceId], model: FabricModel,
+def connect(members: Mapping[Role, str], model: FabricModel,
             scope: str = "fabric", subscriptions: dict | None = None) -> Fabric:
-    """Wire a block set under one interconnection model, with its topic
-    table (topic -> sorted subscriber ids, default: none).
+    """Wire a block set (role -> instance id) under one interconnection
+    model, with its topic table (topic -> sorted subscriber ids, or none).
 
     For the relay model the designated relay must itself be a member;
     dispatcher and broker mediators are created here and are not members.
     """
-    member_map = {str(m): m.role for m in members}
-    fabric = Fabric(model=model, members=member_map,
+    fabric = Fabric(model=model, members=dict(members),
                     subscriptions=subscriptions or {})
     if model.kind is FabricModelKind.RELAY:
         target = model.relay_bb or Role.CM.value
-        matches = [i for i, role in member_map.items()
+        matches = [i for role, i in members.items()
                    if i == target or role.value == target]
         if not matches:
             raise BadRelayError(f"relay block '{target}' is not a member")
         fabric.relay = sorted(matches)[0]
     elif model.kind is FabricModelKind.DISPATCHER:
-        fabric.mediator = str(BBInstanceId(Role.CPD, scope))
+        fabric.mediator = block_id(Role.CPD, scope)
     elif model.kind is FabricModelKind.PUB_SUB:
-        fabric.mediator = str(BBInstanceId(Role.PS, scope))
+        fabric.mediator = block_id(Role.PS, scope)
     return fabric

@@ -16,7 +16,8 @@ Reference points:
 * I4: southbound interface from flow management to the forwarded plane.
 * I7: the core C-plane towards other administrative domains (placeholder,
   no behaviour).
-* InterBB: interconnection between core C-plane blocks, carried by a fabric.
+* InterBB: interconnection between core C-plane blocks, and from one to a
+  topic (the endpoint `topic:<id>`), carried by a fabric.
 * WBI: reporting composite of {I1, I2, I3}, never set on a message.
 
 `REFERENCE_POINTS` lists the role pairs each one joins; `draft` routes a
@@ -28,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple
 
 from .errors import NoInterfaceError
 
@@ -46,6 +47,7 @@ class Role(str, Enum):
     OTHER_DOMAIN = "EXT"
     CPD = "CPD"    # dispatcher mediator, never a member endpoint
     PS = "PS"      # publish-subscribe broker, never a member endpoint
+    TOPIC = "topic"  # a topic, resolved by the fabric to its subscribers
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
@@ -136,7 +138,7 @@ PAYLOAD_SCHEMAS: dict[ProcedureKind, frozenset[str]] = {
 @dataclass(frozen=True, slots=True)
 class Endpoint:
     """An addressable signalling endpoint: a device, an access node, a block
-    instance or a forwarded-plane node."""
+    instance, a forwarded-plane node or a topic."""
 
     role: Role
     ident: str
@@ -150,31 +152,9 @@ class Endpoint:
         return cls(Role(role), ident)
 
 
-@dataclass(frozen=True)
-class Topic:
-    """Topic-addressed destination, resolved by a publish-subscribe fabric."""
-
-    topic_id: str
-
-    def __str__(self) -> str:
-        return f"topic:{self.topic_id}"
-
-
-Destination = Union[Endpoint, Topic]
-
-
-@dataclass(frozen=True)
-class BBInstanceId:
-    role: Role
-    scope: str        # slice id, or "global" for the common control part
-    ordinal: int = 1
-
-    def __str__(self) -> str:
-        return f"{self.role.value}.{self.scope}.{self.ordinal}"
-
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.role, str(self))
+def block_id(role: Role, scope: str) -> str:
+    """A block's id in `scope`: its slice, or "global" for the common part."""
+    return f"{role.value}.{scope}.1"
 
 
 class SignalMessage(NamedTuple):
@@ -183,7 +163,7 @@ class SignalMessage(NamedTuple):
 
     kind: ProcedureKind
     source: Endpoint
-    destination: Destination
+    destination: Endpoint
     interface: InterfacePoint
     correlation_id: str
     payload: Mapping[str, object]
@@ -192,20 +172,16 @@ class SignalMessage(NamedTuple):
 _tuple_new = tuple.__new__
 
 
-def draft(kind: ProcedureKind, source: Endpoint, destination: Destination,
+def draft(kind: ProcedureKind, source: Endpoint, destination: Endpoint,
           correlation_id: str,
           payload: Mapping[str, object] | None = None) -> SignalMessage:
     """Build a message over its own copy of `payload`, routing the interface
-    from the endpoint roles (topic destinations are always inter-BB); roles
-    that no interface joins raise NoInterfaceError.  The payload schema is
-    checked once, by `validate_message` when the engine emits the message.
-    Handlers read a delivered payload and never write it."""
-    if isinstance(destination, Topic):
-        interface = InterfacePoint.INTER_BB
-    else:
-        interface = _INTERFACE_OF.get((source.role, destination.role))
-        if interface is None:
-            route_interface_for(source.role, destination.role)
+    from the endpoint roles; roles that no interface joins raise
+    NoInterfaceError.  The payload schema is checked once, by
+    `validate_message` when the engine emits the message.  Handlers read a
+    delivered payload and never write it."""
+    interface = (_INTERFACE_OF.get((source.role, destination.role))
+                 or route_interface_for(source.role, destination.role))
     # tuple.__new__ skips the named tuple's own __new__ and its arity check
     return _tuple_new(SignalMessage, (kind, source, destination, interface,
                                       correlation_id, dict(payload or {})))
@@ -220,7 +196,7 @@ def _joins(sides, others) -> frozenset:
 
 #: The reference points: each interface, the role pairs it joins and the
 #: violation of a message on it between any other pair.  No pair is joined
-#: by two interfaces; WBI joins none.
+#: by two interfaces; WBI joins none.  A topic only receives.
 REFERENCE_POINTS = (
     (InterfacePoint.I1, _joins({Role.UE, Role.ACCESS_NODE}, {Role.AF}),
      "interface-role mismatch: I1 is UE<->AF"),
@@ -228,7 +204,8 @@ REFERENCE_POINTS = (
      "interface-role mismatch: I2 is UE<->CN C-plane"),
     (InterfacePoint.I3, _joins({Role.AF}, CN_BB_ROLES),
      "interface-role mismatch: I3 is AF<->CN C-plane"),
-    (InterfacePoint.INTER_BB, _joins(CN_BB_ROLES, CN_BB_ROLES),
+    (InterfacePoint.INTER_BB, _joins(CN_BB_ROLES, CN_BB_ROLES)
+     | {(role, Role.TOPIC) for role in CN_BB_ROLES},
      "interface-role mismatch: InterBB is CN block to CN block"),
     (InterfacePoint.I4_SBI, _joins({Role.FM}, {Role.D_PLANE}),
      "interface-role mismatch: I4 is FM<->D-plane"),
@@ -278,14 +255,8 @@ def validate_message(msg) -> Verdict:
     message gets the shared `_VALID`.
     """
     schema = PAYLOAD_SCHEMAS[msg.kind]
-    destination = msg.destination
-    topic = isinstance(destination, Topic)
-    if topic:
-        ends_ok = msg.interface is InterfacePoint.INTER_BB \
-            and msg.source.role in CN_BB_ROLES
-    else:
-        ends_ok = _INTERFACE_OF.get((msg.source.role, destination.role)) \
-            is msg.interface
+    ends_ok = _INTERFACE_OF.get((msg.source.role, msg.destination.role)) \
+        is msg.interface
     if ends_ok and msg.correlation_id and schema.issuperset(msg.payload):
         return _VALID
     violations: list[str] = []
@@ -294,7 +265,7 @@ def validate_message(msg) -> Verdict:
         violations.append(f"payload fields {sorted(extra)} outside {msg.kind.value} schema")
     if not msg.correlation_id:
         violations.append("empty correlation_id")
-    if topic:
+    if msg.destination.role is Role.TOPIC:
         if msg.interface is not InterfacePoint.INTER_BB:
             violations.append("topic messages travel inter-BB")
         if msg.source.role not in CN_BB_ROLES:

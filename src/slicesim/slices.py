@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fabric import Fabric, FabricModel, connect
 from .messages import (
-    BBInstanceId, MANDATORY_BB_ROLES, OPTIONAL_BB_ROLES, Role, Verdict,
+    BB_ROLES, MANDATORY_BB_ROLES, OPTIONAL_BB_ROLES, Role, Verdict, block_id,
 )
 from .netsim import DPlane, TopologySpec, build_view
 from .textfmt import parse_blocks, split_kv
@@ -133,6 +133,9 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
                                      (source, "subscribe", rest))
             if len(positional) != 2:
                 raise SchemaError(f"{source}: subscribe line is '<role> <topic>'")
+            if Role(positional[0]) not in BB_ROLES:
+                raise SchemaError(f"{source}: subscribe {' '.join(rest)}: "
+                                  f"{positional[0]} is not a block role")
             subscriptions.append((Role(positional[0]), positional[1]))
         stretch = float(block.get("stretch", DEFAULT_STRETCH))
         if not stretch >= 0:    # a run would find no path within the budget
@@ -264,15 +267,14 @@ def instantiate(bp: SliceBlueprint, infra: SimInfrastructure,
     its anchors in `topology`, as `engine.load_scenario` checks."""
     infra.place(len(bp.bb_set))
     roster = roster or build_roster()
-    ids = [BBInstanceId(role, bp.slice_id)
-           for role in sorted(bp.bb_set, key=lambda r: r.value)]
-    states = {i.role: _STATE_FACTORIES[i.role](bp, topology, roster) for i in ids}
-    peers = {i.role: str(i) for i in ids}
+    peers = {role: block_id(role, bp.slice_id)
+             for role in sorted(bp.bb_set, key=lambda r: r.value)}
+    states = {r: _STATE_FACTORIES[r](bp, topology, roster) for r in peers}
     topics: dict = {}
     for role, topic in bp.subscriptions:
         if role in peers:
             topics.setdefault(topic, set()).add(peers[role])
-    fabric = connect(ids, bp.fabric_model, scope=bp.slice_id, subscriptions={
+    fabric = connect(peers, bp.fabric_model, scope=bp.slice_id, subscriptions={
         topic: tuple(sorted(subscribers)) for topic, subscribers in topics.items()})
     return SliceInstance(blueprint=bp, states=states, peers=peers,
                          fabric=fabric, dplane=DPlane(spec=topology))

@@ -9,8 +9,9 @@ with the mutable-width payload/detail column last:
     MSG|seq|tick|kind|source|destination|interface|correlation|hops|mediators|recipients|payload
     EVT|seq|tick|kind|subject|detail
 
-Records are immutable named tuples.  Serialization is canonical (sorted-key
-JSON for payloads) so equal runs are byte-identical.
+Endpoints read `role:ident`, a topic `topic:<id>`.  Records are immutable
+named tuples.  Serialization is canonical (sorted-key JSON for payloads) so
+equal runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import SchemaError
 from .messages import (
-    WBI_MEMBERS, Destination, Endpoint, InterfacePoint, ProcedureKind, Topic,
-    validate_message,
+    WBI_MEMBERS, Endpoint, InterfacePoint, ProcedureKind, validate_message,
 )
 
 
@@ -55,7 +55,7 @@ class MessageRecord(NamedTuple):
     tick: int
     kind: ProcedureKind
     source: Endpoint
-    destination: Destination
+    destination: Endpoint
     interface: InterfacePoint
     correlation_id: str
     payload: Mapping[str, object]
@@ -93,12 +93,6 @@ def render_trace(records: Iterable[TraceRecord]) -> str:
     return "".join(r.line() + "\n" for r in records)
 
 
-def _parse_destination(text: str) -> Destination:
-    if text.startswith("topic:"):
-        return Topic(text.split(":", 1)[1])
-    return Endpoint.parse(text)
-
-
 def _resolver(parse):
     """`parse` with a memo: each distinct text is parsed once."""
     memo: dict = {}
@@ -113,10 +107,9 @@ def _resolver(parse):
 
 def iter_trace(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceRecord]:
     """Parse trace lines one at a time; errors name `source:lineno`.  Each
-    distinct endpoint, destination, kind and interface text is resolved once
-    per parse."""
+    distinct endpoint (a topic included), kind and interface text is
+    resolved once per parse."""
     endpoint = _resolver(Endpoint.parse)
-    destination = _resolver(_parse_destination)
     procedure = _resolver(ProcedureKind)
     interface = _resolver(InterfacePoint)
     for lineno, raw in enumerate(lines, start=1):
@@ -130,7 +123,7 @@ def iter_trace(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceR
                  recipients, payload) = raw.split("|", 11)
                 record: TraceRecord = MessageRecord(
                     int(seq), int(tick), procedure(kind), endpoint(src),
-                    destination(dst), interface(iface), corr,
+                    endpoint(dst), interface(iface), corr,
                     json.loads(payload), int(hops),
                     tuple(mediators.split(",")) if mediators else (),
                     tuple(recipients.split(",")) if recipients else ())

@@ -17,7 +17,7 @@ from slicesim.errors import (
     BlueprintError, NoSessionError, NotIdleError, PolicyForbidsError,
 )
 from slicesim.messages import (
-    BBInstanceId, Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage,
+    Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, block_id,
 )
 
 SLICE = "slice-a"
@@ -28,10 +28,10 @@ def ctx_for(role, policy=None, area_nodes=3):
     for i in range(1, area_nodes + 1):
         access[f"n{i}"] = AccessNodeInfo(f"n{i}", Tech.CELLULAR, "area-1", f"i{i}")
     access["w1"] = AccessNodeInfo("w1", Tech.WIFI, "area-2", "iw")
-    peers = {r: str(BBInstanceId(r, SLICE))
+    peers = {r: block_id(r, SLICE)
              for r in (Role.AF, Role.CM, Role.MM, Role.SAM, Role.FM)}
     return BlockContext(
-        slice_id=SLICE, self_id=str(BBInstanceId(role, SLICE)), role=role,
+        slice_id=SLICE, self_id=block_id(role, SLICE), role=role,
         tick=5, seed=7, peers=peers,
         policy=policy or SlicePolicy(mobility=MobilityPolicy(
             style=HandoverStyle.MAKE_BEFORE_BREAK)),
@@ -88,7 +88,7 @@ class TestAccessFunction:
         state = AFState()
         ctx = ctx_for(Role.AF)
         state.device_location["d1"] = "n2"
-        mm = Endpoint(Role.MM, str(BBInstanceId(Role.MM, SLICE)))
+        mm = Endpoint(Role.MM, block_id(Role.MM, SLICE))
         miss = message(ProcedureKind.PAGE, mm, Endpoint(Role.AF, ctx.self_id),
                        InterfacePoint.I3, {"device": "d1", "node": "n1"},
                        corr="d1:page:1")

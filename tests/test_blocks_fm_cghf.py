@@ -21,8 +21,8 @@ from slicesim.blocks.fm import (
 from slicesim.engine import _normalize
 from slicesim.errors import CapacityError, NoPathError
 from slicesim.messages import (
-    BBInstanceId, Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage,
-    Topic, draft,
+    Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, block_id,
+    draft,
 )
 from slicesim.netsim import (
     NodeKind, build_view, load_topology, load_topology_file,
@@ -55,10 +55,10 @@ def diamond_view(cap=10):
 
 
 def fm_ctx():
-    peers = {r: str(BBInstanceId(r, SLICE))
+    peers = {r: block_id(r, SLICE)
              for r in (Role.AF, Role.CM, Role.SAM, Role.FM, Role.CGHF)}
     return BlockContext(
-        slice_id=SLICE, self_id=str(BBInstanceId(Role.FM, SLICE)),
+        slice_id=SLICE, self_id=block_id(Role.FM, SLICE),
         role=Role.FM, tick=0, seed=7, peers=peers, policy=SlicePolicy(),
         access_nodes={"n1": AccessNodeInfo("n1", Tech.CELLULAR, "area-1", "a")})
 
@@ -395,8 +395,8 @@ class TestApply:
 
 
 def to_fm(kind, payload, source_role=Role.CM, corr="c1"):
-    return draft(kind, Endpoint(source_role, str(BBInstanceId(source_role, SLICE))),
-                 Endpoint(Role.FM, str(BBInstanceId(Role.FM, SLICE))), corr,
+    return draft(kind, Endpoint(source_role, block_id(source_role, SLICE)),
+                 Endpoint(Role.FM, block_id(Role.FM, SLICE)), corr,
                  payload)
 
 
@@ -529,10 +529,10 @@ class TestCapacitySafety:
 
 
 def cghf_ctx():
-    peers = {Role.CM: str(BBInstanceId(Role.CM, SLICE)),
-             Role.CGHF: str(BBInstanceId(Role.CGHF, SLICE))}
+    peers = {Role.CM: block_id(Role.CM, SLICE),
+             Role.CGHF: block_id(Role.CGHF, SLICE)}
     return BlockContext(
-        slice_id=SLICE, self_id=str(BBInstanceId(Role.CGHF, SLICE)),
+        slice_id=SLICE, self_id=block_id(Role.CGHF, SLICE),
         role=Role.CGHF, tick=0, seed=7, peers=peers, policy=SlicePolicy(),
         access_nodes={})
 
@@ -595,7 +595,7 @@ class TestContextGeneration:
         cghf_ingest(state, "flow-latency", "f1", 40.0, 4)
         cghf_ingest(state, "flow-loss", "f1", 9.0, 4)
         state, drafts, _ = cghf_generate(state, 4, ctx)
-        topics = [d.destination.topic_id for d in drafts]
+        topics = [d.destination.ident for d in drafts]
         assert topics == sorted(topics) == ["a-loss", "dplane-latency"]
 
 
@@ -621,7 +621,7 @@ def generate_over_every_key(state, tick, ctx):
                 events.append(("context", subject, model.topic))
                 drafts.append(draft(
                     ProcedureKind.CONTEXT_NOTIFY, ctx.self_endpoint,
-                    Topic(model.topic),
+                    Endpoint(Role.TOPIC, model.topic),
                     f"{ctx.slice_id}:context:{state.assertion_counter}",
                     {"subject": subject, "statement": model.statement,
                      "evidence": [list(e) for e in evidence]}))

@@ -21,7 +21,7 @@ from slicesim.errors import (
     IllegalTransitionError, NoDPlaneFunctionError,
     NoEligibleSliceError,
 )
-from slicesim.messages import BBInstanceId, Endpoint, ProcedureKind, Role, draft
+from slicesim.messages import Endpoint, ProcedureKind, Role, block_id, draft
 
 from conftest import NoContextError, sam_single_sign_on
 
@@ -34,10 +34,10 @@ def make_ctx(role=Role.CM, slice_id="slice-a", anchors=("a1", "a2"),
     }
     default_latency = {("i1", "a1"): 3, ("i1", "a2"): 5,
                        ("i2", "a1"): 4, ("i2", "a2"): 2}
-    peers = peers or {r: str(BBInstanceId(r, slice_id))
+    peers = peers or {r: block_id(r, slice_id)
                       for r in (Role.AF, Role.CM, Role.MM, Role.SAM, Role.FM, Role.CGHF)}
     return BlockContext(
-        slice_id=slice_id, self_id=str(BBInstanceId(role, slice_id)),
+        slice_id=slice_id, self_id=block_id(role, slice_id),
         role=role, tick=tick, seed=7, peers=peers,
         policy=policy or SlicePolicy(),
         access_nodes=access, anchors=anchors,

@@ -98,6 +98,16 @@ def test_trace_check_flags_corruption(tmp_path, capsys):
     assert f"{trace}:4: malformed" in capsys.readouterr().err
 
 
+def test_trace_check_flags_a_topic_source(tmp_path, capsys):
+    # a topic only receives: the parse reads `topic:x` as any endpoint, and
+    # the audit reports the role pair
+    trace = tmp_path / "trace.log"
+    trace.write_text("MSG|1|0|FlowConfigure|topic:x|FM:FM.s.1|IBB|c1|1|||{}\n")
+    assert main(["trace-check", "--trace", str(trace)]) == 1
+    assert "seq 1: interface-role mismatch: InterBB is CN block to CN block" \
+        in capsys.readouterr().out
+
+
 def test_compare_fabrics_writes_table(tmp_path, capsys):
     status = main(["compare-fabrics", "--scenario",
                    str(scenario_path("attach-two-slices.scn")),

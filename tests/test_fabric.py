@@ -7,7 +7,7 @@ from slicesim.fabric import (
     DeliveryRecord, FabricModel, FabricModelKind, connect,
 )
 from slicesim.messages import (
-    BBInstanceId, InterfacePoint, ProcedureKind, Role, SignalMessage, Topic,
+    Endpoint, InterfacePoint, ProcedureKind, Role, SignalMessage, block_id,
 )
 
 from conftest import implied_link_count
@@ -16,17 +16,22 @@ SLICE = "slice-a"
 
 
 def bb(role):
-    return BBInstanceId(role, SLICE)
+    return block_id(role, SLICE)
+
+
+def endpoint(role):
+    return Endpoint(role, bb(role))
 
 
 def six_members():
-    return [bb(r) for r in (Role.AF, Role.CM, Role.MM, Role.SAM, Role.FM, Role.CGHF)]
+    return {r: bb(r) for r in (Role.AF, Role.CM, Role.MM, Role.SAM, Role.FM,
+                               Role.CGHF)}
 
 
 def inter_bb_msg(src, dst, kind=ProcedureKind.FLOW_CONFIGURE, payload=None):
     return SignalMessage(
         kind=kind,
-        source=bb(src).endpoint, destination=bb(dst).endpoint,
+        source=endpoint(src), destination=endpoint(dst),
         interface=InterfacePoint.INTER_BB, correlation_id="c1",
         payload=payload or {"flow": "f1", "node": "n1", "action": "install"})
 
@@ -44,10 +49,10 @@ class TestConnect:
     def test_relay_star_spokes(self):
         fabric = connect(six_members(), FabricModel.parse("relay"))
         assert implied_link_count(fabric) == 5
-        assert fabric.relay == str(bb(Role.CM))
+        assert fabric.relay == bb(Role.CM)
 
     def test_relay_target_not_a_member(self):
-        members = [bb(Role.AF), bb(Role.FM)]
+        members = {r: bb(r) for r in (Role.AF, Role.FM)}
         with pytest.raises(BadRelayError):
             connect(members, FabricModel.parse("relay:CM"))
 
@@ -58,7 +63,7 @@ class TestSend:
         outcome = fabric.send(inter_bb_msg(Role.CM, Role.FM))
         assert outcome.record.hop_count == 1
         assert outcome.record.mediators == ()
-        assert outcome.record.recipients == (str(bb(Role.FM)),)
+        assert outcome.record.recipients == (bb(Role.FM),)
 
     def test_dispatcher_mediates(self):
         fabric = connect(six_members(), FabricModel(FabricModelKind.DISPATCHER))
@@ -70,14 +75,15 @@ class TestSend:
         fabric = connect(six_members(), FabricModel.parse("relay"))
         outcome = fabric.send(inter_bb_msg(Role.CM, Role.FM))
         assert outcome.record.hop_count == 2
-        assert outcome.record.mediators == (str(bb(Role.CM)),)
+        assert outcome.record.mediators == (bb(Role.CM),)
 
 
 class TestPubSub:
     def topic_msg(self, topic):
         return SignalMessage(
             kind=ProcedureKind.CONTEXT_NOTIFY,
-            source=bb(Role.CGHF).endpoint, destination=Topic(topic),
+            source=endpoint(Role.CGHF),
+            destination=Endpoint(Role.TOPIC, topic),
             interface=InterfacePoint.INTER_BB, correlation_id="c1",
             payload={"topic": topic, "subject": "f1",
                      "statement": "latency_above_normal"})
@@ -85,20 +91,20 @@ class TestPubSub:
     def test_topic_delivery_to_the_subscribers(self):
         fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB),
                          subscriptions={"dplane-latency": (
-                             str(bb(Role.CM)), str(bb(Role.FM)))})
+                             bb(Role.CM), bb(Role.FM))})
         outcome = fabric.send(self.topic_msg("dplane-latency"))
         assert outcome.record == DeliveryRecord(
-            2, (fabric.mediator,), (str(bb(Role.CM)), str(bb(Role.FM))))
+            2, (fabric.mediator,), (bb(Role.CM), bb(Role.FM)))
 
     def test_topic_send_on_full_mesh_rejected(self):
         fabric = connect(six_members(), FabricModel(FabricModelKind.FULL_MESH),
-                         subscriptions={"t": (str(bb(Role.CM)),)})
+                         subscriptions={"t": (bb(Role.CM),)})
         with pytest.raises(ModelMismatchError):
             fabric.send(self.topic_msg("t"))
 
     def test_zero_subscribers_deliver_to_no_one(self):
         fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB),
-                         subscriptions={"t": (str(bb(Role.CM)),)})
+                         subscriptions={"t": (bb(Role.CM),)})
         outcome = fabric.send(self.topic_msg("lonely-topic"))
         assert outcome.record.recipients == ()
 
@@ -106,21 +112,21 @@ class TestPubSub:
         fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB))
         outcome = fabric.send(inter_bb_msg(Role.CM, Role.FM))
         assert outcome.record == DeliveryRecord(
-            2, (fabric.mediator,), (str(bb(Role.FM)),))
+            2, (fabric.mediator,), (bb(Role.FM),))
 
 
 class TestSharedOutcome:
     """Every unicast to one destination returns one outcome, built at the
     first send; a topic send reads the topic table each time."""
 
-    FM_ID = str(bb(Role.FM))
+    FM_ID = bb(Role.FM)
     RECORDS = {
         "full_mesh": DeliveryRecord(1, (), (FM_ID,)),
-        "relay": DeliveryRecord(2, (str(bb(Role.CM)),), (FM_ID,)),
+        "relay": DeliveryRecord(2, (bb(Role.CM),), (FM_ID,)),
         "dispatcher": DeliveryRecord(
-            2, (str(BBInstanceId(Role.CPD, "fabric")),), (FM_ID,)),
+            2, (block_id(Role.CPD, "fabric"),), (FM_ID,)),
         "pubsub": DeliveryRecord(
-            2, (str(BBInstanceId(Role.PS, "fabric")),), (FM_ID,)),
+            2, (block_id(Role.PS, "fabric"),), (FM_ID,)),
     }
 
     @pytest.mark.parametrize("model", sorted(RECORDS))
@@ -131,10 +137,10 @@ class TestSharedOutcome:
         assert second is first
         assert first.record == self.RECORDS[model]
         other = fabric.send(inter_bb_msg(Role.FM, Role.CM))
-        assert other.record.recipients == (str(bb(Role.CM)),)
+        assert other.record.recipients == (bb(Role.CM),)
 
     def test_topic_send_reads_the_current_subscribers(self):
-        cm, fm = str(bb(Role.CM)), str(bb(Role.FM))
+        cm, fm = bb(Role.CM), bb(Role.FM)
         fabric = connect(six_members(), FabricModel(FabricModelKind.PUB_SUB),
                          subscriptions={"t": (cm,)})
         publish = TestPubSub().topic_msg("t")

@@ -97,12 +97,12 @@ def test_interfaces_match_the_routing_table():
             if not isinstance(rec, MessageRecord):
                 continue
             src = rec.source.role
-            dst = getattr(rec.destination, "role", None)
+            dst = rec.destination.role
             iface = rec.interface
-            if dst is None:
-                continue
             pair = {src, dst}
-            if pair == {Role.UE, Role.AF}:
+            if dst is Role.TOPIC:
+                assert iface is InterfacePoint.INTER_BB, (name, rec)
+            elif pair == {Role.UE, Role.AF}:
                 assert iface is InterfacePoint.I1, (name, rec)
             elif Role.UE in pair and pair & CN_BB_ROLES:
                 assert iface is InterfacePoint.I2, (name, rec)

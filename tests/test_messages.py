@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from slicesim.errors import NoInterfaceError, SchemaError
 from slicesim.messages import (
-    CN_BB_ROLES, PAYLOAD_SCHEMAS, BBInstanceId, Endpoint, InterfacePoint,
-    ProcedureKind, Role, SignalMessage, Topic, Verdict, draft,
+    CN_BB_ROLES, PAYLOAD_SCHEMAS, Endpoint, InterfacePoint, ProcedureKind,
+    Role, SignalMessage, Verdict, block_id, draft,
     mint_key_material, mint_pseudonym, route_interface_for, validate_message,
 )
 from slicesim.trace import (
@@ -18,9 +18,9 @@ from slicesim.trace import (
 )
 
 UE = Endpoint(Role.UE, "d1")
-AF = BBInstanceId(Role.AF, "s").endpoint
-CM = BBInstanceId(Role.CM, "s").endpoint
-FM = BBInstanceId(Role.FM, "s").endpoint
+AF = Endpoint(Role.AF, block_id(Role.AF, "s"))
+CM = Endpoint(Role.CM, block_id(Role.CM, "s"))
+FM = Endpoint(Role.FM, block_id(Role.FM, "s"))
 DP = Endpoint(Role.D_PLANE, "s:n1")
 
 
@@ -205,8 +205,8 @@ class TestTraceSerialization:
                      {"device": "d1", "alias": "imsi-1", "proof": "p"})
         notify = SignalMessage(
             kind=ProcedureKind.CONTEXT_NOTIFY,
-            source=BBInstanceId(Role.CGHF, "s").endpoint,
-            destination=Topic("dplane-latency"),
+            source=Endpoint(Role.CGHF, block_id(Role.CGHF, "s")),
+            destination=Endpoint(Role.TOPIC, "dplane-latency"),
             interface=InterfacePoint.INTER_BB, correlation_id="s:context:1",
             payload={"topic": "dplane-latency", "subject": "f1",
                      "statement": "latency_above_normal"})
@@ -245,6 +245,12 @@ class TestTraceSerialization:
                            match=r"^t\.log:2: unknown record tag 'LOG'$"):
             parse_trace("EVT|1|0|x|s|{}\nLOG|2|0\n", source="t.log")
 
+    def test_every_role_round_trips_through_its_text(self):
+        for role in Role:
+            endpoint = Endpoint(role, "x.y:z")
+            assert Endpoint.parse(str(endpoint)) == endpoint
+        assert str(Endpoint(Role.TOPIC, "t")) == "topic:t"
+
     def test_iter_trace_streams_file_lines(self):
         text = render_trace(self.records())
         lines = iter(text.splitlines(keepends=True))
@@ -282,7 +288,7 @@ class TestTraceCheck:
         attach = msg(ProcedureKind.ATTACH_REQUEST, UE, CM, InterfacePoint.I2,
                      {"device": "d1", "alias": "imsi-1", "proof": "p"})
         leak = msg(ProcedureKind.LOCATION_UPDATE, UE,
-                   BBInstanceId(Role.MM, "s").endpoint, InterfacePoint.I2,
+                   Endpoint(Role.MM, block_id(Role.MM, "s")), InterfacePoint.I2,
                    {"device": "d1", "phase": "idle", "node": "imsi-1"},
                    corr="d1:idle:1")
         records = [
@@ -441,7 +447,7 @@ def chained_validate_message(msg):
             violations.append(f"payload fields {sorted(extra)} outside {msg.kind.value} schema")
     if not msg.correlation_id:
         violations.append("empty correlation_id")
-    if isinstance(msg.destination, Topic):
+    if msg.destination.role is Role.TOPIC:
         if msg.interface is not InterfacePoint.INTER_BB:
             violations.append("topic messages travel inter-BB")
         if msg.source.role not in CN_BB_ROLES:
@@ -475,11 +481,11 @@ def chained_validate_message(msg):
 
 @pytest.mark.parametrize("kind", list(ProcedureKind), ids=str)
 def test_role_table_matches_the_chained_checks(kind):
-    """Every interface x source role x destination (role or topic) x
-    correlation x payload with and without a field outside the schema."""
+    """Every interface x source role x destination role (a topic included)
+    x correlation x payload with and without a field outside the schema."""
     inside = {sorted(PAYLOAD_SCHEMAS[kind])[0]: 1}
     payloads = (inside, {**inside, "surprise": 1})
-    destinations = [Endpoint(role, "y") for role in Role] + [Topic("t")]
+    destinations = [Endpoint(role, "y") for role in Role]
     checked = 0
     for interface in InterfacePoint:
         for source in Role:
@@ -491,4 +497,4 @@ def test_role_table_matches_the_chained_checks(kind):
                         assert validate_message(message) == \
                             chained_validate_message(message), message
                         checked += 1
-    assert checked == len(InterfacePoint) * len(Role) * (len(Role) + 1) * 4
+    assert checked == len(InterfacePoint) * len(Role) * len(Role) * 4

@@ -17,7 +17,7 @@ from collections import defaultdict
 import pytest
 
 from slicesim.engine import Environment, load_scenario, run
-from slicesim.messages import Endpoint, Role
+from slicesim.messages import Role
 
 from conftest import SCENARIO_DIR
 
@@ -72,7 +72,7 @@ class ReadRecorder(dict):
 
 def receiver_of(env, rec) -> str:
     """A record's receiver role; a topic's is its recipients' roles."""
-    if isinstance(rec.destination, Endpoint):
+    if rec.destination.role is not Role.TOPIC:
         return rec.destination.role.value
     return ",".join(sorted({env._route[i][1].value for i in rec.recipients}))
 
@@ -97,8 +97,7 @@ def census():
         if rec.source.role in COPIERS:
             payload.reads += copied.get(
                 (rec.kind, rec.correlation_id, rec.source.ident), [])
-        if isinstance(rec.destination, Endpoint) and \
-                rec.destination.role in COPIERS:
+        if rec.destination.role in COPIERS:
             copied[rec.kind, rec.correlation_id,
                    rec.destination.ident] = payload.reads
         carried.update((*leg, field) for field in payload)

@@ -135,9 +135,11 @@ class TestBlueprintFiles:
          "context-model line needs a topic"),
         ("blueprint x\n  type: embb\n  subscribe CM\nend\n",
          "subscribe line is '<role> <topic>'"),
+        ("blueprint x\n  type: embb\n  subscribe UE t\nend\n",
+         "<blueprint>: subscribe UE t: UE is not a block role"),
         ("blueprint\n  type: embb\nend\n", "block 'blueprint' missing identifier"),
     ], ids=["two-blocks", "bb-arity", "context-model-arity", "subscribe-arity",
-            "no-identifier"])
+            "subscribe-role", "no-identifier"])
     def test_structural_error_rejected(self, text, problem):
         with pytest.raises(SchemaError, match=re.escape(problem)):
             load_blueprint(text)
@@ -171,7 +173,11 @@ class TestBlueprintKnobs:
         ("window=8", "window=-2"), ("window=8", "window=1.5"),
         ("factor=1.5", "factor=abc"), ("shortest", "shortest\n  stretch: -0.5"),
         ("shortest", "shortest\n  stretch: nan"),
-        ("bb CGHF", "bb CGHF\n  subscribe XX dplane-latency")])
+        ("bb CGHF", "bb CGHF\n  subscribe XX dplane-latency"),
+        ("bb CGHF", "bb CGHF\n  subscribe UE dplane-latency"),
+        ("bb CGHF", "bb CGHF\n  subscribe PS dplane-latency"),
+        ("bb CGHF", "bb CGHF\n  subscribe DP dplane-latency"),
+        ("bb CGHF", "bb CGHF\n  subscribe topic dplane-latency")])
     def test_refused(self, old, new):
         with pytest.raises(SchemaError):
             load_blueprint(_knob_blueprint(old, new))
