@@ -50,7 +50,7 @@ FABRIC_CORPUS = ("attach-two-slices", "attach-method2-redirect",
 FULL_CORPUS = FABRIC_CORPUS + ("handover-bbm", "isolation-pair",
                                "isolation-pair-noisy", "fixed-nomm",
                                "teardown", "traffic-stop", "handover-via-af",
-                               "handover-mbb-cut")
+                               "handover-mbb-cut", "flow-refused")
 
 
 def load(name):

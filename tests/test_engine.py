@@ -33,7 +33,7 @@ from conftest import attach_once, scenario_path
 CORPUS = ("attach-two-slices", "attach-method2-redirect", "handover-mbb",
           "handover-bbm", "paging", "cghf-reselect", "isolation-pair",
           "isolation-pair-noisy", "fixed-nomm", "teardown", "traffic-stop",
-          "handover-via-af", "handover-mbb-cut")
+          "handover-via-af", "handover-mbb-cut", "flow-refused")
 
 
 def load(name):
@@ -276,6 +276,21 @@ class TestEventSemantics:
                                          script=script), 7)
         assert len(errors(result, "NoEligibleSliceError")) == 2
         assert not errors(result, "IllegalEventError")
+        assert trace_check(result.trace) == []
+
+    def test_refused_flow_scenario_takes_the_refusal_leg(self):
+        # FM finds no path for the critical flow, replies flow-err, and the
+        # CM traces the failure; the default flow installs and delivers
+        result = run(load("flow-refused"), 7)
+        assert [e.subject for e in errors(result, "CapacityError")] == ["f2"]
+        replies = messages(result, ProcedureKind.SESSION_ESTABLISH,
+                           lambda r: r.payload.get("phase") in ("flow-ok",
+                                                                "flow-err"))
+        assert [(r.payload["flow"], r.payload["phase"]) for r in replies] == \
+            [("f2", "flow-err"), ("f1", "flow-ok")]
+        assert [(e.subject, e.detail["flow"])
+                for e in errors(result, "FlowSetupFailed")] == [("d2", "f2")]
+        assert result.metrics.flows["f1"]["delivered"] == 10
         assert trace_check(result.trace) == []
 
     def test_detach_releases_everything(self):
