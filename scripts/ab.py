@@ -10,9 +10,11 @@ tree's: an input path can move `peak_rss_mb` by itself.  Pair i runs A
 first when i is even and B first when it is odd.
 
 Prints, per side, the reference-scaled median and IQR of `pipeline_s` and
-`setup_s` (scaled as `perfbench/run.py` scales them) and the median
-`peak_rss_mb`; then how many pairs B's `pipeline_s` won, the median of
-the paired B/A ratios, and the gap of the medians against A's IQR.
+`setup_s` (scaled as `perfbench/run.py` scales them) and the median,
+minimum and maximum `peak_rss_mb`; then how many pairs B's `pipeline_s`
+won, the median of the paired B/A ratios, the gap of the medians against
+A's IQR, and in how many pairs B's `peak_rss_mb` read higher.  The range
+tells a shift of every run from a peak that only some runs reach.
 Every pipeline's output sha256 must equal the first one's; exits 1
 otherwise, or when a pipeline reports a problem.  Not part of the test
 suite: twelve attach-storm pairs take about a minute.
@@ -93,11 +95,12 @@ def main() -> int:
     print(f"{args.workload}  seed {args.seed}  {args.pairs} pairs, reference-scaled")
     for side, src in trees.items():
         side_runs = runs[side]
-        rss = statistics.median(r["peak_rss_mb"] for r in side_runs)
+        rss = [r["peak_rss_mb"] for r in side_runs]
         print(f"  {side} {src}\n"
               f"    pipeline_s {spread([r['pipeline_s'] for r in side_runs])}"
               f"  setup_s {spread([v for r in side_runs for v in r['setup_s']])}"
-              f"  peak_rss_mb {rss:.2f}")
+              f"  peak_rss_mb {statistics.median(rss):.2f} "
+              f"({min(rss):.2f}-{max(rss):.2f})")
     a = [r["pipeline_s"] for r in runs["A"]]
     b = [r["pipeline_s"] for r in runs["B"]]
     wins = sum(y < x for x, y in zip(a, b))
@@ -106,6 +109,9 @@ def main() -> int:
           f"{statistics.median(y / x for x, y in zip(a, b)):.3f}; median gap "
           f"{statistics.median(a) - statistics.median(b):+.4f} s against "
           f"A's IQR {q3 - q1:.4f} s")
+    rss_higher = sum(y["peak_rss_mb"] > x["peak_rss_mb"]
+                     for x, y in zip(runs["A"], runs["B"]))
+    print(f"  B's peak_rss_mb higher in {rss_higher} of {args.pairs} pairs")
     for problem in problems:
         print(f"  problem: {problem}")
     return 1 if problems else 0
