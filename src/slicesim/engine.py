@@ -92,7 +92,7 @@ DEFAULT_MAX_TICKS = 400
 #: between the trace and delivery fields.
 _tuple_new = tuple.__new__
 
-#: The roles delivery dispatches on, read once: member reads are slow.
+#: Roles the engine dispatches on, read once: member reads are slow.
 _TOPIC, _UE, _D_PLANE = Role.TOPIC, Role.UE, Role.D_PLANE
 
 
