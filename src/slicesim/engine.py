@@ -187,6 +187,9 @@ def _load_scenario(path: Path) -> Scenario:
     devices = []
     for child in block.children_of("device"):
         child.refuse_unknown(source, _DEVICE_FIELDS)
+        child.refuse_in_ident(source, ":.", "a separator of correlation ids "
+                              "(<device>:<family>:<n>) and block ids "
+                              "(<ROLE>.<scope>.1)")
         allowed = tuple(child.get("allowed", "").split())
         default = child.get("default") or None
         mode = SignalingMode(child.get("mode", "direct"))

@@ -89,6 +89,8 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
         raise SchemaError(f"{source}: expected exactly one blueprint block")
     block = blocks[0]
     block.refuse_unknown(source, _FIELDS, _OPTIONS.keys() - {"mobility"})
+    block.refuse_in_ident(source, ":", "the separator of plane addresses "
+                          "(DP:<slice>:<node>)")
     try:
         bb_set: dict = {}
         for rest in block.items_of("bb"):

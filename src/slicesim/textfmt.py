@@ -35,12 +35,21 @@ class Block:
     fields: dict[str, str] = field(default_factory=dict)
     items: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
     children: list["Block"] = field(default_factory=list)
+    line: int = 0       # the number of the line that opens the block
 
     @property
     def ident(self) -> str:
         if not self.args:
             raise SchemaError(f"block '{self.kind}' missing identifier")
         return self.args[0]
+
+    def refuse_in_ident(self, source: str, chars: str, why: str) -> None:
+        """Refuse an identifier that holds one of `chars`, naming the source,
+        line and block; `why` says which addresses it would break."""
+        for char in chars:
+            if char in self.ident:
+                raise SchemaError(f"{source}:{self.line}: {self.head}: "
+                                  f"identifier holds {char!r}, {why}")
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.fields.get(key, default)
@@ -119,7 +128,7 @@ def parse_blocks(text: str, block_kinds: set[str], source: str = "<text>") -> li
         elif word in block_kinds:
             if block is not None:
                 stack.append(block)
-            block = Block(word, tuple(tokens[1:]))
+            block = Block(word, tuple(tokens[1:]), line=lineno)
         elif block is None:
             raise SchemaError(f"{source}:{lineno}: content outside a block: {line!r}")
         elif word[-1] == ":":

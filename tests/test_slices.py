@@ -177,7 +177,9 @@ class TestBlueprintKnobs:
         ("bb CGHF", "bb CGHF\n  subscribe UE dplane-latency"),
         ("bb CGHF", "bb CGHF\n  subscribe PS dplane-latency"),
         ("bb CGHF", "bb CGHF\n  subscribe DP dplane-latency"),
-        ("bb CGHF", "bb CGHF\n  subscribe topic dplane-latency")])
+        ("bb CGHF", "bb CGHF\n  subscribe topic dplane-latency"),
+        # a ':' in a slice id would end the slice early in `DP:<slice>:<node>`
+        ("blueprint ctx-a", "blueprint ctx:a")])
     def test_refused(self, old, new):
         with pytest.raises(SchemaError):
             load_blueprint(_knob_blueprint(old, new))

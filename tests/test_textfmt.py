@@ -121,7 +121,8 @@ def oracle_parse_blocks(text, block_kinds, source="<text>"):
                 top.append(block)
             continue
         if tokens[0] in block_kinds:
-            stack.append(Block(kind=tokens[0], args=tuple(tokens[1:])))
+            stack.append(Block(kind=tokens[0], args=tuple(tokens[1:]),
+                               line=lineno))
             continue
         if not stack:
             raise SchemaError(f"{where}: content outside a block: {line!r}")
