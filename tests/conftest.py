@@ -13,6 +13,10 @@ from slicesim.trace import MessageRecord
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 
+#: The corpus: the name of every scenario under `scenarios/`, so a new one
+#: gets every per-scenario check without an edit.
+CORPUS = tuple(sorted(path.stem for path in SCENARIO_DIR.glob("*.scn")))
+
 
 def reference_catalog_text() -> str:
     return importlib.resources.files("slicesim.data").joinpath("reference.cat").read_text()

@@ -27,7 +27,8 @@ from slicesim.trace import (
 )
 
 from conftest import (
-    attach_once, reference_catalog_text, sam_single_sign_on, scenario_path,
+    CORPUS, attach_once, reference_catalog_text, sam_single_sign_on,
+    scenario_path,
 )
 
 SEED = 7
@@ -43,15 +44,6 @@ TABLE_GROUPS = {
     "FM": {"forwarding-monitoring", "path-definition", "flow-decision"},
     "CGHF": {"pubsub-management", "context-generation", "context-management"},
 }
-
-FABRIC_CORPUS = ("attach-two-slices", "attach-method2-redirect",
-                 "handover-mbb", "paging", "cghf-reselect")
-
-FULL_CORPUS = FABRIC_CORPUS + ("handover-bbm", "isolation-pair",
-                               "isolation-pair-noisy", "fixed-nomm",
-                               "teardown", "traffic-stop", "handover-via-af",
-                               "handover-mbb-cut", "flow-refused")
-
 
 def load(name):
     return load_scenario(scenario_path(f"{name}.scn"))
@@ -163,7 +155,7 @@ def test_criterion_2_grouping_optimality_oracle():
 # -- criterion 3: fabric equivalence ------------------------------------------------
 
 def test_criterion_3_fabric_equivalence_and_cost_ordering():
-    for name in FABRIC_CORPUS:
+    for name in CORPUS:
         comparison = compare_fabrics(load(name), SEED)   # digests asserted inside
         hops = comparison.hop_totals()
         assert hops["full_mesh"] >= 1, name    # every scenario crosses the fabric
@@ -298,7 +290,7 @@ def test_criterion_7_path_oracles():
 
 def test_criterion_8_audit_secrecy_and_single_sign_on():
     # audit entries equal authentication attempts on every corpus trace
-    for name in FULL_CORPUS:
+    for name in CORPUS:
         env = Environment(load(name), seed=SEED)
         result = env.run()
         challenges = [r for r in msgs_of(result.trace,
@@ -364,7 +356,7 @@ def test_criterion_9_context_triggered_reselection():
 # -- criterion 10: determinism and replay ----------------------------------------------
 
 def test_criterion_10_determinism_and_replay():
-    for name in FULL_CORPUS:
+    for name in CORPUS:
         scenario = load(name)
         first = run(scenario, SEED)
         second = run(scenario, SEED)

@@ -28,12 +28,7 @@ from slicesim.trace import (
     trace_check,
 )
 
-from conftest import attach_once, scenario_path
-
-CORPUS = ("attach-two-slices", "attach-method2-redirect", "handover-mbb",
-          "handover-bbm", "paging", "cghf-reselect", "isolation-pair",
-          "isolation-pair-noisy", "fixed-nomm", "teardown", "traffic-stop",
-          "handover-via-af", "handover-mbb-cut", "flow-refused")
+from conftest import CORPUS, attach_once, scenario_path
 
 
 def load(name):

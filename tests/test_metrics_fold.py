@@ -18,9 +18,7 @@ from slicesim.messages import WBI_MEMBERS
 from slicesim.metrics import MetricsReport, compute_metrics, render_metrics
 from slicesim.trace import EventRecord, MessageRecord, parse_trace, render_trace
 
-from conftest import SCENARIO_DIR, perfbench_module
-
-CORPUS = sorted(path.stem for path in SCENARIO_DIR.glob("*.scn"))
+from conftest import CORPUS, SCENARIO_DIR, perfbench_module
 
 #: The benchmark workloads that run scenarios (compose-catalog runs none).
 WORKLOADS = ("attach-storm", "slice-fanout", "flow-steady")

@@ -19,9 +19,7 @@ from slicesim.trace import (
     EventRecord, MessageRecord, canonical_json, parse_trace, render_trace,
 )
 
-from conftest import SCENARIO_DIR
-
-CORPUS = sorted(path.stem for path in SCENARIO_DIR.glob("*.scn"))
+from conftest import CORPUS, SCENARIO_DIR
 
 
 def corpus_trace(name, model=None):
