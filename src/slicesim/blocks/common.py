@@ -88,9 +88,9 @@ def refusal(subject: str, exc: Exception) -> BlockEvent:
 class BlockContext:
     """What a handler may read besides its own state: wiring, policy and the
     static access/topology directories of its slice, and which devices
-    signal via their access function.  Built once per block, into the
-    block's entry in the engine's routing index; handlers cannot write to
-    it, and the engine moves `tick` before a call.  Its own
+    signal via their access function.  Built once per block and per plane,
+    and once for all devices, into the engine's routing index; handlers
+    cannot write to it, and the engine moves `tick` before a call.  Its own
     endpoint and each peer's are built on first use and shared.  A message
     carries no fact its receiver can read here."""
 

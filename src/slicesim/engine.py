@@ -15,9 +15,10 @@ import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
 
+from . import netsim
 from . import slices as slices_mod
 from .blocks import af as af_mod
 from .blocks import cghf as cghf_mod
@@ -61,28 +62,31 @@ def _buckets() -> list:
     return [[] for _ in range(max(_PRIORITY.values()) + 1)]
 
 
-#: Per role, the block's handler and, for three roles, its tick hook; an
-#: Environment copies them into its routing entries when it is built.
+#: Per role, the handler of a block, a device or a plane and, for four
+#: roles, its tick hook; an Environment copies them into its routing entries
+#: when it is built.
 _HANDLERS = {
     Role.AF: af_mod.af_handle, Role.CM: cm_mod.handle, Role.MM: mm_mod.handle,
     Role.SAM: sam_mod.handle, Role.FM: fm_mod.handle, Role.CGHF: cghf_mod.handle,
+    Role.UE: netsim.device_handle, Role.D_PLANE: netsim.plane_handle,
 }
 
 _TICK_HOOKS = {
     Role.MM: mm_mod.tick_hook, Role.FM: fm_mod.tick_hook,
-    Role.CGHF: cghf_mod.tick_hook,
+    Role.CGHF: cghf_mod.tick_hook, Role.D_PLANE: netsim.plane_tick,
 }
 
-#: Per tick-hook role, whether a block's state holds work for its hook: a
-#: page out, rules to retire, a key sampled since the last generation.  A
-#: block with work joins the due list after a delivery and leaves it at the
-#: end of a tick without; a hook called without work is a no-op, and a
-#: block already due is not tested again.  An FM awaiting acknowledgements
+#: Per tick-hook role, whether a state holds work for its hook: a page out,
+#: rules to retire, a key sampled since the last generation, a live flow.
+#: An entry with work joins the due list after a delivery and leaves it at
+#: the end of a tick without; a hook called without work is a no-op, and an
+#: entry already due is not tested again.  An FM awaiting acknowledgements
 #: needs no hook: each install it awaits is answered through the queue.
 _HAS_WORK = {
     Role.MM: attrgetter("pages"),
     Role.FM: attrgetter("retiring"),
     Role.CGHF: attrgetter("_fresh"),
+    Role.D_PLANE: methodcaller("due"),
 }
 
 DEFAULT_MAX_TICKS = 400
@@ -92,8 +96,8 @@ DEFAULT_MAX_TICKS = 400
 #: between the trace and delivery fields.
 _tuple_new = tuple.__new__
 
-#: Roles the engine dispatches on, read once: member reads are slow.
-_TOPIC, _UE, _D_PLANE = Role.TOPIC, Role.UE, Role.D_PLANE
+#: Roles the engine tests for, read once: member reads are slow.
+_TOPIC, _D_PLANE = Role.TOPIC, Role.D_PLANE
 
 
 @dataclass(frozen=True)
@@ -314,21 +318,22 @@ class Environment:
         for event in scenario.script:
             self._script_by_tick.setdefault(event.tick, []).append(event)
         self._last_script_tick = max(self._script_by_tick, default=0)
-        # The due list, all a tick's end runs: a block's due key (0, slice,
-        # role) -> its routing entry, or (1, slice, "") -> (instance, None,
-        # plane) for a slice's forwarded plane.
+        # The due list, all a tick's end runs: due key -> routing entry, a
+        # block's key (0, slice, role) and a plane's (1, slice, "").
         self._due: dict = {}
-        # device id -> {(slice id, flow id): FlowRun} of the flows it started;
-        # a run another start replaced under its id lingers here unreachable
-        self._flows_of: dict = {}
 
-        # The routing index, ident -> (slice instance, or None for the global
-        # part, role, state, context, handler, tick hook, has-work getter, due
-        # key), one dispatch entry per block.  Each block's context is built
-        # here once; the engine sets its tick before each call.  A block
-        # without a tick hook has None for the hook, the getter and the key.
-        # The handler and hook tables are read here, not at import, so that
-        # what patches them before a run is what the run calls.
+        # The routing index, ident -> (slice instance, role, state, context,
+        # handler, tick hook, has-work getter, due key), one dispatch entry
+        # per block, device and plane.  The instance is None for the global
+        # part, a device and a plane, which no fabric carries and no
+        # lifecycle gates.  Each context is built here once: one per block,
+        # one per plane, whose own endpoint is its probe `DP:<slice>:probe`
+        # and whose entry is aliased under `<slice>:<node>` for every node,
+        # and one that every device shares, with no slice.  The engine sets
+        # a context's tick before each call.  An entry without a tick hook
+        # has None for the hook and the getter.  The handler and hook tables
+        # are read here, not at import, so that what patches them before a
+        # run is what the run calls.
         global_peers = {r: block_id(r, "global") for r in (Role.CM, Role.SAM)}
         shared = dict(
             seed=seed, access_nodes=scenario.topology.access,
@@ -345,20 +350,30 @@ class Environment:
             (inst, sid, inst.peers, inst.states, inst.blueprint.policy,
              inst.blueprint.anchors) for sid, inst in self.slices.items()]
         self._route: dict = {}
-        # slice id -> (probe, FM) endpoints of its plane's telemetry
-        self._telemetry = {
-            sid: (Endpoint(Role.D_PLANE, f"{sid}:probe"),
-                  Endpoint(Role.FM, inst.peers[Role.FM]))
-            for sid, inst in self.slices.items()}
+
+        def entry(instance, role, state, due_key, **context):
+            return (instance, role, state, BlockContext(
+                        role=role, tick=0, **context, **shared),
+                    _HANDLERS[role], _TICK_HOOKS.get(role), _HAS_WORK.get(role),
+                    due_key)
+
         for instance, sid, peers, states, policy, anchors in scopes:
             for role, ident in peers.items():
-                has_work = _HAS_WORK.get(role)
-                self._route[ident] = (
-                    instance, role, states[role], BlockContext(
-                        slice_id=sid, self_id=ident, role=role, tick=0,
-                        peers=peers, policy=policy, anchors=anchors, **shared),
-                    _HANDLERS[role], _TICK_HOOKS.get(role), has_work,
-                    None if has_work is None else (0, sid, role.value))
+                self._route[ident] = entry(
+                    instance, role, states[role], (0, sid, role.value),
+                    slice_id=sid, self_id=ident, peers=peers, policy=policy,
+                    anchors=anchors)
+        for sid, inst in self.slices.items():
+            plane = entry(None, Role.D_PLANE, inst.dplane, (1, sid, ""),
+                          slice_id=sid, self_id=f"{sid}:probe",
+                          peers=inst.peers, policy=inst.blueprint.policy)
+            for node in ("probe", *scenario.topology.nodes):
+                self._route[f"{sid}:{node}"] = plane
+        # the devices' entries differ only in their state
+        device = entry(None, Role.UE, None, None, slice_id=None, self_id="",
+                       peers={}, policy=SlicePolicy())
+        for ident, state in self.devices.items():
+            self._route[ident] = (*device[:2], state, *device[3:])
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -419,23 +434,17 @@ class Environment:
     # -- delivery ------------------------------------------------------------
 
     def _deliver(self, seq: int, msg: SignalMessage) -> None:
-        role = msg.destination.role
-        if role is _TOPIC:
+        if msg.destination.role is _TOPIC:
             self._deliver_fabric(seq, msg, self._route[msg.source.ident][0])
-        elif role is _UE:
-            self.emit(self._ue_receive(self._trace_msg(seq, msg)))
-        elif role is _D_PLANE:
-            self.emit(self._dplane_receive(self._trace_msg(seq, msg)))
+            return
+        # the fabric carries only block-to-block messages within one slice
+        entry = self._route[msg.destination.ident]
+        instance = entry[0]
+        if instance is not None and \
+                self._route.get(msg.source.ident, (None,))[0] is instance:
+            self._deliver_fabric(seq, msg, instance, entry)
         else:
-            # the fabric carries only block-to-block messages within one
-            # slice; a device or plane source has no route
-            entry = self._route[msg.destination.ident]
-            instance = entry[0]
-            if instance is not None and \
-                    self._route.get(msg.source.ident, (None,))[0] is instance:
-                self._deliver_fabric(seq, msg, instance, entry)
-            else:
-                self._invoke_block(entry, self._trace_msg(seq, msg))
+            self._invoke_block(entry, self._trace_msg(seq, msg))
 
     def _deliver_fabric(self, seq: int, msg: SignalMessage, instance,
                         entry: tuple | None = None) -> None:
@@ -469,8 +478,9 @@ class Environment:
         return rec
 
     def _invoke_block(self, entry: tuple, msg: MessageRecord) -> None:
-        """Hand a delivered message to the block of a routing entry; a block
-        the message leaves with work joins the due list unless it is due."""
+        """Hand a delivered message to the handler of a routing entry; an
+        entry the message leaves with work joins the due list unless it is
+        due."""
         instance, _, state, ctx, handle, _, has_work, due_key = entry
         if instance is not None and \
                 instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
@@ -506,7 +516,7 @@ class Environment:
             device.bound_slice = event.detail.get("slice", slice_id)
         elif event.kind == "detach" and device is not None:
             device.bound_slice = None
-            for run in self._flows_of.get(device.device_id, {}).values():
+            for run in device.flows.values():
                 run.active = False
 
     def _post_delivery_hooks(self, msg: MessageRecord) -> None:
@@ -519,79 +529,7 @@ class Environment:
                 device.alias = msg.payload.get("pseudonym") or device.alias
                 device.context_token = msg.payload.get("token") or device.context_token
 
-    # -- endpoint behaviour ----------------------------------------------------
-
-    def _ue_receive(self, msg: MessageRecord) -> list:
-        device = self.devices[msg.destination.ident]
-        payload = msg.payload
-        if msg.kind is ProcedureKind.SLICE_REDIRECT:
-            target = payload.get("target", "")
-            return self._attach_drafts(device, method=2, target_slice=target,
-                                       corr=msg.correlation_id, reattach=True)
-        # the one other message a device receives: a handover's execute phase
-        node = payload.get("node", "")
-        device.current_node = node
-        info = self.scenario.topology.access[node]
-        for run in self._flows_of.get(device.device_id, {}).values():
-            run.ingress = info.ingress
-        confirm = dict(payload)
-        confirm["phase"] = "confirm"
-        return [draft(ProcedureKind.HANDOVER_EXECUTE,
-                      Endpoint(Role.UE, device.device_id), msg.source,
-                      msg.correlation_id, confirm)]
-
-    def _dplane_receive(self, msg: MessageRecord) -> list:
-        # a plane gets FlowConfigure only, from the FM of its own slice
-        slice_id, _, node = msg.destination.ident.partition(":")
-        payload = msg.payload
-        ok, reason = self.slices[slice_id].dplane.configure(node, payload)
-        if not ok and payload.get("action") == "remove":
-            # stale removals are rejected silently to keep them idempotent
-            self.trace_event("config-reject", node, {"reason": reason,
-                                                     "slice": slice_id})
-            return []
-        return [draft(ProcedureKind.FLOW_NOTIFY, msg.destination, msg.source,
-                      msg.correlation_id,
-                      {"phase": "config-ack", "node": node,
-                       "flow": payload.get("flow", ""), "ok": ok})]
-
     # -- script events -----------------------------------------------------------
-
-    def _serving_slice(self, device: SimDevice):
-        sid = (device.bound_slice or device.spec.default_slice
-               or (sorted(device.spec.allowed)[0] if device.spec.allowed else None))
-        return self.slices.get(sid) if sid else None
-
-    def _attach_drafts(self, device: SimDevice, method: int,
-                       target_slice: str | None = None, corr: str | None = None,
-                       accesses: tuple = (), reattach: bool = False) -> list:
-        corr = corr or device.next_correlation("attach")
-        info = self.scenario.topology.access[device.current_node]
-        payload = {
-            "device": device.device_id, "alias": device.presented_alias(),
-            "accesses": list(accesses), "node": device.current_node,
-            "tech": info.tech.value, "method": method,
-        }
-        if reattach:
-            payload["reattach"] = True
-            payload["token"] = device.context_token or ""
-        else:
-            payload["proof"] = device.spec.proof
-        direct = device.spec.mode is SignalingMode.DIRECT
-        if direct and method == 1 and not reattach:
-            dst = Endpoint(Role.CM, block_id(Role.CM, "global"))
-        else:
-            role = Role.CM if direct else Role.AF
-            instance = (self.slices.get(target_slice)
-                        if target_slice else self._serving_slice(device))
-            if instance is None:
-                self.trace_error("NoEligibleSliceError", device.device_id,
-                                 {"detail": "no slice to attach to"})
-                return []
-            dst = Endpoint(role, instance.peers[role])
-        device.attaching = corr
-        return [draft(ProcedureKind.ATTACH_REQUEST,
-                      Endpoint(Role.UE, device.device_id), dst, corr, payload)]
 
     def _attach_in_flight(self, device: SimDevice) -> bool:
         """Whether the device's last attach is still under way.  It ends at
@@ -604,19 +542,6 @@ class Environment:
                 for bucket in (*self._now, *self.queue) for _, msg in bucket):
             device.attaching = None
         return device.attaching is not None
-
-    def _mode_route(self, device: SimDevice, kind: ProcedureKind,
-                    target_role: Role, corr: str, payload: dict) -> list:
-        """Uplink from a device: direct to the core block, or via its AF."""
-        instance = self.slices.get(device.bound_slice or "")
-        if instance is None:
-            return []
-        source = Endpoint(Role.UE, device.device_id)
-        if device.spec.mode is SignalingMode.VIA_AF:
-            dst = Endpoint(Role.AF, instance.peers[Role.AF])
-        else:
-            dst = Endpoint(target_role, instance.peers[target_role])
-        return [draft(kind, source, dst, corr, payload)]
 
     def _run_script_event(self, event: ScriptEvent) -> None:
         action = event.action
@@ -634,7 +559,7 @@ class Environment:
                 self._apply_event(block_event, instance.slice_id)
             # no message reaches its blocks again: their hooks leave for good
             self._due = {key: entry for key, entry in self._due.items()
-                         if entry[0] is not instance or entry[1] is None}
+                         if entry[0] is not instance}
             return
         if action == "inject-latency":
             self._inject_latency(*event.args)
@@ -656,36 +581,39 @@ class Environment:
                 return
             accesses = tuple(event.options.get("accesses", "").split(",")) \
                 if event.options.get("accesses") else ()
-            self.emit(self._attach_drafts(
-                device, method=event.options.get("method", 2),
-                accesses=accesses))
+            drafts, events = device.attach(
+                self._route[device.device_id][3],
+                event.options.get("method", 2), accesses=accesses)
+            self._absorb(events, None)
+            self.emit(drafts)
         elif action == "detach":
             corr = device.next_correlation("detach")
-            self.emit(self._mode_route(
-                device, ProcedureKind.SESSION_RELEASE, Role.CM, corr,
-                {"device": device.device_id, "scope": "detach"}))
+            self.emit(device.uplink(
+                ProcedureKind.SESSION_RELEASE, Role.CM, device.bound_slice,
+                corr, {"device": device.device_id, "scope": "detach"}))
         elif action == "move":
             self._move_device(device, event.args[1])
         elif action == "traffic-start":
             self._traffic_start(device, event.options)
         elif action == "traffic-stop":
             flow = event.options.get("flow", "")
-            for run in self._flows_of.get(device.device_id, {}).values():
+            for run in device.flows.values():
                 if run.flow_id == flow:
                     run.active = False
             corr = device.next_correlation("session")
-            self.emit(self._mode_route(
-                device, ProcedureKind.SESSION_RELEASE, Role.CM, corr,
-                {"device": device.device_id, "scope": "flow", "flow": flow}))
+            self.emit(device.uplink(
+                ProcedureKind.SESSION_RELEASE, Role.CM, device.bound_slice,
+                corr, {"device": device.device_id, "scope": "flow",
+                       "flow": flow}))
         elif action == "idle":
             if self._mobility_slice(device, {
                     "slice": device.bound_slice,
                     "detail": "idle needs mobility management"}) is None:
                 return
             corr = device.next_correlation("idle")
-            self.emit(self._mode_route(
-                device, ProcedureKind.LOCATION_UPDATE, Role.MM, corr,
-                {"device": device.device_id, "phase": "idle"}))
+            self.emit(device.uplink(
+                ProcedureKind.LOCATION_UPDATE, Role.MM, device.bound_slice,
+                corr, {"device": device.device_id, "phase": "idle"}))
         elif action == "page":
             self._page_device(device)
 
@@ -700,8 +628,8 @@ class Environment:
                                          "target": target}) is None:
             return
         corr = device.next_correlation("handover")
-        self.emit(self._mode_route(
-            device, ProcedureKind.HANDOVER_PREPARE, Role.MM, corr,
+        self.emit(device.uplink(
+            ProcedureKind.HANDOVER_PREPARE, Role.MM, device.bound_slice, corr,
             {"device": device.device_id, "node": target}))
 
     def _traffic_start(self, device: SimDevice, options: dict) -> None:
@@ -714,12 +642,12 @@ class Environment:
         run = FlowRun(flow_id=flow, rate=rate, remaining_emissions=duration,
                       ingress=info.ingress)
         instance.dplane.add_flow(run)
-        self._flows_of.setdefault(device.device_id, {})[
-            (instance.slice_id, flow)] = run
-        self._wake(instance)
+        device.flows[(instance.slice_id, flow)] = run
+        plane = self._route[f"{instance.slice_id}:probe"]
+        self._due.setdefault(plane[7], plane)
         corr = device.next_correlation("session")
-        self.emit(self._mode_route(
-            device, ProcedureKind.SESSION_ESTABLISH, Role.CM, corr,
+        self.emit(device.uplink(
+            ProcedureKind.SESSION_ESTABLISH, Role.CM, device.bound_slice, corr,
             {"device": device.device_id, "flow": flow, "qos": qos,
              "node": device.current_node}))
 
@@ -755,8 +683,10 @@ class Environment:
         for slice_id in sorted(self.slices):
             instance = self.slices[slice_id]
             if flow in instance.dplane.flows:
+                ctx = self._route[f"{slice_id}:probe"][3]
                 self.emit([draft(
-                    ProcedureKind.FLOW_NOTIFY, *self._telemetry[slice_id],
+                    ProcedureKind.FLOW_NOTIFY, ctx.self_endpoint,
+                    ctx.peer_endpoint(Role.FM),
                     f"{slice_id}:telemetry:{self.tick}",
                     {"phase": "latency", "flow": flow, "values": [value]})])
                 return
@@ -765,54 +695,24 @@ class Environment:
 
     # -- per-tick machinery ---------------------------------------------------------
 
-    def _wake(self, instance, role: Role | None = None) -> None:
-        """Put a block's tick hook, or with no role the slice's forwarded
-        plane, on the due list; one already there stays as it is."""
-        if role is None:
-            self._due.setdefault((1, instance.slice_id, ""),
-                                 (instance, None, instance.dplane))
-        else:
-            entry = self._route[instance.peers[role]]
-            self._due.setdefault(entry[7], entry)
-
     def _run_due(self) -> None:
-        """The due blocks' tick hooks, then the due planes, by slice and
+        """The due entries' tick hooks, blocks before planes, by slice and
         role; what is then without work leaves."""
         due = self._due
         for key in sorted(due):
-            entry = due[key]
-            if entry[1] is None:
-                self._step_plane(entry[0])
-                continue
-            instance, _, state, ctx, _, hook, _, _ = entry
+            _, _, state, ctx, _, hook, _, _ = due[key]
             object.__setattr__(ctx, "tick", self.tick)
             _, drafts, events = hook(state, ctx)
-            self._absorb(events, instance.slice_id)
+            self._absorb(events, ctx.slice_id)
             self.emit(drafts)
         self._due = {key: entry for key, entry in due.items()
-                     if (entry[2].due() if entry[1] is None
-                         else entry[6](entry[2]))}
-
-    def _step_plane(self, instance) -> None:
-        sid = instance.slice_id
-        loads, latencies, delivered, lost = instance.dplane.step(self.tick)
-        for kind, units in (("flow-delivered", delivered), ("flow-lost", lost)):
-            for flow in sorted(units):
-                self.trace_event(kind, flow, {"units": units[flow], "slice": sid})
-        payloads = [{"phase": "load", "link": link, "load": load}
-                    for link, load in loads]
-        payloads += [{"phase": "latency", "flow": flow, "values": latencies[flow]}
-                     for flow in sorted(latencies)]
-        probe, fm = self._telemetry[sid]
-        corr = f"{sid}:telemetry:{self.tick}"
-        self.emit([draft(ProcedureKind.FLOW_NOTIFY, probe, fm, corr, payload)
-                   for payload in payloads])
+                     if entry[6](entry[2])}
 
     def _pending_work(self) -> bool:
         """Whether the run goes on: a message in flight, a script event to
         come, a due block, or a due plane with a flow under way."""
         return any(self.queue) or self.tick < self._last_script_tick or any(
-            entry[1] is not None or entry[2].has_work()
+            entry[1] is not _D_PLANE or entry[2].has_work()
             for entry in self._due.values())
 
     # -- the run itself ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Everything outside the core C-plane: access nodes, device population and
-a forwarded-plane executor that installs rules and carries flows.
+a forwarded-plane executor that installs rules and carries flows.  Devices
+and planes take messages as blocks do, through handlers of the same shape.
 
 Traffic is discrete units per tick, integer-exact.  A unit snapshots its
 path when it leaves the ingress and follows that snapshot; at every node it
@@ -20,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .blocks.common import AccessNodeInfo, Tech
+from .blocks.common import AccessNodeInfo, BlockEvent, Tech, error_event
 from .blocks.fm import LinkState, TopologyView, link_key
 from .errors import SchemaError
+from .messages import Endpoint, ProcedureKind, Role, block_id, draft
 from .textfmt import parse_blocks, split_kv
 
 
@@ -358,6 +360,40 @@ class DPlane:
                    for run in self._live.values())
 
 
+def plane_handle(plane: DPlane, msg, ctx) -> tuple:
+    """A slice's plane takes `FlowConfigure` only, from the FM, at the
+    address `DP:<slice>:<node>` of the node it configures, and acks it; a
+    stale removal is rejected silently, to keep removals idempotent."""
+    node = msg.destination.ident[len(ctx.slice_id) + 1:]
+    payload = msg.payload
+    ok, reason = plane.configure(node, payload)
+    if not ok and payload.get("action") == "remove":
+        return plane, (), [BlockEvent("config-reject", node, {"reason": reason})]
+    return plane, [draft(ProcedureKind.FLOW_NOTIFY, msg.destination, msg.source,
+                         msg.correlation_id,
+                         {"phase": "config-ack", "node": node,
+                          "flow": payload.get("flow", ""), "ok": ok})], ()
+
+
+def plane_tick(plane: DPlane, ctx) -> tuple:
+    """A plane's tick hook: one step, its units delivered and lost as
+    events, and its link loads and flow latencies reported from its probe
+    to the FM."""
+    loads, latencies, delivered, lost = plane.step(ctx.tick)
+    events = [BlockEvent(kind, flow, {"units": units[flow]})
+              for kind, units in (("flow-delivered", delivered),
+                                  ("flow-lost", lost))
+              for flow in sorted(units)]
+    payloads = [{"phase": "load", "link": link, "load": load}
+                for link, load in loads]
+    payloads += [{"phase": "latency", "flow": flow, "values": latencies[flow]}
+                 for flow in sorted(latencies)]
+    probe, fm = ctx.self_endpoint, ctx.peer_endpoint(Role.FM)
+    corr = f"{ctx.slice_id}:telemetry:{ctx.tick}"
+    return plane, [draft(ProcedureKind.FLOW_NOTIFY, probe, fm, corr, payload)
+                   for payload in payloads], events
+
+
 # -- device population -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -381,6 +417,9 @@ class SimDevice:
     attaching: str | None = None      # correlation of the last attach sent
     flow_counter: int = 0
     corr_counters: dict = field(default_factory=dict)
+    # (slice id, flow id) -> the FlowRun it started there; a run another
+    # start replaced under its id lingers here unreachable
+    flows: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.current_node:
@@ -403,3 +442,67 @@ class SimDevice:
         n = self.corr_counters.get(family, 0) + 1
         self.corr_counters[family] = n
         return f"{self.device_id}:{family}:{n}"
+
+    def uplink(self, kind: ProcedureKind, role: Role, slice_id: str | None,
+               corr: str, payload: dict) -> list:
+        """The message to the `role` block of `slice_id`: direct, or to the
+        slice's AF for a device that signals via it; none without a slice."""
+        if slice_id is None:
+            return []
+        if self.spec.mode is SignalingMode.VIA_AF:
+            role = Role.AF
+        return [draft(kind, Endpoint(Role.UE, self.device_id),
+                      Endpoint(role, block_id(role, slice_id)), corr, payload)]
+
+    def attach(self, ctx, method: int, target: str = "", corr: str = "",
+               accesses: tuple = (), reattach: bool = False) -> tuple:
+        """The (drafts, events) of an attach: a direct device's first
+        method-1 attach goes to the global CM; any other to the `target`
+        slice, or without one to the device's serving slice."""
+        corr = corr or self.next_correlation("attach")
+        payload = {
+            "device": self.device_id, "alias": self.presented_alias(),
+            "accesses": list(accesses), "node": self.current_node,
+            "tech": ctx.access_nodes[self.current_node].tech.value,
+            "method": method,
+        }
+        if reattach:
+            payload["reattach"] = True
+            payload["token"] = self.context_token or ""
+        else:
+            payload["proof"] = self.spec.proof
+        if method == 1 and not reattach and \
+                self.spec.mode is SignalingMode.DIRECT:
+            drafts = [draft(ProcedureKind.ATTACH_REQUEST,
+                            Endpoint(Role.UE, self.device_id),
+                            Endpoint(Role.CM, ctx.global_cm), corr, payload)]
+        else:
+            slice_id = target or self.bound_slice or self.spec.default_slice \
+                or min(self.spec.allowed, default=None)
+            if slice_id not in ctx.slice_directory:
+                return [], [error_event(self.device_id, "NoEligibleSliceError",
+                                        detail="no slice to attach to")]
+            drafts = self.uplink(ProcedureKind.ATTACH_REQUEST, Role.CM,
+                                 slice_id, corr, payload)
+        self.attaching = corr
+        return drafts, ()
+
+
+def device_handle(device: SimDevice, msg, ctx) -> tuple:
+    """A device answers a `SliceRedirect` with a re-attach to its target,
+    and a handover's `execute`, the one other message it gets, with its
+    `confirm`, after moving itself and its flows' ingress to the new node."""
+    payload = msg.payload
+    if msg.kind is ProcedureKind.SLICE_REDIRECT:
+        return (device, *device.attach(
+            ctx, 2, payload.get("target", ""), msg.correlation_id,
+            reattach=True))
+    node = payload.get("node", "")
+    device.current_node = node
+    ingress = ctx.access_nodes[node].ingress
+    for run in device.flows.values():
+        run.ingress = ingress
+    confirm = dict(payload)
+    confirm["phase"] = "confirm"
+    return device, [draft(ProcedureKind.HANDOVER_EXECUTE, msg.destination,
+                          msg.source, msg.correlation_id, confirm)], ()

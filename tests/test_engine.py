@@ -4,6 +4,7 @@ event semantics and cross-fabric equivalence plumbing."""
 import copy
 import dataclasses
 import gc
+from collections import Counter
 from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple
@@ -19,7 +20,9 @@ from slicesim.errors import (
     EquivalenceViolation, NoPathError, PolicyForbidsError, ScenarioError,
 )
 from slicesim.fabric import DeliveryOutcome, Fabric, FabricModelKind
-from slicesim.messages import ProcedureKind, Role, SignalMessage, draft
+from slicesim.messages import (
+    Endpoint, ProcedureKind, Role, SignalMessage, draft,
+)
 from slicesim.metrics import compute_metrics, render_metrics
 from slicesim.netsim import DPlane, SignalingMode, build_view
 from slicesim.slices import LifecycleState
@@ -466,14 +469,14 @@ def _skipped(monkeypatch, name):
     original = Environment._run_due
 
     def recording(self):
-        due = {(entry[0].slice_id, entry[1]) for entry in self._due.values()}
+        due = {(entry[3].slice_id, entry[1]) for entry in self._due.values()}
         for ident, instance, role, state in _hook_blocks(self):
             if (instance.slice_id, role) not in due:
                 key = (ident, canonical_json(_normalize(state)))
                 blocks.setdefault(key, (ident, instance, role,
                                         copy.deepcopy(state), self.tick))
         for sid, instance in self.slices.items():
-            if (sid, None) not in due:
+            if (sid, Role.D_PLANE) not in due:
                 key = (sid, canonical_json(_normalize(instance.dplane)))
                 planes.setdefault(key, (copy.deepcopy(instance.dplane),
                                         self.tick))
@@ -488,14 +491,15 @@ def _skipped(monkeypatch, name):
 def _force_everything_due(monkeypatch):
     """Put every block with a tick hook and every plane on the due list
     before each tick's sweep: the sweep the due list replaces, which passed
-    over torn down slices."""
+    over the blocks of torn down slices."""
     original = Environment._run_due
 
     def everything(self):
-        for _, instance, role, _ in _hook_blocks(self):
-            self._wake(instance, role)
-        for instance in self.slices.values():
-            self._wake(instance)
+        for entry in self._route.values():
+            instance, hook = entry[0], entry[5]
+            if hook is not None and (instance is None or instance.lifecycle_state
+                                     is not LifecycleState.TORN_DOWN):
+                self._due.setdefault(entry[7], entry)
         original(self)
 
     monkeypatch.setattr(Environment, "_run_due", everything)
@@ -538,9 +542,11 @@ class TestSweepSkips:
                 assert _normalize(plane) == before
 
     def test_every_hook_role_is_seen_idle(self, monkeypatch):
+        # planes, the one hook role outside a slice's blocks, are the
+        # subject of the tests on skipped planes
         roles = {role for name in ("paging", "cghf-reselect")
                  for _, _, role, _, _ in _skipped(monkeypatch, name)[1]}
-        assert roles == set(engine._TICK_HOOKS)
+        assert roles == set(engine._TICK_HOOKS) - {Role.D_PLANE}
 
     def test_finished_flows_leave_the_due_list(self, monkeypatch):
         _, _, idle = _skipped(monkeypatch, "handover-mbb")
@@ -796,8 +802,9 @@ def _oracle_latency(scenario, bp):
 
 
 class TestBuiltOnce:
-    """Set-up builds each block's context and the anchor-latency table
-    once per run; the tick loop builds none."""
+    """Set-up builds the contexts and the anchor-latency table once per
+    run: one context per block and per plane, and one that every device
+    shares; the tick loop builds none."""
 
     def test_no_context_is_built_during_the_run(self, monkeypatch):
         built: list = []
@@ -816,14 +823,34 @@ class TestBuiltOnce:
                     return fn(*args)
                 monkeypatch.setitem(table, role, recording)
         env = Environment(load("cghf-reselect"), 7)
-        assert len(built) == len(env._route)
-        assert [entry[3] for entry in env._route.values()] == built
+        blocks = len(env.global_states) + sum(
+            len(instance.states) for instance in env.slices.values())
+        assert len(built) == blocks + len(env.slices) + 1
+        assert {id(entry[3]) for entry in env._route.values()} == \
+            {id(ctx) for ctx in built}
         result = env.run()
-        assert len(built) == len(env._route)
-        # every handler and hook call got its block's one context
+        assert len(built) == blocks + len(env.slices) + 1
+        # every handler and hook call got its entry's one context, the
+        # planes' calls included
         assert {id(ctx) for ctx in passed} <= {id(ctx) for ctx in built}
+        assert Role.D_PLANE in {ctx.role for ctx in passed}
         assert len(passed) > len(built)
         assert messages(result) and events(result, "context")
+
+    def test_devices_share_a_context_and_each_plane_has_one(self):
+        scenario = load("attach-two-slices")
+        env = Environment(scenario, 7)
+        device_ctx = env._route[scenario.devices[0].device_id][3]
+        assert device_ctx.slice_id is None
+        assert all(env._route[d.device_id][3] is device_ctx
+                   for d in scenario.devices)
+        for sid in env.slices:
+            plane = env._route[f"{sid}:probe"]
+            assert plane[2] is env.slices[sid].dplane
+            assert plane[3].self_endpoint == Endpoint(Role.D_PLANE,
+                                                      f"{sid}:probe")
+            assert all(env._route[f"{sid}:{node}"] is plane
+                       for node in scenario.topology.nodes)
 
     def test_endpoints_are_built_once(self):
         env = Environment(load("cghf-reselect"), 7)
@@ -841,8 +868,9 @@ class TestBuiltOnce:
                              r.source.ident.endswith(":probe"))
         assert telemetry
         for rec in telemetry:
-            probe, fm = env._telemetry[rec.source.ident.split(":")[0]]
-            assert rec.source is probe and rec.destination is fm
+            ctx = env._route[rec.source.ident][3]
+            assert rec.source is ctx.self_endpoint
+            assert rec.destination is ctx.peer_endpoint(Role.FM)
 
     def test_handler_cannot_write_to_its_context(self, monkeypatch):
         handle = engine._HANDLERS[Role.CM]
@@ -984,17 +1012,13 @@ class TestOneRecordPerMessage:
     also what its receivers get; no drafted message outlives the run."""
 
     def test_the_trace_holds_no_drafted_message(self, monkeypatch):
+        # blocks, devices and planes alike receive through the handler table
         received: list = []
         for role, fn in engine._HANDLERS.items():
             def recording(state, msg, ctx, fn=fn):
                 received.append(msg)
                 return fn(state, msg, ctx)
             monkeypatch.setitem(engine._HANDLERS, role, recording)
-        for name in ("_ue_receive", "_dplane_receive"):
-            def receiving(env, msg, fn=getattr(Environment, name)):
-                received.append(msg)
-                return fn(env, msg)
-            monkeypatch.setattr(Environment, name, receiving)
 
         def drafted() -> int:
             gc.collect()
@@ -1007,6 +1031,8 @@ class TestOneRecordPerMessage:
         assert MessageRecord._fields[2:8] == SignalMessage._fields
         traced = {id(rec) for rec in messages(result)}
         assert received and {id(msg) for msg in received} <= traced
+        assert {msg.destination.role for msg in received} >= {
+            Role.UE, Role.D_PLANE}
 
 
 class TestHandlerFaults:
@@ -1104,6 +1130,58 @@ class TestScriptPaths:
         assert len(events(result, "handover-complete")) == 1
         assert env.slices["mob-a"].states[Role.AF].device_location["d5"] == "n2"
         assert result.metrics.flows["f5"]["lost"] == 0
+
+
+class TestDeviceAndPlaneEntries:
+    """Devices and planes take messages through routing entries of the
+    block shape, which no fabric carries."""
+
+    @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
+                             ids=lambda m: m.kind.value)
+    def test_device_and_plane_records_cross_no_fabric(self, model):
+        seen = set()
+        for name in CORPUS:
+            for rec in messages(run(load(name), 7, fabric_override=model)):
+                if rec.destination.role in (Role.UE, Role.D_PLANE):
+                    assert (rec.hop_count, rec.mediators, rec.recipients) \
+                        == (1, (), ()), (name, rec)
+                    seen.add(rec.destination.role)
+        assert seen == {Role.UE, Role.D_PLANE}
+
+    def test_a_stale_remove_is_rejected_without_an_ack(self):
+        # cghf-reselect's reselection removes a rule at t1 that is gone
+        result = run(load("cghf-reselect"), 7)
+        [reject] = events(result, "config-reject")
+        assert (reject.subject, reject.detail) == (
+            "t1", {"reason": "no matching rule", "slice": "ctx-a"})
+        [stale] = messages(result, ProcedureKind.FLOW_CONFIGURE, lambda r:
+                           r.tick == reject.tick
+                           and r.destination.ident == "ctx-a:t1"
+                           and r.payload["action"] == "remove")
+        configures = Counter(
+            (r.destination, r.correlation_id)
+            for r in messages(result, ProcedureKind.FLOW_CONFIGURE))
+        acks = Counter(
+            (r.source, r.correlation_id)
+            for r in messages(result, ProcedureKind.FLOW_NOTIFY, lambda r:
+                              r.payload.get("phase") == "config-ack"))
+        assert configures - acks == Counter(
+            {(stale.destination, stale.correlation_id): 1})
+
+    def test_a_redirect_to_an_unknown_slice_names_no_slice(self):
+        env = Environment(load("handover-mbb"), 7)
+        cm = Endpoint(Role.CM, env.slices["mob-a"].peers[Role.CM])
+        env.emit([draft(ProcedureKind.SLICE_REDIRECT, cm,
+                        Endpoint(Role.UE, "d5"), "d5:attach:9",
+                        {"device": "d5", "target": "ghost"})])
+        result = env.run()
+        assert [(e.tick, e.subject, e.detail)
+                for e in errors(result, "NoEligibleSliceError")] == [
+            (0, "d5", {"error": "NoEligibleSliceError",
+                       "detail": "no slice to attach to"})]
+        assert not messages(result, predicate=lambda r:
+                            r.correlation_id == "d5:attach:9"
+                            and r.source.role is Role.UE)
 
 
 class TestNoSubscriber:

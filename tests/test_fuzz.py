@@ -212,8 +212,8 @@ def test_teardown_ends_every_flow_through_its_device_detach(monkeypatch,
         flows = instance.dplane.flows
         # the owners of the plane's active runs; a run another start
         # replaced under its id is no longer the plane's
-        active = {device for device, runs in env._flows_of.items()
-                  for run in runs.values()
+        active = {ident for ident, device in env.devices.items()
+                  for run in device.flows.values()
                   if run.active and flows.get(run.flow_id) is run}
         assert active <= {ident for ident, device in env.devices.items()
                           if device.bound_slice == instance.slice_id}
