@@ -363,12 +363,12 @@ class Environment:
                     instance, role, states[role], (0, sid, role.value),
                     slice_id=sid, self_id=ident, peers=peers, policy=policy,
                     anchors=anchors)
-        for sid, inst in self.slices.items():
-            plane = entry(None, Role.D_PLANE, inst.dplane, (1, sid, ""),
-                          slice_id=sid, self_id=f"{sid}:probe",
-                          peers=inst.peers, policy=inst.blueprint.policy)
-            for node in ("probe", *scenario.topology.nodes):
-                self._route[f"{sid}:{node}"] = plane
+            if instance is not None:
+                plane = entry(None, Role.D_PLANE, instance.dplane, (1, sid, ""),
+                              slice_id=sid, self_id=f"{sid}:probe", peers=peers,
+                              policy=policy, anchors=anchors)
+                for node in ("probe", *scenario.topology.nodes):
+                    self._route[f"{sid}:{node}"] = plane
         # the devices' entries differ only in their state
         device = entry(None, Role.UE, None, None, slice_id=None, self_id="",
                        peers={}, policy=SlicePolicy())

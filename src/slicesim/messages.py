@@ -154,7 +154,7 @@ class Endpoint:
 
 def block_id(role: Role, scope: str) -> str:
     """A block's id in `scope`: its slice, or "global" for the common part."""
-    return f"{role.value}.{scope}.1"
+    return f"{role._value_}.{scope}.1"
 
 
 class SignalMessage(NamedTuple):

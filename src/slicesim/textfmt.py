@@ -46,8 +46,9 @@ class Block:
     def refuse_in_ident(self, source: str, chars: str, why: str) -> None:
         """Refuse an identifier that holds one of `chars`, naming the source,
         line and block; `why` says which addresses it would break."""
+        ident = self.ident
         for char in chars:
-            if char in self.ident:
+            if char in ident:
                 raise SchemaError(f"{source}:{self.line}: {self.head}: "
                                   f"identifier holds {char!r}, {why}")
 
