@@ -10,13 +10,14 @@ with the mutable-width payload/detail column last:
     EVT|seq|tick|kind|subject|detail
 
 Endpoints read `role:ident`, a topic `topic:<id>`.  Records are immutable
-named tuples.  Serialization is canonical (sorted-key JSON for payloads) so
-equal runs are byte-identical.
+named tuples; `render_trace` is their one formatter.  Serialization is
+canonical (sorted-key JSON for payloads) so equal runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -63,16 +64,6 @@ class MessageRecord(NamedTuple):
     mediators: tuple[str, ...] = ()
     recipients: tuple[str, ...] = ()   # non-empty only if a fabric carried it
 
-    def line(self) -> str:
-        (seq, tick, kind, source, destination, interface, correlation_id,
-         payload, hop_count, mediators, recipients) = self
-        if type(payload) is not dict:
-            payload = dict(payload)
-        return (f"MSG|{seq}|{tick}|{kind._value_}|{source.role._value_}:"
-                f"{source.ident}|{destination}|{interface._value_}|"
-                f"{correlation_id}|{hop_count}|{','.join(mediators)}|"
-                f"{','.join(recipients)}|{canonical_json(payload)}")
-
 
 class EventRecord(NamedTuple):
     seq: int
@@ -81,16 +72,50 @@ class EventRecord(NamedTuple):
     subject: str
     detail: dict
 
-    def line(self) -> str:
-        return (f"EVT|{self.seq}|{self.tick}|{self.kind}|{self.subject}|"
-                f"{canonical_json(self.detail)}")
-
 
 TraceRecord = Union[MessageRecord, EventRecord]
 
 
 def render_trace(records: Iterable[TraceRecord]) -> str:
-    return "".join(r.line() + "\n" for r in records)
+    """The trace text: one line per record, each ended by a newline.
+
+    Each distinct payload or detail is encoded once per call.  The memo is
+    keyed by `marshal.dumps(value)`, which is exact: equal bytes load back
+    to one value with the same types throughout, so `1`, `True` and `1.0`
+    (or `0.0` and `-0.0`) never share a text.  A value marshal refuses (a
+    str-mixin enum member, a mapping other than a dict) is encoded
+    directly; an encoder error is raised as from `canonical_json`."""
+    memo: dict = {}
+    lines: list = []
+    append = lines.append
+    for rec in records:
+        event = isinstance(rec, EventRecord)
+        if event:
+            seq, tick, kind, subject, value = rec
+        else:
+            (seq, tick, kind, source, destination, interface, correlation_id,
+             value, hop_count, mediators, recipients) = rec
+            if type(value) is not dict:
+                value = dict(value)
+        try:
+            key = marshal.dumps(value)
+        except ValueError:
+            text = canonical_json(value)
+        else:
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = canonical_json(value)
+        if event:
+            append(f"EVT|{seq}|{tick}|{kind}|{subject}|{text}")
+        else:
+            append(f"MSG|{seq}|{tick}|{kind._value_}|{source.role._value_}:"
+                   f"{source.ident}|{destination.role._value_}:"
+                   f"{destination.ident}|{interface._value_}|"
+                   f"{correlation_id}|{hop_count}|{','.join(mediators)}|"
+                   f"{','.join(recipients)}|{text}")
+    memo.clear()    # before the join, which sets the render's peak memory
+    append("")
+    return "\n".join(lines)
 
 
 def _resolver(parse):
@@ -107,11 +132,13 @@ def _resolver(parse):
 
 def iter_trace(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceRecord]:
     """Parse trace lines one at a time; errors name `source:lineno`.  Each
-    distinct endpoint (a topic included), kind and interface text is
-    resolved once per parse."""
+    distinct endpoint (a topic included), kind, interface and payload or
+    detail text is resolved once per parse, so equal texts share one
+    object: parsed payloads are read-only."""
     endpoint = _resolver(Endpoint.parse)
     procedure = _resolver(ProcedureKind)
     interface = _resolver(InterfacePoint)
+    decode = _resolver(json.loads)
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.rstrip("\n")
         if not raw.strip():
@@ -124,13 +151,13 @@ def iter_trace(lines: Iterable[str], source: str = "<trace>") -> Iterator[TraceR
                 record: TraceRecord = MessageRecord(
                     int(seq), int(tick), procedure(kind), endpoint(src),
                     endpoint(dst), interface(iface), corr,
-                    json.loads(payload), int(hops),
+                    decode(payload), int(hops),
                     tuple(mediators.split(",")) if mediators else (),
                     tuple(recipients.split(",")) if recipients else ())
             elif tag == "EVT":
                 _, seq, tick, kind, subject, detail = raw.split("|", 5)
                 record = EventRecord(int(seq), int(tick), kind, subject,
-                                     json.loads(detail))
+                                     decode(detail))
             else:
                 raise SchemaError(f"{source}:{lineno}: unknown record tag {tag!r}")
         except ValueError as exc:

@@ -318,7 +318,7 @@ def test_criterion_8_audit_secrecy_and_single_sign_on():
             for device, (tick, seq) in authenticated_at.items():
                 if (rec.tick, rec.seq) <= (tick, seq):
                     continue
-                rendered = rec.line()
+                rendered = render_trace([rec])
                 assert psi_of[device] not in rendered, (name, rendered)
 
     # single sign-on to further services emits no new credential exchange

@@ -1,9 +1,11 @@
 """Trace records: the canonical JSON encoder, immutable records, the line
 format pinned by a per-record oracle, and an order-independent metrics fold."""
 
+import enum
 import json
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,11 @@ def oracle_line(rec) -> str:
         m.interface.value, m.correlation_id, str(rec.hop_count),
         ",".join(rec.mediators), ",".join(rec.recipients),
         dumps(dict(m.payload))])
+
+
+class Tag(str, enum.Enum):
+    """A str-mixin enum: equal to its value, refused by `marshal`."""
+    A = "a"
 
 
 def attach_message() -> SignalMessage:
@@ -119,12 +126,46 @@ class TestLineFormat:
         assert render_trace(trace) == "".join(
             oracle_line(rec) + "\n" for rec in trace)
 
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_payloads_equal_under_eq_keep_their_own_text(self, order):
+        shared = {"device": "d1"}
+        details = [
+            {"v": 1}, {"v": True}, {"v": 1.0}, {"v": [1]}, {"v": [True]},
+            {"v": 0.0}, {"v": -0.0}, {"v": math.nan}, {"v": float("nan")},
+            {"v": [1, 2]}, {"v": (1, 2)}, {"v": Tag.A}, {"v": "a"},
+            {"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}, {"a": 1, "b": 2},
+        ]
+        trace = [EventRecord(seq, 0, "probe", "d1", detail)
+                 for seq, detail in enumerate(details, start=1)]
+        message = attach_message()
+        for payload in (MappingProxyType({"device": 1}), {"device": True},
+                        shared, shared):
+            trace.append(MessageRecord(len(trace) + 1, 0,
+                                       *message._replace(payload=payload)))
+        if order == "reversed":
+            trace.reverse()
+        assert render_trace(trace) == "".join(
+            oracle_line(rec) + "\n" for rec in trace)
+
+    def test_circular_payload_still_raises(self):
+        inner: list = []
+        outer = {"inner": inner}
+        inner.append(outer)
+        first = MessageRecord(1, 0, *attach_message())
+        looped = MessageRecord(2, 0, *attach_message()._replace(payload=outer))
+        with pytest.raises(ValueError, match="Circular reference"):
+            render_trace([first, looped])
+        with pytest.raises(ValueError, match="Circular reference"):
+            render_trace([EventRecord(1, 0, "probe", "d1", outer)])
+        assert render_trace([first]) == oracle_line(first) + "\n"
+
     def test_parse_shares_endpoints_and_keeps_its_errors(self):
         text = render_trace([MessageRecord(1, 0, *attach_message()),
                              MessageRecord(2, 0, *attach_message())])
         first, second = parse_trace(text)
         assert first.source is second.source
         assert first.destination is second.destination
+        assert first.payload is second.payload
         bad = text + text.splitlines()[0].replace("|UE:d1|", "|XX:d1|") + "\n"
         with pytest.raises(SchemaError, match=r"^t\.log:3: malformed MSG "
                            r"record: 'XX' is not a valid Role$"):
