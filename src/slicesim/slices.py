@@ -89,8 +89,12 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
         raise SchemaError(f"{source}: expected exactly one blueprint block")
     block = blocks[0]
     block.refuse_unknown(source, _FIELDS, _OPTIONS.keys() - {"mobility"})
-    block.refuse_in_ident(source, ":", "the separator of plane addresses "
-                          "(DP:<slice>:<node>)")
+    block.refuse_in_ident(source, ":.", "a separator of plane addresses "
+                          "(DP:<slice>:<node>) and block ids (<ROLE>.<slice>.1)")
+    if block.ident == "global":
+        raise SchemaError(f"{source}:{block.line}: {block.head}: identifier "
+                          f"is 'global', the scope of the common part's "
+                          f"block ids (<ROLE>.global.1)")
     try:
         bb_set: dict = {}
         for rest in block.items_of("bb"):

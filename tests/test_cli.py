@@ -278,23 +278,31 @@ SURPLUS_STRUCTURE = {
 
 #: Identifiers that would break the addresses built from them, each as
 #: (file, text, replacement) on a copy of the corpus for
-#: attach-two-slices.scn and the line the refusal names: a ':' in a slice
-#: id ends the slice early in its plane's `DP:<slice>:<node>`, one in a
+#: attach-two-slices.scn, the line the refusal names and what it says of
+#: the identifier: a ':' in a slice id ends the slice early in its plane's
+#: `DP:<slice>:<node>`, a '.' in one ends it early in its block ids
+#: `<ROLE>.<slice>.1` (metrics.txt would count `hops.slice.embb`), the
+#: slice id `global` spells the common part's block ids, one ':' in a
 #: device id splits its correlation ids `<device>:<family>:<n>`, and a '.'
 #: in a device id can spell a block id `<ROLE>.<scope>.1`.
 ADDRESS_BREAKING_IDS = {
     "slice-id-with-a-colon": (("bp-embb.bp", "blueprint embb-a",
-                               "blueprint embb:a"), 3),
+                               "blueprint embb:a"), 3, "holds ':'"),
+    "slice-id-with-a-dot": (("bp-embb.bp", "blueprint embb-a",
+                             "blueprint embb.a"), 3, "holds '.'"),
+    "slice-id-global": (("bp-embb.bp", "blueprint embb-a",
+                         "blueprint global"), 3, "is 'global'"),
     "device-id-with-a-colon": (("attach-two-slices.scn", "device d1\n",
-                                "device d:1\n"), 10),
+                                "device d:1\n"), 10, "holds ':'"),
     "device-id-that-spells-a-block-id": (
-        ("attach-two-slices.scn", "device d1\n", "device CM.embb-a.1\n"), 10),
+        ("attach-two-slices.scn", "device d1\n", "device CM.embb-a.1\n"), 10,
+        "holds '.'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ADDRESS_BREAKING_IDS))
 def test_address_breaking_id_is_refused_at_load(case, tmp_path, capsys):
-    edit, line = ADDRESS_BREAKING_IDS[case]
+    edit, line, refusal = ADDRESS_BREAKING_IDS[case]
     _copy_corpus(edit, tmp_path)
     scenario = str(tmp_path / "attach-two-slices.scn")
     for args in (["validate", "--scenario", scenario],
@@ -304,7 +312,7 @@ def test_address_breaking_id_is_refused_at_load(case, tmp_path, capsys):
         refused = capsys.readouterr().err
         assert refused.startswith(f"error: SchemaError: {tmp_path / edit[0]}:"
                                   f"{line}: {edit[2].strip()}: identifier "
-                                  f"holds "), refused
+                                  f"{refusal}, "), refused
     assert not (tmp_path / "out").exists()
 
 

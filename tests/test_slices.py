@@ -179,7 +179,11 @@ class TestBlueprintKnobs:
         ("bb CGHF", "bb CGHF\n  subscribe DP dplane-latency"),
         ("bb CGHF", "bb CGHF\n  subscribe topic dplane-latency"),
         # a ':' in a slice id would end the slice early in `DP:<slice>:<node>`
-        ("blueprint ctx-a", "blueprint ctx:a")])
+        ("blueprint ctx-a", "blueprint ctx:a"),
+        # a '.' would end it early in a block id `<ROLE>.<slice>.1`, and
+        # `global` would spell the common part's block ids
+        ("blueprint ctx-a", "blueprint ctx.a"),
+        ("blueprint ctx-a", "blueprint global")])
     def test_refused(self, old, new):
         with pytest.raises(SchemaError):
             load_blueprint(_knob_blueprint(old, new))
