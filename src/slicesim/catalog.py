@@ -263,8 +263,11 @@ def _maximal_partitions(members: Sequence[str], forbidden: set) -> list:
     unplaced the test is exactly maximality."""
     members = sorted(members)
     n = len(members)
-    conflicts = [sum(1 << j for j, other in enumerate(members)
-                     if frozenset((sf, other)) in forbidden) for sf in members]
+    conflicts = [0] * n
+    for i, j in combinations(range(n), 2):
+        if frozenset((members[i], members[j])) in forbidden:
+            conflicts[i] |= 1 << j
+            conflicts[j] |= 1 << i
     results: list = []
     blocks: list = []   # (member mask, mask of the members it conflicts with)
 
