@@ -79,43 +79,42 @@ TraceRecord = Union[MessageRecord, EventRecord]
 def render_trace(records: Iterable[TraceRecord]) -> str:
     """The trace text: one line per record, each ended by a newline.
 
-    Each distinct payload or detail is encoded once per call.  The memo is
-    keyed by `marshal.dumps(value)`, which is exact: equal bytes load back
-    to one value with the same types throughout, so `1`, `True` and `1.0`
-    (or `0.0` and `-0.0`) never share a text.  A value marshal refuses (a
-    str-mixin enum member, a mapping other than a dict) is encoded
-    directly; an encoder error is raised as from `canonical_json`."""
+    Each distinct payload or detail is encoded once per call, with its
+    newline, and every line that repeats it joins that one string after
+    its own head.  The memo is keyed by `marshal.dumps(value)`, which is
+    exact: equal bytes load back to one value with the same types
+    throughout, so `1`, `True` and `1.0` (or `0.0` and `-0.0`) never share
+    a text.  A value marshal refuses (a str-mixin enum member, a mapping
+    other than a dict) is encoded on its own; an encoder error is raised
+    as from `canonical_json`."""
     memo: dict = {}
-    lines: list = []
-    append = lines.append
+    parts: list = []    # per record: its head, then its payload or detail
+    append = parts.append
     for rec in records:
-        event = isinstance(rec, EventRecord)
-        if event:
+        if isinstance(rec, EventRecord):
             seq, tick, kind, subject, value = rec
+            append(f"EVT|{seq}|{tick}|{kind}|{subject}|")
         else:
             (seq, tick, kind, source, destination, interface, correlation_id,
              value, hop_count, mediators, recipients) = rec
             if type(value) is not dict:
                 value = dict(value)
-        try:
-            key = marshal.dumps(value)
-        except ValueError:
-            text = canonical_json(value)
-        else:
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = canonical_json(value)
-        if event:
-            append(f"EVT|{seq}|{tick}|{kind}|{subject}|{text}")
-        else:
             append(f"MSG|{seq}|{tick}|{kind._value_}|{source.role._value_}:"
                    f"{source.ident}|{destination.role._value_}:"
                    f"{destination.ident}|{interface._value_}|"
                    f"{correlation_id}|{hop_count}|{','.join(mediators)}|"
-                   f"{','.join(recipients)}|{text}")
-    memo.clear()    # before the join, which sets the render's peak memory
-    append("")
-    return "\n".join(lines)
+                   f"{','.join(recipients)}|")
+        try:
+            key = marshal.dumps(value)
+        except ValueError:
+            append(canonical_json(value) + "\n")
+            continue
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = canonical_json(value) + "\n"
+        append(text)
+    memo.clear()    # frees the keys before the join; the texts are in parts
+    return "".join(parts)
 
 
 def _resolver(parse):
