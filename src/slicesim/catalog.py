@@ -17,7 +17,6 @@ lexicographic order of each block's sorted sub-function ids.
 
 from __future__ import annotations
 
-import functools
 import importlib.resources
 from dataclasses import dataclass, field
 from enum import Enum
@@ -222,13 +221,6 @@ def load_catalog_file(path) -> SFCatalog:
 
 def reference_catalog_path() -> Path:
     return Path(str(importlib.resources.files("slicesim.data") / "reference.cat"))
-
-
-@functools.cache
-def reference_blocks() -> tuple:
-    """The building blocks grouped from the packaged reference catalog."""
-    catalog = load_catalog_file(reference_catalog_path())
-    return group_into_bbs(catalog, derive_separation_constraints(catalog))
 
 
 # -- step 2: separation constraints -------------------------------------------

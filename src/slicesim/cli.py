@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=7)
     run_p.add_argument("--out-dir", default=".")
     run_p.add_argument("--fabric", type=_fabric_model,
-                       help="override the fabric model "
-                       "(full_mesh, relay[:ROLE], dispatcher, pubsub)")
+                       help="run every slice on one fabric model "
+                       "(full_mesh, relay, dispatcher, pubsub)")
     run_p.set_defaults(fn=cmd_run)
 
     cmp_p = sub.add_parser("compare-fabrics",

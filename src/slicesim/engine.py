@@ -117,7 +117,6 @@ class Scenario:
     script: tuple
     max_ticks: int = DEFAULT_MAX_TICKS
     infra_capacity: int = 64
-    fabric_override: FabricModel | None = None   # forces one model on every slice
 
 
 #: The script's actions, each with the at-line options it reads.
@@ -132,8 +131,7 @@ _ACTIONS = {"attach": frozenset({"method", "accesses"}),
 _INT_OPTIONS = {"attach": ("method",), "traffic-start": ("rate", "duration")}
 
 #: The fields a scenario block and a device block read.
-_SCENARIO_FIELDS = frozenset({"topology", "max-ticks", "infra-capacity",
-                              "fabric-override"})
+_SCENARIO_FIELDS = frozenset({"topology", "max-ticks", "infra-capacity"})
 _DEVICE_FIELDS = frozenset({"psi", "proof", "allowed", "default", "mode",
                             "node"})
 
@@ -173,6 +171,7 @@ def _load_scenario(path: Path) -> Scenario:
     source = str(path)
     block.refuse_unknown(source, _SCENARIO_FIELDS,
                          frozenset({"blueprint", "at"}), frozenset({"device"}))
+    block.refuse_in_ident(source)
     base = path.parent
 
     topology_path = block.require("topology")
@@ -194,6 +193,7 @@ def _load_scenario(path: Path) -> Scenario:
         child.refuse_in_ident(source, ":.", "a separator of correlation ids "
                               "(<device>:<family>:<n>) and block ids "
                               "(<ROLE>.<scope>.1)")
+        child.refuse_in_ident(source)
         allowed = tuple(child.get("allowed", "").split())
         default = child.get("default") or None
         mode = SignalingMode(child.get("mode", "direct"))
@@ -213,9 +213,7 @@ def _load_scenario(path: Path) -> Scenario:
 
     script = []
     last_tick = 0
-    for word, rest in block.items:
-        if word != "at":
-            continue
+    for rest in block.items_of("at"):
         if len(rest) < 2:
             raise ScenarioError(f"{path}: at-line needs a tick and an action")
         tick = int(rest[0])
@@ -227,12 +225,14 @@ def _load_scenario(path: Path) -> Scenario:
             raise ScenarioError(f"{path}: unknown event action '{action}'")
         positional, options = split_kv(rest[2:], _ACTIONS[action],
                                        (source, "at", rest))
+        block.refuse_in_ident(source, item=("at", rest, options.get("flow", "")))
         if action == "teardown":
             if not positional or positional[0] not in slice_ids:
                 raise ScenarioError(f"{path}: teardown of unknown slice")
         elif action == "inject-latency":
             if len(positional) != 2:
                 raise ScenarioError(f"{path}: inject-latency <flow> <value>")
+            block.refuse_in_ident(source, item=("at", rest, positional[0]))
             positional[1] = float(positional[1])
         else:
             if not positional or positional[0] not in device_ids:
@@ -260,16 +260,12 @@ def _load_scenario(path: Path) -> Scenario:
                 raise ScenarioError(
                     f"{path}: blueprint {bp.slice_id} anchor '{anchor}' unknown")
 
-    override = None
-    if block.get("fabric-override"):
-        override = FabricModel.parse(block.require("fabric-override"))
     return Scenario(
         scenario_id=block.ident, topology=topology,
         blueprints=tuple(blueprints), devices=tuple(devices),
         script=tuple(script),
         max_ticks=int(block.get("max-ticks", DEFAULT_MAX_TICKS)),
-        infra_capacity=int(block.get("infra-capacity", 64)),
-        fabric_override=override)
+        infra_capacity=int(block.get("infra-capacity", 64)))
 
 
 @dataclass
@@ -300,10 +296,9 @@ class Environment:
         self.infra = slices_mod.SimInfrastructure(scenario.infra_capacity)
         self.slices: dict = {}
         roster = slices_mod.build_roster(scenario.devices)
-        override = fabric_override or scenario.fabric_override
         for bp in scenario.blueprints:
-            if override is not None:
-                bp = replace(bp, fabric_model=override)
+            if fabric_override is not None:
+                bp = replace(bp, fabric_model=fabric_override)
             instance = slices_mod.instantiate(
                 bp, self.infra, scenario.topology, roster=roster)
             self.slices[bp.slice_id] = instance
@@ -664,11 +659,6 @@ class Environment:
         instance = self._mobility_slice(
             device, {"detail": "paging needs mobility management"})
         if instance is None:
-            return
-        subset = instance.blueprint.bb_set[Role.MM]   # empty: every sf
-        if subset and "device-paging" not in subset:
-            self.trace_error("SfInactive", device.device_id,
-                             {"sf": "device-paging", "slice": instance.slice_id})
             return
         corr = device.next_correlation("page")
         # downlink demand surfaces at the connectivity block, which asks for

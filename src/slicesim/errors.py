@@ -4,8 +4,8 @@ Every domain error derives from SliceSimError.  During a simulation run the
 engine converts raised domain errors into trace events named after their
 class instead of aborting.  Conditions that are only traced, never raised
 (`IllegalEventError`, `UnknownDestinationError`, `NoSubscriberError`,
-`UnknownDevice`, `SfInactive` and the like), are named by string in the
-trace and have no class here.
+`UnknownDevice`, `MobilityUnsupported` and the like), are named by string
+in the trace and have no class here.
 """
 
 
@@ -38,10 +38,6 @@ class NoInterfaceError(SliceSimError):
 
 
 # -- fabric ----------------------------------------------------------------
-
-class BadRelayError(SliceSimError):
-    pass
-
 
 class ModelMismatchError(SliceSimError):
     pass

@@ -1,7 +1,7 @@
 """Inter-block interconnection models behind a single delivery contract.
 
-Four models wire the same block set: a full mesh (direct links), a relay
-(one member block terminates the west-bound side and relays everything), a
+Four models wire the same block set: a full mesh (direct links) and three
+that carry every unicast through one mediator, a relay (the slice's CM), a
 dispatcher (an external proxy) and a publish-subscribe broker.  Every model
 delivers the message it was sent; `Fabric.send` is model-agnostic and
 returns only its delivery record, the hop and mediator accounting that
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .errors import BadRelayError, ModelMismatchError
+from .errors import ModelMismatchError
 from .messages import Role, SignalMessage, block_id
 
 _TOPIC = Role.TOPIC     # read once: member reads are slow
@@ -40,13 +40,9 @@ class FabricModelKind(str, Enum):
 @dataclass(frozen=True)
 class FabricModel:
     kind: FabricModelKind
-    relay_bb: str | None = None   # role name or instance id; defaults to CM
 
     @classmethod
     def parse(cls, text: str) -> "FabricModel":
-        if text.startswith("relay"):
-            _, _, target = text.partition(":")
-            return cls(FabricModelKind.RELAY, target or None)
         return cls(FabricModelKind(text))
 
 
@@ -69,8 +65,7 @@ class DeliveryOutcome:
 class Fabric:
     model: FabricModel
     members: dict                       # Role -> instance id
-    mediator: str | None = None         # CPD/PS instance id when external
-    relay: str | None = None            # relay member instance id
+    mediator: str | None = None         # relay CM, CPD or PS instance id
     subscriptions: dict = field(default_factory=dict)   # topic -> sorted ids
     # destination id -> the outcome every unicast to it returns, built at
     # the first send; outcome and record are frozen, so sends can share them
@@ -96,12 +91,8 @@ class Fabric:
 
     def _unicast(self, dst: str) -> DeliveryRecord:
         """The delivery record of a unicast to `dst` under this model."""
-        kind = self.model.kind
-        if kind is FabricModelKind.FULL_MESH:
+        if self.mediator is None:
             return DeliveryRecord(1, (), (dst,))
-        if kind is FabricModelKind.RELAY:
-            return DeliveryRecord(2, (self.relay,), (dst,))
-        # the dispatcher or the broker carries the unicast
         return DeliveryRecord(2, (self.mediator,), (dst,))
 
 
@@ -110,18 +101,13 @@ def connect(members: Mapping[Role, str], model: FabricModel,
     """Wire a block set (role -> instance id) under one interconnection
     model, with its topic table (topic -> sorted subscriber ids, or none).
 
-    For the relay model the designated relay must itself be a member;
-    dispatcher and broker mediators are created here and are not members.
+    The relay is the CM member; dispatcher and broker mediators are created
+    here and are not members.
     """
     fabric = Fabric(model=model, members=dict(members),
                     subscriptions=subscriptions or {})
     if model.kind is FabricModelKind.RELAY:
-        target = model.relay_bb or Role.CM.value
-        matches = [i for role, i in members.items()
-                   if i == target or role.value == target]
-        if not matches:
-            raise BadRelayError(f"relay block '{target}' is not a member")
-        fabric.relay = sorted(matches)[0]
+        fabric.mediator = members[Role.CM]
     elif model.kind is FabricModelKind.DISPATCHER:
         fabric.mediator = block_id(Role.CPD, scope)
     elif model.kind is FabricModelKind.PUB_SUB:

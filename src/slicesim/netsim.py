@@ -76,6 +76,7 @@ def _load_topology(text: str, source: str) -> TopologySpec:
                                        (source, "node", rest))
         if len(positional) != 1:
             raise SchemaError(f"{source}: node line needs one id")
+        block.refuse_in_ident(source, item=("node", rest, positional[0]))
         nodes[positional[0]] = NodeKind(options.get("kind", "transport"))
     for rest in block.items_of("link"):
         positional, options = split_kv(rest, _OPTIONS["link"],

@@ -1,11 +1,11 @@
 """Slice blueprints, composition rules and the slice lifecycle.
 
-A blueprint names the block roles a slice deploys (with optional
-sub-function subsets), its interconnection model and its policies.  Access,
-connectivity, security and flow management are mandatory; mobility and
-context handling are optional, and a slice without mobility management wires
-connectivity straight to the access function; a move event there surfaces
-as a MobilityUnsupported trace event instead of a handover.
+A blueprint names the block roles a slice deploys (whole blocks), its
+interconnection model and its policies.  Access, connectivity, security and
+flow management are mandatory; mobility and context handling are optional,
+and a slice without mobility management wires connectivity straight to the
+access function; a move event there surfaces as a MobilityUnsupported trace
+event instead of a handover.
 
 Instantiation builds fresh block states over a private copy of the
 forwarded-plane topology, so two instances share nothing mutable and slices
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
-from . import catalog
 from .blocks import af, cghf, cm, fm, mm, sam
 from .blocks.cghf import DEFAULT_FACTOR, DEFAULT_WINDOW, ContextModelRule
 from .blocks.common import (
@@ -54,7 +53,7 @@ class LifecycleState(str, Enum):
 class SliceBlueprint:
     slice_id: str
     slice_type: SliceType
-    bb_set: dict                      # Role -> frozenset of sf ids ( () = all )
+    bb_set: frozenset                 # of Role
     fabric_model: FabricModel
     mobility_policy: MobilityPolicy | None = None
     auth_scheme: AuthScheme = AuthScheme.FULL
@@ -76,7 +75,7 @@ _FIELDS = frozenset({"type", "fabric", "auth", "path-strategy", "stretch",
 
 #: Per item word of a blueprint, and for its mobility field, the options
 #: it reads.
-_OPTIONS = {"bb": frozenset({"sfs"}),
+_OPTIONS = {"bb": frozenset(),
             "context-model": frozenset({"metric", "statement", "factor",
                                         "window", "min_samples"}),
             "subscribe": frozenset(),
@@ -91,19 +90,19 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
     block.refuse_unknown(source, _FIELDS, _OPTIONS.keys() - {"mobility"})
     block.refuse_in_ident(source, ":.", "a separator of plane addresses "
                           "(DP:<slice>:<node>) and block ids (<ROLE>.<slice>.1)")
+    block.refuse_in_ident(source, "|,", "a separator of trace columns ('|') "
+                          "and of the block ids in one (',')")
     if block.ident == "global":
         raise SchemaError(f"{source}:{block.line}: {block.head}: identifier "
                           f"is 'global', the scope of the common part's "
                           f"block ids (<ROLE>.global.1)")
     try:
-        bb_set: dict = {}
+        bb_set = set()
         for rest in block.items_of("bb"):
-            positional, options = split_kv(rest, _OPTIONS["bb"],
-                                           (source, "bb", rest))
+            positional, _ = split_kv(rest, _OPTIONS["bb"], (source, "bb", rest))
             if len(positional) != 1:
                 raise SchemaError(f"{source}: bb line needs one role")
-            bb_set[Role(positional[0])] = frozenset(
-                options["sfs"].split(",") if "sfs" in options else ())
+            bb_set.add(Role(positional[0]))
         mobility = None
         if block.get("mobility") and block.get("mobility") != "none":
             rest = tuple(block.require("mobility").split())
@@ -149,7 +148,7 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
         return SliceBlueprint(
             slice_id=block.ident,
             slice_type=SliceType(block.require("type")),
-            bb_set=bb_set,
+            bb_set=frozenset(bb_set),
             fabric_model=FabricModel.parse(block.get("fabric", "full_mesh")),
             mobility_policy=mobility,
             auth_scheme=AuthScheme(block.get("auth", "full")),
@@ -168,11 +167,9 @@ def load_blueprint_file(path) -> SliceBlueprint:
 
 
 def validate_blueprint(bp: SliceBlueprint) -> Verdict:
-    """Check composition rules; the verdict enumerates every violation.  A
-    sub-function subset must belong to its block as composed from the
-    reference catalog."""
+    """Check composition rules; the verdict enumerates every violation."""
     violations: list = []
-    roles = set(bp.bb_set)
+    roles = bp.bb_set
     for role in sorted(MANDATORY_BB_ROLES - roles, key=lambda r: r.value):
         violations.append(f"mandatory BB {role.value} absent")
     for role in sorted(roles - MANDATORY_BB_ROLES - OPTIONAL_BB_ROLES,
@@ -182,18 +179,6 @@ def validate_blueprint(bp: SliceBlueprint) -> Verdict:
         violations.append("mobility policy set but MM absent")
     if Role.MM in roles and bp.mobility_policy is None:
         violations.append("MM present but no mobility policy")
-    by_id = ({bb.bb_id: bb for bb in catalog.reference_blocks()}
-             if any(bp.bb_set.values()) else {})
-    for role in sorted(roles, key=lambda r: r.value):
-        subset = bp.bb_set[role]
-        if not subset:
-            continue
-        definition = by_id.get(role.value)
-        if definition is None:
-            violations.append(f"no block definition named {role.value}")
-            continue
-        for sf in sorted(subset - definition.sf_set):
-            violations.append(f"sf '{sf}' does not belong to {role.value}")
     return Verdict(not violations, tuple(violations))
 
 

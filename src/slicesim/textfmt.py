@@ -36,6 +36,7 @@ class Block:
     items: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
     children: list["Block"] = field(default_factory=list)
     line: int = 0       # the number of the line that opens the block
+    item_lines: list[int] = field(default_factory=list)   # one per item
 
     @property
     def ident(self) -> str:
@@ -43,14 +44,22 @@ class Block:
             raise SchemaError(f"block '{self.kind}' missing identifier")
         return self.args[0]
 
-    def refuse_in_ident(self, source: str, chars: str, why: str) -> None:
+    def refuse_in_ident(self, source: str, chars: str = "|",
+                        why: str = "the separator of trace columns",
+                        item: tuple = ()) -> None:
         """Refuse an identifier that holds one of `chars`, naming the source,
-        line and block; `why` says which addresses it would break."""
-        ident = self.ident
+        line and block; `why` says which addresses it would break.  With an
+        `item` (word, tokens, identifier), the identifier is one on that
+        item line, and the refusal names the first line that reads so."""
+        ident = item[2] if item else self.ident
         for char in chars:
             if char in ident:
-                raise SchemaError(f"{source}:{self.line}: {self.head}: "
-                                  f"identifier holds {char!r}, {why}")
+                line, words = self.line, self.head
+                if item:
+                    line = self.item_lines[self.items.index(item[:2])]
+                    words = " ".join((item[0], *item[1]))
+                raise SchemaError(f"{source}:{line}: {words}: identifier "
+                                  f"holds {char!r}, {why}")
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.fields.get(key, default)
@@ -141,6 +150,7 @@ def parse_blocks(text: str, block_kinds: set[str], source: str = "<text>") -> li
             block.fields[key] = line[len(word):].lstrip()
         else:
             block.items.append((word, tuple(tokens[1:])))
+            block.item_lines.append(lineno)
     if block is not None:
         raise SchemaError(f"{source}: unterminated block '{block.kind}'")
     return top

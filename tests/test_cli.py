@@ -203,8 +203,6 @@ UNPARSED_VALUES = {
     "event-tick": ("paging.scn", "at 16 page", "at x page"),
     "max-ticks": ("paging.scn", "max-ticks: 120", "max-ticks: lots"),
     "device-mode": ("paging.scn", "mode: via_af", "mode: relayed"),
-    "fabric-override": ("paging.scn", "  max-ticks: 120",
-                        "  max-ticks: 120\n  fabric-override: ring"),
     "topology-node-kind": ("topo-core.txt", "i1 kind=ingress", "i1 kind=entry"),
 }
 
@@ -284,7 +282,12 @@ SURPLUS_STRUCTURE = {
 #: `<ROLE>.<slice>.1` (metrics.txt would count `hops.slice.embb`), the
 #: slice id `global` spells the common part's block ids, one ':' in a
 #: device id splits its correlation ids `<device>:<family>:<n>`, and a '.'
-#: in a device id can spell a block id `<ROLE>.<scope>.1`.
+#: in a device id can spell a block id `<ROLE>.<scope>.1`.  A '|' in any id
+#: that a trace line names (a scenario, slice, device, plane node or flow)
+#: splits the line's columns, and a ',' in a slice id splits the block ids
+#: of its mediators and recipients columns: `trace-check` would refuse the
+#: trace that the run wrote.
+_TRAFFIC_START = "at 14 traffic-start d1 flow=f1 rate=1 duration=8"
 ADDRESS_BREAKING_IDS = {
     "slice-id-with-a-colon": (("bp-embb.bp", "blueprint embb-a",
                                "blueprint embb:a"), 3, "holds ':'"),
@@ -297,6 +300,23 @@ ADDRESS_BREAKING_IDS = {
     "device-id-that-spells-a-block-id": (
         ("attach-two-slices.scn", "device d1\n", "device CM.embb-a.1\n"), 10,
         "holds '.'"),
+    "scenario-id-with-a-pipe": (("attach-two-slices.scn",
+                                 "scenario attach-two-slices",
+                                 "scenario attach|two"), 5, "holds '|'"),
+    "slice-id-with-a-pipe": (("bp-embb.bp", "blueprint embb-a",
+                              "blueprint embb|a"), 3, "holds '|'"),
+    "slice-id-with-a-comma": (("bp-embb.bp", "blueprint embb-a",
+                               "blueprint embb,a"), 3, "holds ','"),
+    "device-id-with-a-pipe": (("attach-two-slices.scn", "device d1\n",
+                               "device d|1\n"), 10, "holds '|'"),
+    "node-id-with-a-pipe": (("topo-core.txt", "node t1 kind=transport",
+                             "node t|1 kind=transport"), 8, "holds '|'"),
+    "flow-id-with-a-pipe": (
+        ("attach-two-slices.scn", _TRAFFIC_START,
+         _TRAFFIC_START.replace("f1", "f|1")), 28, "holds '|'"),
+    "latency-flow-id-with-a-pipe": (
+        ("attach-two-slices.scn", _TRAFFIC_START, "at 14 inject-latency f|1 5"),
+        28, "holds '|'"),
 }
 
 
@@ -318,11 +338,9 @@ def test_address_breaking_id_is_refused_at_load(case, tmp_path, capsys):
 
 #: Scenarios that load but that set-up refuses, each as (file, text,
 #: replacement) on a copy of the corpus for cghf-reselect.scn, with the
-#: error `run` exits on: a relay that is no member, and too little capacity
-#: for the blueprint's five blocks.
+#: error `run` exits on: too little capacity for the blueprint's five
+#: blocks.
 SETUP_REFUSALS = {
-    "relay-not-a-member": (("bp-cghf.bp", "fabric: pubsub", "fabric: relay:MM"),
-                           "BadRelayError"),
     "infra-capacity": (("cghf-reselect.scn", "  max-ticks: 160",
                         "  max-ticks: 160\n  infra-capacity: 3"),
                        "InfraCapacityError"),
@@ -395,6 +413,44 @@ def test_validate_refuses_what_run_refuses_at_set_up(case, tmp_path, capsys):
     # the blueprint alone breaks no composition rule
     assert main(["validate", "--blueprint",
                  str(tmp_path / "bp-cghf.bp")]) == 0
+
+
+#: The knobs that the configuration no longer has, each as an edit on a
+#: copy of the corpus for paging.scn, the words added to its `run` command,
+#: the exit status and what the refusal says: an SF subset on a `bb` line
+#: (a slice deploys whole blocks), a relay target in a blueprint and on the
+#: command line (the relay is the slice's CM), and a fabric model set by
+#: the scenario (`run --fabric` and `compare-fabrics` choose a run's).
+REMOVED_KNOBS = {
+    "bb-sf-subset": (("bp-mob-mbb.bp", "  bb MM\n",
+                      "  bb MM sfs=device-paging\n"),
+                     (), 1, "unknown option 'sfs'"),
+    "blueprint-relay-target": (("bp-mob-mbb.bp", "fabric: full_mesh",
+                                "fabric: relay:MM"), (), 1, "'relay:MM'"),
+    "scenario-fabric-override": (("paging.scn", "  max-ticks: 120",
+                                  "  max-ticks: 120\n  fabric-override: relay"),
+                                 (), 1, "unknown field 'fabric-override'"),
+    "run-relay-target": (("paging.scn", "", ""),      # the corpus as it is
+                         ("--fabric", "relay:CM"), 2,
+                         "unknown fabric model 'relay:CM'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_KNOBS))
+def test_removed_knob_is_refused(case, tmp_path, capsys):
+    edit, words, status, refusal = REMOVED_KNOBS[case]
+    _copy_corpus(edit, tmp_path)
+    try:
+        exit_status = main(["run", "--scenario", str(tmp_path / "paging.scn"),
+                            "--out-dir", str(tmp_path / "out"), *words])
+    except SystemExit as exc:       # the parser refuses a usage error
+        exit_status = exc.code
+    assert exit_status == status
+    refused = capsys.readouterr().err
+    assert refusal in refused
+    if status == 1:
+        assert refused.startswith(f"error: SchemaError: {tmp_path / edit[0]}:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_fabric_option_is_a_usage_error(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from slicesim.errors import BadRelayError, ModelMismatchError
+from slicesim.errors import ModelMismatchError
 from slicesim.fabric import (
     DeliveryRecord, FabricModel, FabricModelKind, connect,
 )
@@ -49,12 +49,7 @@ class TestConnect:
     def test_relay_star_spokes(self):
         fabric = connect(six_members(), FabricModel.parse("relay"))
         assert implied_link_count(fabric) == 5
-        assert fabric.relay == bb(Role.CM)
-
-    def test_relay_target_not_a_member(self):
-        members = {r: bb(r) for r in (Role.AF, Role.FM)}
-        with pytest.raises(BadRelayError):
-            connect(members, FabricModel.parse("relay:CM"))
+        assert fabric.mediator == bb(Role.CM)
 
 
 class TestSend:

@@ -10,16 +10,15 @@ from slicesim import cli
 from slicesim.errors import (
     InfraCapacityError, LifecycleOrderError, ScenarioError, SchemaError,
 )
-from slicesim.engine import load_scenario, run
+from slicesim.engine import load_scenario
 from slicesim.fabric import FabricModel, FabricModelKind
-from slicesim.messages import ProcedureKind, Role
+from slicesim.messages import Role
 from slicesim.netsim import load_topology, load_topology_file
 from slicesim.slices import (
     LifecycleState, SimInfrastructure, SliceBlueprint, SliceType,
     anchor_latency, instantiate, load_blueprint, load_blueprint_file,
     teardown, validate_blueprint,
 )
-from slicesim.trace import EventRecord, MessageRecord
 
 from conftest import implied_link_count, scenario_path
 
@@ -28,7 +27,7 @@ def make_blueprint(roles=(Role.AF, Role.CM, Role.SAM, Role.FM),
                    mobility=None, anchors=("a1",), **overrides):
     kwargs = dict(
         slice_id="test-slice", slice_type=SliceType.EMBB,
-        bb_set={r: frozenset() for r in roles},
+        bb_set=frozenset(roles),
         fabric_model=FabricModel(FabricModelKind.FULL_MESH),
         mobility_policy=mobility, anchors=anchors)
     kwargs.update(overrides)
@@ -71,27 +70,15 @@ class TestValidateBlueprint:
                 verdict = validate_blueprint(bp)
                 assert verdict.ok == (mandatory <= set(subset)), subset
 
-    def test_sf_subset_must_belong_to_the_block(self):
-        bp = make_blueprint()
-        bp.bb_set[Role.SAM] = frozenset({"device-paging"})   # an MM sub-function
-        assert validate_blueprint(bp).violations == (
-            "sf 'device-paging' does not belong to SAM",)
-
     def test_mm_without_mobility_policy_rejected(self):
         bp = make_blueprint(roles=(Role.AF, Role.CM, Role.MM, Role.SAM, Role.FM))
         assert validate_blueprint(bp).violations == (
             "MM present but no mobility policy",)
 
     def test_role_that_is_no_slice_block_rejected(self):
-        bp = make_blueprint()
-        bp.bb_set[Role.UE] = frozenset({"device-paging"})
+        bp = make_blueprint(roles=(Role.AF, Role.CM, Role.SAM, Role.FM, Role.UE))
         assert validate_blueprint(bp).violations == (
-            "UE is not a slice block role", "no block definition named UE")
-
-    def test_valid_sf_subset_accepted(self):
-        bp = make_blueprint()
-        bp.bb_set[Role.SAM] = frozenset({"authentication", "identity-management"})
-        assert validate_blueprint(bp).ok
+            "UE is not a slice block role",)
 
 
 class TestBlueprintFiles:
@@ -100,28 +87,6 @@ class TestBlueprintFiles:
                      "bp-mob-mbb.bp", "bp-mob-bbm.bp", "bp-cghf.bp"):
             bp = load_blueprint_file(scenario_path(name))
             assert validate_blueprint(bp).ok, name
-
-    @pytest.mark.parametrize("sfs, paged", [
-        ("device-location-tracking,mobility-assistance", False),
-        ("device-paging,device-location-tracking", True)])
-    def test_sf_subset_blueprint_loads_and_gates_paging(self, tmp_path, capsys,
-                                                        sfs, paged):
-        # without block definitions, subsets are checked against the
-        # reference blocks; an MM without device-paging traces SfInactive
-        for path in scenario_path(".").iterdir():
-            (tmp_path / path.name).write_text(path.read_text())
-        blueprint = tmp_path / "bp-mob-mbb.bp"
-        blueprint.write_text(blueprint.read_text().replace(
-            "  bb MM\n", f"  bb MM sfs={sfs}\n"))
-        assert cli.main(["validate", "--blueprint", str(blueprint)]) == 0
-        result = run(load_scenario(tmp_path / "paging.scn"), 7)
-        inactive = [r for r in result.trace if isinstance(r, EventRecord)
-                    and r.detail.get("error") == "SfInactive"]
-        assert [(r.subject, r.detail["sf"]) for r in inactive] == \
-            ([] if paged else [("d6", "device-paging")])
-        assert any(isinstance(r, MessageRecord)
-                   and r.kind is ProcedureKind.PAGE
-                   for r in result.trace) is paged
 
     def test_malformed_blueprint_rejected(self):
         with pytest.raises(SchemaError):

@@ -29,6 +29,7 @@ end
     assert outer.ident == "thing" and outer.args == ("thing", "arg2")
     assert outer.get("name") == "Some Name"
     assert outer.items_of("step") == [("a", "->", "b"), ("c", "->", "d")]
+    assert outer.item_lines == [5, 9]
     inner, = outer.children_of("inner")
     assert inner.ident == "nested-id" and inner.get("key") == "value"
 
@@ -133,6 +134,7 @@ def oracle_parse_blocks(text, block_kinds, source="<text>"):
             stack[-1].fields[key] = line.split(":", 1)[1].strip()
         else:
             stack[-1].items.append((tokens[0], tuple(tokens[1:])))
+            stack[-1].item_lines.append(lineno)
     if stack:
         raise SchemaError(f"{source}: unterminated block '{stack[-1].kind}'")
     return top
