@@ -3,8 +3,9 @@
 
 Runs `perfbench/pipeline.py`, the benchmark's own pipeline (the same for
 both trees), in a fresh interpreter per pipeline, with PYTHONPATH set to
-tree A or tree B.  The workload's inputs are generated once into one
-shared directory, and both trees write their outputs into one shared
+tree A or tree B.  The workload's inputs are generated once, with tree
+A's `slicesim` (the catalog workload copies its reference catalog), into
+one shared directory, and both trees write their outputs into one shared
 directory, so the only path that differs between the sides is the source
 tree's: an input path can move `peak_rss_mb` by itself.  Pair i runs A
 first when i is even and B first when it is odd.
@@ -79,6 +80,7 @@ def main() -> int:
 
     runs: dict = {"A": [], "B": []}
     problems: list = []
+    sys.path.insert(0, str(trees["A"]))
     with tempfile.TemporaryDirectory(prefix="slicesim-ab-") as work:
         input_path = gen.write_workload(args.workload, args.seed,
                                         Path(work) / "input")

@@ -51,7 +51,7 @@ def golden_lines() -> list:
     for path in sorted((ROOT / "scenarios").glob("*.scn")):
         scenario = load_scenario(path)
         for label, model in (("own", None),
-                             *((m.kind.value, m) for m in FABRIC_MODELS)):
+                             *((m.value, m) for m in FABRIC_MODELS)):
             lines.append(_line(scenario, SEED, label, model))
     for name in WORKLOADS:
         for seed in WORKLOAD_SEEDS:

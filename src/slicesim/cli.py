@@ -16,7 +16,7 @@ from . import catalog as catalog_mod
 from . import slices as slices_mod
 from .engine import Environment, compare_fabrics, load_scenario, run
 from .errors import SliceSimError
-from .fabric import FabricModel
+from .fabric import FabricModelKind
 from .metrics import render_metrics
 from .trace import iter_trace, render_trace, trace_check
 
@@ -77,14 +77,14 @@ def cmd_run(args) -> int:
 
 def cmd_compare_fabrics(args) -> int:
     scenario = load_scenario(args.scenario)
-    comparison = compare_fabrics(scenario, args.seed)
+    results = compare_fabrics(scenario, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["model | fabric-hops | trace-records"]
-    for name, result in comparison.results.items():
+    for name, result in results.items():
         lines.append(f"{name} | {result.metrics.fabric_hops_total} "
                      f"| {len(result.trace)}")
-    digest_line = next(iter(comparison.results.values())).digests
+    digest_line = next(iter(results.values())).digests
     lines.append(f"digests (identical across models): {digest_line}")
     text = "\n".join(lines) + "\n"
     (out_dir / "compare.txt").write_text(text, encoding="utf-8")
@@ -110,9 +110,9 @@ def cmd_trace_check(args) -> int:
     return 0
 
 
-def _fabric_model(text: str) -> FabricModel:
+def _fabric_model(text: str) -> FabricModelKind:
     try:
-        return FabricModel.parse(text)
+        return FabricModelKind(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"unknown fabric model '{text}'") from None

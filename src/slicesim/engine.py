@@ -30,7 +30,7 @@ from .blocks.common import (
     BlockContext, BlockEvent, SlicePolicy, error_event, refusal,
 )
 from .errors import EquivalenceViolation, ScenarioError, SliceSimError
-from .fabric import FabricModel, FabricModelKind
+from .fabric import FabricModelKind
 from .messages import (
     Endpoint, ProcedureKind, Role, SignalMessage, block_id, draft,
     validate_message,
@@ -63,8 +63,8 @@ def _buckets() -> list:
 
 
 #: Per role, the handler of a block, a device or a plane and, for four
-#: roles, its tick hook; an Environment copies them into its routing entries
-#: when it is built.
+#: roles, its tick hook; an Environment copies them into its routing and
+#: hooked entries when it is built.
 _HANDLERS = {
     Role.AF: af_mod.af_handle, Role.CM: cm_mod.handle, Role.MM: mm_mod.handle,
     Role.SAM: sam_mod.handle, Role.FM: fm_mod.handle, Role.CGHF: cghf_mod.handle,
@@ -78,9 +78,8 @@ _TICK_HOOKS = {
 
 #: Per tick-hook role, whether a state holds work for its hook: a page out,
 #: rules to retire, a key sampled since the last generation, a live flow.
-#: An entry with work joins the due list after a delivery and leaves it at
-#: the end of a tick without; a hook called without work is a no-op, and an
-#: entry already due is not tested again.  An FM awaiting acknowledgements
+#: A tick's end calls the hook of each state that holds work then; a hook
+#: called without work would be a no-op.  An FM awaiting acknowledgements
 #: needs no hook: each install it awaits is answered through the queue.
 _HAS_WORK = {
     Role.MM: attrgetter("pages"),
@@ -279,7 +278,7 @@ class Environment:
     """One simulation run: slices, global control part, devices, queue."""
 
     def __init__(self, scenario: Scenario, seed: int,
-                 fabric_override: FabricModel | None = None):
+                 fabric_override: FabricModelKind | None = None):
         self.scenario = scenario
         self.seed = seed
         self.tick = 0
@@ -313,22 +312,23 @@ class Environment:
         for event in scenario.script:
             self._script_by_tick.setdefault(event.tick, []).append(event)
         self._last_script_tick = max(self._script_by_tick, default=0)
-        # The due list, all a tick's end runs: due key -> routing entry, a
-        # block's key (0, slice, role) and a plane's (1, slice, "").
-        self._due: dict = {}
 
-        # The routing index, ident -> (slice instance, role, state, context,
-        # handler, tick hook, has-work getter, due key), one dispatch entry
-        # per block, device and plane.  The instance is None for the global
-        # part, a device and a plane, which no fabric carries and no
-        # lifecycle gates.  Each context is built here once: one per block,
-        # one per plane, whose own endpoint is its probe `DP:<slice>:probe`
-        # and whose entry is aliased under `<slice>:<node>` for every node,
-        # and one that every device shares, with no slice.  The engine sets
-        # a context's tick before each call.  An entry without a tick hook
-        # has None for the hook and the getter.  The handler and hook tables
-        # are read here, not at import, so that what patches them before a
-        # run is what the run calls.
+        # The routing index, ident -> (fabric instance, role, state, context,
+        # handler, slice instance), one dispatch entry per block, device and
+        # plane.  The fabric instance is the slice whose fabric carries
+        # messages between its blocks: None for the global part, a device
+        # and a plane.  The slice instance is the one whose lifecycle gates
+        # the entry: None for the global part and a device.  Each context is
+        # built here once: one per block, one per plane, whose own endpoint
+        # is its probe `DP:<slice>:probe` and whose entry is aliased under
+        # `<slice>:<node>` for every node, and one that every device shares,
+        # with no slice.  The engine sets a context's tick before each call.
+        # The hooked list holds (fabric instance, role, state, context, tick
+        # hook, has-work getter) for every block and plane with a tick hook,
+        # blocks before planes, by slice and role: the order a tick's end
+        # calls them in.  The handler and hook tables are read here, not at
+        # import, so that what patches them before a run is what the run
+        # calls.
         global_peers = {r: block_id(r, "global") for r in (Role.CM, Role.SAM)}
         shared = dict(
             seed=seed, access_nodes=scenario.topology.access,
@@ -345,27 +345,30 @@ class Environment:
             (inst, sid, inst.peers, inst.states, inst.blueprint.policy,
              inst.blueprint.anchors) for sid, inst in self.slices.items()]
         self._route: dict = {}
+        hooked: dict = {}      # (is a plane, slice, role) -> hooked entry
 
-        def entry(instance, role, state, due_key, **context):
-            return (instance, role, state, BlockContext(
-                        role=role, tick=0, **context, **shared),
-                    _HANDLERS[role], _TICK_HOOKS.get(role), _HAS_WORK.get(role),
-                    due_key)
+        def entry(carrier, instance, role, state, **context):
+            ctx = BlockContext(role=role, tick=0, **context, **shared)
+            if role in _TICK_HOOKS:
+                hooked[role is _D_PLANE, ctx.slice_id, role.value] = (
+                    carrier, role, state, ctx, _TICK_HOOKS[role],
+                    _HAS_WORK[role])
+            return carrier, role, state, ctx, _HANDLERS[role], instance
 
         for instance, sid, peers, states, policy, anchors in scopes:
             for role, ident in peers.items():
                 self._route[ident] = entry(
-                    instance, role, states[role], (0, sid, role.value),
-                    slice_id=sid, self_id=ident, peers=peers, policy=policy,
-                    anchors=anchors)
+                    instance, instance, role, states[role], slice_id=sid,
+                    self_id=ident, peers=peers, policy=policy, anchors=anchors)
             if instance is not None:
-                plane = entry(None, Role.D_PLANE, instance.dplane, (1, sid, ""),
+                plane = entry(None, instance, Role.D_PLANE, instance.dplane,
                               slice_id=sid, self_id=f"{sid}:probe", peers=peers,
                               policy=policy, anchors=anchors)
                 for node in ("probe", *scenario.topology.nodes):
                     self._route[f"{sid}:{node}"] = plane
+        self._hooked = [hooked[key] for key in sorted(hooked)]
         # the devices' entries differ only in their state
-        device = entry(None, Role.UE, None, None, slice_id=None, self_id="",
+        device = entry(None, None, Role.UE, None, slice_id=None, self_id="",
                        peers={}, policy=SlicePolicy())
         for ident, state in self.devices.items():
             self._route[ident] = (*device[:2], state, *device[3:])
@@ -414,7 +417,7 @@ class Environment:
         """A topic publish becomes per-subscriber unicasts on non-broker
         fabrics; the broker fabric keeps the single topic message."""
         fabric = self._route[item.source.ident][0].fabric
-        if fabric.model.kind is FabricModelKind.PUB_SUB:
+        if fabric.model is FabricModelKind.PUB_SUB:
             return [item]
         subscribers = fabric.subscriptions.get(item.destination.ident, ())
         if not subscribers:
@@ -473,10 +476,9 @@ class Environment:
         return rec
 
     def _invoke_block(self, entry: tuple, msg: MessageRecord) -> None:
-        """Hand a delivered message to the handler of a routing entry; an
-        entry the message leaves with work joins the due list unless it is
-        due."""
-        instance, _, state, ctx, handle, _, has_work, due_key = entry
+        """Hand a delivered message to the handler of a routing entry,
+        unless the entry's slice is torn down."""
+        _, _, state, ctx, handle, instance = entry
         if instance is not None and \
                 instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
@@ -488,10 +490,6 @@ class Environment:
         except SliceSimError as exc:
             self.trace_block_event(refusal(ctx.self_id, exc))
             return
-        finally:
-            if has_work is not None and due_key not in self._due and \
-                    has_work(state):
-                self._due[due_key] = entry
         if events:
             self._absorb(events, ctx.slice_id)
         if msg.kind is ProcedureKind.AUTH_RESPONSE:
@@ -552,9 +550,10 @@ class Environment:
             for block_event in events:
                 self.trace_block_event(block_event)
                 self._apply_event(block_event, instance.slice_id)
-            # no message reaches its blocks again: their hooks leave for good
-            self._due = {key: entry for key, entry in self._due.items()
-                         if entry[0] is not instance}
+            # no message reaches its blocks again: their hooks leave for
+            # good, and its plane steps on to lose what is in flight
+            self._hooked = [entry for entry in self._hooked
+                            if entry[0] is not instance]
             return
         if action == "inject-latency":
             self._inject_latency(*event.args)
@@ -638,8 +637,6 @@ class Environment:
                       ingress=info.ingress)
         instance.dplane.add_flow(run)
         device.flows[(instance.slice_id, flow)] = run
-        plane = self._route[f"{instance.slice_id}:probe"]
-        self._due.setdefault(plane[7], plane)
         corr = device.next_correlation("session")
         self.emit(device.uplink(
             ProcedureKind.SESSION_ESTABLISH, Role.CM, device.bound_slice, corr,
@@ -685,32 +682,28 @@ class Environment:
 
     # -- per-tick machinery ---------------------------------------------------------
 
-    def _run_due(self) -> None:
-        """The due entries' tick hooks, blocks before planes, by slice and
-        role; what is then without work leaves."""
-        due = self._due
-        for key in sorted(due):
-            _, _, state, ctx, _, hook, _, _ = due[key]
-            object.__setattr__(ctx, "tick", self.tick)
-            _, drafts, events = hook(state, ctx)
-            self._absorb(events, ctx.slice_id)
-            self.emit(drafts)
-        self._due = {key: entry for key, entry in due.items()
-                     if entry[6](entry[2])}
+    def _run_hooks(self) -> None:
+        """The tick hooks of the hooked entries whose state has work."""
+        for _, _, state, ctx, hook, has_work in self._hooked:
+            if has_work(state):
+                object.__setattr__(ctx, "tick", self.tick)
+                _, drafts, events = hook(state, ctx)
+                self._absorb(events, ctx.slice_id)
+                self.emit(drafts)
 
     def _pending_work(self) -> bool:
         """Whether the run goes on: a message in flight, a script event to
-        come, a due block, or a due plane with a flow under way."""
+        come, a hooked block with work, or a plane with a flow under way."""
         return any(self.queue) or self.tick < self._last_script_tick or any(
-            entry[1] is not _D_PLANE or entry[2].has_work()
-            for entry in self._due.values())
+            state.has_work() if role is _D_PLANE else has_work(state)
+            for _, role, state, _, _, has_work in self._hooked)
 
     # -- the run itself ---------------------------------------------------------------
 
     def run(self) -> RunResult:
         self.trace_event("run-start", self.scenario.scenario_id,
                          {"seed": self.seed,
-                          "fabrics": {s: i.fabric.model.kind.value
+                          "fabrics": {s: i.fabric.model.value
                                       for s, i in sorted(self.slices.items())}})
         for slice_id in sorted(self.slices):
             self.trace_event("slice-operating", slice_id,
@@ -728,7 +721,7 @@ class Environment:
                 for seq, msg in bucket:
                     self._deliver(seq, msg)
             self._now = []
-            self._run_due()
+            self._run_hooks()
             # The tick ends: sort its records by seq (field 0, unique, so
             # no further field is compared).
             # Messages are numbered at emission but traced at delivery, in
@@ -848,35 +841,22 @@ _NORMALIZERS: dict = {}
 
 
 def run(scenario: Scenario, seed: int,
-        fabric_override: FabricModel | None = None) -> RunResult:
+        fabric_override: FabricModelKind | None = None) -> RunResult:
     """Execute a scenario: returns the trace, metrics and terminal digests."""
     return Environment(scenario, seed, fabric_override).run()
 
 
 #: The four models a comparison run exercises, in report order.
-FABRIC_MODELS = (
-    FabricModel(FabricModelKind.FULL_MESH),
-    FabricModel(FabricModelKind.RELAY),
-    FabricModel(FabricModelKind.DISPATCHER),
-    FabricModel(FabricModelKind.PUB_SUB),
-)
+FABRIC_MODELS = tuple(FabricModelKind)
 
 
-@dataclass
-class FabricComparison:
-    results: dict           # model kind value -> RunResult
-
-    def hop_totals(self) -> dict:
-        return {name: result.metrics.fabric_hops_total
-                for name, result in self.results.items()}
-
-
-def compare_fabrics(scenario: Scenario, seed: int) -> FabricComparison:
+def compare_fabrics(scenario: Scenario, seed: int) -> dict:
     """Run the scenario once per interconnection model and require identical
-    terminal-state digests; hop totals make the models comparable."""
+    terminal-state digests; returns model name -> RunResult, whose hop
+    totals make the models comparable."""
     results = {}
     for model in FABRIC_MODELS:
-        results[model.kind.value] = run(scenario, seed, fabric_override=model)
+        results[model.value] = run(scenario, seed, fabric_override=model)
     baseline_name, baseline = next(iter(results.items()))
     for name, result in results.items():
         if result.digests != baseline.digests:
@@ -885,4 +865,4 @@ def compare_fabrics(scenario: Scenario, seed: int) -> FabricComparison:
             raise EquivalenceViolation(
                 f"terminal digests diverge between {baseline_name} and {name} "
                 f"for {diff}")
-    return FabricComparison(results=results)
+    return results

@@ -38,15 +38,6 @@ class FabricModelKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class FabricModel:
-    kind: FabricModelKind
-
-    @classmethod
-    def parse(cls, text: str) -> "FabricModel":
-        return cls(FabricModelKind(text))
-
-
-@dataclass(frozen=True)
 class DeliveryRecord:
     hop_count: int
     mediators: tuple[str, ...]
@@ -63,7 +54,7 @@ class DeliveryOutcome:
 
 @dataclass
 class Fabric:
-    model: FabricModel
+    model: FabricModelKind
     members: dict                       # Role -> instance id
     mediator: str | None = None         # relay CM, CPD or PS instance id
     subscriptions: dict = field(default_factory=dict)   # topic -> sorted ids
@@ -77,7 +68,7 @@ class Fabric:
         engine sends, and it hands a fabric its own slice's blocks only."""
         destination = msg.destination
         if destination.role is _TOPIC:
-            if self.model.kind is not FabricModelKind.PUB_SUB:
+            if self.model is not FabricModelKind.PUB_SUB:
                 raise ModelMismatchError(
                     "topic-addressed messages need a publish-subscribe fabric")
             return DeliveryOutcome(DeliveryRecord(
@@ -96,7 +87,7 @@ class Fabric:
         return DeliveryRecord(2, (self.mediator,), (dst,))
 
 
-def connect(members: Mapping[Role, str], model: FabricModel,
+def connect(members: Mapping[Role, str], model: FabricModelKind,
             scope: str = "fabric", subscriptions: dict | None = None) -> Fabric:
     """Wire a block set (role -> instance id) under one interconnection
     model, with its topic table (topic -> sorted subscriber ids, or none).
@@ -106,10 +97,10 @@ def connect(members: Mapping[Role, str], model: FabricModel,
     """
     fabric = Fabric(model=model, members=dict(members),
                     subscriptions=subscriptions or {})
-    if model.kind is FabricModelKind.RELAY:
+    if model is FabricModelKind.RELAY:
         fabric.mediator = members[Role.CM]
-    elif model.kind is FabricModelKind.DISPATCHER:
+    elif model is FabricModelKind.DISPATCHER:
         fabric.mediator = block_id(Role.CPD, scope)
-    elif model.kind is FabricModelKind.PUB_SUB:
+    elif model is FabricModelKind.PUB_SUB:
         fabric.mediator = block_id(Role.PS, scope)
     return fabric

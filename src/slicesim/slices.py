@@ -29,7 +29,7 @@ from .blocks.fm import shortest_path
 from .errors import (
     InfraCapacityError, LifecycleOrderError, NoPathError, SchemaError,
 )
-from .fabric import Fabric, FabricModel, connect
+from .fabric import Fabric, FabricModelKind, connect
 from .messages import (
     BB_ROLES, MANDATORY_BB_ROLES, OPTIONAL_BB_ROLES, Role, Verdict, block_id,
 )
@@ -54,7 +54,7 @@ class SliceBlueprint:
     slice_id: str
     slice_type: SliceType
     bb_set: frozenset                 # of Role
-    fabric_model: FabricModel
+    fabric_model: FabricModelKind
     mobility_policy: MobilityPolicy | None = None
     auth_scheme: AuthScheme = AuthScheme.FULL
     path_strategy: PathStrategy = PathStrategy.SHORTEST_PATH
@@ -149,7 +149,7 @@ def load_blueprint(text: str, source: str = "<blueprint>") -> SliceBlueprint:
             slice_id=block.ident,
             slice_type=SliceType(block.require("type")),
             bb_set=frozenset(bb_set),
-            fabric_model=FabricModel.parse(block.get("fabric", "full_mesh")),
+            fabric_model=FabricModelKind(block.get("fabric", "full_mesh")),
             mobility_policy=mobility,
             auth_scheme=AuthScheme(block.get("auth", "full")),
             path_strategy=PathStrategy(block.get("path-strategy", "shortest")),
@@ -277,7 +277,8 @@ def teardown(instance: SliceInstance, attached=()) -> list:
     Returns the detach and slice-torn-down events for the engine to trace
     and apply; applying a detach ends the device's flows, and an active
     flow's device is always attached to the flow's slice.  Block states stay
-    as they are: no message or tick hook reaches the slice's blocks again."""
+    as they are: no message or tick hook reaches the slice's blocks again,
+    and no message reaches its plane, so the rules stay cleared."""
     if instance.lifecycle_state is LifecycleState.TORN_DOWN:
         raise LifecycleOrderError("teardown on an already torn down slice")
     events = [BlockEvent("detach", device, {"slice": instance.slice_id,

@@ -67,9 +67,9 @@ def attach_once(scenario, device: str, method: int, seed: int = 7):
 def implied_link_count(fabric: Fabric) -> int:
     """The links a fabric's interconnection model implies between members."""
     n = len(fabric.members)
-    if fabric.model.kind is FabricModelKind.FULL_MESH:
+    if fabric.model is FabricModelKind.FULL_MESH:
         return n * (n - 1) // 2
-    if fabric.model.kind is FabricModelKind.RELAY:
+    if fabric.model is FabricModelKind.RELAY:
         return n - 1
     return n   # star towards the external dispatcher or broker
 

@@ -310,7 +310,31 @@ class TestEventSemantics:
         assert len(detaches) == 2
 
     @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
-                             ids=lambda m: m.kind.value)
+                             ids=lambda m: m.value)
+    def test_teardown_as_installs_land_leaves_the_plane_empty(self, model):
+        # teardown.scn with its teardown at tick 15, the tick its flow's
+        # three installs land: script events run first, so the installs
+        # reach a torn down plane and are refused as a block's messages are
+        scenario = load("teardown")
+        scenario.script = tuple(
+            ScriptEvent(15, e.action, e.args, e.options)
+            if e.action == "teardown" else e for e in scenario.script)
+        env = Environment(scenario, 7, fabric_override=model)
+        result = env.run()
+        installs = messages(result, ProcedureKind.FLOW_CONFIGURE)
+        assert [(r.tick, r.destination.ident) for r in installs] == [
+            (15, "embb-a:i1"), (15, "embb-a:t1"), (15, "embb-a:a1")]
+        refused = errors(result, "LifecycleOrderError")
+        assert [(r.tick, r.subject, r.detail["detail"]) for r in refused] == \
+            [(15, "embb-a", "message to a torn down slice")] * 3
+        assert not messages(result, ProcedureKind.FLOW_NOTIFY)
+        plane = env.slices["embb-a"].dplane
+        assert plane.rules == {}
+        assert env.slices["embb-a"].lifecycle_state is LifecycleState.TORN_DOWN
+        assert trace_check(result.trace) == []
+
+    @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
+                             ids=lambda m: m.value)
     def test_teardown_leaves_the_block_states_as_it_found_them(
             self, monkeypatch, model):
         # only a block writes its state: the teardown does not, and no
@@ -352,7 +376,7 @@ class TestAttachOrchestration:
         assert all(m.kind is not ProcedureKind.SLICE_REDIRECT for m in msgs)
 
     @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
-                             ids=lambda m: m.kind.value)
+                             ids=lambda m: m.value)
     def test_method1_attach_again_after_a_detach(self, model):
         # the global CM keeps no per-device state, so the detach, which
         # reaches the slice's CM only, leaves it nothing stale
@@ -371,10 +395,15 @@ class TestAttachOrchestration:
         assert env.global_states[Role.CM].device_table == {}
 
 
+def hop_totals(results: dict) -> dict:
+    """Per model name, the fabric hops of a `compare_fabrics` run."""
+    return {name: result.metrics.fabric_hops_total
+            for name, result in results.items()}
+
+
 class TestFabricEquivalence:
     def test_terminal_state_equal_across_models(self):
-        comparison = compare_fabrics(load("attach-two-slices"), 7)
-        hops = comparison.hop_totals()
+        hops = hop_totals(compare_fabrics(load("attach-two-slices"), 7))
         assert hops["full_mesh"] < hops["relay"]
         assert hops["full_mesh"] < hops["dispatcher"]
 
@@ -385,7 +414,7 @@ class TestFabricEquivalence:
 
         def drop(fabric, msg):
             record = send(fabric, msg).record
-            if fabric.model.kind is FabricModelKind.DISPATCHER:
+            if fabric.model is FabricModelKind.DISPATCHER:
                 record = dataclasses.replace(record, recipients=())
             return DeliveryOutcome(record)
 
@@ -396,8 +425,7 @@ class TestFabricEquivalence:
     def test_zero_inter_bb_traffic_keeps_all_hop_totals_zero(self):
         scenario = load("attach-two-slices")
         quiet = dataclasses.replace(scenario, script=())
-        comparison = compare_fabrics(quiet, 7)
-        assert set(comparison.hop_totals().values()) == {0}
+        assert set(hop_totals(compare_fabrics(quiet, 7)).values()) == {0}
 
 
 class TestHandoverContinuity:
@@ -460,49 +488,55 @@ def _hook_blocks(env):
 
 def _skipped(monkeypatch, name):
     """Run a corpus scenario and collect, once per distinct state, every
-    block and every plane the due list left out of a tick's sweep: blocks
+    block and every plane whose tick hook a tick's end did not call: blocks
     as (ident, instance, role, state copy, tick), planes as (plane copy,
-    tick)."""
+    tick).  A hook writes only its own state, so a state whose hook was not
+    called is as the tick's end found it."""
+    called: set = set()     # (slice, role) of the hooks called this tick
+    for role, hook in list(engine._TICK_HOOKS.items()):
+        def calling(state, ctx, hook=hook):
+            called.add((ctx.slice_id, ctx.role))
+            return hook(state, ctx)
+
+        monkeypatch.setitem(engine._TICK_HOOKS, role, calling)
     env = Environment(load(name), 7)
     blocks: dict = {}
     planes: dict = {}
-    original = Environment._run_due
+    original = Environment._run_hooks
 
     def recording(self):
-        due = {(entry[3].slice_id, entry[1]) for entry in self._due.values()}
+        called.clear()
+        original(self)
         for ident, instance, role, state in _hook_blocks(self):
-            if (instance.slice_id, role) not in due:
+            if (instance.slice_id, role) not in called:
                 key = (ident, canonical_json(_normalize(state)))
                 blocks.setdefault(key, (ident, instance, role,
                                         copy.deepcopy(state), self.tick))
         for sid, instance in self.slices.items():
-            if (sid, Role.D_PLANE) not in due:
+            if (sid, Role.D_PLANE) not in called:
                 key = (sid, canonical_json(_normalize(instance.dplane)))
                 planes.setdefault(key, (copy.deepcopy(instance.dplane),
                                         self.tick))
-        original(self)
 
-    monkeypatch.setattr(Environment, "_run_due", recording)
+    monkeypatch.setattr(Environment, "_run_hooks", recording)
     env.run()
     monkeypatch.undo()
     return env, list(blocks.values()), list(planes.values())
 
 
 def _force_everything_due(monkeypatch):
-    """Put every block with a tick hook and every plane on the due list
-    before each tick's sweep: the sweep the due list replaces, which passed
-    over the blocks of torn down slices."""
-    original = Environment._run_due
-
+    """Call the tick hook of every hooked block and plane at each tick's
+    end, whether or not its state has work: the sweep that the has-work
+    test replaces, which passed over the blocks of torn down slices.
+    Whether the run goes on still reads the states' work."""
     def everything(self):
-        for entry in self._route.values():
-            instance, hook = entry[0], entry[5]
-            if hook is not None and (instance is None or instance.lifecycle_state
-                                     is not LifecycleState.TORN_DOWN):
-                self._due.setdefault(entry[7], entry)
-        original(self)
+        for _, _, state, ctx, hook, _ in self._hooked:
+            object.__setattr__(ctx, "tick", self.tick)
+            _, drafts, events = hook(state, ctx)
+            self._absorb(events, ctx.slice_id)
+            self.emit(drafts)
 
-    monkeypatch.setattr(Environment, "_run_due", everything)
+    monkeypatch.setattr(Environment, "_run_hooks", everything)
 
 
 def _flowless_planes():
@@ -516,8 +550,9 @@ def _flowless_planes():
 
 
 class TestSweepSkips:
-    """A tick sweeps only the due list: blocks with work and planes with
-    live flows.  A skipped hook call or plane step would have been a no-op."""
+    """A tick's end calls only the hooks of blocks with work and of planes
+    with live flows.  A skipped hook call or plane step would have been a
+    no-op."""
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_skipped_tick_hooks_are_no_ops(self, monkeypatch, name):
@@ -650,8 +685,7 @@ class TestDueList:
 
     def test_compare_fabrics_digests_stay_equal_on_the_corpus(self):
         for name in CORPUS:
-            comparison = compare_fabrics(load(name), 7)
-            digests = [r.digests for r in comparison.results.values()]
+            digests = [r.digests for r in compare_fabrics(load(name), 7).values()]
             assert all(d == digests[0] for d in digests), name
 
 
@@ -696,13 +730,19 @@ class TestStopRule:
         scenario = _one_flow_scenario(tmp_path, [(10, 2)])
         tick = _first_configure_tick(run(scenario, 7))
         scenario.script += (ScriptEvent(tick, "teardown", ("default-a",), {}),)
-        result = run(scenario, 7)
-        # the acknowledgements reach a torn down slice and are refused; the
-        # apply they answer is over, so the run ends with them
-        assert errors(result, "LifecycleOrderError")
+        env = Environment(scenario, 7)
+        result = env.run()
+        # the installs reach a torn down plane and are refused unapplied, so
+        # nothing acknowledges them and the run ends with them
+        installs = messages(result, ProcedureKind.FLOW_CONFIGURE)
+        assert installs and {r.tick for r in installs} == {tick}
+        assert len(errors(result, "LifecycleOrderError")) == len(installs)
+        assert not messages(result, ProcedureKind.FLOW_NOTIFY,
+                            lambda r: r.payload["phase"] == "config-ack")
+        assert env.slices["default-a"].dplane.rules == {}
         assert not events(result, "max-ticks-reached")
         last_message = max(r.tick for r in messages(result))
-        assert events(result, "run-end")[0].tick == last_message == tick + 1
+        assert events(result, "run-end")[0].tick == last_message == tick
 
     @staticmethod
     def _last_work_tick(result):
@@ -986,7 +1026,7 @@ class TestTickOrder:
     is already in its (tick, seq) order, which nothing later changes."""
 
     @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
-                             ids=lambda m: m.kind.value)
+                             ids=lambda m: m.value)
     def test_finished_ticks_are_final(self, monkeypatch, model):
         # `_pending_work` runs once at the end of each tick that does not
         # stop the run at max-ticks
@@ -1137,7 +1177,7 @@ class TestDeviceAndPlaneEntries:
     block shape, which no fabric carries."""
 
     @pytest.mark.parametrize("model", engine.FABRIC_MODELS,
-                             ids=lambda m: m.kind.value)
+                             ids=lambda m: m.value)
     def test_device_and_plane_records_cross_no_fabric(self, model):
         seen = set()
         for name in CORPUS:
@@ -1196,7 +1236,7 @@ class TestNoSubscriber:
         return dataclasses.replace(scenario, blueprints=(bp,))
 
     @pytest.mark.parametrize("model", engine.FABRIC_MODELS[:3],
-                             ids=lambda m: m.kind.value)
+                             ids=lambda m: m.value)
     def test_expanded_publish_with_no_subscriber(self, model):
         result = run(self.unsubscribed(), 7, fabric_override=model)
         assert [(e.tick, e.subject, e.detail)

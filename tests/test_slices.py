@@ -11,7 +11,7 @@ from slicesim.errors import (
     InfraCapacityError, LifecycleOrderError, ScenarioError, SchemaError,
 )
 from slicesim.engine import load_scenario
-from slicesim.fabric import FabricModel, FabricModelKind
+from slicesim.fabric import FabricModelKind
 from slicesim.messages import Role
 from slicesim.netsim import load_topology, load_topology_file
 from slicesim.slices import (
@@ -28,7 +28,7 @@ def make_blueprint(roles=(Role.AF, Role.CM, Role.SAM, Role.FM),
     kwargs = dict(
         slice_id="test-slice", slice_type=SliceType.EMBB,
         bb_set=frozenset(roles),
-        fabric_model=FabricModel(FabricModelKind.FULL_MESH),
+        fabric_model=FabricModelKind.FULL_MESH,
         mobility_policy=mobility, anchors=anchors)
     kwargs.update(overrides)
     return SliceBlueprint(**kwargs)
@@ -223,7 +223,7 @@ class TestLifecycle:
                             subscriptions=((Role.MM, "t"), (Role.FM, "t"),
                                            (Role.CM, "t"), (Role.CM, "t"),
                                            (Role.MM, "u")),
-                            fabric_model=FabricModel(kind))
+                            fabric_model=kind)
         instance = instantiate(bp, SimInfrastructure(8), topology)
         assert instance.fabric.subscriptions == {
             "t": tuple(sorted((instance.peers[Role.CM], instance.peers[Role.FM])))}

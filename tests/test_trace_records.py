@@ -119,7 +119,7 @@ class TestImmutableRecords:
 
 class TestLineFormat:
     @pytest.mark.parametrize("model", [None, *FABRIC_MODELS],
-                             ids=lambda m: m.kind.value if m else "own")
+                             ids=lambda m: m.value if m else "own")
     @pytest.mark.parametrize("name", CORPUS)
     def test_render_equals_the_per_record_oracle(self, name, model):
         trace = corpus_trace(name, model)
