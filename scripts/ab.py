@@ -16,6 +16,13 @@ minimum and maximum `peak_rss_mb`; then how many pairs B's `pipeline_s`
 won, the median of the paired B/A ratios, the gap of the medians against
 A's IQR, and in how many pairs B's `peak_rss_mb` read higher.  The range
 tells a shift of every run from a peak that only some runs reach.
+
+Every pipeline runs with PYTHONDONTWRITEBYTECODE=1, and this script
+writes no bytecode either, so a run leaves both trees' bytecode as it
+found it.  Bytecode already there is still read, and whether a tree holds
+it moves `peak_rss_mb` by itself (about 0.8 MB), so the header says
+whether either tree holds a `__pycache__` directory.
+
 Every pipeline's output sha256 must equal the first one's; exits 1
 otherwise, or when a pipeline reports a problem.  Not part of the test
 suite: twelve attach-storm pairs take about a minute.
@@ -32,6 +39,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.dont_write_bytecode = True     # importing tree A's slicesim below
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -44,7 +53,8 @@ def pipeline(src: Path, input_path: Path, seed: int, out: Path) -> dict:
     """One untraced pipeline over tree `src`, its figures scaled."""
     cmd = [sys.executable, str(PERFBENCH / "pipeline.py"), "--input",
            str(input_path), "--seed", str(seed), "--out", str(out)]
-    proc = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=str(src)),
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, env=env,
                           cwd=ROOT, capture_output=True, text=True,
                           timeout=PIPELINE_TIMEOUT_S)
     if proc.returncode != 0:
@@ -78,6 +88,9 @@ def main() -> int:
         if not (src / "slicesim" / "__init__.py").is_file():
             parser.error(f"tree {side}: no slicesim package under {src}")
 
+    bytecode = {side: any(src.rglob("__pycache__"))
+                for side, src in trees.items()}
+
     runs: dict = {"A": [], "B": []}
     problems: list = []
     sys.path.insert(0, str(trees["A"]))
@@ -98,7 +111,8 @@ def main() -> int:
     for side, src in trees.items():
         side_runs = runs[side]
         rss = [r["peak_rss_mb"] for r in side_runs]
-        print(f"  {side} {src}\n"
+        held = "holds" if bytecode[side] else "holds no"
+        print(f"  {side} {src}  ({held} __pycache__)\n"
               f"    pipeline_s {spread([r['pipeline_s'] for r in side_runs])}"
               f"  setup_s {spread([v for r in side_runs for v in r['setup_s']])}"
               f"  peak_rss_mb {statistics.median(rss):.2f} "

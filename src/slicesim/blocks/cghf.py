@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
-from .common import BlockContext, BlockEvent
+from .common import BlockContext, BlockEvent, by_kind
 
 DEFAULT_WINDOW = 16
 DEFAULT_FACTOR = 1.5
@@ -122,15 +122,18 @@ def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
     return state, drafts, events
 
 
-def handle(state: CGHFState, msg, ctx: BlockContext):
+def _publish(state: CGHFState, msg, ctx: BlockContext, drafts: list,
+             events: list) -> None:
     """Ingest a published sample; the block emits only from its tick hook."""
-    if msg.kind is ProcedureKind.CONTEXT_PUBLISH:
-        payload = msg.payload
-        cghf_ingest(
-            state, metric=payload.get("metric", ""),
-            subject=payload.get("subject", ""),
-            value=float(payload.get("value", 0.0)), tick=ctx.tick)
-    return state, (), ()
+    payload = msg.payload
+    cghf_ingest(state, payload.get("metric", ""), payload.get("subject", ""),
+                float(payload.get("value", 0.0)), ctx.tick)
+
+
+#: Per kind, the handler of a message the CGHF takes.
+BY_KIND = {ProcedureKind.CONTEXT_PUBLISH: _publish}
+
+handle = by_kind(BY_KIND)
 
 
 def tick_hook(state: CGHFState, ctx: BlockContext):

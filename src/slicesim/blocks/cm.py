@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import IllegalTransitionError, NoDPlaneFunctionError, NoEligibleSliceError
-from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
-from .common import BlockContext, BlockEvent, error_event, refusal
+from ..messages import Endpoint, ProcedureKind, Role, draft
+from .common import BlockContext, BlockEvent, by_kind, error_event, refusal
 
 
 class CMRole(str, Enum):
@@ -167,88 +167,79 @@ def cm_attach(state: CMState, pending: PendingAttach, auth_ok: bool,
                        for a in pending.accesses or (pending.tech,)]}))
 
 
-def handle(state: CMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
-    kind = msg.kind
+def _attach_request(state: CMState, msg, ctx: BlockContext, drafts: list,
+                    events: list) -> None:
     payload = msg.payload
     corr = msg.correlation_id
-
-    if kind is ProcedureKind.ATTACH_REQUEST:
-        device = payload["device"]
-        pending = PendingAttach(
-            device=device, alias=payload.get("alias", ""),
-            accesses=tuple(payload.get("accesses") or ()),
-            node=payload.get("node", ""), tech=payload.get("tech", ""),
-            reattach=bool(payload.get("reattach")))
-        # the global part authenticates and hands the device off: it keeps
-        # no per-device connectivity state
-        if state.role is CMRole.SLICE_LOCAL:
-            _transition(state, device, ConvergentState.AUTHENTICATING,
-                        events, ctx.slice_id)
-        if pending.reattach:
-            # Redirected re-attachment: the carried context token stands in
-            # for a fresh credential exchange.
-            if not payload.get("token"):
-                _transition(state, device, ConvergentState.DETACHED, events, ctx.slice_id)
-                events.append(BlockEvent("attach-denied", device,
-                                         {"reason": "missing-context-token"}))
-            else:
-                _continue_local_attach(state, pending, ctx, corr, drafts, events)
-        else:
-            state.pending_attach[corr] = pending
-            drafts.append(draft(
-                ProcedureKind.AUTH_CHALLENGE, ctx.self_endpoint,
-                ctx.peer_endpoint(Role.SAM), corr,
-                {"device": device, "alias": pending.alias,
-                 "proof": payload.get("proof", "")}))
-
-    elif kind is ProcedureKind.AUTH_RESPONSE:
-        pending = state.pending_attach.pop(corr, None)
-        if pending is None:
-            events.append(error_event(payload.get("device", "?"),
-                                      "StrayAuthResponse"))
-            return state, drafts, events
-        if not payload.get("ok"):
-            cm_attach(state, pending, False, ctx, corr, drafts, events)
-        elif state.role is CMRole.GLOBAL:
-            try:
-                target = cm_select_slice_global(state, pending.device)
-            except NoEligibleSliceError as exc:
-                events.append(refusal(pending.device, exc))
-            else:
-                events.append(BlockEvent("slice-selected", pending.device,
-                                         {"slice": target, "method": 1}))
-                local_cm = ctx.slice_directory[target]
-                drafts.append(draft(
-                    ProcedureKind.SLICE_SELECT, ctx.self_endpoint,
-                    Endpoint(Role.CM, local_cm), corr,
-                    {"device": pending.device,
-                     "accesses": list(pending.accesses), "node": pending.node,
-                     "tech": pending.tech}))
+    device = payload["device"]
+    pending = PendingAttach(
+        device=device, alias=payload.get("alias", ""),
+        accesses=tuple(payload.get("accesses") or ()),
+        node=payload.get("node", ""), tech=payload.get("tech", ""),
+        reattach=bool(payload.get("reattach")))
+    # the global part authenticates and hands the device off: it keeps
+    # no per-device connectivity state
+    if state.role is CMRole.SLICE_LOCAL:
+        _transition(state, device, ConvergentState.AUTHENTICATING,
+                    events, ctx.slice_id)
+    if pending.reattach:
+        # Redirected re-attachment: the carried context token stands in
+        # for a fresh credential exchange.
+        if not payload.get("token"):
+            _transition(state, device, ConvergentState.DETACHED, events, ctx.slice_id)
+            events.append(BlockEvent("attach-denied", device,
+                                     {"reason": "missing-context-token"}))
         else:
             _continue_local_attach(state, pending, ctx, corr, drafts, events)
+    else:
+        state.pending_attach[corr] = pending
+        drafts.append(draft(
+            ProcedureKind.AUTH_CHALLENGE, ctx.self_endpoint,
+            ctx.peer_endpoint(Role.SAM), corr,
+            {"device": device, "alias": pending.alias,
+             "proof": payload.get("proof", "")}))
 
-    elif kind is ProcedureKind.SLICE_SELECT:
-        # Hand-off from the global part: the device arrives pre-authenticated.
-        pending = PendingAttach(
-            device=payload["device"], alias="",
-            accesses=tuple(payload.get("accesses") or ()),
-            node=payload.get("node", ""), tech=payload.get("tech", ""))
-        _transition(state, pending.device, ConvergentState.AUTHENTICATING,
-                    events, ctx.slice_id)
-        _attach_here(state, pending, ctx, corr, drafts, events)
 
-    elif kind is ProcedureKind.SESSION_ESTABLISH:
-        _handle_session_establish(state, msg, ctx, drafts, events)
+def _auth_response(state: CMState, msg, ctx: BlockContext, drafts: list,
+                   events: list) -> None:
+    payload = msg.payload
+    corr = msg.correlation_id
+    pending = state.pending_attach.pop(corr, None)
+    if pending is None:
+        events.append(error_event(payload.get("device", "?"),
+                                  "StrayAuthResponse"))
+    elif not payload.get("ok"):
+        cm_attach(state, pending, False, ctx, corr, drafts, events)
+    elif state.role is CMRole.GLOBAL:
+        try:
+            target = cm_select_slice_global(state, pending.device)
+        except NoEligibleSliceError as exc:
+            events.append(refusal(pending.device, exc))
+        else:
+            events.append(BlockEvent("slice-selected", pending.device,
+                                     {"slice": target, "method": 1}))
+            local_cm = ctx.slice_directory[target]
+            drafts.append(draft(
+                ProcedureKind.SLICE_SELECT, ctx.self_endpoint,
+                Endpoint(Role.CM, local_cm), corr,
+                {"device": pending.device,
+                 "accesses": list(pending.accesses), "node": pending.node,
+                 "tech": pending.tech}))
+    else:
+        _continue_local_attach(state, pending, ctx, corr, drafts, events)
 
-    elif kind is ProcedureKind.SESSION_RELEASE:
-        _handle_session_release(state, msg, ctx, drafts, events)
 
-    elif kind is ProcedureKind.CONTEXT_NOTIFY:
-        _handle_context_notify(state, msg, ctx, drafts, events)
-
-    return state, drafts, events
+def _slice_select(state: CMState, msg, ctx: BlockContext, drafts: list,
+                  events: list) -> None:
+    """Hand-off from the global part: the device arrives pre-authenticated."""
+    payload = msg.payload
+    pending = PendingAttach(
+        device=payload["device"], alias="",
+        accesses=tuple(payload.get("accesses") or ()),
+        node=payload.get("node", ""), tech=payload.get("tech", ""))
+    _transition(state, pending.device, ConvergentState.AUTHENTICATING,
+                events, ctx.slice_id)
+    _attach_here(state, pending, ctx, msg.correlation_id, drafts, events)
 
 
 def _continue_local_attach(state: CMState, pending: PendingAttach,
@@ -404,3 +395,16 @@ def _handle_context_notify(state: CMState, msg, ctx: BlockContext,
         ctx.peer_endpoint(Role.FM), corr,
         {"session": record.session_id, "phase": "reanchor", "flow": flow,
          "anchor": new_anchor}))
+
+
+#: Per kind, the handler of a message the CM takes.
+BY_KIND = {
+    ProcedureKind.ATTACH_REQUEST: _attach_request,
+    ProcedureKind.AUTH_RESPONSE: _auth_response,
+    ProcedureKind.SLICE_SELECT: _slice_select,
+    ProcedureKind.SESSION_ESTABLISH: _handle_session_establish,
+    ProcedureKind.SESSION_RELEASE: _handle_session_release,
+    ProcedureKind.CONTEXT_NOTIFY: _handle_context_notify,
+}
+
+handle = by_kind(BY_KIND)

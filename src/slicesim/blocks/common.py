@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..messages import Endpoint, Role
 
@@ -82,6 +82,25 @@ def error_event(subject: str, error: str, **detail) -> BlockEvent:
 def refusal(subject: str, exc: Exception) -> BlockEvent:
     """The traced error of a request a handler refused on a domain error."""
     return error_event(subject, type(exc).__name__, detail=str(exc))
+
+
+def _ignore(state, msg, ctx, drafts: list, events: list) -> None:
+    """The handler of a kind a table lacks."""
+
+
+def by_kind(table: Mapping) -> Callable:
+    """A `handle(state, msg, ctx)` that calls `table[msg.kind](state, msg,
+    ctx, drafts, events)` with fresh lists and returns `(state, drafts,
+    events)`; a kind the table lacks is ignored."""
+    get = table.get
+
+    def handle(state, msg, ctx):
+        drafts: list = []
+        events: list = []
+        get(msg.kind, _ignore)(state, msg, ctx, drafts, events)
+        return state, drafts, events
+
+    return handle
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from functools import cached_property
 from ..errors import CapacityError, NoPathError
 from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
 from .common import (
-    DEFAULT_STRETCH, BlockContext, BlockEvent, PathStrategy, error_event, refusal,
+    DEFAULT_STRETCH, BlockContext, BlockEvent, PathStrategy, by_kind,
+    error_event, refusal,
 )
 
 
@@ -284,36 +285,20 @@ def fm_release_path(state: FMState, flow: str, tick: int,
 
 # -- message handling --------------------------------------------------------------
 
-def handle(state: FMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+def _establish(state: FMState, msg, ctx: BlockContext, drafts: list,
+               events: list) -> None:
     payload = msg.payload
-    corr = msg.correlation_id
-    kind = msg.kind
-
-    if kind is ProcedureKind.SESSION_ESTABLISH:
-        phase = payload.get("phase", "flow")
-        if phase == "register":
-            session = payload["session"]
-            state.sessions[session] = SessionBinding(anchor=payload["anchor"])
-            drafts.append(draft(
-                ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, msg.source,
-                corr, {"session": session, "phase": "register-ok"}))
-        elif phase == "flow":
-            _start_flow(state, msg, ctx, drafts, events)
-        elif phase == "reanchor":
-            _start_reanchor(state, msg, ctx, drafts, events)
-
-    elif kind is ProcedureKind.HANDOVER_PREPARE and payload.get("phase") == "new-path":
-        _start_handover_paths(state, msg, ctx, drafts, events)
-
-    elif kind is ProcedureKind.SESSION_RELEASE:
-        _handle_release(state, msg, ctx, events)
-
-    elif kind is ProcedureKind.FLOW_NOTIFY:
-        _handle_notify(state, msg, ctx, drafts, events)
-
-    return state, drafts, events
+    phase = payload.get("phase", "flow")
+    if phase == "register":
+        session = payload["session"]
+        state.sessions[session] = SessionBinding(anchor=payload["anchor"])
+        drafts.append(draft(
+            ProcedureKind.SESSION_ESTABLISH, ctx.self_endpoint, msg.source,
+            msg.correlation_id, {"session": session, "phase": "register-ok"}))
+    elif phase == "flow":
+        _start_flow(state, msg, ctx, drafts, events)
+    elif phase == "reanchor":
+        _start_reanchor(state, msg, ctx, drafts, events)
 
 
 def _start_flow(state: FMState, msg, ctx: BlockContext, drafts: list,
@@ -368,6 +353,8 @@ def _start_reanchor(state: FMState, msg, ctx: BlockContext, drafts: list,
 def _start_handover_paths(state: FMState, msg, ctx: BlockContext,
                           drafts: list, events: list) -> None:
     payload = msg.payload
+    if payload.get("phase") != "new-path":
+        return
     session = payload["session"]
     binding = state.sessions.get(session)
     if binding is None:
@@ -398,7 +385,7 @@ def _start_handover_paths(state: FMState, msg, ctx: BlockContext,
         remaining=applied, reply_to=msg.source)
 
 
-def _handle_release(state: FMState, msg, ctx: BlockContext,
+def _handle_release(state: FMState, msg, ctx: BlockContext, drafts: list,
                     events: list) -> None:
     payload = msg.payload
     session = payload.get("session", "")
@@ -429,6 +416,10 @@ def _handle_release(state: FMState, msg, ctx: BlockContext,
                                          {"session": session}))
 
 
+#: What a latency report reads per value, read once: member reads are slow.
+_CGHF, _CONTEXT_PUBLISH = Role.CGHF, ProcedureKind.CONTEXT_PUBLISH
+
+
 def _handle_notify(state: FMState, msg, ctx: BlockContext, drafts: list,
                    events: list) -> None:
     payload = msg.payload
@@ -450,20 +441,21 @@ def _handle_notify(state: FMState, msg, ctx: BlockContext, drafts: list,
             del state.pending[key]
             drafts.extend(_commit(state, job, ctx))
     elif phase == "load":
-        link = payload.get("link", "")
-        if "~" in link:
-            a, b = link.split("~", 1)
-            if link_key(a, b) in state.view.links:
-                state.view.link(a, b).observed = float(payload.get("load", 0.0))
+        name = payload.get("link", "")
+        if "~" in name:
+            a, b = name.split("~", 1)
+            link = state.view.links.get(link_key(a, b))
+            if link is not None:
+                link.observed = float(payload.get("load", 0.0))
     elif phase == "latency":
-        if ctx.has(Role.CGHF):
+        if ctx.has(_CGHF):
             flow = payload.get("flow", "")
-            for value in payload.get("values", []):
-                drafts.append(draft(
-                    ProcedureKind.CONTEXT_PUBLISH, ctx.self_endpoint,
-                    ctx.peer_endpoint(Role.CGHF), msg.correlation_id,
-                    {"metric": "flow-latency", "subject": flow,
-                     "value": value}))
+            source, cghf = ctx.self_endpoint, ctx.peer_endpoint(_CGHF)
+            corr = msg.correlation_id
+            drafts.extend([draft(_CONTEXT_PUBLISH, source, cghf, corr,
+                                 {"metric": "flow-latency", "subject": flow,
+                                  "value": value})
+                           for value in payload.get("values", [])])
 
 
 def _commit(state: FMState, job: PendingApply, ctx: BlockContext) -> list:
@@ -539,3 +531,14 @@ def tick_hook(state: FMState, ctx: BlockContext):
                 _dplane(ctx, node), f"{entry.flow}:retire",
                 {"flow": entry.flow, "action": "remove", "next": nxt}))
     return state, drafts, ()
+
+
+#: Per kind, the handler of a message the FM takes.
+BY_KIND = {
+    ProcedureKind.SESSION_ESTABLISH: _establish,
+    ProcedureKind.HANDOVER_PREPARE: _start_handover_paths,
+    ProcedureKind.SESSION_RELEASE: _handle_release,
+    ProcedureKind.FLOW_NOTIFY: _handle_notify,
+}
+
+handle = by_kind(BY_KIND)

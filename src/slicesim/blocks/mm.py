@@ -15,7 +15,8 @@ from enum import Enum
 from ..errors import BlueprintError, NoSessionError, NotIdleError, PolicyForbidsError
 from ..messages import ProcedureKind, Role, SignalMessage, draft
 from .common import (
-    BlockContext, BlockEvent, HandoverStyle, MobilityPolicy, refusal,
+    BlockContext, BlockEvent, HandoverStyle, MobilityPolicy, by_kind,
+    refusal,
 )
 
 
@@ -97,31 +98,29 @@ def mm_page(state: MMState, device: str, ctx: BlockContext, corr: str):
             for node in ctx.nodes_in_area(area)]
 
 
-def handle(state: MMState, msg, ctx: BlockContext):
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
+def _prepare(state: MMState, msg, ctx: BlockContext, drafts: list,
+             events: list) -> None:
+    """A device's handover request starts a plan; the FM's new path moves
+    the plan on."""
     payload = msg.payload
     device = payload.get("device", "")
     corr = msg.correlation_id
-    kind = msg.kind
-
-    if kind is ProcedureKind.HANDOVER_PREPARE and msg.source.role in (Role.UE, Role.AF):
+    if msg.source.role in (Role.UE, Role.AF):
         policy = ctx.policy.mobility
         if policy is None:
             raise BlueprintError("MM instantiated without a mobility policy")
         target = payload["node"]
         try:
-            drafts = mm_handover(state, device, target, policy, ctx, corr)
+            drafts.extend(mm_handover(state, device, target, policy, ctx, corr))
             events.append(BlockEvent("handover-start", device,
                                      {"style": policy.style.value,
                                       "target": target}))
         except (NoSessionError, PolicyForbidsError) as exc:
             events.append(refusal(device, exc))
-
-    elif kind is ProcedureKind.HANDOVER_PREPARE and msg.source.role is Role.FM:
+    elif msg.source.role is Role.FM:
         plan = state.handovers.get(corr)
         if plan is None or payload.get("phase") != "new-path-ok":
-            return state, drafts, events
+            return
         if plan.style is HandoverStyle.MAKE_BEFORE_BREAK:
             drafts.append(_execute_draft(plan, ctx, corr))
         else:
@@ -129,49 +128,60 @@ def handle(state: MMState, msg, ctx: BlockContext):
             drafts.append(_release_draft(plan, ctx, corr))
             _complete_handover(state, plan, events, corr)
 
-    elif kind is ProcedureKind.HANDOVER_EXECUTE and payload.get("phase") == "confirm":
-        plan = state.handovers.get(corr)
-        if plan is None:
-            return state, drafts, events
-        state.tracking_areas[plan.device] = ctx.access_nodes[plan.node].area
-        if plan.device not in ctx.mediated:
-            drafts.append(draft(
-                ProcedureKind.PATH_RECORD_UPDATE, ctx.self_endpoint,
-                ctx.peer_endpoint(Role.AF), corr,
-                {"device": plan.device, "node": plan.node}))
-        if plan.style is HandoverStyle.MAKE_BEFORE_BREAK:
-            drafts.append(_release_draft(plan, ctx, corr))
-            _complete_handover(state, plan, events, corr)
-        else:
-            drafts.append(_new_path_draft(plan, ctx, corr))
 
-    elif kind is ProcedureKind.PAGE:
-        try:
-            drafts = mm_page(state, device, ctx, corr)
-            events.append(BlockEvent("page-start", device,
-                                     {"candidates": len(drafts)}))
-        except NotIdleError as exc:
-            events.append(refusal(device, exc))
+def _execute(state: MMState, msg, ctx: BlockContext, drafts: list,
+             events: list) -> None:
+    """The confirm of a plan's radio switch, from the plan's device."""
+    payload = msg.payload
+    corr = msg.correlation_id
+    plan = state.handovers.get(corr)
+    if payload.get("phase") != "confirm" or plan is None or \
+            plan.device != payload.get("device"):
+        return
+    state.tracking_areas[plan.device] = ctx.access_nodes[plan.node].area
+    if plan.device not in ctx.mediated:
+        drafts.append(draft(
+            ProcedureKind.PATH_RECORD_UPDATE, ctx.self_endpoint,
+            ctx.peer_endpoint(Role.AF), corr,
+            {"device": plan.device, "node": plan.node}))
+    if plan.style is HandoverStyle.MAKE_BEFORE_BREAK:
+        drafts.append(_release_draft(plan, ctx, corr))
+        _complete_handover(state, plan, events, corr)
+    else:
+        drafts.append(_new_path_draft(plan, ctx, corr))
 
-    elif kind is ProcedureKind.LOCATION_UPDATE:
-        phase = payload.get("phase", "")
-        if phase == "register":
-            state.tracking_areas[device] = payload.get("area", "")
-            state.sessions[device] = payload.get("session", "")
+
+def _page(state: MMState, msg, ctx: BlockContext, drafts: list,
+          events: list) -> None:
+    device = msg.payload.get("device", "")
+    try:
+        drafts.extend(mm_page(state, device, ctx, msg.correlation_id))
+        events.append(BlockEvent("page-start", device,
+                                 {"candidates": len(drafts)}))
+    except NotIdleError as exc:
+        events.append(refusal(device, exc))
+
+
+def _location_update(state: MMState, msg, ctx: BlockContext, drafts: list,
+                     events: list) -> None:
+    payload = msg.payload
+    device = payload.get("device", "")
+    phase = payload.get("phase", "")
+    if phase == "register":
+        state.tracking_areas[device] = payload.get("area", "")
+        state.sessions[device] = payload.get("session", "")
+        state.paging_state[device] = PagingState.REACHABLE
+    elif phase == "idle":
+        state.paging_state[device] = PagingState.IDLE
+    elif phase == "page-response":
+        if state.pages.pop(device, None) is not None:
             state.paging_state[device] = PagingState.REACHABLE
-        elif phase == "idle":
-            state.paging_state[device] = PagingState.IDLE
-        elif phase == "page-response":
-            if state.pages.pop(device, None) is not None:
-                state.paging_state[device] = PagingState.REACHABLE
-                events.append(BlockEvent("page-complete", device,
-                                         {"node": payload.get("node", "")}))
-        elif phase == "detached":
-            for table in (state.tracking_areas, state.paging_state,
-                          state.sessions):
-                table.pop(device, None)
-
-    return state, drafts, events
+            events.append(BlockEvent("page-complete", device,
+                                     {"node": payload.get("node", "")}))
+    elif phase == "detached":
+        for table in (state.tracking_areas, state.paging_state,
+                      state.sessions):
+            table.pop(device, None)
 
 
 def _complete_handover(state: MMState, plan: HandoverPlan, events: list,
@@ -193,3 +203,14 @@ def tick_hook(state: MMState, ctx: BlockContext):
             state.paging_state[device] = PagingState.IDLE
             events.append(BlockEvent("page-timeout", device, {"after": after}))
     return state, (), events
+
+
+#: Per kind, the handler of a message the MM takes.
+BY_KIND = {
+    ProcedureKind.HANDOVER_PREPARE: _prepare,
+    ProcedureKind.HANDOVER_EXECUTE: _execute,
+    ProcedureKind.PAGE: _page,
+    ProcedureKind.LOCATION_UPDATE: _location_update,
+}
+
+handle = by_kind(BY_KIND)

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..messages import (
-    ProcedureKind, SignalMessage, draft, mint_context_token,
+    ProcedureKind, draft, mint_context_token,
     mint_key_material, mint_pseudonym,
 )
-from .common import AuthScheme, BlockContext, BlockEvent
+from .common import AuthScheme, BlockContext, BlockEvent, by_kind
 
 
 @dataclass(frozen=True)
@@ -100,23 +100,27 @@ def sam_authenticate(state: SAMState, device: str, alias: str, proof: str,
                        token=context.token)
 
 
-def handle(state: SAMState, msg, ctx: BlockContext):
-    """AuthChallenge in, AuthResponse out; everything else is internal."""
-    drafts: list[SignalMessage] = []
-    events: list[BlockEvent] = []
-    if msg.kind is ProcedureKind.AUTH_CHALLENGE:
-        device = msg.payload["device"]
-        scheme = ctx.policy.auth_scheme
-        verdict = sam_authenticate(
-            state, device=device, alias=msg.payload.get("alias", ""),
-            proof=msg.payload.get("proof", ""), scheme=scheme,
-            seed=ctx.seed, tick=ctx.tick)
-        events.append(BlockEvent("auth", device,
-                                 {"ok": verdict.ok, "scheme": scheme.value,
-                                  "reason": verdict.reason}))
-        payload = {"device": device, "ok": verdict.ok}
-        if verdict.ok:
-            payload.update(pseudonym=verdict.pseudonym, token=verdict.token)
-        drafts.append(draft(ProcedureKind.AUTH_RESPONSE, ctx.self_endpoint,
-                            msg.source, msg.correlation_id, payload))
-    return state, drafts, events
+def _challenge(state: SAMState, msg, ctx: BlockContext, drafts: list,
+               events: list) -> None:
+    """AuthChallenge in, AuthResponse out."""
+    device = msg.payload["device"]
+    scheme = ctx.policy.auth_scheme
+    verdict = sam_authenticate(
+        state, device=device, alias=msg.payload.get("alias", ""),
+        proof=msg.payload.get("proof", ""), scheme=scheme,
+        seed=ctx.seed, tick=ctx.tick)
+    events.append(BlockEvent("auth", device,
+                             {"ok": verdict.ok, "scheme": scheme.value,
+                              "reason": verdict.reason}))
+    payload = {"device": device, "ok": verdict.ok}
+    if verdict.ok:
+        payload.update(pseudonym=verdict.pseudonym, token=verdict.token)
+    drafts.append(draft(ProcedureKind.AUTH_RESPONSE, ctx.self_endpoint,
+                        msg.source, msg.correlation_id, payload))
+
+
+#: Per kind, the handler of a message the SAM takes; everything else is
+#: internal.
+BY_KIND = {ProcedureKind.AUTH_CHALLENGE: _challenge}
+
+handle = by_kind(BY_KIND)

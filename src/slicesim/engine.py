@@ -15,7 +15,7 @@ import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from operator import attrgetter, itemgetter, methodcaller
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from . import netsim
@@ -77,7 +77,9 @@ _TICK_HOOKS = {
 }
 
 #: Per tick-hook role, whether a state holds work for its hook: a page out,
-#: rules to retire, a key sampled since the last generation, a live flow.
+#: rules to retire, a key sampled since the last generation, a live flow
+#: (the step that ends the last one reports its links at zero load).  Each
+#: getter is C-level and returns a container, truthy when it holds work.
 #: A tick's end calls the hook of each state that holds work then; a hook
 #: called without work would be a no-op.  An FM awaiting acknowledgements
 #: needs no hook: each install it awaits is answered through the queue.
@@ -85,7 +87,7 @@ _HAS_WORK = {
     Role.MM: attrgetter("pages"),
     Role.FM: attrgetter("retiring"),
     Role.CGHF: attrgetter("_fresh"),
-    Role.D_PLANE: methodcaller("due"),
+    Role.D_PLANE: attrgetter("_live"),
 }
 
 DEFAULT_MAX_TICKS = 400
@@ -95,8 +97,10 @@ DEFAULT_MAX_TICKS = 400
 #: between the trace and delivery fields.
 _tuple_new = tuple.__new__
 
-#: Roles the engine tests for, read once: member reads are slow.
+#: Members the engine tests for, read once: member reads are slow.
 _TOPIC, _D_PLANE = Role.TOPIC, Role.D_PLANE
+_TORN_DOWN = slices_mod.LifecycleState.TORN_DOWN
+_AUTH_RESPONSE = ProcedureKind.AUTH_RESPONSE
 
 
 @dataclass(frozen=True)
@@ -432,24 +436,21 @@ class Environment:
     # -- delivery ------------------------------------------------------------
 
     def _deliver(self, seq: int, msg: SignalMessage) -> None:
+        """Deliver a message to its destination's handler.  The fabric of
+        the source's slice carries a topic publish and a unicast between
+        two blocks of one slice: a unicast to its destination or to nobody,
+        a publish to each subscriber."""
+        route = self._route
         if msg.destination.role is _TOPIC:
-            self._deliver_fabric(seq, msg, self._route[msg.source.ident][0])
-            return
-        # the fabric carries only block-to-block messages within one slice
-        entry = self._route[msg.destination.ident]
-        instance = entry[0]
-        if instance is not None and \
-                self._route.get(msg.source.ident, (None,))[0] is instance:
-            self._deliver_fabric(seq, msg, instance, entry)
+            instance, entry = route[msg.source.ident][0], None
         else:
-            self._invoke_block(entry, self._trace_msg(seq, msg))
-
-    def _deliver_fabric(self, seq: int, msg: SignalMessage, instance,
-                        entry: tuple | None = None) -> None:
-        """Carry a message over the fabric of `instance`, its source's
-        slice.  A unicast passes its destination's routing `entry`: a
-        fabric delivers a unicast to its destination or to nobody."""
-        if instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
+            entry = route[msg.destination.ident]
+            instance = entry[0]
+            if instance is None or \
+                    route.get(msg.source.ident, (None,))[0] is not instance:
+                self._invoke_block(entry, self._trace_msg(seq, msg))
+                return
+        if instance.lifecycle_state is _TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
                              {"detail": "message to a torn down slice"})
             return
@@ -463,7 +464,7 @@ class Environment:
             self._invoke_block(entry, rec)
         else:
             for ident in recipients:
-                self._invoke_block(self._route[ident], rec)
+                self._invoke_block(route[ident], rec)
 
     def _trace_msg(self, seq: int, msg: SignalMessage, hop_count: int = 1,
                    mediators: tuple = (), recipients: tuple = ()
@@ -479,8 +480,7 @@ class Environment:
         """Hand a delivered message to the handler of a routing entry,
         unless the entry's slice is torn down."""
         _, _, state, ctx, handle, instance = entry
-        if instance is not None and \
-                instance.lifecycle_state is slices_mod.LifecycleState.TORN_DOWN:
+        if instance is not None and instance.lifecycle_state is _TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
                              {"detail": "message to a torn down slice"})
             return
@@ -492,7 +492,7 @@ class Environment:
             return
         if events:
             self._absorb(events, ctx.slice_id)
-        if msg.kind is ProcedureKind.AUTH_RESPONSE:
+        if msg.kind is _AUTH_RESPONSE:
             self._post_delivery_hooks(msg)
         if drafts:
             self.emit(drafts)
@@ -575,9 +575,10 @@ class Environment:
                 return
             accesses = tuple(event.options.get("accesses", "").split(",")) \
                 if event.options.get("accesses") else ()
-            drafts, events = device.attach(
-                self._route[device.device_id][3],
-                event.options.get("method", 2), accesses=accesses)
+            drafts, events = [], []
+            device.attach(self._route[device.device_id][3],
+                          event.options.get("method", 2), drafts, events,
+                          accesses=accesses)
             self._absorb(events, None)
             self.emit(drafts)
         elif action == "detach":
@@ -717,9 +718,10 @@ class Environment:
             self._now, self.queue = self.queue, _buckets()
             for event in self._script_by_tick.get(self.tick, []):
                 self._run_script_event(event)
+            deliver = self._deliver
             for bucket in self._now:
                 for seq, msg in bucket:
-                    self._deliver(seq, msg)
+                    deliver(seq, msg)
             self._now = []
             self._run_hooks()
             # The tick ends: sort its records by seq (field 0, unique, so

@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .blocks.common import AccessNodeInfo, BlockEvent, Tech, error_event
+from .blocks.common import (
+    AccessNodeInfo, BlockEvent, Tech, by_kind, error_event,
+)
 from .blocks.fm import LinkState, TopologyView, link_key
 from .errors import SchemaError
 from .messages import Endpoint, ProcedureKind, Role, block_id, draft
@@ -347,12 +349,6 @@ class DPlane:
         self._last_loaded = set(loads)
         return load_samples, latency_samples, delivered_now, lost_now
 
-    def due(self) -> bool:
-        """Whether a step can change anything: only while a flow is live.
-        The step that ends the last one reports its links at zero load, and
-        a flow replaced in flight leaves its live successor to step."""
-        return bool(self._live)
-
     def has_work(self) -> bool:
         """Whether a flow is under way: units in flight, or emissions left
         after its first rule appeared."""
@@ -361,19 +357,26 @@ class DPlane:
                    for run in self._live.values())
 
 
-def plane_handle(plane: DPlane, msg, ctx) -> tuple:
-    """A slice's plane takes `FlowConfigure` only, from the FM, at the
-    address `DP:<slice>:<node>` of the node it configures, and acks it; a
-    stale removal is rejected silently, to keep removals idempotent."""
+def _configure(plane: DPlane, msg, ctx, drafts: list, events: list) -> None:
+    """A plane takes `FlowConfigure` from the FM at the address
+    `DP:<slice>:<node>` of the node it configures, and acks it; a stale
+    removal is rejected silently, to keep removals idempotent."""
     node = msg.destination.ident[len(ctx.slice_id) + 1:]
     payload = msg.payload
     ok, reason = plane.configure(node, payload)
     if not ok and payload.get("action") == "remove":
-        return plane, (), [BlockEvent("config-reject", node, {"reason": reason})]
-    return plane, [draft(ProcedureKind.FLOW_NOTIFY, msg.destination, msg.source,
-                         msg.correlation_id,
-                         {"phase": "config-ack", "node": node,
-                          "flow": payload.get("flow", ""), "ok": ok})], ()
+        events.append(BlockEvent("config-reject", node, {"reason": reason}))
+        return
+    drafts.append(draft(ProcedureKind.FLOW_NOTIFY, msg.destination, msg.source,
+                        msg.correlation_id,
+                        {"phase": "config-ack", "node": node,
+                         "flow": payload.get("flow", ""), "ok": ok}))
+
+
+#: Per kind, the handler of a message a slice's plane takes.
+PLANE_BY_KIND = {ProcedureKind.FLOW_CONFIGURE: _configure}
+
+plane_handle = by_kind(PLANE_BY_KIND)
 
 
 def plane_tick(plane: DPlane, ctx) -> tuple:
@@ -391,7 +394,8 @@ def plane_tick(plane: DPlane, ctx) -> tuple:
                  for flow in sorted(latencies)]
     probe, fm = ctx.self_endpoint, ctx.peer_endpoint(Role.FM)
     corr = f"{ctx.slice_id}:telemetry:{ctx.tick}"
-    return plane, [draft(ProcedureKind.FLOW_NOTIFY, probe, fm, corr, payload)
+    notify = ProcedureKind.FLOW_NOTIFY      # read once, not per payload
+    return plane, [draft(notify, probe, fm, corr, payload)
                    for payload in payloads], events
 
 
@@ -455,11 +459,12 @@ class SimDevice:
         return [draft(kind, Endpoint(Role.UE, self.device_id),
                       Endpoint(role, block_id(role, slice_id)), corr, payload)]
 
-    def attach(self, ctx, method: int, target: str = "", corr: str = "",
-               accesses: tuple = (), reattach: bool = False) -> tuple:
-        """The (drafts, events) of an attach: a direct device's first
-        method-1 attach goes to the global CM; any other to the `target`
-        slice, or without one to the device's serving slice."""
+    def attach(self, ctx, method: int, drafts: list, events: list,
+               target: str = "", corr: str = "", accesses: tuple = (),
+               reattach: bool = False) -> None:
+        """Append the drafts and events of an attach: a direct device's
+        first method-1 attach goes to the global CM; any other to the
+        `target` slice, or without one to the device's serving slice."""
         corr = corr or self.next_correlation("attach")
         payload = {
             "device": self.device_id, "alias": self.presented_alias(),
@@ -474,30 +479,31 @@ class SimDevice:
             payload["proof"] = self.spec.proof
         if method == 1 and not reattach and \
                 self.spec.mode is SignalingMode.DIRECT:
-            drafts = [draft(ProcedureKind.ATTACH_REQUEST,
-                            Endpoint(Role.UE, self.device_id),
-                            Endpoint(Role.CM, ctx.global_cm), corr, payload)]
+            drafts.append(draft(ProcedureKind.ATTACH_REQUEST,
+                                Endpoint(Role.UE, self.device_id),
+                                Endpoint(Role.CM, ctx.global_cm), corr, payload))
         else:
             slice_id = target or self.bound_slice or self.spec.default_slice \
                 or min(self.spec.allowed, default=None)
             if slice_id not in ctx.slice_directory:
-                return [], [error_event(self.device_id, "NoEligibleSliceError",
-                                        detail="no slice to attach to")]
-            drafts = self.uplink(ProcedureKind.ATTACH_REQUEST, Role.CM,
-                                 slice_id, corr, payload)
+                events.append(error_event(self.device_id, "NoEligibleSliceError",
+                                          detail="no slice to attach to"))
+                return
+            drafts.extend(self.uplink(ProcedureKind.ATTACH_REQUEST, Role.CM,
+                                      slice_id, corr, payload))
         self.attaching = corr
-        return drafts, ()
 
 
-def device_handle(device: SimDevice, msg, ctx) -> tuple:
-    """A device answers a `SliceRedirect` with a re-attach to its target,
-    and a handover's `execute`, the one other message it gets, with its
-    `confirm`, after moving itself and its flows' ingress to the new node."""
+def _redirect(device: SimDevice, msg, ctx, drafts: list, events: list) -> None:
+    """A `SliceRedirect` is answered with a re-attach to its target."""
+    device.attach(ctx, 2, drafts, events, msg.payload.get("target", ""),
+                  msg.correlation_id, reattach=True)
+
+
+def _execute(device: SimDevice, msg, ctx, drafts: list, events: list) -> None:
+    """A handover's `execute` is answered with its `confirm`, after the
+    device moves itself and its flows' ingress to the new node."""
     payload = msg.payload
-    if msg.kind is ProcedureKind.SLICE_REDIRECT:
-        return (device, *device.attach(
-            ctx, 2, payload.get("target", ""), msg.correlation_id,
-            reattach=True))
     node = payload.get("node", "")
     device.current_node = node
     ingress = ctx.access_nodes[node].ingress
@@ -505,5 +511,12 @@ def device_handle(device: SimDevice, msg, ctx) -> tuple:
         run.ingress = ingress
     confirm = dict(payload)
     confirm["phase"] = "confirm"
-    return device, [draft(ProcedureKind.HANDOVER_EXECUTE, msg.destination,
-                          msg.source, msg.correlation_id, confirm)], ()
+    drafts.append(draft(ProcedureKind.HANDOVER_EXECUTE, msg.destination,
+                        msg.source, msg.correlation_id, confirm))
+
+
+#: Per kind, the handler of a message a device takes.
+DEVICE_BY_KIND = {ProcedureKind.SLICE_REDIRECT: _redirect,
+                  ProcedureKind.HANDOVER_EXECUTE: _execute}
+
+device_handle = by_kind(DEVICE_BY_KIND)

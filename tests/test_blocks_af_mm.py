@@ -307,6 +307,17 @@ class TestHandover:
         assert (drafts, events) == ([], [])
         assert state.tracking_areas["d1"] == "area-1"
 
+    def test_confirm_from_another_device_than_its_plans_is_ignored(self):
+        state, policy, ctx = mm_with_session()
+        corr = "d1:handover:1"
+        mm_handover(state, "d1", "n2", policy, ctx, corr)
+        _, drafts, events = drive(
+            state, ctx, ProcedureKind.HANDOVER_EXECUTE,
+            {"device": "d2", "phase": "confirm", "node": "n2",
+             "tech": "cellular", "area": "area-1"}, Role.UE, corr)
+        assert (drafts, events) == ([], [])
+        assert corr in state.handovers
+
 
 class TestPaging:
     def idle_device(self):

@@ -433,6 +433,14 @@ class TestFmHandlerRefusals:
             "error", "s-9", {"error": "NoSessionError",
                              "detail": "handover for unknown session"})])
 
+    def test_handover_prepare_in_another_phase_is_ignored(self):
+        state = fm_with_flow()
+        msg = to_fm(ProcedureKind.HANDOVER_PREPARE, {
+            "session": "s-1", "phase": "new-path-ok"}, Role.MM)
+        assert fm_handle(state, msg, fm_ctx())[1:] == ([], [])
+        assert state.swapped_out == {} and state.pending == {}
+        assert state.handover_jobs == {}
+
     def test_flow_for_an_unknown_session_is_refused(self):
         # a flow request carries no anchor: the FM reads its session's
         msg = to_fm(ProcedureKind.SESSION_ESTABLISH, {
