@@ -9,7 +9,7 @@ per workload and metric, the median and interquartile range of those run
 medians over the seeds.  The traced run gives the per-layer figures.  The
 record, with each workload's generator parameters (`perfbench/gen.py`'s
 WORKLOADS), the machine, Python version, git revision and `src/` line
-count, goes to BENCH_<label>.json at the repo root.  Not part of the test
+count, in total and per file, goes to BENCH_<label>.json at the repo root.  Not part of the test
 suite: with the defaults it takes about three minutes.
 
 Usage: python3 scripts/bench.py --label NAME [--seeds 1,2,3] [--seconds 10]
@@ -43,10 +43,17 @@ def git_rev() -> str:
     return rev.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
 
 
+def src_files() -> dict:
+    """Per Python file under `src/`, its path from the repo root -> its
+    number of lines."""
+    return {str(path.relative_to(ROOT)):
+            len(path.read_text(encoding="utf-8").splitlines())
+            for path in sorted((ROOT / "src").rglob("*.py"))}
+
+
 def src_lines() -> int:
     """The number of lines of the Python files under `src/`."""
-    return sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in sorted((ROOT / "src").rglob("*.py")))
+    return sum(src_files().values())
 
 
 def run_workload(workload: str, seed: int, seconds: float, traced: bool) -> dict:
@@ -99,13 +106,15 @@ def main() -> int:
               f"(IQR {pipeline['iqr'][0]:.4f}-{pipeline['iqr'][1]:.4f}, "
               f"n={pipeline['n']})  correct={workloads[workload]['correct']}")
 
+    files = src_files()
     report = {
         "label": args.label,
         "machine": {"platform": platform.platform(),
                     "processor": platform.machine(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "git_rev": git_rev(),
-        "src_lines": src_lines(),
+        "src_lines": sum(files.values()),
+        "src_files": files,
         "seeds": seeds, "seconds": args.seconds,
         "timer": "per seed, perfbench/run.py's reference-scaled median over "
                  "its untraced pipelines; median and IQR over the seeds. "

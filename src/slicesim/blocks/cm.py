@@ -218,7 +218,7 @@ def _auth_response(state: CMState, msg, ctx: BlockContext, drafts: list,
         else:
             events.append(BlockEvent("slice-selected", pending.device,
                                      {"slice": target, "method": 1}))
-            local_cm = ctx.slice_directory[target]
+            local_cm = ctx.slice_directory[target][Role.CM]
             drafts.append(draft(
                 ProcedureKind.SLICE_SELECT, ctx.self_endpoint,
                 Endpoint(Role.CM, local_cm), corr,

@@ -105,13 +105,13 @@ def by_kind(table: Mapping) -> Callable:
 
 @dataclass(frozen=True)
 class BlockContext:
-    """What a handler may read besides its own state: wiring, policy and the
-    static access/topology directories of its slice, and which devices
-    signal via their access function.  Built once per block and per plane,
-    and once for all devices, into the engine's routing index; handlers
-    cannot write to it, and the engine moves `tick` before a call.  Its own
-    endpoint and each peer's are built on first use and shared.  A message
-    carries no fact its receiver can read here."""
+    """What a handler may read besides its own state: wiring, policy, the
+    static access/topology directories of its slice, every slice's peers and
+    which devices signal via their access function.  Built once per block
+    and per plane, and once for all devices, into the engine's routing index;
+    handlers cannot write to it, and the engine moves `tick` before a call.
+    Its own endpoint and each peer's are built on first use and shared.  A
+    message carries no fact its receiver can read here."""
 
     slice_id: str
     self_id: str
@@ -124,7 +124,8 @@ class BlockContext:
     anchors: tuple = ()       # anchor candidate node ids
     ingress_latency: Mapping = field(default_factory=dict)  # (ingress, anchor) -> ticks
     global_cm: str | None = None
-    slice_directory: Mapping = field(default_factory=dict)  # slice id -> local CM id
+    slice_directory: Mapping = field(default_factory=dict)  # slice id -> its peers
+    planes: Mapping = field(default_factory=dict)   # slice id -> DPlane, devices only
     mediated: frozenset = frozenset()   # devices whose signalling mode is via_af
 
     @cached_property

@@ -37,8 +37,7 @@ from .messages import (
 )
 from .metrics import MetricsReport, compute_metrics
 from .netsim import (
-    DeviceSpec, FlowRun, SignalingMode, SimDevice, TopologySpec,
-    load_topology_file,
+    DeviceSpec, SignalingMode, SimDevice, TopologySpec, load_topology_file,
 )
 from .textfmt import parse_blocks, split_kv
 from .trace import EventRecord, MessageRecord, canonical_json
@@ -137,13 +136,6 @@ _INT_OPTIONS = {"attach": ("method",), "traffic-start": ("rate", "duration")}
 _SCENARIO_FIELDS = frozenset({"topology", "max-ticks", "infra-capacity"})
 _DEVICE_FIELDS = frozenset({"psi", "proof", "allowed", "default", "mode",
                             "node"})
-
-#: Per action that needs an attached device, the error detail traced when
-#: its device is not attached.
-_NEEDS_ATTACHED = {"detach": "detach while detached",
-                   "idle": "idle while detached",
-                   "move": "move while detached",
-                   "traffic-start": "traffic for unattached device"}
 
 
 def load_scenario(path) -> Scenario:
@@ -250,6 +242,10 @@ def _load_scenario(path: Path) -> Scenario:
                 if action == "traffic-start" and options[key] < 0:
                     raise ScenarioError(f"{path}: traffic-start {key} must "
                                         f"be >= 0")
+        if options.get("method", 1) not in (1, 2):
+            line = block.item_lines[block.items.index(("at", rest))]
+            raise ScenarioError(f"{path}:{line}: at {' '.join(rest)}: "
+                                f"method must be 1 or 2")
         script.append(ScriptEvent(tick=tick, action=action,
                                   args=tuple(positional), options=options))
 
@@ -296,14 +292,14 @@ class Environment:
         self.queue: list = _buckets()
         self._now: list = []
         self.devices = {d.device_id: SimDevice(spec=d) for d in scenario.devices}
-        self.infra = slices_mod.SimInfrastructure(scenario.infra_capacity)
+        infra = slices_mod.SimInfrastructure(scenario.infra_capacity)
         self.slices: dict = {}
         roster = slices_mod.build_roster(scenario.devices)
         for bp in scenario.blueprints:
             if fabric_override is not None:
                 bp = replace(bp, fabric_model=fabric_override)
             instance = slices_mod.instantiate(
-                bp, self.infra, scenario.topology, roster=roster)
+                bp, infra, scenario.topology, roster=roster)
             self.slices[bp.slice_id] = instance
         # Common control part for method-1 selection: a global connectivity
         # instance plus the unified identity store behind it.
@@ -340,7 +336,7 @@ class Environment:
             ingress_latency=slices_mod.anchor_latency(
                 scenario.topology,
                 [a for bp in scenario.blueprints for a in bp.anchors]),
-            slice_directory={sid: inst.peers[Role.CM]
+            slice_directory={sid: inst.peers
                              for sid, inst in self.slices.items()},
             mediated=frozenset(d.device_id for d in scenario.devices
                                if d.mode is SignalingMode.VIA_AF))
@@ -373,7 +369,8 @@ class Environment:
         self._hooked = [hooked[key] for key in sorted(hooked)]
         # the devices' entries differ only in their state
         device = entry(None, None, Role.UE, None, slice_id=None, self_id="",
-                       peers={}, policy=SlicePolicy())
+                       peers={}, policy=SlicePolicy(), planes={
+                           sid: inst.dplane for sid, inst in self.slices.items()})
         for ident, state in self.devices.items():
             self._route[ident] = (*device[:2], state, *device[3:])
 
@@ -497,20 +494,13 @@ class Environment:
         if drafts:
             self.emit(drafts)
 
-    def _absorb(self, events, slice_id: str) -> None:
+    def _absorb(self, events, slice_id: str | None) -> None:
+        """Trace events of `slice_id`; each device an event names takes it."""
         for event in events:
             self.trace_block_event(event, slice_id)
-            self._apply_event(event, slice_id)
-
-    def _apply_event(self, event: BlockEvent, slice_id: str) -> None:
-        device = self.devices.get(event.subject)
-        if event.kind == "attach-complete" and device is not None:
-            device.attaching = None
-            device.bound_slice = event.detail.get("slice", slice_id)
-        elif event.kind == "detach" and device is not None:
-            device.bound_slice = None
-            for run in device.flows.values():
-                run.active = False
+            device = self.devices.get(event.subject)
+            if device is not None:
+                device.absorb(event, slice_id)
 
     def _post_delivery_hooks(self, msg: MessageRecord) -> None:
         # Identity material reaches the device inside protected signalling;
@@ -524,148 +514,46 @@ class Environment:
 
     # -- script events -----------------------------------------------------------
 
-    def _attach_in_flight(self, device: SimDevice) -> bool:
-        """Whether the device's last attach is still under way.  It ends at
-        attach-complete; a denied, rejected or dropped attach ends when no
-        message of its correlation is left to deliver, this tick or the
-        next."""
+    def _attach_in_flight(self, device: SimDevice) -> None:
+        """End the device's last attach if it is no longer under way.  It
+        ends at attach-complete; a denied, rejected or dropped attach ends
+        when no message of its correlation is left to deliver, this tick or
+        the next."""
         corr = device.attaching
         if corr is not None and not any(
                 msg.correlation_id == corr
                 for bucket in (*self._now, *self.queue) for _, msg in bucket):
             device.attaching = None
-        return device.attaching is not None
 
     def _run_script_event(self, event: ScriptEvent) -> None:
-        action = event.action
+        """A teardown or latency injection runs here; a device's action runs
+        by its `netsim.DEVICE_BY_ACTION` entry, with the devices' context."""
+        action, args = event.action, event.args
+        drafts, events = [], []
         if action == "teardown":
-            instance = self.slices[event.args[0]]
+            instance = self.slices[args[0]]
             try:
                 events = slices_mod.teardown(instance, sorted(
                     ident for ident, device in self.devices.items()
                     if device.bound_slice == instance.slice_id))
             except SliceSimError as exc:
-                self.trace_block_event(refusal(event.args[0], exc))
+                self.trace_block_event(refusal(args[0], exc))
                 return
-            for block_event in events:
-                self.trace_block_event(block_event)
-                self._apply_event(block_event, instance.slice_id)
             # no message reaches its blocks again: their hooks leave for
             # good, and its plane steps on to lose what is in flight
             self._hooked = [entry for entry in self._hooked
                             if entry[0] is not instance]
+        elif action == "inject-latency":
+            self._inject_latency(*args)
             return
-        if action == "inject-latency":
-            self._inject_latency(*event.args)
-            return
-
-        device = self.devices[event.args[0]]
-        if action in _NEEDS_ATTACHED and not device.attached:
-            self.trace_error("IllegalEventError", device.device_id,
-                             {"detail": _NEEDS_ATTACHED[action]})
-            return
-        if action == "attach":
-            if device.attached:
-                self.trace_error("IllegalEventError", device.device_id,
-                                 {"detail": "attach while attached"})
-                return
-            if self._attach_in_flight(device):
-                self.trace_error("IllegalEventError", device.device_id,
-                                 {"detail": "attach while attaching"})
-                return
-            accesses = tuple(event.options.get("accesses", "").split(",")) \
-                if event.options.get("accesses") else ()
-            drafts, events = [], []
-            device.attach(self._route[device.device_id][3],
-                          event.options.get("method", 2), drafts, events,
-                          accesses=accesses)
-            self._absorb(events, None)
-            self.emit(drafts)
-        elif action == "detach":
-            corr = device.next_correlation("detach")
-            self.emit(device.uplink(
-                ProcedureKind.SESSION_RELEASE, Role.CM, device.bound_slice,
-                corr, {"device": device.device_id, "scope": "detach"}))
-        elif action == "move":
-            self._move_device(device, event.args[1])
-        elif action == "traffic-start":
-            self._traffic_start(device, event.options)
-        elif action == "traffic-stop":
-            flow = event.options.get("flow", "")
-            for run in device.flows.values():
-                if run.flow_id == flow:
-                    run.active = False
-            corr = device.next_correlation("session")
-            self.emit(device.uplink(
-                ProcedureKind.SESSION_RELEASE, Role.CM, device.bound_slice,
-                corr, {"device": device.device_id, "scope": "flow",
-                       "flow": flow}))
-        elif action == "idle":
-            if self._mobility_slice(device, {
-                    "slice": device.bound_slice,
-                    "detail": "idle needs mobility management"}) is None:
-                return
-            corr = device.next_correlation("idle")
-            self.emit(device.uplink(
-                ProcedureKind.LOCATION_UPDATE, Role.MM, device.bound_slice,
-                corr, {"device": device.device_id, "phase": "idle"}))
-        elif action == "page":
-            self._page_device(device)
-
-    def _move_device(self, device: SimDevice, target: str) -> None:
-        if target == device.current_node:
-            # a node never appears as the target of a mobility event it
-            # originates; this also covers fixed-access nodes
-            self.trace_error("IllegalEventError", device.device_id,
-                             {"detail": "handover to the current node"})
-            return
-        if self._mobility_slice(device, {"slice": device.bound_slice,
-                                         "target": target}) is None:
-            return
-        corr = device.next_correlation("handover")
-        self.emit(device.uplink(
-            ProcedureKind.HANDOVER_PREPARE, Role.MM, device.bound_slice, corr,
-            {"device": device.device_id, "node": target}))
-
-    def _traffic_start(self, device: SimDevice, options: dict) -> None:
-        instance = self.slices[device.bound_slice]
-        device.flow_counter += 1
-        flow = options.get("flow", f"{device.device_id}-f{device.flow_counter}")
-        rate, duration = options.get("rate", 1), options.get("duration", 10)
-        qos = options.get("qos", "default")
-        info = self.scenario.topology.access[device.current_node]
-        run = FlowRun(flow_id=flow, rate=rate, remaining_emissions=duration,
-                      ingress=info.ingress)
-        instance.dplane.add_flow(run)
-        device.flows[(instance.slice_id, flow)] = run
-        corr = device.next_correlation("session")
-        self.emit(device.uplink(
-            ProcedureKind.SESSION_ESTABLISH, Role.CM, device.bound_slice, corr,
-            {"device": device.device_id, "flow": flow, "qos": qos,
-             "node": device.current_node}))
-
-    def _mobility_slice(self, device: SimDevice, detail: dict):
-        """The device's slice if it deploys mobility management; otherwise
-        traces MobilityUnsupported with `detail` and returns None."""
-        instance = self.slices.get(device.bound_slice or "")
-        if instance is None or Role.MM not in instance.peers:
-            self.trace_error("MobilityUnsupported", device.device_id, detail)
-            return None
-        return instance
-
-    def _page_device(self, device: SimDevice) -> None:
-        instance = self._mobility_slice(
-            device, {"detail": "paging needs mobility management"})
-        if instance is None:
-            return
-        corr = device.next_correlation("page")
-        # downlink demand surfaces at the connectivity block, which asks for
-        # reachability
-        self.emit([draft(
-            ProcedureKind.PAGE,
-            Endpoint(Role.CM, instance.peers[Role.CM]),
-            Endpoint(Role.MM, instance.peers[Role.MM]), corr,
-            {"device": device.device_id})])
+        else:
+            device = self.devices[args[0]]
+            self._attach_in_flight(device)
+            ctx = self._route[args[0]][3]
+            object.__setattr__(ctx, "tick", self.tick)
+            netsim.DEVICE_BY_ACTION[action](device, event, ctx, drafts, events)
+        self._absorb(events, None)
+        self.emit(drafts)
 
     def _inject_latency(self, flow: str, value: float) -> None:
         for slice_id in sorted(self.slices):

@@ -493,6 +493,17 @@ class SimDevice:
                                       slice_id, corr, payload))
         self.attaching = corr
 
+    def absorb(self, event: BlockEvent, slice_id: str | None) -> None:
+        """Take what a block event of `slice_id` says about the device: an
+        attach-complete binds it, a detach unbinds it and ends its flows."""
+        if event.kind == "attach-complete":
+            self.attaching = None
+            self.bound_slice = event.detail.get("slice", slice_id)
+        elif event.kind == "detach":
+            self.bound_slice = None
+            for run in self.flows.values():
+                run.active = False
+
 
 def _redirect(device: SimDevice, msg, ctx, drafts: list, events: list) -> None:
     """A `SliceRedirect` is answered with a re-attach to its target."""
@@ -520,3 +531,125 @@ DEVICE_BY_KIND = {ProcedureKind.SLICE_REDIRECT: _redirect,
                   ProcedureKind.HANDOVER_EXECUTE: _execute}
 
 device_handle = by_kind(DEVICE_BY_KIND)
+
+
+# -- device script actions ---------------------------------------------------------
+
+def _illegal(device: SimDevice, events: list, detail: str) -> None:
+    """Refuse a script action the device's state does not allow."""
+    events.append(error_event(device.device_id, "IllegalEventError",
+                              detail=detail))
+
+
+def _uplink(device: SimDevice, drafts: list, kind: ProcedureKind, role: Role,
+            family: str, **payload) -> None:
+    """Append the device's message to the `role` block of its slice, under a
+    fresh correlation of `family`; its payload names the device first."""
+    drafts.extend(device.uplink(kind, role, device.bound_slice,
+                                device.next_correlation(family),
+                                {"device": device.device_id, **payload}))
+
+
+def _mobility_peers(device: SimDevice, ctx, events: list, **detail):
+    """The peers of the device's slice if it deploys mobility management;
+    otherwise appends MobilityUnsupported with `detail` and returns None."""
+    peers = ctx.slice_directory.get(device.bound_slice, _EMPTY)
+    if Role.MM in peers:
+        return peers
+    events.append(error_event(device.device_id, "MobilityUnsupported",
+                              **detail))
+    return None
+
+
+def _attach(device: SimDevice, event, ctx, drafts: list, events: list) -> None:
+    """An attach, refused while attached or while the last attach is under
+    way (the engine clears `attaching` once none of its messages is left)."""
+    accesses = event.options.get("accesses")
+    if device.attached:
+        _illegal(device, events, "attach while attached")
+    elif device.attaching is not None:
+        _illegal(device, events, "attach while attaching")
+    else:
+        device.attach(ctx, event.options.get("method", 2), drafts, events,
+                      accesses=tuple(accesses.split(",")) if accesses else ())
+
+
+def _detach(device: SimDevice, event, ctx, drafts: list, events: list) -> None:
+    if not device.attached:
+        _illegal(device, events, "detach while detached")
+    else:
+        _uplink(device, drafts, ProcedureKind.SESSION_RELEASE, Role.CM,
+                "detach", scope="detach")
+
+
+def _move(device: SimDevice, event, ctx, drafts: list, events: list) -> None:
+    """A move asks the slice's MM to prepare a handover to the target."""
+    target = event.args[1]
+    if not device.attached:
+        _illegal(device, events, "move while detached")
+    elif target == device.current_node:
+        # a node never appears as the target of a mobility event it
+        # originates; this also covers fixed-access nodes
+        _illegal(device, events, "handover to the current node")
+    elif _mobility_peers(device, ctx, events, slice=device.bound_slice,
+                         target=target):
+        _uplink(device, drafts, ProcedureKind.HANDOVER_PREPARE, Role.MM,
+                "handover", node=target)
+
+
+def _traffic_start(device: SimDevice, event, ctx, drafts: list,
+                   events: list) -> None:
+    """Add a flow at the device's node to its slice's plane; ask for it."""
+    if not device.attached:
+        _illegal(device, events, "traffic for unattached device")
+        return
+    options, node = event.options, device.current_node
+    device.flow_counter += 1
+    flow = options.get("flow", f"{device.device_id}-f{device.flow_counter}")
+    run = FlowRun(flow_id=flow, rate=options.get("rate", 1),
+                  remaining_emissions=options.get("duration", 10),
+                  ingress=ctx.access_nodes[node].ingress)
+    ctx.planes[device.bound_slice].add_flow(run)
+    device.flows[(device.bound_slice, flow)] = run
+    _uplink(device, drafts, ProcedureKind.SESSION_ESTABLISH, Role.CM,
+            "session", flow=flow, qos=options.get("qos", "default"), node=node)
+
+
+def _traffic_stop(device: SimDevice, event, ctx, drafts: list,
+                  events: list) -> None:
+    """End the device's runs of the flow and release its session."""
+    flow = event.options.get("flow", "")
+    for run in device.flows.values():
+        if run.flow_id == flow:
+            run.active = False
+    _uplink(device, drafts, ProcedureKind.SESSION_RELEASE, Role.CM, "session",
+            scope="flow", flow=flow)
+
+
+def _idle(device: SimDevice, event, ctx, drafts: list, events: list) -> None:
+    if not device.attached:
+        _illegal(device, events, "idle while detached")
+    elif _mobility_peers(device, ctx, events, slice=device.bound_slice,
+                         detail="idle needs mobility management"):
+        _uplink(device, drafts, ProcedureKind.LOCATION_UPDATE, Role.MM, "idle",
+                phase="idle")
+
+
+def _page(device: SimDevice, event, ctx, drafts: list, events: list) -> None:
+    """Downlink demand for the device surfaces at its slice's CM, which asks
+    the MM for reachability."""
+    peers = _mobility_peers(device, ctx, events,
+                            detail="paging needs mobility management")
+    if peers is not None:
+        drafts.append(draft(
+            ProcedureKind.PAGE, Endpoint(Role.CM, peers[Role.CM]),
+            Endpoint(Role.MM, peers[Role.MM]),
+            device.next_correlation("page"), {"device": device.device_id}))
+
+
+#: Per script action, the device's reaction: `fn(device, event, ctx, drafts,
+#: events)`, with the devices' shared context.
+DEVICE_BY_ACTION = {"attach": _attach, "detach": _detach, "move": _move,
+                    "traffic-start": _traffic_start,
+                    "traffic-stop": _traffic_stop, "idle": _idle,
+                    "page": _page}

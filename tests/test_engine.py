@@ -130,6 +130,21 @@ end
         with pytest.raises(ScenarioError, match="field 'topology' is empty"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize("method", [0, 3, 7, -1])
+    def test_attach_method_other_than_1_or_2_names_the_at_line(self, tmp_path,
+                                                               method):
+        for name in ("topo-core.txt", "bp-embb.bp", "bp-miot.bp"):
+            (tmp_path / name).write_text(scenario_path(name).read_text())
+        text = scenario_path("attach-two-slices.scn").read_text()
+        at_line = "  at 2 attach d2 method=1"
+        line = text.splitlines().index(at_line) + 1
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(at_line, f"{at_line[:-1]}{method}"))
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario(bad)
+        assert str(raised.value) == (f"{bad}:{line}: at 2 attach d2 "
+                                     f"method={method}: method must be 1 or 2")
+
     @pytest.mark.parametrize("field, old, new", [
         ("topology", "topology: topo-core.txt", "topology: topo-"),
         ("blueprint", "blueprint bp-embb.bp", "blueprint bp-em")])
@@ -205,15 +220,30 @@ class TestEventSemantics:
         result = run(dataclasses.replace(scenario, script=script), 7)
         assert errors(result, "IllegalEventError")
 
-    @pytest.mark.parametrize("action, args", [("move", ("d1", "n2")),
-                                              ("idle", ("d1",))])
-    def test_mobility_event_while_detached_is_an_illegal_event(self, action,
-                                                               args):
+    @pytest.mark.parametrize("action, args, options, detail", [
+        pytest.param("move", ("d1", "n2"), {}, "move while detached", id="move"),
+        pytest.param("idle", ("d1",), {}, "idle while detached", id="idle"),
+        pytest.param("detach", ("d1",), {}, "detach while detached",
+                     id="detach"),
+        pytest.param("traffic-start", ("d1",), {"flow": "f1"},
+                     "traffic for unattached device", id="traffic-start"),
+        pytest.param("attach", ("d1",), {"method": 2}, "attach while attached",
+                     id="attach")])
+    def test_mobility_event_while_detached_is_an_illegal_event(
+            self, action, args, options, detail):
+        """Each action its device's state forbids is traced with its own
+        text: an attach once the device is attached, any other while it is
+        detached."""
         scenario = load("attach-two-slices")
-        script = (ScriptEvent(tick=1, action=action, args=args, options={}),)
+        script = (ScriptEvent(tick=40, action=action, args=args,
+                              options=options),)
+        if action == "attach":
+            script = (ScriptEvent(tick=1, action="attach", args=("d1",),
+                                  options={"method": 2}),) + script
         result = run(dataclasses.replace(scenario, script=script), 7)
         assert [e.detail["detail"] for e in errors(result, "IllegalEventError")] \
-            == [f"{action} while detached"]
+            == [detail]
+        assert len(events(result, "attach-complete")) == (action == "attach")
 
     def test_move_on_mm_slice_enters_handover_prepare(self):
         result = run(load("handover-mbb"), 7)

@@ -199,7 +199,7 @@ def flows_at_teardown(draw):
 def test_teardown_ends_every_flow_through_its_device_detach(monkeypatch,
                                                          record_property):
     """`slices.teardown` leaves flows to the detach of each attached device,
-    which `Environment._apply_event` applies.  That ends every flow of the
+    which `SimDevice.absorb` applies.  That ends every flow of the
     slice only if an active flow's device is attached to the flow's slice:
     hold both sides around each generated teardown."""
     run_script_event = Environment._run_script_event
