@@ -12,6 +12,7 @@ here: this block only ever emits notifications.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..messages import Endpoint, ProcedureKind, Role, SignalMessage, draft
 from .common import BlockContext, BlockEvent, by_kind
@@ -20,7 +21,7 @@ DEFAULT_WINDOW = 16
 DEFAULT_FACTOR = 1.5
 
 
-@dataclass
+@dataclass(slots=True)
 class Sample:
     tick: int
     value: float
@@ -102,7 +103,7 @@ def cghf_generate(state: CGHFState, tick: int, ctx: BlockContext):
             baseline = state.baselines.get(bkey)
             condition = False
             if baseline is not None and len(samples) >= model.min_samples:
-                mean = sum(s.value for s in samples) / len(samples)
+                mean = sum(map(attrgetter("value"), samples)) / len(samples)
                 condition = mean > model.factor * baseline
             if condition and state.armed.get(bkey, True):
                 state.armed[bkey] = False

@@ -67,8 +67,11 @@ class AccessNodeInfo:
     ingress: str     # forwarded-plane node the access node feeds
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockEvent:
+    """An event a handler appends; nothing writes it once built, so it is
+    not frozen, whose `__init__` costs about 2.5 times a plain one's."""
+
     kind: str
     subject: str
     detail: dict = field(default_factory=dict)

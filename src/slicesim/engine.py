@@ -27,12 +27,12 @@ from .blocks import fm as fm_mod
 from .blocks import mm as mm_mod
 from .blocks import sam as sam_mod
 from .blocks.common import (
-    BlockContext, BlockEvent, SlicePolicy, error_event, refusal,
+    BlockContext, SlicePolicy, Tech, error_event, refusal,
 )
 from .errors import EquivalenceViolation, ScenarioError, SliceSimError
 from .fabric import FabricModelKind
 from .messages import (
-    Endpoint, ProcedureKind, Role, SignalMessage, block_id, draft,
+    _VALID, Endpoint, ProcedureKind, Role, SignalMessage, block_id, draft,
     validate_message,
 )
 from .metrics import MetricsReport, compute_metrics
@@ -91,10 +91,12 @@ _HAS_WORK = {
 
 DEFAULT_MAX_TICKS = 400
 
-#: Builds a `MessageRecord` without its named tuple's own `__new__`, which
-#: costs a Python call per record; the record's fields are its message's
-#: between the trace and delivery fields.
+#: Builds a `MessageRecord` or an `EventRecord` without its named tuple's
+#: own `__new__`, which costs a Python call per record; a message record's
+#: fields are its message's between the trace and delivery fields, which
+#: are `_DIRECT` for a message no fabric carries.
 _tuple_new = tuple.__new__
+_DIRECT = (1, (), ())
 
 #: Members the engine tests for, read once: member reads are slow.
 _TOPIC, _D_PLANE = Role.TOPIC, Role.D_PLANE
@@ -131,6 +133,9 @@ _ACTIONS = {"attach": frozenset({"method", "accesses"}),
 
 #: Per action, the at-line options that hold integers, parsed at load.
 _INT_OPTIONS = {"attach": ("method",), "traffic-start": ("rate", "duration")}
+
+#: The values an attach's `accesses=` list may hold.
+_TECHS = frozenset(tech.value for tech in Tech)
 
 #: The fields a scenario block and a device block read.
 _SCENARIO_FIELDS = frozenset({"topology", "max-ticks", "infra-capacity"})
@@ -206,6 +211,10 @@ def _load_scenario(path: Path) -> Scenario:
             default_slice=default, mode=mode, home_node=node))
     device_ids = {d.device_id for d in devices}
 
+    def refuse(rest, why: str):
+        line = block.item_lines[block.items.index(("at", rest))]
+        raise ScenarioError(f"{path}:{line}: at {' '.join(rest)}: {why}")
+
     script = []
     last_tick = 0
     for rest in block.items_of("at"):
@@ -243,9 +252,11 @@ def _load_scenario(path: Path) -> Scenario:
                     raise ScenarioError(f"{path}: traffic-start {key} must "
                                         f"be >= 0")
         if options.get("method", 1) not in (1, 2):
-            line = block.item_lines[block.items.index(("at", rest))]
-            raise ScenarioError(f"{path}:{line}: at {' '.join(rest)}: "
-                                f"method must be 1 or 2")
+            refuse(rest, "method must be 1 or 2")
+        if "accesses" in options:
+            options["accesses"] = techs = tuple(options["accesses"].split(","))
+            if not _TECHS.issuperset(techs):
+                refuse(rest, f"accesses may name only {', '.join(sorted(_TECHS))}")
         script.append(ScriptEvent(tick=tick, action=action,
                                   args=tuple(positional), options=options))
 
@@ -376,47 +387,37 @@ class Environment:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def trace_event(self, kind: str, subject: str, detail: dict) -> None:
         """Trace an event; its record keeps `detail`, a dict of the caller's
         own that nothing writes to afterwards."""
-        self.trace.append(EventRecord(self.next_seq(), self.tick, kind,
-                                      subject, detail))
+        self._seq = seq = self._seq + 1
+        self.trace.append(_tuple_new(EventRecord,
+                                     (seq, self.tick, kind, subject, detail)))
 
     def trace_error(self, error: str, subject: str, detail: dict) -> None:
-        self.trace_block_event(error_event(subject, error, **detail))
-
-    def trace_block_event(self, event: BlockEvent,
-                          slice_id: str | None = None) -> None:
-        """Trace a block event; with `slice_id`, its detail names that
-        slice unless it names one already."""
-        detail = event.detail
-        if slice_id is not None:
-            detail = dict(detail)
-            detail.setdefault("slice", slice_id)
-        self.trace_event(event.kind, event.subject, detail)
+        self._absorb((error_event(subject, error, **detail),), None)
 
     # -- emission ------------------------------------------------------------
 
     def emit(self, drafts) -> None:
+        """Number, validate and queue each message; `_expand` first turns a
+        publish into what its fabric carries."""
         queue = self.queue
         for item in drafts:
             for msg in (self._expand(item) if item.destination.role is _TOPIC
                         else (item,)):
-                seq = self.next_seq()
+                self._seq = seq = self._seq + 1
                 verdict = validate_message(msg)
-                if not verdict.ok:
+                if verdict is _VALID or verdict.ok:
+                    queue[_PRIORITY[msg.kind]].append((seq, msg))
+                else:
                     self.trace_error("InvalidMessage", str(msg.source),
                                      {"violations": list(verdict.violations)})
-                    continue
-                queue[_PRIORITY[msg.kind]].append((seq, msg))
 
     def _expand(self, item: SignalMessage) -> list:
         """A topic publish becomes per-subscriber unicasts on non-broker
-        fabrics; the broker fabric keeps the single topic message."""
+        fabrics, which share its payload; the broker fabric keeps the
+        single topic message."""
         fabric = self._route[item.source.ident][0].fabric
         if fabric.model is FabricModelKind.PUB_SUB:
             return [item]
@@ -433,10 +434,11 @@ class Environment:
     # -- delivery ------------------------------------------------------------
 
     def _deliver(self, seq: int, msg: SignalMessage) -> None:
-        """Deliver a message to its destination's handler.  The fabric of
-        the source's slice carries a topic publish and a unicast between
-        two blocks of one slice: a unicast to its destination or to nobody,
-        a publish to each subscriber."""
+        """Deliver a message to its destination's handler, tracing it first;
+        the record is what its receivers get.  The fabric of the source's
+        slice carries a topic publish and a unicast between two blocks of
+        one slice: a unicast to its destination or to nobody, a publish to
+        each subscriber."""
         route = self._route
         if msg.destination.role is _TOPIC:
             instance, entry = route[msg.source.ident][0], None
@@ -445,7 +447,9 @@ class Environment:
             instance = entry[0]
             if instance is None or \
                     route.get(msg.source.ident, (None,))[0] is not instance:
-                self._invoke_block(entry, self._trace_msg(seq, msg))
+                rec = _tuple_new(MessageRecord, (seq, self.tick) + msg + _DIRECT)
+                self.trace.append(rec)
+                self._invoke_block(entry, rec)
                 return
         if instance.lifecycle_state is _TORN_DOWN:
             self.trace_error("LifecycleOrderError", instance.slice_id,
@@ -453,8 +457,9 @@ class Environment:
             return
         record = instance.fabric.send(msg).record
         recipients = record.recipients
-        rec = self._trace_msg(seq, msg, record.hop_count, record.mediators,
-                              recipients)
+        rec = _tuple_new(MessageRecord, (seq, self.tick) + msg + (
+            record.hop_count, record.mediators, recipients))
+        self.trace.append(rec)
         if not recipients:
             self.trace_error("NoSubscriberError", str(msg.destination), {})
         elif entry is not None:
@@ -462,16 +467,6 @@ class Environment:
         else:
             for ident in recipients:
                 self._invoke_block(route[ident], rec)
-
-    def _trace_msg(self, seq: int, msg: SignalMessage, hop_count: int = 1,
-                   mediators: tuple = (), recipients: tuple = ()
-                   ) -> MessageRecord:
-        """Trace a message at its delivery; the record is what its
-        receivers get."""
-        rec = _tuple_new(MessageRecord, (seq, self.tick, *msg, hop_count,
-                                         mediators, recipients))
-        self.trace.append(rec)
-        return rec
 
     def _invoke_block(self, entry: tuple, msg: MessageRecord) -> None:
         """Hand a delivered message to the handler of a routing entry,
@@ -485,7 +480,7 @@ class Environment:
         try:
             _, drafts, events = handle(state, msg, ctx)
         except SliceSimError as exc:
-            self.trace_block_event(refusal(ctx.self_id, exc))
+            self._absorb((refusal(ctx.self_id, exc),), None)
             return
         if events:
             self._absorb(events, ctx.slice_id)
@@ -495,12 +490,20 @@ class Environment:
             self.emit(drafts)
 
     def _absorb(self, events, slice_id: str | None) -> None:
-        """Trace events of `slice_id`; each device an event names takes it."""
+        """Trace block events; with `slice_id`, each detail names that slice
+        unless it names one already.  Each device an event names takes it."""
+        trace, tick, devices, seq = self.trace, self.tick, self.devices, self._seq
         for event in events:
-            self.trace_block_event(event, slice_id)
-            device = self.devices.get(event.subject)
+            detail = event.detail
+            if slice_id is not None and "slice" not in detail:
+                detail = {**detail, "slice": slice_id}
+            seq += 1
+            trace.append(_tuple_new(EventRecord, (seq, tick, event.kind,
+                                                  event.subject, detail)))
+            device = devices.get(event.subject)
             if device is not None:
                 device.absorb(event, slice_id)
+        self._seq = seq
 
     def _post_delivery_hooks(self, msg: MessageRecord) -> None:
         # Identity material reaches the device inside protected signalling;
@@ -537,7 +540,7 @@ class Environment:
                     ident for ident, device in self.devices.items()
                     if device.bound_slice == instance.slice_id))
             except SliceSimError as exc:
-                self.trace_block_event(refusal(args[0], exc))
+                self._absorb((refusal(args[0], exc),), None)
                 return
             # no message reaches its blocks again: their hooks leave for
             # good, and its plane steps on to lose what is in flight

@@ -6,7 +6,9 @@ that lives only from its draft to its delivery: the engine validates and
 queues it, and at delivery traces one `trace.MessageRecord` that carries the
 message's fields with its emission number, its delivery tick and the
 fabric's hop accounting.  That record is what the addressed handler
-receives; every fabric delivers a message as sent.
+receives; every fabric delivers a message as sent.  A message keeps the
+payload dict it was drafted with, and nothing writes to a payload once it
+is drafted, so a forward or a publish's unicasts share it.
 
 Reference points:
 
@@ -175,16 +177,17 @@ _tuple_new = tuple.__new__
 def draft(kind: ProcedureKind, source: Endpoint, destination: Endpoint,
           correlation_id: str,
           payload: Mapping[str, object] | None = None) -> SignalMessage:
-    """Build a message over its own copy of `payload`, routing the interface
-    from the endpoint roles; roles that no interface joins raise
-    NoInterfaceError.  The payload schema is checked once, by
-    `validate_message` when the engine emits the message.  Handlers read a
-    delivered payload and never write it."""
+    """Build a message over `payload` itself, which the caller hands over
+    and never writes again, routing the interface from the endpoint roles;
+    roles that no interface joins raise NoInterfaceError.  The payload
+    schema is checked once, by `validate_message` when the engine emits the
+    message.  Handlers read a delivered payload and never write it."""
     interface = (_INTERFACE_OF.get((source.role, destination.role))
                  or route_interface_for(source.role, destination.role))
     # tuple.__new__ skips the named tuple's own __new__ and its arity check
     return _tuple_new(SignalMessage, (kind, source, destination, interface,
-                                      correlation_id, dict(payload or {})))
+                                      correlation_id,
+                                      {} if payload is None else payload))
 
 
 def _joins(sides, others) -> frozenset:

@@ -127,7 +127,7 @@ def build_view(spec: TopologySpec) -> TopologyView:
 
 # -- forwarded plane executor ---------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class UnitState:
     """The `count` units one flow emitted in one tick, moving together."""
 
@@ -139,7 +139,7 @@ class UnitState:
     count: int = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRun:
     flow_id: str
     rate: int
@@ -386,17 +386,18 @@ def plane_tick(plane: DPlane, ctx) -> tuple:
     loads, latencies, delivered, lost = plane.step(ctx.tick)
     events = [BlockEvent(kind, flow, {"units": units[flow]})
               for kind, units in (("flow-delivered", delivered),
-                                  ("flow-lost", lost))
+                                  ("flow-lost", lost)) if units
               for flow in sorted(units)]
-    payloads = [{"phase": "load", "link": link, "load": load}
-                for link, load in loads]
-    payloads += [{"phase": "latency", "flow": flow, "values": latencies[flow]}
-                 for flow in sorted(latencies)]
     probe, fm = ctx.self_endpoint, ctx.peer_endpoint(Role.FM)
     corr = f"{ctx.slice_id}:telemetry:{ctx.tick}"
-    notify = ProcedureKind.FLOW_NOTIFY      # read once, not per payload
-    return plane, [draft(notify, probe, fm, corr, payload)
-                   for payload in payloads], events
+    notify = ProcedureKind.FLOW_NOTIFY      # read once, not per report
+    drafts = [draft(notify, probe, fm, corr,
+                    {"phase": "load", "link": link, "load": load})
+              for link, load in loads]
+    drafts += [draft(notify, probe, fm, corr, {"phase": "latency", "flow": flow,
+                                               "values": latencies[flow]})
+               for flow in sorted(latencies)]
+    return plane, drafts, events
 
 
 # -- device population -----------------------------------------------------------
@@ -564,14 +565,13 @@ def _mobility_peers(device: SimDevice, ctx, events: list, **detail):
 def _attach(device: SimDevice, event, ctx, drafts: list, events: list) -> None:
     """An attach, refused while attached or while the last attach is under
     way (the engine clears `attaching` once none of its messages is left)."""
-    accesses = event.options.get("accesses")
     if device.attached:
         _illegal(device, events, "attach while attached")
     elif device.attaching is not None:
         _illegal(device, events, "attach while attaching")
     else:
         device.attach(ctx, event.options.get("method", 2), drafts, events,
-                      accesses=tuple(accesses.split(",")) if accesses else ())
+                      accesses=event.options.get("accesses", ()))
 
 
 def _detach(device: SimDevice, event, ctx, drafts: list, events: list) -> None:

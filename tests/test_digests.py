@@ -9,8 +9,10 @@ from typing import ClassVar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicesim.blocks.cghf import Sample
 from slicesim.engine import _normalize
 from slicesim.messages import Role
+from slicesim.netsim import FlowRun, UnitState
 from slicesim.trace import canonical_json
 
 
@@ -76,6 +78,22 @@ class Tag:
     extra: list = field(default_factory=list)
 
 
+@dataclass(slots=True)          # as netsim.UnitState and cghf.Sample
+class Slot:
+    first: object
+    count: int = 1
+
+
+@dataclass(slots=True)          # as netsim.FlowRun
+class SlotRun:
+    name: object
+    items: list = field(default_factory=list)
+
+    @property
+    def total(self):
+        return len(self.items)
+
+
 ENUMS = st.sampled_from([*Shade, *Level, Role.UE, Role.CGHF])
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
            | st.sampled_from(["", "1", "a", "light", "UE"])
@@ -98,7 +116,9 @@ def _containers(inner):
             | st.sets(KEYS, max_size=4)
             | st.frozensets(KEYS | SCALARS.filter(lambda v: v == v), max_size=4)
             | st.builds(Box, inner, inner)
-            | st.builds(Tag, inner, st.lists(inner, max_size=2)))
+            | st.builds(Tag, inner, st.lists(inner, max_size=2))
+            | st.builds(Slot, inner, st.integers(0, 3))
+            | st.builds(SlotRun, inner, st.lists(inner, max_size=2)))
 
 
 VALUES = st.recursive(SCALARS | ENUMS | OTHERS, _containers, max_leaves=12)
@@ -119,6 +139,20 @@ def test_colliding_keys_keep_the_last_inserted():
 def test_dataclass_fields_exclude_class_variables():
     assert _normalize(Box(Shade.DARK, {Role.MM: {2, "1"}})) == {
         "first": "dark", "second": {"MM": ["1", "2"]}}
+
+
+def test_the_slots_state_types_normalize_as_their_fields():
+    unit = UnitState(path=("i1", "t1"), complete=True, hop=0, remaining=2,
+                     sent_tick=4, count=3)
+    run = FlowRun(flow_id="f1", rate=3, remaining_emissions=5, ingress="i1",
+                  in_flight=[unit])
+    for value in (Sample(4, 2.5), unit, run):
+        assert not hasattr(value, "__dict__")
+        assert _normalize(value) == chained_normalize(value)
+    assert _normalize(Sample(4, 2.5)) == {"tick": 4, "value": 2.5}
+    assert _normalize(run)["in_flight"] == [
+        {"path": ["i1", "t1"], "complete": True, "hop": 0, "remaining": 2,
+         "sent_tick": 4, "count": 3}]
 
 
 def test_read_only_mapping_normalizes_like_its_dict():

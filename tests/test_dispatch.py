@@ -177,7 +177,7 @@ UE = Endpoint(Role.UE, "d1")
 #: device is attached to, and the (kind, source, destination, correlation,
 #: payload) of each draft it appends; it appends no event.
 ACTIONS = {
-    "attach": (("d1",), {"method": 2, "accesses": "wifi"}, None, [
+    "attach": (("d1",), {"method": 2, "accesses": ("wifi",)}, None, [
         (K.ATTACH_REQUEST, UE, _to(Role.CM), "d1:attach:1",
          {"device": "d1", "alias": "imsi-1", "accesses": ["wifi"],
           "node": "n1", "tech": "cellular", "method": 2, "proof": "tok-d1"})]),

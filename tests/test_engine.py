@@ -4,6 +4,7 @@ event semantics and cross-fabric equivalence plumbing."""
 import copy
 import dataclasses
 import gc
+import sys
 from collections import Counter
 from operator import attrgetter
 from types import MappingProxyType
@@ -144,6 +145,34 @@ end
             load_scenario(bad)
         assert str(raised.value) == (f"{bad}:{line}: at 2 attach d2 "
                                      f"method={method}: method must be 1 or 2")
+
+    @pytest.mark.parametrize("accesses", ["bogus,,x", "", "wifi,",
+                                          "cellular,satellite", "WIFI"])
+    def test_attach_accesses_outside_the_techs_name_the_at_line(
+            self, tmp_path, accesses):
+        for name in ("topo-core.txt", "bp-embb.bp", "bp-miot.bp"):
+            (tmp_path / name).write_text(scenario_path(name).read_text())
+        text = scenario_path("attach-two-slices.scn").read_text()
+        at_line = "  at 1 attach d1 method=1"
+        line = text.splitlines().index(at_line) + 1
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text.replace(at_line, f"{at_line} accesses={accesses}"))
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario(bad)
+        assert str(raised.value) == (
+            f"{bad}:{line}: at 1 attach d1 method=1 accesses={accesses}: "
+            "accesses may name only cellular, fixed, wifi")
+
+    def test_attach_accesses_load_as_a_tuple(self, tmp_path):
+        for name in ("topo-core.txt", "bp-embb.bp", "bp-miot.bp"):
+            (tmp_path / name).write_text(scenario_path(name).read_text())
+        text = scenario_path("attach-two-slices.scn").read_text()
+        at_line = "  at 1 attach d1 method=1"
+        scn = tmp_path / "ok.scn"
+        scn.write_text(text.replace(at_line, f"{at_line} accesses=wifi,fixed"))
+        [attach] = [e for e in load_scenario(scn).script
+                    if e.action == "attach" and e.args == ("d1",)]
+        assert attach.options == {"method": 1, "accesses": ("wifi", "fixed")}
 
     @pytest.mark.parametrize("field, old, new", [
         ("topology", "topology: topo-core.txt", "topology: topo-"),
@@ -831,8 +860,8 @@ def _read_only_emit(monkeypatch):
 
 
 class TestReadOnlyPayloads:
-    """Handlers read a delivered payload in place and never write to it:
-    the copy `draft` makes is the only one a message has."""
+    """Handlers read a delivered payload in place and never write to it,
+    so messages may share the dict `draft` keeps."""
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_read_only_payloads_trace_the_same(self, monkeypatch, name):
@@ -855,6 +884,43 @@ class TestReadOnlyPayloads:
         monkeypatch.setitem(engine._HANDLERS, Role.CM, writing)
         with pytest.raises(TypeError):
             run(load("attach-two-slices"), 7)
+
+
+def _copying_draft(monkeypatch) -> list:
+    """Patch a `draft` that builds each message over its own copy of the
+    payload into every module that imports `draft` by name; returns them."""
+    def copying(kind, source, destination, correlation_id, payload=None):
+        return draft(kind, source, destination, correlation_id,
+                     dict(payload or {}))
+
+    modules = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("slicesim.") and name != "slicesim.messages"
+               and getattr(module, "draft", None) is draft]
+    for module in modules:
+        monkeypatch.setattr(module, "draft", copying)
+    return modules
+
+
+class TestPayloadOwnership:
+    """A message keeps the dict it is drafted with, and a forward or a
+    publish's unicasts share one: a run traces what it traced when every
+    message had a copy of its own."""
+
+    def test_the_copy_reaches_every_module_that_drafts(self, monkeypatch):
+        modules = {m.__name__ for m in _copying_draft(monkeypatch)}
+        assert {"slicesim.engine", "slicesim.netsim"} | {
+            f"slicesim.blocks.{role}" for role in
+            ("af", "cghf", "cm", "fm", "mm", "sam")} <= modules
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_shared_payloads_trace_as_copies(self, monkeypatch, name):
+        for model in (None, *engine.FABRIC_MODELS):
+            shared = run(load(name), 7, fabric_override=model)
+            with monkeypatch.context() as patched:
+                _copying_draft(patched)
+                copied = run(load(name), 7, fabric_override=model)
+            assert render_trace(shared.trace) == render_trace(copied.trace)
+            assert shared.digests == copied.digests
 
 
 def _oracle_latency(scenario, bp):
@@ -976,23 +1042,25 @@ class Delivery(NamedTuple):
 
 
 def _delivery_log(monkeypatch):
-    """Log every delivery and the tick each sequence number is drawn at."""
+    """Log every delivery and the tick each queued message's sequence number
+    is drawn at: the tick of the `emit` call that queued it."""
     delivered: list = []
     drawn: dict = {}
-    deliver, next_seq = Environment._deliver, Environment.next_seq
+    deliver, emit = Environment._deliver, Environment.emit
 
     def logged_deliver(self, seq, msg):
         delivered.append(Delivery(self.tick, engine._PRIORITY[msg.kind], seq,
                                   msg.correlation_id))
         deliver(self, seq, msg)
 
-    def logged_next_seq(self):
-        seq = next_seq(self)
-        drawn[seq] = self.tick
-        return seq
+    def logged_emit(self, drafts):
+        emit(self, drafts)
+        for bucket in self.queue:
+            for seq, _ in bucket:
+                drawn.setdefault(seq, self.tick)
 
     monkeypatch.setattr(Environment, "_deliver", logged_deliver)
-    monkeypatch.setattr(Environment, "next_seq", logged_next_seq)
+    monkeypatch.setattr(Environment, "emit", logged_emit)
     return delivered, drawn
 
 

@@ -95,7 +95,8 @@ def scenarios(draw, warm=None):
         st.tuples(st.just("attach"), st.tuples(device), st.fixed_dictionaries(
             {"method": st.sampled_from((1, 2))},
             optional={"accesses": st.sampled_from(
-                ("cellular", "wifi", "cellular,wifi", "fixed"))})),
+                (("cellular",), ("wifi",), ("cellular", "wifi"),
+                 ("fixed",)))})),
         st.tuples(st.sampled_from(("detach", "idle", "page")),
                   st.tuples(device), st.just({})),
         st.tuples(st.just("move"), st.tuples(device, st.sampled_from(NODES)),

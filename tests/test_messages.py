@@ -94,6 +94,12 @@ class TestRouting:
                                       Endpoint(destination, "y"), routed,
                                       {"k": 1}, corr="c")
 
+    def test_draft_keeps_the_payload_it_is_handed(self):
+        payload = {"device": "d1", "node": "n1"}
+        drafted = draft(ProcedureKind.PAGE, CM, AF, "d1:page:1", payload)
+        assert drafted.payload is payload
+        assert draft(ProcedureKind.PAGE, CM, AF, "d1:page:1").payload == {}
+
     def test_other_domain_crossing_is_i7(self):
         assert route_interface_for(Role.CM, Role.OTHER_DOMAIN) is InterfacePoint.I7
 

@@ -2,11 +2,11 @@
 message carries is read by its receiver, except the declared ones.
 
 A leg is a message kind, in its phase if it has one, with its sender and
-receiver roles, written `Kind:phase`.  Each corpus
-scenario runs at seed 7 with `Environment._trace_msg` handing receivers a
-payload that records every key looked up in it (`[]`, `get` and `in`).  The
-receivers are the block handlers and the engine's device and
-forwarded-plane endpoints.  Two receivers pass a payload on as they got it:
+receiver roles, written `Kind:phase`.  Each corpus scenario runs at seed 7
+with `Environment._invoke_block` handing receivers a record whose payload
+records every key looked up in it (`[]`, `get` and `in`).  The receivers
+are the block handlers and the engine's device and forwarded-plane
+endpoints.  Two receivers pass a payload on as they got it:
 an access function forwards a device's uplink and a core block's downlink,
 and a device echoes a handover's execute phase back as its confirm.  A
 field on such a leg counts as read when the receiver of the copy reads it.
@@ -82,13 +82,12 @@ def census():
     """Per leg, the fields the corpus carried on it and the ones read, as
     `(kind, sender, receiver, field)` tuples."""
     carried, read = set(), defaultdict(set)
-    trace_msg = Environment._trace_msg
+    invoke_block = Environment._invoke_block
     # (kind, correlation, receiver ident) -> the read sets of the last
     # message a copier received, which its copy reads into as well
     copied: dict = {}
 
-    def recording(self, seq, msg, *delivery):
-        rec = trace_msg(self, seq, msg, *delivery)
+    def recording(self, entry, rec):
         phase = rec.payload.get("phase")
         kind = f"{rec.kind.value}:{phase}" if phase else rec.kind.value
         leg = (kind, rec.source.role.value, receiver_of(self, rec))
@@ -101,12 +100,10 @@ def census():
             copied[rec.kind, rec.correlation_id,
                    rec.destination.ident] = payload.reads
         carried.update((*leg, field) for field in payload)
-        rec = rec._replace(payload=payload)
-        self.trace[-1] = rec
-        return rec
+        invoke_block(self, entry, rec._replace(payload=payload))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Environment, "_trace_msg", recording)
+        patch.setattr(Environment, "_invoke_block", recording)
         for name in CORPUS:
             run(load_scenario(SCENARIO_DIR / f"{name}.scn"), 7)
     return carried, {(*leg, field) for leg, fields in read.items()
