@@ -61,6 +61,17 @@ def errors(result, name):
     return [r for r in events(result, "error") if r.detail.get("error") == name]
 
 
+def _edit_at_line(tmp_path, at_line: str, edited: str) -> tuple:
+    """A copy of `attach-two-slices` in `tmp_path` with `at_line` replaced
+    by `edited`, and the number of that line."""
+    for name in ("topo-core.txt", "bp-embb.bp", "bp-miot.bp"):
+        (tmp_path / name).write_text(scenario_path(name).read_text())
+    text = scenario_path("attach-two-slices.scn").read_text()
+    path = tmp_path / "edited.scn"
+    path.write_text(text.replace(at_line, edited))
+    return path, text.splitlines().index(at_line) + 1
+
+
 class TestScenarioLoading:
     def test_corpus_loads(self):
         for name in CORPUS:
@@ -134,13 +145,8 @@ end
     @pytest.mark.parametrize("method", [0, 3, 7, -1])
     def test_attach_method_other_than_1_or_2_names_the_at_line(self, tmp_path,
                                                                method):
-        for name in ("topo-core.txt", "bp-embb.bp", "bp-miot.bp"):
-            (tmp_path / name).write_text(scenario_path(name).read_text())
-        text = scenario_path("attach-two-slices.scn").read_text()
         at_line = "  at 2 attach d2 method=1"
-        line = text.splitlines().index(at_line) + 1
-        bad = tmp_path / "bad.scn"
-        bad.write_text(text.replace(at_line, f"{at_line[:-1]}{method}"))
+        bad, line = _edit_at_line(tmp_path, at_line, f"{at_line[:-1]}{method}")
         with pytest.raises(ScenarioError) as raised:
             load_scenario(bad)
         assert str(raised.value) == (f"{bad}:{line}: at 2 attach d2 "
@@ -150,13 +156,9 @@ end
                                           "cellular,satellite", "WIFI"])
     def test_attach_accesses_outside_the_techs_name_the_at_line(
             self, tmp_path, accesses):
-        for name in ("topo-core.txt", "bp-embb.bp", "bp-miot.bp"):
-            (tmp_path / name).write_text(scenario_path(name).read_text())
-        text = scenario_path("attach-two-slices.scn").read_text()
         at_line = "  at 1 attach d1 method=1"
-        line = text.splitlines().index(at_line) + 1
-        bad = tmp_path / "bad.scn"
-        bad.write_text(text.replace(at_line, f"{at_line} accesses={accesses}"))
+        bad, line = _edit_at_line(tmp_path, at_line,
+                                  f"{at_line} accesses={accesses}")
         with pytest.raises(ScenarioError) as raised:
             load_scenario(bad)
         assert str(raised.value) == (
@@ -164,12 +166,9 @@ end
             "accesses may name only cellular, fixed, wifi")
 
     def test_attach_accesses_load_as_a_tuple(self, tmp_path):
-        for name in ("topo-core.txt", "bp-embb.bp", "bp-miot.bp"):
-            (tmp_path / name).write_text(scenario_path(name).read_text())
-        text = scenario_path("attach-two-slices.scn").read_text()
         at_line = "  at 1 attach d1 method=1"
-        scn = tmp_path / "ok.scn"
-        scn.write_text(text.replace(at_line, f"{at_line} accesses=wifi,fixed"))
+        scn, _ = _edit_at_line(tmp_path, at_line,
+                               f"{at_line} accesses=wifi,fixed")
         [attach] = [e for e in load_scenario(scn).script
                     if e.action == "attach" and e.args == ("d1",)]
         assert attach.options == {"method": 1, "accesses": ("wifi", "fixed")}
